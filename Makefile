@@ -58,7 +58,9 @@ lint-help:
 # Full pre-merge gate: vet, static analysis, build, tests, race detector.
 # The obs suite runs race-enabled on its own first: the span ring and the
 # timeline ordering fix are exactly the code whose bugs only the race
-# detector sees.
+# detector sees. bench/ is its own module (a `replace` points it at this
+# one), invisible to ./... here, so it is vetted, tested and linted by
+# name: an API it uses cannot be deleted unnoticed.
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json ./...
@@ -66,6 +68,8 @@ check: build
 	$(GO) test -race ./internal/obs/ ./internal/gpu/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	$(GO) run ./cmd/stitchlint -C bench -baseline ../lint-baseline.json ./...
 
 # bench runs every benchmark and converts the output into a
 # machine-readable snapshot (BENCH_<tag>.json) for benchdiff. Override
@@ -92,14 +96,16 @@ ACC_TAG ?= pr6
 acc:
 	$(GO) run ./cmd/experiments -acc-out ACC_$(ACC_TAG).json
 
-# accdiff flags accuracy regressions between two snapshots (RMS up more
-# than 15% + 0.1 px, or the within-1-px fraction down more than 0.02):
-#   make accdiff OLD=ACC_pr6.json NEW=ACC_pr7.json
-# Target-specific OLD/NEW defaults keep it independent of benchdiff's.
+# accdiff measures the working tree's accuracy into ACC_head.json
+# (git-ignored) and fails on a regression against the committed reference
+# snapshot (RMS up more than 15% + 0.1 px, or the within-1-px fraction
+# down more than 0.02). OLD picks another reference:
+#   make accdiff OLD=ACC_pr5.json
+# The target-specific default keeps it independent of benchdiff's OLD.
 accdiff: OLD = ACC_pr6.json
-accdiff: NEW = ACC_pr6.json
 accdiff:
-	$(GO) run ./cmd/experiments -acc-old $(OLD) -acc-new $(NEW)
+	$(GO) run ./cmd/experiments -acc-out ACC_head.json
+	$(GO) run ./cmd/experiments -acc-old $(OLD) -acc-new ACC_head.json
 
 # Regenerate every table and figure of the paper (artifacts in results/).
 experiments:

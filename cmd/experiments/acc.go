@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"hybridstitch/internal/accuracy"
@@ -50,6 +51,9 @@ func runAcc(out string, seed int64, quick bool, oldPath, newPath string) error {
 	}
 	if newPath == "" {
 		return fmt.Errorf("-acc-old requires -acc-new")
+	}
+	if filepath.Clean(oldPath) == filepath.Clean(newPath) {
+		return fmt.Errorf("-acc-old and -acc-new both name %s: a snapshot cannot regress against itself", oldPath)
 	}
 	oldSnap, err := accuracy.LoadSnapshot(oldPath)
 	if err != nil {

@@ -50,7 +50,6 @@ func main() {
 		variant   = flag.String("fft-variant", "", "FFT path: \"\" (complex), padded (CPU only), real; overrides -real-fft when set explicitly")
 		realFFT   = flag.Bool("real-fft", true, "use real-to-complex transforms (half spectra, ~half the FFT work); -real-fft=false keeps the baseline complex path")
 		fftExec   = flag.String("fft-exec", "auto", "per-transform execution strategy: auto (measured at plan time), serial, split")
-		noBatch   = flag.Bool("fft-no-batch", false, "disable batched pair transforms even when the autotuner prefers them")
 		sockets   = flag.Int("sockets", 1, "CPU pipelines (pipelined-cpu; one per socket)")
 		outPNG    = flag.String("out", "", "write the composite image to this PNG")
 		outTIFF   = flag.String("out-tiff", "", "write the composite image to this 16-bit TIFF (tiled layout for large plates)")
@@ -136,8 +135,7 @@ func main() {
 		log.Fatalf("-fft-exec: %v", err)
 	}
 	opts := stitch.Options{Threads: *threads, Traversal: trav, NPeaks: *npeaks,
-		FFTVariant: fftVariant, Sockets: *sockets,
-		FFTExec: execStrategy, DisableFFTBatch: *noBatch,
+		FFTVariant: fftVariant, Sockets: *sockets, FFTExec: execStrategy,
 		Faults: injector, MaxRetries: *maxRetry, RetryBackoff: 5 * time.Millisecond,
 		Degrade: *degrade && *implName != "fiji", Obs: rec}
 	planner := fft.NewPlanner(fft.Measure)

@@ -12,7 +12,7 @@ import (
 // split, and (for the batch entry points) batched multi-tile passes —
 // and commits to the fastest, mirroring how the 1-D planner's measure
 // mode picks strategies. Decisions are cached per (kind, size, budget)
-// so repeated plan construction (plan pools, benchmarks) pays
+// so repeated plan construction (aligner pools, benchmarks) pays
 // measurement once, and counted in package atomics that the stitch
 // layer publishes as the obs counters fft.autotune.{serial,split,
 // batched} (this package deliberately does not import obs).

@@ -39,22 +39,15 @@ func execPools(t *testing.T) []*WorkerPool {
 	return pools
 }
 
-// TestExecMatrixBitIdentical runs the full complex-plan toggle matrix —
-// {serial, split, auto, batched} × {blocked, legacy gather} × pool sizes
-// {0, 1, NumCPU} × both directions — and requires bit-identical output
-// to the serial blocked reference.
+// TestExecMatrixBitIdentical runs the full complex-plan execution matrix
+// — {serial, split, auto, batched} × pool sizes {0, 1, NumCPU} × both
+// directions — and requires bit-identical output to the row-then-column
+// oracle.
 func TestExecMatrixBitIdentical(t *testing.T) {
 	for _, sz := range execSizes {
 		for _, dir := range []Direction{Forward, Inverse} {
 			src := randComplex(sz.h*sz.w, int64(sz.h*100+sz.w))
-			ref, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{Exec: ExecSerial})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := append([]complex128(nil), src...)
-			if err := ref.Execute(want); err != nil {
-				t.Fatal(err)
-			}
+			want := oracle2D(t, src, sz.h, sz.w, dir)
 			check := func(label string, got []complex128) {
 				t.Helper()
 				for i := range got {
@@ -64,41 +57,34 @@ func TestExecMatrixBitIdentical(t *testing.T) {
 					}
 				}
 			}
+			src2 := randComplex(sz.h*sz.w, int64(sz.h*100+sz.w+7))
+			want2 := oracle2D(t, src2, sz.h, sz.w, dir)
 			for _, pool := range execPools(t) {
-				for _, legacy := range []bool{false, true} {
-					for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
-						p, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{
-							Exec: exec, Pool: pool, LegacyGather: legacy,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := append([]complex128(nil), src...)
-						if err := p.Execute(got); err != nil {
-							t.Fatal(err)
-						}
-						check(execLabel(exec, legacy, pool), got)
+				for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
+					p, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{Exec: exec, Pool: pool})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := append([]complex128(nil), src...)
+					if err := p.Execute(got); err != nil {
+						t.Fatal(err)
+					}
+					check(execLabel(exec, pool), got)
 
-						// Batched shared passes, forced on regardless of what
-						// the autotuner would pick, two tiles with distinct
-						// contents: each must match its own serial transform.
-						p.batch = true
-						src2 := randComplex(sz.h*sz.w, int64(sz.h*100+sz.w+7))
-						want2 := append([]complex128(nil), src2...)
-						if err := ref.Execute(want2); err != nil {
-							t.Fatal(err)
-						}
-						ga := append([]complex128(nil), src...)
-						gb := append([]complex128(nil), src2...)
-						if err := p.ExecuteBatch([][]complex128{ga, gb}); err != nil {
-							t.Fatal(err)
-						}
-						check("batch[0]/"+execLabel(exec, legacy, pool), ga)
-						for i := range gb {
-							if gb[i] != want2[i] {
-								t.Fatalf("%dx%d dir=%v batch[1]/%s: element %d differs",
-									sz.h, sz.w, dir, execLabel(exec, legacy, pool), i)
-							}
+					// Batched shared passes, forced on regardless of what
+					// the autotuner would pick, two tiles with distinct
+					// contents: each must match its own transform.
+					p.batch = true
+					ga := append([]complex128(nil), src...)
+					gb := append([]complex128(nil), src2...)
+					if err := p.ExecuteBatch([][]complex128{ga, gb}); err != nil {
+						t.Fatal(err)
+					}
+					check("batch[0]/"+execLabel(exec, pool), ga)
+					for i := range gb {
+						if gb[i] != want2[i] {
+							t.Fatalf("%dx%d dir=%v batch[1]/%s: element %d differs",
+								sz.h, sz.w, dir, execLabel(exec, pool), i)
 						}
 					}
 				}
@@ -107,20 +93,13 @@ func TestExecMatrixBitIdentical(t *testing.T) {
 	}
 }
 
-func execLabel(exec ExecStrategy, legacy bool, pool *WorkerPool) string {
-	s := exec.String()
-	if legacy {
-		s += "/legacy"
-	}
-	if pool != nil {
-		s += "/cap=" + itoa(pool.Cap())
-	}
-	return s
+func execLabel(exec ExecStrategy, pool *WorkerPool) string {
+	return exec.String() + "/cap=" + itoa(pool.Cap())
 }
 
 // TestRealExecMatrixBitIdentical is the r2c counterpart: Forward
 // spectra, batched Forward spectra, and Inverse reconstructions under
-// every execution shape must equal the serial reference exactly.
+// every execution shape must equal the oracle exactly.
 func TestRealExecMatrixBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sz := range execSizes {
@@ -130,65 +109,48 @@ func TestRealExecMatrixBitIdentical(t *testing.T) {
 			img[i] = rng.NormFloat64()
 			img2[i] = rng.NormFloat64()
 		}
-		ref, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Exec: ExecSerial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh, sw := ref.SpectrumDims()
-		want := make([]complex128, sh*sw)
-		if err := ref.Forward(want, img); err != nil {
-			t.Fatal(err)
-		}
-		want2 := make([]complex128, sh*sw)
-		if err := ref.Forward(want2, img2); err != nil {
-			t.Fatal(err)
-		}
-		wantRec := make([]float64, sz.h*sz.w)
-		if err := ref.Inverse(wantRec, want); err != nil {
-			t.Fatal(err)
-		}
+		want := oracleRealForward(t, img, sz.h, sz.w)
+		want2 := oracleRealForward(t, img2, sz.h, sz.w)
+		wantRec := oracleRealInverse(t, want, sz.h, sz.w)
+		sh, sw := sz.h, sz.w/2+1
 		for _, pool := range execPools(t) {
-			for _, legacy := range []bool{false, true} {
-				for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
-					label := execLabel(exec, legacy, pool)
-					p, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{
-						Exec: exec, Pool: pool, LegacyGather: legacy,
-					})
-					if err != nil {
-						t.Fatal(err)
+			for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
+				label := execLabel(exec, pool)
+				p, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Exec: exec, Pool: pool})
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := make([]complex128, sh*sw)
+				if err := p.Forward(spec, img); err != nil {
+					t.Fatal(err)
+				}
+				for i := range spec {
+					if spec[i] != want[i] {
+						t.Fatalf("%dx%d %s: forward bin %d differs", sz.h, sz.w, label, i)
 					}
-					spec := make([]complex128, sh*sw)
-					if err := p.Forward(spec, img); err != nil {
-						t.Fatal(err)
+				}
+				rec := make([]float64, sz.h*sz.w)
+				if err := p.Inverse(rec, spec); err != nil {
+					t.Fatal(err)
+				}
+				for i := range rec {
+					if rec[i] != wantRec[i] {
+						t.Fatalf("%dx%d %s: inverse sample %d differs", sz.h, sz.w, label, i)
 					}
-					for i := range spec {
-						if spec[i] != want[i] {
-							t.Fatalf("%dx%d %s: forward bin %d differs", sz.h, sz.w, label, i)
-						}
+				}
+				// Forced batched forward, both tiles checked.
+				p.batch = true
+				sa := make([]complex128, sh*sw)
+				sb := make([]complex128, sh*sw)
+				if err := p.ForwardBatch([][]complex128{sa, sb}, [][]float64{img, img2}); err != nil {
+					t.Fatal(err)
+				}
+				for i := range sa {
+					if sa[i] != want[i] {
+						t.Fatalf("%dx%d %s: batch[0] bin %d differs", sz.h, sz.w, label, i)
 					}
-					rec := make([]float64, sz.h*sz.w)
-					if err := p.Inverse(rec, spec); err != nil {
-						t.Fatal(err)
-					}
-					for i := range rec {
-						if rec[i] != wantRec[i] {
-							t.Fatalf("%dx%d %s: inverse sample %d differs", sz.h, sz.w, label, i)
-						}
-					}
-					// Forced batched forward, both tiles checked.
-					p.batch = true
-					sa := make([]complex128, sh*sw)
-					sb := make([]complex128, sh*sw)
-					if err := p.ForwardBatch([][]complex128{sa, sb}, [][]float64{img, img2}); err != nil {
-						t.Fatal(err)
-					}
-					for i := range sa {
-						if sa[i] != want[i] {
-							t.Fatalf("%dx%d %s: batch[0] bin %d differs", sz.h, sz.w, label, i)
-						}
-						if sb[i] != want2[i] {
-							t.Fatalf("%dx%d %s: batch[1] bin %d differs", sz.h, sz.w, label, i)
-						}
+					if sb[i] != want2[i] {
+						t.Fatalf("%dx%d %s: batch[1] bin %d differs", sz.h, sz.w, label, i)
 					}
 				}
 			}

@@ -84,8 +84,8 @@ const maxDirectPrime = 61
 // Plan holds everything precomputed for transforms of one length and
 // direction: the factorization, twiddle tables, and scratch space. A Plan
 // is NOT safe for concurrent use; callers that share a size across
-// goroutines should obtain one plan per goroutine (see PlanPool) — this is
-// the same discipline FFTW demands of fftw_execute with shared buffers.
+// goroutines should obtain one plan per goroutine — this is the same
+// discipline FFTW demands of fftw_execute with shared buffers.
 type Plan struct {
 	n     int
 	dir   Direction
@@ -215,12 +215,6 @@ func (p *Plan) Len() int { return p.n }
 
 // Dir reports the transform direction.
 func (p *Plan) Dir() Direction { return p.dir }
-
-// Normalized reports whether the plan folds the 1/N factor into inverse
-// transforms (PlanOpts.NormalizeInverse). PlanPool keys on it: a
-// normalized and an unnormalized plan of the same size produce results
-// differing by ×N and must never substitute for one another.
-func (p *Plan) Normalized() bool { return p.norm }
 
 // Strategy reports the algorithm the plan executes ("dft", "radix2",
 // "stockham", "mixed", or "bluestein").

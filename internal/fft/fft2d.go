@@ -1,38 +1,29 @@
 package fft
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Plan2D executes two-dimensional transforms of h×w complex images stored
 // in row-major order. The transform is separable: length-w FFTs over each
 // row followed by length-h FFTs over each column. The column pass runs
 // through a blocked transpose (see transpose.go): the image is transposed
 // into plan-held scratch, the column FFTs run over contiguous rows, and
-// the result is transposed back — the strided gather of the seed
-// implementation survives behind Plan2DOpts.LegacyGather for differential
-// testing. A Plan2D is NOT safe for concurrent use by multiple goroutines
-// on the same call; use one Plan2D per goroutine, the Workers option
-// (which shards rows/columns across dedicated goroutines), or the Exec
-// option (which opportunistically splits a single call's passes across
-// idle pool workers).
+// the result is transposed back. A Plan2D is NOT safe for concurrent use
+// by multiple goroutines on the same call; use one Plan2D per goroutine,
+// or the Exec option (which opportunistically splits a single call's
+// passes across idle pool workers).
 type Plan2D struct {
-	w, h    int
-	dir     Direction
-	norm    bool
-	workers int
+	w, h int
+	dir  Direction
+	norm bool
 
-	exec         ExecStrategy // resolved: ExecSerial or ExecSplit
-	batch        bool         // ExecuteBatch uses shared multi-tile passes
-	pool         *WorkerPool
-	legacyGather bool
-	nslots       int // len(rowPlans); split legs use disjoint slot ranges
+	exec   ExecStrategy // resolved: ExecSerial or ExecSplit
+	batch  bool         // ExecuteBatch uses shared multi-tile passes
+	pool   *WorkerPool
+	nslots int // len(rowPlans); split legs use disjoint slot ranges
 
-	rowPlans []*Plan // one per worker/slot
+	rowPlans []*Plan // one per slot
 	colPlans []*Plan
-	colBufs  [][]complex128 // per-slot column gather buffers (legacy path)
-	tbuf     []complex128   // w×h transpose scratch, held for the plan's life
+	tbuf     []complex128 // w×h transpose scratch, held for the plan's life
 
 	// Split-pass spans, precomputed so the hot path does no division.
 	rowSpan, colSpan, backSpan int
@@ -47,10 +38,6 @@ const maxSplitSlots = 8
 type Plan2DOpts struct {
 	// NormalizeInverse folds the 1/(w·h) factor into inverse transforms.
 	NormalizeInverse bool
-	// Workers is the number of goroutines Execute may use; 0 or 1 means
-	// serial execution. Workers > 1 is the legacy dedicated-goroutine
-	// fan-out and disables the Exec split path.
-	Workers int
 	// ForceStrategy pins the 1-D strategy (tests, planner measure mode).
 	ForceStrategy string
 	// Exec selects how a single Execute call uses the machine: the zero
@@ -62,9 +49,6 @@ type Plan2DOpts struct {
 	// Pool supplies the helper-goroutine budget for the split path; nil
 	// means SharedPool().
 	Pool *WorkerPool
-	// LegacyGather routes column passes through the seed's strided
-	// gather/scatter instead of the blocked transpose.
-	LegacyGather bool
 }
 
 // NewPlan2D builds a plan for h-row × w-column transforms.
@@ -81,42 +65,22 @@ func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan,
 	if h <= 0 || w <= 0 {
 		return nil, fmt.Errorf("fft: invalid 2-D transform size %dx%d", h, w)
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	pool := opts.Pool
 	if pool == nil {
 		pool = SharedPool()
 	}
-	p := &Plan2D{w: w, h: h, dir: dir, norm: opts.NormalizeInverse, workers: workers,
-		pool: pool, legacyGather: opts.LegacyGather,
-		tbuf: make([]complex128, w*h)}
+	p := &Plan2D{w: w, h: h, dir: dir, norm: opts.NormalizeInverse,
+		pool: pool, exec: opts.Exec, tbuf: make([]complex128, w*h)}
 	p.rowSpan = spanAtLeast1(splitMinWork / w)
 	p.colSpan = spanAtLeast1(splitMinWork / h)
 	p.backSpan = p.rowSpan
 
-	slots := workers
-	autoTrivial := false
-	if workers > 1 {
-		p.exec = ExecSerial // Workers fan-out owns the parallelism
-	} else {
-		p.exec = opts.Exec
-		if p.exec == ExecAuto && (pool.Cap() == 0 || w*h < autotuneFloor) {
-			p.exec = ExecSerial
-			autoTrivial = true
-		}
-		if p.exec != ExecSerial {
-			if s := pool.Cap() + 1; s > 1 {
-				if s > maxSplitSlots {
-					s = maxSplitSlots
-				}
-				slots = s
-			}
-		}
+	autoTrivial := p.exec == ExecAuto && (pool.Cap() == 0 || w*h < autotuneFloor)
+	if autoTrivial {
+		p.exec = ExecSerial
 	}
-
-	for i := 0; i < slots; i++ {
+	p.nslots = splitSlots(p.exec, pool)
+	for i := 0; i < p.nslots; i++ {
 		rp, err := mkW()
 		if err != nil {
 			return nil, err
@@ -127,9 +91,7 @@ func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan,
 		}
 		p.rowPlans = append(p.rowPlans, rp)
 		p.colPlans = append(p.colPlans, cp)
-		p.colBufs = append(p.colBufs, make([]complex128, h))
 	}
-	p.nslots = slots
 
 	switch {
 	case autoTrivial:
@@ -138,6 +100,16 @@ func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan,
 		p.resolveAuto()
 	}
 	return p, nil
+}
+
+// splitSlots is how many per-slot plan/scratch sets a plan resolved to
+// exec over pool builds: one for the serial path, otherwise one per
+// goroutine a split can occupy, capped at maxSplitSlots.
+func splitSlots(exec ExecStrategy, pool *WorkerPool) int {
+	if exec == ExecSerial {
+		return 1
+	}
+	return min(pool.Cap()+1, maxSplitSlots)
 }
 
 func spanAtLeast1(n int) int {
@@ -153,9 +125,6 @@ func (p *Plan2D) resolveAuto() {
 	kind := "c2c-forward"
 	if p.dir == Inverse {
 		kind = "c2c-inverse"
-	}
-	if p.legacyGather {
-		kind += "+legacy"
 	}
 	key := autoKey{kind: kind, h: p.h, w: p.w, budget: p.pool.Cap()}
 
@@ -240,7 +209,7 @@ func (p *Plan2D) ExecuteBatch(datas [][]complex128) error {
 			return fmt.Errorf("fft: plan is %dx%d (%d elements), batch tile has %d", p.h, p.w, p.h*p.w, len(d))
 		}
 	}
-	if len(datas) < 2 || !p.batch || p.workers > 1 {
+	if len(datas) < 2 || !p.batch {
 		for _, d := range datas {
 			if err := p.execute(d, nil); err != nil {
 				return err
@@ -256,9 +225,6 @@ func (p *Plan2D) ExecuteBatch(datas [][]complex128) error {
 func (p *Plan2D) execute(data []complex128, fill func([]complex128, int)) error {
 	if len(data) != p.w*p.h {
 		return fmt.Errorf("fft: plan is %dx%d (%d elements), input has %d", p.h, p.w, p.h*p.w, len(data))
-	}
-	if p.workers > 1 {
-		return p.executeParallel(data, fill)
 	}
 	if p.exec == ExecSplit {
 		return p.executeSplit(data, fill)
@@ -278,12 +244,10 @@ func (p *Plan2D) executeSerial(data []complex128, fill func([]complex128, int)) 
 			return err
 		}
 	}
-	if err := p.columnPass(data, 0, p.w, cp, p.colBufs[0]); err != nil {
+	if err := p.columnPass(data, 0, p.w, cp); err != nil {
 		return err
 	}
-	if !p.legacyGather {
-		transposeRange(data, p.tbuf, p.w, p.h, 0, p.h)
-	}
+	transposeRange(data, p.tbuf, p.w, p.h, 0, p.h)
 	p.normalize(data)
 	return nil
 }
@@ -311,19 +275,17 @@ func (p *Plan2D) executeSplit(data []complex128, fill func([]complex128, int)) e
 		return err
 	}
 	err = splitRange(p.pool, 0, p.nslots, 0, p.w, p.colSpan, func(slot, lo, hi int) error {
-		return p.columnPass(data, lo, hi, p.colPlans[slot], p.colBufs[slot])
+		return p.columnPass(data, lo, hi, p.colPlans[slot])
 	})
 	if err != nil {
 		return err
 	}
-	if !p.legacyGather {
-		err = splitRange(p.pool, 0, p.nslots, 0, p.h, p.backSpan, func(_, lo, hi int) error {
-			transposeRange(data, p.tbuf, p.w, p.h, lo, hi)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	err = splitRange(p.pool, 0, p.nslots, 0, p.h, p.backSpan, func(_, lo, hi int) error {
+		transposeRange(data, p.tbuf, p.w, p.h, lo, hi)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	p.normalize(data)
 	return nil
@@ -361,117 +323,32 @@ func (p *Plan2D) executeBatch(datas [][]complex128) error {
 	for _, data := range datas {
 		if p.exec == ExecSplit {
 			err = splitRange(p.pool, 0, p.nslots, 0, p.w, p.colSpan, func(slot, lo, hi int) error {
-				return p.columnPass(data, lo, hi, p.colPlans[slot], p.colBufs[slot])
+				return p.columnPass(data, lo, hi, p.colPlans[slot])
 			})
 		} else {
-			err = p.columnPass(data, 0, p.w, p.colPlans[0], p.colBufs[0])
+			err = p.columnPass(data, 0, p.w, p.colPlans[0])
 		}
 		if err != nil {
 			return err
 		}
-		if !p.legacyGather {
-			transposeRange(data, p.tbuf, p.w, p.h, 0, p.h)
-		}
+		transposeRange(data, p.tbuf, p.w, p.h, 0, p.h)
 		p.normalize(data)
 	}
 	return nil
 }
 
-// columnPass runs the length-h FFTs for columns [c0, c1). On the blocked
-// path the results are left in the transposed scratch p.tbuf; the caller
-// transposes back once every column slab is done. The legacy path
-// scatters each column straight back into data.
+// columnPass runs the length-h FFTs for columns [c0, c1), leaving the
+// results in the transposed scratch p.tbuf; the caller transposes back
+// once every column slab is done.
 //
 //stitchlint:hotpath
-func (p *Plan2D) columnPass(data []complex128, c0, c1 int, cp *Plan, buf []complex128) error {
-	if p.legacyGather {
-		for c := c0; c < c1; c++ {
-			gatherCol(buf, data, c, p.w, p.h)
-			if err := cp.Execute(buf); err != nil {
-				return err
-			}
-			scatterCol(data, buf, c, p.w, p.h)
-		}
-		return nil
-	}
+func (p *Plan2D) columnPass(data []complex128, c0, c1 int, cp *Plan) error {
 	transposeRange(p.tbuf, data, p.h, p.w, c0, c1)
 	for c := c0; c < c1; c++ {
 		if err := cp.Execute(p.tbuf[c*p.h : (c+1)*p.h]); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// slabRange splits [0, n) into the worker's contiguous share.
-func slabRange(n, workers, wk int) (lo, hi int) {
-	return n * wk / workers, n * (wk + 1) / workers
-}
-
-//stitchlint:hotpath
-func (p *Plan2D) executeParallel(data []complex128, fill func([]complex128, int)) error {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// Row pass: shard rows across workers.
-	wg.Add(p.workers)
-	for wk := 0; wk < p.workers; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			rp := p.rowPlans[wk]
-			for r := wk; r < p.h; r += p.workers {
-				row := data[r*p.w : (r+1)*p.w]
-				if fill != nil {
-					fill(row, r)
-				}
-				if err := rp.Execute(row); err != nil {
-					record(err)
-					return
-				}
-			}
-		}(wk)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	// Column pass: each worker owns a contiguous column slab, so the
-	// blocked transposes write disjoint regions of the shared scratch.
-	wg.Add(p.workers)
-	for wk := 0; wk < p.workers; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			lo, hi := slabRange(p.w, p.workers, wk)
-			record(p.columnPass(data, lo, hi, p.colPlans[wk], p.colBufs[wk]))
-		}(wk)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if !p.legacyGather {
-		// Transpose back, sharded over the destination's row slabs.
-		wg.Add(p.workers)
-		for wk := 0; wk < p.workers; wk++ {
-			go func(wk int) {
-				defer wg.Done()
-				lo, hi := slabRange(p.h, p.workers, wk)
-				transposeRange(data, p.tbuf, p.w, p.h, lo, hi)
-			}(wk)
-		}
-		wg.Wait()
-	}
-	p.normalize(data)
 	return nil
 }
 
@@ -483,23 +360,5 @@ func (p *Plan2D) normalize(data []complex128) {
 	s := complex(1/float64(p.w*p.h), 0)
 	for i := range data {
 		data[i] *= s
-	}
-}
-
-//stitchlint:hotpath
-func gatherCol(dst, data []complex128, c, w, h int) {
-	idx := c
-	for r := 0; r < h; r++ {
-		dst[r] = data[idx]
-		idx += w
-	}
-}
-
-//stitchlint:hotpath
-func scatterCol(data, src []complex128, c, w, h int) {
-	idx := c
-	for r := 0; r < h; r++ {
-		data[idx] = src[r]
-		idx += w
 	}
 }

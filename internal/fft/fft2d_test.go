@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -53,10 +54,13 @@ func TestPlan2DMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestPlan2DParallelMatchesSerial: a transform big enough that the split
+// really forks must equal the single-goroutine one at every helper
+// budget.
 func TestPlan2DParallelMatchesSerial(t *testing.T) {
-	const h, w = 24, 40
+	const h, w = 72, 80
 	x := randComplex(h*w, 9)
-	serial, err := NewPlan2D(h, w, Forward, Plan2DOpts{})
+	serial, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +68,9 @@ func TestPlan2DParallelMatchesSerial(t *testing.T) {
 	if err := serial.Execute(want); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		par, err := NewPlan2D(h, w, Forward, Plan2DOpts{Workers: workers})
+	for _, helpers := range []int{1, 2, 3, 6} {
+		pool := NewWorkerPool(helpers)
+		par, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSplit, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +78,9 @@ func TestPlan2DParallelMatchesSerial(t *testing.T) {
 		if err := par.Execute(got); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(got, want); d > 1e-12 {
-			t.Errorf("workers=%d: diverges from serial by %g", workers, d)
+		pool.Close()
+		if d := maxAbsDiff(got, want); d != 0 {
+			t.Errorf("helpers=%d: diverges from serial by %g", helpers, d)
 		}
 	}
 }
@@ -345,8 +351,10 @@ func TestPlannerPlan2D(t *testing.T) {
 	}
 }
 
+// TestRealPlan2DParallelMatchesSerial is the r2c counterpart, forward
+// and back.
 func TestRealPlan2DParallelMatchesSerial(t *testing.T) {
-	const h, w = 20, 34
+	const h, w = 72, 80
 	rng := rand.New(rand.NewSource(8))
 	img := make([]float64, h*w)
 	for i := range img {
@@ -361,8 +369,9 @@ func TestRealPlan2DParallelMatchesSerial(t *testing.T) {
 	if err := serial.Forward(want, img); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 5} {
-		par, err := NewRealPlan2DWorkers(h, w, workers)
+	for _, helpers := range []int{1, 2, 4} {
+		pool := NewWorkerPool(helpers)
+		par, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSplit, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,18 +379,42 @@ func TestRealPlan2DParallelMatchesSerial(t *testing.T) {
 		if err := par.Forward(got, img); err != nil {
 			t.Fatal(err)
 		}
-		if d := maxAbsDiff(got, want); d > 1e-12 {
-			t.Errorf("workers=%d forward diverges by %g", workers, d)
+		if d := maxAbsDiff(got, want); d != 0 {
+			t.Errorf("helpers=%d forward diverges by %g", helpers, d)
 		}
 		back := make([]float64, h*w)
 		if err := par.Inverse(back, got); err != nil {
 			t.Fatal(err)
 		}
+		pool.Close()
 		scale := float64(h * w)
 		for i := range img {
 			if math.Abs(back[i]/scale-img[i]) > tolFor(h*w) {
-				t.Fatalf("workers=%d inverse wrong at %d", workers, i)
+				t.Fatalf("helpers=%d inverse wrong at %d", helpers, i)
 			}
 		}
+	}
+}
+
+// TestPlannerConcurrent: the planner itself must be safe for concurrent
+// Plan calls.
+func TestPlannerConcurrent(t *testing.T) {
+	pl := NewPlanner(Measure)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, n := range []int{12, 60, 64, 97, 120} {
+				if _, err := pl.Plan(n, Forward, PlanOpts{}); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if pl.WisdomSize() != 5 {
+		t.Errorf("wisdom size %d, want 5", pl.WisdomSize())
 	}
 }

@@ -144,17 +144,9 @@ func (pl *Planner) RealPlan(n int) (*RealPlan, error) {
 	return newRealPlan(n, pl.wisdomFactory)
 }
 
-// RealPlan2D returns a fresh 2-D real-transform plan for h×w images with
-// the given worker fan-out (≤1 means serial). Row r2c plans and column
-// complex plans all consult the wisdom cache. The execution strategy is
-// pinned serial, matching the plan this method historically built; use
-// RealPlan2DOpts for the split/batched shapes.
-func (pl *Planner) RealPlan2D(h, w, workers int) (*RealPlan2D, error) {
-	return newRealPlan2D(h, w, Real2DOpts{Workers: workers, Exec: ExecSerial}, pl.wisdomFactory)
-}
-
-// RealPlan2DOpts returns a fresh 2-D real-transform plan with full
-// control over the execution shape, wisdom-backed like RealPlan2D.
+// RealPlan2DOpts returns a fresh 2-D real-transform plan for h×w images
+// with full control over the execution shape. Row r2c plans and column
+// complex plans all consult the wisdom cache.
 func (pl *Planner) RealPlan2DOpts(h, w int, opts Real2DOpts) (*RealPlan2D, error) {
 	return newRealPlan2D(h, w, opts, pl.wisdomFactory)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sync"
 )
 
 // This file implements real-input transforms — the paper's §VI.A
@@ -199,24 +198,19 @@ func (rp *RealPlan) Inverse(x []float64, spec []complex128) error {
 // row-major real images, producing the half spectrum with rows of length
 // w/2+1 (h rows). Inverse reconstructs the real image. Like Plan2D, the
 // spectrum column passes run through a blocked transpose into plan-held
-// scratch (the seed gather path remains behind Real2DOpts.LegacyGather).
-// Not safe for concurrent use.
+// scratch. Not safe for concurrent use.
 type RealPlan2D struct {
-	w, h    int
-	sw      int // spectrum row width = w/2+1
-	workers int
+	w, h int
+	sw   int // spectrum row width = w/2+1
 
-	exec         ExecStrategy // resolved: ExecSerial or ExecSplit
-	reqExec      ExecStrategy // as requested (may be ExecAuto); pool free-list key
-	batch        bool         // ForwardBatch uses shared multi-tile passes
-	pool         *WorkerPool
-	legacyGather bool
-	nslots       int // len(rowF); split legs use disjoint slot ranges
+	exec   ExecStrategy // resolved: ExecSerial or ExecSplit
+	batch  bool         // ForwardBatch uses shared multi-tile passes
+	pool   *WorkerPool
+	nslots int // len(rowF); split legs use disjoint slot ranges
 
-	rowF  []*RealPlan // one per worker/slot
+	rowF  []*RealPlan // one per slot
 	colF  []*Plan
 	colI  []*Plan
-	cbuf  [][]complex128
 	specF []complex128 // scratch spectrum for inverse
 	tbuf  []complex128 // sw×h transpose scratch for the column passes
 
@@ -227,8 +221,8 @@ type RealPlan2D struct {
 	// Pending-pass operands. The shard/slab bodies below are bound once
 	// at construction and read their per-call operands from these fields;
 	// building them as literals inside Forward/Inverse would heap-allocate
-	// a closure per pass (the parallel branch makes them escape), which
-	// the zero-allocation steady state cannot afford.
+	// a closure per pass (the split branch makes them escape), which the
+	// zero-allocation steady state cannot afford.
 	opImg   []float64
 	opSpec  []complex128
 	opPlans []*Plan
@@ -243,7 +237,6 @@ type RealPlan2D struct {
 	fnRowFwdBatch func(wk, vr int) error
 	fnRowInv      func(wk, r int) error
 	fnFill        func(wk, r int) error
-	fnColShard    func(wk, c int) error
 	fnColSlab     func(wk, lo, hi int) error
 	fnColBack     func(wk, lo, hi int) error
 }
@@ -251,9 +244,6 @@ type RealPlan2D struct {
 // Real2DOpts adjusts real 2-D plan construction — the r2c counterpart of
 // Plan2DOpts.
 type Real2DOpts struct {
-	// Workers is the legacy dedicated-goroutine fan-out; 0 or 1 means a
-	// single goroutine. Workers > 1 disables the Exec split path.
-	Workers int
 	// Exec selects the single-call execution shape: ExecAuto (zero
 	// value) measures serial vs split vs batched at plan time,
 	// ExecSerial pins the zero-allocation path, ExecSplit pins the
@@ -262,21 +252,11 @@ type Real2DOpts struct {
 	// Pool supplies the helper budget for the split path; nil means
 	// SharedPool().
 	Pool *WorkerPool
-	// LegacyGather routes column passes through the seed's strided
-	// gather/scatter instead of the blocked transpose.
-	LegacyGather bool
 }
 
 // NewRealPlan2D builds a serial 2-D real-transform plan.
 func NewRealPlan2D(h, w int) (*RealPlan2D, error) {
 	return NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSerial})
-}
-
-// NewRealPlan2DWorkers builds a plan whose Forward/Inverse shard rows and
-// spectrum columns across `workers` goroutines — the r2c counterpart of
-// Plan2DOpts.Workers.
-func NewRealPlan2DWorkers(h, w, workers int) (*RealPlan2D, error) {
-	return NewRealPlan2DOpts(h, w, Real2DOpts{Workers: workers, Exec: ExecSerial})
 }
 
 // NewRealPlan2DOpts builds a plan with full control over the execution
@@ -289,44 +269,23 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 	if h <= 0 || w < 2 {
 		return nil, fmt.Errorf("fft: invalid real 2-D size %dx%d", h, w)
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	pool := opts.Pool
 	if pool == nil {
 		pool = SharedPool()
 	}
-	p := &RealPlan2D{w: w, h: h, sw: w/2 + 1, workers: workers,
-		reqExec: opts.Exec,
-		pool:    pool, legacyGather: opts.LegacyGather,
+	p := &RealPlan2D{w: w, h: h, sw: w/2 + 1, exec: opts.Exec, pool: pool,
 		specF: make([]complex128, h*(w/2+1)),
 		tbuf:  make([]complex128, h*(w/2+1))}
 	p.rowSpan = spanAtLeast1(splitMinWork / w)
 	p.colSpan = spanAtLeast1(splitMinWork / h)
 	p.specRowSpan = spanAtLeast1(splitMinWork / p.sw)
 
-	slots := workers
-	autoTrivial := false
-	if workers > 1 {
-		p.exec = ExecSerial // Workers fan-out owns the parallelism
-	} else {
-		p.exec = opts.Exec
-		if p.exec == ExecAuto && (pool.Cap() == 0 || w*h < autotuneFloor) {
-			p.exec = ExecSerial
-			autoTrivial = true
-		}
-		if p.exec != ExecSerial {
-			if s := pool.Cap() + 1; s > 1 {
-				if s > maxSplitSlots {
-					s = maxSplitSlots
-				}
-				slots = s
-			}
-		}
+	autoTrivial := p.exec == ExecAuto && (pool.Cap() == 0 || w*h < autotuneFloor)
+	if autoTrivial {
+		p.exec = ExecSerial
 	}
-
-	for i := 0; i < slots; i++ {
+	p.nslots = splitSlots(p.exec, pool)
+	for i := 0; i < p.nslots; i++ {
 		rowF, err := newRealPlan(w, mk)
 		if err != nil {
 			return nil, err
@@ -342,9 +301,7 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 		p.rowF = append(p.rowF, rowF)
 		p.colF = append(p.colF, colF)
 		p.colI = append(p.colI, colI)
-		p.cbuf = append(p.cbuf, make([]complex128, h))
 	}
-	p.nslots = slots
 	p.fnRowFwd = func(wk, r int) error {
 		return p.rowF[wk].Forward(p.opSpec[r*p.sw:(r+1)*p.sw], p.opImg[r*p.w:(r+1)*p.w])
 	}
@@ -357,14 +314,6 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 	}
 	p.fnFill = func(wk, r int) error {
 		p.opFill(p.specF[r*p.sw:(r+1)*p.sw], r)
-		return nil
-	}
-	p.fnColShard = func(wk, c int) error {
-		gatherCol(p.cbuf[wk], p.opSpec, c, p.sw, p.h)
-		if err := p.opPlans[wk].Execute(p.cbuf[wk]); err != nil {
-			return err
-		}
-		scatterCol(p.opSpec, p.cbuf[wk], c, p.sw, p.h)
 		return nil
 	}
 	p.fnColSlab = func(wk, lo, hi int) error {
@@ -394,11 +343,7 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 // (cached per size/budget; one decision covers forward and inverse,
 // whose pass structures match).
 func (p *RealPlan2D) resolveAuto() {
-	kind := "r2c"
-	if p.legacyGather {
-		kind += "+legacy"
-	}
-	key := autoKey{kind: kind, h: p.h, w: p.w, budget: p.pool.Cap()}
+	key := autoKey{kind: "r2c", h: p.h, w: p.w, budget: p.pool.Cap()}
 
 	var img, imgB []float64
 	var spec, specB []complex128
@@ -437,99 +382,50 @@ func (p *RealPlan2D) resolveAuto() {
 	p.exec, p.batch = c.exec, c.batch
 }
 
-// shard runs fn(worker, index) for every index in [0, n): round-robin
-// across dedicated goroutines when the legacy Workers fan-out is active,
-// by recursive range splitting over the pool when the plan resolved to
-// ExecSplit (minSpan is the smallest index range a split leg may keep),
-// and as a plain loop otherwise. The serial branch creates no closures
-// and performs no allocation — the zero-alloc steady state runs there.
-func (p *RealPlan2D) shard(n, minSpan int, fn func(worker, index int) error) error {
-	if p.workers == 1 {
-		if p.exec == ExecSplit {
-			return splitRange(p.pool, 0, p.nslots, 0, n, minSpan, func(slot, lo, hi int) error {
-				for i := lo; i < hi; i++ {
-					if err := fn(slot, i); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, p.workers)
-	for wk := 0; wk < p.workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			for i := wk; i < n; i += p.workers {
-				if err := fn(wk, i); err != nil {
-					errs[wk] = err
-					return
+// shard runs fn(slot, index) for every index in [0, n): by recursive
+// range splitting over the pool when the plan resolved to ExecSplit
+// (minSpan is the smallest index range a split leg may keep), and as a
+// plain loop otherwise. The serial branch creates no closures and
+// performs no allocation — the zero-alloc steady state runs there.
+func (p *RealPlan2D) shard(n, minSpan int, fn func(slot, index int) error) error {
+	if p.exec == ExecSplit {
+		return splitRange(p.pool, 0, p.nslots, 0, n, minSpan, func(slot, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if err := fn(slot, i); err != nil {
+					return err
 				}
 			}
-		}(wk)
+			return nil
+		})
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	for i := 0; i < n; i++ {
+		if err := fn(0, i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// slab runs fn(worker, lo, hi) over contiguous shares of [0, n) — the
+// slab runs fn(slot, lo, hi) over contiguous shares of [0, n) — the
 // slab counterpart of shard, used by the blocked-transpose column passes
-// so each worker/leg transposes and transforms a disjoint column range.
-// Routing matches shard: Workers fan-out, pool split, or one inline call.
-func (p *RealPlan2D) slab(n, minSpan int, fn func(worker, lo, hi int) error) error {
-	if p.workers == 1 {
-		if p.exec == ExecSplit {
-			return splitRange(p.pool, 0, p.nslots, 0, n, minSpan, fn)
-		}
-		return fn(0, 0, n)
+// so each leg transposes and transforms a disjoint column range.
+func (p *RealPlan2D) slab(n, minSpan int, fn func(slot, lo, hi int) error) error {
+	if p.exec == ExecSplit {
+		return splitRange(p.pool, 0, p.nslots, 0, n, minSpan, fn)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, p.workers)
-	for wk := 0; wk < p.workers; wk++ {
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			lo, hi := slabRange(n, p.workers, wk)
-			errs[wk] = fn(wk, lo, hi)
-		}(wk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fn(0, 0, n)
 }
 
 // columnPass runs length-h FFTs over every spectrum column of the h×sw
-// matrix spec in place, using cp to select the per-worker forward or
+// matrix spec in place, using plans to select the per-slot forward or
 // inverse plans.
 //
 //stitchlint:hotpath
 func (p *RealPlan2D) columnPass(spec []complex128, plans []*Plan) error {
 	p.opSpec, p.opPlans = spec, plans
-	var err error
-	if p.legacyGather {
-		err = p.shard(p.sw, p.colSpan, p.fnColShard)
-	} else {
-		err = p.slab(p.sw, p.colSpan, p.fnColSlab)
-		if err == nil {
-			err = p.slab(p.h, p.specRowSpan, p.fnColBack)
-		}
+	err := p.slab(p.sw, p.colSpan, p.fnColSlab)
+	if err == nil {
+		err = p.slab(p.h, p.specRowSpan, p.fnColBack)
 	}
 	p.opSpec, p.opPlans = nil, nil
 	return err
@@ -544,17 +440,11 @@ func (p *RealPlan2D) W() int { return p.w }
 // H returns the real image height.
 func (p *RealPlan2D) H() int { return p.h }
 
-// Workers reports the goroutine fan-out Forward/Inverse use.
-func (p *RealPlan2D) Workers() int { return p.workers }
-
 // Exec reports the resolved execution strategy (never ExecAuto).
 func (p *RealPlan2D) Exec() ExecStrategy { return p.exec }
 
 // Batched reports whether ForwardBatch uses shared multi-tile passes.
 func (p *RealPlan2D) Batched() bool { return p.batch }
-
-// Pool returns the worker pool the split path draws from.
-func (p *RealPlan2D) Pool() *WorkerPool { return p.pool }
 
 // Forward computes the half spectrum of the real image img (h*w,
 // row-major) into dst (h*(w/2+1), row-major).
@@ -595,7 +485,7 @@ func (p *RealPlan2D) ForwardBatch(dsts [][]complex128, imgs [][]float64) error {
 			return fmt.Errorf("fft: batch spectrum %d is %d elements, want %d", t, len(dsts[t]), p.h*p.sw)
 		}
 	}
-	if len(imgs) < 2 || !p.batch || p.workers > 1 {
+	if len(imgs) < 2 || !p.batch {
 		for t := range imgs {
 			if err := p.Forward(dsts[t], imgs[t]); err != nil {
 				return err

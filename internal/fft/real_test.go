@@ -7,104 +7,6 @@ import (
 	"testing"
 )
 
-// TestPlanPoolNormalizedPlanDoesNotPoisonGets is the regression test for
-// the (n, dir)-only pool keying bug: a Put of a plan built with
-// PlanOpts{NormalizeInverse: true} must never be handed back by Get,
-// whose callers expect the package's unnormalized inverse convention —
-// the poisoned plan would silently rescale results by 1/n.
-func TestPlanPoolNormalizedPlanDoesNotPoisonGets(t *testing.T) {
-	const n = 8
-	pp := NewPlanPool(nil)
-	norm, err := NewPlan(n, Inverse, PlanOpts{NormalizeInverse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.Put(norm)
-
-	p, err := pp.Get(n, Inverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p == norm {
-		t.Fatal("pool returned a NormalizeInverse plan to a default-convention Get")
-	}
-	if p.Normalized() {
-		t.Fatal("pool Get produced a normalized plan")
-	}
-
-	// Behavioral check: forward then pool inverse must carry the ×n
-	// factor, not round-trip to the input.
-	x := randComplex(n, 17)
-	buf := append([]complex128(nil), x...)
-	fwd, err := pp.Get(n, Forward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fwd.Execute(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Execute(buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(buf[i]-complex(float64(n), 0)*x[i]) > tolFor(n) {
-			t.Fatalf("sample %d: got %v want %v (unnormalized ×n convention)", i, buf[i], complex(float64(n), 0)*x[i])
-		}
-	}
-
-	// The normalized plan lives on its own free list: repeated Gets keep
-	// missing it.
-	pp.Put(p)
-	again, err := pp.Get(n, Inverse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again == norm {
-		t.Fatal("normalized plan leaked out of the pool on a second Get")
-	}
-}
-
-// TestPlanPoolRealPlans covers the r2c side of the pool: identity reuse
-// for both 1-D and 2-D real plans, keyed on geometry and worker fan-out.
-func TestPlanPoolRealPlans(t *testing.T) {
-	pp := NewPlanPool(nil)
-	r1, err := pp.GetReal(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.PutReal(r1)
-	r2, err := pp.GetReal(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Error("pool did not reuse the 1-D real plan")
-	}
-
-	p1, err := pp.GetReal2D(6, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.PutReal2D(p1)
-	p2, err := pp.GetReal2D(6, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("pool did not reuse the 2-D real plan")
-	}
-	// A different worker count is a different internal layout: no reuse.
-	p3, err := pp.GetReal2D(6, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Error("worker-count confusion in real 2-D pool")
-	}
-	pp.PutReal(nil)
-	pp.PutReal2D(nil) // harmless
-}
-
 // TestPlannerRealPlansUseWisdom checks the Planner's real-plan entry
 // points build working plans and fill the wisdom cache for their inner
 // complex sizes.
@@ -121,12 +23,12 @@ func TestPlannerRealPlansUseWisdom(t *testing.T) {
 		t.Error("planner real plan consulted no wisdom")
 	}
 
-	p2, err := pl.RealPlan2D(10, 12, 2)
+	p2, err := pl.RealPlan2DOpts(10, 12, Real2DOpts{Exec: ExecSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.H() != 10 || p2.W() != 12 || p2.Workers() != 2 {
-		t.Fatalf("RealPlan2D geometry %dx%d workers %d", p2.H(), p2.W(), p2.Workers())
+	if p2.H() != 10 || p2.W() != 12 {
+		t.Fatalf("RealPlan2D geometry %dx%d", p2.H(), p2.W())
 	}
 	// Planner-built and default-built plans must agree numerically.
 	img := make([]float64, 10*12)
@@ -196,12 +98,12 @@ func TestRealPlanEdgeSizes(t *testing.T) {
 }
 
 // TestRealPlan2DOddSizesRoundTrip exercises the 2-D plan with odd widths
-// (odd-n row fallback) and odd heights, serial and sharded.
+// (odd-n row fallback) and odd heights.
 func TestRealPlan2DOddSizesRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ h, w, workers int }{
-		{5, 7, 1}, {5, 7, 3}, {9, 3, 1}, {3, 2, 1}, {7, 13, 2},
+	for _, tc := range []struct{ h, w int }{
+		{5, 7}, {9, 3}, {3, 2}, {7, 13},
 	} {
-		p, err := NewRealPlan2DWorkers(tc.h, tc.w, tc.workers)
+		p, err := NewRealPlan2D(tc.h, tc.w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,8 +124,8 @@ func TestRealPlan2DOddSizesRoundTrip(t *testing.T) {
 		scale := float64(tc.h * tc.w)
 		for i := range img {
 			if math.Abs(back[i]/scale-img[i]) > tolFor(tc.h*tc.w) {
-				t.Fatalf("%dx%d workers=%d sample %d: got %g want %g",
-					tc.h, tc.w, tc.workers, i, back[i]/scale, img[i])
+				t.Fatalf("%dx%d sample %d: got %g want %g",
+					tc.h, tc.w, i, back[i]/scale, img[i])
 			}
 		}
 	}

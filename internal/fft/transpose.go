@@ -3,13 +3,13 @@ package fft
 import "sync/atomic"
 
 // This file implements the blocked (tiled) matrix transpose that backs
-// the 2-D plans' column passes. The seed implementation gathered each
-// column through a stride-w walk (gatherCol/scatterCol), touching one
-// cache line per element; the blocked transpose instead moves
-// transposeBlock×transposeBlock tiles that fit in L1, so the column FFTs
-// run over contiguous row-major memory. The transform is bit-identical
-// either way — the same values reach the same 1-D FFTs in the same
-// order — which the differential tests in transpose_test.go pin down.
+// the 2-D plans' column passes. Gathering each column through a stride-w
+// walk touches one cache line per element; the blocked transpose instead
+// moves transposeBlock×transposeBlock tiles that fit in L1, so the column
+// FFTs run over contiguous row-major memory. The transform is
+// bit-identical either way — the same values reach the same 1-D FFTs in
+// the same order — which transpose_test.go pins against a row-then-column
+// oracle that does the strided gather itself.
 
 // transposeBlock is the square tile edge of the blocked transpose. At
 // 16 complex128 elements a source tile plus its destination tile occupy
@@ -22,11 +22,6 @@ const transposeBlock = 16
 // through TransposeBlocks for the stitch layer's fft.transpose.blocks
 // counter (this package deliberately does not import obs).
 var transposeBlocksCount atomic.Int64
-
-// The seed gather/scatter path survives as a plan-scoped option
-// (Plan2DOpts.LegacyGather / Real2DOpts.LegacyGather) rather than a
-// process-global toggle, so differential tests can run both paths
-// concurrently without racing on shared state.
 
 // TransposeBlocks returns the process-wide count of transposed tiles.
 func TransposeBlocks() int64 { return transposeBlocksCount.Load() }

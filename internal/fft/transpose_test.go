@@ -6,7 +6,7 @@ import (
 )
 
 // transposeSizes covers the shapes the blocked path must agree on with
-// the seed path bit-for-bit: odd, prime, power-of-two, mixed, and sizes
+// the oracle bit-for-bit: odd, prime, power-of-two, mixed, and sizes
 // straddling the block edge.
 var transposeSizes = []struct{ h, w int }{
 	{9, 15},  // odd × odd
@@ -16,38 +16,41 @@ var transposeSizes = []struct{ h, w int }{
 	{8, 64},  // power of two, several blocks
 	{33, 18}, // one past the block edge × mixed radix
 	{48, 40}, // mixed radix, multi-block
+	{72, 80}, // above the split floor: legs really transpose concurrently
 }
 
-// TestBlockedTransposeBitIdentical pins the tentpole invariant: the
-// blocked-transpose column pass produces bit-identical spectra to the
-// seed strided gather, for both directions and worker counts. The legacy
-// path is a plan-scoped option (LegacyGather), so both plans coexist —
-// no process-global toggle to serialize on.
+// transposeExecs is the execution axis of the transpose tests: the
+// serial passes and the pool-fed split, whose legs transpose disjoint
+// slabs concurrently.
+func transposeExecs(t *testing.T) []Plan2DOpts {
+	t.Helper()
+	pool := NewWorkerPool(2)
+	t.Cleanup(pool.Close)
+	return []Plan2DOpts{{Exec: ExecSerial}, {Exec: ExecSplit, Pool: pool}}
+}
+
+// TestBlockedTransposeBitIdentical pins the blocked-transpose column
+// pass to the row-then-column oracle, whose strided gather is the
+// arithmetic the transpose replaced: spectra must be bit-identical for
+// both directions, serial and split.
 func TestBlockedTransposeBitIdentical(t *testing.T) {
 	for _, sz := range transposeSizes {
-		for _, workers := range []int{1, 3} {
+		for _, opts := range transposeExecs(t) {
 			for _, dir := range []Direction{Forward, Inverse} {
 				src := randComplex(sz.h*sz.w, int64(sz.h*1000+sz.w))
-				p, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{Workers: workers})
+				p, err := NewPlan2D(sz.h, sz.w, dir, opts)
 				if err != nil {
 					t.Fatalf("NewPlan2D(%d,%d): %v", sz.h, sz.w, err)
-				}
-				pl, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{Workers: workers, LegacyGather: true})
-				if err != nil {
-					t.Fatalf("NewPlan2D(%d,%d) legacy: %v", sz.h, sz.w, err)
 				}
 				blocked := append([]complex128(nil), src...)
 				if err := p.Execute(blocked); err != nil {
 					t.Fatalf("blocked Execute: %v", err)
 				}
-				legacy := append([]complex128(nil), src...)
-				if err := pl.Execute(legacy); err != nil {
-					t.Fatalf("legacy Execute: %v", err)
-				}
+				want := oracle2D(t, src, sz.h, sz.w, dir)
 				for i := range blocked {
-					if blocked[i] != legacy[i] {
-						t.Fatalf("%dx%d dir=%v workers=%d: element %d differs: blocked=%v legacy=%v",
-							sz.h, sz.w, dir, workers, i, blocked[i], legacy[i])
+					if blocked[i] != want[i] {
+						t.Fatalf("%dx%d dir=%v exec=%v: element %d differs: blocked=%v oracle=%v",
+							sz.h, sz.w, dir, opts.Exec, i, blocked[i], want[i])
 					}
 				}
 			}
@@ -56,49 +59,39 @@ func TestBlockedTransposeBitIdentical(t *testing.T) {
 }
 
 // TestRealPlan2DBlockedTransposeBitIdentical is the r2c counterpart:
-// Forward spectra and Inverse reconstructions must match the seed path
+// Forward spectra and Inverse reconstructions must match the oracle
 // exactly.
 func TestRealPlan2DBlockedTransposeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sz := range transposeSizes {
-		for _, workers := range []int{1, 3} {
-			p, err := NewRealPlan2DWorkers(sz.h, sz.w, workers)
+		for _, opts := range transposeExecs(t) {
+			p, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Exec: opts.Exec, Pool: opts.Pool})
 			if err != nil {
-				t.Fatalf("NewRealPlan2DWorkers(%d,%d): %v", sz.h, sz.w, err)
-			}
-			pl, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Workers: workers, Exec: ExecSerial, LegacyGather: true})
-			if err != nil {
-				t.Fatalf("NewRealPlan2DOpts(%d,%d) legacy: %v", sz.h, sz.w, err)
+				t.Fatalf("NewRealPlan2DOpts(%d,%d): %v", sz.h, sz.w, err)
 			}
 			img := make([]float64, sz.h*sz.w)
 			for i := range img {
 				img[i] = rng.NormFloat64()
 			}
 			sh, sw := p.SpectrumDims()
-			specBlocked := make([]complex128, sh*sw)
-			if err := p.Forward(specBlocked, img); err != nil {
+			spec := make([]complex128, sh*sw)
+			if err := p.Forward(spec, img); err != nil {
 				t.Fatalf("blocked Forward: %v", err)
 			}
-			specLegacy := make([]complex128, sh*sw)
-			if err := pl.Forward(specLegacy, img); err != nil {
-				t.Fatalf("legacy Forward: %v", err)
-			}
-			for i := range specBlocked {
-				if specBlocked[i] != specLegacy[i] {
-					t.Fatalf("%dx%d workers=%d: forward spectrum bin %d differs", sz.h, sz.w, workers, i)
+			wantSpec := oracleRealForward(t, img, sz.h, sz.w)
+			for i := range spec {
+				if spec[i] != wantSpec[i] {
+					t.Fatalf("%dx%d exec=%v: forward spectrum bin %d differs", sz.h, sz.w, opts.Exec, i)
 				}
 			}
-			recBlocked := make([]float64, sz.h*sz.w)
-			if err := p.Inverse(recBlocked, specBlocked); err != nil {
+			rec := make([]float64, sz.h*sz.w)
+			if err := p.Inverse(rec, spec); err != nil {
 				t.Fatalf("blocked Inverse: %v", err)
 			}
-			recLegacy := make([]float64, sz.h*sz.w)
-			if err := pl.Inverse(recLegacy, specLegacy); err != nil {
-				t.Fatalf("legacy Inverse: %v", err)
-			}
-			for i := range recBlocked {
-				if recBlocked[i] != recLegacy[i] {
-					t.Fatalf("%dx%d workers=%d: inverse sample %d differs", sz.h, sz.w, workers, i)
+			wantRec := oracleRealInverse(t, spec, sz.h, sz.w)
+			for i := range rec {
+				if rec[i] != wantRec[i] {
+					t.Fatalf("%dx%d exec=%v: inverse sample %d differs", sz.h, sz.w, opts.Exec, i)
 				}
 			}
 		}
@@ -108,10 +101,10 @@ func TestRealPlan2DBlockedTransposeBitIdentical(t *testing.T) {
 // TestExecuteFillMatchesSeparatePass checks the fused row-fill entry
 // point against filling the buffer up front and calling Execute.
 func TestExecuteFillMatchesSeparatePass(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, opts := range transposeExecs(t) {
 		h, w := 12, 20
 		src := randComplex(h*w, 42)
-		p, err := NewPlan2D(h, w, Inverse, Plan2DOpts{Workers: workers})
+		p, err := NewPlan2D(h, w, Inverse, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +121,7 @@ func TestExecuteFillMatchesSeparatePass(t *testing.T) {
 		}
 		for i := range fused {
 			if fused[i] != separate[i] {
-				t.Fatalf("workers=%d: element %d differs", workers, i)
+				t.Fatalf("exec=%v: element %d differs", opts.Exec, i)
 			}
 		}
 	}
@@ -137,9 +130,9 @@ func TestExecuteFillMatchesSeparatePass(t *testing.T) {
 // TestInverseFillMatchesInverse checks the r2c fused staging entry point
 // against the copy-then-Inverse path.
 func TestInverseFillMatchesInverse(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, opts := range transposeExecs(t) {
 		h, w := 10, 24
-		p, err := NewRealPlan2DWorkers(h, w, workers)
+		p, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: opts.Exec, Pool: opts.Pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,20 +160,16 @@ func TestInverseFillMatchesInverse(t *testing.T) {
 		}
 		for i := range fused {
 			if fused[i] != separate[i] {
-				t.Fatalf("workers=%d: sample %d differs", workers, i)
+				t.Fatalf("exec=%v: sample %d differs", opts.Exec, i)
 			}
 		}
 	}
 }
 
-// TestTransposeBlocksCounter checks that blocked executions advance the
-// process-wide block counter and legacy-gather plans do not.
+// TestTransposeBlocksCounter checks that executions advance the
+// process-wide block counter.
 func TestTransposeBlocksCounter(t *testing.T) {
 	p, err := NewPlan2D(32, 32, Forward, Plan2DOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := NewPlan2D(32, 32, Forward, Plan2DOpts{LegacyGather: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +178,9 @@ func TestTransposeBlocksCounter(t *testing.T) {
 	if err := p.Execute(data); err != nil {
 		t.Fatal(err)
 	}
-	after := TransposeBlocks()
 	// 32×32 with a 16-element block edge: 2×2 blocks per transpose, two
 	// transposes (in and back) per execute.
-	if want := before + 8; after != want {
-		t.Fatalf("TransposeBlocks after blocked execute = %d, want %d", after, want)
-	}
-	if err := pl.Execute(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := TransposeBlocks(); got != after {
-		t.Fatalf("legacy execute moved TransposeBlocks from %d to %d", after, got)
+	if got, want := TransposeBlocks(), before+8; got != want {
+		t.Fatalf("TransposeBlocks after execute = %d, want %d", got, want)
 	}
 }

@@ -24,7 +24,7 @@ func allocTile(w, h int, seed int64) *tile.Gray16 {
 // performs zero heap allocations per pair.
 func TestDisplaceZeroAllocs(t *testing.T) {
 	const w, h = 64, 48
-	al, err := NewAligner(w, h, Options{FFTWorkers: 1, FFTExec: fft.ExecSerial})
+	al, err := NewAligner(w, h, Options{FFTExec: fft.ExecSerial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestDisplaceZeroAllocs(t *testing.T) {
 // TestDisplaceZeroAllocs.
 func TestRealDisplaceZeroAllocs(t *testing.T) {
 	const w, h = 64, 48
-	al, err := NewRealAligner(w, h, Options{FFTWorkers: 1, FFTExec: fft.ExecSerial})
+	al, err := NewRealAligner(w, h, Options{FFTExec: fft.ExecSerial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,11 @@ var (
 // from a pool (arena or whole-aligner) rather than fresh allocation.
 func ArenaReuse() int64 { return arenaReuseCount.Load() }
 
-// arena is the per-aligner scratch block. work is the complex spectrum
-// scratch (full spectrum for the complex/padded aligners, half spectrum
-// for the real aligner); corr and pix are the real aligner's correlation
-// surface and pixel staging; peaks, cands, and cx back the peak search.
+// arena is the per-aligner scratch block. work is the complex/padded
+// aligners' full-spectrum scratch (the real aligner stages its half
+// spectrum inside the plan and has none); corr and pix are the real
+// aligner's correlation surface and pixel staging; peaks, cands, and cx
+// back the peak search.
 // cands and cx start nil and grow on first NPeaks>1 use; pix2 starts nil
 // and grows on the real aligner's first batched TransformPair (staging
 // the second tile of the pair).
@@ -122,18 +123,14 @@ func releaseArena(kind string, w, h int, ar *arena) {
 // cross-variant equivalence tests pin this) — so runs that build a
 // fresh estimate-mode planner per run still share aligners.
 type alignerKey struct {
-	kind            string
-	w, h            int
-	nPeaks          int
-	positiveOnly    bool
-	minOverlapPx    int
-	window          bool
-	fftWorkers      int
-	fftExec         fft.ExecStrategy
-	fftPoolID       uint64
-	legacyTranspose bool
-	disableBatch    bool
-	disableFusion   bool
+	kind         string
+	w, h         int
+	nPeaks       int
+	positiveOnly bool
+	minOverlapPx int
+	window       bool
+	fftExec      fft.ExecStrategy
+	fftPoolID    uint64
 }
 
 var alignerPools sync.Map // alignerKey → pool
@@ -146,16 +143,12 @@ func makeAlignerKey(kind string, w, h int, opts Options) alignerKey {
 	}
 	return alignerKey{
 		kind: kind, w: w, h: h,
-		nPeaks:          opts.NPeaks,
-		positiveOnly:    opts.PositiveOnly,
-		minOverlapPx:    opts.MinOverlapPx,
-		window:          opts.Window,
-		fftWorkers:      opts.FFTWorkers,
-		fftExec:         opts.FFTExec,
-		fftPoolID:       pool.ID(),
-		legacyTranspose: opts.LegacyTranspose,
-		disableBatch:    opts.DisableBatch,
-		disableFusion:   opts.DisableFusion,
+		nPeaks:       opts.NPeaks,
+		positiveOnly: opts.PositiveOnly,
+		minOverlapPx: opts.MinOverlapPx,
+		window:       opts.Window,
+		fftExec:      opts.FFTExec,
+		fftPoolID:    pool.ID(),
 	}
 }
 

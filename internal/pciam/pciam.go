@@ -53,41 +53,20 @@ type Options struct {
 	// trades peak sharpness against overlap signal. Off by default,
 	// matching the paper.
 	Window bool
-	// FFTWorkers sets intra-transform parallelism for the Aligner's
-	// plans (the CPU pipeline stages use 1 and parallelize across tiles
-	// instead).
-	FFTWorkers int
 	// FFTExec selects the execution shape of the aligner's 2-D plans:
 	// the zero value lets the plan-time autotuner measure serial vs
 	// split vs batched per size and core budget; ExecSerial pins the
 	// zero-allocation path; ExecSplit pins the recursive pool-fed
-	// split. Ignored when FFTWorkers > 1 (the legacy fan-out owns the
-	// parallelism).
+	// split.
 	FFTExec fft.ExecStrategy
 	// FFTPool is the bounded worker budget the split path draws from;
 	// nil means fft.SharedPool(). Pair-level runners Reserve their
 	// worker count from the same pool, so transform-level splits only
 	// use genuinely idle cores.
 	FFTPool *fft.WorkerPool
-	// LegacyTranspose routes the plans' column passes through the
-	// seed's strided gather instead of the blocked transpose
-	// (differential testing; plan-scoped, so both paths can run
-	// concurrently).
-	LegacyTranspose bool
-	// DisableBatch forces TransformPair to run its two forward
-	// transforms separately even when the plan's autotuner chose
-	// batched passes. The stitch layer sets it when fault injection is
-	// active, so injected transform faults keep their exact sequence.
-	DisableBatch bool
 	// Planner supplies FFT wisdom; nil uses a private estimate-mode
 	// planner.
 	Planner *fft.Planner
-	// DisableFusion computes the NCC spectrum as its own full-size pass
-	// before the inverse transform (the seed behavior) instead of fusing
-	// it into the inverse's first pass. Results are bit-identical either
-	// way; the toggle exists for the differential tests and as a
-	// rollback escape hatch.
-	DisableFusion bool
 }
 
 // withDefaults normalizes zero values.
@@ -98,23 +77,18 @@ func (o Options) withDefaults() Options {
 	if o.MinOverlapPx <= 0 {
 		o.MinOverlapPx = 1
 	}
-	if o.FFTWorkers <= 0 {
-		o.FFTWorkers = 1
-	}
 	return o
 }
 
 // plan2DOpts translates the aligner options into complex 2-D plan
 // options.
 func (o Options) plan2DOpts() fft.Plan2DOpts {
-	return fft.Plan2DOpts{Workers: o.FFTWorkers, Exec: o.FFTExec,
-		Pool: o.FFTPool, LegacyGather: o.LegacyTranspose}
+	return fft.Plan2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
 }
 
 // real2DOpts is the r2c counterpart of plan2DOpts.
 func (o Options) real2DOpts() fft.Real2DOpts {
-	return fft.Real2DOpts{Workers: o.FFTWorkers, Exec: o.FFTExec,
-		Pool: o.FFTPool, LegacyGather: o.LegacyTranspose}
+	return fft.Real2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
 }
 
 // Aligner computes displacements for tile pairs of one fixed size. It is
@@ -218,23 +192,12 @@ func (al *Aligner) Transform(t *tile.Gray16) ([]complex128, error) {
 }
 
 // TransformPair computes the forward transforms of both tiles of a pair.
-// When the plan's autotuner chose batched execution (and the aligner's
-// DisableBatch option is off), the two tiles' row FFTs run as ONE pass
+// When the plan's autotuner chose batched execution, the two tiles' row
+// FFTs run as ONE pass
 // over a shared virtual row space — a single planner dispatch amortizing
 // twiddles and split bookkeeping — followed by per-tile column passes.
 // Results are bit-identical to two Transform calls.
 func (al *Aligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128, error) {
-	if al.opts.DisableBatch {
-		fa, err := al.Transform(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		fb, err := al.Transform(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fa, fb, nil
-	}
 	fa, err := al.stageTile(a)
 	if err != nil {
 		return nil, nil, err
@@ -279,21 +242,14 @@ func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displa
 	if len(fa) != n || len(fb) != n {
 		return tile.Displacement{}, fmt.Errorf("pciam: transform length %d/%d, want %d", len(fa), len(fb), n)
 	}
-	if al.opts.DisableFusion {
-		NCCSpectrum(al.work, fa, fb)
-		if err := al.inv.Execute(al.work); err != nil {
-			return tile.Displacement{}, err
-		}
-	} else {
-		// Fused path: the NCC row is computed immediately before the
-		// inverse's row FFT consumes it, so the spectrum never makes a
-		// separate full-size pass through memory.
-		al.fa, al.fb = fa, fb
-		err := al.inv.ExecuteFill(al.work, al.fill)
-		al.fa, al.fb = nil, nil
-		if err != nil {
-			return tile.Displacement{}, err
-		}
+	// The NCC row is computed immediately before the inverse's row FFT
+	// consumes it, so the spectrum never makes a separate full-size pass
+	// through memory.
+	al.fa, al.fb = fa, fb
+	err := al.inv.ExecuteFill(al.work, al.fill)
+	al.fa, al.fb = nil, nil
+	if err != nil {
+		return tile.Displacement{}, err
 	}
 	al.ar.peaks, al.ar.cands = topPeaksInto(al.ar.peaks, al.ar.cands, al.work, al.w, al.h, al.opts.NPeaks)
 	peaks := al.ar.peaks
@@ -313,7 +269,7 @@ func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displa
 }
 
 // DisplaceTiles is the convenience form that computes both forward
-// transforms itself — the Simple-CPU code path.
+// transforms itself — the no-reuse path of the Fiji baseline.
 func (al *Aligner) DisplaceTiles(a, b *tile.Gray16) (tile.Displacement, error) {
 	fa, fb, err := al.TransformPair(a, b)
 	if err != nil {

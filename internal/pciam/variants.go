@@ -115,17 +115,6 @@ func (al *PaddedAligner) stageTile(t *tile.Gray16) ([]complex128, error) {
 // row passes into one planner dispatch when the plan's autotuner chose
 // batched execution; see (*Aligner).TransformPair.
 func (al *PaddedAligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128, error) {
-	if al.opts.DisableBatch {
-		fa, err := al.Transform(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		fb, err := al.Transform(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fa, fb, nil
-	}
 	fa, err := al.stageTile(a)
 	if err != nil {
 		return nil, nil, err
@@ -153,18 +142,11 @@ func (al *PaddedAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.
 	if len(fa) != n || len(fb) != n {
 		return tile.Displacement{}, fmt.Errorf("pciam: padded transform length %d/%d, want %d", len(fa), len(fb), n)
 	}
-	if al.opts.DisableFusion {
-		NCCSpectrum(al.work, fa, fb)
-		if err := al.inv.Execute(al.work); err != nil {
-			return tile.Displacement{}, err
-		}
-	} else {
-		al.fa, al.fb = fa, fb
-		err := al.inv.ExecuteFill(al.work, al.fill)
-		al.fa, al.fb = nil, nil
-		if err != nil {
-			return tile.Displacement{}, err
-		}
+	al.fa, al.fb = fa, fb
+	err := al.inv.ExecuteFill(al.work, al.fill)
+	al.fa, al.fb = nil, nil
+	if err != nil {
+		return tile.Displacement{}, err
 	}
 	al.ar.peaks, al.ar.cands = topPeaksInto(al.ar.peaks, al.ar.cands, al.work, al.pw, al.ph, al.opts.NPeaks)
 	best := tile.Displacement{Corr: math.Inf(-1)}
@@ -211,9 +193,8 @@ type RealAligner struct {
 	opts Options
 	fwd  *fft.RealPlan2D
 	ar   *arena
-	spec []complex128 // NCC half-spectrum scratch (aliases ar.work)
-	corr []float64    // real correlation surface (aliases ar.corr)
-	pix  []float64    // aliases ar.pix
+	corr []float64 // real correlation surface (aliases ar.corr)
+	pix  []float64 // aliases ar.pix
 
 	fa, fb []complex128
 	fill   func(dst []complex128, r int)
@@ -233,11 +214,11 @@ func NewRealAligner(w, h int, opts Options) (*RealAligner, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, sw := fwd.SpectrumDims()
-	ar := checkoutArena("real", w, h, sh*sw, w*h)
+	_, sw := fwd.SpectrumDims()
+	ar := checkoutArena("real", w, h, 0, w*h)
 	al := &RealAligner{
 		w: w, h: h, sw: sw, opts: opts, fwd: fwd, ar: ar,
-		spec: ar.work, corr: ar.corr, pix: ar.pix,
+		corr: ar.corr, pix: ar.pix,
 	}
 	al.fill = func(dst []complex128, r int) {
 		o := r * al.sw
@@ -254,7 +235,7 @@ func (al *RealAligner) Close() {
 	}
 	releaseArena("real", al.w, al.h, al.ar)
 	al.ar = nil
-	al.spec, al.corr, al.pix = nil, nil, nil
+	al.corr, al.pix = nil, nil
 }
 
 // Transform computes the half-spectrum forward transform of a tile —
@@ -279,17 +260,6 @@ func (al *RealAligner) Transform(t *tile.Gray16) ([]complex128, error) {
 // (the second tile stages through an extra arena pixel buffer); see
 // (*Aligner).TransformPair.
 func (al *RealAligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128, error) {
-	if al.opts.DisableBatch {
-		fa, err := al.Transform(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		fb, err := al.Transform(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return fa, fb, nil
-	}
 	if a.W != al.w || a.H != al.h || b.W != al.w || b.H != al.h {
 		return nil, nil, fmt.Errorf("pciam: pair tiles %dx%d/%dx%d, aligner expects %dx%d", a.W, a.H, b.W, b.H, al.w, al.h)
 	}
@@ -321,20 +291,13 @@ func (al *RealAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Di
 	if len(fa) != n || len(fb) != n {
 		return tile.Displacement{}, fmt.Errorf("pciam: half-spectrum length %d/%d, want %d", len(fa), len(fb), n)
 	}
-	if al.opts.DisableFusion {
-		NCCSpectrum(al.spec, fa, fb)
-		if err := al.fwd.Inverse(al.corr, al.spec); err != nil {
-			return tile.Displacement{}, err
-		}
-	} else {
-		// Fused path: the NCC row is the inverse's own staging write, so
-		// the half-spectrum product never makes a separate pass.
-		al.fa, al.fb = fa, fb
-		err := al.fwd.InverseFill(al.corr, al.fill)
-		al.fa, al.fb = nil, nil
-		if err != nil {
-			return tile.Displacement{}, err
-		}
+	// The NCC row is the inverse's own staging write, so the
+	// half-spectrum product never makes a separate pass.
+	al.fa, al.fb = fa, fb
+	err := al.fwd.InverseFill(al.corr, al.fill)
+	al.fa, al.fb = nil, nil
+	if err != nil {
+		return tile.Displacement{}, err
 	}
 	peaks := al.topPeaks()
 	best := tile.Displacement{Corr: math.Inf(-1)}

@@ -46,6 +46,9 @@ func (v FFTVariant) transformWords(g tile.Grid) int64 {
 type aligner interface {
 	Transform(*tile.Gray16) ([]complex128, error)
 	Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error)
+	// DisplaceTiles transforms both tiles itself: the Fiji baseline's
+	// no-reuse path.
+	DisplaceTiles(a, b *tile.Gray16) (tile.Displacement, error)
 }
 
 var (
@@ -53,21 +56,6 @@ var (
 	_ aligner = (*pciam.PaddedAligner)(nil)
 	_ aligner = (*pciam.RealAligner)(nil)
 )
-
-// newAligner builds the variant selected by the options.
-func newAligner(g tile.Grid, opts Options) (aligner, error) {
-	po := opts.pciamOptions()
-	switch opts.FFTVariant {
-	case VariantComplex:
-		return pciam.NewAligner(g.TileW, g.TileH, po)
-	case VariantPadded:
-		return pciam.NewPaddedAligner(g.TileW, g.TileH, po)
-	case VariantReal:
-		return pciam.NewRealAligner(g.TileW, g.TileH, po)
-	default:
-		return nil, fmt.Errorf("stitch: unknown FFT variant %q", opts.FFTVariant)
-	}
-}
 
 // acquireAligner checks an aligner (plans and scratch arena included) out
 // of the pciam pools, so per-run and per-worker aligner construction

@@ -1,170 +1,31 @@
 package stitch
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"hybridstitch/internal/obs"
-	"hybridstitch/internal/tile"
-)
+import "hybridstitch/internal/tile"
 
 // MTCPU is the multithreaded SPMD implementation (paper §IV.A): the
 // pair list is decomposed spatially across T threads, each running the
-// same program on its partition. Transforms are computed once into a
-// shared reference-counted cache guarded per tile, so boundary tiles are
-// not recomputed by both partitions.
+// same program on its partition. Transforms are computed once into the
+// shared reference-counted cache, so boundary tiles are not recomputed
+// by both partitions.
 type MTCPU struct{}
 
 // Name implements Stitcher.
 func (MTCPU) Name() string { return "mt-cpu" }
 
 // Run implements Stitcher.
-func (MTCPU) Run(src Source, opts Options) (*Result, error) {
-	g := src.Grid()
-	if err := g.Validate(); err != nil {
+func (m MTCPU) Run(src Source, opts Options) (*Result, error) {
+	r, err := newRun(src, opts, m.Name())
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(g)
-	threads := opts.Threads
-	cache := newHostCache(g, opts.Governor, opts.FFTVariant)
-	res := newResult(g)
-	fp := opts.plan()
-	ds := newDegradedSet(g)
-	root, base := startRun(opts, "mt-cpu", g)
-	start := time.Now()
-
-	// Per-tile once guards: the first worker to need a tile computes its
-	// transform; others wait on it.
-	onces := make([]sync.Once, g.NumTiles())
-	errs := make([]error, g.NumTiles())
-
 	// Spatial decomposition: contiguous chunks of the traversal's pair
 	// order, so each thread works a compact region and refcounts still
 	// free memory early within a region.
-	pairs := opts.Traversal.PairOrder(g)
-	chunk := (len(pairs) + threads - 1) / threads
-	defer opts.reservePairWorkers(threads)()
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	pairs := r.opts.Traversal.PairOrder(r.g)
+	chunk := (len(pairs) + r.opts.Threads - 1) / r.opts.Threads
+	var parts [][]tile.Pair
+	for lo := 0; lo < len(pairs); lo += chunk {
+		parts = append(parts, pairs[lo:min(lo+chunk, len(pairs))])
 	}
-
-	for t := 0; t < threads; t++ {
-		lo := t * chunk
-		hi := lo + chunk
-		if lo >= len(pairs) {
-			break
-		}
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		wg.Add(1)
-		go func(part []tile.Pair) {
-			defer wg.Done()
-			al, err := acquireAligner(g, opts)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer releaseAligner(al)
-			ensure := func(c tile.Coord, psp *obs.Span) (*tile.Gray16, []complex128, error) {
-				i := g.Index(c)
-				onces[i].Do(func() {
-					img, err := fp.readTile(src, c, psp)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					cache.touch()
-					f, err := fp.transform(al, c, img, psp)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					errs[i] = cache.put(i, img, f)
-				})
-				if errs[i] != nil {
-					return nil, nil, errs[i]
-				}
-				img, f := cache.get(i)
-				if img == nil {
-					return nil, nil, fmt.Errorf("stitch: tile %v evicted before use (refcount bug)", c)
-				}
-				return img, f, nil
-			}
-			// degradeTile marks the tile and the pair needing it, keeping
-			// refcounts balanced; sync.Once makes "persistently failed"
-			// sticky across both partitions sharing a boundary tile.
-			degradeTile := func(p tile.Pair, c tile.Coord, err error) bool {
-				if !fp.degrade {
-					fail(err)
-					return false
-				}
-				ds.tileFailed(c, err)
-				ds.pairFailed(p, pairCause(p, c, err))
-				if err := cache.releasePair(p); err != nil {
-					fail(err)
-					return false
-				}
-				return true
-			}
-			doPair := func(p tile.Pair) bool {
-				psp := root.Child(obs.SpanPair, pairAttr(p))
-				defer psp.End()
-				bImg, bF, err := ensure(p.Coord, psp)
-				if err != nil {
-					return degradeTile(p, p.Coord, err)
-				}
-				aImg, aF, err := ensure(p.Neighbor(), psp)
-				if err != nil {
-					return degradeTile(p, p.Neighbor(), err)
-				}
-				cache.touch()
-				d, err := fp.displace(al, p, aImg, bImg, aF, bF, psp)
-				if err != nil {
-					if !fp.degrade {
-						fail(err)
-						return false
-					}
-					ds.pairFailed(p, err)
-					if err := cache.releasePair(p); err != nil {
-						fail(err)
-						return false
-					}
-					return true
-				}
-				mu.Lock()
-				res.setPair(p, d)
-				mu.Unlock()
-				if err := cache.releasePair(p); err != nil {
-					fail(err)
-					return false
-				}
-				return true
-			}
-			for _, p := range part {
-				if !doPair(p) {
-					return
-				}
-			}
-		}(pairs[lo:hi])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	ds.finalize(res)
-	res.Elapsed = time.Since(start)
-	_, res.PeakTransformsLive, res.TransformsComputed = cache.stats()
-	finishRun(opts, root, base, res)
-	return res, nil
+	return r.publish(r.end(r.walk(parts)))
 }

@@ -12,7 +12,7 @@ import (
 // This file is the stitch layer's span/metric taxonomy (DESIGN.md §10).
 // Semantic counters — equal across all five variants for the same input
 // — are distinguished from timing metrics, which legitimately differ:
-// the differential test in obs_integration_test.go pins the former.
+// TestDifferentialSemanticCounters in obs_test.go pins the former.
 
 // Semantic counter names, re-exported from the central registry in
 // internal/obs/names.go (DESIGN.md §10). CounterPairsAligned,
@@ -41,7 +41,7 @@ func pairAttr(p tile.Pair) obs.Attr {
 }
 
 // runBaselines snapshots the process-wide hot-path counters at run start
-// so finishRun can publish this run's deltas: fft and pciam deliberately
+// so publishRun can publish this run's deltas: fft and pciam deliberately
 // do not import obs, exposing package atomics instead, and the stitch
 // layer bridges them into the recorder here.
 type runBaselines struct {
@@ -74,17 +74,12 @@ func startRun(opts Options, impl string, g tile.Grid) (*obs.Span, runBaselines) 
 	return opts.Obs.StartSpan(obs.TrackRun, obs.SpanStitch, attrs...), base
 }
 
-// finishRun ends the root span and publishes the run's result-level
-// metrics: semantic counters derived from the Result (the quantities
-// every variant must agree on), peak live transforms, and per-queue
-// depth/pushes. Per-socket sub-runs (Options.subRun) end their span but
-// emit no counters: runSockets publishes one set from the merged,
-// boundary-deduplicated Result, so a tile degraded in two adjacent row
-// bands is counted once, not once per band.
-func finishRun(opts Options, root *obs.Span, base runBaselines, res *Result) {
-	root.End()
+// publishRun publishes a finished run's result-level metrics: semantic
+// counters derived from the Result (the quantities every variant must
+// agree on), peak live transforms, and per-queue depth/pushes.
+func publishRun(opts Options, base runBaselines, res *Result) {
 	rec := opts.Obs
-	if rec == nil || res == nil || opts.subRun {
+	if rec == nil {
 		return
 	}
 	// Hot-path deltas. Concurrent runs sharing the process counters can

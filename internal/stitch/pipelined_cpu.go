@@ -2,8 +2,6 @@ package stitch
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"hybridstitch/internal/obs"
 	"hybridstitch/internal/pipeline"
@@ -22,16 +20,14 @@ type PipelinedCPU struct{}
 // Name implements Stitcher.
 func (PipelinedCPU) Name() string { return "pipelined-cpu" }
 
-// cpuWork is one task for the fft/displacement worker stage.
+// cpuWork is one task for the fft/displacement worker stage: a tile to
+// transform, a tile casualty marker (degrade mode), or a ready pair.
 type cpuWork struct {
 	isPair bool
 	coord  tile.Coord   // transform task
 	img    *tile.Gray16 // transform task payload
-	failed error        // tile casualty marker (degrade mode)
+	failed error        // tile casualty marker
 	pair   tile.Pair    // pair task
-	aImg   *tile.Gray16 // pair task payloads
-	bImg   *tile.Gray16
-	aF, bF []complex128
 }
 
 // cpuEvent is a notification to the bookkeeping stage: a transform
@@ -43,36 +39,35 @@ type cpuEvent struct {
 }
 
 // Run implements Stitcher.
-func (PipelinedCPU) Run(src Source, opts Options) (*Result, error) {
-	g := src.Grid()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
+func (pc PipelinedCPU) Run(src Source, opts Options) (*Result, error) {
 	if opts.Sockets > 1 {
 		return runSockets(src, opts)
 	}
-	opts = opts.withDefaults(g)
-	cache := newHostCache(g, opts.Governor, opts.FFTVariant)
-	res := newResult(g)
-	fp := opts.plan()
-	ds := newDegradedSet(g)
-	var resMu sync.Mutex
-	root, base := startRun(opts, "pipelined-cpu", g)
+	r, err := newRun(src, opts, pc.Name())
+	if err != nil {
+		return nil, err
+	}
+	return r.publish(r.end(r.pipelineCPU()))
+}
+
+// pipelineCPU runs the three stages over the run's grid. The stages
+// only schedule: every read, transform, displacement and settlement is
+// the engine's.
+func (r *run) pipelineCPU() error {
+	g, opts := r.g, r.opts
 	// One span per stage, parents of that stage's operation spans: the
-	// pipeline analogue of the paper's per-stage timeline rows. The
-	// explicit Ends below stamp the stage completion times; End is
-	// idempotent, so the defers only matter on early-error returns.
-	spRead := root.ChildOn(obs.TrackStagePrefix+obs.SpanRead, obs.SpanRead)
+	// pipeline analogue of the paper's per-stage timeline rows.
+	spRead := r.root.ChildOn(obs.TrackStagePrefix+obs.SpanRead, obs.SpanRead)
 	defer spRead.End()
-	spWork := root.ChildOn(obs.TrackStagePrefix+obs.SpanWork, obs.SpanWork)
+	spWork := r.root.ChildOn(obs.TrackStagePrefix+obs.SpanWork, obs.SpanWork)
 	defer spWork.End()
-	spBK := root.ChildOn(obs.TrackStagePrefix+obs.SpanBK, obs.SpanBK)
+	spBK := r.root.ChildOn(obs.TrackStagePrefix+obs.SpanBK, obs.SpanBK)
 	defer spBK.End()
-	start := time.Now()
 	defer opts.reservePairWorkers(opts.Threads)()
 
 	p := pipeline.New()
 	p.Observe(opts.Obs)
+	r.note = p.Note
 	qRead := pipeline.AddQueue[cpuWork](p, "read→work", opts.QueueCap)
 	qWork := pipeline.AddQueue[cpuWork](p, "bk→work", opts.QueueCap)
 	// Every transform completion produces exactly one event; capacity
@@ -81,90 +76,64 @@ func (PipelinedCPU) Run(src Source, opts Options) (*Result, error) {
 	qFFTDone := pipeline.AddQueue[cpuEvent](p, "work→bk", g.NumTiles())
 
 	// Stage 1: readers stream tiles in traversal order.
-	order := opts.Traversal.Order(g)
 	coords := pipeline.AddQueue[tile.Coord](p, "coords", g.NumTiles())
-	for _, c := range order {
+	for _, c := range opts.Traversal.Order(g) {
 		if err := coords.Push(c); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	coords.Close()
 	pipeline.Connect(p, "read", opts.ReadThreads, coords, qRead,
 		func(c tile.Coord, emit func(cpuWork) error) error {
-			img, err := fp.readTile(src, c, spRead)
-			if err != nil {
-				if !fp.degrade {
-					return err
-				}
-				// The casualty marker flows downstream so bookkeeping
-				// still sees exactly one terminal event per tile.
-				return emit(cpuWork{coord: c, failed: err})
+			img, err := r.read(c, spRead)
+			if err != nil && !r.fp.degrade {
+				return err
 			}
-			return emit(cpuWork{coord: c, img: img})
+			// In degrade mode the casualty marker flows downstream so
+			// bookkeeping still sees exactly one terminal event per tile.
+			return emit(cpuWork{coord: c, img: img, failed: err})
 		})
 
 	// Stage 3 (bookkeeping): merge freshly read tiles into the work
 	// queue, watch transform completions, and emit pair tasks when both
 	// sides are ready. It owns the dependency state.
 	p.Go("bookkeeping", 1, func(int) error {
-		ready := make([]bool, g.NumTiles())
-		failedT := make([]error, g.NumTiles())
-		terminal := func(i int) bool { return ready[i] || failedT[i] != nil }
-		emitted := 0
+		terminal := make([]bool, g.NumTiles())
+		settled := 0
 		reads, ffts := 0, 0
 		total := g.NumTiles()
 
 		// onTerminal consumes a tile's single terminal event — transform
 		// ready, or persistent failure in degrade mode — and settles every
-		// pair whose two tiles now both have an outcome: ready+ready
-		// emits pair work, anything else degrades the pair. Each pair is
+		// pair whose two tiles now both have an outcome: sound tiles
+		// emit pair work, a lost one degrades the pair. Each pair is
 		// settled exactly once, when the second of its tiles turns
 		// terminal.
 		onTerminal := func(ev cpuEvent) error {
 			ffts++
-			i := g.Index(ev.coord)
+			terminal[g.Index(ev.coord)] = true
 			if ev.failed != nil {
-				failedT[i] = ev.failed
-				ds.tileFailed(ev.coord, ev.failed)
-				p.Note(ev.failed)
-			} else {
-				ready[i] = true
+				r.lose(ev.coord, ev.failed)
 			}
 			for _, pr := range g.PairsOf(ev.coord) {
-				bi, ai := g.Index(pr.Coord), g.Index(pr.Neighbor())
-				if !terminal(bi) || !terminal(ai) {
+				if !terminal[g.Index(pr.Coord)] || !terminal[g.Index(pr.Neighbor())] {
 					continue
 				}
-				var cause error
-				switch {
-				case failedT[bi] != nil:
-					cause = pairCause(pr, pr.Coord, failedT[bi])
-				case failedT[ai] != nil:
-					cause = pairCause(pr, pr.Neighbor(), failedT[ai])
+				settled++
+				var err error
+				if cause := r.blocked(pr); cause != nil {
+					err = r.settle(pr, tile.Displacement{}, cause)
+				} else {
+					err = qWork.Push(cpuWork{isPair: true, pair: pr})
 				}
-				if cause != nil {
-					ds.pairFailed(pr, cause)
-					p.Note(cause)
-					if err := cache.releasePair(pr); err != nil {
-						return err
-					}
-					emitted++
-					continue
-				}
-				bImg, bF := cache.get(bi)
-				aImg, aF := cache.get(ai)
-				if aImg == nil || bImg == nil {
-					return fmt.Errorf("stitch: pair %v ready but tiles evicted", pr)
-				}
-				if err := qWork.Push(cpuWork{isPair: true, pair: pr, aImg: aImg, bImg: bImg, aF: aF, bF: bF}); err != nil {
+				if err != nil {
 					return err
 				}
-				emitted++
 			}
 			return nil
 		}
 
-		for emitted < g.NumPairs() || ffts < total {
+		for settled < g.NumPairs() || ffts < total {
 			// Prefer completions so pair work is released promptly.
 			if ev, ok := qFFTDone.TryPop(); ok {
 				if err := onTerminal(ev); err != nil {
@@ -195,7 +164,7 @@ func (PipelinedCPU) Run(src Source, opts Options) (*Result, error) {
 			// All reads forwarded: block on completions.
 			ev, ok := qFFTDone.Pop()
 			if !ok {
-				return fmt.Errorf("stitch: bookkeeping starved with %d/%d pairs emitted", emitted, g.NumPairs())
+				return fmt.Errorf("stitch: bookkeeping starved with %d/%d pairs settled", settled, g.NumPairs())
 			}
 			if err := onTerminal(ev); err != nil {
 				return err
@@ -206,7 +175,7 @@ func (PipelinedCPU) Run(src Source, opts Options) (*Result, error) {
 	}, nil)
 
 	// Stage 2: fft/displacement workers.
-	p.Go("fft+disp", opts.Threads, func(worker int) error {
+	p.Go("fft+disp", opts.Threads, func(int) error {
 		al, err := acquireAligner(g, opts)
 		if err != nil {
 			return err
@@ -217,66 +186,23 @@ func (PipelinedCPU) Run(src Source, opts Options) (*Result, error) {
 			if !ok {
 				return nil
 			}
-			if !w.isPair {
-				cache.touch()
-				f, err := fp.transform(al, w.coord, w.img, spWork)
-				if err != nil {
-					if !fp.degrade {
-						return err
-					}
-					if err := qFFTDone.Push(cpuEvent{coord: w.coord, failed: err}); err != nil {
-						return err
-					}
-					continue
-				}
-				if err := cache.put(g.Index(w.coord), w.img, f); err != nil {
-					return err
-				}
-				if err := qFFTDone.Push(cpuEvent{coord: w.coord}); err != nil {
+			if w.isPair {
+				if err := r.displace(al, w.pair, spWork); err != nil {
 					return err
 				}
 				continue
 			}
-			cache.touch()
-			d, err := fp.displace(al, w.pair, w.aImg, w.bImg, w.aF, w.bF, spWork)
-			if err != nil {
-				if !fp.degrade {
-					return err
-				}
-				ds.pairFailed(w.pair, err)
-				p.Note(err)
-				if err := cache.releasePair(w.pair); err != nil {
-					return err
-				}
-				continue
+			err := r.transform(al, w.coord, w.img, spWork)
+			if err != nil && !r.fp.degrade {
+				return err
 			}
-			resMu.Lock()
-			res.setPair(w.pair, d)
-			resMu.Unlock()
-			if err := cache.releasePair(w.pair); err != nil {
+			if err := qFFTDone.Push(cpuEvent{coord: w.coord, failed: err}); err != nil {
 				return err
 			}
 		}
 	}, nil)
 
 	err := p.Wait()
-	spRead.End()
-	spWork.End()
-	spBK.End()
-	if err != nil {
-		return nil, err
-	}
-	ds.finalize(res)
-	res.Elapsed = time.Since(start)
-	_, res.PeakTransformsLive, res.TransformsComputed = cache.stats()
-	for _, q := range []interface {
-		Name() string
-		Cap() int
-		Stats() (int64, int)
-	}{qRead, qWork, qFFTDone, coords} {
-		pushes, maxDepth := q.Stats()
-		res.QueueStats = append(res.QueueStats, QueueStat{Name: q.Name(), Cap: q.Cap(), Pushes: pushes, MaxDepth: maxDepth})
-	}
-	finishRun(opts, root, base, res)
-	return res, nil
+	r.queues(qRead, qWork, qFFTDone, coords)
+	return err
 }

@@ -3,7 +3,7 @@ package stitch
 import (
 	"fmt"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"hybridstitch/internal/fft"
 	"hybridstitch/internal/gpu"
@@ -123,42 +123,31 @@ func (pt partition) needOrder(g tile.Grid, tr Traversal) []tile.Coord {
 }
 
 // Run implements Stitcher.
-func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
-	g := src.Grid()
-	if err := g.Validate(); err != nil {
+func (pg PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
+	r, err := newGPURun(src, opts, pg.Name())
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(g)
-	if len(opts.Devices) == 0 {
-		return nil, fmt.Errorf("stitch: %s requires at least one GPU device", PipelinedGPU{}.Name())
-	}
-	if opts.NPeaks > 1 {
-		return nil, fmt.Errorf("stitch: GPU implementations support NPeaks=1 only (max-reduction kernel)")
-	}
-	if opts.FFTVariant == VariantPadded {
-		return nil, fmt.Errorf("stitch: GPU implementations support the complex and real FFT variants only")
-	}
-	realFFT := opts.FFTVariant == VariantReal
+	return r.publish(r.endWith(r.pipelineGPU()))
+}
 
-	pixels := int64(g.TileW) * int64(g.TileH)
-	// words is the per-tile device footprint: the full complex spectrum,
-	// or the h×(w/2+1) half spectrum of the r2c path.
-	words := opts.FFTVariant.transformWords(g)
-	res := newResult(g)
-	fp := opts.plan()
-	ds := newDegradedSet(g)
-	var resMu sync.Mutex
-	root, base := startRun(opts, "pipelined-gpu", g)
+// pipelineGPU builds and runs one six-stage pipeline per device. Reads,
+// casualties, results and settlement are the engine's; the stages add
+// the streams, the buffer pools and the device refcounts. It returns the
+// summed peak pool occupancy and the transform count.
+func (r *run) pipelineGPU() (peak, transforms int, err error) {
+	g, opts, fp := r.g, r.opts, r.fp
+	realFFT := opts.FFTVariant == VariantReal
 	var stageSpans []*obs.Span
 	stageSpan := func(name string) *obs.Span {
-		sp := root.ChildOn(obs.TrackStagePrefix+name, name)
+		sp := r.root.ChildOn(obs.TrackStagePrefix+name, name)
 		stageSpans = append(stageSpans, sp)
 		return sp
 	}
-	start := time.Now()
 
 	p := pipeline.New()
 	p.Observe(opts.Obs)
+	r.note = p.Note
 	qCCF := pipeline.AddQueue[ccfTask](p, "disp→ccf", opts.QueueCap)
 	parts := makePartitions(g.Rows, len(opts.Devices))
 	var wgDisp sync.WaitGroup
@@ -193,22 +182,15 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		cleanup()
 		return err
 	}
-	var transformsTotal int64
-	var tMu sync.Mutex
-	type statQueue interface {
-		Name() string
-		Cap() int
-		Stats() (int64, int)
-	}
-	var statQueues []statQueue
-	statQueues = append(statQueues, qCCF)
+	var transformsTotal atomic.Int64
+	statQueues := []statQueue{qCCF}
 
 	for d := range parts {
 		pt := parts[d]
 		dev := opts.Devices[d]
 		pool, err := newDevicePool(dev, g, opts.PoolTransforms, opts.FFTVariant, opts.Obs)
 		if err != nil {
-			return nil, constructionFail(err)
+			return 0, 0, constructionFail(err)
 		}
 		pools[d] = pool
 		// Displacement-stage NCC buffer (half spectrum in the real path).
@@ -216,16 +198,16 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		if realFFT {
 			scratch, err = dev.AllocSpectrum(g.TileH, g.TileW)
 		} else {
-			scratch, err = dev.Alloc(words)
+			scratch, err = dev.Alloc(opts.FFTVariant.transformWords(g))
 		}
 		if err != nil {
-			return nil, constructionFail(err)
+			return 0, 0, constructionFail(err)
 		}
 		scratches = append(scratches, scratch)
 
 		copyStream, err := dev.NewStream("copy")
 		if err != nil {
-			return nil, constructionFail(err)
+			return 0, 0, constructionFail(err)
 		}
 		// One FFT-issuing thread per stream; the paper uses exactly one
 		// (Fermi cuFFT serialization), Hyper-Q configurations use more.
@@ -239,27 +221,27 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		for w := range fftStreams {
 			st, err := dev.NewStream(fmt.Sprintf("fft%d", w))
 			if err != nil {
-				return nil, constructionFail(err)
+				return 0, 0, constructionFail(err)
 			}
 			streams = append(streams, st)
 			fftStreams[w] = st
 			if realFFT {
 				plan, err := opts.Planner.RealPlan2DOpts(g.TileH, g.TileW, opts.fftReal2DOpts())
 				if err != nil {
-					return nil, constructionFail(err)
+					return 0, 0, constructionFail(err)
 				}
 				fwdRealPlans[w] = plan
 				continue
 			}
 			plan, err := opts.Planner.Plan2D(g.TileH, g.TileW, fft.Forward, opts.fftPlan2DOpts())
 			if err != nil {
-				return nil, constructionFail(err)
+				return 0, 0, constructionFail(err)
 			}
 			fwdPlans[w] = plan
 		}
 		dispStream, err := dev.NewStream("disp")
 		if err != nil {
-			return nil, constructionFail(err)
+			return 0, 0, constructionFail(err)
 		}
 		streams = append(streams, copyStream, dispStream)
 
@@ -271,7 +253,7 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 			invPlan, err = opts.Planner.Plan2D(g.TileH, g.TileW, fft.Inverse, opts.fftPlan2DOpts())
 		}
 		if err != nil {
-			return nil, constructionFail(err)
+			return 0, 0, constructionFail(err)
 		}
 
 		need := pt.needOrder(g, opts.Traversal)
@@ -289,7 +271,7 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		qCoords := pipeline.AddQueue[tile.Coord](p, name("coords"), len(need))
 		for _, c := range need {
 			if err := qCoords.Push(c); err != nil {
-				return nil, constructionFail(err)
+				return 0, 0, constructionFail(err)
 			}
 		}
 		qCoords.Close()
@@ -307,14 +289,11 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		// Stage 1: readers.
 		pipeline.Connect(p, name("read"), opts.ReadThreads, qCoords, qRead,
 			func(c tile.Coord, emit func(gpuTile) error) error {
-				img, err := fp.readTile(src, c, spRead)
-				if err != nil {
-					if !fp.degrade {
-						return err
-					}
-					return emit(gpuTile{coord: c, failed: err})
+				img, err := r.read(c, spRead)
+				if err != nil && !fp.degrade {
+					return err
 				}
-				return emit(gpuTile{coord: c, img: img})
+				return emit(gpuTile{coord: c, img: img, failed: err})
 			})
 
 		// Stage 2: copier — one thread, async H2D on its own stream. The
@@ -326,6 +305,7 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		// overlap the trace tests pin. Copy errors still ride each tile's
 		// own sticky event. Casualty markers pass through without
 		// consuming a pool buffer.
+		pixels := g.TileW * g.TileH
 		copierPix := [2][]float64{make([]float64, pixels), make([]float64, pixels)}
 		var copierPending [2]*gpu.Event
 		copierSlot := 0
@@ -381,9 +361,7 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 				} else {
 					t.ev = st.FFT2D(plan, t.buf, t.ev)
 				}
-				tMu.Lock()
-				transformsTotal++
-				tMu.Unlock()
+				transformsTotal.Add(1)
 				if err := qBK.Push(gpuBKMsg{t: t}); err != nil {
 					return err
 				}
@@ -395,7 +373,6 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 		p.Go(name("bk"), 1, func(int) error {
 			readyT := map[int]gpuTile{}
 			fftSeen := make(map[int]bool, len(need)) // terminal: transformed or failed
-			failedT := map[int]error{}
 			pairReady := map[tile.Pair]bool{}
 			emitted, releases := 0, 0
 			// decRef is the shared refcount decrement: failed tiles have
@@ -424,9 +401,7 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 				i := g.Index(msg.t.coord)
 				fftSeen[i] = true
 				if msg.t.failed != nil {
-					failedT[i] = msg.t.failed
-					ds.tileFailed(msg.t.coord, msg.t.failed)
-					p.Note(msg.t.failed)
+					r.lose(msg.t.coord, msg.t.failed)
 				} else {
 					readyT[i] = msg.t
 				}
@@ -439,19 +414,13 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 						continue
 					}
 					pairReady[pr] = true
-					var cause error
-					switch {
-					case failedT[bi] != nil:
-						cause = pairCause(pr, pr.Coord, failedT[bi])
-					case failedT[ai] != nil:
-						cause = pairCause(pr, pr.Neighbor(), failedT[ai])
-					}
-					if cause != nil {
+					if cause := r.blocked(pr); cause != nil {
 						// Degraded pairs never reach the displacement
 						// stage, so no release messages will arrive for
 						// them; account both sides here.
-						ds.pairFailed(pr, cause)
-						p.Note(cause)
+						if err := r.settle(pr, tile.Displacement{}, cause); err != nil {
+							return err
+						}
 						decRef(bi)
 						decRef(ai)
 						releases += 2
@@ -488,29 +457,17 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 					// In the real path the NCC covers the half spectrum
 					// only (Hermitian symmetry supplies the mirror bins)
 					// and the c2r inverse hands the reduction a packed
-					// real surface. One fused launch per pair unless
-					// DisableFusedNCC restores the seed's three.
-					if !opts.DisableFusedNCC {
-						if realFFT {
-							return dispStream.FusedNCCInverseMaxReal(invRealPlan, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
-						}
-						return dispStream.FusedNCCInverseMax(invPlan, scratch, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
-					}
-					ev := dispStream.NCC(scratch, gp.a.buf, gp.b.buf, int(words), gp.a.ev, gp.b.ev)
+					// real surface. One fused launch per pair.
 					if realFFT {
-						ev = dispStream.RealIFFT2D(invRealPlan, scratch, ev)
-						return dispStream.MaxAbsReal(scratch, int(pixels), &red, ev).Wait()
+						return dispStream.FusedNCCInverseMaxReal(invRealPlan, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
 					}
-					ev = dispStream.FFT2D(invPlan, scratch, ev)
-					return dispStream.MaxAbs(scratch, int(words), &red, ev).Wait()
+					return dispStream.FusedNCCInverseMax(invPlan, scratch, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
 				})
 				dsp.End()
-				if err != nil && !fp.degrade {
-					return err
-				}
 				if err != nil {
-					ds.pairFailed(gp.pair, err)
-					p.Note(err)
+					if err := r.settle(gp.pair, tile.Displacement{}, err); err != nil {
+						return err
+					}
 				}
 				// Release device transforms through bookkeeping (paper:
 				// stage 5 posts to the stage-3→4 queue) whether or not
@@ -551,34 +508,20 @@ func (PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 			csp := spCCF.Child(obs.SpanCCF, pairAttr(t.pair))
 			d := pciam.Resolve(t.aImg, t.bImg, t.peakIdx%g.TileW, t.peakIdx/g.TileW, pciamOpts)
 			csp.End()
-			resMu.Lock()
-			res.setPair(t.pair, d)
-			resMu.Unlock()
+			if err := r.settle(t.pair, d, nil); err != nil {
+				return err
+			}
 		}
 	}, nil)
 
-	err := p.Wait()
+	err = p.Wait()
 	for _, sp := range stageSpans {
 		sp.End()
 	}
-	peak := 0
 	for _, pool := range pools {
 		peak += pool.peakInUse()
 	}
 	cleanup()
-	if err != nil {
-		return nil, err
-	}
-	ds.finalize(res)
-	res.Elapsed = time.Since(start)
-	res.PeakTransformsLive = peak
-	tMu.Lock()
-	res.TransformsComputed = int(transformsTotal)
-	tMu.Unlock()
-	for _, q := range statQueues {
-		pushes, maxDepth := q.Stats()
-		res.QueueStats = append(res.QueueStats, QueueStat{Name: q.Name(), Cap: q.Cap(), Pushes: pushes, MaxDepth: maxDepth})
-	}
-	finishRun(opts, root, base, res)
-	return res, nil
+	r.queues(statQueues...)
+	return peak, int(transformsTotal.Load()), err
 }

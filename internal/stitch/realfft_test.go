@@ -108,9 +108,9 @@ func TestRealFFTDifferentialCountersUnderFaults(t *testing.T) {
 // adjacent socket pipelines, but the run must count it once. With 4 rows
 // and 2 sockets the partitions are rows [0,2) and [2,4); the second band
 // redundantly reads row 1, so a persistent failure on tile (1,1) is hit
-// by both. Before the subRun suppression each band's finishRun published
-// its own counters, reporting 2 degraded tiles and 6 degraded pairs for
-// this plate.
+// by both. Only the merged run publishes; were each band to publish its
+// own counters this plate would report 2 degraded tiles and 6 degraded
+// pairs.
 func TestSocketsBoundaryFaultCountedOnce(t *testing.T) {
 	p := imagegen.DefaultParams(4, 3, 128, 96)
 	p.Seed = 3

@@ -1,118 +1,20 @@
 package stitch
 
-import (
-	"time"
-
-	"hybridstitch/internal/obs"
-	"hybridstitch/internal/tile"
-)
+import "hybridstitch/internal/tile"
 
 // SimpleCPU is the sequential reference implementation (paper §IV.A):
-// one thread, transforms computed once and freed as early as the
-// traversal order allows (chained diagonal by default).
+// one thread walking the pair order, transforms computed once and freed
+// as early as the traversal order allows (chained diagonal by default).
 type SimpleCPU struct{}
 
 // Name implements Stitcher.
 func (SimpleCPU) Name() string { return "simple-cpu" }
 
 // Run implements Stitcher.
-func (SimpleCPU) Run(src Source, opts Options) (*Result, error) {
-	g := src.Grid()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults(g)
-	// startRun must precede aligner acquisition: constructing the
-	// aligner is where FFT plans are built and the autotune decision
-	// counters tick, and the baseline snapshot has to see the values
-	// from before that.
-	root, base := startRun(opts, "simple-cpu", g)
-	al, err := acquireAligner(g, opts)
+func (s SimpleCPU) Run(src Source, opts Options) (*Result, error) {
+	r, err := newRun(src, opts, s.Name())
 	if err != nil {
-		root.End()
 		return nil, err
 	}
-	defer releaseAligner(al)
-	cache := newHostCache(g, opts.Governor, opts.FFTVariant)
-	res := newResult(g)
-	fp := opts.plan()
-	ds := newDegradedSet(g)
-	start := time.Now()
-
-	ensure := func(c tile.Coord, psp *obs.Span) (*tile.Gray16, []complex128, error) {
-		i := g.Index(c)
-		if img, f := cache.get(i); img != nil {
-			return img, f, nil
-		}
-		// A tile that already failed persistently stays failed; later
-		// pairs must not re-attempt the read, or an Nth-hit rule could
-		// let a "permanent" failure heal mid-run.
-		if err := ds.tileBad(c); err != nil {
-			return nil, nil, err
-		}
-		img, err := fp.readTile(src, c, psp)
-		if err != nil {
-			return nil, nil, err
-		}
-		cache.touch()
-		f, err := fp.transform(al, c, img, psp)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := cache.put(i, img, f); err != nil {
-			return nil, nil, err
-		}
-		return img, f, nil
-	}
-
-	// degradeTile marks the tile and the pair that needed it as degraded
-	// and keeps the refcounts balanced so the surviving side is still
-	// evicted on schedule.
-	degradeTile := func(p tile.Pair, c tile.Coord, err error) error {
-		ds.tileFailed(c, err)
-		ds.pairFailed(p, pairCause(p, c, err))
-		return cache.releasePair(p)
-	}
-
-	doPair := func(p tile.Pair) error {
-		psp := root.Child(obs.SpanPair, pairAttr(p))
-		defer psp.End()
-		bImg, bF, err := ensure(p.Coord, psp)
-		if err != nil {
-			if !fp.degrade {
-				return err
-			}
-			return degradeTile(p, p.Coord, err)
-		}
-		aImg, aF, err := ensure(p.Neighbor(), psp)
-		if err != nil {
-			if !fp.degrade {
-				return err
-			}
-			return degradeTile(p, p.Neighbor(), err)
-		}
-		cache.touch()
-		d, err := fp.displace(al, p, aImg, bImg, aF, bF, psp)
-		if err != nil {
-			if !fp.degrade {
-				return err
-			}
-			ds.pairFailed(p, err)
-			return cache.releasePair(p)
-		}
-		res.setPair(p, d)
-		return cache.releasePair(p)
-	}
-
-	for _, p := range opts.Traversal.PairOrder(g) {
-		if err := doPair(p); err != nil {
-			return nil, err
-		}
-	}
-
-	ds.finalize(res)
-	res.Elapsed = time.Since(start)
-	_, res.PeakTransformsLive, res.TransformsComputed = cache.stats()
-	finishRun(opts, root, base, res)
-	return res, nil
+	return r.publish(r.end(r.walk([][]tile.Pair{r.opts.Traversal.PairOrder(r.g)})))
 }

@@ -1,9 +1,6 @@
 package stitch
 
 import (
-	"fmt"
-	"time"
-
 	"hybridstitch/internal/fft"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/obs"
@@ -26,49 +23,43 @@ type SimpleGPU struct{}
 func (SimpleGPU) Name() string { return "simple-gpu" }
 
 // Run implements Stitcher.
-func (SimpleGPU) Run(src Source, opts Options) (*Result, error) {
-	g := src.Grid()
-	if err := g.Validate(); err != nil {
+func (sg SimpleGPU) Run(src Source, opts Options) (*Result, error) {
+	r, err := newGPURun(src, opts, sg.Name())
+	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(g)
-	if len(opts.Devices) == 0 {
-		return nil, fmt.Errorf("stitch: %s requires a GPU device", SimpleGPU{}.Name())
-	}
-	if opts.NPeaks > 1 {
-		return nil, fmt.Errorf("stitch: GPU implementations support NPeaks=1 only (max-reduction kernel)")
-	}
-	if opts.FFTVariant == VariantPadded {
-		return nil, fmt.Errorf("stitch: GPU implementations support the complex and real FFT variants only")
-	}
+	return r.publish(r.endWith(r.simpleGPU()))
+}
+
+// simpleGPU walks the pair order on one stream. The host side — reads,
+// the image cache, casualties, results — is the engine's; this function
+// adds the device side: buffer pool, device refcounts and kernels. It
+// returns the peak device residency and the transform count.
+func (r *run) simpleGPU() (peakBufs, transforms int, err error) {
+	g, opts, fp := r.g, r.opts, r.fp
 	realFFT := opts.FFTVariant == VariantReal
 	dev := opts.Devices[0]
 	stream, err := dev.NewStream("default")
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer stream.Close()
 
-	pixels := int64(g.TileW) * int64(g.TileH)
-	// words is the per-tile device footprint: the full complex spectrum,
-	// or the h×(w/2+1) half spectrum of the r2c path — the same halving
-	// applies to the NCC and reduction kernels' traffic below.
-	words := opts.FFTVariant.transformWords(g)
 	pool, err := newDevicePool(dev, g, opts.PoolTransforms, opts.FFTVariant, opts.Obs)
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer pool.drain()
-	// One scratch buffer for the NCC/inverse product.
-	allocScratch := func() (*gpu.Buffer, error) {
-		if realFFT {
-			return dev.AllocSpectrum(g.TileH, g.TileW)
-		}
-		return dev.Alloc(words)
+	// One scratch buffer for the NCC/inverse product: the full complex
+	// spectrum, or the h×(w/2+1) half spectrum of the r2c path.
+	var scratch *gpu.Buffer
+	if realFFT {
+		scratch, err = dev.AllocSpectrum(g.TileH, g.TileW)
+	} else {
+		scratch, err = dev.Alloc(opts.FFTVariant.transformWords(g))
 	}
-	scratch, err := allocScratch()
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer func() { _ = scratch.Free() }()
 
@@ -78,32 +69,20 @@ func (SimpleGPU) Run(src Source, opts Options) (*Result, error) {
 	var realPlan *fft.RealPlan2D
 	if realFFT {
 		realPlan, err = opts.Planner.RealPlan2DOpts(g.TileH, g.TileW, opts.fftReal2DOpts())
-		if err != nil {
-			return nil, err
-		}
 	} else {
 		fwdPlan, err = opts.Planner.Plan2D(g.TileH, g.TileW, fft.Forward, opts.fftPlan2DOpts())
-		if err != nil {
-			return nil, err
-		}
-		invPlan, err = opts.Planner.Plan2D(g.TileH, g.TileW, fft.Inverse, opts.fftPlan2DOpts())
-		if err != nil {
-			return nil, err
+		if err == nil {
+			invPlan, err = opts.Planner.Plan2D(g.TileH, g.TileW, fft.Inverse, opts.fftPlan2DOpts())
 		}
 	}
+	if err != nil {
+		return 0, 0, err
+	}
 
-	cache := newHostCache(g, opts.Governor, opts.FFTVariant) // host images for the CCF step
 	bufs := make(map[int]*gpu.Buffer)
 	devRC := newRefCounter(g)
-	liveBufs, peakBufs := 0, 0
-	transforms := 0
-	res := newResult(g)
-	fp := opts.plan()
-	ds := newDegradedSet(g)
-	root, base := startRun(opts, "simple-gpu", g)
-	start := time.Now()
 
-	pix := make([]float64, pixels)
+	pix := make([]float64, g.TileW*g.TileH)
 	ensure := func(c tile.Coord, psp *obs.Span) error {
 		i := g.Index(c)
 		if _, ok := bufs[i]; ok {
@@ -111,14 +90,14 @@ func (SimpleGPU) Run(src Source, opts Options) (*Result, error) {
 		}
 		// A degraded tile stays degraded: re-attempting the read here
 		// would double-store the cache entry and skew hit counts.
-		if err := ds.tileBad(c); err != nil {
+		if err := r.ds.tileBad(c); err != nil {
 			return err
 		}
-		img, err := fp.readTile(src, c, psp)
+		img, err := r.read(c, psp)
 		if err != nil {
 			return err
 		}
-		if err := cache.put(i, img, nil); err != nil {
+		if err := r.cache.put(i, img, nil); err != nil {
 			return err
 		}
 		buf := pool.acquire()
@@ -154,125 +133,75 @@ func (SimpleGPU) Run(src Source, opts Options) (*Result, error) {
 		}
 		transforms++
 		bufs[i] = buf
-		liveBufs++
-		if liveBufs > peakBufs {
-			peakBufs = liveBufs
-		}
+		peakBufs = max(peakBufs, len(bufs))
 		return nil
 	}
 
-	release := func(c tile.Coord) error {
-		i := g.Index(c)
-		free, err := devRC.release(i)
-		if err != nil {
-			return err
-		}
-		if free {
-			// Degraded tiles never got a device buffer.
-			if b, ok := bufs[i]; ok {
+	// settle closes the pair on both sides: device refcounts first
+	// (degraded tiles never got a device buffer), then the engine's host
+	// side.
+	settle := func(p tile.Pair, d tile.Displacement, cause error) error {
+		for _, c := range [2]tile.Coord{p.Coord, p.Neighbor()} {
+			i := g.Index(c)
+			free, err := devRC.release(i)
+			if err != nil {
+				return err
+			}
+			if b, ok := bufs[i]; free && ok {
 				pool.release(b)
 				delete(bufs, i)
-				liveBufs--
 			}
 		}
-		return nil
-	}
-
-	// settle keeps the device and host refcounts moving for a pair that
-	// will produce no displacement.
-	settle := func(p tile.Pair) error {
-		if err := release(p.Coord); err != nil {
-			return err
-		}
-		if err := release(p.Neighbor()); err != nil {
-			return err
-		}
-		return cache.releasePair(p)
+		return r.settle(p, d, cause)
 	}
 
 	doPair := func(p tile.Pair) error {
-		psp := root.Child(obs.SpanPair, pairAttr(p))
+		psp := r.root.Child(obs.SpanPair, pairAttr(p))
 		defer psp.End()
-		if err := ensure(p.Coord, psp); err != nil {
-			if !fp.degrade {
-				return err
+		for _, c := range [2]tile.Coord{p.Coord, p.Neighbor()} {
+			if err := ensure(c, psp); err != nil {
+				if fp.degrade {
+					r.lose(c, err)
+					err = pairCause(p, c, err)
+				}
+				return settle(p, tile.Displacement{}, err)
 			}
-			ds.tileFailed(p.Coord, err)
-			ds.pairFailed(p, pairCause(p, p.Coord, err))
-			return settle(p)
-		}
-		if err := ensure(p.Neighbor(), psp); err != nil {
-			if !fp.degrade {
-				return err
-			}
-			ds.tileFailed(p.Neighbor(), err)
-			ds.pairFailed(p, pairCause(p, p.Neighbor(), err))
-			return settle(p)
 		}
 		bi := g.Index(p.Coord)
 		ai := g.Index(p.Neighbor())
-		aImg, _ := cache.get(ai)
-		bImg, _ := cache.get(bi)
+		aImg, _ := r.cache.get(ai)
+		bImg, _ := r.cache.get(bi)
 
 		// The displacement tail — NCC, inverse FFT, max reduction — is one
-		// fused launch per pair (gpu.launch.fused); DisableFusedNCC keeps
-		// the seed's three synchronous launches. Either way the operands
-		// are rewritten from the start, so the sequence replays cleanly on
-		// a transient kernel fault.
+		// fused launch per pair (gpu.launch.fused). The operands are
+		// rewritten from the start, so the launch replays cleanly on a
+		// transient kernel fault. The NCC runs over the half spectrum in
+		// the real path — Hermitian symmetry supplies the mirrored bins —
+		// and the c2r inverse hands the reduction a real surface.
 		var red gpu.Reduction
 		dsp := psp.Child(obs.SpanDisp, pairAttr(p))
 		err := fp.retry.Do(func() error {
-			// The NCC runs over the half spectrum in the real path —
-			// Hermitian symmetry supplies the mirrored bins — and the c2r
-			// inverse hands the reduction a real surface.
-			if !opts.DisableFusedNCC {
-				if realFFT {
-					return stream.FusedNCCInverseMaxReal(realPlan, bufs[ai], bufs[bi], &red).Wait()
-				}
-				return stream.FusedNCCInverseMax(invPlan, scratch, bufs[ai], bufs[bi], &red).Wait()
-			}
-			if err := stream.NCC(scratch, bufs[ai], bufs[bi], int(words)).Wait(); err != nil {
-				return err
-			}
 			if realFFT {
-				if err := stream.RealIFFT2D(realPlan, scratch).Wait(); err != nil {
-					return err
-				}
-				return stream.MaxAbsReal(scratch, int(pixels), &red).Wait()
+				return stream.FusedNCCInverseMaxReal(realPlan, bufs[ai], bufs[bi], &red).Wait()
 			}
-			if err := stream.FFT2D(invPlan, scratch).Wait(); err != nil {
-				return err
-			}
-			return stream.MaxAbs(scratch, int(words), &red).Wait()
+			return stream.FusedNCCInverseMax(invPlan, scratch, bufs[ai], bufs[bi], &red).Wait()
 		})
 		dsp.End()
 		if err != nil {
-			if !fp.degrade {
-				return err
-			}
-			ds.pairFailed(p, err)
-			return settle(p)
+			return settle(p, tile.Displacement{}, err)
 		}
 
 		// CCF on the CPU, inline (the gap in the Fig 7 profile).
 		csp := psp.Child(obs.SpanCCF, pairAttr(p))
 		d := pciam.Resolve(aImg, bImg, red.Idx%g.TileW, red.Idx/g.TileW, opts.pciamOptions())
 		csp.End()
-		res.setPair(p, d)
-
-		return settle(p)
+		return settle(p, d, nil)
 	}
 
 	for _, p := range opts.Traversal.PairOrder(g) {
 		if err := doPair(p); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 	}
-
-	ds.finalize(res)
-	res.Elapsed = time.Since(start)
-	res.PeakTransformsLive = peakBufs
-	res.TransformsComputed = transforms
-	finishRun(opts, root, base, res)
-	return res, nil
+	return peakBufs, transforms, nil
 }

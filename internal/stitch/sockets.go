@@ -3,7 +3,6 @@ package stitch
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hybridstitch/internal/tile"
 )
@@ -38,102 +37,76 @@ func (b bandSource) TileDetail(c tile.Coord) string {
 }
 
 // runSockets executes one pipeline per socket and merges the results.
+// Each band is a full engine run with its own cache and span tree; only
+// the merged run publishes, so a boundary tile read — and, under
+// injected faults, degraded — by two adjacent bands is counted once.
 func runSockets(src Source, opts Options) (*Result, error) {
-	g := src.Grid()
-	sockets := opts.Sockets
-	if sockets > g.Rows {
-		sockets = g.Rows
+	r, err := newRun(src, opts, "pipelined-cpu")
+	if err != nil {
+		return nil, err
 	}
-	parts := makePartitions(g.Rows, sockets)
-	res := newResult(g)
-	root, base := startRun(opts, "pipelined-cpu", g)
-	defer root.End() // idempotent; covers the error returns below
-	start := time.Now()
+	// The merged run's own cache sits idle; the bands do the work.
+	return r.publish(r.endWith(r.mergeBands(opts)))
+}
 
-	perSocket := opts
-	perSocket.Sockets = 1
-	perSocket.Threads = opts.Threads / sockets
-	if perSocket.Threads < 1 {
-		perSocket.Threads = 1
-	}
-	// Band sub-runs must not publish result-level counters: a tile on a
-	// band boundary is read — and, under injected faults, degraded — by
-	// both adjacent bands, so summing per-band counters double-counts it.
-	// The merged Result below is deduplicated to owner rows; counters come
-	// from it alone, via finishRun on this (non-sub) run.
-	perSocket.subRun = true
+// mergeBands runs the band pipelines with the caller's options split
+// across them and folds their results into r's, keeping from each band
+// only the rows its partition owns. It returns the bands' summed peak
+// residency and transform count.
+func (r *run) mergeBands(opts Options) (peak, transforms int, err error) {
+	g := r.g
+	parts := makePartitions(g.Rows, opts.Sockets)
+	opts.Sockets = 1
+	opts.Threads = max(opts.Threads/len(parts), 1)
 
-	type socketOut struct {
-		part partition
-		sub  *Result
-		err  error
-	}
-	outs := make([]socketOut, len(parts))
+	subs := make([]*Result, len(parts))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for i, pt := range parts {
 		wg.Add(1)
 		go func(i int, pt partition) {
 			defer wg.Done()
-			band := tile.Grid{
-				Rows: pt.rowHi - pt.needLo, Cols: g.Cols,
-				TileW: g.TileW, TileH: g.TileH,
-				OverlapX: g.OverlapX, OverlapY: g.OverlapY,
+			band := g
+			band.Rows = pt.rowHi - pt.needLo
+			br, err := newRun(bandSource{inner: r.src, rowOff: pt.needLo, g: band}, opts, "pipelined-cpu")
+			if err == nil {
+				subs[i], err = br.end(br.pipelineCPU())
 			}
-			sub, err := (PipelinedCPU{}).Run(bandSource{inner: src, rowOff: pt.needLo, g: band}, perSocket)
-			outs[i] = socketOut{part: pt, sub: sub, err: err}
+			errs[i] = err
 		}(i, pt)
 	}
 	wg.Wait()
 
-	transforms, peak := 0, 0
-	ds := newDegradedSet(g)
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, fmt.Errorf("stitch: socket pipeline [rows %d-%d): %w", o.part.rowLo, o.part.rowHi, o.err)
+	for i, pt := range parts {
+		if errs[i] != nil {
+			return 0, 0, fmt.Errorf("stitch: socket pipeline [rows %d-%d): %w", pt.rowLo, pt.rowHi, errs[i])
 		}
-		transforms += o.sub.TransformsComputed
-		peak += o.sub.PeakTransformsLive
-		// Merge the band's casualties, filtered to the rows this
-		// partition owns — a degraded boundary tile is reported by its
-		// owning partition only (the neighbor band read it redundantly
-		// and failed on it too).
-		degraded := make(map[tile.Pair]bool, len(o.sub.DegradedPairs))
-		for _, dt := range o.sub.DegradedTiles {
-			gc := tile.Coord{Row: dt.Coord.Row + o.part.needLo, Col: dt.Coord.Col}
-			if gc.Row < o.part.rowLo || gc.Row >= o.part.rowHi {
-				continue
-			}
-			ds.tileFailed(gc, dt.Err)
+		sub := subs[i]
+		transforms += sub.TransformsComputed
+		peak += sub.PeakTransformsLive
+		// global maps a band coordinate to the plate and reports whether
+		// this partition owns its row: a boundary row is read (and can
+		// fail) in both adjacent bands, and is reported by its owner only.
+		global := func(c tile.Coord) (tile.Coord, bool) {
+			c.Row += pt.needLo
+			return c, c.Row >= pt.rowLo && c.Row < pt.rowHi
 		}
-		for _, dp := range o.sub.DegradedPairs {
-			degraded[dp.Pair] = true
-			gc := tile.Coord{Row: dp.Pair.Coord.Row + o.part.needLo, Col: dp.Pair.Coord.Col}
-			if gc.Row < o.part.rowLo || gc.Row >= o.part.rowHi {
-				continue
+		for _, dt := range sub.DegradedTiles {
+			if gc, owned := global(dt.Coord); owned {
+				r.ds.tileFailed(gc, dt.Err)
 			}
-			ds.pairFailed(tile.Pair{Coord: gc, Dir: dp.Pair.Dir}, dp.Err)
 		}
-		// Keep only the pairs this partition owns; boundary-row west
-		// pairs were computed redundantly by the partition above.
-		for _, bp := range o.sub.Grid.Pairs() {
-			globalCoord := tile.Coord{Row: bp.Coord.Row + o.part.needLo, Col: bp.Coord.Col}
-			if globalCoord.Row < o.part.rowLo || globalCoord.Row >= o.part.rowHi {
-				continue
+		for _, dp := range sub.DegradedPairs {
+			if gc, owned := global(dp.Pair.Coord); owned {
+				r.ds.pairFailed(tile.Pair{Coord: gc, Dir: dp.Pair.Dir}, dp.Err)
 			}
-			d, ok := o.sub.PairDisplacement(bp)
-			if !ok {
-				if degraded[bp] {
-					continue // recorded as a degraded pair above
-				}
-				return nil, fmt.Errorf("stitch: socket pipeline missing pair %v", bp)
+		}
+		for _, bp := range sub.Grid.Pairs() {
+			gc, owned := global(bp.Coord)
+			if d, ok := sub.PairDisplacement(bp); owned && ok {
+				r.res.setPair(tile.Pair{Coord: gc, Dir: bp.Dir}, d)
 			}
-			res.setPair(tile.Pair{Coord: globalCoord, Dir: bp.Dir}, d)
 		}
 	}
-	ds.finalize(res)
-	res.Elapsed = time.Since(start)
-	res.TransformsComputed = transforms
-	res.PeakTransformsLive = peak
-	finishRun(opts, root, base, res)
-	return res, nil
+	return peak, transforms, nil
 }

@@ -10,11 +10,13 @@
 //	Fiji           the ImageJ/Fiji-plugin-shaped baseline (batch phases,
 //	               no transform reuse)
 //
-// plus the supporting machinery they share: tile sources, traversal
-// orders, transform reference counting, and the Table I operation census.
-// Every implementation produces identical displacement arrays for the
-// same input; they differ only in scheduling, concurrency, and memory
-// behavior.
+// plus the machinery they share: tile sources, traversal orders, the
+// Table I operation census, and the per-run pair engine (run.go) that
+// owns every read, transform, displacement, retry, casualty and
+// reference count. Each implementation file is a scheduler over that
+// engine, so every implementation produces identical displacement arrays
+// for the same input; they differ only in scheduling, concurrency, and
+// memory behavior.
 package stitch
 
 import (
@@ -168,16 +170,6 @@ type Options struct {
 	// FFTPool overrides the shared transform worker budget (tests and
 	// experiments); nil means fft.SharedPool(), sized GOMAXPROCS-1.
 	FFTPool *fft.WorkerPool
-	// LegacyTranspose routes FFT column passes through the seed's
-	// strided gather instead of the blocked transpose. Plan-scoped (not
-	// a process global), so differential tests can run both paths
-	// concurrently.
-	LegacyTranspose bool
-	// DisableFFTBatch forces the two forward transforms of a pair to
-	// run separately even when the autotuner chose batched passes.
-	// Batching is also disabled automatically when fault injection is
-	// active, so injected per-transform faults keep their sequence.
-	DisableFFTBatch bool
 	// Sockets runs one independent CPU pipeline per (simulated) CPU
 	// socket in Pipelined-CPU, each over a row band with its own
 	// transform cache — the paper's stated future work for the CPU
@@ -201,18 +193,13 @@ type Options struct {
 	// RetryBackoff is the base delay between retry attempts (doubling,
 	// capped at 16×). Zero — the test configuration — never sleeps.
 	RetryBackoff time.Duration
-	// Degrade switches every implementation except the Fiji baseline to
-	// partial-failure semantics: a persistent per-tile or per-pair error
-	// marks that tile/pair degraded instead of aborting the run, and the
-	// result lists the casualties. Phase 2 proceeds on the surviving
-	// displacement graph.
+	// Degrade switches the pair engine to partial-failure semantics: a
+	// persistent per-tile or per-pair error marks that tile/pair degraded
+	// instead of aborting the run, and the result lists the casualties.
+	// Phase 2 proceeds on the surviving displacement graph. The Fiji
+	// baseline reads and aligns outside the engine's fault points and
+	// always aborts.
 	Degrade bool
-	// DisableFusedNCC reverts the per-pair displacement tail to the seed
-	// behavior: a separate NCC pass before the inverse FFT on CPU, and
-	// the three-launch NCC → inverse → reduce sequence on GPU. The fused
-	// and unfused paths are bit-identical (the differential test pins
-	// this); the toggle exists for that test and for perf triage.
-	DisableFusedNCC bool
 	// Obs, if set, records spans and metrics for the run into the shared
 	// observability layer: a root "run" span with per-stage and
 	// per-tile-pair children, semantic counters (tiles read, transforms,
@@ -221,12 +208,6 @@ type Options struct {
 	// nil check per site. Pass the same recorder in gpu.Config.Obs to put
 	// GPU streams on the same clock.
 	Obs *obs.Recorder
-
-	// subRun marks a per-socket band sub-run launched by runSockets: the
-	// sub-run records its own span tree but suppresses result-level
-	// counter emission, which runSockets performs once from the merged
-	// Result so boundary-row casualties are not double-counted.
-	subRun bool
 }
 
 func (o Options) withDefaults(g tile.Grid) Options {
@@ -261,17 +242,11 @@ func (o Options) withDefaults(g tile.Grid) Options {
 // pciamOptions builds the per-pair aligner configuration.
 func (o Options) pciamOptions() pciam.Options {
 	return pciam.Options{
-		NPeaks:          o.NPeaks,
-		PositiveOnly:    o.PositiveOnly,
-		Planner:         o.Planner,
-		DisableFusion:   o.DisableFusedNCC,
-		FFTExec:         o.FFTExec,
-		FFTPool:         o.FFTPool,
-		LegacyTranspose: o.LegacyTranspose,
-		// Batched pair transforms collapse two fault-injection hit points
-		// into one; keep the injected sequence exact whenever an injector
-		// is present.
-		DisableBatch: o.DisableFFTBatch || o.Faults != nil,
+		NPeaks:       o.NPeaks,
+		PositiveOnly: o.PositiveOnly,
+		Planner:      o.Planner,
+		FFTExec:      o.FFTExec,
+		FFTPool:      o.FFTPool,
 	}
 }
 
@@ -287,14 +262,15 @@ func (o Options) TransformPool() *fft.WorkerPool {
 }
 
 // fftPlan2DOpts and fftReal2DOpts carry the run-level FFT execution
-// toggles to plans the stitch layer builds directly (the GPU simulators'
-// host-side transforms); pciam-built plans get them via pciamOptions.
+// strategy to plans the stitch layer builds directly (the GPU
+// simulators' host-side transforms); pciam-built plans get it via
+// pciamOptions.
 func (o Options) fftPlan2DOpts() fft.Plan2DOpts {
-	return fft.Plan2DOpts{Exec: o.FFTExec, Pool: o.FFTPool, LegacyGather: o.LegacyTranspose}
+	return fft.Plan2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
 }
 
 func (o Options) fftReal2DOpts() fft.Real2DOpts {
-	return fft.Real2DOpts{Workers: 1, Exec: o.FFTExec, Pool: o.FFTPool, LegacyGather: o.LegacyTranspose}
+	return fft.Real2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
 }
 
 // reservePairWorkers charges n pair-level workers against the shared
