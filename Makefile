@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-race lint lint-json lint-baseline lint-help check bench benchdiff acc accdiff experiments fuzz fuzz-smoke clean
+.PHONY: all build test race test-race lint lint-json lint-baseline lint-help check acc accdiff experiments fuzz fuzz-smoke clean
 
 all: build test
 
@@ -71,27 +71,17 @@ check: build
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) run ./cmd/stitchlint -C bench -baseline ../lint-baseline.json ./...
 
-# bench runs every benchmark and converts the output into a
-# machine-readable snapshot (BENCH_<tag>.json) for benchdiff. Override
-# BENCH_TAG to keep several snapshots side by side.
-BENCH_TAG ?= pr10
-bench:
-	$(GO) test -bench=. -benchmem ./... | tee bench_output.txt
-	$(GO) run ./cmd/experiments -bench-in bench_output.txt -bench-out BENCH_$(BENCH_TAG).json
+# Benchmarks: the end-to-end benchmark and its parent-vs-change gate live
+# in bench/ (see bench/README.md: `bash bench/run.sh ...`, and
+# `go run . -runs 10 -o a.json` / `-compare a.json b.json` from there).
+# The root bench_test.go micro-benchmarks stay runnable with
+# `go test -bench=. -benchmem .`; the committed BENCH_pr*.json files are
+# the records EXPERIMENTS.md cites, not inputs to a gate.
 
-# benchdiff flags >15% ns/op regressions between two snapshots:
-#   make benchdiff OLD=BENCH_2026-08-01.json NEW=BENCH_2026-08-05.json
-# The defaults gate the current PR's snapshot against the previous one.
-OLD ?= BENCH_pr9.json
-NEW ?= BENCH_pr10.json
-benchdiff:
-	$(GO) run ./cmd/experiments -bench-old $(OLD) -bench-new $(NEW)
-
-# acc is the accuracy counterpart of bench: it runs every named
-# adversarial scenario through the full confidence-weighted pipeline,
-# fails if any scenario misses its documented threshold (see
-# EXPERIMENTS.md "Accuracy methodology"), and writes the scores to
-# ACC_<tag>.json for accdiff.
+# acc runs every named adversarial scenario through the full
+# confidence-weighted pipeline, fails if any scenario misses its
+# documented threshold (see EXPERIMENTS.md "Accuracy methodology"), and
+# writes the scores to ACC_<tag>.json for accdiff.
 ACC_TAG ?= pr6
 acc:
 	$(GO) run ./cmd/experiments -acc-out ACC_$(ACC_TAG).json
@@ -101,8 +91,7 @@ acc:
 # snapshot (RMS up more than 15% + 0.1 px, or the within-1-px fraction
 # down more than 0.02). OLD picks another reference:
 #   make accdiff OLD=ACC_pr5.json
-# The target-specific default keeps it independent of benchdiff's OLD.
-accdiff: OLD = ACC_pr6.json
+OLD ?= ACC_pr6.json
 accdiff:
 	$(GO) run ./cmd/experiments -acc-out ACC_head.json
 	$(GO) run ./cmd/experiments -acc-old $(OLD) -acc-new ACC_head.json

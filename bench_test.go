@@ -420,6 +420,7 @@ func BenchmarkPCIAMPair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer al.Close()
 	a := src.DS.Tile(tile.Coord{Row: 0, Col: 0})
 	c := src.DS.Tile(tile.Coord{Row: 0, Col: 1})
 	fa, err := al.Transform(a)

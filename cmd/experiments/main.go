@@ -4,20 +4,13 @@
 // 42×59 workload) and real reduced-scale measurements side by side, and
 // writing PNG artifacts for the composed-image figures.
 //
-// It doubles as the benchmark-regression harness: -bench-in converts
-// `go test -bench` output into a BENCH_*.json snapshot, and
-// -bench-old/-bench-new diff two snapshots, flagging >15% slowdowns with
-// a nonzero exit (CI-friendly).
-//
 // Usage:
 //
 //	experiments -list
 //	experiments -exp all -out results/
 //	experiments -exp table2
-//	go test -bench . ./... | experiments -bench-in - -bench-out BENCH_$(date +%F).json
-//	experiments -bench-old BENCH_old.json -bench-new BENCH_new.json
 //
-// And as the accuracy-regression harness: -acc-out runs every named
+// It doubles as the accuracy-regression harness: -acc-out runs every named
 // adversarial scenario through the full pipeline into an ACC_*.json
 // snapshot (failing if any scenario misses its documented threshold),
 // and -acc-old/-acc-new diff two snapshots, flagging accuracy
@@ -30,44 +23,26 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
 	"time"
 
-	"hybridstitch/internal/obs"
 	"hybridstitch/internal/report"
 )
-
-// benchThreshold is the slowdown ratio treated as a regression: new/old
-// above 1+benchThreshold fails the diff.
-const benchThreshold = 0.15
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		exp      = flag.String("exp", "all", "experiment id, or \"all\"")
-		out      = flag.String("out", "", "directory for PNG artifacts (figs 13, 14)")
-		quick    = flag.Bool("quick", false, "shrink the real-measurement workloads")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		seed     = flag.Int64("seed", 1, "dataset seed")
-		benchIn  = flag.String("bench-in", "", "parse `go test -bench` output from this file (\"-\" for stdin) into a snapshot")
-		benchOut = flag.String("bench-out", "", "write the parsed benchmark snapshot to this JSON file (with -bench-in)")
-		benchOld = flag.String("bench-old", "", "baseline benchmark snapshot JSON to diff against")
-		benchNew = flag.String("bench-new", "", "candidate benchmark snapshot JSON to diff (with -bench-old)")
-		accOut   = flag.String("acc-out", "", "run the accuracy scenarios and write the snapshot to this JSON file")
-		accOld   = flag.String("acc-old", "", "baseline accuracy snapshot JSON to diff against")
-		accNew   = flag.String("acc-new", "", "candidate accuracy snapshot JSON to diff (with -acc-old)")
+		exp    = flag.String("exp", "all", "experiment id, or \"all\"")
+		out    = flag.String("out", "", "directory for PNG artifacts (figs 13, 14)")
+		quick  = flag.Bool("quick", false, "shrink the real-measurement workloads")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		seed   = flag.Int64("seed", 1, "dataset seed")
+		accOut = flag.String("acc-out", "", "run the accuracy scenarios and write the snapshot to this JSON file")
+		accOld = flag.String("acc-old", "", "baseline accuracy snapshot JSON to diff against")
+		accNew = flag.String("acc-new", "", "candidate accuracy snapshot JSON to diff (with -acc-old)")
 	)
 	flag.Parse()
-
-	if *benchIn != "" || *benchOld != "" {
-		if err := runBench(*benchIn, *benchOut, *benchOld, *benchNew); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	if *accOut != "" || *accOld != "" {
 		if err := runAcc(*accOut, *seed, *quick, *accOld, *accNew); err != nil {
@@ -104,51 +79,4 @@ func main() {
 		fmt.Print(outStr)
 		fmt.Printf("(%s done in %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-}
-
-// runBench handles the benchmark-harness modes: snapshot capture
-// (-bench-in [-bench-out]) and snapshot diffing (-bench-old/-bench-new).
-func runBench(in, out, oldPath, newPath string) error {
-	if in != "" {
-		var rd io.Reader = os.Stdin
-		if in != "-" {
-			f, err := os.Open(in)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			rd = f
-		}
-		snap, err := obs.ParseGoBench(rd)
-		if err != nil {
-			return err
-		}
-		snap.Date = time.Now().Format("2006-01-02")
-		fmt.Printf("parsed %d benchmarks\n", len(snap.Benchmarks))
-		if out != "" {
-			if err := obs.WriteSnapshotFile(out, snap); err != nil {
-				return err
-			}
-			fmt.Printf("wrote benchmark snapshot to %s\n", out)
-		}
-		return nil
-	}
-	if newPath == "" {
-		return fmt.Errorf("-bench-old requires -bench-new")
-	}
-	oldSnap, err := obs.LoadSnapshot(oldPath)
-	if err != nil {
-		return err
-	}
-	newSnap, err := obs.LoadSnapshot(newPath)
-	if err != nil {
-		return err
-	}
-	diff := obs.DiffBench(oldSnap, newSnap, benchThreshold)
-	fmt.Print(diff.Format())
-	if len(diff.Regressions) > 0 {
-		// Nonzero exit so CI fails on a >15% slowdown.
-		os.Exit(1)
-	}
-	return nil
 }

@@ -19,16 +19,15 @@ import (
 //   - gpu.Device.Alloc / AllocBlocking / AllocSpectrum → Buffer.Free
 //   - memgov.Governor.Alloc                            → Allocation.Free
 //   - obs.Recorder.StartSpan, obs.Span.Child/ChildOn   → Span.End
-//   - pciam.GetAligner / GetPaddedAligner /
-//     GetRealAligner                                   → Close (or Put*Aligner)
+//   - pciam.NewAligner / NewPaddedAligner /
+//     NewRealAligner                                   → Close
 //
 // Releases are defer-aware: a `defer v.Free()` (or a defer whose closure
 // releases v) discharges every path that passes the defer statement,
 // including panic unwinds. Ownership transfers discharge exactly as they
-// did under bufferfree: passing the value to any call (which is how the
-// Put*Aligner pool returns work), returning it, storing it into a
-// field/map/slice/channel/composite literal, assigning it to another
-// variable, or taking its address.
+// did under bufferfree: passing the value to any call, returning it,
+// storing it into a field/map/slice/channel/composite literal, assigning
+// it to another variable, or taking its address.
 //
 // Error branches are path-sensitive: on the `err != nil` arm of the
 // acquisition's own error result nothing was acquired and nothing is
@@ -58,8 +57,8 @@ func pairAcquire(info *types.Info, call *ast.CallExpr) (what, release string, ok
 	case c.is(obsPkg, "Recorder", "StartSpan"), c.is(obsPkg, "Span", "Child"),
 		c.is(obsPkg, "Span", "ChildOn"):
 		return "obs." + c.recv + "." + c.name, "End", true
-	case c.is(pciamPkg, "", "GetAligner"), c.is(pciamPkg, "", "GetPaddedAligner"),
-		c.is(pciamPkg, "", "GetRealAligner"):
+	case c.is(pciamPkg, "", "NewAligner"), c.is(pciamPkg, "", "NewPaddedAligner"),
+		c.is(pciamPkg, "", "NewRealAligner"):
 		return "pciam." + c.name, "Close", true
 	}
 	return "", "", false

@@ -161,10 +161,10 @@ func leakChildSpan(parent *obs.Span, work func() error) error {
 	return nil
 }
 
-// leakAlignerNeverPut checks the pooled-aligner pairing: a checked-out
-// aligner that is neither Closed nor Put back starves the arena pool.
-func leakAlignerNeverPut(w, h int, opts pciam.Options) error {
-	al, err := pciam.GetAligner(w, h, opts) // want "never freed or ownership-transferred"
+// leakAlignerNeverClosed checks the pooled-aligner pairing: a
+// constructed aligner that is never Closed never returns to the pool.
+func leakAlignerNeverClosed(w, h int, opts pciam.Options) error {
+	al, err := pciam.NewAligner(w, h, opts) // want "never freed or ownership-transferred"
 	if err != nil {
 		return err
 	}
@@ -172,20 +172,19 @@ func leakAlignerNeverPut(w, h int, opts pciam.Options) error {
 	return nil
 }
 
-// okAlignerPutBack returns the aligner to the pool (an ownership
-// transfer: the value is passed to a call).
-func okAlignerPutBack(w, h int, opts pciam.Options) error {
-	al, err := pciam.GetAligner(w, h, opts)
+// okAlignerDeferClosed releases by a deferred Close.
+func okAlignerDeferClosed(w, h int, opts pciam.Options) error {
+	al, err := pciam.NewPaddedAligner(w, h, opts)
 	if err != nil {
 		return err
 	}
-	defer pciam.PutAligner(al)
+	defer al.Close()
 	return nil
 }
 
 // okAlignerClosed releases by the paired Close method.
 func okAlignerClosed(w, h int, opts pciam.Options) error {
-	al, err := pciam.GetRealAligner(w, h, opts)
+	al, err := pciam.NewRealAligner(w, h, opts)
 	if err != nil {
 		return err
 	}

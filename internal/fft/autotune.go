@@ -8,21 +8,20 @@ import (
 )
 
 // The measured-plan autotuner. A 2-D plan built with ExecAuto times its
-// candidate execution shapes once at plan time — serial, recursive
-// split, and (for the batch entry points) batched multi-tile passes —
-// and commits to the fastest, mirroring how the 1-D planner's measure
+// two execution shapes once at plan time — serial and recursive split —
+// and commits to the faster, mirroring how the 1-D planner's measure
 // mode picks strategies. Decisions are cached per (kind, size, budget)
 // so repeated plan construction (aligner pools, benchmarks) pays
 // measurement once, and counted in package atomics that the stitch
-// layer publishes as the obs counters fft.autotune.{serial,split,
-// batched} (this package deliberately does not import obs).
+// layer publishes as the obs counters fft.autotune.{serial,split}
+// (this package deliberately does not import obs).
 
 // ExecStrategy selects how a 2-D plan's row and column passes execute.
 type ExecStrategy int
 
 const (
-	// ExecAuto measures serial vs split vs batched at plan time and
-	// keeps the fastest (serial when the plan's pool has no budget).
+	// ExecAuto measures serial vs split at plan time and keeps the
+	// faster (serial when the plan's pool has no budget).
 	ExecAuto ExecStrategy = iota
 	// ExecSerial forces single-goroutine passes — the zero-allocation
 	// steady-state path.
@@ -65,21 +64,15 @@ func ParseExecStrategy(s string) (ExecStrategy, error) {
 const autotuneFloor = 2 * splitMinWork
 
 var (
-	autotuneSerialCount  atomic.Int64
-	autotuneSplitCount   atomic.Int64
-	autotuneBatchedCount atomic.Int64
-	batchedExecCount     atomic.Int64
+	autotuneSerialCount atomic.Int64
+	autotuneSplitCount  atomic.Int64
 )
 
 // AutotuneCounts returns the process-wide counts of autotuner decisions
 // by outcome, exported for the stitch layer's obs bridge.
-func AutotuneCounts() (serial, split, batched int64) {
-	return autotuneSerialCount.Load(), autotuneSplitCount.Load(), autotuneBatchedCount.Load()
+func AutotuneCounts() (serial, split int64) {
+	return autotuneSerialCount.Load(), autotuneSplitCount.Load()
 }
-
-// BatchedExecs returns the process-wide count of multi-tile passes that
-// actually ran batched (ExecuteBatch/ForwardBatch with batching on).
-func BatchedExecs() int64 { return batchedExecCount.Load() }
 
 // autoKey identifies one cached autotune decision.
 type autoKey struct {
@@ -88,33 +81,24 @@ type autoKey struct {
 	budget int
 }
 
-// autoChoice is a committed decision: the single-tile execution strategy
-// plus whether the batch entry points should use shared passes.
-type autoChoice struct {
-	exec  ExecStrategy // ExecSerial or ExecSplit
-	batch bool
-}
-
+// autoCache holds the committed decisions, each ExecSerial or ExecSplit.
 var (
 	autoMu    sync.Mutex
-	autoCache = map[autoKey]autoChoice{}
+	autoCache = map[autoKey]ExecStrategy{}
 )
 
 // resetAutotuneForTest clears the decision cache (test-only).
 func resetAutotuneForTest() {
 	autoMu.Lock()
-	autoCache = map[autoKey]autoChoice{}
+	autoCache = map[autoKey]ExecStrategy{}
 	autoMu.Unlock()
 }
 
 // countChoice records a decision in the package counters.
-func countChoice(c autoChoice) {
-	switch {
-	case c.batch:
-		autotuneBatchedCount.Add(1)
-	case c.exec == ExecSplit:
+func countChoice(c ExecStrategy) {
+	if c == ExecSplit {
 		autotuneSplitCount.Add(1)
-	default:
+	} else {
 		autotuneSerialCount.Add(1)
 	}
 }
@@ -127,9 +111,6 @@ const autotuneReps = 2
 // minimum. Returns a huge duration if fn errors, so a broken candidate
 // can never win.
 func measure(fn func() error) time.Duration {
-	if fn == nil {
-		return 1<<62 - 1
-	}
 	if err := fn(); err != nil {
 		return 1<<62 - 1
 	}
@@ -147,38 +128,24 @@ func measure(fn func() error) time.Duration {
 }
 
 // autotune returns the cached or freshly measured choice for key.
-// runSerial and runSplit execute one representative single-tile
-// transform under each strategy; runBatch executes one two-tile batched
-// pass (nil skips the batch candidate). The caller only invokes this
-// when the pool budget is positive and the size is above autotuneFloor;
-// every decision (including the trivial ones the caller makes itself)
-// is recorded via countChoice.
-func autotune(key autoKey, runSerial, runSplit, runBatch func() error) autoChoice {
+// runSerial and runSplit execute one representative transform under each
+// strategy. The caller only invokes this when the pool budget is
+// positive and the size is above autotuneFloor; every decision
+// (including the trivial ones the caller makes itself) is recorded via
+// countChoice.
+func autotune(key autoKey, runSerial, runSplit func() error) ExecStrategy {
 	autoMu.Lock()
-	if c, ok := autoCache[key]; ok {
+	c, ok := autoCache[key]
+	autoMu.Unlock()
+	if !ok {
+		c = ExecSerial
+		if ts := measure(runSerial); measure(runSplit) < ts {
+			c = ExecSplit
+		}
+		autoMu.Lock()
+		autoCache[key] = c
 		autoMu.Unlock()
-		countChoice(c)
-		return c
 	}
-	autoMu.Unlock()
-
-	ts := measure(runSerial)
-	tp := measure(runSplit)
-	c := autoChoice{exec: ExecSerial}
-	single := ts
-	if tp < ts {
-		c.exec = ExecSplit
-		single = tp
-	}
-	if tb := measure(runBatch); tb/2 < single {
-		// The batched pass transformed two tiles; per tile it beat the
-		// best single-tile shape.
-		c.batch = true
-	}
-
-	autoMu.Lock()
-	autoCache[key] = c
-	autoMu.Unlock()
 	countChoice(c)
 	return c
 }

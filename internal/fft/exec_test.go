@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the differential/property wall for the intra-transform
-// execution strategies. The split and batched paths only repartition the
+// execution strategies. The split path only repartitions the
 // row/column loops — every 1-D transform sees the same data in the same
 // order — so the contract throughout is exact (==) equality with the
 // serial path, not a tolerance.
@@ -40,7 +40,7 @@ func execPools(t *testing.T) []*WorkerPool {
 }
 
 // TestExecMatrixBitIdentical runs the full complex-plan execution matrix
-// — {serial, split, auto, batched} × pool sizes {0, 1, NumCPU} × both
+// — {serial, split, auto} × pool sizes {0, 1, NumCPU} × both
 // directions — and requires bit-identical output to the row-then-column
 // oracle.
 func TestExecMatrixBitIdentical(t *testing.T) {
@@ -57,8 +57,6 @@ func TestExecMatrixBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			src2 := randComplex(sz.h*sz.w, int64(sz.h*100+sz.w+7))
-			want2 := oracle2D(t, src2, sz.h, sz.w, dir)
 			for _, pool := range execPools(t) {
 				for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
 					p, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{Exec: exec, Pool: pool})
@@ -70,23 +68,6 @@ func TestExecMatrixBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					check(execLabel(exec, pool), got)
-
-					// Batched shared passes, forced on regardless of what
-					// the autotuner would pick, two tiles with distinct
-					// contents: each must match its own transform.
-					p.batch = true
-					ga := append([]complex128(nil), src...)
-					gb := append([]complex128(nil), src2...)
-					if err := p.ExecuteBatch([][]complex128{ga, gb}); err != nil {
-						t.Fatal(err)
-					}
-					check("batch[0]/"+execLabel(exec, pool), ga)
-					for i := range gb {
-						if gb[i] != want2[i] {
-							t.Fatalf("%dx%d dir=%v batch[1]/%s: element %d differs",
-								sz.h, sz.w, dir, execLabel(exec, pool), i)
-						}
-					}
 				}
 			}
 		}
@@ -98,19 +79,16 @@ func execLabel(exec ExecStrategy, pool *WorkerPool) string {
 }
 
 // TestRealExecMatrixBitIdentical is the r2c counterpart: Forward
-// spectra, batched Forward spectra, and Inverse reconstructions under
-// every execution shape must equal the oracle exactly.
+// spectra and Inverse reconstructions under every execution shape must
+// equal the oracle exactly.
 func TestRealExecMatrixBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sz := range execSizes {
 		img := make([]float64, sz.h*sz.w)
-		img2 := make([]float64, sz.h*sz.w)
 		for i := range img {
 			img[i] = rng.NormFloat64()
-			img2[i] = rng.NormFloat64()
 		}
 		want := oracleRealForward(t, img, sz.h, sz.w)
-		want2 := oracleRealForward(t, img2, sz.h, sz.w)
 		wantRec := oracleRealInverse(t, want, sz.h, sz.w)
 		sh, sw := sz.h, sz.w/2+1
 		for _, pool := range execPools(t) {
@@ -136,21 +114,6 @@ func TestRealExecMatrixBitIdentical(t *testing.T) {
 				for i := range rec {
 					if rec[i] != wantRec[i] {
 						t.Fatalf("%dx%d %s: inverse sample %d differs", sz.h, sz.w, label, i)
-					}
-				}
-				// Forced batched forward, both tiles checked.
-				p.batch = true
-				sa := make([]complex128, sh*sw)
-				sb := make([]complex128, sh*sw)
-				if err := p.ForwardBatch([][]complex128{sa, sb}, [][]float64{img, img2}); err != nil {
-					t.Fatal(err)
-				}
-				for i := range sa {
-					if sa[i] != want[i] {
-						t.Fatalf("%dx%d %s: batch[0] bin %d differs", sz.h, sz.w, label, i)
-					}
-					if sb[i] != want2[i] {
-						t.Fatalf("%dx%d %s: batch[1] bin %d differs", sz.h, sz.w, label, i)
 					}
 				}
 			}
@@ -189,20 +152,16 @@ func TestAutotuneChoiceInvariance(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (chose exec=%v batch=%v): element %d differs",
-					trial, p.Exec(), p.Batched(), i)
+				t.Fatalf("trial %d (chose exec=%v): element %d differs", trial, p.Exec(), i)
 			}
 		}
 	}
 
-	// Real plans: same property, and the ForwardBatch entry point must be
-	// invariant whether or not the tuner chose batching.
+	// Real plans: same property.
 	rng := rand.New(rand.NewSource(13))
 	img := make([]float64, h*w)
-	img2 := make([]float64, h*w)
 	for i := range img {
 		img[i] = rng.NormFloat64()
-		img2[i] = rng.NormFloat64()
 	}
 	rref, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSerial})
 	if err != nil {
@@ -213,40 +172,34 @@ func TestAutotuneChoiceInvariance(t *testing.T) {
 	if err := rref.Forward(rwant, img); err != nil {
 		t.Fatal(err)
 	}
-	rwant2 := make([]complex128, sh*sw)
-	if err := rref.Forward(rwant2, img2); err != nil {
-		t.Fatal(err)
-	}
 	for trial := 0; trial < 3; trial++ {
 		resetAutotuneForTest()
 		rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecAuto, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa := make([]complex128, sh*sw)
-		sb := make([]complex128, sh*sw)
-		if err := rp.ForwardBatch([][]complex128{sa, sb}, [][]float64{img, img2}); err != nil {
+		got := make([]complex128, sh*sw)
+		if err := rp.Forward(got, img); err != nil {
 			t.Fatal(err)
 		}
-		for i := range sa {
-			if sa[i] != rwant[i] || sb[i] != rwant2[i] {
-				t.Fatalf("trial %d (chose exec=%v batch=%v): batch bin %d differs",
-					trial, rp.Exec(), rp.Batched(), i)
+		for i := range got {
+			if got[i] != rwant[i] {
+				t.Fatalf("trial %d (chose exec=%v): bin %d differs", trial, rp.Exec(), i)
 			}
 		}
 	}
 }
 
 // TestAutotuneCounters pins the decision-counting contract: every
-// ExecAuto plan construction records exactly one decision (trivial
-// no-budget resolutions included), forced strategies record none, and
-// cache hits still count — the counters meter decisions consumed, not
-// measurements run.
+// ExecAuto plan construction records exactly one decision, serial or
+// split and nothing else (trivial no-budget resolutions included),
+// forced strategies record none, and cache hits still count — the
+// counters meter decisions consumed, not measurements run.
 func TestAutotuneCounters(t *testing.T) {
 	resetAutotuneForTest()
 	total := func() int64 {
-		s, p, b := AutotuneCounts()
-		return s + p + b
+		s, p := AutotuneCounts()
+		return s + p
 	}
 
 	before := total()
@@ -263,11 +216,11 @@ func TestAutotuneCounters(t *testing.T) {
 	// Trivial auto resolution (empty pool): counted as serial.
 	empty := NewWorkerPool(0)
 	defer empty.Close()
-	sBefore, _, _ := AutotuneCounts()
+	sBefore, _ := AutotuneCounts()
 	if _, err := NewPlan2D(8, 8, Forward, Plan2DOpts{Exec: ExecAuto, Pool: empty}); err != nil {
 		t.Fatal(err)
 	}
-	if s, _, _ := AutotuneCounts(); s != sBefore+1 {
+	if s, _ := AutotuneCounts(); s != sBefore+1 {
 		t.Fatalf("trivial auto resolution: serial count %d -> %d, want +1", sBefore, s)
 	}
 
@@ -447,14 +400,12 @@ func TestPairAndSplitParallelismStress(t *testing.T) {
 				errCh <- err
 				return
 			}
-			rp.batch = true
 			sh, sw := rp.SpectrumDims()
 			img := make([]float64, h*w)
 			for i := range img {
 				img[i] = float64((i*7+wk)%13) - 6
 			}
-			sa := make([]complex128, sh*sw)
-			sb := make([]complex128, sh*sw)
+			spec := make([]complex128, sh*sw)
 			for iter := 0; iter < 25; iter++ {
 				// Pair-level reservation churn against everyone's splits.
 				got := pool.Reserve(1 + wk%2)
@@ -471,7 +422,7 @@ func TestPairAndSplitParallelismStress(t *testing.T) {
 						return
 					}
 				}
-				if err := rp.ForwardBatch([][]complex128{sa, sb}, [][]float64{img, img}); err != nil {
+				if err := rp.Forward(spec, img); err != nil {
 					pool.Release(got)
 					errCh <- err
 					return

@@ -17,7 +17,6 @@ type Plan2D struct {
 	norm bool
 
 	exec   ExecStrategy // resolved: ExecSerial or ExecSplit
-	batch  bool         // ExecuteBatch uses shared multi-tile passes
 	pool   *WorkerPool
 	nslots int // len(rowPlans); split legs use disjoint slot ranges
 
@@ -95,7 +94,7 @@ func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan,
 
 	switch {
 	case autoTrivial:
-		countChoice(autoChoice{exec: ExecSerial})
+		countChoice(ExecSerial)
 	case p.exec == ExecAuto:
 		p.resolveAuto()
 	}
@@ -119,8 +118,8 @@ func spanAtLeast1(n int) int {
 	return n
 }
 
-// resolveAuto times the serial, split, and batched shapes on scratch data
-// and commits the plan to the fastest (cached per size/direction/budget).
+// resolveAuto times the serial and split shapes on scratch data and
+// commits the plan to the faster (cached per size/direction/budget).
 func (p *Plan2D) resolveAuto() {
 	kind := "c2c-forward"
 	if p.dir == Inverse {
@@ -128,37 +127,19 @@ func (p *Plan2D) resolveAuto() {
 	}
 	key := autoKey{kind: kind, h: p.h, w: p.w, budget: p.pool.Cap()}
 
-	var tmp, tmpB []complex128
-	mkTmp := func() []complex128 {
-		t := make([]complex128, p.w*p.h)
-		for i := range t {
-			t[i] = complex(float64(i%97)-48, float64(i%31)-15)
+	var tmp []complex128
+	mkTmp := func() {
+		if tmp != nil {
+			return
 		}
-		return t
+		tmp = make([]complex128, p.w*p.h)
+		for i := range tmp {
+			tmp[i] = complex(float64(i%97)-48, float64(i%31)-15)
+		}
 	}
-	c := autotune(key,
-		func() error {
-			if tmp == nil {
-				tmp = mkTmp()
-			}
-			return p.executeSerial(tmp, nil)
-		},
-		func() error {
-			if tmp == nil {
-				tmp = mkTmp()
-			}
-			return p.executeSplit(tmp, nil)
-		},
-		func() error {
-			if tmp == nil {
-				tmp = mkTmp()
-			}
-			if tmpB == nil {
-				tmpB = mkTmp()
-			}
-			return p.executeBatch([][]complex128{tmp, tmpB})
-		})
-	p.exec, p.batch = c.exec, c.batch
+	p.exec = autotune(key,
+		func() error { mkTmp(); return p.executeSerial(tmp, nil) },
+		func() error { mkTmp(); return p.executeSplit(tmp, nil) })
 }
 
 // W returns the row length (width).
@@ -172,9 +153,6 @@ func (p *Plan2D) Dir() Direction { return p.dir }
 
 // Exec reports the resolved execution strategy (never ExecAuto).
 func (p *Plan2D) Exec() ExecStrategy { return p.exec }
-
-// Batched reports whether ExecuteBatch uses shared multi-tile passes.
-func (p *Plan2D) Batched() bool { return p.batch }
 
 // Execute transforms data (len h*w, row-major) in place.
 func (p *Plan2D) Execute(data []complex128) error {
@@ -195,30 +173,6 @@ func (p *Plan2D) ExecuteFill(data []complex128, fill func(dst []complex128, r in
 		return fmt.Errorf("fft: ExecuteFill requires a fill function")
 	}
 	return p.execute(data, fill)
-}
-
-// ExecuteBatch transforms every tile of datas (each len h*w, row-major)
-// in place. When the plan's autotuner chose batching, the row FFTs of
-// all tiles run as ONE pass over a virtual row space — one planner
-// dispatch, twiddles and split bookkeeping amortized across tiles —
-// followed by per-tile column passes sharing the plan's transpose
-// scratch. Otherwise each tile goes through Execute in sequence.
-func (p *Plan2D) ExecuteBatch(datas [][]complex128) error {
-	for _, d := range datas {
-		if len(d) != p.w*p.h {
-			return fmt.Errorf("fft: plan is %dx%d (%d elements), batch tile has %d", p.h, p.w, p.h*p.w, len(d))
-		}
-	}
-	if len(datas) < 2 || !p.batch {
-		for _, d := range datas {
-			if err := p.execute(d, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	batchedExecCount.Add(1)
-	return p.executeBatch(datas)
 }
 
 //stitchlint:hotpath
@@ -288,52 +242,6 @@ func (p *Plan2D) executeSplit(data []complex128, fill func([]complex128, int)) e
 		return err
 	}
 	p.normalize(data)
-	return nil
-}
-
-// executeBatch is the shared-pass body behind ExecuteBatch: one row pass
-// over the concatenated virtual row space of every tile, then per-tile
-// column passes reusing the plan's transpose scratch.
-func (p *Plan2D) executeBatch(datas [][]complex128) error {
-	n := p.h * len(datas)
-	rowOne := func(slot, vr int) error {
-		t, r := vr/p.h, vr%p.h
-		return p.rowPlans[slot].Execute(datas[t][r*p.w : (r+1)*p.w])
-	}
-	var err error
-	if p.exec == ExecSplit {
-		err = splitRange(p.pool, 0, p.nslots, 0, n, p.rowSpan, func(slot, lo, hi int) error {
-			for vr := lo; vr < hi; vr++ {
-				if e := rowOne(slot, vr); e != nil {
-					return e
-				}
-			}
-			return nil
-		})
-	} else {
-		for vr := 0; vr < n; vr++ {
-			if err = rowOne(0, vr); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	for _, data := range datas {
-		if p.exec == ExecSplit {
-			err = splitRange(p.pool, 0, p.nslots, 0, p.w, p.colSpan, func(slot, lo, hi int) error {
-				return p.columnPass(data, lo, hi, p.colPlans[slot])
-			})
-		} else {
-			err = p.columnPass(data, 0, p.w, p.colPlans[0])
-		}
-		if err != nil {
-			return err
-		}
-		transposeRange(data, p.tbuf, p.w, p.h, 0, p.h)
-		p.normalize(data)
-	}
 	return nil
 }
 

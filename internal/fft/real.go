@@ -204,7 +204,6 @@ type RealPlan2D struct {
 	sw   int // spectrum row width = w/2+1
 
 	exec   ExecStrategy // resolved: ExecSerial or ExecSplit
-	batch  bool         // ForwardBatch uses shared multi-tile passes
 	pool   *WorkerPool
 	nslots int // len(rowF); split legs use disjoint slot ranges
 
@@ -228,26 +227,19 @@ type RealPlan2D struct {
 	opPlans []*Plan
 	opFill  func(dst []complex128, r int)
 
-	// Batch operands: ForwardBatch transforms the rows of several tiles
-	// in one pass over a virtual row space.
-	opImgs  [][]float64
-	opSpecs [][]complex128
-
-	fnRowFwd      func(wk, r int) error
-	fnRowFwdBatch func(wk, vr int) error
-	fnRowInv      func(wk, r int) error
-	fnFill        func(wk, r int) error
-	fnColSlab     func(wk, lo, hi int) error
-	fnColBack     func(wk, lo, hi int) error
+	fnRowFwd  func(wk, r int) error
+	fnRowInv  func(wk, r int) error
+	fnFill    func(wk, r int) error
+	fnColSlab func(wk, lo, hi int) error
+	fnColBack func(wk, lo, hi int) error
 }
 
 // Real2DOpts adjusts real 2-D plan construction — the r2c counterpart of
 // Plan2DOpts.
 type Real2DOpts struct {
 	// Exec selects the single-call execution shape: ExecAuto (zero
-	// value) measures serial vs split vs batched at plan time,
-	// ExecSerial pins the zero-allocation path, ExecSplit pins the
-	// recursive pool-fed split.
+	// value) measures serial vs split at plan time, ExecSerial pins the
+	// zero-allocation path, ExecSplit pins the recursive pool-fed split.
 	Exec ExecStrategy
 	// Pool supplies the helper budget for the split path; nil means
 	// SharedPool().
@@ -305,10 +297,6 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 	p.fnRowFwd = func(wk, r int) error {
 		return p.rowF[wk].Forward(p.opSpec[r*p.sw:(r+1)*p.sw], p.opImg[r*p.w:(r+1)*p.w])
 	}
-	p.fnRowFwdBatch = func(wk, vr int) error {
-		t, r := vr/p.h, vr%p.h
-		return p.rowF[wk].Forward(p.opSpecs[t][r*p.sw:(r+1)*p.sw], p.opImgs[t][r*p.w:(r+1)*p.w])
-	}
 	p.fnRowInv = func(wk, r int) error {
 		return p.rowF[wk].Inverse(p.opImg[r*p.w:(r+1)*p.w], p.specF[r*p.sw:(r+1)*p.sw])
 	}
@@ -331,55 +319,35 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 	}
 	switch {
 	case autoTrivial:
-		countChoice(autoChoice{exec: ExecSerial})
+		countChoice(ExecSerial)
 	case p.exec == ExecAuto:
 		p.resolveAuto()
 	}
 	return p, nil
 }
 
-// resolveAuto times the forward transform under the serial, split, and
-// batched shapes on scratch data and commits the plan to the fastest
-// (cached per size/budget; one decision covers forward and inverse,
-// whose pass structures match).
+// resolveAuto times the forward transform under the serial and split
+// shapes on scratch data and commits the plan to the faster (cached per
+// size/budget; one decision covers forward and inverse, whose pass
+// structures match).
 func (p *RealPlan2D) resolveAuto() {
 	key := autoKey{kind: "r2c", h: p.h, w: p.w, budget: p.pool.Cap()}
 
-	var img, imgB []float64
-	var spec, specB []complex128
-	mk := func() ([]float64, []complex128) {
-		im := make([]float64, p.h*p.w)
-		for i := range im {
-			im[i] = float64(i%97) - 48
+	var img []float64
+	var spec []complex128
+	run := func(exec ExecStrategy) error {
+		if img == nil {
+			img, spec = make([]float64, p.h*p.w), make([]complex128, p.h*p.sw)
+			for i := range img {
+				img[i] = float64(i%97) - 48
+			}
 		}
-		return im, make([]complex128, p.h*p.sw)
+		p.exec = exec
+		return p.Forward(spec, img)
 	}
-	c := autotune(key,
-		func() error {
-			if img == nil {
-				img, spec = mk()
-			}
-			p.exec = ExecSerial
-			return p.Forward(spec, img)
-		},
-		func() error {
-			if img == nil {
-				img, spec = mk()
-			}
-			p.exec = ExecSplit
-			return p.Forward(spec, img)
-		},
-		func() error {
-			if img == nil {
-				img, spec = mk()
-			}
-			if imgB == nil {
-				imgB, specB = mk()
-			}
-			p.exec = ExecSerial
-			return p.forwardBatch([][]complex128{spec, specB}, [][]float64{img, imgB})
-		})
-	p.exec, p.batch = c.exec, c.batch
+	p.exec = autotune(key,
+		func() error { return run(ExecSerial) },
+		func() error { return run(ExecSplit) })
 }
 
 // shard runs fn(slot, index) for every index in [0, n): by recursive
@@ -443,9 +411,6 @@ func (p *RealPlan2D) H() int { return p.h }
 // Exec reports the resolved execution strategy (never ExecAuto).
 func (p *RealPlan2D) Exec() ExecStrategy { return p.exec }
 
-// Batched reports whether ForwardBatch uses shared multi-tile passes.
-func (p *RealPlan2D) Batched() bool { return p.batch }
-
 // Forward computes the half spectrum of the real image img (h*w,
 // row-major) into dst (h*(w/2+1), row-major).
 //
@@ -464,53 +429,6 @@ func (p *RealPlan2D) Forward(dst []complex128, img []float64) error {
 		return err
 	}
 	return p.columnPass(dst, p.colF)
-}
-
-// ForwardBatch computes the half spectra of several same-size tiles,
-// dsts[t] from imgs[t]. When the plan's autotuner chose batching, the
-// row r2c FFTs of all tiles run as ONE pass over a virtual row space —
-// a single planner dispatch whose twiddles, untangle tables, and split
-// bookkeeping are amortized across tiles — followed by per-tile column
-// passes sharing the plan's transpose scratch. Otherwise the tiles go
-// through Forward in sequence.
-func (p *RealPlan2D) ForwardBatch(dsts [][]complex128, imgs [][]float64) error {
-	if len(dsts) != len(imgs) {
-		return fmt.Errorf("fft: batch has %d spectra for %d images", len(dsts), len(imgs))
-	}
-	for t := range imgs {
-		if len(imgs[t]) != p.h*p.w {
-			return fmt.Errorf("fft: batch image %d is %d elements, want %d", t, len(imgs[t]), p.h*p.w)
-		}
-		if len(dsts[t]) != p.h*p.sw {
-			return fmt.Errorf("fft: batch spectrum %d is %d elements, want %d", t, len(dsts[t]), p.h*p.sw)
-		}
-	}
-	if len(imgs) < 2 || !p.batch {
-		for t := range imgs {
-			if err := p.Forward(dsts[t], imgs[t]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	batchedExecCount.Add(1)
-	return p.forwardBatch(dsts, imgs)
-}
-
-// forwardBatch is the shared-pass body behind ForwardBatch.
-func (p *RealPlan2D) forwardBatch(dsts [][]complex128, imgs [][]float64) error {
-	p.opImgs, p.opSpecs = imgs, dsts
-	err := p.shard(p.h*len(imgs), p.rowSpan, p.fnRowFwdBatch)
-	p.opImgs, p.opSpecs = nil, nil
-	if err != nil {
-		return err
-	}
-	for t := range dsts {
-		if err := p.columnPass(dsts[t], p.colF); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Inverse reconstructs the real image from the half spectrum. The result

@@ -53,7 +53,6 @@ func RefineResult(res *stitch.Result, src stitch.Source, opts RefineOptions) (in
 	sm := FitStageModel(res, opts.MinCorr)
 
 	refined := 0
-	po := pciam.Options{}
 	for _, p := range g.Pairs() {
 		d, ok := res.PairDisplacement(p)
 		start := sm.Predict(p)
@@ -82,9 +81,9 @@ func RefineResult(res *stitch.Result, src stitch.Source, opts RefineOptions) (in
 		}
 		var nd tile.Displacement
 		if opts.Greedy {
-			nd = pciam.Refine(a, b, start, opts.Radius, 0, po)
+			nd = pciam.Refine(a, b, start, opts.Radius, 0)
 		} else {
-			nd = pciam.ExhaustiveRefine(a, b, start, opts.Radius, po)
+			nd = pciam.ExhaustiveRefine(a, b, start, opts.Radius)
 		}
 		if implausible {
 			// The measurement is geometrically impossible: any positive

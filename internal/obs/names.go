@@ -95,12 +95,13 @@ const (
 	CounterGPULaunchFused  = "gpu.launch.fused"
 	CounterTransposeBlocks = "fft.transpose.blocks"
 	// The autotune family records plan-time execution-strategy decisions
-	// (one per ExecAuto plan construction, cache hits included); the
-	// batched-exec counter records how many multi-tile passes actually ran.
+	// (one per ExecAuto plan construction, cache hits included).
+	// CounterFFTAutotuneBatched is a name only: the batched pair-transform
+	// path it counted was removed and nothing publishes it, but
+	// bench/layers.go reads it (as zero) and bench/ is frozen.
 	CounterFFTAutotuneSerial  = "fft.autotune.serial"
 	CounterFFTAutotuneSplit   = "fft.autotune.split"
 	CounterFFTAutotuneBatched = "fft.autotune.batched"
-	CounterFFTBatchedExecs    = "fft.exec.batched"
 	CounterArenaReuse         = "pciam.arena.reuse"
 	CounterPoolAcquires       = "gpu.pool.acquires"
 	CounterPoolWaits          = "gpu.pool.waits"

@@ -150,10 +150,13 @@ func (r *Recorder) flusher() {
 			return
 		}
 		batch = r.drainLocked(batch[:0])
-		r.mu.Unlock()
-		// Store growth (which may allocate) happens here, off the record
-		// path and outside the ring lock.
+		// The store lock is taken before the ring lock is let go (order
+		// mu → storeMu): a reader that finds the ring empty must find the
+		// batch in the store, never in between. Store growth (which may
+		// allocate) still happens off the record path, outside the ring
+		// lock.
 		r.storeMu.Lock()
+		r.mu.Unlock()
 		r.store = append(r.store, batch...)
 		r.storeMu.Unlock()
 	}
@@ -202,11 +205,8 @@ func (r *Recorder) Flush() {
 	}
 	r.mu.Lock()
 	batch := r.drainLocked(nil)
+	r.storeMu.Lock() // before r.mu goes: see flusher
 	r.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	r.storeMu.Lock()
 	r.store = append(r.store, batch...)
 	r.storeMu.Unlock()
 }

@@ -31,16 +31,16 @@ func (h HistogramValue) Mean() float64 {
 	return h.Sum / float64(h.Count)
 }
 
-// BenchEntry is one Go benchmark result (the `make bench` harness parses
-// `go test -bench` output into these).
+// BenchEntry is one Go benchmark result as the committed BENCH_pr*.json
+// records hold it.
 type BenchEntry struct {
 	NsPerOp float64            `json:"ns_per_op"`
 	Iters   int64              `json:"iters,omitempty"`
 	Extra   map[string]float64 `json:"extra,omitempty"` // e.g. "B/op", "allocs/op", "MB/s"
 }
 
-// Snapshot is the machine-readable metrics export — the BENCH_<date>.json
-// artifact the regression harness diffs between commits.
+// Snapshot is the machine-readable metrics export: what -metrics-out
+// writes, and the format of the committed BENCH_pr*.json records.
 type Snapshot struct {
 	Label      string                    `json:"label,omitempty"`
 	Date       string                    `json:"date,omitempty"`

@@ -39,7 +39,7 @@ func TestDisplaceZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm-up pair: grows arena scratch to steady-state capacity.
+	// Warm-up pair: grows scratch to steady-state capacity.
 	if _, err := al.Displace(a, b, fa, fb); err != nil {
 		t.Fatal(err)
 	}
@@ -85,40 +85,47 @@ func TestRealDisplaceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAlignerPoolReuse checks both recycling levels advance the reuse
-// counter: a Closed arena feeds the next constructor, and a Put aligner
-// feeds the next Get. The deterministic pool seam keeps retention
-// observable under the race detector, where sync.Pool drops Put items.
+// TestAlignerPoolReuse pins the one pooling level for each constructor:
+// New → Close → New hands back the same aligner and advances the reuse
+// counter, different options miss, and a second Close does not insert the
+// aligner twice. The deterministic pool seam keeps retention observable
+// under the race detector, where sync.Pool drops Put items.
 func TestAlignerPoolReuse(t *testing.T) {
 	useDeterministicPools(t)
-	const w, h = 20, 14
-	before := ArenaReuse()
-	al1, err := NewAligner(w, h, Options{})
-	if err != nil {
-		t.Fatal(err)
+	const w, h = 22, 14 // 22 = 2·11 is not fast: the padded aligner really pads
+	type closer interface{ Close() }
+	ctors := map[string]func(Options) (closer, error){
+		"complex": func(o Options) (closer, error) { return NewAligner(w, h, o) },
+		"padded":  func(o Options) (closer, error) { return NewPaddedAligner(w, h, o) },
+		"real":    func(o Options) (closer, error) { return NewRealAligner(w, h, o) },
 	}
-	al1.Close()
-	if _, err := NewAligner(w, h, Options{}); err != nil {
-		t.Fatal(err)
+	for name, mk := range ctors {
+		must := func(o Options) closer {
+			t.Helper()
+			al, err := mk(o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return al
+		}
+		al1 := must(Options{})
+		before := ArenaReuse()
+		al1.Close()
+		al1.Close()
+		if other := must(Options{NPeaks: 2}); other == al1 {
+			t.Fatalf("%s: NPeaks=2 was served the NPeaks=1 aligner", name)
+		}
+		if got := ArenaReuse(); got != before {
+			t.Fatalf("%s: a pool miss advanced the reuse counter %d -> %d", name, before, got)
+		}
+		if al2 := must(Options{}); al2 != al1 {
+			t.Fatalf("%s: New after Close built a different aligner", name)
+		}
+		if got := ArenaReuse(); got != before+1 {
+			t.Fatalf("%s: reuse counter %d -> %d after Close + New, want +1", name, before, got)
+		}
+		if al3 := must(Options{}); al3 == al1 {
+			t.Fatalf("%s: double Close inserted the aligner twice", name)
+		}
 	}
-	if got := ArenaReuse(); got <= before {
-		t.Fatalf("arena reuse counter did not advance after Close + rebuild: %d -> %d", before, got)
-	}
-	mid := ArenaReuse()
-	al3, err := GetAligner(w, h, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	PutAligner(al3)
-	al4, err := GetAligner(w, h, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al4 != al3 {
-		t.Fatalf("GetAligner after PutAligner returned a different aligner")
-	}
-	if got := ArenaReuse(); got <= mid {
-		t.Fatalf("aligner reuse counter did not advance after Put + Get: %d -> %d", mid, got)
-	}
-	PutAligner(al4)
 }

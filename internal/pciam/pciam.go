@@ -43,9 +43,6 @@ type Options struct {
 	// positive-quadrant hypotheses exactly as written in the paper's
 	// Fig 2 pseudocode.
 	PositiveOnly bool
-	// MinOverlapPx rejects hypotheses whose overlap region is smaller
-	// than this in either dimension; tiny slivers correlate spuriously.
-	MinOverlapPx int
 	// Window applies a 2-D Hann window to tiles before the forward
 	// transform. Windowing is the textbook cure for spectral leakage in
 	// phase correlation, but for STITCHING the shared content sits at
@@ -55,7 +52,7 @@ type Options struct {
 	Window bool
 	// FFTExec selects the execution shape of the aligner's 2-D plans:
 	// the zero value lets the plan-time autotuner measure serial vs
-	// split vs batched per size and core budget; ExecSerial pins the
+	// split per size and core budget; ExecSerial pins the
 	// zero-allocation path; ExecSplit pins the recursive pool-fed
 	// split.
 	FFTExec fft.ExecStrategy
@@ -74,9 +71,6 @@ func (o Options) withDefaults() Options {
 	if o.NPeaks <= 0 {
 		o.NPeaks = 1
 	}
-	if o.MinOverlapPx <= 0 {
-		o.MinOverlapPx = 1
-	}
 	return o
 }
 
@@ -91,17 +85,25 @@ func (o Options) real2DOpts() fft.Real2DOpts {
 	return fft.Real2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
 }
 
-// Aligner computes displacements for tile pairs of one fixed size. It is
-// NOT safe for concurrent use: each worker thread owns one Aligner, the
-// same discipline the original applies to FFTW plans.
+// Aligner computes displacements for tile pairs of one fixed size through
+// full complex transforms. The transform size (pw, ph) is the tile size
+// (w, h) itself for NewAligner and the next fast lengths for
+// NewPaddedAligner; everything else is shared. It is NOT safe for
+// concurrent use: each worker thread owns one Aligner, the same
+// discipline the original applies to FFTW plans.
 type Aligner struct {
-	w, h   int
+	w, h   int // tile size
+	pw, ph int // transform size
 	opts   Options
 	fwd    *fft.Plan2D
 	inv    *fft.Plan2D
-	ar     *arena
-	work   []complex128 // aliases ar.work
-	window []float64    // nil unless Options.Window
+	work   []complex128 // pw×ph NCC spectrum, then correlation surface
+	window []float64    // w×h taper; nil unless Options.Window
+	peaks  []Peak
+	cands  []peakCand // grows on first NPeaks>1 use
+
+	key    alignerKey // the free list Close returns to
+	closed bool
 
 	// fa/fb hold the pending pair's transforms for the fused NCC fill;
 	// fill is built once at construction so the per-pair path closes
@@ -110,29 +112,52 @@ type Aligner struct {
 	fill   func(dst []complex128, r int)
 }
 
-// NewAligner builds an aligner for w×h tiles.
+// NewAligner returns an aligner for w×h tiles transformed at their own
+// size: a pooled one when a Closed aligner with the same size and options
+// is available, a fresh one otherwise. Close it when the worker is done.
 func NewAligner(w, h int, opts Options) (*Aligner, error) {
+	return newAligner(w, h, w, h, opts)
+}
+
+// NewPaddedAligner is NewAligner with tiles zero-padded to the next
+// "fast" transform size (all prime factors ≤ 7) before the FFT — the
+// paper's §VI.A padding optimization: a few percent more elements for
+// much cheaper butterflies. At a tile size that is already fast it is
+// NewAligner.
+func NewPaddedAligner(w, h int, opts Options) (*Aligner, error) {
+	return newAligner(w, h, fft.NextFastLength(w), fft.NextFastLength(h), opts)
+}
+
+func newAligner(w, h, pw, ph int, opts Options) (*Aligner, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("pciam: invalid tile size %dx%d", w, h)
 	}
 	opts = opts.withDefaults()
+	key := makeAlignerKey(false, w, h, pw, ph, opts)
+	if v := checkout(key); v != nil {
+		al := v.(*Aligner)
+		al.closed = false
+		return al, nil
+	}
 	pl := opts.Planner
 	if pl == nil {
 		pl = fft.NewPlanner(fft.Estimate)
 	}
-	fwd, err := pl.Plan2D(h, w, fft.Forward, opts.plan2DOpts())
+	fwd, err := pl.Plan2D(ph, pw, fft.Forward, opts.plan2DOpts())
 	if err != nil {
 		return nil, err
 	}
-	inv, err := pl.Plan2D(h, w, fft.Inverse, opts.plan2DOpts())
+	inv, err := pl.Plan2D(ph, pw, fft.Inverse, opts.plan2DOpts())
 	if err != nil {
 		return nil, err
 	}
-	ar := checkoutArena("complex", w, h, w*h, 0)
-	al := &Aligner{w: w, h: h, opts: opts, fwd: fwd, inv: inv, ar: ar, work: ar.work}
+	al := &Aligner{
+		w: w, h: h, pw: pw, ph: ph, opts: opts, fwd: fwd, inv: inv, key: key,
+		work: make([]complex128, pw*ph), peaks: make([]Peak, 0, 4),
+	}
 	al.fill = func(dst []complex128, r int) {
-		o := r * al.w
-		NCCSpectrum(dst, al.fa[o:o+al.w], al.fb[o:o+al.w])
+		o := r * al.pw
+		NCCSpectrum(dst, al.fa[o:o+al.pw], al.fb[o:o+al.pw])
 	}
 	if opts.Window {
 		al.window = hannWindow(w, h)
@@ -140,16 +165,15 @@ func NewAligner(w, h int, opts Options) (*Aligner, error) {
 	return al, nil
 }
 
-// Close returns the aligner's scratch arena to the pool. Use it for
-// aligners that will not be recycled whole through PutAligner; the
-// aligner must not be used afterwards.
+// Close returns the aligner, plans and scratch included, to the pool for
+// a later constructor call with the same size and options. The aligner
+// must not be used afterwards; a second Close is a no-op.
 func (al *Aligner) Close() {
-	if al.ar == nil {
+	if al.closed {
 		return
 	}
-	releaseArena("complex", al.w, al.h, al.ar)
-	al.ar = nil
-	al.work = nil
+	al.closed = true
+	alignerPool(al.key).Put(al)
 }
 
 // hannWindow builds the separable 2-D Hann taper.
@@ -177,13 +201,39 @@ func (al *Aligner) W() int { return al.w }
 // H returns the tile height the aligner was built for.
 func (al *Aligner) H() int { return al.h }
 
+// TransformDims reports the transform size in use: the tile size, or the
+// fast size a padded aligner pads to.
+func (al *Aligner) TransformDims() (w, h int) { return al.pw, al.ph }
+
 // Transform computes the forward 2-D FFT of a tile into a fresh buffer.
 // This is the cacheable per-tile work (step 2 of the paper's data-flow
 // graph); each tile's transform is reused by up to four pairs.
 func (al *Aligner) Transform(t *tile.Gray16) ([]complex128, error) {
-	buf, err := al.stageTile(t)
-	if err != nil {
-		return nil, err
+	if t.W != al.w || t.H != al.h {
+		return nil, fmt.Errorf("pciam: tile is %dx%d, aligner expects %dx%d", t.W, t.H, al.w, al.h)
+	}
+	buf := make([]complex128, al.pw*al.ph)
+	if al.pw == al.w && al.ph == al.h {
+		if err := t.ToComplex(buf); err != nil {
+			return nil, err
+		}
+	} else {
+		// Zero-pad: the tile sits in the top-left corner of the
+		// transform frame.
+		for y := 0; y < al.h; y++ {
+			row := buf[y*al.pw : y*al.pw+al.w]
+			for x, v := range t.Pix[y*al.w : (y+1)*al.w] {
+				row[x] = complex(float64(v), 0)
+			}
+		}
+	}
+	if al.window != nil {
+		for y := 0; y < al.h; y++ {
+			row := buf[y*al.pw : y*al.pw+al.w]
+			for x, wv := range al.window[y*al.w : (y+1)*al.w] {
+				row[x] *= complex(wv, 0)
+			}
+		}
 	}
 	if err := al.fwd.Execute(buf); err != nil {
 		return nil, err
@@ -192,53 +242,29 @@ func (al *Aligner) Transform(t *tile.Gray16) ([]complex128, error) {
 }
 
 // TransformPair computes the forward transforms of both tiles of a pair.
-// When the plan's autotuner chose batched execution, the two tiles' row
-// FFTs run as ONE pass
-// over a shared virtual row space — a single planner dispatch amortizing
-// twiddles and split bookkeeping — followed by per-tile column passes.
-// Results are bit-identical to two Transform calls.
 func (al *Aligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128, error) {
-	fa, err := al.stageTile(a)
+	fa, err := al.Transform(a)
 	if err != nil {
 		return nil, nil, err
 	}
-	fb, err := al.stageTile(b)
+	fb, err := al.Transform(b)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := al.fwd.ExecuteBatch([][]complex128{fa, fb}); err != nil {
 		return nil, nil, err
 	}
 	return fa, fb, nil
-}
-
-// stageTile loads (and optionally windows) a tile into a fresh transform
-// buffer without executing the FFT.
-func (al *Aligner) stageTile(t *tile.Gray16) ([]complex128, error) {
-	if t.W != al.w || t.H != al.h {
-		return nil, fmt.Errorf("pciam: tile is %dx%d, aligner expects %dx%d", t.W, t.H, al.w, al.h)
-	}
-	buf := make([]complex128, al.w*al.h)
-	if err := t.ToComplex(buf); err != nil {
-		return nil, err
-	}
-	if al.window != nil {
-		for i := range buf {
-			buf[i] *= complex(al.window[i], 0)
-		}
-	}
-	return buf, nil
 }
 
 // Displace computes the displacement of tile b relative to tile a, given
 // their cached forward transforms fa and fb. For a west pair, a is the
 // west neighbor and b the tile; for a north pair, a is the north neighbor
 // and b the tile — so the returned displacement is positive ≈ the tile
-// stride along the primary axis.
+// stride along the primary axis. With padded transforms the pad region is
+// zero, so the correlation does not wrap inside the tile frame; the CCF
+// pass over the congruent interpretations is the same either way.
 //
 //stitchlint:hotpath
 func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error) {
-	n := al.w * al.h
+	n := al.pw * al.ph
 	if len(fa) != n || len(fb) != n {
 		return tile.Displacement{}, fmt.Errorf("pciam: transform length %d/%d, want %d", len(fa), len(fb), n)
 	}
@@ -251,21 +277,8 @@ func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displa
 	if err != nil {
 		return tile.Displacement{}, err
 	}
-	al.ar.peaks, al.ar.cands = topPeaksInto(al.ar.peaks, al.ar.cands, al.work, al.w, al.h, al.opts.NPeaks)
-	peaks := al.ar.peaks
-	best := tile.Displacement{Corr: math.Inf(-1)}
-	for _, p := range peaks {
-		d := al.ResolvePeak(a, b, p.X, p.Y)
-		if d.Corr > best.Corr {
-			best = d
-		}
-	}
-	if math.IsInf(best.Corr, -1) {
-		// No usable peak (e.g. identical constant tiles): fall back to
-		// zero displacement with no confidence.
-		best = tile.Displacement{Corr: -1}
-	}
-	return best, nil
+	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.work, al.pw, al.ph, al.opts.NPeaks)
+	return resolvePeaks(a, b, al.peaks, al.pw, al.ph, al.opts.PositiveOnly), nil
 }
 
 // DisplaceTiles is the convenience form that computes both forward
@@ -352,7 +365,7 @@ type peakCand struct {
 }
 
 // topPeaksInto is TopPeaks writing into caller-supplied scratch (the
-// aligner arenas) so the k=1 steady state allocates nothing. The k>1
+// aligners' own) so the k=1 steady state allocates nothing. The k>1
 // path still pays sort.Slice's internal allocation; NPeaks=1 is the
 // paper's configuration and the one the zero-allocation guarantee
 // covers.
@@ -365,7 +378,7 @@ func topPeaksInto(peaks []Peak, cands []peakCand, data []complex128, w, h, k int
 		return append(peaks, Peak{X: i % w, Y: i / w, Mag: m}), cands
 	}
 	if cap(cands) < len(data) {
-		cands = make([]peakCand, len(data)) //lint:allow hotpath arena scratch growth, amortized after warm-up
+		cands = make([]peakCand, len(data)) //lint:allow hotpath scratch growth on first NPeaks>1 use, amortized after warm-up
 	}
 	cands = cands[:len(data)]
 	for i, v := range data {
@@ -407,31 +420,34 @@ func wrapDist(a, b, n int) int {
 	return d
 }
 
-// ResolvePeak scores the candidate interpretations of a correlation peak
+// Resolve scores the candidate interpretations of a correlation peak
 // with cross-correlation factors over the hypothesized overlap regions
-// and returns the winner (paper Fig 2 lines 8–12, the CCF1..4 step).
-//
-//stitchlint:hotpath
-func (al *Aligner) ResolvePeak(a, b *tile.Gray16, px, py int) tile.Displacement {
-	return Resolve(a, b, px, py, al.opts)
-}
-
-// Resolve is the standalone form of ResolvePeak: it needs no FFT plans,
-// only the tile pixels and the peak, which is why the hybrid pipeline can
-// run it on dedicated CPU threads (stage 6 of the paper's Fig 8) with
-// just the scalar max-reduction result copied back from the GPU.
+// and returns the winner (paper Fig 2 lines 8–12, the CCF1..4 step). The
+// peak is taken on a correlation surface of the tiles' own size. It
+// needs no FFT plans, only the tile pixels and the peak, which is why
+// the hybrid pipeline can run it on dedicated CPU threads (stage 6 of
+// the paper's Fig 8) with just the scalar max-reduction result copied
+// back from the GPU.
 //
 //stitchlint:hotpath
 func Resolve(a, b *tile.Gray16, px, py int, opts Options) tile.Displacement {
-	opts = opts.withDefaults()
-	w, h := a.W, a.H
-	xs, nx := candidateOffsets(px, w, opts.PositiveOnly)
-	ys, ny := candidateOffsets(py, h, opts.PositiveOnly)
+	return resolve(a, b, px, py, a.W, a.H, opts.PositiveOnly)
+}
+
+// resolve is Resolve for a peak on a pw×ph correlation surface: the
+// transform is periodic in (pw, ph), so those are the moduli of the
+// congruent candidates, while the overlap test runs against the tiles'
+// own dimensions (a candidate that leaves no overlap scores -Inf).
+//
+//stitchlint:hotpath
+func resolve(a, b *tile.Gray16, px, py, pw, ph int, positiveOnly bool) tile.Displacement {
+	xs, nx := candidateOffsets(px, pw, positiveOnly)
+	ys, ny := candidateOffsets(py, ph, positiveOnly)
 	best := tile.Displacement{X: px, Y: py, Corr: math.Inf(-1)}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			dx, dy := xs[i], ys[j]
-			c := ccfRegion(a, b, dx, dy, opts.MinOverlapPx)
+			c := ccfRegion(a, b, dx, dy)
 			if c > best.Corr {
 				best = tile.Displacement{X: dx, Y: dy, Corr: c}
 			}
@@ -439,6 +455,21 @@ func Resolve(a, b *tile.Gray16, px, py int, opts Options) tile.Displacement {
 	}
 	if math.IsInf(best.Corr, -1) {
 		best.Corr = -1
+	}
+	return best
+}
+
+// resolvePeaks resolves every candidate peak (never empty: the peak
+// search always yields the maximum) and keeps the best-scoring
+// displacement.
+//
+//stitchlint:hotpath
+func resolvePeaks(a, b *tile.Gray16, peaks []Peak, pw, ph int, positiveOnly bool) tile.Displacement {
+	best := tile.Displacement{Corr: math.Inf(-1)}
+	for _, p := range peaks {
+		if d := resolve(a, b, p.X, p.Y, pw, ph, positiveOnly); d.Corr > best.Corr {
+			best = d
+		}
 	}
 	return best
 }
@@ -459,19 +490,14 @@ func candidateOffsets(p, n int, positiveOnly bool) ([2]int, int) {
 	return [2]int{p, p - n}, 2
 }
 
-// ccf evaluates the normalized cross correlation of the overlap implied
-// by placing b's origin at signed offset (dx, dy) in a's frame (the
-// paper's Fig 3 ccf(), fused via tile.NCCRegion).
+// ccfRegion evaluates the normalized cross correlation of the overlap
+// implied by placing b's origin at signed offset (dx, dy) in a's frame
+// (the paper's Fig 3 ccf(), fused via tile.NCCRegion).
 //
 //stitchlint:hotpath
-func (al *Aligner) ccf(a, b *tile.Gray16, dx, dy int) float64 {
-	return ccfRegion(a, b, dx, dy, al.opts.MinOverlapPx)
-}
-
-//stitchlint:hotpath
-func ccfRegion(a, b *tile.Gray16, dx, dy, minOverlap int) float64 {
+func ccfRegion(a, b *tile.Gray16, dx, dy int) float64 {
 	ax, ay, bx, by, ow, oh, ok := OverlapRegions(a.W, a.H, dx, dy)
-	if !ok || ow < minOverlap || oh < minOverlap {
+	if !ok {
 		return math.Inf(-1)
 	}
 	return tile.NCCRegion(a, ax, ay, b, bx, by, ow, oh)

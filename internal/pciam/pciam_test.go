@@ -272,7 +272,8 @@ func TestOverlapRegionsProperty(t *testing.T) {
 }
 
 func TestAlignerErrors(t *testing.T) {
-	if _, err := NewAligner(0, 4, Options{}); err == nil {
+	if al, err := NewAligner(0, 4, Options{}); err == nil {
+		al.Close()
 		t.Error("zero width should fail")
 	}
 	al := mustAligner(t, 8, 8, Options{})

@@ -19,19 +19,15 @@ import (
 // at most maxSteps steps and never moving more than radius from the
 // start. It returns the best displacement found (the start itself if no
 // neighbor improves).
-func Refine(a, b *tile.Gray16, start tile.Displacement, radius, maxSteps int, opts Options) tile.Displacement {
-	opts = opts.withDefaults()
+func Refine(a, b *tile.Gray16, start tile.Displacement, radius, maxSteps int) tile.Displacement {
 	if radius < 1 {
 		radius = 4
 	}
 	if maxSteps < 1 {
 		maxSteps = 2 * radius * radius
 	}
-	eval := func(dx, dy int) float64 {
-		return ccfRegion(a, b, dx, dy, opts.MinOverlapPx)
-	}
 	cur := start
-	cur.Corr = eval(start.X, start.Y)
+	cur.Corr = ccfRegion(a, b, start.X, start.Y)
 	visited := map[[2]int]bool{{start.X, start.Y}: true}
 	for step := 0; step < maxSteps; step++ {
 		best := cur
@@ -49,7 +45,7 @@ func Refine(a, b *tile.Gray16, start tile.Displacement, radius, maxSteps int, op
 					continue
 				}
 				visited[[2]int{nx, ny}] = true
-				c := eval(nx, ny)
+				c := ccfRegion(a, b, nx, ny)
 				if c > best.Corr {
 					best = tile.Displacement{X: nx, Y: ny, Corr: c}
 					improved = true
@@ -70,15 +66,14 @@ func Refine(a, b *tile.Gray16, start tile.Displacement, radius, maxSteps int, op
 // ExhaustiveRefine evaluates the CCF at every offset within ±radius of
 // the start and returns the maximum — the reference Refine is checked
 // against, and the fallback for surfaces with local maxima.
-func ExhaustiveRefine(a, b *tile.Gray16, start tile.Displacement, radius int, opts Options) tile.Displacement {
-	opts = opts.withDefaults()
+func ExhaustiveRefine(a, b *tile.Gray16, start tile.Displacement, radius int) tile.Displacement {
 	if radius < 1 {
 		radius = 4
 	}
 	best := tile.Displacement{X: start.X, Y: start.Y, Corr: math.Inf(-1)}
 	for dy := -radius; dy <= radius; dy++ {
 		for dx := -radius; dx <= radius; dx++ {
-			c := ccfRegion(a, b, start.X+dx, start.Y+dy, opts.MinOverlapPx)
+			c := ccfRegion(a, b, start.X+dx, start.Y+dy)
 			if c > best.Corr {
 				best = tile.Displacement{X: start.X + dx, Y: start.Y + dy, Corr: c}
 			}

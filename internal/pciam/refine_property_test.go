@@ -63,8 +63,8 @@ func TestRefineNeverLeavesRadius(t *testing.T) {
 		start := tile.Displacement{X: rng.Intn(41) - 20, Y: rng.Intn(41) - 20}
 		radius := 1 + rng.Intn(8)
 		for name, got := range map[string]tile.Displacement{
-			"Refine":           Refine(a, b, start, radius, 0, Options{}),
-			"ExhaustiveRefine": ExhaustiveRefine(a, b, start, radius, Options{}),
+			"Refine":           Refine(a, b, start, radius, 0),
+			"ExhaustiveRefine": ExhaustiveRefine(a, b, start, radius),
 		} {
 			if absI(got.X-start.X) > radius || absI(got.Y-start.Y) > radius {
 				t.Fatalf("%s(start=%+v, radius=%d) escaped to (%d,%d)", name, start, radius, got.X, got.Y)
@@ -81,13 +81,13 @@ func TestRefineConvergesOnUnimodalSurface(t *testing.T) {
 	const tx, ty = 5, -3
 	a, b := fieldPair(tx, ty)
 	truth := tile.Displacement{X: tx, Y: ty}
-	if c := ccfRegion(a, b, tx, ty, 1); math.Abs(c-1) > 1e-12 {
+	if c := ccfRegion(a, b, tx, ty); math.Abs(c-1) > 1e-12 {
 		t.Fatalf("CCF at truth = %g, want exactly 1 (identical crops)", c)
 	}
 	for _, radius := range []int{3, 4, 6} {
 		for _, off := range [][2]int{{0, 0}, {radius, radius}, {-radius, radius}, {radius, -radius}, {-radius, -radius}, {1, -radius}} {
 			start := tile.Displacement{X: truth.X + off[0], Y: truth.Y + off[1]}
-			ex := ExhaustiveRefine(a, b, start, radius, Options{})
+			ex := ExhaustiveRefine(a, b, start, radius)
 			if ex.X != truth.X || ex.Y != truth.Y {
 				t.Errorf("ExhaustiveRefine(start=%+v, radius=%d) = (%d,%d), want (%d,%d)",
 					start, radius, ex.X, ex.Y, truth.X, truth.Y)
@@ -95,7 +95,7 @@ func TestRefineConvergesOnUnimodalSurface(t *testing.T) {
 			if ex.Corr < 0.999 {
 				t.Errorf("ExhaustiveRefine corr %g at the optimum, want ≈1", ex.Corr)
 			}
-			hc := Refine(a, b, start, radius, 0, Options{})
+			hc := Refine(a, b, start, radius, 0)
 			if hc.X != ex.X || hc.Y != ex.Y {
 				t.Errorf("Refine(start=%+v, radius=%d) = (%d,%d) disagrees with exhaustive (%d,%d)",
 					start, radius, hc.X, hc.Y, ex.X, ex.Y)
@@ -114,8 +114,8 @@ func TestRefineRadiusProperty(t *testing.T) {
 	f := func(sx, sy int8, r uint8) bool {
 		radius := int(r%8) + 1
 		start := tile.Displacement{X: int(sx % 16), Y: int(sy % 16)}
-		ex := ExhaustiveRefine(a, b, start, radius, Options{})
-		hc := Refine(a, b, start, radius, 0, Options{})
+		ex := ExhaustiveRefine(a, b, start, radius)
+		hc := Refine(a, b, start, radius, 0)
 		if absI(ex.X-start.X) > radius || absI(ex.Y-start.Y) > radius {
 			return false
 		}

@@ -32,7 +32,7 @@ func TestRefineFindsTrueShiftFromNearbyStart(t *testing.T) {
 		{X: truth.X + 2, Y: truth.Y + 1},
 		{X: truth.X, Y: truth.Y},
 	} {
-		got := Refine(a, b, start, 6, 0, Options{})
+		got := Refine(a, b, start, 6, 0)
 		if absI(got.X-truth.X) > 1 || absI(got.Y-truth.Y) > 1 {
 			t.Errorf("start (%d,%d): refined to (%d,%d), truth (%d,%d), corr=%.3f",
 				start.X, start.Y, got.X, got.Y, truth.X, truth.Y, got.Corr)
@@ -43,7 +43,7 @@ func TestRefineFindsTrueShiftFromNearbyStart(t *testing.T) {
 func TestExhaustiveRefineFindsTruthFromFar(t *testing.T) {
 	a, b, truth := refinePair(t)
 	start := tile.Displacement{X: truth.X + 4, Y: truth.Y - 3}
-	got := ExhaustiveRefine(a, b, start, 6, Options{})
+	got := ExhaustiveRefine(a, b, start, 6)
 	if got.X != truth.X || got.Y != truth.Y {
 		t.Errorf("exhaustive refined to (%d,%d), truth (%d,%d)", got.X, got.Y, truth.X, truth.Y)
 	}
@@ -52,7 +52,7 @@ func TestExhaustiveRefineFindsTruthFromFar(t *testing.T) {
 func TestRefineRespectsRadius(t *testing.T) {
 	a, b, truth := refinePair(t)
 	start := tile.Displacement{X: truth.X - 20, Y: truth.Y} // truth 20 px away
-	got := Refine(a, b, start, 3, 0, Options{})
+	got := Refine(a, b, start, 3, 0)
 	if absI(got.X-start.X) > 3 || absI(got.Y-start.Y) > 3 {
 		t.Errorf("refinement escaped the radius: (%d,%d)", got.X, got.Y)
 	}
@@ -62,8 +62,8 @@ func TestRefineMatchesExhaustive(t *testing.T) {
 	// On the smooth CCF surface greedy and exhaustive must agree.
 	a, b, truth := refinePair(t)
 	start := tile.Displacement{X: truth.X - 2, Y: truth.Y + 2}
-	greedy := Refine(a, b, start, 5, 0, Options{})
-	exact := ExhaustiveRefine(a, b, start, 5, Options{})
+	greedy := Refine(a, b, start, 5, 0)
+	exact := ExhaustiveRefine(a, b, start, 5)
 	if greedy.X != exact.X || greedy.Y != exact.Y {
 		t.Errorf("greedy (%d,%d) vs exhaustive (%d,%d)", greedy.X, greedy.Y, exact.X, exact.Y)
 	}
@@ -71,11 +71,11 @@ func TestRefineMatchesExhaustive(t *testing.T) {
 
 func TestRefineDegenerate(t *testing.T) {
 	flat := tile.NewGray16(16, 16)
-	got := Refine(flat, flat, tile.Displacement{X: 4, Y: 0}, 3, 0, Options{})
+	got := Refine(flat, flat, tile.Displacement{X: 4, Y: 0}, 3, 0)
 	if got.Corr > 0 {
 		t.Errorf("flat tiles refined to corr %.3f", got.Corr)
 	}
-	got = ExhaustiveRefine(flat, flat, tile.Displacement{X: 4, Y: 0}, 2, Options{})
+	got = ExhaustiveRefine(flat, flat, tile.Displacement{X: 4, Y: 0}, 2)
 	if got.Corr > 0 {
 		t.Errorf("flat exhaustive corr %.3f", got.Corr)
 	}

@@ -14,7 +14,8 @@ func TestPaddedAlignerDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pw, ph := al.PaddedDims()
+	defer al.Close()
+	pw, ph := al.TransformDims()
 	if !fft.IsFastLength(pw) || !fft.IsFastLength(ph) {
 		t.Errorf("padded dims %dx%d not fast", pw, ph)
 	}
@@ -28,6 +29,7 @@ func TestPaddedAlignerRecoversShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer al.Close()
 	for _, tc := range []struct{ dx, dy int }{{40, 3}, {40, -3}, {5, 30}, {-4, 30}} {
 		a, b := shiftedPair(64, 48, tc.dx, tc.dy, int64(tc.dx*7+tc.dy))
 		d, err := al.DisplaceTiles(a, b)
@@ -40,30 +42,45 @@ func TestPaddedAlignerRecoversShifts(t *testing.T) {
 	}
 }
 
+// TestPaddedMatchesBaselineOnDataset holds the padded aligner to the
+// baseline's displacements at a size it really pads (174×130 → 175×135),
+// and to the baseline's whole result — correlation included, ==, since it
+// is then the same chain at the same size — at a size that is already
+// fast.
 func TestPaddedMatchesBaselineOnDataset(t *testing.T) {
-	p := imagegen.DefaultParams(2, 3, 128, 96)
-	ds, err := imagegen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := mustAligner(t, 128, 96, Options{})
-	padded, err := NewPaddedAligner(128, 96, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range p.Grid.Pairs() {
-		a, b := ds.Tile(pr.Neighbor()), ds.Tile(pr.Coord)
-		d1, err := base.DisplaceTiles(a, b)
+	for _, sz := range []struct {
+		w, h int
+		pads bool
+	}{{174, 130, true}, {128, 96, false}} {
+		p := imagegen.DefaultParams(2, 3, sz.w, sz.h)
+		ds, err := imagegen.Generate(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := padded.DisplaceTiles(a, b)
+		base := mustAligner(t, sz.w, sz.h, Options{})
+		padded, err := NewPaddedAligner(sz.w, sz.h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d1.X != d2.X || d1.Y != d2.Y {
-			t.Errorf("pair %v: baseline (%d,%d), padded (%d,%d)", pr, d1.X, d1.Y, d2.X, d2.Y)
+		if pw, ph := padded.TransformDims(); (pw != sz.w || ph != sz.h) != sz.pads {
+			t.Fatalf("%dx%d transforms at %dx%d, want padding=%v", sz.w, sz.h, pw, ph, sz.pads)
 		}
+		for _, pr := range p.Grid.Pairs() {
+			a, b := ds.Tile(pr.Neighbor()), ds.Tile(pr.Coord)
+			d1, err := base.DisplaceTiles(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d2, err := padded.DisplaceTiles(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d1.X != d2.X || d1.Y != d2.Y || (!sz.pads && d1 != d2) {
+				t.Errorf("%dx%d pair %v: baseline %+v, padded %+v", sz.w, sz.h, pr, d1, d2)
+			}
+		}
+		base.Close()
+		padded.Close()
 	}
 }
 
@@ -78,6 +95,7 @@ func TestRealAlignerMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer real2c.Close()
 	for _, pr := range p.Grid.Pairs() {
 		a, b := ds.Tile(pr.Neighbor()), ds.Tile(pr.Coord)
 		d1, err := base.DisplaceTiles(a, b)
@@ -100,6 +118,7 @@ func TestRealAlignerHalfSpectrumSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer al.Close()
 	f, err := al.Transform(tile.NewGray16(128, 96))
 	if err != nil {
 		t.Fatal(err)
@@ -114,17 +133,27 @@ func TestRealAlignerHalfSpectrumSize(t *testing.T) {
 }
 
 func TestVariantErrors(t *testing.T) {
-	if _, err := NewPaddedAligner(0, 4, Options{}); err == nil {
+	if al, err := NewPaddedAligner(0, 4, Options{}); err == nil {
+		al.Close()
 		t.Error("invalid size should fail")
 	}
-	if _, err := NewRealAligner(1, 4, Options{}); err == nil {
+	if al, err := NewRealAligner(1, 4, Options{}); err == nil {
+		al.Close()
 		t.Error("w<2 should fail")
 	}
-	pa, _ := NewPaddedAligner(16, 16, Options{})
+	pa, err := NewPaddedAligner(16, 16, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pa.Close()
 	if _, err := pa.Transform(tile.NewGray16(8, 8)); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	ra, _ := NewRealAligner(16, 16, Options{})
+	ra, err := NewRealAligner(16, 16, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
 	if _, err := ra.Transform(tile.NewGray16(8, 8)); err == nil {
 		t.Error("size mismatch should fail")
 	}
@@ -224,6 +253,7 @@ func TestHannWindowAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer windowed.Close()
 	score := func(al *Aligner) int {
 		good := 0
 		for _, pr := range p.Grid.Pairs() {

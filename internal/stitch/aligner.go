@@ -41,7 +41,7 @@ func (v FFTVariant) transformWords(g tile.Grid) int64 {
 	}
 }
 
-// aligner is the per-worker alignment engine; all three pciam variants
+// aligner is the per-worker alignment engine; both pciam aligner types
 // satisfy it.
 type aligner interface {
 	Transform(*tile.Gray16) ([]complex128, error)
@@ -49,40 +49,30 @@ type aligner interface {
 	// DisplaceTiles transforms both tiles itself: the Fiji baseline's
 	// no-reuse path.
 	DisplaceTiles(a, b *tile.Gray16) (tile.Displacement, error)
+	// Close returns the aligner to the pciam pool.
+	Close()
 }
 
 var (
 	_ aligner = (*pciam.Aligner)(nil)
-	_ aligner = (*pciam.PaddedAligner)(nil)
 	_ aligner = (*pciam.RealAligner)(nil)
 )
 
-// acquireAligner checks an aligner (plans and scratch arena included) out
-// of the pciam pools, so per-run and per-worker aligner construction
-// reuses warm memory across runs instead of re-allocating plans and
-// buffers every time. Pair with releaseAligner when the worker is done.
+// acquireAligner gets an aligner (plans and scratch included) for the
+// run's FFT variant. The pciam constructors draw on a pool, so per-run
+// and per-worker acquisition reuses warm memory across runs instead of
+// re-allocating plans and buffers every time. Close it when the worker
+// is done.
 func acquireAligner(g tile.Grid, opts Options) (aligner, error) {
 	po := opts.pciamOptions()
 	switch opts.FFTVariant {
 	case VariantComplex:
-		return pciam.GetAligner(g.TileW, g.TileH, po)
+		return pciam.NewAligner(g.TileW, g.TileH, po)
 	case VariantPadded:
-		return pciam.GetPaddedAligner(g.TileW, g.TileH, po)
+		return pciam.NewPaddedAligner(g.TileW, g.TileH, po)
 	case VariantReal:
-		return pciam.GetRealAligner(g.TileW, g.TileH, po)
+		return pciam.NewRealAligner(g.TileW, g.TileH, po)
 	default:
 		return nil, fmt.Errorf("stitch: unknown FFT variant %q", opts.FFTVariant)
-	}
-}
-
-// releaseAligner returns an acquired aligner to its pool. Safe on nil.
-func releaseAligner(al aligner) {
-	switch a := al.(type) {
-	case *pciam.Aligner:
-		pciam.PutAligner(a)
-	case *pciam.PaddedAligner:
-		pciam.PutPaddedAligner(a)
-	case *pciam.RealAligner:
-		pciam.PutRealAligner(a)
 	}
 }

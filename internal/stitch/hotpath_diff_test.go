@@ -32,7 +32,7 @@ func assertBitIdenticalDisplacements(t *testing.T, ref, got *Result, refName, go
 // from exported primitives only: each tile's forward transform, the
 // normalized conjugate product as its own full pass, an unfused serial
 // inverse through a plain fft plan, the peak, and the CCF resolution.
-// None of what production fuses, batches, splits or schedules is in it,
+// None of what production fuses, splits or schedules is in it,
 // which is what makes it the reference the six implementations are held
 // to with ==.
 func oracleResult(t *testing.T, src Source, variant FFTVariant) *Result {
@@ -71,7 +71,7 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant) *Result {
 		al, err := pciam.NewPaddedAligner(w, h, po)
 		must(err)
 		defer al.Close()
-		transform, peak = al.Transform, complexPeak(al.PaddedDims())
+		transform, peak = al.Transform, complexPeak(al.TransformDims())
 	case VariantReal:
 		al, err := pciam.NewRealAligner(w, h, po)
 		must(err)
@@ -154,11 +154,11 @@ func assertMatchOracle(t *testing.T, src Source, impls []Stitcher, opts Options,
 }
 
 // TestHotPathTogglesBitIdentical holds the hot path as production runs
-// it — blocked transpose, fused NCC, batched pair transforms in Fiji,
-// autotuned execution on the shared pool — to the oracle: all six
-// implementations, complex and real transforms. (The name predates the
-// removal of the toggles that used to select the unfused and strided
-// paths; their arithmetic now lives in the oracle.)
+// it — blocked transpose, fused NCC, autotuned execution on the shared
+// pool — to the oracle: all six implementations, complex and real
+// transforms. (The name predates the removal of the toggles that used to
+// select the unfused and strided paths; their arithmetic now lives in
+// the oracle.)
 func TestHotPathTogglesBitIdentical(t *testing.T) {
 	src := testDataset(t, 3, 3)
 	for _, variant := range []FFTVariant{VariantComplex, VariantReal} {

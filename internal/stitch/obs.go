@@ -49,8 +49,6 @@ type runBaselines struct {
 	arenaReuse      int64
 	autoSerial      int64
 	autoSplit       int64
-	autoBatched     int64
-	batchedExecs    int64
 }
 
 // startRun opens the per-run root span on the "run" track. Nil-safe.
@@ -68,9 +66,8 @@ func startRun(opts Options, impl string, g tile.Grid) (*obs.Span, runBaselines) 
 	base := runBaselines{
 		transposeBlocks: fft.TransposeBlocks(),
 		arenaReuse:      pciam.ArenaReuse(),
-		batchedExecs:    fft.BatchedExecs(),
 	}
-	base.autoSerial, base.autoSplit, base.autoBatched = fft.AutotuneCounts()
+	base.autoSerial, base.autoSplit = fft.AutotuneCounts()
 	return opts.Obs.StartSpan(obs.TrackRun, obs.SpanStitch, attrs...), base
 }
 
@@ -88,11 +85,9 @@ func publishRun(opts Options, base runBaselines, res *Result) {
 	// (runs in tests and the CLI are sequential).
 	rec.Counter(obs.CounterTransposeBlocks).Add(fft.TransposeBlocks() - base.transposeBlocks)
 	rec.Counter(obs.CounterArenaReuse).Add(pciam.ArenaReuse() - base.arenaReuse)
-	serial, split, batched := fft.AutotuneCounts()
+	serial, split := fft.AutotuneCounts()
 	rec.Counter(obs.CounterFFTAutotuneSerial).Add(serial - base.autoSerial)
 	rec.Counter(obs.CounterFFTAutotuneSplit).Add(split - base.autoSplit)
-	rec.Counter(obs.CounterFFTAutotuneBatched).Add(batched - base.autoBatched)
-	rec.Counter(obs.CounterFFTBatchedExecs).Add(fft.BatchedExecs() - base.batchedExecs)
 	aligned := 0
 	for _, p := range res.Grid.Pairs() {
 		if _, ok := res.PairDisplacement(p); ok {

@@ -180,7 +180,7 @@ func (r *run) pipelineCPU() error {
 		if err != nil {
 			return err
 		}
-		defer releaseAligner(al)
+		defer al.Close()
 		for {
 			w, ok := qWork.Pop()
 			if !ok {

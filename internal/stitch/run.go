@@ -97,7 +97,7 @@ func (r *run) workers(n int, body func(w int, al aligner) error) error {
 				errs[w] = err
 				return
 			}
-			defer releaseAligner(al)
+			defer al.Close()
 			errs[w] = body(w, al)
 		}(w)
 	}

@@ -161,7 +161,7 @@ type Options struct {
 	FFTVariant FFTVariant
 	// FFTExec selects how each 2-D transform uses the machine: the zero
 	// value (auto) lets the plan-time autotuner measure serial vs split
-	// vs batched per transform size and core budget; "serial" pins the
+	// per transform size and core budget; "serial" pins the
 	// zero-allocation path; "split" pins the recursive intra-transform
 	// split. Pair-level and transform-level parallelism draw from ONE
 	// worker budget (FFTPool), so split transforms only use cores the
