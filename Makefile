@@ -58,7 +58,12 @@ lint-help:
 # Full pre-merge gate: vet, static analysis, build, tests, race detector.
 # The obs suite runs race-enabled on its own first: the span ring and the
 # timeline ordering fix are exactly the code whose bugs only the race
-# detector sees. bench/ is its own module (a `replace` points it at this
+# detector sees. Phase 3's pipeline (pyramid writer, read-ahead) and the
+# tile server run race-enabled at three GOMAXPROCS: the shared worker pool
+# is sized once, at the first pass's -cpu 1, so it stays empty and the
+# default-pool tests run every stage inline on the caller, while the tests
+# with private pools run 1 and 3 helpers on 1, 2 and 4 Ps. bench/ is its
+# own module (a `replace` points it at this
 # one), invisible to ./... here, so it is vetted, tested and linted by
 # name: an API it uses cannot be deleted unnoticed.
 check: build
@@ -66,6 +71,7 @@ check: build
 	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/ ./internal/gpu/
+	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...

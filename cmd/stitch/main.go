@@ -273,7 +273,7 @@ func main() {
 		}
 		t0 = time.Now()
 		err := compose.ComposeShardedFile(pl, src, *compOut, compose.ShardedOpts{
-			Blend: blend, Gov: gov, Rec: rec,
+			Blend: blend, Gov: gov, Rec: rec, Pool: opts.TransformPool(),
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
+	"time"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/global"
 	"hybridstitch/internal/memgov"
 	"hybridstitch/internal/obs"
@@ -29,6 +33,13 @@ import (
 // order, and the reducer applies the same round-to-nearest box filter
 // Downsample2x does to the same rounded inputs. The equivalence tests
 // compare byte-for-byte.
+//
+// The phase is a pipeline on the shared worker budget: pool helpers read
+// a band's tiles ahead of the blend (readAhead, below) and deflate the
+// pyramid tiles behind it (tiffio.PyramidWriter), while blending,
+// reduction and the file's tile order stay with the calling goroutine
+// and one writer goroutine. With an empty pool the same code runs every
+// stage on the caller.
 
 // ShardedOpts configures ComposeSharded.
 type ShardedOpts struct {
@@ -48,8 +59,13 @@ type ShardedOpts struct {
 	// accumulators + pyramid staging + reducer rows) against the budget.
 	Gov *memgov.Governor
 	// Rec, when set, records the compose.sharded/compose.band spans and
-	// compose.band.* counters on the phase-3 track.
+	// the compose.band.*, compose.encode.* and compose.read.* metrics on
+	// the phase-3 track.
 	Rec *obs.Recorder
+	// Pool lends helper goroutines for tile read-ahead and deflate. nil
+	// means fft.SharedPool(), the budget phases 1 and 2 draw on: one
+	// budget, not two. The output does not depend on it.
+	Pool *fft.WorkerPool
 }
 
 func (o ShardedOpts) withDefaults() ShardedOpts {
@@ -76,18 +92,39 @@ func bytesPerBandRow(w int, blend Blend) int64 {
 	return n
 }
 
-// shardedFixedBytes is the band-independent accounted cost: the pyramid
-// writer's one-tile-row staging per level plus the reducer cascade's
-// pending and output rows.
-func shardedFixedBytes(dims [][2]int, tileH int) int64 {
-	var n int64
-	for l, d := range dims {
-		n += int64(2 * tileH * d[0]) // writer staging
-		if l > 0 {
-			n += int64(2*dims[l-1][0] + 2*d[0]) // reducer pending + emit rows
-		}
+// shardedFixedBytes is the band-independent accounted cost with lanes
+// goroutines at work: the pyramid writer's staging and in-flight tile
+// jobs, the reducer cascade's pending and output rows, and the read-ahead
+// window of source tiles. inflight is the part that grows with lanes.
+func shardedFixedBytes(dims [][2]int, g tile.Grid, popts tiffio.PyramidOpts, lanes int) (fixed, inflight int64) {
+	staging, jobs := popts.BufferBytes(dims[0][0], dims[0][1])
+	fixed = staging
+	for l := 1; l < len(dims); l++ {
+		fixed += int64(2*dims[l-1][0] + 2*dims[l][0]) // reducer pending + emit rows
 	}
-	return n
+	inflight = jobs + int64(readWindow(lanes)*2*g.TileW*g.TileH)
+	return fixed + inflight, inflight
+}
+
+// laneRunner lends the pool's helpers to phase 3, at most n at a time:
+// the number whose buffers the memory budget has room for.
+type laneRunner struct {
+	pool *fft.WorkerPool
+	n    int
+	live atomic.Int32
+}
+
+func (r *laneRunner) Cap() int { return r.n }
+
+func (r *laneRunner) TryGo(fn func()) bool {
+	if int(r.live.Add(1)) <= r.n && r.pool.TryGo(func() {
+		defer r.live.Add(-1)
+		fn()
+	}) {
+		return true
+	}
+	r.live.Add(-1)
+	return false
 }
 
 // bandRowsFor picks the band height: the largest multiple of tileH whose
@@ -157,7 +194,18 @@ func (r *rowReducer) flush() []uint16 {
 }
 
 func (r *rowReducer) reduce(a, b []uint16) []uint16 {
-	for x := 0; x < r.dstW; x++ {
+	// Interior: full 2×2 blocks, where (sum+2)>>2 is the general
+	// expression below at cnt = 4. The odd last column and the odd last
+	// row (b == nil) stay on the general expression.
+	full := 0
+	if b != nil {
+		full = r.srcW / 2
+		a, b, out := a[:2*full], b[:2*full], r.out[:full]
+		for x := range out {
+			out[x] = uint16((int(a[2*x]) + int(a[2*x+1]) + int(b[2*x]) + int(b[2*x+1]) + 2) >> 2)
+		}
+	}
+	for x := full; x < r.dstW; x++ {
 		sum := int(a[2*x])
 		cnt := 1
 		if 2*x+1 < r.srcW {
@@ -177,6 +225,119 @@ func (r *rowReducer) reduce(a, b []uint16) []uint16 {
 	return r.out
 }
 
+// readWindow is how many source tiles may be read but not yet blended
+// with lanes goroutines at work: two per lane, as the pyramid writer
+// keeps two tile jobs per lane.
+func readWindow(lanes int) int { return 2 * lanes }
+
+// readAhead reads a band's source tiles ahead of the blend. The blend
+// consumes positions 0, 1, 2, ... of the band's tile list strictly in
+// order through get; pool helpers claim and read the next unclaimed
+// positions inside a window ahead of it, and get reads a position itself
+// when nobody has claimed it yet — which is every position when the pool
+// lends no helper. Who read a tile never shows in the output.
+type readAhead struct {
+	src  stitch.Source
+	grid tile.Grid
+	run  tiffio.Runner
+
+	mu    sync.Mutex
+	tiles []int // the band's source tiles, in grid order
+	next  int   // first position nobody has claimed
+	limit int   // positions below it may be claimed: consumer + window
+	slots []readSlot
+
+	helpers sync.WaitGroup
+	busyNS  atomic.Int64 // time inside src.ReadTile, summed over goroutines
+}
+
+// readSlot holds position p's tile for p%window: a slot is claimed again
+// only once the consumer is past its previous position.
+type readSlot struct {
+	t    *tile.Gray16
+	err  error
+	done chan struct{} // cap 1: t and err are set
+}
+
+func newReadAhead(src stitch.Source, grid tile.Grid, run tiffio.Runner, window int) *readAhead {
+	ra := &readAhead{src: src, grid: grid, run: run, slots: make([]readSlot, window)}
+	for i := range ra.slots {
+		ra.slots[i].done = make(chan struct{}, 1)
+	}
+	return ra
+}
+
+// begin starts a band; every position of the previous one was consumed.
+func (ra *readAhead) begin(tiles []int) {
+	ra.mu.Lock()
+	ra.tiles, ra.next, ra.limit = tiles, 0, 0
+	ra.mu.Unlock()
+}
+
+func (ra *readAhead) read(i int) (*tile.Gray16, error) {
+	start := time.Now()
+	t, err := ra.src.ReadTile(ra.grid.CoordOf(i))
+	ra.busyNS.Add(int64(time.Since(start)))
+	return t, err
+}
+
+// help is a read helper: it reads claimable positions until there is
+// none, then gives its pool token back.
+func (ra *readAhead) help() {
+	defer ra.helpers.Done()
+	for {
+		ra.mu.Lock()
+		p := ra.next
+		ok := p < ra.limit && p < len(ra.tiles)
+		var i int
+		if ok {
+			i = ra.tiles[p]
+			ra.next++
+		}
+		ra.mu.Unlock()
+		if !ok {
+			return
+		}
+		s := &ra.slots[p%len(ra.slots)]
+		s.t, s.err = ra.read(i)
+		s.done <- struct{}{}
+	}
+}
+
+// get returns the tile at position c of the band; calls must go c = 0,
+// 1, 2, ... It moves the window up to c and offers the newly claimable
+// position to a helper.
+func (ra *readAhead) get(c int) (*tile.Gray16, error) {
+	ra.mu.Lock()
+	ra.limit = c + len(ra.slots)
+	mine := ra.next == c
+	if mine {
+		ra.next++
+	}
+	more := ra.next < ra.limit && ra.next < len(ra.tiles)
+	ra.mu.Unlock()
+	if more {
+		ra.helpers.Add(1)
+		if !ra.run.TryGo(ra.help) {
+			ra.helpers.Done()
+		}
+	}
+	if mine {
+		return ra.read(ra.tiles[c])
+	}
+	s := &ra.slots[c%len(ra.slots)]
+	<-s.done
+	t, err := s.t, s.err
+	s.t = nil
+	return t, err
+}
+
+// stop closes the window and waits for the helpers to exit.
+func (ra *readAhead) stop() {
+	ra.begin(nil)
+	ra.helpers.Wait()
+}
+
 // ComposeSharded composes the placement into a pyramid file on ws in
 // bounded memory. The level-0 pixels are bit-identical to Compose with
 // the same blend; the reduced levels are bit-identical to Pyramid
@@ -193,8 +354,24 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 		return fmt.Errorf("compose: unknown blend %v", opts.Blend)
 	}
 
+	// lanes is how many goroutines phase 3 plans to keep busy: the caller
+	// plus one per pool token, shedding helpers while their in-flight
+	// buffers would take more than a quarter of the memory budget.
+	pool := opts.Pool
+	if pool == nil {
+		pool = fft.SharedPool()
+	}
+	g := pl.Grid
 	dims := tiffio.PyramidLevelDims(w, h, opts.MinSide)
-	fixed := shardedFixedBytes(dims, opts.TileH)
+	run := &laneRunner{pool: pool, n: pool.Cap()}
+	popts := tiffio.PyramidOpts{
+		TileW: opts.TileW, TileH: opts.TileH, MinSide: opts.MinSide, NoDeflate: opts.NoDeflate, Runner: run,
+	}
+	fixed, inflight := shardedFixedBytes(dims, g, popts, run.n+1)
+	for opts.Gov != nil && run.n > 0 && inflight > opts.Gov.Physical()/4 {
+		run.n--
+		fixed, inflight = shardedFixedBytes(dims, g, popts, run.n+1)
+	}
 	bandRows := bandRowsFor(opts, w, h, fixed)
 
 	sp := opts.Rec.StartSpan(obs.TrackPhase3, obs.SpanComposeSharded,
@@ -220,12 +397,23 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 		defer a.Free()
 	}
 
-	pw, err := tiffio.NewPyramidWriter(ws, w, h, tiffio.PyramidOpts{
-		TileW: opts.TileW, TileH: opts.TileH, MinSide: opts.MinSide, NoDeflate: opts.NoDeflate,
-	})
+	pw, err := tiffio.NewPyramidWriter(ws, w, h, popts)
 	if err != nil {
 		return err
 	}
+	ra := newReadAhead(src, g, run, readWindow(run.n+1))
+	// Every return joins the goroutines the two stages own (Abort does
+	// nothing after Close), then publishes what they did.
+	defer func() {
+		pw.Abort()
+		ra.stop()
+		st := pw.Stats()
+		opts.Rec.Counter(obs.CounterComposeEncodeTiles).Add(st.Tiles)
+		opts.Rec.Counter(obs.CounterComposeEncodeCallerTiles).Add(st.CallerTiles)
+		opts.Rec.Counter(obs.CounterComposeEncodeBusyNS).Add(int64(st.DeflateBusy))
+		opts.Rec.Counter(obs.CounterComposeReadBusyNS).Add(ra.busyNS.Load())
+		opts.Rec.Gauge(obs.GaugeComposeEncodeQueueDepth).Set(float64(st.MaxQueue))
+	}()
 
 	// The reducer cascade: reducers[l] consumes level-l rows and emits
 	// level-l+1 rows.
@@ -246,7 +434,6 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 		return nil
 	}
 
-	g := pl.Grid
 	band := tile.NewGray16(w, bandRows)
 	var acc, wgt []float64
 	if blended {
@@ -254,6 +441,7 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 		wgt = make([]float64, w*bandRows)
 	}
 
+	var inBand []int // the band's source tiles, in grid order
 	for y0 := 0; y0 < h; y0 += bandRows {
 		y1 := y0 + bandRows
 		if y1 > h {
@@ -275,18 +463,20 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 			}
 		}
 
-		tilesInBand := 0
+		inBand = inBand[:0]
 		for i := 0; i < g.NumTiles(); i++ {
-			tx0, ty0 := pl.X[i], pl.Y[i]
-			if ty0 >= y1 || ty0+g.TileH <= y0 {
-				continue
+			if ty0 := pl.Y[i]; ty0 < y1 && ty0+g.TileH > y0 {
+				inBand = append(inBand, i)
 			}
-			t, err := src.ReadTile(g.CoordOf(i))
+		}
+		ra.begin(inBand)
+		for c, i := range inBand {
+			tx0, ty0 := pl.X[i], pl.Y[i]
+			t, err := ra.get(c)
 			if err != nil {
 				bsp.End()
 				return err
 			}
-			tilesInBand++
 			// Clip the tile's row range to the band; x placement is
 			// unchanged from the in-memory path.
 			rs := 0
@@ -338,7 +528,7 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 			}
 		}
 		cBands.Add(1)
-		cTiles.Add(int64(tilesInBand))
+		cTiles.Add(int64(len(inBand)))
 		bsp.End()
 	}
 

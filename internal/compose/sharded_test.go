@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/global"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/memgov"
@@ -67,11 +68,23 @@ func (s *stitch16Source) ReadTile(c tile.Coord) (*tile.Gray16, error) {
 }
 
 // shardedPyramid runs ComposeSharded into memory and opens the result.
+// It composes twice, on the default (shared) pool and on a 3-token pool
+// of its own, and requires the same file from both, so every test built
+// on it holds for both.
 func shardedPyramid(t *testing.T, pl *global.Placement, src stitch.Source, opts ShardedOpts) *tiffio.Pyramid {
 	t.Helper()
-	var sb writeSeekBuffer
+	var sb, sb3 writeSeekBuffer
 	if err := ComposeSharded(pl, src, &sb, opts); err != nil {
 		t.Fatal(err)
+	}
+	opts.Pool = fft.NewWorkerPool(3)
+	err := ComposeSharded(pl, src, &sb3, opts)
+	requireTokensBack(t, opts.Pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb.buf, sb3.buf) {
+		t.Fatal("a 3-token pool wrote a different file than the default pool")
 	}
 	p, err := tiffio.OpenPyramid(bytes.NewReader(sb.buf))
 	if err != nil {
@@ -247,6 +260,7 @@ func TestShardedRecordsObs(t *testing.T) {
 	ds, src := genNoisy(t, 2, 3)
 	pl := truthPlacement(ds)
 	rec := obs.New()
+	defer rec.Close()
 	var sb writeSeekBuffer
 	err := ComposeSharded(pl, src, &sb, ShardedOpts{
 		Blend: BlendOverlay, TileW: 16, TileH: 16, MinSide: 40, BandRows: 16, Rec: rec,
@@ -255,6 +269,29 @@ func TestShardedRecordsObs(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := rec.Snapshot()
+	// The pipeline stages, from obs alone: every pyramid tile was cut
+	// once, the caller deflated at most all of them, both busy clocks
+	// ran, and the deflate queue was used.
+	p, err := tiffio.OpenPyramid(bytes.NewReader(sb.buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tiles int64
+	for l := 0; l < p.NumLevels(); l++ {
+		tiles += int64(p.Level(l).Across * p.Level(l).Down)
+	}
+	if got := snap.Counters[obs.CounterComposeEncodeTiles]; got != tiles {
+		t.Fatalf("%s = %d, the pyramid has %d tiles", obs.CounterComposeEncodeTiles, got, tiles)
+	}
+	if got := snap.Counters[obs.CounterComposeEncodeCallerTiles]; got < 0 || got > tiles {
+		t.Fatalf("%s = %d of %d tiles", obs.CounterComposeEncodeCallerTiles, got, tiles)
+	}
+	if snap.Counters[obs.CounterComposeEncodeBusyNS] <= 0 || snap.Counters[obs.CounterComposeReadBusyNS] <= 0 {
+		t.Fatalf("busy clocks: encode %d ns, read %d ns", snap.Counters[obs.CounterComposeEncodeBusyNS], snap.Counters[obs.CounterComposeReadBusyNS])
+	}
+	if _, depth := rec.Gauge(obs.GaugeComposeEncodeQueueDepth).Value(); depth < 1 {
+		t.Fatalf("%s max = %v", obs.GaugeComposeEncodeQueueDepth, depth)
+	}
 	if snap.Counters[obs.CounterComposeBands] == 0 {
 		t.Fatal("compose.band.count not recorded")
 	}

@@ -78,17 +78,17 @@ const (
 
 // Throughput and success counters.
 const (
-	CounterFFTOps          = "stitch.fft.ops"
-	CounterDispOps         = "stitch.disp.ops"
-	CounterEdgesRepaired   = "global.edges.repaired"
-	CounterEdgesDropped    = "global.edges.dropped"
+	CounterFFTOps        = "stitch.fft.ops"
+	CounterDispOps       = "stitch.disp.ops"
+	CounterEdgesRepaired = "global.edges.repaired"
+	CounterEdgesDropped  = "global.edges.dropped"
 	// Least-squares solver effort: IRLS rounds executed, Gauss-Seidel
 	// sweeps (serial engine), and CG iterations summed over both axes
 	// (PCG engine). Exactly one of the two iteration counters is nonzero
 	// per solve.
-	CounterLSRounds   = "global.ls.rounds"
-	CounterLSSweepsGS = "global.ls.gs.sweeps"
-	CounterLSItersCG  = "global.ls.cg.iterations"
+	CounterLSRounds        = "global.ls.rounds"
+	CounterLSSweepsGS      = "global.ls.gs.sweeps"
+	CounterLSItersCG       = "global.ls.cg.iterations"
 	CounterMemgovFaults    = "memgov.faults"
 	CounterPipelineNotes   = "pipeline.notes"
 	CounterPipelineAborts  = "pipeline.aborts"
@@ -110,6 +110,16 @@ const (
 	// band — the counter measures re-read amplification, not coverage).
 	CounterComposeBands     = "compose.band.count"
 	CounterComposeBandTiles = "compose.band.tiles"
+	// Sharded-compose pipeline stages, published once per run: pyramid
+	// tiles cut, how many of them the composing goroutine deflated itself
+	// because every job buffer was in flight (back-pressure: the helpers
+	// are the bottleneck when this nears the total), and the time spent
+	// inside deflate and inside Source.ReadTile, in nanoseconds summed
+	// over goroutines — either can exceed the phase's wall time.
+	CounterComposeEncodeTiles       = "compose.encode.tiles"
+	CounterComposeEncodeCallerTiles = "compose.encode.caller_tiles"
+	CounterComposeEncodeBusyNS      = "compose.encode.busy_ns"
+	CounterComposeReadBusyNS        = "compose.read.busy_ns"
 	// Tile-server cache behavior: requests served from the decoded-tile
 	// LRU, misses that decoded from the pyramid file, entries evicted to
 	// stay under the byte budget, and requests rejected with an error.
@@ -121,11 +131,14 @@ const (
 
 // Gauges.
 const (
-	GaugeMemgovLiveBytes    = "memgov.live_bytes"
-	GaugeServeCacheBytes    = "serve.tile.cache_bytes"
-	GaugePoolInUse          = "gpu.pool.in_use"
-	GaugeTransformsPeakLive = "stitch.transforms.peak_live"
-	GaugeTransformWords     = "stitch.transform.words"
+	GaugeMemgovLiveBytes = "memgov.live_bytes"
+	GaugeServeCacheBytes = "serve.tile.cache_bytes"
+	// GaugeComposeEncodeQueueDepth is the deepest the pyramid writer's
+	// deflate queue got during a sharded compose.
+	GaugeComposeEncodeQueueDepth = "compose.encode.queue_depth"
+	GaugePoolInUse               = "gpu.pool.in_use"
+	GaugeTransformsPeakLive      = "stitch.transforms.peak_live"
+	GaugeTransformWords          = "stitch.transform.words"
 	// GaugeLSResidualPx is the final max |b − L·p| of the least-squares
 	// solve (pixels·weight) — the convergence figure of merit.
 	GaugeLSResidualPx = "global.ls.residual_px"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/tile"
 )
 
@@ -72,7 +73,9 @@ func FuzzDecode(f *testing.F) {
 // bytes, seeded with real pyramid files. The reader backs the long-lived
 // tile server, so a corrupt or adversarial pyramid must reject with an
 // ErrCorrupt-classified error — never panic, never hand back a
-// malformed tile.
+// malformed tile. The same bytes, read as pixels, go through the writer
+// with a fuzzed number of deflate helpers: the file must be the one the
+// helperless writer produces, and must read back as those pixels.
 func FuzzPyramidRoundTrip(f *testing.F) {
 	img := tile.NewGray16(75, 50)
 	for i := range img.Pix {
@@ -101,17 +104,19 @@ func FuzzPyramidRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		valid := sb.buf
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
-		f.Add(valid[:16])
+		f.Add(valid, byte(0))
+		f.Add(valid[:len(valid)/2], byte(1))
+		f.Add(valid[:16], byte(2))
 		flipped := append([]byte(nil), valid...)
 		flipped[11] ^= 0xff // first-IFD offset bit flip
-		f.Add(flipped)
+		f.Add(flipped, byte(3))
 	}
-	f.Add([]byte("II+\x00\x08\x00\x00\x00"))
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add([]byte("II+\x00\x08\x00\x00\x00"), byte(1))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), byte(3))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, helpers byte) {
+		fuzzWriteRoundTrip(t, data, int(helpers%4))
+
 		p, err := OpenPyramid(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
@@ -135,4 +140,45 @@ func FuzzPyramidRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzWriteRoundTrip reads data as an image (first two bytes pick the
+// width and options, the rest are pixels), writes it with no helpers and
+// with a pool of that many, and checks the two files are the same bytes
+// and decode to the image.
+func fuzzWriteRoundTrip(t *testing.T, data []byte, helpers int) {
+	if len(data) < 4 {
+		return
+	}
+	w := 1 + int(data[0])%80
+	opts := PyramidOpts{TileW: 16, TileH: 32, MinSide: 24, NoDeflate: data[1]&1 != 0, BigEndian: data[1]&2 != 0}
+	px := data[2:]
+	if len(px) > 2*4096 {
+		px = px[:2*4096]
+	}
+	h := len(px) / 2 / w
+	if h == 0 {
+		return
+	}
+	img := tile.NewGray16(w, h)
+	for i := range img.Pix {
+		img.Pix[i] = uint16(px[2*i]) | uint16(px[2*i+1])<<8
+	}
+	serial := writePyramidFromImage(t, img, opts)
+	pool := fft.NewWorkerPool(helpers)
+	opts.Runner = pool
+	piped := writePyramidFromImage(t, img, opts)
+	pool.Close()
+	if !bytes.Equal(serial, piped) {
+		t.Fatalf("%dx%d image: %d helpers wrote a different file than none", w, h, helpers)
+	}
+	p, err := OpenPyramid(bytes.NewReader(piped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Image(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqual(t, got, img)
 }

@@ -1,13 +1,16 @@
 package tiffio
 
 import (
-	"bytes"
 	"compress/zlib"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"hybridstitch/internal/tile"
 )
@@ -21,9 +24,12 @@ import (
 // guards against.
 //
 // The writer is streaming: levels receive rows top to bottom, only one
-// tile-row of staging is resident per level, and tile payloads go to
-// disk the moment a tile row completes. Offsets are bookkept in memory
-// (16 bytes per tile) and the IFD chain is written at Close.
+// tile-row of staging is resident per level, and a completed tile row is
+// cut into tile jobs at once. Jobs are deflated by whoever is free (pool
+// helpers, or the producer itself when it runs out of job buffers) and
+// written by one goroutine in the order they were cut, so the file does
+// not depend on who compressed what. Offsets are bookkept in memory (16
+// bytes per tile) and the IFD chain is written at Close.
 
 // BigTIFF constants (the TIFF 6.0 supplement "BigTIFF").
 const (
@@ -47,6 +53,54 @@ type PyramidOpts struct {
 	NoDeflate bool
 	// BigEndian writes an "MM" file; default is "II".
 	BigEndian bool
+	// Runner lends the writer helper goroutines to deflate tiles on; nil
+	// means none, and the producer deflates every tile itself. The file
+	// written is the same for every Runner.
+	Runner Runner
+}
+
+// Runner is a bounded budget of helper goroutines: TryGo runs fn on
+// another goroutine if a slot is free and reports whether it did, never
+// blocking; Cap is the most helpers that can run at once.
+// *fft.WorkerPool is the implementation (tiffio does not import fft).
+type Runner interface {
+	TryGo(fn func()) bool
+	Cap() int
+}
+
+// jobs is the number of tile jobs a writer keeps in flight: two per
+// goroutine that can deflate (the helpers plus the producer), one being
+// compressed and one queued behind it.
+func (o PyramidOpts) jobs() int {
+	n := 1
+	if o.Runner != nil {
+		n += o.Runner.Cap()
+	}
+	return 2 * n
+}
+
+// deflateBound is the capacity a tile job reserves for the zlib stream of
+// an n-byte tile. Deflate falls back to stored blocks (5 bytes each) when
+// data does not compress, and a block covers at least a few KiB here, so
+// n/256 is generous; 64 covers the zlib header, the checksum and the
+// final empty block. Overflow would only cost a reallocation.
+func deflateBound(n int) int { return n + n/256 + 64 }
+
+// BufferBytes reports what a writer built with these options for a w×h
+// image keeps resident from NewPyramidWriter to Close: the one tile row
+// of staging per level, and the in-flight tile jobs (a packed tile each,
+// plus its deflate bound unless NoDeflate). Callers that budget memory
+// (compose.ComposeSharded) charge both.
+func (o PyramidOpts) BufferBytes(w, h int) (staging, jobs int64) {
+	o = o.withDefaults()
+	for _, d := range PyramidLevelDims(w, h, o.MinSide) {
+		staging += int64(2 * o.TileH * d[0])
+	}
+	per := o.TileW * o.TileH * 2
+	if !o.NoDeflate {
+		per += deflateBound(per)
+	}
+	return staging, int64(o.jobs() * per)
 }
 
 func (o PyramidOpts) withDefaults() PyramidOpts {
@@ -91,25 +145,66 @@ type levelWriter struct {
 	buf          []uint16 // tileH × w staging
 	across, down int
 	offs, cnts   []uint64
-	nextTileRow  int
+}
+
+// tileJob is one tile on its way to the file: packed by the producer,
+// deflated by whoever takes it off the work queue, written by the writer
+// goroutine, then handed back through the free list.
+type tileJob struct {
+	lv      *levelWriter
+	raw     []byte        // packed tile, TileW*TileH*2 bytes
+	z       []byte        // zlib stream of raw, cap deflateBound(len(raw))
+	payload []byte        // what goes to the file: raw or z
+	done    chan struct{} // cap 1: payload is final
+}
+
+// PyramidStats is what a writer did, for the caller's telemetry. Read it
+// after Close or Abort.
+type PyramidStats struct {
+	// Tiles is the number of tiles cut, and CallerTiles how many of them
+	// the producer deflated itself because no job buffer was free (or at
+	// the final drain): the back-pressure signal, zero with NoDeflate.
+	Tiles, CallerTiles int64
+	// DeflateBusy is time inside zlib summed over goroutines.
+	DeflateBusy time.Duration
+	// MaxQueue is the deepest the deflate queue got.
+	MaxQueue int
 }
 
 // PyramidWriter streams a multi-level tiled pyramid to a file. Feed each
 // level its rows top to bottom with WriteRows (the compose reducer does
-// this as bands retire) and call Close to write the IFD chain.
+// this as bands retire) and call Close to write the IFD chain, or Abort
+// to give up; one of the two must be called, because the writer owns a
+// goroutine. It is single-producer: WriteRows, Close and Abort must come
+// from one goroutine at a time.
 type PyramidWriter struct {
 	ws     io.WriteSeeker
 	bo     binary.ByteOrder
 	mark   [2]byte
 	opts   PyramidOpts
 	levels []*levelWriter
-	off    int64 // current file position
+	off    int64 // file position; the writer goroutine's until it is joined
 	closed bool
 
-	packBuf []byte // tile staging, tileW*tileH*2
-	zbuf    bytes.Buffer
-	zw      *zlib.Writer
+	// Every job is in at most one of the three queues' buffers at a time
+	// and each holds them all, so no send below ever blocks.
+	free  chan *tileJob // buffers the producer may fill
+	work  chan *tileJob // packed tiles waiting for deflate
+	order chan *tileJob // every cut tile in cut order, for the writer goroutine
+
+	zfree   chan *zlib.Writer // idle compressors, one per concurrent deflate at most
+	helpers sync.WaitGroup    // deflate helpers started on opts.Runner
+	written chan struct{}     // closed when the writer goroutine exits
+
+	err atomic.Pointer[error] // first failure; tiles after it are dropped, not written
+
+	stats     PyramidStats // producer-owned but for the atomic below
+	deflateNS atomic.Int64
 }
+
+// errAborted is the failure Abort records so that queued tiles are
+// dropped rather than compressed.
+var errAborted = errors.New("tiffio: pyramid writer aborted")
 
 // NewPyramidWriter starts a pyramid for a w×h full-resolution image on
 // ws (typically an *os.File). The header is written immediately with a
@@ -138,7 +233,18 @@ func NewPyramidWriter(ws io.WriteSeeker, w, h int, opts PyramidOpts) (*PyramidWr
 		lw.cnts = make([]uint64, 0, lw.across*lw.down)
 		pw.levels = append(pw.levels, lw)
 	}
-	pw.packBuf = make([]byte, opts.TileW*opts.TileH*2)
+	n := opts.jobs()
+	pw.free = make(chan *tileJob, n)
+	pw.work = make(chan *tileJob, n)
+	pw.order = make(chan *tileJob, n)
+	pw.zfree = make(chan *zlib.Writer, n/2)
+	for i := 0; i < n; i++ {
+		j := &tileJob{raw: make([]byte, opts.TileW*opts.TileH*2), done: make(chan struct{}, 1)}
+		if !opts.NoDeflate {
+			j.z = make([]byte, 0, deflateBound(len(j.raw)))
+		}
+		pw.free <- j
+	}
 
 	// BigTIFF header: mark | 43 | offset size 8 | reserved 0 | IFD offset.
 	hdr := make([]byte, 16)
@@ -150,6 +256,8 @@ func NewPyramidWriter(ws io.WriteSeeker, w, h int, opts PyramidOpts) (*PyramidWr
 	if err := pw.write(hdr); err != nil {
 		return nil, err
 	}
+	pw.written = make(chan struct{})
+	go pw.writeLoop()
 	return pw, nil
 }
 
@@ -197,49 +305,192 @@ func (pw *PyramidWriter) WriteRows(l int, pix []uint16, n int) error {
 	return nil
 }
 
-// flushTileRow encodes the staged rows of lv as one row of tiles,
-// zero-padding to full tile size at the right and bottom edges.
+// flushTileRow cuts the staged rows of lv into one row of tile jobs,
+// zero-padded to full tile size at the right and bottom edges. Staging is
+// reused by the next row, so every tile is copied out before it returns.
 func (pw *PyramidWriter) flushTileRow(lv *levelWriter) error {
 	tw, th := pw.opts.TileW, pw.opts.TileH
 	for tx := 0; tx < lv.across; tx++ {
-		for i := range pw.packBuf {
-			pw.packBuf[i] = 0
-		}
-		for y := 0; y < lv.staged; y++ {
-			for x := 0; x < tw; x++ {
-				ix := tx*tw + x
-				if ix >= lv.w {
-					break
-				}
-				pw.bo.PutUint16(pw.packBuf[2*(y*tw+x):], lv.buf[y*lv.w+ix])
-			}
-		}
-		payload := pw.packBuf
-		if !pw.opts.NoDeflate {
-			pw.zbuf.Reset()
-			if pw.zw == nil {
-				pw.zw = zlib.NewWriter(&pw.zbuf)
-			} else {
-				pw.zw.Reset(&pw.zbuf)
-			}
-			if _, err := pw.zw.Write(pw.packBuf); err != nil {
-				return err
-			}
-			if err := pw.zw.Close(); err != nil {
-				return err
-			}
-			payload = pw.zbuf.Bytes()
-		}
-		lv.offs = append(lv.offs, uint64(pw.off))
-		lv.cnts = append(lv.cnts, uint64(len(payload)))
-		if err := pw.write(payload); err != nil {
+		if err := pw.failure(); err != nil {
 			return err
 		}
+		j := pw.acquire()
+		j.lv = lv
+		cols := min(tw, lv.w-tx*tw)
+		if cols < tw || lv.staged < th {
+			clear(j.raw)
+		}
+		for y := 0; y < lv.staged; y++ {
+			src := lv.buf[y*lv.w+tx*tw:][:cols]
+			dst := j.raw[2*y*tw:][:2*cols]
+			if pw.opts.BigEndian {
+				for x, v := range src {
+					dst[2*x], dst[2*x+1] = byte(v>>8), byte(v)
+				}
+			} else {
+				for x, v := range src {
+					dst[2*x], dst[2*x+1] = byte(v), byte(v>>8)
+				}
+			}
+		}
+		pw.stats.Tiles++
+		pw.order <- j
+		if pw.opts.NoDeflate {
+			j.payload = j.raw
+			j.done <- struct{}{}
+			continue
+		}
+		pw.work <- j
+		pw.stats.MaxQueue = max(pw.stats.MaxQueue, len(pw.work))
+		if pw.opts.Runner != nil {
+			pw.helpers.Add(1)
+			if !pw.opts.Runner.TryGo(pw.help) {
+				pw.helpers.Done()
+			}
+		}
 	}
-	_ = th
 	lv.staged = 0
-	lv.nextTileRow++
 	return nil
+}
+
+// acquire returns a job buffer for the producer to fill. When none is
+// free the producer deflates queued tiles itself instead of waiting for
+// a helper: that keeps its core busy, and it is the whole of the
+// behaviour when there are no helpers. It cannot wait forever: if the
+// queue is empty too, every job is with a helper or the writer
+// goroutine, neither of which waits for the producer.
+func (pw *PyramidWriter) acquire() *tileJob {
+	for {
+		select {
+		case j := <-pw.free:
+			return j
+		default:
+		}
+		select {
+		case j := <-pw.free:
+			return j
+		case j := <-pw.work:
+			pw.deflate(j)
+			pw.stats.CallerTiles++
+		}
+	}
+}
+
+// drain deflates queued tiles until the queue is empty and reports how
+// many it did. It never waits.
+func (pw *PyramidWriter) drain() (n int64) {
+	for {
+		select {
+		case j := <-pw.work:
+			pw.deflate(j)
+			n++
+		default:
+			return n
+		}
+	}
+}
+
+// help is a deflate helper: it drains the queue and exits, so it never
+// holds its Runner slot while waiting for anything.
+func (pw *PyramidWriter) help() {
+	defer pw.helpers.Done()
+	pw.drain()
+}
+
+// sliceWriter appends to a byte slice.
+type sliceWriter struct{ b []byte }
+
+func (s *sliceWriter) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
+}
+
+// deflate compresses j.raw into j.z as one independent zlib stream and
+// marks the job final. After a failure it only marks it.
+func (pw *PyramidWriter) deflate(j *tileJob) {
+	if pw.failure() == nil {
+		start := time.Now()
+		sink := sliceWriter{j.z[:0]}
+		var zw *zlib.Writer
+		select {
+		case zw = <-pw.zfree:
+			zw.Reset(&sink)
+		default:
+			zw = zlib.NewWriter(&sink)
+		}
+		_, err := zw.Write(j.raw)
+		if err == nil {
+			err = zw.Close()
+		}
+		if err != nil {
+			pw.fail(err)
+		}
+		select {
+		case pw.zfree <- zw:
+		default:
+		}
+		j.z, j.payload = sink.b, sink.b
+		pw.deflateNS.Add(int64(time.Since(start)))
+	}
+	j.done <- struct{}{}
+}
+
+// writeLoop is the writer goroutine: it takes tiles in the order they
+// were cut, waits for each to be final, appends it to the file and
+// recycles its buffer. It holds no Runner slot. After a failure it keeps
+// recycling buffers so that nobody blocks on it.
+func (pw *PyramidWriter) writeLoop() {
+	defer close(pw.written)
+	for j := range pw.order {
+		<-j.done
+		if pw.failure() == nil {
+			j.lv.offs = append(j.lv.offs, uint64(pw.off))
+			j.lv.cnts = append(j.lv.cnts, uint64(len(j.payload)))
+			if err := pw.write(j.payload); err != nil {
+				pw.fail(err)
+			}
+		}
+		pw.free <- j
+	}
+}
+
+// fail records err if it is the first failure.
+func (pw *PyramidWriter) fail(err error) { pw.err.CompareAndSwap(nil, &err) }
+
+// failure returns the first failure, nil while there is none.
+func (pw *PyramidWriter) failure() error {
+	if p := pw.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// join deflates what is still queued, then waits for the writer
+// goroutine and the helpers to exit.
+func (pw *PyramidWriter) join() {
+	pw.closed = true
+	pw.stats.CallerTiles += pw.drain()
+	close(pw.order)
+	<-pw.written
+	pw.helpers.Wait()
+}
+
+// Abort abandons the pyramid: queued tiles are dropped and the writer's
+// goroutines are joined. The file is left incomplete. A no-op after
+// Close or Abort, so error paths can defer it.
+func (pw *PyramidWriter) Abort() {
+	if pw.closed {
+		return
+	}
+	pw.fail(errAborted)
+	pw.join()
+}
+
+// Stats reports what the writer did; call it after Close or Abort.
+func (pw *PyramidWriter) Stats() PyramidStats {
+	st := pw.stats
+	st.DeflateBusy = time.Duration(pw.deflateNS.Load())
+	return st
 }
 
 // bigEntry is one BigTIFF IFD entry.
@@ -250,14 +501,18 @@ type bigEntry struct {
 	array      []uint64
 }
 
-// Close flushes every level, writes the chained IFDs (one per level, in
-// level order), and patches the header to point at level 0's IFD. It
+// Close waits for every tile to reach the file, reports the first
+// failure if there was one, then writes the chained IFDs (one per level,
+// in level order) and patches the header to point at level 0's IFD. It
 // does not close the underlying file.
 func (pw *PyramidWriter) Close() error {
 	if pw.closed {
 		return fmt.Errorf("tiffio: pyramid writer already closed")
 	}
-	pw.closed = true
+	pw.join()
+	if err := pw.failure(); err != nil {
+		return err
+	}
 	for l, lv := range pw.levels {
 		if lv.rows != lv.h {
 			return fmt.Errorf("tiffio: pyramid level %d received %d of %d rows", l, lv.rows, lv.h)

@@ -337,6 +337,7 @@ func TestPyramidWriterRowOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pw.Abort()
 	rows := make([]uint16, 32*4)
 	if err := pw.WriteRows(0, rows, 4); err != nil {
 		t.Fatal(err)

@@ -12,14 +12,15 @@ package tileserve
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -108,21 +109,54 @@ func New(pyr *tiffio.Pyramid, opts Options) *Server {
 	return s
 }
 
-// Tile returns the decoded tile at (level, tx, ty), through the cache.
-func (s *Server) Tile(level, tx, ty int) (*tile.Gray16, error) {
+// etag is the key as a strong HTTP entity tag: the served PNG is a pure
+// function of the decoded pixels, which the key addresses.
+func (k cacheKey) etag() string {
+	return fmt.Sprintf(`"%s-%dx%d"`, hex.EncodeToString(k.sum[:]), k.w, k.h)
+}
+
+// etagListed reports whether an If-None-Match header value names etag
+// (or is "*"). The comparison is the weak one the header calls for, so a
+// W/ prefix a proxy added is ignored.
+func etagListed(header, etag string) bool {
+	for _, c := range strings.Split(header, ",") {
+		c = strings.TrimPrefix(strings.TrimSpace(c), "W/")
+		if c == etag || c == "*" {
+			return true
+		}
+	}
+	return false
+}
+
+// lookup reads the stored payload of (level, tx, ty) and derives its
+// content key.
+func (s *Server) lookup(level, tx, ty int) ([]byte, cacheKey, error) {
 	payload, err := s.pyr.TilePayload(level, tx, ty)
 	if err != nil {
-		return nil, err
+		return nil, cacheKey{}, err
 	}
 	// TilePayload validated the address, so Level and the clip math are
 	// in range here.
 	lv := s.pyr.Level(level)
-	key := cacheKey{
+	return payload, cacheKey{
 		sum: sha256.Sum256(payload),
 		w:   min(lv.TileW, lv.W-tx*lv.TileW),
 		h:   min(lv.TileH, lv.H-ty*lv.TileH),
-	}
+	}, nil
+}
 
+// Tile returns the decoded tile at (level, tx, ty), through the cache.
+func (s *Server) Tile(level, tx, ty int) (*tile.Gray16, error) {
+	payload, key, err := s.lookup(level, tx, ty)
+	if err != nil {
+		return nil, err
+	}
+	return s.decoded(level, tx, ty, payload, key)
+}
+
+// decoded returns the tile payload decodes to, from the cache when its
+// content is there.
+func (s *Server) decoded(level, tx, ty int, payload []byte, key cacheKey) (*tile.Gray16, error) {
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
 		s.lru.MoveToFront(el)
@@ -239,7 +273,19 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tile address must be numeric", http.StatusBadRequest)
 		return
 	}
-	img, err := s.Tile(level, tx, ty)
+	payload, key, err := s.lookup(level, tx, ty)
+	etag := key.etag()
+	var img *tile.Gray16
+	if err == nil {
+		// The content key is known before any pixel work: a client that
+		// already holds this content is answered without decode or encode.
+		if etagListed(r.Header.Get("If-None-Match"), etag) {
+			cacheHeaders(w, etag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		img, err = s.decoded(level, tx, ty, payload, key)
+	}
 	if err != nil {
 		s.cErrors.Add(1)
 		// Address-range errors are the client's fault; corrupt pyramids
@@ -253,20 +299,38 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gray := image.NewGray16(image.Rect(0, 0, img.W, img.H))
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			gray.SetGray16(x, y, color.Gray16{Y: img.At(x, y)})
-		}
+	for i, v := range img.Pix {
+		gray.Pix[2*i], gray.Pix[2*i+1] = byte(v>>8), byte(v)
 	}
 	w.Header().Set("Content-Type", "image/png")
-	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
-	if err := png.Encode(w, gray); err != nil {
+	cacheHeaders(w, etag)
+	if err := pngEncoder.Encode(w, gray); err != nil {
 		// Headers are gone; nothing to do but record it.
 		s.cErrors.Add(1)
 		return
 	}
 	s.hLatency.ObserveDuration(time.Since(start))
 }
+
+// cacheHeaders marks a tile response as immutable content named by etag.
+func cacheHeaders(w http.ResponseWriter, etag string) {
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
+}
+
+// pngEncoder is png.Encode's encoder (default compression, so the served
+// bytes are the same) keeping its zlib state and row buffers between
+// requests.
+var pngEncoder = png.Encoder{BufferPool: new(pngBuffers)}
+
+type pngBuffers sync.Pool
+
+func (p *pngBuffers) Get() *png.EncoderBuffer {
+	b, _ := (*sync.Pool)(p).Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (p *pngBuffers) Put(b *png.EncoderBuffer) { (*sync.Pool)(p).Put(b) }
 
 // ServePyramidFile opens the pyramid at path and serves it on addr,
 // blocking. The plateview CLI's -serve mode is this.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"image"
+	"image/color"
 	"image/png"
 	"io"
 	"math/rand"
@@ -273,6 +275,7 @@ func TestConcurrentTileReads(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	p := testPyramid(t, 256, 128)
 	rec := obs.New()
+	defer rec.Close()
 	s := New(p, Options{Rec: rec})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -339,5 +342,111 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if snap.Histograms[obs.HistServeTileSeconds].Count == 0 {
 		t.Fatal("serve.tile.seconds not recorded")
+	}
+}
+
+// get fetches path from ts, optionally conditional on an entity tag, and
+// returns the response with its body read.
+func get(t *testing.T, ts *httptest.Server, path, ifNoneMatch string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+func TestServedPNGBytesUnchanged(t *testing.T) {
+	// The handler packs pixels straight into Gray16.Pix and encodes
+	// through a pooled encoder; the bytes on the wire must be what
+	// png.Encode makes of the tile set pixel by pixel, for full and
+	// clipped tiles, on first and repeated (pooled-buffer) requests.
+	p := testPyramid(t, 100, 70)
+	s := New(p, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	lv := p.Level(0)
+	for round := 0; round < 2; round++ {
+		for _, addr := range [][2]int{{0, 0}, {lv.Across - 1, 0}, {lv.Across - 1, lv.Down - 1}} {
+			tl, err := p.ReadTileAt(0, addr[0], addr[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := image.NewGray16(image.Rect(0, 0, tl.W, tl.H))
+			for y := 0; y < tl.H; y++ {
+				for x := 0; x < tl.W; x++ {
+					ref.SetGray16(x, y, color.Gray16{Y: tl.At(x, y)})
+				}
+			}
+			var want bytes.Buffer
+			if err := png.Encode(&want, ref); err != nil {
+				t.Fatal(err)
+			}
+			resp, got := get(t, ts, fmt.Sprintf("/tile/0/%d/%d", addr[0], addr[1]), "")
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("tile %v round %d: status %d, %d bytes served, png.Encode gives %d", addr, round, resp.StatusCode, len(got), want.Len())
+			}
+		}
+	}
+}
+
+func TestTileETagAndConditionalGet(t *testing.T) {
+	p := testPyramid(t, 256, 100) // right half blank; bottom row of tiles clipped to 4 rows
+	s := New(p, Options{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	lv := p.Level(0)
+
+	resp, body := get(t, ts, "/tile/0/0/0", "")
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || len(etag) < 3 || etag[0] != '"' || etag[len(etag)-1] != '"' {
+		t.Fatalf("status %d, ETag %q: want 200 with a strong entity tag", resp.StatusCode, etag)
+	}
+	if len(body) == 0 || resp.Header.Get("Cache-Control") == "" {
+		t.Fatalf("%d body bytes, Cache-Control %q", len(body), resp.Header.Get("Cache-Control"))
+	}
+
+	// A client holding the content is answered 304 before any decode.
+	hits, misses, _, _ := s.CacheStats()
+	for _, cond := range []string{etag, "W/" + etag, `"other", ` + etag, "*"} {
+		resp, body = get(t, ts, "/tile/0/0/0", cond)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 || resp.Header.Get("ETag") != etag {
+			t.Fatalf("If-None-Match %s: status %d, %d body bytes, ETag %q", cond, resp.StatusCode, len(body), resp.Header.Get("ETag"))
+		}
+	}
+	if h, m, _, _ := s.CacheStats(); h != hits || m != misses {
+		t.Fatalf("304s touched the decode cache: hits %d→%d, misses %d→%d", hits, h, misses, m)
+	}
+	if resp, body = get(t, ts, "/tile/0/0/0", `"stale"`); resp.StatusCode != http.StatusOK || len(body) == 0 {
+		t.Fatalf("stale If-None-Match: status %d, %d body bytes", resp.StatusCode, len(body))
+	}
+
+	// The tag is the content key: blank interior tiles share it wherever
+	// they sit, a textured tile and a clipped blank tile do not.
+	blankA, _ := get(t, ts, fmt.Sprintf("/tile/0/%d/0", lv.Across-1), "")
+	blankB, _ := get(t, ts, fmt.Sprintf("/tile/0/%d/1", lv.Across-2), "")
+	edge, _ := get(t, ts, fmt.Sprintf("/tile/0/%d/%d", lv.Across-1, lv.Down-1), "")
+	if a, b := blankA.Header.Get("ETag"), blankB.Header.Get("ETag"); a == "" || a != b {
+		t.Fatalf("identical blank tiles have ETags %q and %q", a, b)
+	}
+	if a := blankA.Header.Get("ETag"); a == etag || a == edge.Header.Get("ETag") {
+		t.Fatalf("ETag %q does not tell a blank tile from a textured or a clipped one", a)
+	}
+
+	// An error is not cacheable content.
+	if resp, _ = get(t, ts, "/tile/0/99/0", etag); resp.StatusCode != http.StatusNotFound || resp.Header.Get("ETag") != "" {
+		t.Fatalf("out-of-range tile: status %d, ETag %q", resp.StatusCode, resp.Header.Get("ETag"))
 	}
 }
