@@ -62,16 +62,20 @@ lint-help:
 # tile server run race-enabled at three GOMAXPROCS: the shared worker pool
 # is sized once, at the first pass's -cpu 1, so it stays empty and the
 # default-pool tests run every stage inline on the caller, while the tests
-# with private pools run 1 and 3 helpers on 1, 2 and 4 Ps. bench/ is its
-# own module (a `replace` points it at this
-# one), invisible to ./... here, so it is vetted, tested and linted by
-# name: an API it uses cannot be deleted unnoticed.
+# with private pools run 1 and 3 helpers on 1, 2 and 4 Ps. Phase 1's
+# staged schedulers (the pipelined and GPU variants, the per-socket
+# bands) and the engine pieces they share run race-enabled at the same
+# three GOMAXPROCS: their stage interleavings differ with the P count.
+# bench/ is its own module (a `replace` points it at this one), invisible
+# to ./... here, so it is vetted, tested and linted by name: an API it
+# uses cannot be deleted unnoticed.
 check: build
 	$(GO) vet ./...
 	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/ ./internal/gpu/
 	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
+	$(GO) test -race -cpu 1,2,4 -run 'GPU|Pipelined|Engine|Socket' ./internal/stitch/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...

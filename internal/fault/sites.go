@@ -50,7 +50,7 @@ const kernelSitePrefix = "gpu.kernel."
 
 // KernelSite returns the fault site for a named device kernel. The three
 // paper kernels have dedicated constants (SiteGPUKernelFFT/NCC/Reduce);
-// this covers auxiliary kernels (scale, checkfinite, p2p, …) without
+// this covers kernels a caller names itself (Stream.Launch) without
 // requiring a registry entry per kernel.
 func KernelSite(name string) string { return kernelSitePrefix + name }
 

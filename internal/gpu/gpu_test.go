@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hybridstitch/internal/fft"
-	"hybridstitch/internal/pciam"
 )
 
 func TestAllocFreeAccounting(t *testing.T) {
@@ -277,36 +276,6 @@ func TestKernelFFTMatchesHost(t *testing.T) {
 	}
 }
 
-func TestKernelNCCAndMaxAbs(t *testing.T) {
-	d := New(Config{})
-	defer d.Close()
-	s, _ := d.NewStream("s")
-	const n = 32
-	rng := rand.New(rand.NewSource(2))
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	for i := range fa {
-		fa[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
-		fb[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
-	}
-	want := make([]complex128, n)
-	pciam.NCCSpectrum(want, fa, fb)
-	wantIdx, wantMag := pciam.MaxAbs(want)
-
-	ba, _ := d.Alloc(n)
-	bb, _ := d.Alloc(n)
-	s.MemcpyH2D(ba, fa)
-	s.MemcpyH2D(bb, fb)
-	s.NCC(ba, ba, bb, n)
-	var red Reduction
-	if err := s.MaxAbs(ba, n, &red).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if red.Idx != wantIdx || red.Mag != wantMag {
-		t.Errorf("reduction = (%d, %g), want (%d, %g)", red.Idx, red.Mag, wantIdx, wantMag)
-	}
-}
-
 func TestTimelineRecordsAndUtilization(t *testing.T) {
 	d := New(Config{Profile: true, KernelSlots: 2})
 	defer d.Close()
@@ -405,32 +374,6 @@ func TestPresets(t *testing.T) {
 	// refcounting exist.
 	if n := f.MemWords / (1392 * 1040); n < 230 || n > 290 {
 		t.Errorf("Fermi capacity holds %d paper transforms, want ≈258", n)
-	}
-}
-
-func TestMemcpyP2P(t *testing.T) {
-	d1 := New(Config{})
-	d2 := New(Config{})
-	defer d1.Close()
-	defer d2.Close()
-	s1, _ := d1.NewStream("s")
-	a, _ := d1.Alloc(32)
-	b, _ := d2.Alloc(32)
-	src := make([]complex128, 32)
-	for i := range src {
-		src[i] = complex(float64(i), 0)
-	}
-	s1.MemcpyH2D(a, src)
-	if err := s1.MemcpyP2P(b, a, 32).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range src {
-		if b.Data[i] != src[i] {
-			t.Fatalf("P2P word %d: %v", i, b.Data[i])
-		}
-	}
-	if err := s1.MemcpyP2P(b, a, 64).Wait(); err == nil {
-		t.Error("oversized P2P should fail")
 	}
 }
 

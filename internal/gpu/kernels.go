@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"math"
 
 	"hybridstitch/internal/fft"
 	"hybridstitch/internal/obs"
@@ -82,88 +81,22 @@ func (s *Stream) RealFFT2D(plan *fft.RealPlan2D, buf *Buffer, after ...*Event) *
 	}, after...)
 }
 
-// RealIFFT2D executes the inverse c2r transform in place: the buffer's
-// first h×(w/2+1) words hold a half spectrum going in and the packed
-// real surface (⌈wh/2⌉ words, unnormalized ×wh like the complex path)
-// coming out.
-func (s *Stream) RealIFFT2D(plan *fft.RealPlan2D, buf *Buffer, after ...*Event) *Event {
-	return s.Launch("irfft2d", func() error {
-		sh, sw := plan.SpectrumDims()
-		n := plan.H() * plan.W()
-		if int64(sh*sw) > buf.Words() || int64(packedWords(n)) > buf.Words() {
-			return fmt.Errorf("gpu: irfft2d plan %dx%d exceeds buffer of %d words", plan.H(), plan.W(), buf.Words())
-		}
-		img := s.realsScratch(n)
-		if err := plan.Inverse(img, buf.Data[:sh*sw]); err != nil {
-			return err
-		}
-		packReals(buf.Data, img)
-		return nil
-	}, after...)
-}
-
-// NCC computes the element-wise normalized conjugate multiplication
-// dst = fa·conj(fb)/|fa·conj(fb)| on device buffers (the custom CUDA
-// kernel of the Simple-GPU implementation). dst may alias fa or fb.
-func (s *Stream) NCC(dst, fa, fb *Buffer, n int, after ...*Event) *Event {
-	return s.Launch("ncc", func() error {
-		if int64(n) > dst.Words() || int64(n) > fa.Words() || int64(n) > fb.Words() {
-			return fmt.Errorf("gpu: ncc over %d words exceeds a buffer", n)
-		}
-		pciam.NCCSpectrum(dst.Data[:n], fa.Data[:n], fb.Data[:n])
-		return nil
-	}, after...)
-}
-
-// Reduction receives the result of a MaxAbs kernel. Read it only after
-// the kernel's event has resolved.
+// Reduction receives the peak a fused displacement kernel found — the
+// only datum the pipeline copies back to the host per pair, which is how
+// the paper minimizes D2H traffic. Read it only after the kernel's event
+// has resolved.
 type Reduction struct {
 	Idx int
 	Mag float64
 }
 
-// MaxAbs reduces a device buffer to the index and magnitude of its
-// largest absolute value, writing the scalar result into out — the only
-// datum the pipeline copies back to the host per pair, which is how the
-// paper minimizes D2H traffic.
-func (s *Stream) MaxAbs(src *Buffer, n int, out *Reduction, after ...*Event) *Event {
-	return s.Launch("maxabs", func() error {
-		if int64(n) > src.Words() {
-			return fmt.Errorf("gpu: maxabs over %d words exceeds buffer of %d", n, src.Words())
-		}
-		idx, mag := pciam.MaxAbs(src.Data[:n])
-		out.Idx = idx
-		out.Mag = mag
-		return nil
-	}, after...)
-}
-
-// MaxAbsReal is the MaxAbs reduction over a packed real surface (the
-// RealIFFT2D output layout): n real values occupying packedWords(n)
-// device words. Idx is the index into the real surface. Tie-breaking
-// matches the complex kernel: first strictly-greater value wins.
-func (s *Stream) MaxAbsReal(src *Buffer, n int, out *Reduction, after ...*Event) *Event {
-	return s.Launch("maxabs", func() error {
-		if int64(packedWords(n)) > src.Words() {
-			return fmt.Errorf("gpu: maxabs over %d packed reals exceeds buffer of %d words", n, src.Words())
-		}
-		vals := s.realsScratch(n)
-		unpackReals(vals, src.Data)
-		idx, mag := pciam.MaxAbsReal(vals)
-		out.Idx = idx
-		out.Mag = mag
-		return nil
-	}, after...)
-}
-
 // FusedNCCInverseMax runs the whole displacement tail — normalized
-// conjugate multiply, inverse 2-D FFT, max-abs reduction — as ONE kernel
-// launch instead of three, writing the correlation surface into dst and
-// the peak into out. The NCC rows feed the inverse's row pass directly
-// (fft.ExecuteFill), so the NCC spectrum never materializes as a separate
-// full-size pass; the result is bit-identical to the NCC → IFFT2D →
-// MaxAbs sequence. Fault injection maps the fused launch to the
-// gpu.kernel.ncc site.
+// conjugate multiply, inverse 2-D FFT, max-abs reduction — as one kernel
+// launch, writing the correlation surface into dst and the peak into out.
+// The NCC rows feed the inverse's row pass directly (fft.ExecuteFill), so
+// the NCC spectrum never materializes as a separate full-size pass; the
+// result is bit-identical to the host's NCCSpectrum → inverse → MaxAbs
+// sequence. Fault injection maps the launch to the gpu.kernel.ncc site.
 func (s *Stream) FusedNCCInverseMax(plan *fft.Plan2D, dst, fa, fb *Buffer, out *Reduction, after ...*Event) *Event {
 	return s.Launch("ncc+ifft2d+maxabs", func() error {
 		n := plan.W() * plan.H()
@@ -178,9 +111,7 @@ func (s *Stream) FusedNCCInverseMax(plan *fft.Plan2D, dst, fa, fb *Buffer, out *
 		if err != nil {
 			return err
 		}
-		idx, mag := pciam.MaxAbs(dst.Data[:n])
-		out.Idx = idx
-		out.Mag = mag
+		out.Idx, out.Mag = pciam.MaxAbs(dst.Data[:n])
 		s.countFused()
 		return nil
 	}, after...)
@@ -189,9 +120,8 @@ func (s *Stream) FusedNCCInverseMax(plan *fft.Plan2D, dst, fa, fb *Buffer, out *
 // FusedNCCInverseMaxReal is the r2c counterpart of FusedNCCInverseMax:
 // half-spectrum NCC, inverse c2r transform, and real max reduction in one
 // launch. The correlation surface lives only in stream scratch — it is
-// never packed back into a device buffer, skipping the pack/unpack round
-// trip of the three-launch sequence (lossless, so displacements stay
-// bit-identical).
+// never packed back into a device buffer, so the kernel takes no
+// destination.
 func (s *Stream) FusedNCCInverseMaxReal(plan *fft.RealPlan2D, fa, fb *Buffer, out *Reduction, after ...*Event) *Event {
 	return s.Launch("ncc+irfft2d+maxabs", func() error {
 		sh, sw := plan.SpectrumDims()
@@ -206,9 +136,7 @@ func (s *Stream) FusedNCCInverseMaxReal(plan *fft.RealPlan2D, fa, fb *Buffer, ou
 		if err != nil {
 			return err
 		}
-		idx, mag := pciam.MaxAbsReal(img)
-		out.Idx = idx
-		out.Mag = mag
+		out.Idx, out.Mag = pciam.MaxAbsReal(img)
 		s.countFused()
 		return nil
 	}, after...)
@@ -220,34 +148,4 @@ func (s *Stream) countFused() {
 	if rec := s.dev.cfg.Obs; rec != nil {
 		rec.Counter(obs.CounterGPULaunchFused).Add(1)
 	}
-}
-
-// Scale multiplies a device buffer by a real constant (used by tests and
-// by normalized-inverse paths).
-func (s *Stream) Scale(buf *Buffer, n int, k float64, after ...*Event) *Event {
-	return s.Launch("scale", func() error {
-		if int64(n) > buf.Words() {
-			return fmt.Errorf("gpu: scale over %d words exceeds buffer of %d", n, buf.Words())
-		}
-		c := complex(k, 0)
-		for i := 0; i < n; i++ {
-			buf.Data[i] *= c
-		}
-		return nil
-	}, after...)
-}
-
-// CheckFinite validates that a buffer holds finite values; used by
-// failure-injection tests.
-func (s *Stream) CheckFinite(buf *Buffer, n int, after ...*Event) *Event {
-	return s.Launch("checkfinite", func() error {
-		for i := 0; i < n; i++ {
-			v := buf.Data[i]
-			if math.IsNaN(real(v)) || math.IsNaN(imag(v)) ||
-				math.IsInf(real(v), 0) || math.IsInf(imag(v), 0) {
-				return fmt.Errorf("gpu: non-finite value at word %d", i)
-			}
-		}
-		return nil
-	}, after...)
 }

@@ -1,7 +1,5 @@
 package gpu
 
-import "fmt"
-
 // FermiConfig models a Tesla C2070-generation card as the paper used it:
 // 6 GB of device memory, two DMA engines, and — decisive for the
 // pipeline's structure — a single effective kernel slot, because cuFFT
@@ -26,21 +24,4 @@ func KeplerConfig(name string) Config {
 		CopyEngines: 2,
 		KernelSlots: 16,
 	}
-}
-
-// MemcpyP2P copies between two device buffers, potentially on different
-// devices — the peer-to-peer transfer the paper's future work flags as
-// required to scale past two cards. The transfer occupies this stream's
-// device's copy engine and pays the H2D bandwidth model (PCIe peer
-// traffic crosses the same links).
-func (s *Stream) MemcpyP2P(dst, src *Buffer, words int, after ...*Event) *Event {
-	return s.enqueue(opH2D, "P2P", after, func() error {
-		if int64(words) > dst.Words() || int64(words) > src.Words() {
-			return fmt.Errorf("gpu: P2P copy of %d words exceeds a buffer (%d src, %d dst)",
-				words, src.Words(), dst.Words())
-		}
-		s.bandwidthDelay(words*16, s.dev.cfg.H2DBytesPerSec)
-		copy(dst.Data[:words], src.Data[:words])
-		return nil
-	})
 }

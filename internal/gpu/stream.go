@@ -215,9 +215,7 @@ func (s *Stream) injectFault(cmd *command) error {
 		case "fft2d", "ifft2d", "rfft2d", "irfft2d":
 			site = fault.SiteGPUKernelFFT
 		case "ncc", "ncc+ifft2d+maxabs", "ncc+irfft2d+maxabs":
-			// The fused disp kernels inject at the NCC site so existing
-			// fault plans (and the degraded-pair tests) keep firing when
-			// fusion replaces the three-launch sequence.
+			// The fused displacement kernels inject at the NCC site.
 			site = fault.SiteGPUKernelNCC
 		case "maxabs":
 			site = fault.SiteGPUKernelReduce

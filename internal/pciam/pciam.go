@@ -19,8 +19,7 @@
 // region pairs; this implementation uses the equivalent signed form,
 // which additionally resolves negative cross-axis jitter (a west
 // neighbor sitting slightly *below* its pair), the case the simplified
-// pseudocode cannot represent. Disable with Options.PositiveOnly for a
-// strictly paper-faithful kernel.
+// pseudocode cannot represent.
 package pciam
 
 import (
@@ -39,17 +38,6 @@ type Options struct {
 	// 1 matches the paper; larger values (MIST later shipped 2) make
 	// sparse-feature pairs more robust at the cost of extra CCFs.
 	NPeaks int
-	// PositiveOnly restricts ambiguity resolution to the four
-	// positive-quadrant hypotheses exactly as written in the paper's
-	// Fig 2 pseudocode.
-	PositiveOnly bool
-	// Window applies a 2-D Hann window to tiles before the forward
-	// transform. Windowing is the textbook cure for spectral leakage in
-	// phase correlation, but for STITCHING the shared content sits at
-	// the tile edges that a window suppresses — the ablation shows it
-	// trades peak sharpness against overlap signal. Off by default,
-	// matching the paper.
-	Window bool
 	// FFTExec selects the execution shape of the aligner's 2-D plans:
 	// the zero value lets the plan-time autotuner measure serial vs
 	// split per size and core budget; ExecSerial pins the
@@ -98,7 +86,6 @@ type Aligner struct {
 	fwd    *fft.Plan2D
 	inv    *fft.Plan2D
 	work   []complex128 // pw×ph NCC spectrum, then correlation surface
-	window []float64    // w×h taper; nil unless Options.Window
 	peaks  []Peak
 	cands  []peakCand // grows on first NPeaks>1 use
 
@@ -159,9 +146,6 @@ func newAligner(w, h, pw, ph int, opts Options) (*Aligner, error) {
 		o := r * al.pw
 		NCCSpectrum(dst, al.fa[o:o+al.pw], al.fb[o:o+al.pw])
 	}
-	if opts.Window {
-		al.window = hannWindow(w, h)
-	}
 	return al, nil
 }
 
@@ -174,25 +158,6 @@ func (al *Aligner) Close() {
 	}
 	al.closed = true
 	alignerPool(al.key).Put(al)
-}
-
-// hannWindow builds the separable 2-D Hann taper.
-func hannWindow(w, h int) []float64 {
-	wx := make([]float64, w)
-	for i := range wx {
-		wx[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(w-1)))
-	}
-	wy := make([]float64, h)
-	for i := range wy {
-		wy[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(h-1)))
-	}
-	out := make([]float64, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			out[y*w+x] = wx[x] * wy[y]
-		}
-	}
-	return out
 }
 
 // W returns the tile width the aligner was built for.
@@ -224,14 +189,6 @@ func (al *Aligner) Transform(t *tile.Gray16) ([]complex128, error) {
 			row := buf[y*al.pw : y*al.pw+al.w]
 			for x, v := range t.Pix[y*al.w : (y+1)*al.w] {
 				row[x] = complex(float64(v), 0)
-			}
-		}
-	}
-	if al.window != nil {
-		for y := 0; y < al.h; y++ {
-			row := buf[y*al.pw : y*al.pw+al.w]
-			for x, wv := range al.window[y*al.w : (y+1)*al.w] {
-				row[x] *= complex(wv, 0)
 			}
 		}
 	}
@@ -278,7 +235,7 @@ func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displa
 		return tile.Displacement{}, err
 	}
 	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.work, al.pw, al.ph, al.opts.NPeaks)
-	return resolvePeaks(a, b, al.peaks, al.pw, al.ph, al.opts.PositiveOnly), nil
+	return resolvePeaks(a, b, al.peaks, al.pw, al.ph), nil
 }
 
 // DisplaceTiles is the convenience form that computes both forward
@@ -427,11 +384,11 @@ func wrapDist(a, b, n int) int {
 // needs no FFT plans, only the tile pixels and the peak, which is why
 // the hybrid pipeline can run it on dedicated CPU threads (stage 6 of
 // the paper's Fig 8) with just the scalar max-reduction result copied
-// back from the GPU.
+// back from the GPU. No option changes the resolution.
 //
 //stitchlint:hotpath
-func Resolve(a, b *tile.Gray16, px, py int, opts Options) tile.Displacement {
-	return resolve(a, b, px, py, a.W, a.H, opts.PositiveOnly)
+func Resolve(a, b *tile.Gray16, px, py int, _ Options) tile.Displacement {
+	return resolve(a, b, px, py, a.W, a.H)
 }
 
 // resolve is Resolve for a peak on a pw×ph correlation surface: the
@@ -440,9 +397,9 @@ func Resolve(a, b *tile.Gray16, px, py int, opts Options) tile.Displacement {
 // own dimensions (a candidate that leaves no overlap scores -Inf).
 //
 //stitchlint:hotpath
-func resolve(a, b *tile.Gray16, px, py, pw, ph int, positiveOnly bool) tile.Displacement {
-	xs, nx := candidateOffsets(px, pw, positiveOnly)
-	ys, ny := candidateOffsets(py, ph, positiveOnly)
+func resolve(a, b *tile.Gray16, px, py, pw, ph int) tile.Displacement {
+	xs, nx := candidateOffsets(px, pw)
+	ys, ny := candidateOffsets(py, ph)
 	best := tile.Displacement{X: px, Y: py, Corr: math.Inf(-1)}
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
@@ -464,10 +421,10 @@ func resolve(a, b *tile.Gray16, px, py, pw, ph int, positiveOnly bool) tile.Disp
 // displacement.
 //
 //stitchlint:hotpath
-func resolvePeaks(a, b *tile.Gray16, peaks []Peak, pw, ph int, positiveOnly bool) tile.Displacement {
+func resolvePeaks(a, b *tile.Gray16, peaks []Peak, pw, ph int) tile.Displacement {
 	best := tile.Displacement{Corr: math.Inf(-1)}
 	for _, p := range peaks {
-		if d := resolve(a, b, p.X, p.Y, pw, ph, positiveOnly); d.Corr > best.Corr {
+		if d := resolve(a, b, p.X, p.Y, pw, ph); d.Corr > best.Corr {
 			best = d
 		}
 	}
@@ -475,17 +432,13 @@ func resolvePeaks(a, b *tile.Gray16, peaks []Peak, pw, ph int, positiveOnly bool
 }
 
 // candidateOffsets lists the congruent interpretations of a peak
-// coordinate into a fixed-size array (the per-pair hot path allocates
-// nothing). Signed mode: {p, p-n}. Positive-only (paper pseudocode):
-// {p, n-p}, both treated as rightward/downward shifts.
+// coordinate, {p, p-n}, into a fixed-size array (the per-pair hot path
+// allocates nothing).
 //
 //stitchlint:hotpath
-func candidateOffsets(p, n int, positiveOnly bool) ([2]int, int) {
+func candidateOffsets(p, n int) ([2]int, int) {
 	if p == 0 {
 		return [2]int{0, 0}, 1
-	}
-	if positiveOnly {
-		return [2]int{p, n - p}, 2
 	}
 	return [2]int{p, p - n}, 2
 }

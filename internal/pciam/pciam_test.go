@@ -101,29 +101,6 @@ func mustTransform(al *Aligner, g *tile.Gray16) []complex128 {
 	return f
 }
 
-func TestPositiveOnlyModeMissesNegativeJitter(t *testing.T) {
-	// Documents the limitation of the paper's literal pseudocode: a
-	// negative cross-axis jitter is misresolved in positive-only mode
-	// but recovered in signed mode.
-	signed := mustAligner(t, 64, 48, Options{})
-	posOnly := mustAligner(t, 64, 48, Options{PositiveOnly: true})
-	a, b := shiftedPair(64, 48, 40, -3, 7)
-	ds, err := signed.DisplaceTiles(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.X != 40 || ds.Y != -3 {
-		t.Fatalf("signed mode: got (%d,%d)", ds.X, ds.Y)
-	}
-	dp, err := posOnly.DisplaceTiles(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.Y == -3 {
-		t.Error("positive-only mode cannot represent negative Y; test setup is wrong")
-	}
-}
-
 func TestDisplaceOnSyntheticDataset(t *testing.T) {
 	// End-to-end against the generator's ground truth, including
 	// vignetting and sensor noise.

@@ -57,14 +57,12 @@ func resetPoolsForTest() {
 // equivalence tests pin this) — so runs that build a fresh estimate-mode
 // planner per run still share aligners.
 type alignerKey struct {
-	real         bool
-	w, h         int
-	pw, ph       int
-	nPeaks       int
-	positiveOnly bool
-	window       bool
-	fftExec      fft.ExecStrategy
-	fftPoolID    uint64
+	real      bool
+	w, h      int
+	pw, ph    int
+	nPeaks    int
+	fftExec   fft.ExecStrategy
+	fftPoolID uint64
 }
 
 var (
@@ -85,11 +83,9 @@ func makeAlignerKey(real bool, w, h, pw, ph int, opts Options) alignerKey {
 	}
 	return alignerKey{
 		real: real, w: w, h: h, pw: pw, ph: ph,
-		nPeaks:       opts.NPeaks,
-		positiveOnly: opts.PositiveOnly,
-		window:       opts.Window,
-		fftExec:      opts.FFTExec,
-		fftPoolID:    pool.ID(),
+		nPeaks:    opts.NPeaks,
+		fftExec:   opts.FFTExec,
+		fftPoolID: pool.ID(),
 	}
 }
 

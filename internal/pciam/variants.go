@@ -129,7 +129,7 @@ func (al *RealAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Di
 	if err != nil {
 		return tile.Displacement{}, err
 	}
-	return resolvePeaks(a, b, al.topPeaks(), al.w, al.h, al.opts.PositiveOnly), nil
+	return resolvePeaks(a, b, al.topPeaks(), al.w, al.h), nil
 }
 
 // DisplaceTiles is the convenience form computing both transforms.

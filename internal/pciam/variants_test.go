@@ -235,64 +235,3 @@ func TestSubpixelImprovesFractionalShift(t *testing.T) {
 		t.Errorf("subpixel x = %.3f, want ≈ %.1f", sx, shiftX)
 	}
 }
-
-func TestHannWindowAblation(t *testing.T) {
-	// The ablation's finding, asserted: Hann windowing — the textbook
-	// anti-leakage measure for registering mostly-overlapping images —
-	// is actively HARMFUL for stitching, because the shared content
-	// lives in the thin edge overlap the taper suppresses. The plain
-	// aligner recovers (nearly) all pairs; the windowed one loses most
-	// of them. This is why neither the paper nor MIST windows tiles.
-	p := imagegen.DefaultParams(2, 3, 128, 96)
-	ds, err := imagegen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := mustAligner(t, 128, 96, Options{})
-	windowed, err := NewAligner(128, 96, Options{Window: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer windowed.Close()
-	score := func(al *Aligner) int {
-		good := 0
-		for _, pr := range p.Grid.Pairs() {
-			a, b := ds.Tile(pr.Neighbor()), ds.Tile(pr.Coord)
-			d, err := al.DisplaceTiles(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ds.TrueDisplacement(pr)
-			if absI(d.X-want.X) <= 1 && absI(d.Y-want.Y) <= 1 {
-				good++
-			}
-		}
-		return good
-	}
-	plainGood := score(plain)
-	windowGood := score(windowed)
-	if plainGood < p.Grid.NumPairs()-1 {
-		t.Errorf("plain aligner recovered only %d/%d", plainGood, p.Grid.NumPairs())
-	}
-	if windowGood >= plainGood {
-		t.Errorf("windowing recovered %d vs plain %d: the edge-suppression penalty should show", windowGood, plainGood)
-	}
-}
-
-func TestHannWindowShape(t *testing.T) {
-	w := hannWindow(8, 4)
-	if w[0] != 0 || w[len(w)-1] > 1e-12 {
-		t.Error("window must vanish at corners")
-	}
-	// Peak near the center.
-	maxV, maxI := -1.0, 0
-	for i, v := range w {
-		if v > maxV {
-			maxV, maxI = v, i
-		}
-	}
-	cx, cy := maxI%8, maxI/8
-	if cx < 3 || cx > 4 || cy < 1 || cy > 2 {
-		t.Errorf("window peak at (%d,%d)", cx, cy)
-	}
-}

@@ -4,13 +4,17 @@ import (
 	"fmt"
 
 	"hybridstitch/internal/fft"
+	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/tile"
 )
 
-// FFTVariant selects the per-pair transform path. The CPU
-// implementations support all three; the GPU pipelines support the
-// baseline complex path and the real-to-complex path.
+// FFTVariant selects the per-pair transform path: a transform size and a
+// spectrum layout. This file is the only place that knows what a variant
+// means — it builds the host aligner and the device operator set for one
+// and sizes its transforms; everything else in the package handles opaque
+// spectra. The CPU implementations support all three; the GPU pipelines
+// support the baseline complex path and the real-to-complex path.
 type FFTVariant string
 
 const (
@@ -74,5 +78,104 @@ func acquireAligner(g tile.Grid, opts Options) (aligner, error) {
 		return pciam.NewRealAligner(g.TileW, g.TileH, po)
 	default:
 		return nil, fmt.Errorf("stitch: unknown FFT variant %q", opts.FFTVariant)
+	}
+}
+
+// deviceOps is the device-side counterpart of the pooled aligner: what
+// one GPU needs to run the paper's operators under the run's FFT variant.
+// It owns the transform buffer pool, one forward plan per FFT-issuing
+// stream ("lane" — plans carry scratch, so a plan serves one stream, the
+// cuFFT one-handle-per-stream rule), the displacement stream's inverse
+// plan and, for the complex layout, the buffer the correlation surface is
+// written to. The GPU schedulers call its three operations on streams of
+// their choosing and never see the layout.
+type deviceOps struct {
+	pool    *devicePool
+	scratch *gpu.Buffer // complex layout only: the fused kernel's surface
+
+	// upload copies a tile's pixels into a pool buffer.
+	upload func(st *gpu.Stream, buf *gpu.Buffer, pix []float64, after ...*gpu.Event) *gpu.Event
+	// forward transforms an uploaded buffer in place with lane's plan.
+	forward func(st *gpu.Stream, lane int, buf *gpu.Buffer, after ...*gpu.Event) *gpu.Event
+	// displace runs NCC, inverse transform and max reduction over two
+	// transformed buffers as one fused launch; red holds the peak once
+	// the event resolves. The operands are only read, so the launch
+	// replays cleanly after a transient kernel fault.
+	displace func(st *gpu.Stream, fa, fb *gpu.Buffer, red *gpu.Reduction, after ...*gpu.Event) *gpu.Event
+}
+
+// newDeviceOps builds the operator set for dev: lanes forward plans, one
+// inverse plan, and opts.PoolTransforms buffers of the variant's
+// transformWords each. Close it when the run is done.
+func newDeviceOps(dev *gpu.Device, g tile.Grid, opts Options, lanes int) (*deviceOps, error) {
+	h, w := g.TileH, g.TileW
+	words := opts.FFTVariant.transformWords(g)
+	d := &deviceOps{}
+	var alloc func() (*gpu.Buffer, error)
+	surface := false // whether displace writes its correlation surface to a device buffer
+	var err error
+	switch opts.FFTVariant {
+	case VariantComplex:
+		po := fft.Plan2DOpts{Exec: opts.FFTExec, Pool: opts.FFTPool}
+		plans := make([]*fft.Plan2D, lanes+1) // the last is the inverse
+		for i := range plans {
+			dir := fft.Forward
+			if i == lanes {
+				dir = fft.Inverse
+			}
+			if plans[i], err = opts.Planner.Plan2D(h, w, dir, po); err != nil {
+				return nil, err
+			}
+		}
+		alloc = func() (*gpu.Buffer, error) { return dev.Alloc(words) }
+		surface = true
+		d.upload = (*gpu.Stream).MemcpyH2DReal
+		d.forward = func(st *gpu.Stream, lane int, buf *gpu.Buffer, after ...*gpu.Event) *gpu.Event {
+			return st.FFT2D(plans[lane], buf, after...)
+		}
+		d.displace = func(st *gpu.Stream, fa, fb *gpu.Buffer, red *gpu.Reduction, after ...*gpu.Event) *gpu.Event {
+			return st.FusedNCCInverseMax(plans[lanes], d.scratch, fa, fb, red, after...)
+		}
+	case VariantReal:
+		// Pixels upload packed two per word into the half-sized buffer,
+		// the r2c transform runs in place, the NCC covers the half
+		// spectrum (Hermitian symmetry supplies the mirrored bins) and the
+		// c2r inverse hands the reduction a real surface held in stream
+		// scratch: the fused kernel writes no device buffer.
+		po := fft.Real2DOpts{Exec: opts.FFTExec, Pool: opts.FFTPool}
+		plans := make([]*fft.RealPlan2D, lanes+1) // the last runs the inverse
+		for i := range plans {
+			if plans[i], err = opts.Planner.RealPlan2DOpts(h, w, po); err != nil {
+				return nil, err
+			}
+		}
+		alloc = func() (*gpu.Buffer, error) { return dev.AllocSpectrum(h, w) }
+		d.upload = (*gpu.Stream).MemcpyH2DPackedReal
+		d.forward = func(st *gpu.Stream, lane int, buf *gpu.Buffer, after ...*gpu.Event) *gpu.Event {
+			return st.RealFFT2D(plans[lane], buf, after...)
+		}
+		d.displace = func(st *gpu.Stream, fa, fb *gpu.Buffer, red *gpu.Reduction, after ...*gpu.Event) *gpu.Event {
+			return st.FusedNCCInverseMaxReal(plans[lanes], fa, fb, red, after...)
+		}
+	default:
+		return nil, fmt.Errorf("stitch: no device operators for FFT variant %q", opts.FFTVariant)
+	}
+	if d.pool, err = newDevicePool(dev, g, opts.PoolTransforms, words, alloc, opts.Obs); err != nil {
+		return nil, err
+	}
+	if surface {
+		if d.scratch, err = alloc(); err != nil {
+			d.close()
+			return nil, err
+		}
+	}
+	return d, nil
+}
+
+// close frees the pool and the scratch buffer back to the device.
+func (d *deviceOps) close() {
+	d.pool.drain()
+	if d.scratch != nil {
+		_ = d.scratch.Free()
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"sync"
 
+	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/memgov"
+	"hybridstitch/internal/obs"
 	"hybridstitch/internal/tile"
 )
 
@@ -24,12 +26,14 @@ type refCounter struct {
 	counts []int
 }
 
-// newRefCounter initializes counts to the number of pairs each tile
-// participates in (corner 2, edge 3, interior 4).
-func newRefCounter(g tile.Grid) *refCounter {
+// newRefCounter initializes each tile's count to the number of the given
+// pairs it participates in: over the whole grid, corner 2, edge 3,
+// interior 4.
+func newRefCounter(g tile.Grid, pairs []tile.Pair) *refCounter {
 	rc := &refCounter{counts: make([]int, g.NumTiles())}
-	for i := range rc.counts {
-		rc.counts[i] = len(g.PairsOf(g.CoordOf(i)))
+	for _, p := range pairs {
+		rc.counts[g.Index(p.Coord)]++
+		rc.counts[g.Index(p.Neighbor())]++
 	}
 	return rc
 }
@@ -52,8 +56,8 @@ func (rc *refCounter) remaining(i int) int {
 	return rc.counts[i]
 }
 
-// cacheEntry is one resident tile: its pixels (needed by the CCF stage)
-// and, for the CPU implementations, its forward transform.
+// cacheEntry is one host-resident tile: its pixels (needed by the CCF
+// stage) and its forward transform.
 type cacheEntry struct {
 	img *tile.Gray16
 	f   []complex128
@@ -80,19 +84,18 @@ func newHostCache(g tile.Grid, gov *memgov.Governor, v FFTVariant) *hostCache {
 	return &hostCache{
 		g:       g,
 		variant: v,
-		rc:      newRefCounter(g),
+		rc:      newRefCounter(g, g.Pairs()),
 		gov:     gov,
 		data:    make(map[int]cacheEntry),
 		allocs:  make(map[int]*memgov.Allocation),
 	}
 }
 
-// put stores tile i. f may be nil when transforms live elsewhere (the
-// GPU pipelines keep them in device memory); the governor is charged only
-// for host-resident transforms.
+// put stores tile i with its transform, charging the governor for the
+// transform's bytes.
 func (c *hostCache) put(i int, img *tile.Gray16, f []complex128) error {
 	var alloc *memgov.Allocation
-	if c.gov != nil && f != nil {
+	if c.gov != nil {
 		a, err := c.gov.Alloc(transformBytes(c.g, c.variant))
 		if err != nil {
 			return err
@@ -111,9 +114,7 @@ func (c *hostCache) put(i int, img *tile.Gray16, f []complex128) error {
 	if alloc != nil {
 		c.allocs[i] = alloc
 	}
-	if f != nil {
-		c.computed++
-	}
+	c.computed++
 	c.live++
 	if c.live > c.peak {
 		c.peak = c.live
@@ -173,4 +174,176 @@ func (c *hostCache) touch() {
 	if c.gov != nil {
 		c.gov.Touch(transformBytes(c.g, c.variant))
 	}
+}
+
+// devicePool is the paper's per-GPU transform buffer pool: a fixed number
+// of transform-sized device buffers allocated once at initialization
+// ("the system allocates GPU memory only once to avoid any further
+// allocations which would force a global synchronization"). acquire
+// blocks until a buffer is recycled; the pool size therefore bounds the
+// number of tiles in flight. The paper requires the pool to exceed the
+// grid's smallest dimension so the chained-diagonal traversal can start
+// recycling before the pool drains; newDevicePool enforces that.
+type devicePool struct {
+	ch   chan *gpu.Buffer
+	bufs []*gpu.Buffer
+
+	// Metrics are nil-safe no-ops when no recorder is attached. The pool
+	// is the main blocking-wait site of the GPU variants, so acquires vs
+	// waits exposes how often the paper's fixed-pool constraint actually
+	// throttles the pipeline.
+	acquires *obs.Counter
+	waits    *obs.Counter
+	inUse    *obs.Gauge
+
+	mu   sync.Mutex
+	out  int // buffers currently acquired
+	peak int
+}
+
+// newDevicePool preallocates n buffers of words words each on dev through
+// alloc (the spectrum layout's allocator: it picks the fault site). When
+// rec is non-nil the pool reports gpu.pool.acquires, gpu.pool.waits, and
+// the gpu.pool.in_use gauge.
+func newDevicePool(dev *gpu.Device, g tile.Grid, n int, words int64, alloc func() (*gpu.Buffer, error), rec *obs.Recorder) (*devicePool, error) {
+	if minDim := min(g.Rows, g.Cols); n <= minDim {
+		return nil, fmt.Errorf("stitch: pool of %d transforms does not exceed smallest grid dimension %d (paper's minimum-pool constraint)", n, minDim)
+	}
+	if need := int64(n) * words; need > dev.MemWords() {
+		return nil, fmt.Errorf("stitch: pool of %d transforms needs %d words, device %s has %d",
+			n, need, dev.Name(), dev.MemWords())
+	}
+	p := &devicePool{
+		ch:       make(chan *gpu.Buffer, n),
+		acquires: rec.Counter(obs.CounterPoolAcquires),
+		waits:    rec.Counter(obs.CounterPoolWaits),
+		inUse:    rec.Gauge(obs.GaugePoolInUse),
+	}
+	for i := 0; i < n; i++ {
+		b, err := alloc()
+		if err != nil {
+			p.drain()
+			return nil, err
+		}
+		p.bufs = append(p.bufs, b)
+		p.ch <- b
+	}
+	return p, nil
+}
+
+// acquire takes a buffer, blocking until one is recycled or abort is
+// closed (pipeline teardown must not hang on a drained pool; a nil abort
+// waits for as long as it takes).
+func (p *devicePool) acquire(abort <-chan struct{}) (*gpu.Buffer, error) {
+	var b *gpu.Buffer
+	select {
+	case b = <-p.ch:
+	default:
+		p.waits.Add(1)
+		select {
+		case b = <-p.ch:
+		case <-abort:
+			return nil, fmt.Errorf("stitch: pool acquire aborted")
+		}
+	}
+	p.acquires.Add(1)
+	p.track(+1)
+	return b, nil
+}
+
+// release returns a buffer to the pool.
+func (p *devicePool) release(b *gpu.Buffer) {
+	p.track(-1)
+	p.ch <- b
+}
+
+// track moves the occupancy by delta and publishes it.
+func (p *devicePool) track(delta int) {
+	p.mu.Lock()
+	p.out += delta
+	p.peak = max(p.peak, p.out)
+	out := p.out
+	p.mu.Unlock()
+	p.inUse.Set(float64(out))
+}
+
+// peakInUse reports the maximum number of buffers simultaneously
+// acquired.
+func (p *devicePool) peakInUse() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.peak
+}
+
+// drain frees all pool memory back to the device.
+func (p *devicePool) drain() {
+	for _, b := range p.bufs {
+		_ = b.Free()
+	}
+	p.bufs = nil
+}
+
+// deviceTile is a tile resident on a device: its pixels (the CPU-side CCF
+// needs them), its pool buffer and the last device operation on that
+// buffer (nil once waited for).
+type deviceTile struct {
+	img *tile.Gray16
+	buf *gpu.Buffer
+	ev  *gpu.Event
+}
+
+// deviceResidency is the device-side counterpart of hostCache for one
+// partition of the grid: how many of the partition's pairs still need
+// each tile's transform, which pool buffer holds it, and the buffer's
+// return to the pool when the count reaches zero. A tile lost to a fault
+// is never held, so releasing it only counts. One goroutine drives it
+// (Simple-GPU's only thread, a Pipelined-GPU bookkeeping stage); the pool
+// it releases into does its own locking and tracks the peak occupancy.
+type deviceResidency struct {
+	g          tile.Grid
+	pool       *devicePool
+	rc         *refCounter
+	held       map[int]deviceTile
+	transforms int // tiles ever held
+}
+
+// newDeviceResidency counts references for the pairs the partition owns.
+func newDeviceResidency(g tile.Grid, pool *devicePool, owned []tile.Pair) *deviceResidency {
+	return &deviceResidency{g: g, pool: pool, rc: newRefCounter(g, owned), held: make(map[int]deviceTile)}
+}
+
+// hold makes tile c resident once its transform has been issued into a
+// buffer acquired from the pool.
+func (d *deviceResidency) hold(c tile.Coord, t deviceTile) {
+	d.held[d.g.Index(c)] = t
+	d.transforms++
+}
+
+// tile returns c's resident transform: the zero deviceTile for a tile that
+// is not (or no longer) held.
+func (d *deviceResidency) tile(c tile.Coord) deviceTile {
+	return d.held[d.g.Index(c)]
+}
+
+// release drops one pair's need of tile c and recycles its buffer when no
+// pair of the partition needs it any more.
+func (d *deviceResidency) release(c tile.Coord) error {
+	i := d.g.Index(c)
+	free, err := d.rc.release(i)
+	if err != nil || !free {
+		return err
+	}
+	if t, ok := d.held[i]; ok {
+		d.pool.release(t.buf)
+		delete(d.held, i)
+	}
+	return nil
+}
+
+// releasePair releases both tiles of a closed pair.
+func (d *deviceResidency) releasePair(p tile.Pair) error {
+	if err := d.release(p.Coord); err != nil {
+		return err
+	}
+	return d.release(p.Neighbor())
 }

@@ -52,16 +52,16 @@ type runBaselines struct {
 }
 
 // startRun opens the per-run root span on the "run" track. Nil-safe.
-// Non-baseline FFT variants are tagged with an "fft" attribute; the
-// baseline complex path keeps the historical attribute set so golden
-// trace trees recorded before the variant existed stay valid.
+// Named FFT variants are tagged with an "fft" attribute; the baseline has
+// no name and keeps the historical attribute set, so golden trace trees
+// recorded before variants existed stay valid.
 func startRun(opts Options, impl string, g tile.Grid) (*obs.Span, runBaselines) {
 	attrs := []obs.Attr{
 		obs.String("impl", impl),
 		obs.String("grid", fmt.Sprintf("%dx%d", g.Rows, g.Cols)),
 	}
-	if opts.FFTVariant != VariantComplex {
-		attrs = append(attrs, obs.String("fft", string(opts.FFTVariant)))
+	if name := string(opts.FFTVariant); name != "" {
+		attrs = append(attrs, obs.String("fft", name))
 	}
 	base := runBaselines{
 		transposeBlocks: fft.TransposeBlocks(),

@@ -96,37 +96,25 @@ func (r *run) pipelineCPU() error {
 
 	// Stage 3 (bookkeeping): merge freshly read tiles into the work
 	// queue, watch transform completions, and emit pair tasks when both
-	// sides are ready. It owns the dependency state.
+	// sides are ready.
 	p.Go("bookkeeping", 1, func(int) error {
-		terminal := make([]bool, g.NumTiles())
+		bk := r.arrivals(partition{rowHi: g.Rows})
 		settled := 0
 		reads, ffts := 0, 0
 		total := g.NumTiles()
 
 		// onTerminal consumes a tile's single terminal event — transform
-		// ready, or persistent failure in degrade mode — and settles every
-		// pair whose two tiles now both have an outcome: sound tiles
-		// emit pair work, a lost one degrades the pair. Each pair is
-		// settled exactly once, when the second of its tiles turns
-		// terminal.
+		// ready, or persistent failure in degrade mode: the engine settles
+		// the pairs a lost tile blocks, the ready ones become pair work.
 		onTerminal := func(ev cpuEvent) error {
 			ffts++
-			terminal[g.Index(ev.coord)] = true
-			if ev.failed != nil {
-				r.lose(ev.coord, ev.failed)
+			ready, lost, err := bk.arrive(ev.coord, ev.failed)
+			if err != nil {
+				return err
 			}
-			for _, pr := range g.PairsOf(ev.coord) {
-				if !terminal[g.Index(pr.Coord)] || !terminal[g.Index(pr.Neighbor())] {
-					continue
-				}
-				settled++
-				var err error
-				if cause := r.blocked(pr); cause != nil {
-					err = r.settle(pr, tile.Displacement{}, cause)
-				} else {
-					err = qWork.Push(cpuWork{isPair: true, pair: pr})
-				}
-				if err != nil {
+			settled += len(ready) + len(lost)
+			for _, pr := range ready {
+				if err := qWork.Push(cpuWork{isPair: true, pair: pr}); err != nil {
 					return err
 				}
 			}

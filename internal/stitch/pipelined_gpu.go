@@ -3,9 +3,7 @@ package stitch
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"hybridstitch/internal/fft"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/obs"
 	"hybridstitch/internal/pciam"
@@ -38,10 +36,8 @@ func (PipelinedGPU) Name() string { return "pipelined-gpu" }
 // acquiring a device buffer — so bookkeeping still receives exactly one
 // terminal message per tile.
 type gpuTile struct {
-	coord  tile.Coord
-	img    *tile.Gray16
-	buf    *gpu.Buffer
-	ev     *gpu.Event // last device op on buf
+	coord tile.Coord
+	deviceTile
 	failed error
 }
 
@@ -56,7 +52,7 @@ type gpuBKMsg struct {
 // gpuPair is a ready pair for the displacement stage.
 type gpuPair struct {
 	pair tile.Pair
-	a, b gpuTile
+	a, b deviceTile
 }
 
 // ccfTask is the CPU-side tail of one pair: resolve the reduction peak
@@ -84,26 +80,22 @@ func makePartitions(rows, nDev int) []partition {
 	for d := 0; d < nDev; d++ {
 		lo := rows * d / nDev
 		hi := rows * (d + 1) / nDev
-		needLo := lo - 1
-		if needLo < 0 {
-			needLo = 0
-		}
-		parts = append(parts, partition{rowLo: lo, rowHi: hi, needLo: needLo})
+		parts = append(parts, partition{rowLo: lo, rowHi: hi, needLo: max(lo-1, 0)})
 	}
 	return parts
 }
 
-// pairs lists the pairs owned by the partition.
+// owns reports whether pair p is the partition's to compute.
+func (pt partition) owns(p tile.Pair) bool {
+	return p.Coord.Row >= pt.rowLo && p.Coord.Row < pt.rowHi
+}
+
+// pairs lists the pairs owned by the partition, in grid order.
 func (pt partition) pairs(g tile.Grid) []tile.Pair {
 	var ps []tile.Pair
-	for r := pt.rowLo; r < pt.rowHi; r++ {
-		for c := 0; c < g.Cols; c++ {
-			if c > 0 {
-				ps = append(ps, tile.Pair{Coord: tile.Coord{Row: r, Col: c}, Dir: tile.West})
-			}
-			if r > 0 {
-				ps = append(ps, tile.Pair{Coord: tile.Coord{Row: r, Col: c}, Dir: tile.North})
-			}
+	for _, p := range g.Pairs() {
+		if pt.owns(p) {
+			ps = append(ps, p)
 		}
 	}
 	return ps
@@ -132,12 +124,12 @@ func (pg PipelinedGPU) Run(src Source, opts Options) (*Result, error) {
 }
 
 // pipelineGPU builds and runs one six-stage pipeline per device. Reads,
-// casualties, results and settlement are the engine's; the stages add
-// the streams, the buffer pools and the device refcounts. It returns the
-// summed peak pool occupancy and the transform count.
+// casualties, results, settlement and the dependency bookkeeping are the
+// engine's, the operators and the device residency are the shared device
+// side; the stages add the streams, the queues and the threads. It
+// returns the summed peak pool occupancy and the transform count.
 func (r *run) pipelineGPU() (peak, transforms int, err error) {
 	g, opts, fp := r.g, r.opts, r.fp
-	realFFT := opts.FFTVariant == VariantReal
 	var stageSpans []*obs.Span
 	stageSpan := func(name string) *obs.Span {
 		sp := r.root.ChildOn(obs.TrackStagePrefix+name, name)
@@ -153,20 +145,15 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 	var wgDisp sync.WaitGroup
 	wgDisp.Add(len(parts))
 
-	pools := make([]*devicePool, len(parts))
-	scratches := make([]*gpu.Buffer, 0, len(parts))
-	streams := make([]*gpu.Stream, 0, 3*len(parts))
+	devOps := make([]*deviceOps, 0, len(parts))
+	residents := make([]*deviceResidency, 0, len(parts))
+	streams := make([]*gpu.Stream, 0, (2+opts.FFTStreams)*len(parts))
 	cleanup := func() {
 		for _, s := range streams {
 			s.Close()
 		}
-		for _, b := range scratches {
-			_ = b.Free()
-		}
-		for _, pool := range pools {
-			if pool != nil {
-				pool.drain()
-			}
+		for _, ops := range devOps {
+			ops.close()
 		}
 	}
 	// constructionFail handles errors raised while stages of earlier
@@ -182,90 +169,38 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 		cleanup()
 		return err
 	}
-	var transformsTotal atomic.Int64
 	statQueues := []statQueue{qCCF}
 
 	for d := range parts {
 		pt := parts[d]
 		dev := opts.Devices[d]
-		pool, err := newDevicePool(dev, g, opts.PoolTransforms, opts.FFTVariant, opts.Obs)
-		if err != nil {
-			return 0, 0, constructionFail(err)
-		}
-		pools[d] = pool
-		// Displacement-stage NCC buffer (half spectrum in the real path).
-		var scratch *gpu.Buffer
-		if realFFT {
-			scratch, err = dev.AllocSpectrum(g.TileH, g.TileW)
-		} else {
-			scratch, err = dev.Alloc(opts.FFTVariant.transformWords(g))
-		}
-		if err != nil {
-			return 0, 0, constructionFail(err)
-		}
-		scratches = append(scratches, scratch)
-
-		copyStream, err := dev.NewStream("copy")
-		if err != nil {
-			return 0, 0, constructionFail(err)
-		}
 		// One FFT-issuing thread per stream; the paper uses exactly one
 		// (Fermi cuFFT serialization), Hyper-Q configurations use more.
-		fftStreams := make([]*gpu.Stream, opts.FFTStreams)
-		fwdPlans := make([]*fft.Plan2D, opts.FFTStreams)
-		// Real plans carry internal scratch, so each stream that issues
-		// them needs its own instance (the cuFFT one-plan-per-stream rule):
-		// one per forward FFT stream plus one for the disp stream's
-		// inverse.
-		fwdRealPlans := make([]*fft.RealPlan2D, opts.FFTStreams)
-		for w := range fftStreams {
-			st, err := dev.NewStream(fmt.Sprintf("fft%d", w))
-			if err != nil {
-				return 0, 0, constructionFail(err)
-			}
-			streams = append(streams, st)
-			fftStreams[w] = st
-			if realFFT {
-				plan, err := opts.Planner.RealPlan2DOpts(g.TileH, g.TileW, opts.fftReal2DOpts())
-				if err != nil {
-					return 0, 0, constructionFail(err)
-				}
-				fwdRealPlans[w] = plan
-				continue
-			}
-			plan, err := opts.Planner.Plan2D(g.TileH, g.TileW, fft.Forward, opts.fftPlan2DOpts())
-			if err != nil {
-				return 0, 0, constructionFail(err)
-			}
-			fwdPlans[w] = plan
-		}
-		dispStream, err := dev.NewStream("disp")
+		ops, err := newDeviceOps(dev, g, opts, opts.FFTStreams)
 		if err != nil {
 			return 0, 0, constructionFail(err)
 		}
-		streams = append(streams, copyStream, dispStream)
-
-		var invPlan *fft.Plan2D
-		var invRealPlan *fft.RealPlan2D
-		if realFFT {
-			invRealPlan, err = opts.Planner.RealPlan2DOpts(g.TileH, g.TileW, opts.fftReal2DOpts())
-		} else {
-			invPlan, err = opts.Planner.Plan2D(g.TileH, g.TileW, fft.Inverse, opts.fftPlan2DOpts())
+		devOps = append(devOps, ops)
+		// Stages 2 and 5 own one stream each, stage 3 one per FFT thread.
+		names := []string{"copy", "disp"}
+		for w := 0; w < opts.FFTStreams; w++ {
+			names = append(names, fmt.Sprintf("fft%d", w))
 		}
-		if err != nil {
-			return 0, 0, constructionFail(err)
+		own := make([]*gpu.Stream, len(names))
+		for i, name := range names {
+			if own[i], err = dev.NewStream(name); err != nil {
+				return 0, 0, constructionFail(err)
+			}
+			streams = append(streams, own[i])
 		}
+		copyStream, dispStream, fftStreams := own[0], own[1], own[2:]
 
 		need := pt.needOrder(g, opts.Traversal)
 		partPairs := pt.pairs(g)
-
-		// Per-partition device refcounts: how many of THIS partition's
-		// pairs use each tile's transform.
-		devCounts := map[int]int{}
-		for _, pr := range partPairs {
-			devCounts[g.Index(pr.Coord)]++
-			devCounts[g.Index(pr.Neighbor())]++
-		}
+		// Device references count how many of THIS partition's pairs use
+		// each tile's transform.
+		resident := newDeviceResidency(g, ops.pool, partPairs)
+		residents = append(residents, resident)
 
 		name := func(s string) string { return fmt.Sprintf("%s[gpu%d]", s, d) }
 		qCoords := pipeline.AddQueue[tile.Coord](p, name("coords"), len(need))
@@ -293,7 +228,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				if err != nil && !fp.degrade {
 					return err
 				}
-				return emit(gpuTile{coord: c, img: img, failed: err})
+				return emit(gpuTile{coord: c, deviceTile: deviceTile{img: img}, failed: err})
 			})
 
 		// Stage 2: copier — one thread, async H2D on its own stream. The
@@ -314,7 +249,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				if t.failed != nil {
 					return emit(t)
 				}
-				buf, err := pool.acquireOr(p.Aborted())
+				buf, err := ops.pool.acquire(p.Aborted())
 				if err != nil {
 					return err
 				}
@@ -328,11 +263,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				if err := t.img.ToFloat(pix); err != nil {
 					return err
 				}
-				if realFFT {
-					t.ev = copyStream.MemcpyH2DPackedReal(t.buf, pix)
-				} else {
-					t.ev = copyStream.MemcpyH2DReal(t.buf, pix)
-				}
+				t.ev = ops.upload(copyStream, t.buf, pix)
 				copierPending[slot] = t.ev
 				return emit(t)
 			})
@@ -344,24 +275,14 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 		// release messages, so nobody closes it — bookkeeping
 		// terminates on message counts instead.
 		p.Go(name("fft"), opts.FFTStreams, func(w int) error {
-			st, plan := fftStreams[w], fwdPlans[w]
 			for {
 				t, ok := qCopied.Pop()
 				if !ok {
 					return nil
 				}
-				if t.failed != nil {
-					if err := qBK.Push(gpuBKMsg{t: t}); err != nil {
-						return err
-					}
-					continue
+				if t.failed == nil {
+					t.ev = ops.forward(fftStreams[w], w, t.buf, t.ev)
 				}
-				if realFFT {
-					t.ev = st.RealFFT2D(fwdRealPlans[w], t.buf, t.ev)
-				} else {
-					t.ev = st.FFT2D(plan, t.buf, t.ev)
-				}
-				transformsTotal.Add(1)
 				if err := qBK.Push(gpuBKMsg{t: t}); err != nil {
 					return err
 				}
@@ -371,22 +292,8 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 		// Stage 4: bookkeeping — dependency resolution and memory
 		// recycling.
 		p.Go(name("bk"), 1, func(int) error {
-			readyT := map[int]gpuTile{}
-			fftSeen := make(map[int]bool, len(need)) // terminal: transformed or failed
-			pairReady := map[tile.Pair]bool{}
+			bk := r.arrivals(pt)
 			emitted, releases := 0, 0
-			// decRef is the shared refcount decrement: failed tiles have
-			// no entry in readyT (they never acquired a buffer), so the
-			// pool release is guarded.
-			decRef := func(i int) {
-				devCounts[i]--
-				if devCounts[i] == 0 {
-					if t, ok := readyT[i]; ok {
-						pool.release(t.buf)
-						delete(readyT, i)
-					}
-				}
-			}
 			for emitted < len(partPairs) || releases < 2*len(partPairs) {
 				msg, ok := qBK.Pop()
 				if !ok {
@@ -395,42 +302,33 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				}
 				if msg.isRelease {
 					releases++
-					decRef(g.Index(msg.release))
-					continue
-				}
-				i := g.Index(msg.t.coord)
-				fftSeen[i] = true
-				if msg.t.failed != nil {
-					r.lose(msg.t.coord, msg.t.failed)
-				} else {
-					readyT[i] = msg.t
-				}
-				for _, pr := range g.PairsOf(msg.t.coord) {
-					if pr.Coord.Row < pt.rowLo || pr.Coord.Row >= pt.rowHi {
-						continue // another partition owns it
-					}
-					bi, ai := g.Index(pr.Coord), g.Index(pr.Neighbor())
-					if !fftSeen[bi] || !fftSeen[ai] || pairReady[pr] {
-						continue
-					}
-					pairReady[pr] = true
-					if cause := r.blocked(pr); cause != nil {
-						// Degraded pairs never reach the displacement
-						// stage, so no release messages will arrive for
-						// them; account both sides here.
-						if err := r.settle(pr, tile.Displacement{}, cause); err != nil {
-							return err
-						}
-						decRef(bi)
-						decRef(ai)
-						releases += 2
-						emitted++
-						continue
-					}
-					if err := qPairs.Push(gpuPair{pair: pr, a: readyT[ai], b: readyT[bi]}); err != nil {
+					if err := resident.release(msg.release); err != nil {
 						return err
 					}
-					emitted++
+					continue
+				}
+				if msg.t.failed == nil {
+					resident.hold(msg.t.coord, msg.t.deviceTile)
+				}
+				ready, lost, err := bk.arrive(msg.t.coord, msg.t.failed)
+				if err != nil {
+					return err
+				}
+				emitted += len(ready) + len(lost)
+				// Casualties never reach the displacement stage, so no
+				// release messages will arrive for them; account both
+				// sides here.
+				releases += 2 * len(lost)
+				for _, pr := range lost {
+					if err := resident.releasePair(pr); err != nil {
+						return err
+					}
+				}
+				for _, pr := range ready {
+					gp := gpuPair{pair: pr, a: resident.tile(pr.Neighbor()), b: resident.tile(pr.Coord)}
+					if err := qPairs.Push(gp); err != nil {
+						return err
+					}
 				}
 			}
 			qPairs.Close()
@@ -446,22 +344,14 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				if !ok {
 					return nil
 				}
-				// The scratch buffer is rewritten from the top of the
-				// sequence, so a transient kernel fault is absorbed by
-				// replaying NCC → inverse FFT → reduction. A persistent
-				// fault — including an upstream copy/FFT error carried by
-				// the pair's sticky events — degrades the pair.
+				// One fused launch per pair; a transient kernel fault is
+				// absorbed by replaying it. A persistent fault —
+				// including an upstream copy/FFT error carried by the
+				// pair's sticky events — degrades the pair.
 				var red gpu.Reduction
 				dsp := spDisp.Child(obs.SpanDisp, pairAttr(gp.pair))
 				err := fp.retry.Do(func() error {
-					// In the real path the NCC covers the half spectrum
-					// only (Hermitian symmetry supplies the mirror bins)
-					// and the c2r inverse hands the reduction a packed
-					// real surface. One fused launch per pair.
-					if realFFT {
-						return dispStream.FusedNCCInverseMaxReal(invRealPlan, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
-					}
-					return dispStream.FusedNCCInverseMax(invPlan, scratch, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
+					return ops.displace(dispStream, gp.a.buf, gp.b.buf, &red, gp.a.ev, gp.b.ev).Wait()
 				})
 				dsp.End()
 				if err != nil {
@@ -472,11 +362,10 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				// Release device transforms through bookkeeping (paper:
 				// stage 5 posts to the stage-3→4 queue) whether or not
 				// the pair produced a displacement.
-				if err := qBK.Push(gpuBKMsg{isRelease: true, release: gp.pair.Coord}); err != nil {
-					return err
-				}
-				if err := qBK.Push(gpuBKMsg{isRelease: true, release: gp.pair.Neighbor()}); err != nil {
-					return err
+				for _, c := range [2]tile.Coord{gp.pair.Coord, gp.pair.Neighbor()} {
+					if err := qBK.Push(gpuBKMsg{isRelease: true, release: c}); err != nil {
+						return err
+					}
 				}
 				if err != nil {
 					continue
@@ -486,7 +375,6 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				}
 			}
 		}, nil)
-
 	}
 
 	// Close the shared CCF queue when every displacement stage is done.
@@ -518,10 +406,11 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 	for _, sp := range stageSpans {
 		sp.End()
 	}
-	for _, pool := range pools {
-		peak += pool.peakInUse()
+	for d, ops := range devOps {
+		peak += ops.pool.peakInUse()
+		transforms += residents[d].transforms
 	}
 	cleanup()
 	r.queues(statQueues...)
-	return peak, int(transformsTotal.Load()), err
+	return peak, transforms, err
 }

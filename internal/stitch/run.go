@@ -139,16 +139,22 @@ func (r *run) transform(al aligner, c tile.Coord, img *tile.Gray16, parent *obs.
 	return r.cache.put(r.g.Index(c), img, f)
 }
 
-// tile makes c resident — read → transform → cache — exactly once per
-// run, whichever worker asks first, and reports the tile's sticky
-// failure to every caller.
-func (r *run) tile(al aligner, c tile.Coord, parent *obs.Span) error {
+// load is the host side's way of making tile c resident: read →
+// transform → cache.
+func (r *run) load(al aligner, c tile.Coord, parent *obs.Span) error {
+	img, err := r.read(c, parent)
+	if err == nil {
+		err = r.transform(al, c, img, parent)
+	}
+	return err
+}
+
+// tile makes c resident through load exactly once per run, whichever
+// worker asks first, and reports the tile's sticky failure to every
+// caller.
+func (r *run) tile(c tile.Coord, parent *obs.Span, load func(tile.Coord, *obs.Span) error) error {
 	r.once[r.g.Index(c)].Do(func() {
-		img, err := r.read(c, parent)
-		if err == nil {
-			err = r.transform(al, c, img, parent)
-		}
-		if err != nil {
+		if err := load(c, parent); err != nil {
 			r.lose(c, err)
 		}
 	})
@@ -211,20 +217,74 @@ func (r *run) displace(al aligner, p tile.Pair, parent *obs.Span) error {
 	return r.settle(p, d, err)
 }
 
-// pair is the whole per-pair sequence under one "pair" span: both tiles
-// resident, then displace; a lost tile settles the pair as its casualty.
-func (r *run) pair(al aligner, p tile.Pair) error {
+// pairWith is the whole per-pair sequence under one "pair" span: both
+// tiles made resident by load, then displace, which settles the pair; a
+// lost tile settles the pair as its casualty. Every path settles the
+// pair exactly once.
+func (r *run) pairWith(p tile.Pair, load func(tile.Coord, *obs.Span) error, displace func(*obs.Span) error) error {
 	psp := r.root.Child(obs.SpanPair, pairAttr(p))
 	defer psp.End()
 	for _, c := range [2]tile.Coord{p.Coord, p.Neighbor()} {
-		if err := r.tile(al, c, psp); err != nil {
+		if err := r.tile(c, psp, load); err != nil {
 			if r.fp.degrade {
 				err = pairCause(p, c, err)
 			}
 			return r.settle(p, tile.Displacement{}, err)
 		}
 	}
-	return r.displace(al, p, psp)
+	return displace(psp)
+}
+
+// pair is pairWith on the host: tiles loaded into the host cache and
+// displaced by the worker's aligner.
+func (r *run) pair(al aligner, p tile.Pair) error {
+	return r.pairWith(p,
+		func(c tile.Coord, psp *obs.Span) error { return r.load(al, c, psp) },
+		func(psp *obs.Span) error { return r.displace(al, p, psp) })
+}
+
+// arrivals is the dependency state of one partition's bookkeeping stage:
+// which of the tiles it was promised have reached their terminal event.
+// The stage's one goroutine owns it.
+type arrivals struct {
+	r        *run
+	pt       partition
+	terminal []bool
+}
+
+// arrivals starts the bookkeeping of the pairs partition pt owns.
+func (r *run) arrivals(pt partition) *arrivals {
+	return &arrivals{r: r, pt: pt, terminal: make([]bool, r.g.NumTiles())}
+}
+
+// arrive consumes tile c's terminal event in this partition — its
+// transform is ready, or (failed non-nil, degrade mode) it is lost, which
+// is recorded. Every owned pair whose second tile this was is decided
+// here, exactly once: with both tiles sound it is returned in ready for
+// the scheduler to displace; with either lost it is settled as that
+// tile's casualty and returned in lost, so a scheduler holding other
+// references for the pair can drop them.
+func (a *arrivals) arrive(c tile.Coord, failed error) (ready, lost []tile.Pair, err error) {
+	r, g := a.r, a.r.g
+	a.terminal[g.Index(c)] = true
+	if failed != nil {
+		r.lose(c, failed)
+	}
+	for _, p := range g.PairsOf(c) {
+		if !a.pt.owns(p) || !a.terminal[g.Index(p.Coord)] || !a.terminal[g.Index(p.Neighbor())] {
+			continue
+		}
+		cause := r.blocked(p)
+		if cause == nil {
+			ready = append(ready, p)
+			continue
+		}
+		if err := r.settle(p, tile.Displacement{}, cause); err != nil {
+			return nil, nil, err
+		}
+		lost = append(lost, p)
+	}
+	return ready, lost, nil
 }
 
 // statQueue is the part of a pipeline queue the result reports.

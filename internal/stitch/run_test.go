@@ -2,11 +2,14 @@ package stitch
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"hybridstitch/internal/analysis/leaktest"
+	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/tile"
 )
@@ -31,7 +34,12 @@ func (c *countingSource) ReadTile(at tile.Coord) (*tile.Gray16, error) {
 // tile must be read and transformed at most once, the two failures must
 // stick, every pair must be settled exactly once, and the host
 // refcounts must end at zero with nothing resident.
+//
+// The two pieces the pipelined and GPU schedulers share on top of that
+// are pinned by the subtests: the bookkeeping step (arrivals) and the
+// device residency.
 func TestRunEngineInvariants(t *testing.T) {
+
 	p := imagegen.DefaultParams(4, 4, 64, 48)
 	ds, err := imagegen.Generate(p)
 	if err != nil {
@@ -113,6 +121,209 @@ func TestRunEngineInvariants(t *testing.T) {
 		}
 		if live, _, _ := r.cache.stats(); live != 0 {
 			t.Errorf("degrade=%v: %d tiles still resident", degrade, live)
+		}
+	}
+
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		t.Run(fmt.Sprintf("bookkeeping/seed%d", seed), func(t *testing.T) { bookkeepingInvariants(t, rng) })
+		t.Run(fmt.Sprintf("residency/seed%d", seed), func(t *testing.T) { residencyInvariants(t, rng) })
+	}
+}
+
+// gridSource is a Source nobody reads from.
+type gridSource struct{ g tile.Grid }
+
+func (s gridSource) Grid() tile.Grid { return s.g }
+
+func (gridSource) ReadTile(c tile.Coord) (*tile.Gray16, error) {
+	return nil, fmt.Errorf("tile %v read in a bookkeeping-only test", c)
+}
+
+// randomGrid draws a 2..6 × 2..6 grid and loses each tile with
+// probability 1/6.
+func randomGrid(rng *rand.Rand) (g tile.Grid, failed map[tile.Coord]error) {
+	g = tile.Grid{Rows: 2 + rng.Intn(5), Cols: 2 + rng.Intn(5), TileW: 8, TileH: 8}
+	failed = map[tile.Coord]error{}
+	for i := 0; i < g.NumTiles(); i++ {
+		if rng.Intn(6) == 0 {
+			failed[g.CoordOf(i)] = fmt.Errorf("tile %d lost", i)
+		}
+	}
+	return g, failed
+}
+
+// bookkeepingInvariants feeds the engine's bookkeeping step the terminal
+// events of one to three row partitions, each in its own random order on
+// its own goroutine, with random tile failures. Every pair must come out
+// of exactly one arrive call — its owner's, at the arrival of its second
+// tile — as ready when both tiles are sound and as a settled casualty
+// otherwise.
+func bookkeepingInvariants(t *testing.T, rng *rand.Rand) {
+	g, failed := randomGrid(rng)
+	r, err := newRun(gridSource{g}, Options{Degrade: true}, "bookkeeping-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu      sync.Mutex
+		decided = map[tile.Pair]bool{} // pair → came out ready
+		wg      sync.WaitGroup
+	)
+	for _, pt := range makePartitions(g.Rows, 1+rng.Intn(3)) {
+		order := pt.needOrder(g, TraverseRow)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		wg.Add(1)
+		go func(pt partition) {
+			defer wg.Done()
+			bk := r.arrivals(pt)
+			arrived := map[tile.Coord]bool{}
+			for _, c := range order {
+				ready, lost, err := bk.arrive(c, failed[c])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				arrived[c] = true
+				for i, p := range append(ready, lost...) {
+					isReady := i < len(ready)
+					other := p.Coord
+					if other == c {
+						other = p.Neighbor()
+					}
+					sound := failed[p.Coord] == nil && failed[p.Neighbor()] == nil
+					mu.Lock()
+					_, dup := decided[p]
+					decided[p] = isReady
+					mu.Unlock()
+					switch {
+					case dup:
+						t.Errorf("pair %v decided twice", p)
+					case !pt.owns(p):
+						t.Errorf("partition [%d,%d) decided pair %v it does not own", pt.rowLo, pt.rowHi, p)
+					case p.Coord != c && p.Neighbor() != c, !arrived[other]:
+						t.Errorf("pair %v decided at the arrival of %v, not of its second tile", p, c)
+					case isReady != sound:
+						t.Errorf("pair %v ready=%v with tiles sound=%v", p, isReady, sound)
+					}
+					if isReady {
+						if err := r.settle(p, tile.Displacement{Corr: 1}, nil); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+			}
+		}(pt)
+	}
+	wg.Wait()
+	res, err := r.end(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	casualties := map[tile.Pair]bool{}
+	for _, dp := range res.DegradedPairs {
+		casualties[dp.Pair] = true
+	}
+	for _, p := range g.Pairs() {
+		ready, ok := decided[p]
+		_, displaced := res.PairDisplacement(p)
+		if !ok || displaced != ready || casualties[p] == ready {
+			t.Errorf("pair %v: decided=%v ready=%v displaced=%v casualty=%v", p, ok, ready, displaced, casualties[p])
+		}
+	}
+	if len(res.DegradedTiles) != len(failed) {
+		t.Errorf("%d tiles reported lost, want %d", len(res.DegradedTiles), len(failed))
+	}
+	for i := 0; i < g.NumTiles(); i++ {
+		if n := r.cache.rc.remaining(i); n != 0 {
+			t.Errorf("tile %v ends with %d host references", g.CoordOf(i), n)
+		}
+	}
+}
+
+// residencyInvariants walks a random pair order the way Simple-GPU does —
+// first use acquires and holds, every pair releases both tiles — on the
+// smallest pool the paper's constraint allows, min(rows, cols)+1, with
+// random tile failures before or after the acquire. The order is a
+// traversal along the grid's short axis, the orders that fit that pool;
+// an acquire that would block fails the test instead of hanging it.
+func residencyInvariants(t *testing.T, rng *rand.Rand) {
+	g, failed := randomGrid(rng)
+	n := min(g.Rows, g.Cols) + 1
+	dev := gpu.New(gpu.Config{})
+	defer dev.Close()
+	pool, err := newDevicePool(dev, g, n, 64, func() (*gpu.Buffer, error) { return dev.Alloc(64) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.drain()
+	resident := newDeviceResidency(g, pool, g.Pairs())
+
+	fits := Traversals()
+	switch {
+	case g.Rows < g.Cols:
+		fits = []Traversal{TraverseColumn, TraverseChainedColumn}
+	case g.Rows > g.Cols:
+		fits = []Traversal{TraverseRow, TraverseChainedRow}
+	}
+	aborted := make(chan struct{})
+	close(aborted)
+	outstanding := map[*gpu.Buffer]bool{}
+	acquire := func() *gpu.Buffer {
+		buf, err := pool.acquire(aborted)
+		if err != nil {
+			t.Fatalf("%dx%d: pool of %d drained: %v", g.Rows, g.Cols, n, err)
+		}
+		if outstanding[buf] {
+			t.Fatalf("buffer handed out twice: it was released twice")
+		}
+		outstanding[buf] = true
+		return buf
+	}
+	seen := map[tile.Coord]bool{}
+	for _, p := range fits[rng.Intn(len(fits))].PairOrder(g) {
+		for _, c := range [2]tile.Coord{p.Coord, p.Neighbor()} {
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			switch {
+			case failed[c] == nil:
+				resident.hold(c, deviceTile{buf: acquire()})
+			case rng.Intn(2) == 0: // lost on the device: the scheduler returns the buffer
+				buf := acquire()
+				delete(outstanding, buf)
+				pool.release(buf)
+			}
+		}
+		before := map[tile.Coord]*gpu.Buffer{p.Coord: resident.tile(p.Coord).buf, p.Neighbor(): resident.tile(p.Neighbor()).buf}
+		if err := resident.releasePair(p); err != nil {
+			t.Fatal(err)
+		}
+		for c, buf := range before {
+			if failed[c] != nil && buf != nil {
+				t.Errorf("lost tile %v holds a buffer", c)
+			}
+			if buf != nil && resident.tile(c).buf == nil {
+				delete(outstanding, buf) // recycled at its last pair
+			}
+		}
+		if pool.out != len(resident.held) || pool.out != len(outstanding) {
+			t.Fatalf("after %v: %d buffers out, %d tiles held, %d acquired and not recycled", p, pool.out, len(resident.held), len(outstanding))
+		}
+	}
+	if pool.out != 0 || len(pool.ch) != n {
+		t.Errorf("pool ends with %d out, %d of %d free", pool.out, len(pool.ch), n)
+	}
+	if pool.peakInUse() > n {
+		t.Errorf("peak %d exceeds the pool of %d", pool.peakInUse(), n)
+	}
+	if want := g.NumTiles() - len(failed); resident.transforms != want {
+		t.Errorf("%d transforms held, want %d", resident.transforms, want)
+	}
+	for i := 0; i < g.NumTiles(); i++ {
+		if k := resident.rc.remaining(i); k != 0 {
+			t.Errorf("tile %v ends with %d device references", g.CoordOf(i), k)
 		}
 	}
 }

@@ -11,12 +11,15 @@
 //	               no transform reuse)
 //
 // plus the machinery they share: tile sources, traversal orders, the
-// Table I operation census, and the per-run pair engine (run.go) that
-// owns every read, transform, displacement, retry, casualty and
-// reference count. Each implementation file is a scheduler over that
-// engine, so every implementation produces identical displacement arrays
-// for the same input; they differ only in scheduling, concurrency, and
-// memory behavior.
+// Table I operation census, the per-run pair engine (run.go) that owns
+// every read, transform, displacement, retry, casualty and reference
+// count plus the pipelines' bookkeeping step, the host aligner and the
+// per-GPU operator set (aligner.go — the only code that knows a spectrum
+// layout), and the host cache and device residency (cache.go). Each
+// implementation file is a scheduler over those — threads, stages,
+// queues, streams — so every implementation produces identical
+// displacement arrays for the same input; they differ only in
+// scheduling, concurrency, and memory behavior.
 package stitch
 
 import (
@@ -132,9 +135,8 @@ type Options struct {
 	CCFThreads int
 	// ReadThreads is the reader-stage worker count in the pipelines.
 	ReadThreads int
-	// NPeaks and PositiveOnly pass through to pciam.Options.
-	NPeaks       int
-	PositiveOnly bool
+	// NPeaks passes through to pciam.Options.
+	NPeaks int
 	// Traversal selects the grid walk order for the sequential and GPU
 	// implementations; the paper defaults to chained diagonal because it
 	// lets transform memory be freed earliest.
@@ -157,7 +159,9 @@ type Options struct {
 	// FFTVariant selects the transform path: baseline complex, padded,
 	// or real-to-complex (the paper's §VI.A future-work optimizations).
 	// CPU implementations support all three; the GPU implementations
-	// support complex and real (padded is CPU-only).
+	// support complex and real (padded is CPU-only). It is read where
+	// aligners and device operators are built (aligner.go); schedulers
+	// never branch on it.
 	FFTVariant FFTVariant
 	// FFTExec selects how each 2-D transform uses the machine: the zero
 	// value (auto) lets the plan-time autotuner measure serial vs split
@@ -227,11 +231,7 @@ func (o Options) withDefaults(g tile.Grid) Options {
 		o.Planner = fft.NewPlanner(fft.Estimate)
 	}
 	if o.PoolTransforms < 1 {
-		minDim := g.Rows
-		if g.Cols < minDim {
-			minDim = g.Cols
-		}
-		o.PoolTransforms = 2*minDim + 4
+		o.PoolTransforms = 2*min(g.Rows, g.Cols) + 4
 	}
 	if o.QueueCap < 1 {
 		o.QueueCap = 4 * o.Threads
@@ -242,11 +242,10 @@ func (o Options) withDefaults(g tile.Grid) Options {
 // pciamOptions builds the per-pair aligner configuration.
 func (o Options) pciamOptions() pciam.Options {
 	return pciam.Options{
-		NPeaks:       o.NPeaks,
-		PositiveOnly: o.PositiveOnly,
-		Planner:      o.Planner,
-		FFTExec:      o.FFTExec,
-		FFTPool:      o.FFTPool,
+		NPeaks:  o.NPeaks,
+		Planner: o.Planner,
+		FFTExec: o.FFTExec,
+		FFTPool: o.FFTPool,
 	}
 }
 
@@ -259,18 +258,6 @@ func (o Options) TransformPool() *fft.WorkerPool {
 		return o.FFTPool
 	}
 	return fft.SharedPool()
-}
-
-// fftPlan2DOpts and fftReal2DOpts carry the run-level FFT execution
-// strategy to plans the stitch layer builds directly (the GPU
-// simulators' host-side transforms); pciam-built plans get it via
-// pciamOptions.
-func (o Options) fftPlan2DOpts() fft.Plan2DOpts {
-	return fft.Plan2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
-}
-
-func (o Options) fftReal2DOpts() fft.Real2DOpts {
-	return fft.Real2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
 }
 
 // reservePairWorkers charges n pair-level workers against the shared

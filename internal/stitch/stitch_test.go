@@ -261,7 +261,7 @@ func TestCensusMatchesPaperFigures(t *testing.T) {
 
 func TestRefCounter(t *testing.T) {
 	g := tile.Grid{Rows: 2, Cols: 2, TileW: 4, TileH: 4}
-	rc := newRefCounter(g)
+	rc := newRefCounter(g, g.Pairs())
 	// each corner tile of a 2x2 participates in 2 pairs
 	for i := 0; i < 4; i++ {
 		if rc.remaining(i) != 2 {

@@ -48,9 +48,9 @@ func TestUnknownVariantRejected(t *testing.T) {
 
 func TestGPUVariantSupport(t *testing.T) {
 	src := testDataset(t, 2, 2)
-	devs := testDevices(1)
-	defer closeDevices(devs)
+	g := src.Grid()
 	for _, impl := range []Stitcher{&SimpleGPU{}, &PipelinedGPU{}} {
+		devs := testDevices(1)
 		if _, err := impl.Run(src, Options{Devices: devs, FFTVariant: VariantPadded}); err == nil {
 			t.Errorf("%s should reject the padded FFT variant", impl.Name())
 		}
@@ -61,6 +61,13 @@ func TestGPUVariantSupport(t *testing.T) {
 		if !res.Complete() {
 			t.Errorf("%s real variant incomplete", impl.Name())
 		}
+		// The real layout's device footprint is the pool and nothing else:
+		// its fused displacement kernel writes no device buffer.
+		want := int64(Options{}.withDefaults(g).PoolTransforms) * int64(g.TileH) * int64(g.TileW/2+1)
+		if _, peak, _, _ := devs[0].MemStats(); peak != want {
+			t.Errorf("%s real variant: device peak %d words, want the pool's %d", impl.Name(), peak, want)
+		}
+		closeDevices(devs)
 	}
 }
 
