@@ -766,7 +766,7 @@ func BenchmarkAblationSockets(b *testing.B) {
 // BenchmarkRealFFTPhase1 is the headline A/B for the r2c path: the full
 // phase-1 computation on an FFT-dominated workload (large tiles, small
 // grid, single thread — transforms dwarf the read and CCF stages),
-// with -real-fft off vs on. The real path halves the forward transform
+// with `-fft complex` (off) vs `-fft real` (on). The real path halves the forward transform
 // work and runs the inverse on a half spectrum, so the "on" run should
 // beat "off" by well over the 1.25x acceptance floor.
 func BenchmarkRealFFTPhase1(b *testing.B) {
@@ -822,22 +822,149 @@ func BenchmarkRealFFTPhase1SmallGrid(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationFFTVariants crosses spectrum layout with transform
+// size on tiles carrying the paper's awkward factors (116×87 = 4·29 ×
+// 3·29): the exact size (an estimate-mode planner) against the size a
+// measuring planner chooses, planned once outside the timed loop.
 func BenchmarkAblationFFTVariants(b *testing.B) {
-	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantPadded, stitch.VariantReal} {
-		name := string(v)
-		if name == "" {
-			name = "complex"
-		}
-		b.Run(name, func(b *testing.B) {
-			src := benchSource(b, 5, 5, 96, 64)
-			for i := 0; i < b.N; i++ {
-				if _, err := (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: 4, FFTVariant: v}); err != nil {
+	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantReal} {
+		for _, mode := range []fft.Mode{fft.Estimate, fft.Measure} {
+			name := "complex"
+			if v == stitch.VariantReal {
+				name = "real"
+			}
+			if mode == fft.Measure {
+				name += "-planned"
+			}
+			b.Run(name, func(b *testing.B) {
+				src := benchSource(b, 5, 5, 116, 87)
+				opts := stitch.Options{Threads: 4, FFTVariant: v, Planner: fft.NewPlanner(mode)}
+				if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
+
+// BenchmarkTransformSizeStages times the per-pair operators stage by
+// stage — forward (staging + FFT), NCC + inverse, peak reduction, CCF —
+// per (layout, transform size) at the paper's 1392×1040 tile size, the
+// reporting shape of Alpay & Aydemir (PAPERS.md): exact, the size
+// NextFastLength would pad to, and the planner's 1440×1080, each forced
+// by a wisdom record, all serial. EXPERIMENTS.md "Transform size" cites it.
+func BenchmarkTransformSizeStages(b *testing.B) {
+	for _, real := range []bool{false, true} {
+		for _, sz := range [][2]int{{1392, 1040}, {1400, 1050}, {1440, 1080}} {
+			benchSizeStages(b, real, sz[0], sz[1])
+		}
+	}
+}
+
+// benchSizeStages runs the four stage benchmarks of one (layout, size);
+// its aligner and plans are released before the next configuration's
+// are built.
+func benchSizeStages(b *testing.B, real bool, pw, ph int) {
+	const w, h = 1392, 1040
+	src := benchSource(b, 1, 2, w, h)
+	ta, tb := src.DS.Tile(tile.Coord{}), src.DS.Tile(tile.Coord{Col: 1})
+	planner := fft.NewPlanner(fft.Measure)
+	rec := fmt.Sprintf(`[{"w":%d,"h":%d,"real":%v,"pw":%d,"ph":%d}]`, w, h, real, pw, ph)
+	if err := planner.ImportWisdom([]byte(rec)); err != nil {
+		b.Fatal(err)
+	}
+	opts := pciam.Options{Planner: planner, FFTExec: fft.ExecSerial}
+	var transform func(*tile.Gray16) ([]complex128, error)
+	var inverse func(fa, fb []complex128) // NCC + inverse into the surface
+	var peak func() int
+	layout := "complex"
+	if real {
+		layout = "real"
+		al, err := pciam.NewRealAligner(w, h, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer al.Close()
+		plan, err := planner.RealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
+		if err != nil {
+			b.Fatal(err)
+		}
+		corr, sw := make([]float64, pw*ph), pw/2+1
+		transform = al.Transform
+		inverse = func(fa, fb []complex128) {
+			err := plan.InverseFill(corr, func(dst []complex128, r int) {
+				pciam.NCCSpectrum(dst, fa[r*sw:(r+1)*sw], fb[r*sw:(r+1)*sw])
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		peak = func() int { i, _ := pciam.MaxAbsReal(corr); return i }
+	} else {
+		al, err := pciam.NewAligner(w, h, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer al.Close()
+		plan, err := planner.Plan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
+		if err != nil {
+			b.Fatal(err)
+		}
+		surf := make([]complex128, pw*ph)
+		transform = al.Transform
+		inverse = func(fa, fb []complex128) {
+			err := plan.ExecuteFill(surf, func(dst []complex128, r int) {
+				pciam.NCCSpectrum(dst, fa[r*pw:(r+1)*pw], fb[r*pw:(r+1)*pw])
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		peak = func() int { i, _ := pciam.MaxAbs(surf); return i }
+	}
+	fa, err := transform(ta)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fb, err := transform(tb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inverse(fa, fb)
+	idx := peak()
+	name := fmt.Sprintf("%s/%dx%d/", layout, pw, ph)
+	b.Run(name+"forward", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := transform(ta); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run(name+"ncc+inverse", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			inverse(fa, fb)
+		}
+	})
+	b.Run(name+"peak", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = peak()
+		}
+	})
+	b.Run(name+"ccf", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchSink = pciam.ResolveIn(ta, tb, idx%pw, idx/pw, pw, ph).X
+		}
+	})
+}
+
+// benchSink keeps a benchmarked result alive.
+var benchSink int
 
 // --- serving: out-of-core compose + tile server under load ---
 

@@ -47,8 +47,7 @@ func main() {
 		gpus      = flag.Int("gpus", 1, "simulated GPU count (GPU implementations)")
 		travName  = flag.String("traversal", "chained-diagonal", "grid traversal order")
 		npeaks    = flag.Int("npeaks", 1, "correlation peaks to consider per pair (CPU implementations)")
-		variant   = flag.String("fft-variant", "", "FFT path: \"\" (complex), padded (CPU only), real; overrides -real-fft when set explicitly")
-		realFFT   = flag.Bool("real-fft", true, "use real-to-complex transforms (half spectra, ~half the FFT work); -real-fft=false keeps the baseline complex path")
+		fftLayout = flag.String("fft", "real", "spectrum layout: real (real-to-complex half spectra, ~half the FFT work) or complex (the paper's baseline); the transform size is the FFT planner's choice either way")
 		fftExec   = flag.String("fft-exec", "auto", "per-transform execution strategy: auto (measured at plan time), serial, split")
 		sockets   = flag.Int("sockets", 1, "CPU pipelines (pipelined-cpu; one per socket)")
 		outPNG    = flag.String("out", "", "write the composite image to this PNG")
@@ -74,18 +73,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// -real-fft is the friendly guard for the r2c path: on by default,
-	// off for A/B comparison against the baseline complex transforms. An
-	// explicit -fft-variant wins (it can also select padded).
-	fftVariant := stitch.VariantComplex
-	if *realFFT {
-		fftVariant = stitch.VariantReal
+	fftVariant, ok := map[string]stitch.FFTVariant{"real": stitch.VariantReal, "complex": stitch.VariantComplex}[*fftLayout]
+	if !ok {
+		log.Fatalf("-fft: unknown layout %q (want real or complex)", *fftLayout)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "fft-variant" {
-			fftVariant = stitch.FFTVariant(*variant)
-		}
-	})
 
 	if *pprofAddr != "" {
 		go func() {
@@ -165,8 +156,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %v  (%d transforms computed, peak %d resident)\n",
-		res.Elapsed.Round(time.Millisecond), res.TransformsComputed, res.PeakTransformsLive)
+	fmt.Printf("  %v  (%d transforms computed at %dx%d, peak %d resident)\n",
+		res.Elapsed.Round(time.Millisecond), res.TransformsComputed, res.TransformW, res.TransformH, res.PeakTransformsLive)
 	if s := degradedSummary(res); s != "" {
 		fmt.Print(s)
 	}

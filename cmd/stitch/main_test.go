@@ -10,6 +10,7 @@ import (
 
 	"hybridstitch/internal/compose"
 	"hybridstitch/internal/fault"
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/stitch"
 	"hybridstitch/internal/tile"
@@ -159,5 +160,58 @@ func TestFaultSpecFlowEndToEnd(t *testing.T) {
 	}
 	if inj.Fired() == 0 {
 		t.Error("injector never fired")
+	}
+}
+
+// TestSharedWisdomSameSizeSameDisplacements mirrors main's -wisdom
+// wiring on a plate of the paper's tile size: the first run's measuring
+// planner chooses a transform size, the wisdom it exports carries the
+// choice, and a second process importing it — its planner would
+// otherwise measure afresh — transforms at the same size and writes the
+// same -save-displacements file, byte for byte.
+func TestSharedWisdomSameSizeSameDisplacements(t *testing.T) {
+	src, _, _, err := openSource("", "1x2", 1392, 1040, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impl, err := stitch.ByName("pipelined-cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var wisdom []byte
+	var files [2][]byte
+	var sizes [2][2]int
+	for i := range files {
+		planner := fft.NewPlanner(fft.Measure)
+		if wisdom != nil {
+			if err := planner.ImportWisdom(wisdom); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := impl.Run(src, stitch.Options{Threads: 2, FFTVariant: stitch.VariantReal, Planner: planner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wisdom, err = planner.ExportWisdom(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "disp.json")
+		if err := stitch.SaveResult(path, res); err != nil {
+			t.Fatal(err)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = [2]int{res.TransformW, res.TransformH}
+	}
+	if sizes[0][0] <= 1392 || sizes[0][1] <= 1040 {
+		t.Errorf("1392x1040 tiles transformed at %dx%d, want a padded size", sizes[0][0], sizes[0][1])
+	}
+	if sizes[0] != sizes[1] {
+		t.Errorf("transform size changed under shared wisdom: %v then %v", sizes[0], sizes[1])
+	}
+	if string(files[0]) != string(files[1]) {
+		t.Error("displacement files differ between two runs sharing wisdom")
 	}
 }

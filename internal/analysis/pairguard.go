@@ -19,8 +19,7 @@ import (
 //   - gpu.Device.Alloc / AllocBlocking / AllocSpectrum → Buffer.Free
 //   - memgov.Governor.Alloc                            → Allocation.Free
 //   - obs.Recorder.StartSpan, obs.Span.Child/ChildOn   → Span.End
-//   - pciam.NewAligner / NewPaddedAligner /
-//     NewRealAligner                                   → Close
+//   - pciam.NewAligner / NewRealAligner                → Close
 //
 // Releases are defer-aware: a `defer v.Free()` (or a defer whose closure
 // releases v) discharges every path that passes the defer statement,
@@ -57,8 +56,7 @@ func pairAcquire(info *types.Info, call *ast.CallExpr) (what, release string, ok
 	case c.is(obsPkg, "Recorder", "StartSpan"), c.is(obsPkg, "Span", "Child"),
 		c.is(obsPkg, "Span", "ChildOn"):
 		return "obs." + c.recv + "." + c.name, "End", true
-	case c.is(pciamPkg, "", "NewAligner"), c.is(pciamPkg, "", "NewPaddedAligner"),
-		c.is(pciamPkg, "", "NewRealAligner"):
+	case c.is(pciamPkg, "", "NewAligner"), c.is(pciamPkg, "", "NewRealAligner"):
 		return "pciam." + c.name, "Close", true
 	}
 	return "", "", false

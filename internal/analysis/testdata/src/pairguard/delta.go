@@ -174,7 +174,7 @@ func leakAlignerNeverClosed(w, h int, opts pciam.Options) error {
 
 // okAlignerDeferClosed releases by a deferred Close.
 func okAlignerDeferClosed(w, h int, opts pciam.Options) error {
-	al, err := pciam.NewPaddedAligner(w, h, opts)
+	al, err := pciam.NewAligner(w, h, opts)
 	if err != nil {
 		return err
 	}

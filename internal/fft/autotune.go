@@ -20,8 +20,9 @@ import (
 type ExecStrategy int
 
 const (
-	// ExecAuto measures serial vs split at plan time and keeps the
-	// faster (serial when the plan's pool has no budget).
+	// ExecAuto measures serial vs split at plan time and keeps split
+	// only when it is clearly faster (serial, unmeasured, when the
+	// plan's pool has no free token).
 	ExecAuto ExecStrategy = iota
 	// ExecSerial forces single-goroutine passes — the zero-allocation
 	// steady-state path.
@@ -129,17 +130,20 @@ func measure(fn func() error) time.Duration {
 
 // autotune returns the cached or freshly measured choice for key.
 // runSerial and runSplit execute one representative transform under each
-// strategy. The caller only invokes this when the pool budget is
-// positive and the size is above autotuneFloor; every decision
-// (including the trivial ones the caller makes itself) is recorded via
-// countChoice.
+// strategy. Serial — the zero-allocation path — wins ties: split is
+// chosen only when it measures at least a tenth faster, so two shapes
+// that differ by noise alone are not a coin flip. The caller only
+// invokes this when the pool has a free token (a split that cannot fork
+// is serial with extra steps — the callers skip the measurement) and
+// the size is above autotuneFloor; every decision (including the trivial
+// ones the caller makes itself) is recorded via countChoice.
 func autotune(key autoKey, runSerial, runSplit func() error) ExecStrategy {
 	autoMu.Lock()
 	c, ok := autoCache[key]
 	autoMu.Unlock()
 	if !ok {
 		c = ExecSerial
-		if ts := measure(runSerial); measure(runSplit) < ts {
+		if ts := measure(runSerial); measure(runSplit) < ts-ts/10 {
 			c = ExecSplit
 		}
 		autoMu.Lock()

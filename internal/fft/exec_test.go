@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"hybridstitch/internal/analysis/leaktest"
 )
@@ -187,6 +188,46 @@ func TestAutotuneChoiceInvariance(t *testing.T) {
 				t.Fatalf("trial %d (chose exec=%v): bin %d differs", trial, rp.Exec(), i)
 			}
 		}
+	}
+}
+
+// TestAutotuneSerialWinsTies pins the two halves of the tie rule. With
+// every pool token held — pair workers reserve theirs before any plan is
+// built — a split cannot fork: every fresh decision is serial, not a
+// coin flip, and none is cached for a later caller that finds the pool
+// free. And where both shapes are measured, split needs a clear tenth,
+// not any measured edge.
+func TestAutotuneSerialWinsTies(t *testing.T) {
+	pool := NewWorkerPool(2)
+	defer pool.Close()
+	held := pool.Reserve(2)
+	defer pool.Release(held)
+	for trial := 0; trial < 20; trial++ {
+		resetAutotuneForTest()
+		p, err := NewRealPlan2DOpts(128, 192, Real2DOpts{Exec: ExecAuto, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Exec() != ExecSerial {
+			t.Errorf("decision %d with no free token: %v, want serial", trial, p.Exec())
+		}
+	}
+	autoMu.Lock()
+	cached := len(autoCache)
+	autoMu.Unlock()
+	if cached != 0 {
+		t.Errorf("%d decisions cached while no split could fork", cached)
+	}
+
+	resetAutotuneForTest()
+	nap := func(d time.Duration) func() error {
+		return func() error { time.Sleep(d); return nil }
+	}
+	if c := autotune(autoKey{kind: "tie"}, nap(20*time.Millisecond), nap(19*time.Millisecond)); c != ExecSerial {
+		t.Errorf("split 5%% faster: chose %v, want serial", c)
+	}
+	if c := autotune(autoKey{kind: "clear"}, nap(20*time.Millisecond), nap(5*time.Millisecond)); c != ExecSplit {
+		t.Errorf("split 4x faster: chose %v, want split", c)
 	}
 }
 

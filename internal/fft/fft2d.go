@@ -41,7 +41,7 @@ type Plan2DOpts struct {
 	ForceStrategy string
 	// Exec selects how a single Execute call uses the machine: the zero
 	// value ExecAuto measures serial vs split at plan time (trivially
-	// serial when Pool has no budget), ExecSerial pins the
+	// serial when Pool has no free token), ExecSerial pins the
 	// zero-allocation single-goroutine path, ExecSplit pins the
 	// recursive pool-fed split.
 	Exec ExecStrategy
@@ -74,7 +74,7 @@ func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan,
 	p.colSpan = spanAtLeast1(splitMinWork / h)
 	p.backSpan = p.rowSpan
 
-	autoTrivial := p.exec == ExecAuto && (pool.Cap() == 0 || w*h < autotuneFloor)
+	autoTrivial := p.exec == ExecAuto && (pool.Free() == 0 || w*h < autotuneFloor)
 	if autoTrivial {
 		p.exec = ExecSerial
 	}

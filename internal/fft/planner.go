@@ -22,8 +22,7 @@ const (
 	// Measure times each candidate strategy a few times and keeps the
 	// fastest.
 	Measure
-	// Patient times each candidate more thoroughly (more repetitions,
-	// plus padding candidates considered in PaddedSize).
+	// Patient times each candidate more thoroughly (more repetitions).
 	Patient
 )
 
@@ -73,6 +72,7 @@ type Planner struct {
 
 	mu     sync.Mutex
 	wisdom map[wisdomKey]wisdomEntry
+	sizes  map[sizeKey]sizeEntry // transform-size decisions, see size.go
 
 	// PlanningTime accumulates wall time spent measuring candidates,
 	// reported by the planner-mode experiment.
@@ -81,7 +81,7 @@ type Planner struct {
 
 // NewPlanner creates a planner operating in the given mode.
 func NewPlanner(mode Mode) *Planner {
-	return &Planner{mode: mode, wisdom: make(map[wisdomKey]wisdomEntry)}
+	return &Planner{mode: mode, wisdom: make(map[wisdomKey]wisdomEntry), sizes: make(map[sizeKey]sizeEntry)}
 }
 
 // Mode reports the planner's rigor mode.
@@ -235,36 +235,57 @@ func (pl *Planner) decide(n int, dir Direction) wisdomEntry {
 	return wisdomEntry{Strategy: best, Cost: bestCost, Mode: pl.mode.String()}
 }
 
-// wisdomJSON is the serialized form of one wisdom record.
+// wisdomJSON is the serialized form of one wisdom record: a 1-D strategy
+// decision (N > 0), or a transform-size decision (W > 0: a W×H tile in
+// the complex or real layout transforms at PW×PH). Files written before
+// size records existed hold only the first kind and import unchanged.
 type wisdomJSON struct {
-	N        int           `json:"n"`
-	Dir      int           `json:"dir"`
-	Strategy string        `json:"strategy"`
-	Cost     time.Duration `json:"cost_ns"`
-	Mode     string        `json:"mode"`
+	N        int           `json:"n,omitempty"`
+	Dir      int           `json:"dir,omitempty"`
+	Strategy string        `json:"strategy,omitempty"`
+	Cost     time.Duration `json:"cost_ns,omitempty"`
+	Mode     string        `json:"mode,omitempty"`
+
+	W    int  `json:"w,omitempty"`
+	H    int  `json:"h,omitempty"`
+	Real bool `json:"real,omitempty"`
+	PW   int  `json:"pw,omitempty"`
+	PH   int  `json:"ph,omitempty"`
 }
 
-// ExportWisdom serializes the accumulated planning decisions, ordered by
-// size, so they can be stored and re-imported — the analogue of
-// fftw_export_wisdom.
+// ExportWisdom serializes the accumulated planning decisions — strategies
+// ordered by length, then transform sizes ordered by tile size — so they
+// can be stored and re-imported: the analogue of fftw_export_wisdom.
 func (pl *Planner) ExportWisdom() ([]byte, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	recs := make([]wisdomJSON, 0, len(pl.wisdom))
+	recs := make([]wisdomJSON, 0, len(pl.wisdom)+len(pl.sizes))
 	for k, e := range pl.wisdom {
 		recs = append(recs, wisdomJSON{N: k.N, Dir: int(k.Dir), Strategy: e.Strategy, Cost: e.Cost, Mode: e.Mode})
 	}
+	for k, e := range pl.sizes {
+		recs = append(recs, wisdomJSON{W: k.W, H: k.H, Real: k.Real, PW: e.PW, PH: e.PH})
+	}
 	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].N != recs[j].N {
-			return recs[i].N < recs[j].N
+		a, b := recs[i], recs[j]
+		switch {
+		case a.W != b.W:
+			return a.W < b.W
+		case a.H != b.H:
+			return a.H < b.H
+		case a.Real != b.Real:
+			return b.Real
+		case a.N != b.N:
+			return a.N < b.N
 		}
-		return recs[i].Dir < recs[j].Dir
+		return a.Dir < b.Dir
 	})
 	return json.MarshalIndent(recs, "", "  ")
 }
 
 // ImportWisdom merges previously exported wisdom into the cache. Existing
-// entries are kept (local measurement beats imported hints).
+// entries are kept (local measurement beats imported hints). A size
+// record that shrinks its tile is rejected: no transform can run at it.
 func (pl *Planner) ImportWisdom(data []byte) error {
 	var recs []wisdomJSON
 	if err := json.Unmarshal(data, &recs); err != nil {
@@ -273,6 +294,16 @@ func (pl *Planner) ImportWisdom(data []byte) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	for _, r := range recs {
+		if r.W > 0 {
+			if r.PW < r.W || r.PH < r.H || r.H <= 0 {
+				return fmt.Errorf("fft: bad wisdom: %dx%d tile cannot transform at %dx%d", r.W, r.H, r.PW, r.PH)
+			}
+			key := sizeKey{W: r.W, H: r.H, Real: r.Real}
+			if _, exists := pl.sizes[key]; !exists {
+				pl.sizes[key] = sizeEntry{PW: r.PW, PH: r.PH}
+			}
+			continue
+		}
 		key := wisdomKey{N: r.N, Dir: Direction(r.Dir)}
 		if _, exists := pl.wisdom[key]; !exists {
 			pl.wisdom[key] = wisdomEntry{Strategy: r.Strategy, Cost: r.Cost, Mode: r.Mode}
@@ -281,9 +312,10 @@ func (pl *Planner) ImportWisdom(data []byte) error {
 	return nil
 }
 
-// WisdomSize reports how many (size, direction) decisions are cached.
+// WisdomSize reports how many decisions — strategies and transform
+// sizes — are cached.
 func (pl *Planner) WisdomSize() int {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return len(pl.wisdom)
+	return len(pl.wisdom) + len(pl.sizes)
 }

@@ -272,7 +272,7 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 	p.colSpan = spanAtLeast1(splitMinWork / h)
 	p.specRowSpan = spanAtLeast1(splitMinWork / p.sw)
 
-	autoTrivial := p.exec == ExecAuto && (pool.Cap() == 0 || w*h < autotuneFloor)
+	autoTrivial := p.exec == ExecAuto && (pool.Free() == 0 || w*h < autotuneFloor)
 	if autoTrivial {
 		p.exec = ExecSerial
 	}

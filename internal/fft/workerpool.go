@@ -82,6 +82,17 @@ func (p *WorkerPool) Cap() int {
 	return cap(p.tokens)
 }
 
+// Free reports how many tokens are unclaimed at this instant. Advisory:
+// ExecAuto reads it to skip measuring a split that could not fork —
+// every token reserved by pair workers, or none to begin with — instead
+// of committing the process to whichever shape noise favoured.
+func (p *WorkerPool) Free() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.tokens)
+}
+
 // TryGo runs fn on a helper goroutine if a token is immediately
 // available, returning true; otherwise it does nothing and returns
 // false, and the caller runs the work inline. Never blocks.

@@ -139,6 +139,11 @@ const (
 	GaugePoolInUse               = "gpu.pool.in_use"
 	GaugeTransformsPeakLive      = "stitch.transforms.peak_live"
 	GaugeTransformWords          = "stitch.transform.words"
+	// GaugeTransformWidth and GaugeTransformHeight are the size every
+	// tile of the run was transformed at: the tile size, or the larger
+	// frame the FFT planner chose for it.
+	GaugeTransformWidth  = "stitch.transform.width"
+	GaugeTransformHeight = "stitch.transform.height"
 	// GaugeLSResidualPx is the final max |b − L·p| of the least-squares
 	// solve (pixels·weight) — the convergence figure of merit.
 	GaugeLSResidualPx = "global.ls.residual_px"

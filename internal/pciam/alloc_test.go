@@ -19,12 +19,43 @@ func allocTile(w, h int, seed int64) *tile.Gray16 {
 	return t
 }
 
+// zeroAllocSizes are the transform sizes the zero-allocation pins run at
+// for 64×48 tiles: the exact size and a padded one.
+var zeroAllocSizes = [][2]int{{64, 48}, {72, 50}}
+
 // TestDisplaceZeroAllocs pins the tentpole guarantee: after one warm-up
 // pair, the steady-state Displace hot path of the complex CPU aligner
-// performs zero heap allocations per pair.
+// performs zero heap allocations per pair, at the exact and at a padded
+// transform size.
 func TestDisplaceZeroAllocs(t *testing.T) {
+	for _, sz := range zeroAllocSizes {
+		testDisplaceZeroAllocs(t, "complex", func(w, h int) (allocAligner, error) {
+			return NewAligner(w, h, Options{FFTExec: fft.ExecSerial, Planner: forcedSize(t, w, h, sz[0], sz[1])})
+		})
+	}
+}
+
+// TestRealDisplaceZeroAllocs is the r2c counterpart of
+// TestDisplaceZeroAllocs.
+func TestRealDisplaceZeroAllocs(t *testing.T) {
+	for _, sz := range zeroAllocSizes {
+		testDisplaceZeroAllocs(t, "real", func(w, h int) (allocAligner, error) {
+			return NewRealAligner(w, h, Options{FFTExec: fft.ExecSerial, Planner: forcedSize(t, w, h, sz[0], sz[1])})
+		})
+	}
+}
+
+type allocAligner interface {
+	Transform(*tile.Gray16) ([]complex128, error)
+	Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error)
+	TransformDims() (int, int)
+	Close()
+}
+
+func testDisplaceZeroAllocs(t *testing.T, layout string, mk func(w, h int) (allocAligner, error)) {
+	t.Helper()
 	const w, h = 64, 48
-	al, err := NewAligner(w, h, Options{FFTExec: fft.ExecSerial})
+	al, err := mk(w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,40 +79,8 @@ func TestDisplaceZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state complex Displace allocates %.1f times per pair, want 0", allocs)
-	}
-}
-
-// TestRealDisplaceZeroAllocs is the r2c counterpart of
-// TestDisplaceZeroAllocs.
-func TestRealDisplaceZeroAllocs(t *testing.T) {
-	const w, h = 64, 48
-	al, err := NewRealAligner(w, h, Options{FFTExec: fft.ExecSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer al.Close()
-	a := allocTile(w, h, 3)
-	b := allocTile(w, h, 4)
-	fa, err := al.Transform(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := al.Transform(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := al.Displace(a, b, fa, fb); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := al.Displace(a, b, fa, fb); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state real Displace allocates %.1f times per pair, want 0", allocs)
+	if pw, ph := al.TransformDims(); allocs != 0 {
+		t.Fatalf("steady-state %s Displace at %dx%d allocates %.1f times per pair, want 0", layout, pw, ph, allocs)
 	}
 }
 
@@ -92,12 +91,14 @@ func TestRealDisplaceZeroAllocs(t *testing.T) {
 // under the race detector, where sync.Pool drops Put items.
 func TestAlignerPoolReuse(t *testing.T) {
 	useDeterministicPools(t)
-	const w, h = 22, 14 // 22 = 2·11 is not fast: the padded aligner really pads
+	const w, h = 22, 14
 	type closer interface{ Close() }
+	padded := forcedSize(t, w, h, 24, 16)
 	ctors := map[string]func(Options) (closer, error){
-		"complex": func(o Options) (closer, error) { return NewAligner(w, h, o) },
-		"padded":  func(o Options) (closer, error) { return NewPaddedAligner(w, h, o) },
-		"real":    func(o Options) (closer, error) { return NewRealAligner(w, h, o) },
+		"complex":     func(o Options) (closer, error) { return NewAligner(w, h, o) },
+		"padded":      func(o Options) (closer, error) { o.Planner = padded; return NewAligner(w, h, o) },
+		"real":        func(o Options) (closer, error) { return NewRealAligner(w, h, o) },
+		"real-padded": func(o Options) (closer, error) { o.Planner = padded; return NewRealAligner(w, h, o) },
 	}
 	for name, mk := range ctors {
 		must := func(o Options) closer {

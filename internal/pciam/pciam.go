@@ -49,8 +49,9 @@ type Options struct {
 	// worker count from the same pool, so transform-level splits only
 	// use genuinely idle cores.
 	FFTPool *fft.WorkerPool
-	// Planner supplies FFT wisdom; nil uses a private estimate-mode
-	// planner.
+	// Planner supplies FFT wisdom — strategies and the transform size;
+	// nil uses a private estimate-mode planner, which transforms at the
+	// tile size.
 	Planner *fft.Planner
 }
 
@@ -58,6 +59,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.NPeaks <= 0 {
 		o.NPeaks = 1
+	}
+	if o.Planner == nil {
+		o.Planner = fft.NewPlanner(fft.Estimate)
 	}
 	return o
 }
@@ -74,9 +78,11 @@ func (o Options) real2DOpts() fft.Real2DOpts {
 }
 
 // Aligner computes displacements for tile pairs of one fixed size through
-// full complex transforms. The transform size (pw, ph) is the tile size
-// (w, h) itself for NewAligner and the next fast lengths for
-// NewPaddedAligner; everything else is shared. It is NOT safe for
+// full complex transforms. The transform size (pw, ph) is the planner's
+// choice for the tile size (w, h): the tile size itself, or a larger
+// frame this machine transforms faster, into which tiles are padded with
+// their own periodic continuation (tile.ToFloatFrame; the paper's §VI.A
+// padding optimization). It is NOT safe for
 // concurrent use: each worker thread owns one Aligner, the same
 // discipline the original applies to FFTW plans.
 type Aligner struct {
@@ -86,6 +92,7 @@ type Aligner struct {
 	fwd    *fft.Plan2D
 	inv    *fft.Plan2D
 	work   []complex128 // pw×ph NCC spectrum, then correlation surface
+	pix    []float64    // pw×ph pixel staging for Transform
 	peaks  []Peak
 	cands  []peakCand // grows on first NPeaks>1 use
 
@@ -99,48 +106,33 @@ type Aligner struct {
 	fill   func(dst []complex128, r int)
 }
 
-// NewAligner returns an aligner for w×h tiles transformed at their own
-// size: a pooled one when a Closed aligner with the same size and options
-// is available, a fresh one otherwise. Close it when the worker is done.
+// NewAligner returns an aligner for w×h tiles transformed at the size
+// opts.Planner chooses for them: a pooled one when a Closed aligner with
+// the same sizes and options is available, a fresh one otherwise. Close
+// it when the worker is done.
 func NewAligner(w, h int, opts Options) (*Aligner, error) {
-	return newAligner(w, h, w, h, opts)
-}
-
-// NewPaddedAligner is NewAligner with tiles zero-padded to the next
-// "fast" transform size (all prime factors ≤ 7) before the FFT — the
-// paper's §VI.A padding optimization: a few percent more elements for
-// much cheaper butterflies. At a tile size that is already fast it is
-// NewAligner.
-func NewPaddedAligner(w, h int, opts Options) (*Aligner, error) {
-	return newAligner(w, h, fft.NextFastLength(w), fft.NextFastLength(h), opts)
-}
-
-func newAligner(w, h, pw, ph int, opts Options) (*Aligner, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("pciam: invalid tile size %dx%d", w, h)
 	}
 	opts = opts.withDefaults()
+	pw, ph := opts.Planner.TransformSize(w, h, false)
 	key := makeAlignerKey(false, w, h, pw, ph, opts)
 	if v := checkout(key); v != nil {
 		al := v.(*Aligner)
 		al.closed = false
 		return al, nil
 	}
-	pl := opts.Planner
-	if pl == nil {
-		pl = fft.NewPlanner(fft.Estimate)
-	}
-	fwd, err := pl.Plan2D(ph, pw, fft.Forward, opts.plan2DOpts())
+	fwd, err := opts.Planner.Plan2D(ph, pw, fft.Forward, opts.plan2DOpts())
 	if err != nil {
 		return nil, err
 	}
-	inv, err := pl.Plan2D(ph, pw, fft.Inverse, opts.plan2DOpts())
+	inv, err := opts.Planner.Plan2D(ph, pw, fft.Inverse, opts.plan2DOpts())
 	if err != nil {
 		return nil, err
 	}
 	al := &Aligner{
 		w: w, h: h, pw: pw, ph: ph, opts: opts, fwd: fwd, inv: inv, key: key,
-		work: make([]complex128, pw*ph), peaks: make([]Peak, 0, 4),
+		work: make([]complex128, pw*ph), pix: make([]float64, pw*ph), peaks: make([]Peak, 0, 4),
 	}
 	al.fill = func(dst []complex128, r int) {
 		o := r * al.pw
@@ -167,7 +159,7 @@ func (al *Aligner) W() int { return al.w }
 func (al *Aligner) H() int { return al.h }
 
 // TransformDims reports the transform size in use: the tile size, or the
-// fast size a padded aligner pads to.
+// larger frame the planner chose.
 func (al *Aligner) TransformDims() (w, h int) { return al.pw, al.ph }
 
 // Transform computes the forward 2-D FFT of a tile into a fresh buffer.
@@ -177,20 +169,10 @@ func (al *Aligner) Transform(t *tile.Gray16) ([]complex128, error) {
 	if t.W != al.w || t.H != al.h {
 		return nil, fmt.Errorf("pciam: tile is %dx%d, aligner expects %dx%d", t.W, t.H, al.w, al.h)
 	}
+	t.ToFloatFrame(al.pix, al.pw)
 	buf := make([]complex128, al.pw*al.ph)
-	if al.pw == al.w && al.ph == al.h {
-		if err := t.ToComplex(buf); err != nil {
-			return nil, err
-		}
-	} else {
-		// Zero-pad: the tile sits in the top-left corner of the
-		// transform frame.
-		for y := 0; y < al.h; y++ {
-			row := buf[y*al.pw : y*al.pw+al.w]
-			for x, v := range t.Pix[y*al.w : (y+1)*al.w] {
-				row[x] = complex(float64(v), 0)
-			}
-		}
+	for i, v := range al.pix {
+		buf[i] = complex(v, 0)
 	}
 	if err := al.fwd.Execute(buf); err != nil {
 		return nil, err
@@ -215,9 +197,9 @@ func (al *Aligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128,
 // their cached forward transforms fa and fb. For a west pair, a is the
 // west neighbor and b the tile; for a north pair, a is the north neighbor
 // and b the tile — so the returned displacement is positive ≈ the tile
-// stride along the primary axis. With padded transforms the pad region is
-// zero, so the correlation does not wrap inside the tile frame; the CCF
-// pass over the congruent interpretations is the same either way.
+// stride along the primary axis. The peak is congruent to the
+// displacement modulo the transform size, padded or not; the CCF pass
+// over the congruent interpretations is the same either way.
 //
 //stitchlint:hotpath
 func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error) {
@@ -377,27 +359,28 @@ func wrapDist(a, b, n int) int {
 	return d
 }
 
-// Resolve scores the candidate interpretations of a correlation peak
-// with cross-correlation factors over the hypothesized overlap regions
-// and returns the winner (paper Fig 2 lines 8–12, the CCF1..4 step). The
-// peak is taken on a correlation surface of the tiles' own size. It
-// needs no FFT plans, only the tile pixels and the peak, which is why
-// the hybrid pipeline can run it on dedicated CPU threads (stage 6 of
-// the paper's Fig 8) with just the scalar max-reduction result copied
-// back from the GPU. No option changes the resolution.
+// Resolve is ResolveIn for a peak taken on a correlation surface of the
+// tiles' own size; the frozen bench/ module's CCF probe is its caller.
+// No option changes the resolution.
 //
 //stitchlint:hotpath
 func Resolve(a, b *tile.Gray16, px, py int, _ Options) tile.Displacement {
-	return resolve(a, b, px, py, a.W, a.H)
+	return ResolveIn(a, b, px, py, a.W, a.H)
 }
 
-// resolve is Resolve for a peak on a pw×ph correlation surface: the
-// transform is periodic in (pw, ph), so those are the moduli of the
-// congruent candidates, while the overlap test runs against the tiles'
-// own dimensions (a candidate that leaves no overlap scores -Inf).
+// ResolveIn scores the candidate interpretations of a correlation peak
+// with cross-correlation factors over the hypothesized overlap regions
+// and returns the winner (paper Fig 2 lines 8–12, the CCF1..4 step). The
+// peak lies on a pw×ph correlation surface: the transform is periodic in
+// (pw, ph), so those are the moduli of the congruent candidates, while
+// the overlap test runs against the tiles' own dimensions (a candidate
+// that leaves no overlap scores -Inf). It needs no FFT plans, only the
+// tile pixels and the peak, which is why the hybrid pipeline can run it
+// on dedicated CPU threads (stage 6 of the paper's Fig 8) with just the
+// scalar max-reduction result copied back from the GPU.
 //
 //stitchlint:hotpath
-func resolve(a, b *tile.Gray16, px, py, pw, ph int) tile.Displacement {
+func ResolveIn(a, b *tile.Gray16, px, py, pw, ph int) tile.Displacement {
 	xs, nx := candidateOffsets(px, pw)
 	ys, ny := candidateOffsets(py, ph)
 	best := tile.Displacement{X: px, Y: py, Corr: math.Inf(-1)}
@@ -424,7 +407,7 @@ func resolve(a, b *tile.Gray16, px, py, pw, ph int) tile.Displacement {
 func resolvePeaks(a, b *tile.Gray16, peaks []Peak, pw, ph int) tile.Displacement {
 	best := tile.Displacement{Corr: math.Inf(-1)}
 	for _, p := range peaks {
-		if d := resolve(a, b, p.X, p.Y, pw, ph); d.Corr > best.Corr {
+		if d := ResolveIn(a, b, p.X, p.Y, pw, ph); d.Corr > best.Corr {
 			best = d
 		}
 	}

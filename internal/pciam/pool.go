@@ -50,12 +50,11 @@ func resetPoolsForTest() {
 
 // alignerKey identifies one aligner free list: spectrum layout, tile and
 // transform size, and every option that changes an aligner's observable
-// behavior. A padded aligner whose tile size is already fast shares the
-// complex aligner's list — they are the same aligner. The Planner is
-// deliberately excluded — it only steers FFT strategy selection, and all
-// strategies produce the same displacements (the cross-variant
-// equivalence tests pin this) — so runs that build a fresh estimate-mode
-// planner per run still share aligners.
+// behavior. Of the Planner only its transform-size answer is in the key;
+// the planner itself is deliberately excluded — beyond the size it only
+// steers FFT strategy selection, and all strategies produce the same
+// displacements (the cross-variant equivalence tests pin this) — so runs
+// that build a fresh estimate-mode planner per run still share aligners.
 type alignerKey struct {
 	real      bool
 	w, h      int

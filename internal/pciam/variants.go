@@ -13,24 +13,25 @@ import (
 // The tiles are real, so the forward transform needs only the half
 // spectrum and the inverse correlation surface is real — roughly half the
 // work and memory. (§VI.A's other optimization, padding to fast sizes, is
-// the same complex chain at a different transform size: NewPaddedAligner
-// in pciam.go.) All paths produce the same displacements as the baseline
+// not a path but a transform size, chosen by the planner for either
+// layout.) All paths produce the same displacements as the baseline
 // aligner (tested), differing only in cost.
 
-// RealAligner computes displacements through real-to-complex transforms:
-// the forward FFT stores only the half spectrum (w/2+1 columns) and the
-// inverse correlation comes back as a real surface. Not safe for
-// concurrent use.
+// RealAligner computes displacements through real-to-complex transforms
+// at the planner's transform size (pw, ph), like Aligner: the forward
+// FFT stores only the half spectrum (pw/2+1 columns) and the inverse
+// correlation comes back as a real surface. Not safe for concurrent use.
 type RealAligner struct {
-	w, h  int
-	sw    int // spectrum width = w/2+1
-	opts  Options
-	fwd   *fft.RealPlan2D
-	corr  []float64 // w×h real correlation surface
-	pix   []float64 // w×h pixel staging for Transform
-	peaks []Peak
-	cands []peakCand   // cands and cx grow on first NPeaks>1 use
-	cx    []complex128 // corr widened for the shared peak search
+	w, h   int // tile size
+	pw, ph int // transform size
+	sw     int // spectrum width = pw/2+1
+	opts   Options
+	fwd    *fft.RealPlan2D
+	corr   []float64 // pw×ph real correlation surface
+	pix    []float64 // pw×ph pixel staging for Transform
+	peaks  []Peak
+	cands  []peakCand   // cands and cx grow on first NPeaks>1 use
+	cx     []complex128 // corr widened for the shared peak search
 
 	key    alignerKey // the free list Close returns to
 	closed bool
@@ -46,24 +47,21 @@ func NewRealAligner(w, h int, opts Options) (*RealAligner, error) {
 		return nil, fmt.Errorf("pciam: invalid tile size %dx%d", w, h)
 	}
 	opts = opts.withDefaults()
-	key := makeAlignerKey(true, w, h, w, h, opts)
+	pw, ph := opts.Planner.TransformSize(w, h, true)
+	key := makeAlignerKey(true, w, h, pw, ph, opts)
 	if v := checkout(key); v != nil {
 		al := v.(*RealAligner)
 		al.closed = false
 		return al, nil
 	}
-	pl := opts.Planner
-	if pl == nil {
-		pl = fft.NewPlanner(fft.Estimate)
-	}
-	fwd, err := pl.RealPlan2DOpts(h, w, opts.real2DOpts())
+	fwd, err := opts.Planner.RealPlan2DOpts(ph, pw, opts.real2DOpts())
 	if err != nil {
 		return nil, err
 	}
 	_, sw := fwd.SpectrumDims()
 	al := &RealAligner{
-		w: w, h: h, sw: sw, opts: opts, fwd: fwd, key: key,
-		corr: make([]float64, w*h), pix: make([]float64, w*h), peaks: make([]Peak, 0, 4),
+		w: w, h: h, pw: pw, ph: ph, sw: sw, opts: opts, fwd: fwd, key: key,
+		corr: make([]float64, pw*ph), pix: make([]float64, pw*ph), peaks: make([]Peak, 0, 4),
 	}
 	al.fill = func(dst []complex128, r int) {
 		o := r * al.sw
@@ -81,16 +79,17 @@ func (al *RealAligner) Close() {
 	alignerPool(al.key).Put(al)
 }
 
+// TransformDims reports the transform size in use, as on Aligner.
+func (al *RealAligner) TransformDims() (w, h int) { return al.pw, al.ph }
+
 // Transform computes the half-spectrum forward transform of a tile —
-// (w/2+1)/w of the storage of the complex path.
+// (pw/2+1)/pw of the storage of the complex path.
 func (al *RealAligner) Transform(t *tile.Gray16) ([]complex128, error) {
 	if t.W != al.w || t.H != al.h {
 		return nil, fmt.Errorf("pciam: tile is %dx%d, aligner expects %dx%d", t.W, t.H, al.w, al.h)
 	}
-	if err := t.ToFloat(al.pix); err != nil {
-		return nil, err
-	}
-	out := make([]complex128, al.h*al.sw)
+	t.ToFloatFrame(al.pix, al.pw)
+	out := make([]complex128, al.ph*al.sw)
 	if err := al.fwd.Forward(out, al.pix); err != nil {
 		return nil, err
 	}
@@ -117,7 +116,7 @@ func (al *RealAligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex
 //
 //stitchlint:hotpath
 func (al *RealAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error) {
-	n := al.h * al.sw
+	n := al.ph * al.sw
 	if len(fa) != n || len(fb) != n {
 		return tile.Displacement{}, fmt.Errorf("pciam: half-spectrum length %d/%d, want %d", len(fa), len(fb), n)
 	}
@@ -129,7 +128,7 @@ func (al *RealAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Di
 	if err != nil {
 		return tile.Displacement{}, err
 	}
-	return resolvePeaks(a, b, al.topPeaks(), al.w, al.h), nil
+	return resolvePeaks(a, b, al.topPeaks(), al.pw, al.ph), nil
 }
 
 // DisplaceTiles is the convenience form computing both transforms.
@@ -165,7 +164,7 @@ func (al *RealAligner) topPeaks() []Peak {
 	k := al.opts.NPeaks
 	if k <= 1 {
 		bi, bm := MaxAbsReal(al.corr)
-		al.peaks = append(al.peaks[:0], Peak{X: bi % al.w, Y: bi / al.w, Mag: bm})
+		al.peaks = append(al.peaks[:0], Peak{X: bi % al.pw, Y: bi / al.pw, Mag: bm})
 		return al.peaks
 	}
 	if al.cx == nil {
@@ -174,7 +173,7 @@ func (al *RealAligner) topPeaks() []Peak {
 	for i, v := range al.corr {
 		al.cx[i] = complex(v, 0)
 	}
-	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.cx, al.w, al.h, k)
+	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.cx, al.pw, al.ph, k)
 	return al.peaks
 }
 

@@ -83,7 +83,7 @@ func All() []Experiment {
 		{"ablation-ccf", "design — CCF placement (CPU vs GPU) ablation", runAblationCCF},
 		{"ablation-pool", "design — GPU buffer pool size ablation", runAblationPool},
 		{"ablation-hyperq", "§VI.A — Kepler Hyper-Q kernel concurrency ablation", runAblationHyperQ},
-		{"ablation-variants", "§VI.A — FFT variant (padded / real) pipeline ablation", runAblationVariants},
+		{"ablation-variants", "§VI.A — FFT layout (complex / real) × transform size (exact / planned) pipeline ablation", runAblationVariants},
 		{"bottleneck", "analysis — per-resource utilization of the modeled runs", runBottleneck},
 		{"solvers", "phase 2 — spanning tree vs least-squares placement", runSolvers},
 		{"solver-scaling", "extension — phase-2 LS engines vs plate size (GS / PCG / warm)", runSolverScaling},
@@ -792,27 +792,55 @@ func sameDisplacements(a, b *stitch.Result) bool {
 	return true
 }
 
+// runAblationVariants crosses the two §VI.A optimizations on a plate
+// whose tile size carries the paper's awkward factors (29 and 13, a
+// quarter-scale 1392×1040): spectrum layout × transform size, the exact
+// tile size (an estimate-mode planner) against the size a measuring
+// planner chooses.
 func runAblationVariants(o Options) (string, error) {
 	o = o.withDefaults()
-	src, _, err := realDataset(o)
+	rows, cols, tw, th := 4, 4, 348, 260
+	if o.Quick {
+		rows, cols, tw, th = 3, 3, 116, 87
+	}
+	p := imagegen.DefaultParams(rows, cols, tw, th)
+	p.Seed = o.Seed
+	ds, err := imagegen.Generate(p)
 	if err != nil {
 		return "", err
 	}
+	src := &stitch.MemorySource{DS: ds}
 	tbl := Table{
-		Title:   "FFT variant ablation (real pipelined-cpu runs, reduced scale)",
-		Headers: []string{"Variant", "Wall", "Identical to baseline"},
+		Title:   fmt.Sprintf("FFT layout × transform size ablation (real pipelined-cpu runs, %dx%d tiles of %dx%d)", rows, cols, tw, th),
+		Headers: []string{"Layout", "Size", "Transformed at", "Wall", "Identical to baseline"},
 	}
-	base, err := (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: 4})
-	if err != nil {
-		return "", err
-	}
-	tbl.Add("complex (baseline)", base.Elapsed.Round(time.Millisecond).String(), "-")
-	for _, v := range []stitch.FFTVariant{stitch.VariantPadded, stitch.VariantReal} {
-		res, err := (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: 4, FFTVariant: v})
-		if err != nil {
-			return "", err
+	var base *stitch.Result
+	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantReal} {
+		for _, mode := range []fft.Mode{fft.Estimate, fft.Measure} {
+			opts := stitch.Options{Threads: 4, FFTVariant: v, Planner: fft.NewPlanner(mode)}
+			// The first run pays planning; the table times a warm second.
+			if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
+				return "", err
+			}
+			res, err := (&stitch.PipelinedCPU{}).Run(src, opts)
+			if err != nil {
+				return "", err
+			}
+			layout, size, same := "complex", "exact", "-"
+			if v == stitch.VariantReal {
+				layout = "real"
+			}
+			if mode == fft.Measure {
+				size = "planned"
+			}
+			if base == nil {
+				base = res
+			} else {
+				same = fmt.Sprint(sameDisplacements(base, res))
+			}
+			tbl.Add(layout, size, fmt.Sprintf("%dx%d", res.TransformW, res.TransformH),
+				res.Elapsed.Round(time.Millisecond).String(), same)
 		}
-		tbl.Add(string(v), res.Elapsed.Round(time.Millisecond).String(), sameDisplacements(base, res))
 	}
 	return tbl.String(), nil
 }

@@ -9,40 +9,42 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// FFTVariant selects the per-pair transform path: a transform size and a
-// spectrum layout. This file is the only place that knows what a variant
-// means — it builds the host aligner and the device operator set for one
-// and sizes its transforms; everything else in the package handles opaque
-// spectra. The CPU implementations support all three; the GPU pipelines
-// support the baseline complex path and the real-to-complex path.
+// FFTVariant selects the spectrum layout of the per-pair transforms. The
+// transform size is not part of it: the run's planner chooses that, for
+// either layout (transformSize). This file is the only place that knows
+// what a layout means — it builds the host aligner and the device
+// operator set for one and sizes its transforms; everything else in the
+// package handles opaque spectra. All six implementations support both.
 type FFTVariant string
 
 const (
 	// VariantComplex is the paper's baseline: full complex transforms.
 	VariantComplex FFTVariant = ""
-	// VariantPadded zero-pads tiles to the next small-prime-factor size
-	// before transforming (paper §VI.A future work).
-	VariantPadded FFTVariant = "padded"
 	// VariantReal uses real-to-complex transforms and half spectra
 	// (paper §VI.A future work).
 	VariantReal FFTVariant = "real"
 )
 
+// transformSize asks the run's planner for the frame g's tiles are
+// transformed in under the run's layout: the tile size, or a larger one
+// the planner measured faster (paper §VI.A: pad to small-prime sizes).
+// The pciam constructors ask the same planner the same question, so the
+// host aligners, the device plans and every buffer sized here agree.
+func (o Options) transformSize(g tile.Grid) (pw, ph int) {
+	return o.Planner.TransformSize(g.TileW, g.TileH, o.FFTVariant == VariantReal)
+}
+
 // transformWords is the per-tile transform footprint in complex128
-// words: the full w×h spectrum for the complex path, the padded fast
-// size for the padded path, and the h×(w/2+1) half spectrum — roughly
-// half — for the real path. Host-cache and device-pool accounting both
-// derive from it, so the r2c saving shows up in memgov pressure and GPU
+// words at transform size pw×ph: the full spectrum for the complex
+// layout, the ph×(pw/2+1) half spectrum — roughly half — for the real
+// one. Host-cache and device-pool accounting both derive from it, so the
+// r2c saving and the padding cost show up in memgov pressure and GPU
 // pool capacity alike.
-func (v FFTVariant) transformWords(g tile.Grid) int64 {
-	switch v {
-	case VariantPadded:
-		return int64(fft.NextFastLength(g.TileH)) * int64(fft.NextFastLength(g.TileW))
-	case VariantReal:
-		return int64(g.TileH) * int64(g.TileW/2+1)
-	default:
-		return int64(g.TileH) * int64(g.TileW)
+func (v FFTVariant) transformWords(pw, ph int) int64 {
+	if v == VariantReal {
+		return int64(ph) * int64(pw/2+1)
 	}
+	return int64(ph) * int64(pw)
 }
 
 // aligner is the per-worker alignment engine; both pciam aligner types
@@ -72,8 +74,6 @@ func acquireAligner(g tile.Grid, opts Options) (aligner, error) {
 	switch opts.FFTVariant {
 	case VariantComplex:
 		return pciam.NewAligner(g.TileW, g.TileH, po)
-	case VariantPadded:
-		return pciam.NewPaddedAligner(g.TileW, g.TileH, po)
 	case VariantReal:
 		return pciam.NewRealAligner(g.TileW, g.TileH, po)
 	default:
@@ -93,7 +93,7 @@ type deviceOps struct {
 	pool    *devicePool
 	scratch *gpu.Buffer // complex layout only: the fused kernel's surface
 
-	// upload copies a tile's pixels into a pool buffer.
+	// upload copies a tile's staged pixels (run.stage) into a pool buffer.
 	upload func(st *gpu.Stream, buf *gpu.Buffer, pix []float64, after ...*gpu.Event) *gpu.Event
 	// forward transforms an uploaded buffer in place with lane's plan.
 	forward func(st *gpu.Stream, lane int, buf *gpu.Buffer, after ...*gpu.Event) *gpu.Event
@@ -104,12 +104,13 @@ type deviceOps struct {
 	displace func(st *gpu.Stream, fa, fb *gpu.Buffer, red *gpu.Reduction, after ...*gpu.Event) *gpu.Event
 }
 
-// newDeviceOps builds the operator set for dev: lanes forward plans, one
-// inverse plan, and opts.PoolTransforms buffers of the variant's
-// transformWords each. Close it when the run is done.
-func newDeviceOps(dev *gpu.Device, g tile.Grid, opts Options, lanes int) (*deviceOps, error) {
-	h, w := g.TileH, g.TileW
-	words := opts.FFTVariant.transformWords(g)
+// newDeviceOps builds the operator set for dev at the run's transform
+// size: lanes forward plans, one inverse plan, and opts.PoolTransforms
+// buffers of the layout's transformWords each. Close it when the run is
+// done.
+func (r *run) newDeviceOps(dev *gpu.Device, lanes int) (*deviceOps, error) {
+	g, opts, h, w := r.g, r.opts, r.ph, r.pw
+	words := opts.FFTVariant.transformWords(w, h)
 	d := &deviceOps{}
 	var alloc func() (*gpu.Buffer, error)
 	surface := false // whether displace writes its correlation surface to a device buffer
@@ -170,6 +171,19 @@ func newDeviceOps(dev *gpu.Device, g tile.Grid, opts Options, lanes int) (*devic
 		}
 	}
 	return d, nil
+}
+
+// staging returns a pixel frame of the run's transform size, the
+// host-side source of device uploads.
+func (r *run) staging() []float64 { return make([]float64, r.pw*r.ph) }
+
+// stage writes img into a staging frame, padded as the host aligners pad.
+func (r *run) stage(pix []float64, img *tile.Gray16) { img.ToFloatFrame(pix, r.pw) }
+
+// resolvePeak turns the index a device reduction found on the pw×ph
+// correlation surface into the pair's displacement (the CPU-side CCF).
+func (r *run) resolvePeak(a, b *tile.Gray16, idx int) tile.Displacement {
+	return pciam.ResolveIn(a, b, idx%r.pw, idx/r.pw, r.pw, r.ph)
 }
 
 // close frees the pool and the scratch buffer back to the device.

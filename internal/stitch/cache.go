@@ -10,14 +10,6 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// transformBytes is the memory footprint of one tile transform under the
-// given FFT variant: 16 bytes per spectrum word (the paper: "each
-// transform takes up nearly 22 MB" for 1392×1040 complex transforms; the
-// r2c half spectrum is roughly half that).
-func transformBytes(g tile.Grid, v FFTVariant) int64 {
-	return v.transformWords(g) * 16
-}
-
 // refCounter tracks, per tile, how many pairs still need it. When a
 // tile's count reaches zero its resources are released — the mechanism
 // that keeps the paper's system inside RAM and GPU memory limits.
@@ -67,10 +59,14 @@ type cacheEntry struct {
 // tracking, and optional memory-governor accounting of transform bytes.
 // Safe for concurrent use.
 type hostCache struct {
-	g       tile.Grid
-	variant FFTVariant
-	rc      *refCounter
-	gov     *memgov.Governor
+	g tile.Grid
+	// bytes is one transform's footprint, 16 per spectrum word of the
+	// run's layout and transform size (the paper: "each transform takes
+	// up nearly 22 MB" for 1392×1040 complex transforms; the r2c half
+	// spectrum is roughly half that).
+	bytes int64
+	rc    *refCounter
+	gov   *memgov.Governor
 
 	mu       sync.Mutex
 	data     map[int]cacheEntry
@@ -80,14 +76,14 @@ type hostCache struct {
 	computed int
 }
 
-func newHostCache(g tile.Grid, gov *memgov.Governor, v FFTVariant) *hostCache {
+func newHostCache(g tile.Grid, gov *memgov.Governor, transformBytes int64) *hostCache {
 	return &hostCache{
-		g:       g,
-		variant: v,
-		rc:      newRefCounter(g, g.Pairs()),
-		gov:     gov,
-		data:    make(map[int]cacheEntry),
-		allocs:  make(map[int]*memgov.Allocation),
+		g:      g,
+		bytes:  transformBytes,
+		rc:     newRefCounter(g, g.Pairs()),
+		gov:    gov,
+		data:   make(map[int]cacheEntry),
+		allocs: make(map[int]*memgov.Allocation),
 	}
 }
 
@@ -96,7 +92,7 @@ func newHostCache(g tile.Grid, gov *memgov.Governor, v FFTVariant) *hostCache {
 func (c *hostCache) put(i int, img *tile.Gray16, f []complex128) error {
 	var alloc *memgov.Allocation
 	if c.gov != nil {
-		a, err := c.gov.Alloc(transformBytes(c.g, c.variant))
+		a, err := c.gov.Alloc(c.bytes)
 		if err != nil {
 			return err
 		}
@@ -172,7 +168,7 @@ func (c *hostCache) stats() (live, peak, computed int) {
 // the CPU (an FFT execution or an NCC pass).
 func (c *hostCache) touch() {
 	if c.gov != nil {
-		c.gov.Touch(transformBytes(c.g, c.variant))
+		c.gov.Touch(c.bytes)
 	}
 }
 

@@ -53,7 +53,7 @@ func (c OpCensus) TotalForwardAndInverseFFTs() int64 {
 // forward transform at once — the number the paper contrasts with RAM
 // and GPU capacity (53.5 GB for the 42×59 grid).
 func (c OpCensus) TransformWorkingSetBytes() int64 {
-	return int64(c.Grid.NumTiles()) * transformBytes(c.Grid, VariantComplex)
+	return int64(c.Grid.NumTiles()) * VariantComplex.transformWords(c.Grid.TileW, c.Grid.TileH) * 16
 }
 
 // String renders the census as an aligned text table.

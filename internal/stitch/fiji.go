@@ -42,7 +42,7 @@ func (f Fiji) Run(src Source, opts Options) (*Result, error) {
 				return err
 			}
 			if gov := r.opts.Governor; gov != nil {
-				gov.Touch(2 * transformBytes(r.g, r.opts.FFTVariant))
+				gov.Touch(2 * r.cache.bytes)
 			}
 			d, err := al.DisplaceTiles(aImg, bImg)
 			if err != nil {

@@ -51,14 +51,14 @@ type runBaselines struct {
 	autoSplit       int64
 }
 
-// startRun opens the per-run root span on the "run" track. Nil-safe.
-// Named FFT variants are tagged with an "fft" attribute; the baseline has
-// no name and keeps the historical attribute set, so golden trace trees
-// recorded before variants existed stay valid.
-func startRun(opts Options, impl string, g tile.Grid) (*obs.Span, runBaselines) {
+// startRun opens the per-run root span on the "run" track, tagged with
+// the transform size pw×ph the run uses. Nil-safe. Named FFT variants are
+// also tagged with an "fft" attribute; the baseline has no name.
+func startRun(opts Options, impl string, g tile.Grid, pw, ph int) (*obs.Span, runBaselines) {
 	attrs := []obs.Attr{
 		obs.String("impl", impl),
 		obs.String("grid", fmt.Sprintf("%dx%d", g.Rows, g.Cols)),
+		obs.String("size", fmt.Sprintf("%dx%d", pw, ph)),
 	}
 	if name := string(opts.FFTVariant); name != "" {
 		attrs = append(attrs, obs.String("fft", name))
@@ -99,7 +99,9 @@ func publishRun(opts Options, base runBaselines, res *Result) {
 	rec.Counter(CounterDegradedTiles).Add(int64(len(res.DegradedTiles)))
 	rec.Counter(CounterDegradedPairs).Add(int64(len(res.DegradedPairs)))
 	rec.Gauge(obs.GaugeTransformsPeakLive).Set(float64(res.PeakTransformsLive))
-	rec.Gauge(obs.GaugeTransformWords).Set(float64(opts.FFTVariant.transformWords(res.Grid)))
+	rec.Gauge(obs.GaugeTransformWords).Set(float64(opts.FFTVariant.transformWords(res.TransformW, res.TransformH)))
+	rec.Gauge(obs.GaugeTransformWidth).Set(float64(res.TransformW))
+	rec.Gauge(obs.GaugeTransformHeight).Set(float64(res.TransformH))
 	for _, q := range res.QueueStats {
 		rec.Gauge(obs.QueuePrefix + q.Name + obs.QueueMaxDepthSuffix).Set(float64(q.MaxDepth))
 		rec.Counter(obs.QueuePrefix + q.Name + obs.QueuePushesSuffix).Add(q.Pushes)

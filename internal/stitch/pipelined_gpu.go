@@ -6,7 +6,6 @@ import (
 
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/obs"
-	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/pipeline"
 	"hybridstitch/internal/tile"
 )
@@ -176,7 +175,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 		dev := opts.Devices[d]
 		// One FFT-issuing thread per stream; the paper uses exactly one
 		// (Fermi cuFFT serialization), Hyper-Q configurations use more.
-		ops, err := newDeviceOps(dev, g, opts, opts.FFTStreams)
+		ops, err := r.newDeviceOps(dev, opts.FFTStreams)
 		if err != nil {
 			return 0, 0, constructionFail(err)
 		}
@@ -240,8 +239,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 		// overlap the trace tests pin. Copy errors still ride each tile's
 		// own sticky event. Casualty markers pass through without
 		// consuming a pool buffer.
-		pixels := g.TileW * g.TileH
-		copierPix := [2][]float64{make([]float64, pixels), make([]float64, pixels)}
+		copierPix := [2][]float64{r.staging(), r.staging()}
 		var copierPending [2]*gpu.Event
 		copierSlot := 0
 		pipeline.Connect(p, name("copier"), 1, qRead, qCopied,
@@ -260,9 +258,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 					_ = ev.Wait()
 				}
 				pix := copierPix[slot]
-				if err := t.img.ToFloat(pix); err != nil {
-					return err
-				}
+				r.stage(pix, t.img)
 				t.ev = ops.upload(copyStream, t.buf, pix)
 				copierPending[slot] = t.ev
 				return emit(t)
@@ -386,7 +382,6 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 
 	// Stage 6: CCF workers, shared across GPUs.
 	spCCF := stageSpan("ccf")
-	pciamOpts := opts.pciamOptions()
 	p.Go("ccf", opts.CCFThreads, func(int) error {
 		for {
 			t, ok := qCCF.Pop()
@@ -394,7 +389,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 				return nil
 			}
 			csp := spCCF.Child(obs.SpanCCF, pairAttr(t.pair))
-			d := pciam.Resolve(t.aImg, t.bImg, t.peakIdx%g.TileW, t.peakIdx/g.TileW, pciamOpts)
+			d := r.resolvePeak(t.aImg, t.bImg, t.peakIdx)
 			csp.End()
 			if err := r.settle(t.pair, d, nil); err != nil {
 				return err

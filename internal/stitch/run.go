@@ -34,6 +34,10 @@ type run struct {
 	base  runBaselines
 	start time.Time
 
+	// pw×ph is the size every tile is transformed at, host or device:
+	// the planner's choice for g's tiles under the run's layout.
+	pw, ph int
+
 	// once guards tile(): the first caller to need a tile loads it, the
 	// rest wait on it.
 	once []sync.Once
@@ -55,15 +59,17 @@ func newRun(src Source, opts Options, impl string) (*run, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(g)
+	pw, ph := opts.transformSize(g)
 	r := &run{
-		src: src, g: g, opts: opts,
+		src: src, g: g, opts: opts, pw: pw, ph: ph,
 		fp:    opts.plan(),
-		cache: newHostCache(g, opts.Governor, opts.FFTVariant),
+		cache: newHostCache(g, opts.Governor, opts.FFTVariant.transformWords(pw, ph)*16),
 		ds:    newDegradedSet(g),
 		once:  make([]sync.Once, g.NumTiles()),
 		res:   newResult(g),
 	}
-	r.root, r.base = startRun(opts, impl, g)
+	r.res.TransformW, r.res.TransformH = pw, ph
+	r.root, r.base = startRun(opts, impl, g, pw, ph)
 	r.start = time.Now()
 	return r, nil
 }
@@ -75,8 +81,6 @@ func newGPURun(src Source, opts Options, impl string) (*run, error) {
 		return nil, fmt.Errorf("stitch: %s requires a GPU device", impl)
 	case opts.NPeaks > 1:
 		return nil, fmt.Errorf("stitch: GPU implementations support NPeaks=1 only (max-reduction kernel)")
-	case opts.FFTVariant == VariantPadded:
-		return nil, fmt.Errorf("stitch: GPU implementations support the complex and real FFT variants only")
 	}
 	return newRun(src, opts, impl)
 }

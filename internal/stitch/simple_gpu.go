@@ -3,7 +3,6 @@ package stitch
 import (
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/obs"
-	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/tile"
 )
 
@@ -45,22 +44,20 @@ func (r *run) simpleGPU() (peak, transforms int, err error) {
 	}
 	defer stream.Close()
 	// The single stream serializes every kernel: one forward lane.
-	ops, err := newDeviceOps(dev, g, opts, 1)
+	ops, err := r.newDeviceOps(dev, 1)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer ops.close()
 	resident := newDeviceResidency(g, ops.pool, g.Pairs())
 
-	pix := make([]float64, g.TileW*g.TileH)
+	pix := r.staging()
 	load := func(c tile.Coord, psp *obs.Span) error {
 		img, err := r.read(c, psp)
 		if err != nil {
 			return err
 		}
-		if err := img.ToFloat(pix); err != nil {
-			return err
-		}
+		r.stage(pix, img)
 		buf, err := ops.pool.acquire(nil)
 		if err != nil {
 			return err
@@ -105,7 +102,7 @@ func (r *run) simpleGPU() (peak, transforms int, err error) {
 
 			// CCF on the CPU, inline (the gap in the Fig 7 profile).
 			csp := psp.Child(obs.SpanCCF, pairAttr(p))
-			d := pciam.Resolve(a.img, b.img, red.Idx%g.TileW, red.Idx/g.TileW, opts.pciamOptions())
+			d := r.resolvePeak(a.img, b.img, red.Idx)
 			csp.End()
 			return r.settle(p, d, nil)
 		})

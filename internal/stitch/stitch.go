@@ -141,8 +141,9 @@ type Options struct {
 	// implementations; the paper defaults to chained diagonal because it
 	// lets transform memory be freed earliest.
 	Traversal Traversal
-	// Planner supplies FFT wisdom shared across workers; nil builds an
-	// estimate-mode planner per run.
+	// Planner supplies FFT wisdom shared across workers — strategies and
+	// the transform size; nil builds an estimate-mode planner per run,
+	// which transforms at the tile size.
 	Planner *fft.Planner
 	// Governor, if set, accounts transform memory against a simulated
 	// physical RAM limit and injects paging stalls (Fig 5).
@@ -156,12 +157,13 @@ type Options struct {
 	// QueueCap bounds the inter-stage queues; 0 picks 4× the stage
 	// worker count.
 	QueueCap int
-	// FFTVariant selects the transform path: baseline complex, padded,
-	// or real-to-complex (the paper's §VI.A future-work optimizations).
-	// CPU implementations support all three; the GPU implementations
-	// support complex and real (padded is CPU-only). It is read where
+	// FFTVariant selects the spectrum layout: baseline complex or
+	// real-to-complex half spectra (the paper's §VI.A future-work
+	// optimization); every implementation supports both. It is read where
 	// aligners and device operators are built (aligner.go); schedulers
-	// never branch on it.
+	// never branch on it. §VI.A's other optimization, padding tiles to a
+	// fast transform size, is not selected here: Planner chooses the size
+	// for either layout.
 	FFTVariant FFTVariant
 	// FFTExec selects how each 2-D transform uses the machine: the zero
 	// value (auto) lets the plan-time autotuner measure serial vs split
@@ -283,6 +285,9 @@ type Result struct {
 	// West[i] is the displacement of tile i relative to its west
 	// neighbor; valid iff the tile has one (col > 0). North likewise.
 	West, North []tile.Displacement
+	// TransformW and TransformH are the size every tile was transformed
+	// at: the tile size, or the larger frame the planner chose.
+	TransformW, TransformH int
 	// Elapsed is the end-to-end wall time of the run.
 	Elapsed time.Duration
 	// PeakTransformsLive is the maximum number of tile transforms

@@ -7,21 +7,25 @@ import (
 	"testing"
 	"time"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/tile"
 )
 
+// TestFFTVariantsProduceSameDisplacements: the real layout, and either
+// layout at a padded transform size, find the baseline's displacements.
 func TestFFTVariantsProduceSameDisplacements(t *testing.T) {
 	src := testDataset(t, 3, 3)
 	base := runStitcher(t, &SimpleCPU{}, src, Options{})
-	for _, v := range []FFTVariant{VariantPadded, VariantReal} {
-		got := runStitcher(t, &SimpleCPU{}, src, Options{FFTVariant: v})
+	padded := paddedPlanner(t, src.Grid())
+	for _, opts := range []Options{{FFTVariant: VariantReal}, {Planner: padded}, {FFTVariant: VariantReal, Planner: padded}} {
+		got := runStitcher(t, &SimpleCPU{}, src, opts)
 		for _, p := range src.Grid().Pairs() {
 			d1, _ := base.PairDisplacement(p)
 			d2, _ := got.PairDisplacement(p)
 			if d1.X != d2.X || d1.Y != d2.Y {
-				t.Errorf("variant %q pair %v: (%d,%d) vs baseline (%d,%d)", v, p, d2.X, d2.Y, d1.X, d1.Y)
+				t.Errorf("variant %q at %dx%d pair %v: (%d,%d) vs baseline (%d,%d)", opts.FFTVariant, got.TransformW, got.TransformH, p, d2.X, d2.Y, d1.X, d1.Y)
 			}
 		}
 	}
@@ -30,10 +34,11 @@ func TestFFTVariantsProduceSameDisplacements(t *testing.T) {
 func TestFFTVariantsAcrossImplementations(t *testing.T) {
 	src := testDataset(t, 2, 3)
 	for _, impl := range []Stitcher{&MTCPU{}, &PipelinedCPU{}} {
-		for _, v := range []FFTVariant{VariantPadded, VariantReal} {
-			res := runStitcher(t, impl, src, Options{Threads: 2, FFTVariant: v})
+		for _, opts := range []Options{{FFTVariant: VariantReal}, {Planner: paddedPlanner(t, src.Grid())}} {
+			opts.Threads = 2
+			res := runStitcher(t, impl, src, opts)
 			if !res.Complete() {
-				t.Errorf("%s/%s incomplete", impl.Name(), v)
+				t.Errorf("%s/%s at %dx%d incomplete", impl.Name(), opts.FFTVariant, res.TransformW, res.TransformH)
 			}
 		}
 	}
@@ -41,33 +46,42 @@ func TestFFTVariantsAcrossImplementations(t *testing.T) {
 
 func TestUnknownVariantRejected(t *testing.T) {
 	src := testDataset(t, 2, 2)
-	if _, err := (&SimpleCPU{}).Run(src, Options{FFTVariant: "banana"}); err == nil {
-		t.Error("unknown variant should fail")
+	for _, v := range []FFTVariant{"banana", "padded"} {
+		if _, err := (&SimpleCPU{}).Run(src, Options{FFTVariant: v}); err == nil {
+			t.Errorf("unknown variant %q should fail", v)
+		}
 	}
 }
 
+// TestGPUVariantSupport: the GPU pair runs the real layout at the exact
+// and at a padded transform size, and its device footprint is the pool
+// and nothing else — the real layout's fused displacement kernel writes
+// no device buffer — at ph·(pw/2+1) words per transform.
 func TestGPUVariantSupport(t *testing.T) {
 	src := testDataset(t, 2, 2)
 	g := src.Grid()
 	for _, impl := range []Stitcher{&SimpleGPU{}, &PipelinedGPU{}} {
-		devs := testDevices(1)
-		if _, err := impl.Run(src, Options{Devices: devs, FFTVariant: VariantPadded}); err == nil {
-			t.Errorf("%s should reject the padded FFT variant", impl.Name())
+		for _, planner := range []*fft.Planner{nil, paddedPlanner(t, g)} {
+			devs := testDevices(1)
+			res, err := impl.Run(src, Options{Devices: devs, FFTVariant: VariantReal, Planner: planner})
+			if err != nil {
+				t.Fatalf("%s real variant: %v", impl.Name(), err)
+			}
+			if !res.Complete() {
+				t.Errorf("%s real variant incomplete", impl.Name())
+			}
+			pw, ph := g.TileW, g.TileH
+			if planner != nil {
+				if pw, ph = planner.TransformSize(pw, ph, true); pw == g.TileW {
+					t.Fatalf("padded planner kept the tile size")
+				}
+			}
+			want := int64(Options{}.withDefaults(g).PoolTransforms) * int64(ph) * int64(pw/2+1)
+			if _, peak, _, _ := devs[0].MemStats(); peak != want {
+				t.Errorf("%s real variant at %dx%d: device peak %d words, want the pool's %d", impl.Name(), pw, ph, peak, want)
+			}
+			closeDevices(devs)
 		}
-		res, err := impl.Run(src, Options{Devices: devs, FFTVariant: VariantReal})
-		if err != nil {
-			t.Fatalf("%s real variant: %v", impl.Name(), err)
-		}
-		if !res.Complete() {
-			t.Errorf("%s real variant incomplete", impl.Name())
-		}
-		// The real layout's device footprint is the pool and nothing else:
-		// its fused displacement kernel writes no device buffer.
-		want := int64(Options{}.withDefaults(g).PoolTransforms) * int64(g.TileH) * int64(g.TileW/2+1)
-		if _, peak, _, _ := devs[0].MemStats(); peak != want {
-			t.Errorf("%s real variant: device peak %d words, want the pool's %d", impl.Name(), peak, want)
-		}
-		closeDevices(devs)
 	}
 }
 
@@ -181,13 +195,14 @@ func TestVariantBenchmarksShape(t *testing.T) {
 	// Not a timing assertion (host noise), just that all variants finish
 	// and report sane metrics on a larger grid.
 	src := testDataset(t, 3, 4)
-	for _, v := range []FFTVariant{VariantComplex, VariantPadded, VariantReal} {
-		res := runStitcher(t, &PipelinedCPU{}, src, Options{Threads: 2, FFTVariant: v})
+	for _, opts := range []Options{{}, {Planner: paddedPlanner(t, src.Grid())}, {FFTVariant: VariantReal}} {
+		opts.Threads = 2
+		res := runStitcher(t, &PipelinedCPU{}, src, opts)
 		if res.TransformsComputed != src.Grid().NumTiles() {
-			t.Errorf("variant %q computed %d transforms", v, res.TransformsComputed)
+			t.Errorf("variant %q at %dx%d computed %d transforms", opts.FFTVariant, res.TransformW, res.TransformH, res.TransformsComputed)
 		}
 		if res.Elapsed <= 0 {
-			t.Errorf("variant %q reported no elapsed time", v)
+			t.Errorf("variant %q at %dx%d reported no elapsed time", opts.FFTVariant, res.TransformW, res.TransformH)
 		}
 	}
 }

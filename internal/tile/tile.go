@@ -53,18 +53,6 @@ func (g *Gray16) SubRect(x0, y0, w, h int) *Gray16 {
 	return out
 }
 
-// ToComplex converts pixel values to a complex field for FFT input. dst
-// must have length W*H.
-func (g *Gray16) ToComplex(dst []complex128) error {
-	if len(dst) != len(g.Pix) {
-		return fmt.Errorf("tile: destination has %d elements, image has %d", len(dst), len(g.Pix))
-	}
-	for i, v := range g.Pix {
-		dst[i] = complex(float64(v), 0)
-	}
-	return nil
-}
-
 // ToFloat converts pixel values to float64. dst must have length W*H.
 func (g *Gray16) ToFloat(dst []float64) error {
 	if len(dst) != len(g.Pix) {
@@ -74,6 +62,53 @@ func (g *Gray16) ToFloat(dst []float64) error {
 		dst[i] = float64(v)
 	}
 	return nil
+}
+
+// ToFloatFrame writes the image into the top-left corner of the
+// row-major frame dst of width stride ≥ W — the FFT input of a transform
+// larger than the tile — and fills the margin with the image's periodic
+// continuation: each row runs on linearly from its last pixel to its
+// first across the pad columns, and the pad rows run from the last row
+// to the first. The FFT treats the frame as one period, so the margin is
+// what joins the image's opposite edges; a constant there (zero, worst
+// of all) is a band with two hard edges at the same place in every
+// padded tile, which correlates with itself at zero displacement and, in
+// a phase correlation — all frequencies weigh alike — outweighs the true
+// peak of small tiles. The ramp has no edge at all, not even the one an
+// unpadded tile's own wrap-around has. len(dst) must be a multiple of
+// stride holding at least H rows; a frame of the image's own size is
+// ToFloat.
+func (g *Gray16) ToFloatFrame(dst []float64, stride int) {
+	if len(dst) == len(g.Pix) {
+		_ = g.ToFloat(dst) // the lengths match
+		return
+	}
+	for y := 0; y < g.H; y++ {
+		row := dst[y*stride : (y+1)*stride]
+		for x, v := range g.Pix[y*g.W : (y+1)*g.W] {
+			row[x] = float64(v)
+		}
+		rampFill(row[g.W:], row[g.W-1], row[0])
+	}
+	// Pad rows, column by column, from the (already padded) last image
+	// row back to the first.
+	rows, last, first := len(dst)/stride, dst[(g.H-1)*stride:g.H*stride], dst[:stride]
+	step := 1 / float64(rows-g.H+1)
+	for y := g.H; y < rows; y++ {
+		f := float64(y-g.H+1) * step
+		for x, row := 0, dst[y*stride:(y+1)*stride]; x < stride; x++ {
+			row[x] = last[x] + (first[x]-last[x])*f
+		}
+	}
+}
+
+// rampFill fills pad with the values strictly between from and to on the
+// line through them.
+func rampFill(pad []float64, from, to float64) {
+	step := (to - from) / float64(len(pad)+1)
+	for i := range pad {
+		pad[i] = from + step*float64(i+1)
+	}
 }
 
 // Mean returns the average pixel value.

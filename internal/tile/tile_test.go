@@ -57,15 +57,6 @@ func TestConversions(t *testing.T) {
 	for i := range g.Pix {
 		g.Pix[i] = uint16(i * 100)
 	}
-	cx := make([]complex128, 6)
-	if err := g.ToComplex(cx); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range cx {
-		if real(v) != float64(i*100) || imag(v) != 0 {
-			t.Errorf("complex[%d] = %v", i, v)
-		}
-	}
 	fs := make([]float64, 6)
 	if err := g.ToFloat(fs); err != nil {
 		t.Fatal(err)
@@ -75,11 +66,39 @@ func TestConversions(t *testing.T) {
 			t.Errorf("float[%d] = %v", i, v)
 		}
 	}
-	if err := g.ToComplex(make([]complex128, 5)); err == nil {
-		t.Error("size mismatch should fail")
-	}
 	if err := g.ToFloat(make([]float64, 7)); err == nil {
 		t.Error("size mismatch should fail")
+	}
+}
+
+// TestToFloatFrame: a frame of the image's own size is ToFloat; a larger
+// one keeps the image in its corner and joins the opposite edges across
+// the margin in even steps, pad rows included.
+func TestToFloatFrame(t *testing.T) {
+	g := NewGray16(3, 2)
+	copy(g.Pix, []uint16{10, 20, 40, 70, 50, 10})
+	same := make([]float64, 6)
+	g.ToFloatFrame(same, 3)
+	for i, v := range same {
+		if v != float64(g.Pix[i]) {
+			t.Errorf("own-size frame[%d] = %v, want %d", i, v, g.Pix[i])
+		}
+	}
+	got := make([]float64, 5*4)
+	for i := range got {
+		got[i] = -1 // stale staging from an earlier tile
+	}
+	g.ToFloatFrame(got, 5)
+	want := []float64{
+		10, 20, 40, 30, 20, // 40 → 10 in three steps
+		70, 50, 10, 30, 50, // 10 → 70
+		50, 40, 20, 30, 40, // a third of the way from row 1 back to row 0
+		30, 30, 30, 30, 30,
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Errorf("frame[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 
