@@ -68,9 +68,9 @@ lint-help:
 # three GOMAXPROCS: their stage interleavings differ with the P count;
 # the oracle wall (hotpath_diff_test.go: layout × transform size × exec ×
 # six implementations) rides the same line, since a padded GPU run is a
-# staged scheduler too. The planner's size decision is made once under
-# concurrent callers and the aligners are pooled by it: the fft and pciam
-# size tests run race-enabled by name.
+# staged scheduler too. The transform size is a pure function the
+# aligners are pooled by: the fft and pciam size, pool and zero-alloc
+# tests run race-enabled by name, with no timing to skip.
 # bench/ is its own module (a `replace` points it at this one), invisible
 # to ./... here, so it is vetted, tested and linted by name: an API it
 # uses cannot be deleted unnoticed.
@@ -81,7 +81,7 @@ check: build
 	$(GO) test -race ./internal/obs/ ./internal/gpu/
 	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
 	$(GO) test -race -cpu 1,2,4 -run 'GPU|Pipelined|Engine|Socket|HotPath|FFTExec' ./internal/stitch/
-	$(GO) test -race -run 'Size|Wisdom|Autotune|Padded|Alloc|Pool' ./internal/fft/ ./internal/pciam/
+	$(GO) test -race -run 'Size|Autotune|Padded|Alloc|Pool' ./internal/fft/ ./internal/pciam/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...

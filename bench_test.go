@@ -296,27 +296,6 @@ func benchCompose(b *testing.B, highlight bool) {
 func BenchmarkFig13Compose(b *testing.B)   { benchCompose(b, false) }
 func BenchmarkFig14Highlight(b *testing.B) { benchCompose(b, true) }
 
-// --- §IV: planner modes ---
-
-func BenchmarkPlannerModes(b *testing.B) {
-	for _, mode := range []fft.Mode{fft.Estimate, fft.Measure, fft.Patient} {
-		b.Run(mode.String(), func(b *testing.B) {
-			pl := fft.NewPlanner(mode)
-			p, err := pl.Plan(348, fft.Forward, fft.PlanOpts{}) // 348 = 1392/4, same factors
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]complex128, 348)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Execute(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- §IV: traversal orders ---
 
 func BenchmarkTraversalOrders(b *testing.B) {
@@ -464,25 +443,6 @@ func BenchmarkCCFRegion(b *testing.B) {
 }
 
 // --- extension benchmarks ---
-
-func BenchmarkStockhamVsRadix2(b *testing.B) {
-	for _, strat := range []string{"radix2", "stockham"} {
-		b.Run(strat, func(b *testing.B) {
-			p, err := fft.NewPlan(1024, fft.Forward, fft.PlanOpts{ForceStrategy: strat})
-			if err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]complex128, 1024)
-			b.SetBytes(1024 * 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.Execute(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkSolvers(b *testing.B) {
 	src := benchSource(b, 6, 6, 96, 64)
@@ -822,34 +782,29 @@ func BenchmarkRealFFTPhase1SmallGrid(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFFTVariants crosses spectrum layout with transform
-// size on tiles carrying the paper's awkward factors (116×87 = 4·29 ×
-// 3·29): the exact size (an estimate-mode planner) against the size a
-// measuring planner chooses, planned once outside the timed loop.
+// BenchmarkAblationFFTVariants runs both spectrum layouts on tiles
+// carrying the paper's awkward factors (116×87 = 4·29 × 3·29), each at
+// the frame the size rule chooses (120×90), aligners built once outside
+// the timed loop.
 func BenchmarkAblationFFTVariants(b *testing.B) {
 	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantReal} {
-		for _, mode := range []fft.Mode{fft.Estimate, fft.Measure} {
-			name := "complex"
-			if v == stitch.VariantReal {
-				name = "real"
+		name := "complex"
+		if v == stitch.VariantReal {
+			name = "real"
+		}
+		b.Run(name, func(b *testing.B) {
+			src := benchSource(b, 5, 5, 116, 87)
+			opts := stitch.Options{Threads: 4, FFTVariant: v}
+			if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
+				b.Fatal(err)
 			}
-			if mode == fft.Measure {
-				name += "-planned"
-			}
-			b.Run(name, func(b *testing.B) {
-				src := benchSource(b, 5, 5, 116, 87)
-				opts := stitch.Options{Threads: 4, FFTVariant: v, Planner: fft.NewPlanner(mode)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -857,8 +812,9 @@ func BenchmarkAblationFFTVariants(b *testing.B) {
 // stage — forward (staging + FFT), NCC + inverse, peak reduction, CCF —
 // per (layout, transform size) at the paper's 1392×1040 tile size, the
 // reporting shape of Alpay & Aydemir (PAPERS.md): exact, the size
-// NextFastLength would pad to, and the planner's 1440×1080, each forced
-// by a wisdom record, all serial. EXPERIMENTS.md "Transform size" cites it.
+// NextFastLength would pad to, and the size rule's 1440×1080, each built
+// from fft plans at that frame, all serial. EXPERIMENTS.md "Transform
+// size" cites it.
 func BenchmarkTransformSizeStages(b *testing.B) {
 	for _, real := range []bool{false, true} {
 		for _, sz := range [][2]int{{1392, 1040}, {1400, 1050}, {1440, 1080}} {
@@ -867,36 +823,32 @@ func BenchmarkTransformSizeStages(b *testing.B) {
 	}
 }
 
-// benchSizeStages runs the four stage benchmarks of one (layout, size);
-// its aligner and plans are released before the next configuration's
-// are built.
+// benchSizeStages runs the four stage benchmarks of one (layout, frame);
+// its plans are released before the next configuration's are built.
 func benchSizeStages(b *testing.B, real bool, pw, ph int) {
 	const w, h = 1392, 1040
 	src := benchSource(b, 1, 2, w, h)
 	ta, tb := src.DS.Tile(tile.Coord{}), src.DS.Tile(tile.Coord{Col: 1})
-	planner := fft.NewPlanner(fft.Measure)
-	rec := fmt.Sprintf(`[{"w":%d,"h":%d,"real":%v,"pw":%d,"ph":%d}]`, w, h, real, pw, ph)
-	if err := planner.ImportWisdom([]byte(rec)); err != nil {
-		b.Fatal(err)
-	}
-	opts := pciam.Options{Planner: planner, FFTExec: fft.ExecSerial}
-	var transform func(*tile.Gray16) ([]complex128, error)
+	pix := make([]float64, pw*ph)
+	var transform func(*tile.Gray16) []complex128
 	var inverse func(fa, fb []complex128) // NCC + inverse into the surface
 	var peak func() int
 	layout := "complex"
 	if real {
 		layout = "real"
-		al, err := pciam.NewRealAligner(w, h, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer al.Close()
-		plan, err := planner.RealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
+		plan, err := fft.NewRealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
 		if err != nil {
 			b.Fatal(err)
 		}
 		corr, sw := make([]float64, pw*ph), pw/2+1
-		transform = al.Transform
+		transform = func(t *tile.Gray16) []complex128 {
+			t.ToFloatFrame(pix, pw)
+			out := make([]complex128, ph*sw)
+			if err := plan.Forward(out, pix); err != nil {
+				b.Fatal(err)
+			}
+			return out
+		}
 		inverse = func(fa, fb []complex128) {
 			err := plan.InverseFill(corr, func(dst []complex128, r int) {
 				pciam.NCCSpectrum(dst, fa[r*sw:(r+1)*sw], fb[r*sw:(r+1)*sw])
@@ -907,19 +859,28 @@ func benchSizeStages(b *testing.B, real bool, pw, ph int) {
 		}
 		peak = func() int { i, _ := pciam.MaxAbsReal(corr); return i }
 	} else {
-		al, err := pciam.NewAligner(w, h, opts)
+		fwd, err := fft.NewPlan2D(ph, pw, fft.Forward, fft.Plan2DOpts{Exec: fft.ExecSerial})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer al.Close()
-		plan, err := planner.Plan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
+		inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
 		if err != nil {
 			b.Fatal(err)
 		}
 		surf := make([]complex128, pw*ph)
-		transform = al.Transform
+		transform = func(t *tile.Gray16) []complex128 {
+			t.ToFloatFrame(pix, pw)
+			out := make([]complex128, pw*ph)
+			for i, v := range pix {
+				out[i] = complex(v, 0)
+			}
+			if err := fwd.Execute(out); err != nil {
+				b.Fatal(err)
+			}
+			return out
+		}
 		inverse = func(fa, fb []complex128) {
-			err := plan.ExecuteFill(surf, func(dst []complex128, r int) {
+			err := inv.ExecuteFill(surf, func(dst []complex128, r int) {
 				pciam.NCCSpectrum(dst, fa[r*pw:(r+1)*pw], fb[r*pw:(r+1)*pw])
 			})
 			if err != nil {
@@ -928,22 +889,13 @@ func benchSizeStages(b *testing.B, real bool, pw, ph int) {
 		}
 		peak = func() int { i, _ := pciam.MaxAbs(surf); return i }
 	}
-	fa, err := transform(ta)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fb, err := transform(tb)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fa, fb := transform(ta), transform(tb)
 	inverse(fa, fb)
 	idx := peak()
 	name := fmt.Sprintf("%s/%dx%d/", layout, pw, ph)
 	b.Run(name+"forward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := transform(ta); err != nil {
-				b.Fatal(err)
-			}
+			transform(ta)
 		}
 	})
 	b.Run(name+"ncc+inverse", func(b *testing.B) {

@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("loaded displacements from %s\n", *dispFile)
 	} else {
 		t0 := time.Now()
-		res, err = (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: *threads})
+		res, err = freshDisplacements(src, *threads)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -150,4 +150,12 @@ func openDataset(dir string) (stitch.Source, []int, []int, error) {
 	// Reuse cmd/stitch's metadata format via a local copy of the loader
 	// (main packages cannot import each other).
 	return loadDirSource(dir)
+}
+
+// freshDisplacements is phase 1 for a dataset without saved
+// displacements. It passes no FFT planner, and needs none: the transform
+// size and algorithms are rules, so this matches a `stitch` run of the
+// same layout pair for pair.
+func freshDisplacements(src stitch.Source, threads int) (*stitch.Result, error) {
+	return (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: threads})
 }

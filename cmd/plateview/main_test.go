@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/stitch"
 )
@@ -37,5 +38,37 @@ func TestLoadDirSource(t *testing.T) {
 	_ = os.WriteFile(filepath.Join(bad, "truth.json"), []byte("{"), 0o644)
 	if _, _, _, err := loadDirSource(bad); err == nil {
 		t.Error("corrupt metadata should fail")
+	}
+}
+
+// TestFreshDisplacementsMatchAMeasuredRun: plateview's fresh phase 1
+// passes no planner, a stitch-style run passes a measuring one, and on a
+// plate whose tile size the size rule pads (348×260 → 360×270) both
+// transform in the same frame and find the same displacements.
+func TestFreshDisplacementsMatchAMeasuredRun(t *testing.T) {
+	ds, err := imagegen.Generate(imagegen.DefaultParams(4, 4, 348, 260))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &stitch.MemorySource{DS: ds}
+	fresh, err := freshDisplacements(src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, err := (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: 2, Planner: fft.NewPlanner(fft.Measure)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*stitch.Result{fresh, measured} {
+		if res.TransformW != 360 || res.TransformH != 270 {
+			t.Errorf("348x260 tiles transformed at %dx%d, want 360x270", res.TransformW, res.TransformH)
+		}
+	}
+	for _, p := range src.Grid().Pairs() {
+		a, _ := fresh.PairDisplacement(p)
+		b, _ := measured.PairDisplacement(p)
+		if a != b {
+			t.Errorf("pair %v: plateview %+v, measured planner %+v", p, a, b)
+		}
 	}
 }

@@ -47,7 +47,7 @@ func main() {
 		gpus      = flag.Int("gpus", 1, "simulated GPU count (GPU implementations)")
 		travName  = flag.String("traversal", "chained-diagonal", "grid traversal order")
 		npeaks    = flag.Int("npeaks", 1, "correlation peaks to consider per pair (CPU implementations)")
-		fftLayout = flag.String("fft", "real", "spectrum layout: real (real-to-complex half spectra, ~half the FFT work) or complex (the paper's baseline); the transform size is the FFT planner's choice either way")
+		fftLayout = flag.String("fft", "real", "spectrum layout: real (real-to-complex half spectra, ~half the FFT work) or complex (the paper's baseline); the transform size follows from the tile size either way")
 		fftExec   = flag.String("fft-exec", "auto", "per-transform execution strategy: auto (measured at plan time), serial, split")
 		sockets   = flag.Int("sockets", 1, "CPU pipelines (pipelined-cpu; one per socket)")
 		outPNG    = flag.String("out", "", "write the composite image to this PNG")
@@ -61,7 +61,6 @@ func main() {
 		lsPrecond = flag.String("ls-precond", "twolevel", "PCG preconditioner for -solver ls: twolevel, jacobi")
 		stretch   = flag.Bool("stretch", true, "contrast-stretch the composite PNG for display")
 		refine    = flag.Bool("refine", false, "repair low-confidence pairs via CCF search from the stage model before phase 2")
-		wisdom    = flag.String("wisdom", "", "FFT wisdom file: imported if present, updated after the run")
 		saveDisp  = flag.String("save-displacements", "", "write the phase-1 displacement arrays to this JSON file")
 		seed      = flag.Int64("seed", 1, "seed for -synthetic")
 		faultSpec = flag.String("fault-spec", "", "fault-injection spec, e.g. \"stitch.read@r003:always;gpu.kernel.fft:nth=5\" (testing)")
@@ -129,16 +128,6 @@ func main() {
 		FFTVariant: fftVariant, Sockets: *sockets, FFTExec: execStrategy,
 		Faults: injector, MaxRetries: *maxRetry, RetryBackoff: 5 * time.Millisecond,
 		Degrade: *degrade && *implName != "fiji", Obs: rec}
-	planner := fft.NewPlanner(fft.Measure)
-	if *wisdom != "" {
-		if blob, err := os.ReadFile(*wisdom); err == nil {
-			if err := planner.ImportWisdom(blob); err != nil {
-				log.Fatalf("wisdom file %s: %v", *wisdom, err)
-			}
-			fmt.Printf("imported FFT wisdom (%d entries)\n", planner.WisdomSize())
-		}
-	}
-	opts.Planner = planner
 	var devs []*gpu.Device
 	if *implName == "simple-gpu" || *implName == "pipelined-gpu" {
 		for d := 0; d < *gpus; d++ {
@@ -163,13 +152,6 @@ func main() {
 	}
 	if injector != nil {
 		fmt.Printf("  fault injector fired %d times\n", injector.Fired())
-	}
-	if *wisdom != "" {
-		if blob, err := planner.ExportWisdom(); err == nil {
-			if err := os.WriteFile(*wisdom, blob, 0o644); err != nil {
-				log.Fatalf("writing wisdom: %v", err)
-			}
-		}
 	}
 	if *refine {
 		n, err := global.RefineResult(res, src, global.RefineOptions{})
@@ -209,8 +191,7 @@ func main() {
 		log.Fatal(err)
 	}
 	w, h := pl.Bounds()
-	fmt.Printf("phase 2: global positions in %v (%d repaired, %d dropped edges); composite %dx%d px\n",
-		time.Since(t0).Round(time.Millisecond), pl.Repaired, pl.Dropped, w, h)
+	fmt.Print(phase2Summary(time.Since(t0), pl))
 	if truthX != nil {
 		if rms, err := global.RMSError(pl, truthX, truthY); err == nil {
 			fmt.Printf("  placement RMS vs ground truth: %.2f px\n", rms)
@@ -314,6 +295,15 @@ func writeObs(rec *obs.Recorder, traceOut, metricsOut, impl string) {
 		}
 		fmt.Printf("wrote metrics snapshot to %s\n", metricsOut)
 	}
+}
+
+// phase2Summary is the line printed after phase 2. The duration keeps
+// microseconds: a spanning-tree solve of a small plate takes well under a
+// millisecond.
+func phase2Summary(d time.Duration, pl *global.Placement) string {
+	w, h := pl.Bounds()
+	return fmt.Sprintf("phase 2: global positions in %v (%d repaired, %d dropped edges); composite %dx%d px\n",
+		d.Round(time.Microsecond), pl.Repaired, pl.Dropped, w, h)
 }
 
 // degradedSummary renders the casualty block printed after phase 1, or

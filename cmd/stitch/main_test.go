@@ -1,16 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
-	"testing"
-
-	"errors"
+	"runtime"
 	"strings"
+	"sync"
+	"testing"
+	"time"
 
 	"hybridstitch/internal/compose"
 	"hybridstitch/internal/fault"
 	"hybridstitch/internal/fft"
+	"hybridstitch/internal/global"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/stitch"
 	"hybridstitch/internal/tile"
@@ -163,13 +167,13 @@ func TestFaultSpecFlowEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSharedWisdomSameSizeSameDisplacements mirrors main's -wisdom
-// wiring on a plate of the paper's tile size: the first run's measuring
-// planner chooses a transform size, the wisdom it exports carries the
-// choice, and a second process importing it — its planner would
-// otherwise measure afresh — transforms at the same size and writes the
-// same -save-displacements file, byte for byte.
-func TestSharedWisdomSameSizeSameDisplacements(t *testing.T) {
+// TestSaveResultIsHostIndependent: on a plate of the paper's tile size,
+// which the size rule pads to 1440×1080, the -save-displacements file
+// does not depend on who plans or on how busy the host is. Runs with
+// estimate, measure and no planner, and one made while GOMAXPROCS
+// spinning goroutines hog every core, write the same file, byte for
+// byte.
+func TestSaveResultIsHostIndependent(t *testing.T) {
 	src, _, _, err := openSource("", "1x2", 1392, 1040, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -178,40 +182,63 @@ func TestSharedWisdomSameSizeSameDisplacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	var wisdom []byte
-	var files [2][]byte
-	var sizes [2][2]int
-	for i := range files {
-		planner := fft.NewPlanner(fft.Measure)
-		if wisdom != nil {
-			if err := planner.ImportWisdom(wisdom); err != nil {
-				t.Fatal(err)
-			}
-		}
+	path := filepath.Join(t.TempDir(), "disp.json")
+	save := func(planner *fft.Planner) []byte {
+		t.Helper()
 		res, err := impl.Run(src, stitch.Options{Threads: 2, FFTVariant: stitch.VariantReal, Planner: planner})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wisdom, err = planner.ExportWisdom(); err != nil {
-			t.Fatal(err)
+		if res.TransformW != 1440 || res.TransformH != 1080 {
+			t.Errorf("1392x1040 tiles transformed at %dx%d, want 1440x1080", res.TransformW, res.TransformH)
 		}
-		path := filepath.Join(dir, "disp.json")
 		if err := stitch.SaveResult(path, res); err != nil {
 			t.Fatal(err)
 		}
-		if files[i], err = os.ReadFile(path); err != nil {
+		blob, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[i] = [2]int{res.TransformW, res.TransformH}
+		return blob
 	}
-	if sizes[0][0] <= 1392 || sizes[0][1] <= 1040 {
-		t.Errorf("1392x1040 tiles transformed at %dx%d, want a padded size", sizes[0][0], sizes[0][1])
+	want := save(nil)
+	for name, pl := range map[string]*fft.Planner{"estimate": fft.NewPlanner(fft.Estimate), "measure": fft.NewPlanner(fft.Measure)} {
+		if got := save(pl); !bytes.Equal(got, want) {
+			t.Errorf("%s planner wrote a different displacement file", name)
+		}
 	}
-	if sizes[0] != sizes[1] {
-		t.Errorf("transform size changed under shared wisdom: %v then %v", sizes[0], sizes[1])
+	stop := make(chan struct{})
+	var hogs sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		hogs.Add(1)
+		go func() {
+			defer hogs.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
 	}
-	if string(files[0]) != string(files[1]) {
-		t.Error("displacement files differ between two runs sharing wisdom")
+	got := save(fft.NewPlanner(fft.Measure))
+	close(stop)
+	hogs.Wait()
+	if !bytes.Equal(got, want) {
+		t.Error("a run under a CPU hog wrote a different displacement file")
+	}
+}
+
+// TestPhase2SummaryKeepsMicroseconds: a sub-millisecond solve prints its
+// duration, not "0s".
+func TestPhase2SummaryKeepsMicroseconds(t *testing.T) {
+	pl, err := global.Solve(&stitch.Result{Grid: tile.Grid{Rows: 1, Cols: 1, TileW: 8, TileH: 8}}, global.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := phase2Summary(412345*time.Nanosecond, pl)
+	if !strings.HasPrefix(got, "phase 2: global positions in 412µs (") {
+		t.Errorf("summary = %q, want the duration as 412µs", got)
 	}
 }

@@ -9,8 +9,10 @@ import (
 
 // The measured-plan autotuner. A 2-D plan built with ExecAuto times its
 // two execution shapes once at plan time — serial and recursive split —
-// and commits to the faster, mirroring how the 1-D planner's measure
-// mode picks strategies. Decisions are cached per (kind, size, budget)
+// and commits to the faster. This is the one timed choice in the package,
+// and it may be timed because it cannot change a bit: split execution
+// only repartitions the row and column loops (pinned by the
+// ParallelMatchesSerial tests). Decisions are cached per (kind, size, budget)
 // so repeated plan construction (aligner pools, benchmarks) pays
 // measurement once, and counted in package atomics that the stitch
 // layer publishes as the obs counters fft.autotune.{serial,split}
@@ -105,7 +107,7 @@ func countChoice(c ExecStrategy) {
 }
 
 // autotuneReps is how many timed executions each candidate gets; the
-// minimum is kept, the same noise discipline as Planner.decide.
+// minimum is kept, as FFTW's measured planning does.
 const autotuneReps = 2
 
 // measure times fn (one warm-up, autotuneReps timed) and returns the

@@ -21,14 +21,17 @@ func ExamplePlan() {
 	// round trip: 1 2 3 4
 }
 
-// ExamplePlanner shows wisdom caching: the second plan for a size reuses
-// the measured strategy.
-func ExamplePlanner() {
-	pl := fft.NewPlanner(fft.Measure)
-	p1, _ := pl.Plan(1392, fft.Forward, fft.PlanOpts{}) // the paper's tile width
-	p2, _ := pl.Plan(1392, fft.Forward, fft.PlanOpts{})
-	fmt.Println(p1.Strategy() == p2.Strategy(), pl.WisdomSize())
-	// Output: true 1
+// ExampleTransformSize shows the size rule on the paper's tile,
+// 1392×1040 = 2⁴·3·29 × 2⁴·5·13: it transforms at the nearby 1440×1080,
+// in either layout, while an already fast size keeps its own.
+func ExampleTransformSize() {
+	fmt.Println(fft.TransformSize(1392, 1040, true))
+	fmt.Println(fft.TransformSize(1392, 1040, false))
+	fmt.Println(fft.TransformSize(512, 384, true))
+	// Output:
+	// 1440 1080
+	// 1440 1080
+	// 512 384
 }
 
 // ExampleNewRealPlan2D computes a half-spectrum transform of a real

@@ -6,9 +6,10 @@
 // lengths: composite lengths are handled by a recursive mixed-radix
 // Cooley-Tukey decomposition with specialized radix-2/3/4/5 butterflies and
 // a generic small-prime butterfly; lengths containing large prime factors
-// fall back to Bluestein's chirp-z algorithm. A planner mirrors FFTW's
-// estimate/measure/patient modes and caches plans ("wisdom") so the
-// planning cost is paid once per size.
+// fall back to Bluestein's chirp-z algorithm. Planning is by rule, not by
+// timing: a length's algorithm (chooseStrategy) and a tile's transform
+// frame (TransformSize) are pure functions of the sizes, so a transform's
+// bits never depend on the host or its load.
 //
 // Conventions: the forward transform computes
 //
@@ -54,7 +55,6 @@ type strategy int
 const (
 	stratDFT       strategy = iota // direct O(N²) — tiny sizes only
 	stratRadix2                    // iterative power-of-two (bit reversal)
-	stratStockham                  // autosort power-of-two (no bit reversal)
 	stratMixed                     // recursive mixed radix
 	stratBluestein                 // chirp-z via power-of-two convolution
 )
@@ -65,8 +65,6 @@ func (s strategy) String() string {
 		return "dft"
 	case stratRadix2:
 		return "radix2"
-	case stratStockham:
-		return "stockham"
 	case stratMixed:
 		return "mixed"
 	case stratBluestein:
@@ -108,8 +106,6 @@ type Plan struct {
 
 	// bluestein state
 	bs *bluesteinState
-	// stockham ping-pong buffer
-	sh *stockhamState
 
 	// scratch holds the strided-read copy of the input for the
 	// mixed-radix recursion (the combines themselves run in place).
@@ -120,47 +116,34 @@ type Plan struct {
 type PlanOpts struct {
 	// NormalizeInverse folds the 1/N scale into inverse transforms.
 	NormalizeInverse bool
-	// ForceStrategy pins the algorithm choice (used by the planner's
-	// measure mode and by tests). Zero value means "auto".
-	ForceStrategy string
 }
 
 // NewPlan builds an execution plan for length-n transforms in the given
-// direction using heuristic (estimate-mode) strategy selection. Most
-// callers should go through a Planner, which can measure candidates and
-// caches wisdom.
+// direction, running the algorithm chooseStrategy picks for n.
 func NewPlan(n int, dir Direction, opts PlanOpts) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("fft: invalid transform length %d", n)
 	}
-	p := &Plan{n: n, dir: dir, norm: opts.NormalizeInverse}
-	switch opts.ForceStrategy {
-	case "":
-		p.strat = chooseStrategy(n)
-	case "dft":
-		p.strat = stratDFT
-	case "radix2":
-		if !isPow2(n) {
-			return nil, fmt.Errorf("fft: radix2 strategy requires power-of-two length, got %d", n)
-		}
-		p.strat = stratRadix2
-	case "stockham":
-		if !isPow2(n) {
-			return nil, fmt.Errorf("fft: stockham strategy requires power-of-two length, got %d", n)
-		}
-		p.strat = stratStockham
-	case "mixed":
-		p.strat = stratMixed
-	case "bluestein":
-		p.strat = stratBluestein
-	default:
-		return nil, fmt.Errorf("fft: unknown strategy %q", opts.ForceStrategy)
-	}
-	p.init()
-	return p, nil
+	return newPlan(n, dir, chooseStrategy(n), opts), nil
 }
 
-// chooseStrategy is the estimate-mode heuristic.
+// complexPlan is the unnormalized NewPlan for a length known to be
+// valid: the inner plans of the 2-D and real plans.
+func complexPlan(n int, dir Direction) *Plan {
+	return newPlan(n, dir, chooseStrategy(n), PlanOpts{})
+}
+
+// newPlan builds a plan running strategy s, which must be legal for n.
+func newPlan(n int, dir Direction, s strategy, opts PlanOpts) *Plan {
+	p := &Plan{n: n, dir: dir, strat: s, norm: opts.NormalizeInverse}
+	p.init()
+	return p
+}
+
+// chooseStrategy is the planning rule for 1-D lengths. Where two
+// algorithms apply they compute different bits, so the choice is fixed,
+// not timed (EXPERIMENTS.md "Planning by rule" has the measurements
+// behind each branch).
 func chooseStrategy(n int) strategy {
 	switch {
 	case n <= 4:
@@ -181,9 +164,6 @@ func (p *Plan) init() {
 		p.scratch = make([]complex128, p.n)
 	case stratRadix2:
 		p.twiddle = twiddleTable(p.n, p.dir)
-	case stratStockham:
-		p.twiddle = twiddleTable(p.n, p.dir)
-		p.sh = newStockham(p.n)
 	case stratMixed:
 		p.factors = mergePow2Radices(factorize(p.n))
 		p.twiddle = twiddleTable(p.n, p.dir)
@@ -217,7 +197,7 @@ func (p *Plan) Len() int { return p.n }
 func (p *Plan) Dir() Direction { return p.dir }
 
 // Strategy reports the algorithm the plan executes ("dft", "radix2",
-// "stockham", "mixed", or "bluestein").
+// "mixed", or "bluestein").
 func (p *Plan) Strategy() string { return p.strat.String() }
 
 // Execute transforms x in place. len(x) must equal Plan.Len.
@@ -232,8 +212,6 @@ func (p *Plan) Execute(x []complex128) error {
 		dftDirect(x, p.twiddle, p.scratch)
 	case stratRadix2:
 		radix2InPlace(x, p.twiddle)
-	case stratStockham:
-		p.sh.execute(x, p.twiddle)
 	case stratMixed:
 		p.mixedRadix(x)
 	case stratBluestein:

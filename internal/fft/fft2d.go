@@ -37,8 +37,6 @@ const maxSplitSlots = 8
 type Plan2DOpts struct {
 	// NormalizeInverse folds the 1/(w·h) factor into inverse transforms.
 	NormalizeInverse bool
-	// ForceStrategy pins the 1-D strategy (tests, planner measure mode).
-	ForceStrategy string
 	// Exec selects how a single Execute call uses the machine: the zero
 	// value ExecAuto measures serial vs split at plan time (trivially
 	// serial when Pool has no free token), ExecSerial pins the
@@ -52,15 +50,6 @@ type Plan2DOpts struct {
 
 // NewPlan2D builds a plan for h-row × w-column transforms.
 func NewPlan2D(h, w int, dir Direction, opts Plan2DOpts) (*Plan2D, error) {
-	return newPlan2D(h, w, dir, opts,
-		func() (*Plan, error) { return NewPlan(w, dir, PlanOpts{ForceStrategy: opts.ForceStrategy}) },
-		func() (*Plan, error) { return NewPlan(h, dir, PlanOpts{ForceStrategy: opts.ForceStrategy}) })
-}
-
-// newPlan2D is the shared constructor body; mkW and mkH build the
-// per-slot row (length-w) and column (length-h) 1-D plans, letting the
-// Planner substitute wisdom-backed factories with per-axis strategies.
-func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan, error)) (*Plan2D, error) {
 	if h <= 0 || w <= 0 {
 		return nil, fmt.Errorf("fft: invalid 2-D transform size %dx%d", h, w)
 	}
@@ -80,16 +69,8 @@ func newPlan2D(h, w int, dir Direction, opts Plan2DOpts, mkW, mkH func() (*Plan,
 	}
 	p.nslots = splitSlots(p.exec, pool)
 	for i := 0; i < p.nslots; i++ {
-		rp, err := mkW()
-		if err != nil {
-			return nil, err
-		}
-		cp, err := mkH()
-		if err != nil {
-			return nil, err
-		}
-		p.rowPlans = append(p.rowPlans, rp)
-		p.colPlans = append(p.colPlans, cp)
+		p.rowPlans = append(p.rowPlans, complexPlan(w, dir))
+		p.colPlans = append(p.colPlans, complexPlan(h, dir))
 	}
 
 	switch {

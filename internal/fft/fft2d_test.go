@@ -269,85 +269,68 @@ func TestRealPlan2DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlannerWisdomCaching(t *testing.T) {
-	pl := NewPlanner(Measure)
-	p1, err := pl.Plan(60, Forward, PlanOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.WisdomSize() != 1 {
-		t.Fatalf("wisdom size = %d, want 1", pl.WisdomSize())
-	}
-	p2, err := pl.Plan(60, Forward, PlanOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Strategy() != p2.Strategy() {
-		t.Errorf("cached strategy changed: %s vs %s", p1.Strategy(), p2.Strategy())
-	}
-}
-
-func TestPlannerWisdomExportImport(t *testing.T) {
-	pl := NewPlanner(Measure)
-	if _, err := pl.Plan(60, Forward, PlanOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.Plan(64, Inverse, PlanOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := pl.ExportWisdom()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewPlanner(Estimate)
-	if err := fresh.ImportWisdom(blob); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.WisdomSize() != 2 {
-		t.Fatalf("imported wisdom size = %d, want 2", fresh.WisdomSize())
-	}
-	if err := fresh.ImportWisdom([]byte("not json")); err == nil {
-		t.Error("bad wisdom should fail")
-	}
-}
-
+// TestPlannerPlansAreCorrect: whatever its mode, and with no planner at
+// all, a planner's 2-D real plan computes the DFT.
 func TestPlannerPlansAreCorrect(t *testing.T) {
-	// Whatever strategy each mode picks, the result must match the naive
-	// DFT.
-	for _, mode := range []Mode{Estimate, Measure, Patient} {
-		pl := NewPlanner(mode)
-		for _, n := range []int{12, 60, 64, 97} {
-			x := randComplex(n, int64(n))
-			want := naiveDFT(x, Forward)
-			p, err := pl.Plan(n, Forward, PlanOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]complex128(nil), x...)
-			if err := p.Execute(got); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiff(got, want); d > tolFor(n) {
-				t.Errorf("mode=%v n=%d strat=%s: diff %g", mode, n, p.Strategy(), d)
+	const h, w = 6, 10
+	img := make([]float64, h*w)
+	cimg := make([]complex128, h*w)
+	for i := range img {
+		img[i] = float64(i%7) - 3
+		cimg[i] = complex(img[i], 0)
+	}
+	want := naiveDFT2D(cimg, h, w, Forward)
+	for _, pl := range []*Planner{nil, NewPlanner(Estimate), NewPlanner(Measure), NewPlanner(Patient)} {
+		p, err := pl.RealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSerial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := make([]complex128, h*(w/2+1))
+		if err := p.Forward(spec, img); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < h; r++ {
+			for c := 0; c <= w/2; c++ {
+				if d := cmplx.Abs(spec[r*(w/2+1)+c] - want[r*w+c]); d > tolFor(h*w) {
+					t.Fatalf("planner %v bin (%d,%d): off by %g", pl, r, c, d)
+				}
 			}
 		}
 	}
 }
 
+// TestPlannerPlan2D: the mode changes no decision, so every planner's
+// plan is the package constructor's, bit for bit, at the paper's awkward
+// factors (a 29-point row, a 13-point column).
 func TestPlannerPlan2D(t *testing.T) {
-	pl := NewPlanner(Estimate)
-	p, err := pl.Plan2D(6, 10, Forward, Plan2DOpts{})
+	const h, w = 26, 58
+	rng := rand.New(rand.NewSource(23))
+	img := make([]float64, h*w)
+	for i := range img {
+		img[i] = rng.Float64()*2 - 1
+	}
+	ref, err := NewRealPlan2D(h, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := randComplex(60, 3)
-	want := naiveDFT2D(x, 6, 10, Forward)
-	got := append([]complex128(nil), x...)
-	if err := p.Execute(got); err != nil {
+	want := make([]complex128, h*(w/2+1))
+	if err := ref.Forward(want, img); err != nil {
 		t.Fatal(err)
 	}
-	if d := maxAbsDiff(got, want); d > tolFor(60) {
-		t.Errorf("planner 2-D plan wrong by %g", d)
+	for _, mode := range []Mode{Estimate, Measure, Patient} {
+		p, err := NewPlanner(mode).RealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSerial})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]complex128, len(want))
+		if err := p.Forward(got, img); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("mode %d bin %d: %v, package plan %v", mode, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -396,8 +379,9 @@ func TestRealPlan2DParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPlannerConcurrent: the planner itself must be safe for concurrent
-// Plan calls.
+// TestPlannerConcurrent: planning holds no shared state — concurrent
+// callers of TransformSize and of one planner's constructor get the same
+// answers (run race-enabled by make check).
 func TestPlannerConcurrent(t *testing.T) {
 	pl := NewPlanner(Measure)
 	var wg sync.WaitGroup
@@ -405,16 +389,13 @@ func TestPlannerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, n := range []int{12, 60, 64, 97, 120} {
-				if _, err := pl.Plan(n, Forward, PlanOpts{}); err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
+			if pw, ph := TransformSize(116, 87, w%2 == 0); pw != 120 || ph != 90 {
+				t.Errorf("worker %d: 116x87 at %dx%d", w, pw, ph)
+			}
+			if _, err := pl.RealPlan2DOpts(87, 116, Real2DOpts{Exec: ExecSerial}); err != nil {
+				t.Errorf("worker %d: %v", w, err)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if pl.WisdomSize() != 5 {
-		t.Errorf("wisdom size %d, want 5", pl.WisdomSize())
-	}
 }

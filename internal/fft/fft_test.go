@@ -97,24 +97,21 @@ func TestPlanMatchesNaiveDFTAwkwardSizes(t *testing.T) {
 
 func TestAllStrategiesAgree(t *testing.T) {
 	// Where several strategies are legal they must produce the same
-	// spectrum.
+	// spectrum, to rounding.
 	cases := []struct {
 		n      int
-		strats []string
+		strats []strategy
 	}{
-		{64, []string{"radix2", "mixed", "bluestein", "dft"}},
-		{60, []string{"mixed", "bluestein", "dft"}},
-		{29, []string{"mixed", "bluestein", "dft"}}, // prime ≤ 61: mixed = generic butterfly
-		{120, []string{"mixed", "bluestein"}},
+		{64, []strategy{stratRadix2, stratMixed, stratBluestein, stratDFT}},
+		{60, []strategy{stratMixed, stratBluestein, stratDFT}},
+		{29, []strategy{stratMixed, stratBluestein, stratDFT}}, // prime ≤ 61: mixed = generic butterfly
+		{120, []strategy{stratMixed, stratBluestein}},
 	}
 	for _, tc := range cases {
 		x := randComplex(tc.n, 42)
 		var ref []complex128
 		for _, s := range tc.strats {
-			p, err := NewPlan(tc.n, Forward, PlanOpts{ForceStrategy: s})
-			if err != nil {
-				t.Fatalf("n=%d strat=%s: %v", tc.n, s, err)
-			}
+			p := newPlan(tc.n, Forward, s, PlanOpts{})
 			got := append([]complex128(nil), x...)
 			if err := p.Execute(got); err != nil {
 				t.Fatal(err)
@@ -278,12 +275,6 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := NewPlan(-3, Forward, PlanOpts{}); err == nil {
 		t.Error("NewPlan(-3) should fail")
 	}
-	if _, err := NewPlan(12, Forward, PlanOpts{ForceStrategy: "radix2"}); err == nil {
-		t.Error("radix2 with non-power-of-two should fail")
-	}
-	if _, err := NewPlan(12, Forward, PlanOpts{ForceStrategy: "nonsense"}); err == nil {
-		t.Error("unknown strategy should fail")
-	}
 	p, _ := NewPlan(8, Forward, PlanOpts{})
 	if err := p.Execute(make([]complex128, 7)); err == nil {
 		t.Error("length mismatch should fail")
@@ -366,54 +357,45 @@ func TestStrategySelection(t *testing.T) {
 	}
 }
 
-func TestStockhamMatchesNaive(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16, 64, 256, 1024} {
-		for _, dir := range []Direction{Forward, Inverse} {
-			x := randComplex(n, int64(n)+int64(dir)*7)
-			want := naiveDFT(x, dir)
-			p, err := NewPlan(n, dir, PlanOpts{ForceStrategy: "stockham"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := append([]complex128(nil), x...)
-			if err := p.Execute(got); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiff(got, want); d > tolFor(n) {
-				t.Errorf("stockham n=%d dir=%v: diff %g", n, dir, d)
+// stockham is the Stockham autosort radix-2 FFT (Van Loan's framework):
+// each pass writes its butterflies to the other buffer in sorted order,
+// so no bit reversal is needed.
+func stockham(x, tw []complex128) {
+	n := len(x)
+	src, dst := x, make([]complex128, n)
+	for L := 1; L < n; L <<= 1 {
+		step := n / (2 * L)
+		for j := 0; j < L; j++ {
+			w := tw[j*step]
+			for k := 0; k < step; k++ {
+				c := src[j*2*step+k]
+				d := src[j*2*step+step+k] * w
+				dst[j*step+k] = c + d
+				dst[(j+L)*step+k] = c - d
 			}
 		}
+		src, dst = dst, src
 	}
-	if _, err := NewPlan(12, Forward, PlanOpts{ForceStrategy: "stockham"}); err == nil {
-		t.Error("stockham with non-power-of-two should fail")
-	}
+	copy(x, src)
 }
 
+// TestStockhamAgreesWithRadix2 is why the package has one radix-2
+// algorithm: the autosort one computes the same bits at every length and
+// in both directions, so there is nothing to choose between them, and
+// radix2InPlace is the faster (EXPERIMENTS.md "Planning by rule").
 func TestStockhamAgreesWithRadix2(t *testing.T) {
-	const n = 512
-	x := randComplex(n, 99)
-	r2, _ := NewPlan(n, Forward, PlanOpts{ForceStrategy: "radix2"})
-	sh, _ := NewPlan(n, Forward, PlanOpts{ForceStrategy: "stockham"})
-	a := append([]complex128(nil), x...)
-	b := append([]complex128(nil), x...)
-	if err := r2.Execute(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.Execute(b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(a, b); d > tolFor(n) {
-		t.Errorf("strategies disagree by %g", d)
-	}
-}
-
-func TestPlannerMeasuresPow2Candidates(t *testing.T) {
-	pl := NewPlanner(Measure)
-	p, err := pl.Plan(256, Forward, PlanOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := p.Strategy(); s != "radix2" && s != "stockham" {
-		t.Errorf("measured pow2 strategy = %q", s)
+	for n := 2; n <= 2048; n <<= 1 {
+		for _, dir := range []Direction{Forward, Inverse} {
+			x := randComplex(n, int64(n)+int64(dir)*7)
+			a := append([]complex128(nil), x...)
+			b := append([]complex128(nil), x...)
+			radix2InPlace(a, twiddleTable(n, dir))
+			stockham(b, twiddleTable(n, dir))
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("n=%d dir=%v bin %d: radix2 %v, stockham %v", n, dir, i, a[i], b[i])
+				}
+			}
+		}
 	}
 }

@@ -29,31 +29,14 @@ type RealPlan struct {
 	buf     []complex128
 }
 
-// planFactory builds the inner complex plans of a real plan. The default
-// factory is NewPlan with default options; the Planner substitutes a
-// wisdom-consulting one.
-type planFactory func(n int, dir Direction) (*Plan, error)
-
-func defaultPlanFactory(n int, dir Direction) (*Plan, error) {
-	return NewPlan(n, dir, PlanOpts{})
-}
-
 // NewRealPlan builds a real-transform plan for length n ≥ 2.
 func NewRealPlan(n int) (*RealPlan, error) {
-	return newRealPlan(n, defaultPlanFactory)
-}
-
-func newRealPlan(n int, mk planFactory) (*RealPlan, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("fft: real plan requires n ≥ 2, got %d", n)
 	}
 	rp := &RealPlan{n: n}
 	if n%2 == 0 {
-		p, err := mk(n/2, Forward)
-		if err != nil {
-			return nil, err
-		}
-		rp.half = p
+		rp.half = complexPlan(n/2, Forward)
 		rp.wr = make([]complex128, n/2+1)
 		rp.wrf = make([]complex128, n/2+1)
 		rp.wri = make([]complex128, n/2)
@@ -66,16 +49,8 @@ func newRealPlan(n int, mk planFactory) (*RealPlan, error) {
 		}
 		rp.buf = make([]complex128, n/2)
 	} else {
-		p, err := mk(n, Forward)
-		if err != nil {
-			return nil, err
-		}
-		pi, err := mk(n, Inverse)
-		if err != nil {
-			return nil, err
-		}
-		rp.full = p
-		rp.fullInv = pi
+		rp.full = complexPlan(n, Forward)
+		rp.fullInv = complexPlan(n, Inverse)
 		rp.buf = make([]complex128, n)
 	}
 	return rp, nil
@@ -254,10 +229,6 @@ func NewRealPlan2D(h, w int) (*RealPlan2D, error) {
 // NewRealPlan2DOpts builds a plan with full control over the execution
 // shape.
 func NewRealPlan2DOpts(h, w int, opts Real2DOpts) (*RealPlan2D, error) {
-	return newRealPlan2D(h, w, opts, defaultPlanFactory)
-}
-
-func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, error) {
 	if h <= 0 || w < 2 {
 		return nil, fmt.Errorf("fft: invalid real 2-D size %dx%d", h, w)
 	}
@@ -278,21 +249,13 @@ func newRealPlan2D(h, w int, opts Real2DOpts, mk planFactory) (*RealPlan2D, erro
 	}
 	p.nslots = splitSlots(p.exec, pool)
 	for i := 0; i < p.nslots; i++ {
-		rowF, err := newRealPlan(w, mk)
-		if err != nil {
-			return nil, err
-		}
-		colF, err := mk(h, Forward)
-		if err != nil {
-			return nil, err
-		}
-		colI, err := mk(h, Inverse)
+		rowF, err := NewRealPlan(w)
 		if err != nil {
 			return nil, err
 		}
 		p.rowF = append(p.rowF, rowF)
-		p.colF = append(p.colF, colF)
-		p.colI = append(p.colI, colI)
+		p.colF = append(p.colF, complexPlan(h, Forward))
+		p.colI = append(p.colI, complexPlan(h, Inverse))
 	}
 	p.fnRowFwd = func(wk, r int) error {
 		return p.rowF[wk].Forward(p.opSpec[r*p.sw:(r+1)*p.sw], p.opImg[r*p.w:(r+1)*p.w])

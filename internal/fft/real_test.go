@@ -7,52 +7,6 @@ import (
 	"testing"
 )
 
-// TestPlannerRealPlansUseWisdom checks the Planner's real-plan entry
-// points build working plans and fill the wisdom cache for their inner
-// complex sizes.
-func TestPlannerRealPlansUseWisdom(t *testing.T) {
-	pl := NewPlanner(Measure)
-	rp, err := pl.RealPlan(96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Len() != 96 {
-		t.Fatalf("RealPlan length %d, want 96", rp.Len())
-	}
-	if pl.WisdomSize() == 0 {
-		t.Error("planner real plan consulted no wisdom")
-	}
-
-	p2, err := pl.RealPlan2DOpts(10, 12, Real2DOpts{Exec: ExecSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.H() != 10 || p2.W() != 12 {
-		t.Fatalf("RealPlan2D geometry %dx%d", p2.H(), p2.W())
-	}
-	// Planner-built and default-built plans must agree numerically.
-	img := make([]float64, 10*12)
-	rng := rand.New(rand.NewSource(23))
-	for i := range img {
-		img[i] = rng.Float64()*2 - 1
-	}
-	ref, err := NewRealPlan2D(10, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]complex128, 10*(12/2+1))
-	b := make([]complex128, 10*(12/2+1))
-	if err := p2.Forward(a, img); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Forward(b, img); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(a, b); d > tolFor(10*12) {
-		t.Errorf("planner-built real plan diverges from default by %g", d)
-	}
-}
-
 // TestRealPlanEdgeSizes pins the smallest legal lengths and the odd-n
 // fallback: round trips must reproduce the input under the documented ×n
 // convention, and the forward half spectrum must equal the complex DFT's

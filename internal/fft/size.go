@@ -2,17 +2,17 @@ package fft
 
 import (
 	"math"
-	"math/rand"
-	"time"
+	"math/bits"
 )
 
 // Transform-size planning: the paper's §VI.A padding optimisation as a
-// planner decision, orthogonal to the spectrum layout. A w×h tile may be
-// zero-padded into any larger frame before its forward transform (the
-// correlation peak is then read modulo the frame), so the size is free to
-// be whichever nearby one this machine transforms fastest — at the
-// paper's 1392×1040 = 2⁴·3·29 × 2⁴·5·13 that is 1440×1080, 7 % more
-// words for well under half the time.
+// rule, orthogonal to the spectrum layout. A w×h tile may be padded into
+// any larger frame before its forward transform (the correlation peak is
+// then read modulo the frame), so the size is free to be whichever
+// nearby one transforms cheapest — at the paper's 1392×1040 = 2⁴·3·29 ×
+// 2⁴·5·13 that is 1440×1080, 7 % more words for well under half the
+// time. The answer is a pure function of the tile size and the layout:
+// the same on every host, under any load, for every caller.
 
 const (
 	// sizeReach bounds the candidates of an axis of length n to
@@ -20,50 +20,39 @@ const (
 	// memory traffic outweighs any butterfly saving.
 	sizeReach = 8
 	// sizeWin is the fraction of the exact size's modelled cost a padded
-	// candidate must come under to displace it: the 1-D timings behind
-	// the model are noisy, and a tile size that is already fast must keep
-	// its exact transform — and so its displacements, bit for bit.
+	// candidate must come under to displace it: the model is coarse, and
+	// a tile size that is already fast must keep its exact transform —
+	// and so its displacements, bit for bit.
 	sizeWin = 0.8
 	// sizeTie is the factor of the best modelled cost within which
-	// candidates count as tied; the smallest frame among them wins, so
-	// timing noise between near-equal sizes cannot move the choice.
+	// candidates count as tied; the smallest frame among them wins, so a
+	// model error between near-equal sizes cannot move the choice far.
 	sizeTie = 1.1
 )
 
-// sizeKey identifies a transform-size decision: a tile size and a
-// spectrum layout.
-type sizeKey struct {
-	W, H int
-	Real bool
-}
-
-// sizeEntry is the frame the tile is transformed in.
+// sizeEntry is the frame a tile is transformed in.
 type sizeEntry struct{ PW, PH int }
 
 // TransformSize returns the frame (pw ≥ w, ph ≥ h) in which w×h tiles
-// should be transformed under the real (r2c half spectrum) or complex
-// layout. The first answer for a (tile size, layout) is a wisdom record —
-// every later call, and every planner that imports the exported wisdom,
-// gets the same one — so all parties sizing buffers, plans and peak
-// coordinates off one planner agree. An estimate-mode planner has no
-// timings to choose by and answers the tile size itself, as does any
-// planner for a degenerate tile.
-func (pl *Planner) TransformSize(w, h int, real bool) (pw, ph int) {
-	key := sizeKey{W: w, H: h, Real: real}
-	pl.mu.Lock()
-	e, ok := pl.sizes[key]
-	pl.mu.Unlock()
-	if ok {
-		return e.PW, e.PH
+// are transformed under the real (r2c half spectrum) or complex layout:
+// the cheapest candidate frame under a static cost model (lengthCost),
+// with pickSize's two margins. Everything that sizes buffers, plans or
+// peak coordinates for a tile asks it, so they all agree. A degenerate
+// tile transforms at its own size.
+func TransformSize(w, h int, real bool) (pw, ph int) {
+	if w < 2 || h < 1 {
+		return w, h
 	}
-	e = pl.decideSize(w, h, real)
-	pl.mu.Lock()
-	if first, ok := pl.sizes[key]; ok {
-		e = first // a concurrent caller decided first; its record stands
-	} else {
-		pl.sizes[key] = e
+	ws, hs := sizeCandidates(w), sizeCandidates(h)
+	cost := map[int]float64{}
+	for _, n := range hs {
+		cost[n] = lengthCost(n)
 	}
-	pl.mu.Unlock()
+	for _, pw := range ws {
+		n := rowLen(pw, real)
+		cost[n] = lengthCost(n)
+	}
+	e := pickSize(ws, hs, real, cost)
 	return e.PW, e.PH
 }
 
@@ -80,10 +69,6 @@ func sizeCandidates(n int) []int {
 	return out
 }
 
-// sizeRounds is how many interleaved timing rounds a size decision runs
-// per measureReps of the planner's mode.
-const sizeRounds = 8
-
 // rowLen is the length of the 1-D transform a row of a pw-wide frame
 // takes: an even-length real row runs as one packed half-length
 // transform.
@@ -94,27 +79,68 @@ func rowLen(pw int, real bool) int {
 	return pw
 }
 
-// decideSize times the 1-D transforms the candidate frames are made of
-// and picks among the frames. An estimate-mode planner, a degenerate
-// tile, and a failed measurement all answer the tile size.
-func (pl *Planner) decideSize(w, h int, real bool) sizeEntry {
-	if pl.mode == Estimate || w < 2 || h < 1 {
-		return sizeEntry{PW: w, PH: h}
+// The cost model, in real floating-point operations per transformed
+// element. A complex multiply is 6 of them, a complex add 2.
+const (
+	// wordCost is charged per element of every transform, whatever its
+	// factors: the strided gather and the leaf loads of the recursion,
+	// and, for a transform inside a 2-D frame, its share of the two
+	// transposes. Being per element, it is what makes a larger frame
+	// cost more at equal butterfly work.
+	wordCost = 120
+	// genericCost scales the generic prime butterfly's operation count:
+	// its modulo-stepped twiddle walk over a stack array runs about three
+	// times slower per operation than the unrolled radix-2/3/4/5/8 ones.
+	genericCost = 3
+)
+
+// radixCost is the operation count per element of one combine pass of
+// radix r in the mixed-radix recursion (radix.go): twiddle multiplies
+// plus the butterfly, divided by the r elements it produces.
+func radixCost(r int) float64 {
+	switch r {
+	case 2: // 1 cmul, 2 cadd
+		return 5
+	case 3: // 6 cmul, 6 cadd
+		return 16
+	case 4: // 4 cmul, 8 cadd
+		return 10
+	case 5: // 20 cmul, 20 cadd
+		return 32
+	case 8: // 12 cmul, 24 cadd
+		return 15
 	}
-	ws, hs := sizeCandidates(w), sizeCandidates(h)
-	lengths := append([]int(nil), hs...)
-	for _, pw := range ws {
-		lengths = append(lengths, rowLen(pw, real))
+	// combineGeneric: r-1 twiddles plus r outputs of r-1 multiply-adds.
+	p := float64(r)
+	return genericCost * ((p*p-1)*6 + p*(p-1)*2) / p
+}
+
+// lengthCost is the modelled cost of one length-n transform under the
+// algorithm chooseStrategy runs for n: the mixed-radix passes of its
+// factors, radix2's log₂n passes, Bluestein's two power-of-two
+// transforms and three pointwise products, or the direct O(n²) sum.
+func lengthCost(n int) float64 {
+	fn := float64(n)
+	switch chooseStrategy(n) {
+	case stratDFT:
+		return fn * (wordCost + 8*fn)
+	case stratRadix2:
+		return pow2Cost(n)
+	case stratBluestein:
+		m := nextPow2(2*n - 1)
+		return 2*pow2Cost(m) + 6*float64(2*n+m)
 	}
-	t0 := time.Now()
-	cost, err := pl.timeLengths(lengths)
-	pl.mu.Lock()
-	pl.planningTime += time.Since(t0)
-	pl.mu.Unlock()
-	if err != nil {
-		return sizeEntry{PW: w, PH: h}
+	c := float64(wordCost)
+	for _, r := range mergePow2Radices(factorize(n)) {
+		c += radixCost(r)
 	}
-	return pickSize(ws, hs, real, cost)
+	return fn * c
+}
+
+// pow2Cost is radix2InPlace's cost: log₂n passes of one complex multiply
+// and two adds per butterfly.
+func pow2Cost(n int) float64 {
+	return float64(n) * (wordCost + 5*float64(bits.Len(uint(n))-1))
 }
 
 // pickSize ranks the frames ws × hs (the exact size first in each) by a
@@ -153,43 +179,4 @@ func pickSize(ws, hs []int, real bool, cost map[int]float64) sizeEntry {
 		}
 	}
 	return pick.sizeEntry
-}
-
-// timeLengths measures one forward transform of every given length and
-// returns the minimum seen per length, in nanoseconds. The rounds are
-// interleaved — every length is timed once per round — so a stretch in
-// which the machine runs slow (a busy sibling thread, a descheduled
-// vCPU) either covers a round of every length or is escaped by every
-// length in another round: costs measured at different times, as the
-// strategy wisdom's are, could not be compared across lengths with a
-// 20 % margin.
-func (pl *Planner) timeLengths(lengths []int) (map[int]float64, error) {
-	plans := map[int]*Plan{}
-	cost := map[int]float64{}
-	longest := 0
-	for _, n := range lengths {
-		p, err := pl.Plan(n, Forward, PlanOpts{})
-		if err != nil {
-			return nil, err
-		}
-		plans[n], cost[n] = p, math.Inf(1)
-		longest = max(longest, n)
-	}
-	rng := rand.New(rand.NewSource(int64(longest)))
-	input, work := make([]complex128, longest), make([]complex128, longest)
-	for i := range input {
-		input[i] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
-	}
-	for r := 0; r <= sizeRounds*pl.mode.measureReps(); r++ { // round 0 warms up
-		for _, n := range lengths {
-			p := plans[n]
-			copy(work[:n], input)
-			t0 := time.Now()
-			_ = p.Execute(work[:n]) // the plan was built for n
-			if d := float64(time.Since(t0)); r > 0 && d < cost[n] {
-				cost[n] = d
-			}
-		}
-	}
-	return cost, nil
 }

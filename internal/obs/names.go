@@ -141,7 +141,7 @@ const (
 	GaugeTransformWords          = "stitch.transform.words"
 	// GaugeTransformWidth and GaugeTransformHeight are the size every
 	// tile of the run was transformed at: the tile size, or the larger
-	// frame the FFT planner chose for it.
+	// frame fft.TransformSize chose for it.
 	GaugeTransformWidth  = "stitch.transform.width"
 	GaugeTransformHeight = "stitch.transform.height"
 	// GaugeLSResidualPx is the final max |b − L·p| of the least-squares

@@ -49,9 +49,9 @@ type Options struct {
 	// worker count from the same pool, so transform-level splits only
 	// use genuinely idle cores.
 	FFTPool *fft.WorkerPool
-	// Planner supplies FFT wisdom — strategies and the transform size;
-	// nil uses a private estimate-mode planner, which transforms at the
-	// tile size.
+	// Planner changes nothing, nil included: the transform size is
+	// fft.TransformSize's and each length's algorithm a rule, whatever
+	// its mode. The field stays for callers that still set it.
 	Planner *fft.Planner
 }
 
@@ -59,9 +59,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.NPeaks <= 0 {
 		o.NPeaks = 1
-	}
-	if o.Planner == nil {
-		o.Planner = fft.NewPlanner(fft.Estimate)
 	}
 	return o
 }
@@ -78,9 +75,9 @@ func (o Options) real2DOpts() fft.Real2DOpts {
 }
 
 // Aligner computes displacements for tile pairs of one fixed size through
-// full complex transforms. The transform size (pw, ph) is the planner's
-// choice for the tile size (w, h): the tile size itself, or a larger
-// frame this machine transforms faster, into which tiles are padded with
+// full complex transforms. The transform size (pw, ph) is
+// fft.TransformSize's for the tile size (w, h): the tile size itself, or
+// a larger frame that transforms faster, into which tiles are padded with
 // their own periodic continuation (tile.ToFloatFrame; the paper's §VI.A
 // padding optimization). It is NOT safe for
 // concurrent use: each worker thread owns one Aligner, the same
@@ -106,27 +103,27 @@ type Aligner struct {
 	fill   func(dst []complex128, r int)
 }
 
-// NewAligner returns an aligner for w×h tiles transformed at the size
-// opts.Planner chooses for them: a pooled one when a Closed aligner with
-// the same sizes and options is available, a fresh one otherwise. Close
-// it when the worker is done.
+// NewAligner returns an aligner for w×h tiles transformed at
+// fft.TransformSize's frame for them: a pooled one when a Closed aligner
+// with the same size and options is available, a fresh one otherwise.
+// Close it when the worker is done.
 func NewAligner(w, h int, opts Options) (*Aligner, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("pciam: invalid tile size %dx%d", w, h)
 	}
 	opts = opts.withDefaults()
-	pw, ph := opts.Planner.TransformSize(w, h, false)
-	key := makeAlignerKey(false, w, h, pw, ph, opts)
+	key := makeAlignerKey(false, w, h, opts)
 	if v := checkout(key); v != nil {
 		al := v.(*Aligner)
 		al.closed = false
 		return al, nil
 	}
-	fwd, err := opts.Planner.Plan2D(ph, pw, fft.Forward, opts.plan2DOpts())
+	pw, ph := fft.TransformSize(w, h, false)
+	fwd, err := fft.NewPlan2D(ph, pw, fft.Forward, opts.plan2DOpts())
 	if err != nil {
 		return nil, err
 	}
-	inv, err := opts.Planner.Plan2D(ph, pw, fft.Inverse, opts.plan2DOpts())
+	inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, opts.plan2DOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +156,7 @@ func (al *Aligner) W() int { return al.w }
 func (al *Aligner) H() int { return al.h }
 
 // TransformDims reports the transform size in use: the tile size, or the
-// larger frame the planner chose.
+// larger frame fft.TransformSize chose.
 func (al *Aligner) TransformDims() (w, h int) { return al.pw, al.ph }
 
 // Transform computes the forward 2-D FFT of a tile into a fresh buffer.

@@ -48,17 +48,12 @@ func resetPoolsForTest() {
 	alignerPools.Range(func(k, _ any) bool { alignerPools.Delete(k); return true })
 }
 
-// alignerKey identifies one aligner free list: spectrum layout, tile and
-// transform size, and every option that changes an aligner's observable
-// behavior. Of the Planner only its transform-size answer is in the key;
-// the planner itself is deliberately excluded — beyond the size it only
-// steers FFT strategy selection, and all strategies produce the same
-// displacements (the cross-variant equivalence tests pin this) — so runs
-// that build a fresh estimate-mode planner per run still share aligners.
+// alignerKey identifies one aligner free list: spectrum layout, tile size
+// (which fixes the transform size) and every option that changes an
+// aligner's observable behavior. The Planner is not one of them.
 type alignerKey struct {
 	real      bool
 	w, h      int
-	pw, ph    int
 	nPeaks    int
 	fftExec   fft.ExecStrategy
 	fftPoolID uint64
@@ -75,13 +70,13 @@ func ArenaReuse() int64 { return arenaReuseCount.Load() }
 
 // makeAlignerKey builds the key for opts, which must already carry its
 // defaults.
-func makeAlignerKey(real bool, w, h, pw, ph int, opts Options) alignerKey {
+func makeAlignerKey(real bool, w, h int, opts Options) alignerKey {
 	pool := opts.FFTPool
 	if pool == nil {
 		pool = fft.SharedPool()
 	}
 	return alignerKey{
-		real: real, w: w, h: h, pw: pw, ph: ph,
+		real: real, w: w, h: h,
 		nPeaks:    opts.NPeaks,
 		fftExec:   opts.FFTExec,
 		fftPoolID: pool.ID(),

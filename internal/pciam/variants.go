@@ -13,12 +13,12 @@ import (
 // The tiles are real, so the forward transform needs only the half
 // spectrum and the inverse correlation surface is real — roughly half the
 // work and memory. (§VI.A's other optimization, padding to fast sizes, is
-// not a path but a transform size, chosen by the planner for either
+// not a path but a transform size, fft.TransformSize's for either
 // layout.) All paths produce the same displacements as the baseline
 // aligner (tested), differing only in cost.
 
 // RealAligner computes displacements through real-to-complex transforms
-// at the planner's transform size (pw, ph), like Aligner: the forward
+// at fft.TransformSize's frame (pw, ph), like Aligner: the forward
 // FFT stores only the half spectrum (pw/2+1 columns) and the inverse
 // correlation comes back as a real surface. Not safe for concurrent use.
 type RealAligner struct {
@@ -47,14 +47,14 @@ func NewRealAligner(w, h int, opts Options) (*RealAligner, error) {
 		return nil, fmt.Errorf("pciam: invalid tile size %dx%d", w, h)
 	}
 	opts = opts.withDefaults()
-	pw, ph := opts.Planner.TransformSize(w, h, true)
-	key := makeAlignerKey(true, w, h, pw, ph, opts)
+	key := makeAlignerKey(true, w, h, opts)
 	if v := checkout(key); v != nil {
 		al := v.(*RealAligner)
 		al.closed = false
 		return al, nil
 	}
-	fwd, err := opts.Planner.RealPlan2DOpts(ph, pw, opts.real2DOpts())
+	pw, ph := fft.TransformSize(w, h, true)
+	fwd, err := fft.NewRealPlan2DOpts(ph, pw, opts.real2DOpts())
 	if err != nil {
 		return nil, err
 	}

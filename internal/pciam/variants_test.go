@@ -1,7 +1,6 @@
 package pciam
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -10,17 +9,55 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// forcedSize returns a planner that holds the wisdom record "w×h tiles
-// transform at pw×ph" for both layouts — how a test picks a transform
-// size, there being no option for it.
-func forcedSize(t testing.TB, w, h, pw, ph int) *fft.Planner {
+// oracleDisplace is the displacement of b relative to a computed at an
+// explicit pw×ph frame from exported primitives only — the tile's frame
+// staging, serial fft plans, the NCC as its own pass, the peak and the
+// CCF resolution — in the real or the complex layout. It is how a test
+// gets a frame the size rule would not choose for the tile: the rule has
+// no option to override.
+func oracleDisplace(t testing.TB, a, b *tile.Gray16, pw, ph int, real bool) tile.Displacement {
 	t.Helper()
-	pl := fft.NewPlanner(fft.Estimate)
-	rec := fmt.Sprintf(`[{"w":%d,"h":%d,"pw":%d,"ph":%d},{"w":%[1]d,"h":%[2]d,"real":true,"pw":%[3]d,"ph":%[4]d}]`, w, h, pw, ph)
-	if err := pl.ImportWisdom([]byte(rec)); err != nil {
-		t.Fatal(err)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	return pl
+	pix := make([]float64, pw*ph)
+	var idx int
+	if real {
+		plan, err := fft.NewRealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
+		must(err)
+		spectrum := func(img *tile.Gray16) []complex128 {
+			img.ToFloatFrame(pix, pw)
+			out := make([]complex128, ph*(pw/2+1))
+			must(plan.Forward(out, pix))
+			return out
+		}
+		fa, fb := spectrum(a), spectrum(b)
+		NCCSpectrum(fa, fa, fb)
+		must(plan.Inverse(pix, fa))
+		idx, _ = MaxAbsReal(pix)
+	} else {
+		fwd, err := fft.NewPlan2D(ph, pw, fft.Forward, fft.Plan2DOpts{Exec: fft.ExecSerial})
+		must(err)
+		inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
+		must(err)
+		spectrum := func(img *tile.Gray16) []complex128 {
+			img.ToFloatFrame(pix, pw)
+			out := make([]complex128, pw*ph)
+			for i, v := range pix {
+				out[i] = complex(v, 0)
+			}
+			must(fwd.Execute(out))
+			return out
+		}
+		fa, fb := spectrum(a), spectrum(b)
+		NCCSpectrum(fa, fa, fb)
+		must(inv.Execute(fa))
+		idx, _ = MaxAbs(fa)
+	}
+	return ResolveIn(a, b, idx%pw, idx/pw, pw, ph)
 }
 
 // sizedAligner is what the two aligner types share for these tests.
@@ -45,32 +82,24 @@ func bothLayouts(t testing.TB, w, h int, opts Options) map[string]sizedAligner {
 	return map[string]sizedAligner{"complex": c, "real": r}
 }
 
-// TestPaddedAlignerDims: both aligners transform at the size the planner
-// answers — a forced one exactly, a measured one never smaller than the
-// tile and, where it pads this 29- and 13-factor size, even and fast.
+// TestPaddedAlignerDims: both aligners transform at the size rule's
+// frame — for this 29- and 13-factor size a padded one — whatever
+// planner the options carry, a nil one included.
 func TestPaddedAlignerDims(t *testing.T) {
-	for name, al := range bothLayouts(t, 174, 130, Options{Planner: forcedSize(t, 174, 130, 180, 144)}) {
-		if pw, ph := al.TransformDims(); pw != 180 || ph != 144 {
-			t.Errorf("%s: forced 180x144, transforms at %dx%d", name, pw, ph)
+	for _, pl := range []*fft.Planner{nil, fft.NewPlanner(fft.Estimate), fft.NewPlanner(fft.Measure), fft.NewPlanner(fft.Patient)} {
+		for name, al := range bothLayouts(t, 174, 130, Options{Planner: pl}) { // 174=2·3·29, 130=2·5·13
+			if pw, ph := al.TransformDims(); pw != 180 || ph != 144 {
+				t.Errorf("%s with planner %v: 174x130 transforms at %dx%d, want 180x144", name, pl, pw, ph)
+			}
+			al.Close()
 		}
-		al.Close()
-	}
-	for name, al := range bothLayouts(t, 174, 130, Options{Planner: fft.NewPlanner(fft.Measure)}) { // 174=2·3·29, 130=2·5·13
-		pw, ph := al.TransformDims()
-		if pw < 174 || ph < 130 {
-			t.Errorf("%s: planned dims %dx%d shrink the tile", name, pw, ph)
-		}
-		if (pw != 174 && (pw%2 != 0 || !fft.IsFastLength(pw))) || (ph != 130 && (ph%2 != 0 || !fft.IsFastLength(ph))) {
-			t.Errorf("%s: padded dims %dx%d not even and fast", name, pw, ph)
-		}
-		al.Close()
 	}
 }
 
 func TestPaddedAlignerRecoversShifts(t *testing.T) {
-	for name, al := range bothLayouts(t, 64, 48, Options{Planner: forcedSize(t, 64, 48, 72, 50)}) {
-		for _, tc := range []struct{ dx, dy int }{{40, 3}, {40, -3}, {5, 30}, {-4, 30}} {
-			a, b := shiftedPair(64, 48, tc.dx, tc.dy, int64(tc.dx*7+tc.dy))
+	for name, al := range bothLayouts(t, 116, 87, Options{}) { // transforms at 120×90
+		for _, tc := range []struct{ dx, dy int }{{70, 3}, {70, -3}, {5, 50}, {-4, 50}} {
+			a, b := shiftedPair(116, 87, tc.dx, tc.dy, int64(tc.dx*7+tc.dy))
 			d, err := al.DisplaceTiles(a, b)
 			if err != nil {
 				t.Fatal(err)
@@ -83,49 +112,48 @@ func TestPaddedAlignerRecoversShifts(t *testing.T) {
 	}
 }
 
-// TestPaddedMatchesBaselineOnDataset holds both layouts at a padded
-// transform size (174×130 → 175×135; the odd width takes the real
-// layout's full-length row fallback) to the exact-size complex
-// baseline's displacements. At a size the planner keeps (a forced
-// record saying so), the whole result is held with ==, correlation
-// included: it is then the same chain at the same size.
+// TestPaddedMatchesBaselineOnDataset holds both layouts at the rule's
+// padded frame (174×130 → 180×144) to the displacements of the complex
+// transform at the exact tile size, which the oracle computes. Each
+// aligner is also held to the oracle at its own frame, correlation
+// included, with == — the same chain at the same size — both there and
+// at a size the rule keeps.
 func TestPaddedMatchesBaselineOnDataset(t *testing.T) {
-	for _, sz := range [][4]int{{174, 130, 175, 135}, {128, 96, 128, 96}} {
-		w, h, pw, ph := sz[0], sz[1], sz[2], sz[3]
+	for _, sz := range [][2]int{{174, 130}, {128, 96}} {
+		w, h := sz[0], sz[1]
 		p := imagegen.DefaultParams(3, 4, w, h)
 		ds, err := imagegen.Generate(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := mustAligner(t, w, h, Options{})
-		padded := bothLayouts(t, w, h, Options{Planner: forcedSize(t, w, h, pw, ph)})
+		aligners := bothLayouts(t, w, h, Options{})
 		for _, pr := range p.Grid.Pairs() {
 			a, b := ds.Tile(pr.Neighbor()), ds.Tile(pr.Coord)
-			d1, err := base.DisplaceTiles(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, al := range padded {
-				d2, err := al.DisplaceTiles(a, b)
+			exact := oracleDisplace(t, a, b, w, h, false)
+			for name, al := range aligners {
+				d, err := al.DisplaceTiles(a, b)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d1.X != d2.X || d1.Y != d2.Y || (pw == w && name == "complex" && d1 != d2) {
-					t.Errorf("%dx%d at %dx%d pair %v: baseline %+v, %s %+v", w, h, pw, ph, pr, d1, name, d2)
+				pw, ph := al.TransformDims()
+				if d.X != exact.X || d.Y != exact.Y {
+					t.Errorf("%dx%d %s at %dx%d pair %v: %+v, exact size %+v", w, h, name, pw, ph, pr, d, exact)
+				}
+				if own := oracleDisplace(t, a, b, pw, ph, name == "real"); d != own {
+					t.Errorf("%dx%d %s at %dx%d pair %v: %+v, oracle at the same frame %+v", w, h, name, pw, ph, pr, d, own)
 				}
 			}
 		}
-		base.Close()
-		for _, al := range padded {
+		for _, al := range aligners {
 			al.Close()
 		}
 	}
 }
 
 // TestPaddedAccuracyOnAwkwardTiles scores the padded transform against
-// ground truth where the planner really pads: 5 seeded 3×4 plates — 85
+// ground truth where the size rule really pads: 5 seeded 3×4 plates — 85
 // pairs — of 116×87 = 4·29 × 3·29 tiles at 120×90, and of 232×174 at
-// 240×180, the sizes a measuring planner picks for them. Tiles this
+// 240×180; the exact-size arm is the oracle's. Tiles this
 // small leave a few feature-poor pairs on which the exact size is wrong
 // too; the frame changes which, not how many. Pinned: the padded size
 // finds within 1 px of truth no fewer than two pairs short of what the
@@ -135,13 +163,12 @@ func TestPaddedMatchesBaselineOnDataset(t *testing.T) {
 func TestPaddedAccuracyOnAwkwardTiles(t *testing.T) {
 	for _, sz := range [][4]int{{116, 87, 120, 90}, {232, 174, 240, 180}} {
 		w, h, pw, ph := sz[0], sz[1], sz[2], sz[3]
-		exact, err := NewRealAligner(w, h, Options{})
+		padded, err := NewRealAligner(w, h, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		padded, err := NewRealAligner(w, h, Options{Planner: forcedSize(t, w, h, pw, ph)})
-		if err != nil {
-			t.Fatal(err)
+		if gw, gh := padded.TransformDims(); gw != pw || gh != ph {
+			t.Fatalf("%dx%d transforms at %dx%d, want %dx%d", w, h, gw, gh, pw, ph)
 		}
 		pairs, differ, okExact, okPadded := 0, 0, 0, 0
 		for seed := int64(1); seed <= 5; seed++ {
@@ -153,10 +180,7 @@ func TestPaddedAccuracyOnAwkwardTiles(t *testing.T) {
 			}
 			for _, pr := range p.Grid.Pairs() {
 				a, b := ds.Tile(pr.Neighbor()), ds.Tile(pr.Coord)
-				de, err := exact.DisplaceTiles(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
+				de := oracleDisplace(t, a, b, w, h, true)
 				dp, err := padded.DisplaceTiles(a, b)
 				if err != nil {
 					t.Fatal(err)
@@ -177,7 +201,6 @@ func TestPaddedAccuracyOnAwkwardTiles(t *testing.T) {
 				}
 			}
 		}
-		exact.Close()
 		padded.Close()
 		t.Logf("%dx%d: %d pairs, within 1 px of truth: exact %d, at %dx%d %d; %d differ", w, h, pairs, okExact, pw, ph, okPadded, differ)
 		if pairs < 50 || okPadded < okExact-2 || differ > pairs/10 {
@@ -243,7 +266,7 @@ func TestVariantErrors(t *testing.T) {
 		al.Close()
 		t.Error("w<2 should fail")
 	}
-	pa, err := NewAligner(16, 16, Options{Planner: forcedSize(t, 16, 16, 18, 20)})
+	pa, err := NewAligner(22, 14, Options{}) // transforms at 24×14
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +274,7 @@ func TestVariantErrors(t *testing.T) {
 	if _, err := pa.Transform(tile.NewGray16(8, 8)); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	ra, err := NewRealAligner(16, 16, Options{Planner: forcedSize(t, 16, 16, 18, 20)})
+	ra, err := NewRealAligner(22, 14, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +282,7 @@ func TestVariantErrors(t *testing.T) {
 	if _, err := ra.Transform(tile.NewGray16(8, 8)); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	a := tile.NewGray16(16, 16)
+	a := tile.NewGray16(22, 14)
 	if _, err := pa.Displace(a, a, make([]complex128, 3), make([]complex128, 3)); err == nil {
 		t.Error("bad transform length should fail")
 	}

@@ -74,7 +74,6 @@ func All() []Experiment {
 		{"fig12", "Fig 12 — Pipelined-CPU speedup surface", runFig12},
 		{"fig13", "Fig 13 — composed grid, overlay blend", runFig13},
 		{"fig14", "Fig 14 — composed grid with highlighted tiles", runFig14},
-		{"planner", "§IV — FFT planning-mode comparison", runPlanner},
 		{"traversal", "§IV — traversal order vs peak transform memory", runTraversal},
 		{"laptop", "§VI — 3-year-old-laptop validation", runLaptop},
 		{"accuracy", "extension — stitching accuracy vs ground truth", runAccuracy},
@@ -83,7 +82,7 @@ func All() []Experiment {
 		{"ablation-ccf", "design — CCF placement (CPU vs GPU) ablation", runAblationCCF},
 		{"ablation-pool", "design — GPU buffer pool size ablation", runAblationPool},
 		{"ablation-hyperq", "§VI.A — Kepler Hyper-Q kernel concurrency ablation", runAblationHyperQ},
-		{"ablation-variants", "§VI.A — FFT layout (complex / real) × transform size (exact / planned) pipeline ablation", runAblationVariants},
+		{"ablation-variants", "§VI.A — FFT layout (complex / real) at the size rule's frame, pipeline ablation", runAblationVariants},
 		{"bottleneck", "analysis — per-resource utilization of the modeled runs", runBottleneck},
 		{"solvers", "phase 2 — spanning tree vs least-squares placement", runSolvers},
 		{"solver-scaling", "extension — phase-2 LS engines vs plate size (GS / PCG / warm)", runSolverScaling},
@@ -466,44 +465,6 @@ func composeExperiment(o Options, highlight bool, file string) (string, error) {
 func runFig13(o Options) (string, error) { return composeExperiment(o, false, "fig13_composite.png") }
 func runFig14(o Options) (string, error) { return composeExperiment(o, true, "fig14_highlight.png") }
 
-func runPlanner(o Options) (string, error) {
-	o = o.withDefaults()
-	sizes := []int{348, 260} // 1392/4 and 1040/4: same factor structure
-	if !o.Quick {
-		sizes = append(sizes, 1392, 1040)
-	}
-	tbl := Table{
-		Title:   "FFT planning modes (real measurements; paper: patient ≈ 2x over estimate for 1392×1040)",
-		Headers: []string{"n", "mode", "strategy", "exec (µs)", "planning"},
-	}
-	for _, n := range sizes {
-		for _, mode := range []fft.Mode{fft.Estimate, fft.Measure, fft.Patient} {
-			pl := fft.NewPlanner(mode)
-			p, err := pl.Plan(n, fft.Forward, fft.PlanOpts{})
-			if err != nil {
-				return "", err
-			}
-			buf := make([]complex128, n)
-			for i := range buf {
-				buf[i] = complex(float64(i%7), 0)
-			}
-			// time the best of a few executions
-			best := time.Duration(1 << 62)
-			for r := 0; r < 5; r++ {
-				t0 := time.Now()
-				if err := p.Execute(buf); err != nil {
-					return "", err
-				}
-				if d := time.Since(t0); d < best {
-					best = d
-				}
-			}
-			tbl.Add(n, mode.String(), p.Strategy(), best.Microseconds(), pl.PlanningTime().Round(time.Microsecond).String())
-		}
-	}
-	return tbl.String(), nil
-}
-
 func runTraversal(o Options) (string, error) {
 	o = o.withDefaults()
 	p := imagegen.DefaultParams(6, 10, 64, 48)
@@ -792,11 +753,9 @@ func sameDisplacements(a, b *stitch.Result) bool {
 	return true
 }
 
-// runAblationVariants crosses the two §VI.A optimizations on a plate
-// whose tile size carries the paper's awkward factors (29 and 13, a
-// quarter-scale 1392×1040): spectrum layout × transform size, the exact
-// tile size (an estimate-mode planner) against the size a measuring
-// planner chooses.
+// runAblationVariants runs both spectrum layouts on a plate whose tile
+// size carries the paper's awkward factors (29 and 13, a quarter-scale
+// 1392×1040), each at the frame the size rule chooses for it.
 func runAblationVariants(o Options) (string, error) {
 	o = o.withDefaults()
 	rows, cols, tw, th := 4, 4, 348, 260
@@ -811,36 +770,31 @@ func runAblationVariants(o Options) (string, error) {
 	}
 	src := &stitch.MemorySource{DS: ds}
 	tbl := Table{
-		Title:   fmt.Sprintf("FFT layout × transform size ablation (real pipelined-cpu runs, %dx%d tiles of %dx%d)", rows, cols, tw, th),
-		Headers: []string{"Layout", "Size", "Transformed at", "Wall", "Identical to baseline"},
+		Title:   fmt.Sprintf("FFT layout ablation at the size rule's frame (real pipelined-cpu runs, %dx%d tiles of %dx%d)", rows, cols, tw, th),
+		Headers: []string{"Layout", "Transformed at", "Wall", "Identical to complex"},
 	}
 	var base *stitch.Result
 	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantReal} {
-		for _, mode := range []fft.Mode{fft.Estimate, fft.Measure} {
-			opts := stitch.Options{Threads: 4, FFTVariant: v, Planner: fft.NewPlanner(mode)}
-			// The first run pays planning; the table times a warm second.
-			if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
-				return "", err
-			}
-			res, err := (&stitch.PipelinedCPU{}).Run(src, opts)
-			if err != nil {
-				return "", err
-			}
-			layout, size, same := "complex", "exact", "-"
-			if v == stitch.VariantReal {
-				layout = "real"
-			}
-			if mode == fft.Measure {
-				size = "planned"
-			}
-			if base == nil {
-				base = res
-			} else {
-				same = fmt.Sprint(sameDisplacements(base, res))
-			}
-			tbl.Add(layout, size, fmt.Sprintf("%dx%d", res.TransformW, res.TransformH),
-				res.Elapsed.Round(time.Millisecond).String(), same)
+		opts := stitch.Options{Threads: 4, FFTVariant: v}
+		// The first run builds the aligners; the table times a warm second.
+		if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
+			return "", err
 		}
+		res, err := (&stitch.PipelinedCPU{}).Run(src, opts)
+		if err != nil {
+			return "", err
+		}
+		layout, same := "complex", "-"
+		if v == stitch.VariantReal {
+			layout = "real"
+		}
+		if base == nil {
+			base = res
+		} else {
+			same = fmt.Sprint(sameDisplacements(base, res))
+		}
+		tbl.Add(layout, fmt.Sprintf("%dx%d", res.TransformW, res.TransformH),
+			res.Elapsed.Round(time.Millisecond).String(), same)
 	}
 	return tbl.String(), nil
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // FFTVariant selects the spectrum layout of the per-pair transforms. The
-// transform size is not part of it: the run's planner chooses that, for
+// transform size is not part of it: fft.TransformSize chooses that, for
 // either layout (transformSize). This file is the only place that knows
 // what a layout means — it builds the host aligner and the device
 // operator set for one and sizes its transforms; everything else in the
@@ -25,13 +25,13 @@ const (
 	VariantReal FFTVariant = "real"
 )
 
-// transformSize asks the run's planner for the frame g's tiles are
-// transformed in under the run's layout: the tile size, or a larger one
-// the planner measured faster (paper §VI.A: pad to small-prime sizes).
-// The pciam constructors ask the same planner the same question, so the
-// host aligners, the device plans and every buffer sized here agree.
+// transformSize is the frame g's tiles are transformed in under the
+// run's layout: the tile size, or a larger one the size rule models
+// faster (paper §VI.A: pad to small-prime sizes). The pciam constructors
+// ask fft.TransformSize the same question, so the host aligners, the
+// device plans and every buffer sized here agree.
 func (o Options) transformSize(g tile.Grid) (pw, ph int) {
-	return o.Planner.TransformSize(g.TileW, g.TileH, o.FFTVariant == VariantReal)
+	return fft.TransformSize(g.TileW, g.TileH, o.FFTVariant == VariantReal)
 }
 
 // transformWords is the per-tile transform footprint in complex128
@@ -124,7 +124,7 @@ func (r *run) newDeviceOps(dev *gpu.Device, lanes int) (*deviceOps, error) {
 			if i == lanes {
 				dir = fft.Inverse
 			}
-			if plans[i], err = opts.Planner.Plan2D(h, w, dir, po); err != nil {
+			if plans[i], err = fft.NewPlan2D(h, w, dir, po); err != nil {
 				return nil, err
 			}
 		}
@@ -146,7 +146,7 @@ func (r *run) newDeviceOps(dev *gpu.Device, lanes int) (*deviceOps, error) {
 		po := fft.Real2DOpts{Exec: opts.FFTExec, Pool: opts.FFTPool}
 		plans := make([]*fft.RealPlan2D, lanes+1) // the last runs the inverse
 		for i := range plans {
-			if plans[i], err = opts.Planner.RealPlan2DOpts(h, w, po); err != nil {
+			if plans[i], err = fft.NewRealPlan2DOpts(h, w, po); err != nil {
 				return nil, err
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hybridstitch/internal/fft"
+	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/tile"
 )
@@ -28,36 +29,28 @@ func assertBitIdenticalDisplacements(t *testing.T, ref, got *Result, refName, go
 	}
 }
 
-// paddedPlanner returns a planner holding wisdom records that put g's
-// tiles in a frame 3/16 wider and 1/8 taller, for both layouts — how the
-// size axis of the oracle wall forces a padded transform, there being no
-// option for it (128×96 tiles transform at 152×108).
-func paddedPlanner(t testing.TB, g tile.Grid) *fft.Planner {
+// paddedDataset is a plate whose tile size the size rule pads: 116×87 =
+// 4·29 × 3·29 tiles transform at 120×90 in either layout.
+func paddedDataset(t testing.TB, rows, cols int) *MemorySource {
 	t.Helper()
-	pl := fft.NewPlanner(fft.Estimate)
-	w, h := g.TileW, g.TileH
-	rec := fmt.Sprintf(`[{"w":%d,"h":%d,"pw":%d,"ph":%d},{"w":%[1]d,"h":%[2]d,"real":true,"pw":%[3]d,"ph":%[4]d}]`, w, h, w+3*w/16, h+h/8)
-	if err := pl.ImportWisdom([]byte(rec)); err != nil {
+	ds, err := imagegen.Generate(imagegen.DefaultParams(rows, cols, 116, 87))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pl
+	return &MemorySource{DS: ds}
 }
 
 // oracleResult computes every displacement of src the long way round,
-// from exported primitives only: each tile's forward transform at the
-// size planner answers (nil: the tile size), the normalized conjugate
-// product as its own full pass, an unfused serial inverse through a plain
-// fft plan, the peak, and the CCF resolution. None of what production
-// fuses, splits or schedules is in it, which is what makes it the
-// reference the six implementations are held to with ==.
-func oracleResult(t *testing.T, src Source, variant FFTVariant, planner *fft.Planner) *Result {
+// from exported primitives only, at the explicit pw×ph frame: each
+// tile's frame staging and forward transform through a plain serial fft
+// plan, the normalized conjugate product as its own full pass, an
+// unfused serial inverse, the peak, and the CCF resolution. None of what
+// production fuses, splits, schedules or sizes is in it, which is what
+// makes it the reference the six implementations are held to with ==.
+func oracleResult(t *testing.T, src Source, variant FFTVariant, pw, ph int) *Result {
 	t.Helper()
 	g := src.Grid()
 	w, h := g.TileW, g.TileH
-	if planner == nil {
-		planner = fft.NewPlanner(fft.Estimate)
-	}
-	po := pciam.Options{Planner: planner, FFTExec: fft.ExecSerial}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -65,34 +58,41 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant, planner *fft.Pla
 		}
 	}
 
-	var transform func(*tile.Gray16) ([]complex128, error)
+	pix := make([]float64, pw*ph)
+	var transform func(*tile.Gray16) []complex128
 	// peak inverts the NCC spectrum and returns the surface's maximum; its
 	// coordinates live in the transform frame (pw × ph).
 	var peak func(ncc []complex128) (px, py int)
-	var pw, ph int
 	switch variant {
 	case VariantComplex:
-		al, err := pciam.NewAligner(w, h, po)
+		fwd, err := fft.NewPlan2D(ph, pw, fft.Forward, fft.Plan2DOpts{Exec: fft.ExecSerial})
 		must(err)
-		defer al.Close()
-		pw, ph = al.TransformDims()
-		inv, err := planner.Plan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
+		inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
 		must(err)
-		transform = al.Transform
+		transform = func(img *tile.Gray16) []complex128 {
+			img.ToFloatFrame(pix, pw)
+			out := make([]complex128, pw*ph)
+			for i, v := range pix {
+				out[i] = complex(v, 0)
+			}
+			must(fwd.Execute(out))
+			return out
+		}
 		peak = func(ncc []complex128) (int, int) {
 			must(inv.Execute(ncc))
 			pk := pciam.TopPeaks(ncc, pw, ph, 1)[0]
 			return pk.X, pk.Y
 		}
 	case VariantReal:
-		al, err := pciam.NewRealAligner(w, h, po)
-		must(err)
-		defer al.Close()
-		pw, ph = al.TransformDims()
-		plan, err := planner.RealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
+		plan, err := fft.NewRealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
 		must(err)
 		corr := make([]float64, pw*ph)
-		transform = al.Transform
+		transform = func(img *tile.Gray16) []complex128 {
+			img.ToFloatFrame(pix, pw)
+			out := make([]complex128, ph*(pw/2+1))
+			must(plan.Forward(out, pix))
+			return out
+		}
 		peak = func(ncc []complex128) (int, int) {
 			must(plan.Inverse(corr, ncc))
 			i, _ := pciam.MaxAbsReal(corr)
@@ -105,8 +105,7 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant, planner *fft.Pla
 		img, err := src.ReadTile(c)
 		must(err)
 		if spectra[c] == nil {
-			spectra[c], err = transform(img)
-			must(err)
+			spectra[c] = transform(img)
 		}
 		return img, spectra[c]
 	}
@@ -147,23 +146,19 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant, planner *fft.Pla
 }
 
 // assertMatchOracle runs all six implementations under opts and requires
-// each one's displacements to equal the oracle's exactly, and its result
-// to report the transform size the oracle ran at.
-func assertMatchOracle(t *testing.T, src Source, opts Options, label string) {
+// each one's displacements to equal the oracle's at the pw×ph frame
+// exactly, and its result to report that frame.
+func assertMatchOracle(t *testing.T, src Source, opts Options, label string, pw, ph int) {
 	t.Helper()
-	ref := oracleResult(t, src, opts.FFTVariant, opts.Planner)
-	wantW, wantH := src.Grid().TileW, src.Grid().TileH
-	if opts.Planner != nil {
-		wantW, wantH = opts.Planner.TransformSize(wantW, wantH, opts.FFTVariant == VariantReal)
-	}
+	ref := oracleResult(t, src, opts.FFTVariant, pw, ph)
 	for _, impl := range Implementations() {
 		opts.Threads = 3
 		opts.Devices = testDevices(2)
 		res := runStitcher(t, impl, src, opts)
 		closeDevices(opts.Devices)
 		assertBitIdenticalDisplacements(t, ref, res, "oracle", impl.Name()+"/"+label)
-		if res.TransformW != wantW || res.TransformH != wantH {
-			t.Errorf("%s/%s: result reports transforms at %dx%d, want %dx%d", impl.Name(), label, res.TransformW, res.TransformH, wantW, wantH)
+		if res.TransformW != pw || res.TransformH != ph {
+			t.Errorf("%s/%s: result reports transforms at %dx%d, want %dx%d", impl.Name(), label, res.TransformW, res.TransformH, pw, ph)
 		}
 	}
 }
@@ -186,18 +181,18 @@ func TestHotPathTogglesBitIdentical(t *testing.T) {
 	src := testDataset(t, 3, 3)
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
-			assertMatchOracle(t, src, Options{FFTVariant: l.variant}, l.name)
+			assertMatchOracle(t, src, Options{FFTVariant: l.variant}, l.name, 128, 96)
 		})
 	}
 }
 
-// TestPaddedHotPathBitIdentical is the same wall at a padded transform
-// size, forced by wisdom: both layouts, all six implementations — the
-// GPU pair pads in host staging and reads its peak in the padded frame.
+// TestPaddedHotPathBitIdentical is the same wall on a plate the size
+// rule pads: both layouts, all six implementations — the GPU pair pads
+// in host staging and reads its peak in the padded frame.
 func TestPaddedHotPathBitIdentical(t *testing.T) {
-	src := testDataset(t, 3, 3)
+	src := paddedDataset(t, 3, 3)
 	for _, l := range layouts {
-		assertMatchOracle(t, src, Options{FFTVariant: l.variant, Planner: paddedPlanner(t, src.Grid())}, "padded/"+l.name)
+		assertMatchOracle(t, src, Options{FFTVariant: l.variant}, "padded/"+l.name, 120, 90)
 	}
 }
 
@@ -208,21 +203,21 @@ func TestPaddedHotPathBitIdentical(t *testing.T) {
 // repartitions the row/column loops — the per-element arithmetic is
 // unchanged — so exact equality is the contract, not a tolerance.
 func TestFFTExecTogglesBitIdentical(t *testing.T) {
-	src := testDataset(t, 3, 3)
+	exact, padded := testDataset(t, 3, 3), paddedDataset(t, 3, 3)
 	pool := fft.NewWorkerPool(2)
 	defer pool.Close()
 
-	wall := func(planner *fft.Planner, ls ...layout) func(*testing.T) {
+	wall := func(src Source, pw, ph int, ls ...layout) func(*testing.T) {
 		return func(t *testing.T) {
 			for _, l := range ls {
 				for _, exec := range []fft.ExecStrategy{fft.ExecSerial, fft.ExecSplit} {
-					assertMatchOracle(t, src, Options{FFTVariant: l.variant, Planner: planner, FFTExec: exec, FFTPool: pool},
-						fmt.Sprintf("%s/%s/exec=%v", t.Name(), l.name, exec))
+					assertMatchOracle(t, src, Options{FFTVariant: l.variant, FFTExec: exec, FFTPool: pool},
+						fmt.Sprintf("%s/%s/exec=%v", t.Name(), l.name, exec), pw, ph)
 				}
 			}
 		}
 	}
-	t.Run("complex", wall(nil, layouts[0]))
-	t.Run("real", wall(nil, layouts[1]))
-	t.Run("padded", wall(paddedPlanner(t, src.Grid()), layouts...))
+	t.Run("complex", wall(exact, 128, 96, layouts[0]))
+	t.Run("real", wall(exact, 128, 96, layouts[1]))
+	t.Run("padded", wall(padded, 120, 90, layouts...))
 }

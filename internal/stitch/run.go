@@ -35,7 +35,7 @@ type run struct {
 	start time.Time
 
 	// pw×ph is the size every tile is transformed at, host or device:
-	// the planner's choice for g's tiles under the run's layout.
+	// fft.TransformSize's frame for g's tiles under the run's layout.
 	pw, ph int
 
 	// once guards tile(): the first caller to need a tile loads it, the

@@ -3,17 +3,16 @@ package stitch
 import (
 	"fmt"
 	"time"
-
-	"hybridstitch/internal/fft"
 )
 
 // SeriesRunner stitches successive scans of the same plate geometry —
 // the paper's operating mode ("the plate ... is scanned every 45 min",
-// 161 scans in the example experiment). Scan-invariant state is built
-// once and reused: FFT planner wisdom (the paper amortizes its 4 min 20 s
-// patient planning the same way) and the implementation's option set.
-// Each scan then runs against warm plans, which is what makes the first
-// and the hundred-and-sixty-first scan cost the same.
+// 161 scans in the example experiment). The implementation's option set
+// is fixed for the series, and the aligners (plans and scratch included)
+// come back warm from the pciam pool after the first scan, which is what
+// makes the first and the hundred-and-sixty-first scan cost the same.
+// Planning itself is by rule, so there is nothing to amortize: the paper
+// spent 4 min 20 s on patient planning and saved it as wisdom.
 type SeriesRunner struct {
 	impl    Stitcher
 	opts    Options
@@ -26,13 +25,8 @@ type gridKey struct {
 	rows, cols, tw, th int
 }
 
-// NewSeriesRunner prepares a runner for repeated scans. The planner in
-// opts is shared across scans (one is created if absent) — its wisdom
-// persists, so per-scan planning cost is zero after the first scan.
+// NewSeriesRunner prepares a runner for repeated scans under opts.
 func NewSeriesRunner(impl Stitcher, opts Options) *SeriesRunner {
-	if opts.Planner == nil {
-		opts.Planner = fft.NewPlanner(fft.Measure)
-	}
 	return &SeriesRunner{impl: impl, opts: opts}
 }
 

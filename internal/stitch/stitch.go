@@ -141,9 +141,9 @@ type Options struct {
 	// implementations; the paper defaults to chained diagonal because it
 	// lets transform memory be freed earliest.
 	Traversal Traversal
-	// Planner supplies FFT wisdom shared across workers — strategies and
-	// the transform size; nil builds an estimate-mode planner per run,
-	// which transforms at the tile size.
+	// Planner changes nothing, nil included: every run transforms at
+	// fft.TransformSize's frame with rule-chosen algorithms, whatever the
+	// planner's mode. The field stays for callers that still set it.
 	Planner *fft.Planner
 	// Governor, if set, accounts transform memory against a simulated
 	// physical RAM limit and injects paging stalls (Fig 5).
@@ -162,8 +162,8 @@ type Options struct {
 	// optimization); every implementation supports both. It is read where
 	// aligners and device operators are built (aligner.go); schedulers
 	// never branch on it. §VI.A's other optimization, padding tiles to a
-	// fast transform size, is not selected here: Planner chooses the size
-	// for either layout.
+	// fast transform size, is not selected here: fft.TransformSize
+	// chooses the size for either layout.
 	FFTVariant FFTVariant
 	// FFTExec selects how each 2-D transform uses the machine: the zero
 	// value (auto) lets the plan-time autotuner measure serial vs split
@@ -229,9 +229,6 @@ func (o Options) withDefaults(g tile.Grid) Options {
 	if o.FFTStreams < 1 {
 		o.FFTStreams = 1
 	}
-	if o.Planner == nil {
-		o.Planner = fft.NewPlanner(fft.Estimate)
-	}
 	if o.PoolTransforms < 1 {
 		o.PoolTransforms = 2*min(g.Rows, g.Cols) + 4
 	}
@@ -245,7 +242,6 @@ func (o Options) withDefaults(g tile.Grid) Options {
 func (o Options) pciamOptions() pciam.Options {
 	return pciam.Options{
 		NPeaks:  o.NPeaks,
-		Planner: o.Planner,
 		FFTExec: o.FFTExec,
 		FFTPool: o.FFTPool,
 	}
@@ -286,7 +282,7 @@ type Result struct {
 	// neighbor; valid iff the tile has one (col > 0). North likewise.
 	West, North []tile.Displacement
 	// TransformW and TransformH are the size every tile was transformed
-	// at: the tile size, or the larger frame the planner chose.
+	// at: the tile size, or the larger frame fft.TransformSize chose.
 	TransformW, TransformH int
 	// Elapsed is the end-to-end wall time of the run.
 	Elapsed time.Duration

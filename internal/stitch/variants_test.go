@@ -7,38 +7,50 @@ import (
 	"testing"
 	"time"
 
-	"hybridstitch/internal/fft"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/tile"
 )
 
-// TestFFTVariantsProduceSameDisplacements: the real layout, and either
-// layout at a padded transform size, find the baseline's displacements.
+// TestFFTVariantsProduceSameDisplacements: the real layout finds the
+// complex baseline's displacements, and on a plate the size rule pads
+// (pciam's TestPaddedMatchesBaselineOnDataset plate: 3×4 tiles of
+// 174×130, at 180×144) either layout finds the displacements of the
+// exact tile size, which only the oracle computes.
 func TestFFTVariantsProduceSameDisplacements(t *testing.T) {
-	src := testDataset(t, 3, 3)
-	base := runStitcher(t, &SimpleCPU{}, src, Options{})
-	padded := paddedPlanner(t, src.Grid())
-	for _, opts := range []Options{{FFTVariant: VariantReal}, {Planner: padded}, {FFTVariant: VariantReal, Planner: padded}} {
-		got := runStitcher(t, &SimpleCPU{}, src, opts)
-		for _, p := range src.Grid().Pairs() {
-			d1, _ := base.PairDisplacement(p)
-			d2, _ := got.PairDisplacement(p)
-			if d1.X != d2.X || d1.Y != d2.Y {
-				t.Errorf("variant %q at %dx%d pair %v: (%d,%d) vs baseline (%d,%d)", opts.FFTVariant, got.TransformW, got.TransformH, p, d2.X, d2.Y, d1.X, d1.Y)
+	ds, err := imagegen.Generate(imagegen.DefaultParams(3, 4, 174, 130))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, padded := testDataset(t, 3, 3), &MemorySource{DS: ds}
+	for _, c := range []struct {
+		src  *MemorySource
+		base *Result
+	}{
+		{exact, runStitcher(t, &SimpleCPU{}, exact, Options{})},
+		{padded, oracleResult(t, padded, VariantComplex, 174, 130)},
+	} {
+		for _, v := range []FFTVariant{VariantComplex, VariantReal} {
+			got := runStitcher(t, &SimpleCPU{}, c.src, Options{FFTVariant: v})
+			for _, p := range c.src.Grid().Pairs() {
+				d1, _ := c.base.PairDisplacement(p)
+				d2, _ := got.PairDisplacement(p)
+				if d1.X != d2.X || d1.Y != d2.Y {
+					t.Errorf("variant %q at %dx%d pair %v: (%d,%d) vs exact size (%d,%d)", v, got.TransformW, got.TransformH, p, d2.X, d2.Y, d1.X, d1.Y)
+				}
 			}
 		}
 	}
 }
 
 func TestFFTVariantsAcrossImplementations(t *testing.T) {
-	src := testDataset(t, 2, 3)
-	for _, impl := range []Stitcher{&MTCPU{}, &PipelinedCPU{}} {
-		for _, opts := range []Options{{FFTVariant: VariantReal}, {Planner: paddedPlanner(t, src.Grid())}} {
-			opts.Threads = 2
-			res := runStitcher(t, impl, src, opts)
-			if !res.Complete() {
-				t.Errorf("%s/%s at %dx%d incomplete", impl.Name(), opts.FFTVariant, res.TransformW, res.TransformH)
+	for _, src := range []*MemorySource{testDataset(t, 2, 3), paddedDataset(t, 2, 3)} {
+		for _, impl := range []Stitcher{&MTCPU{}, &PipelinedCPU{}} {
+			for _, v := range []FFTVariant{VariantComplex, VariantReal} {
+				res := runStitcher(t, impl, src, Options{Threads: 2, FFTVariant: v})
+				if !res.Complete() {
+					t.Errorf("%s/%s at %dx%d incomplete", impl.Name(), v, res.TransformW, res.TransformH)
+				}
 			}
 		}
 	}
@@ -58,27 +70,26 @@ func TestUnknownVariantRejected(t *testing.T) {
 // and nothing else — the real layout's fused displacement kernel writes
 // no device buffer — at ph·(pw/2+1) words per transform.
 func TestGPUVariantSupport(t *testing.T) {
-	src := testDataset(t, 2, 2)
-	g := src.Grid()
-	for _, impl := range []Stitcher{&SimpleGPU{}, &PipelinedGPU{}} {
-		for _, planner := range []*fft.Planner{nil, paddedPlanner(t, g)} {
+	for _, c := range []struct {
+		src    *MemorySource
+		pw, ph int
+	}{{testDataset(t, 2, 2), 128, 96}, {paddedDataset(t, 2, 2), 120, 90}} {
+		g := c.src.Grid()
+		for _, impl := range []Stitcher{&SimpleGPU{}, &PipelinedGPU{}} {
 			devs := testDevices(1)
-			res, err := impl.Run(src, Options{Devices: devs, FFTVariant: VariantReal, Planner: planner})
+			res, err := impl.Run(c.src, Options{Devices: devs, FFTVariant: VariantReal})
 			if err != nil {
 				t.Fatalf("%s real variant: %v", impl.Name(), err)
 			}
 			if !res.Complete() {
 				t.Errorf("%s real variant incomplete", impl.Name())
 			}
-			pw, ph := g.TileW, g.TileH
-			if planner != nil {
-				if pw, ph = planner.TransformSize(pw, ph, true); pw == g.TileW {
-					t.Fatalf("padded planner kept the tile size")
-				}
+			if res.TransformW != c.pw || res.TransformH != c.ph {
+				t.Errorf("%s: %dx%d tiles transformed at %dx%d, want %dx%d", impl.Name(), g.TileW, g.TileH, res.TransformW, res.TransformH, c.pw, c.ph)
 			}
-			want := int64(Options{}.withDefaults(g).PoolTransforms) * int64(ph) * int64(pw/2+1)
+			want := int64(Options{}.withDefaults(g).PoolTransforms) * int64(c.ph) * int64(c.pw/2+1)
 			if _, peak, _, _ := devs[0].MemStats(); peak != want {
-				t.Errorf("%s real variant at %dx%d: device peak %d words, want the pool's %d", impl.Name(), pw, ph, peak, want)
+				t.Errorf("%s real variant at %dx%d: device peak %d words, want the pool's %d", impl.Name(), c.pw, c.ph, peak, want)
 			}
 			closeDevices(devs)
 		}
@@ -194,8 +205,11 @@ func TestInvalidGridRejectedEverywhere(t *testing.T) {
 func TestVariantBenchmarksShape(t *testing.T) {
 	// Not a timing assertion (host noise), just that all variants finish
 	// and report sane metrics on a larger grid.
-	src := testDataset(t, 3, 4)
-	for _, opts := range []Options{{}, {Planner: paddedPlanner(t, src.Grid())}, {FFTVariant: VariantReal}} {
+	for _, c := range []struct {
+		src  *MemorySource
+		opts Options
+	}{{testDataset(t, 3, 4), Options{}}, {paddedDataset(t, 3, 4), Options{}}, {testDataset(t, 3, 4), Options{FFTVariant: VariantReal}}} {
+		src, opts := c.src, c.opts
 		opts.Threads = 2
 		res := runStitcher(t, &PipelinedCPU{}, src, opts)
 		if res.TransformsComputed != src.Grid().NumTiles() {
