@@ -7,6 +7,59 @@ import (
 	"testing"
 )
 
+// TestPlannerRealPlansUseWisdom checks the Planner's real-plan entry
+// point builds working plans. The planner's only wisdom is the package's
+// rules, so its plan must have the asked geometry and match the package
+// constructor bit for bit, forward and inverse, under each execution
+// mode.
+func TestPlannerRealPlansUseWisdom(t *testing.T) {
+	const h, w = 10, 12
+	rng := rand.New(rand.NewSource(23))
+	img := make([]float64, h*w)
+	for i := range img {
+		img[i] = rng.Float64()*2 - 1
+	}
+	pool := NewWorkerPool(2)
+	defer pool.Close()
+	for _, opts := range []Real2DOpts{{Exec: ExecSerial}, {Exec: ExecSplit, Pool: pool}} {
+		p, err := NewPlanner(Measure).RealPlan2DOpts(h, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.H() != h || p.W() != w {
+			t.Fatalf("exec %v: RealPlan2D geometry %dx%d, want %dx%d", opts.Exec, p.H(), p.W(), h, w)
+		}
+		ref, err := NewRealPlan2DOpts(h, w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := make([]complex128, h*(w/2+1))
+		b := make([]complex128, h*(w/2+1))
+		if err := p.Forward(a, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Forward(b, img); err != nil {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(a, b); d != 0 {
+			t.Errorf("exec %v: planner-built forward diverges from the package plan by %g", opts.Exec, d)
+		}
+		x := make([]float64, h*w)
+		y := make([]float64, h*w)
+		if err := p.Inverse(x, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Inverse(y, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if x[i] != y[i] {
+				t.Fatalf("exec %v: planner-built inverse at %d: %v, package plan %v", opts.Exec, i, x[i], y[i])
+			}
+		}
+	}
+}
+
 // TestRealPlanEdgeSizes pins the smallest legal lengths and the odd-n
 // fallback: round trips must reproduce the input under the documented ×n
 // convention, and the forward half spectrum must equal the complex DFT's
