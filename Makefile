@@ -70,7 +70,10 @@ lint-help:
 # six implementations) rides the same line, since a padded GPU run is a
 # staged scheduler too. The transform size is a pure function the
 # aligners are pooled by: the fft and pciam size, pool and zero-alloc
-# tests run race-enabled by name, with no timing to skip.
+# tests run race-enabled by name, with no timing to skip. Phase 2's
+# parallel SpMV, dot and reweight fan-outs run only above 2048 rows, so
+# the one solve test on a plate that large runs race-enabled at the same
+# three GOMAXPROCS, with private pools of 0, 1 and 3 helpers.
 # bench/ is its own module (a `replace` points it at this one), invisible
 # to ./... here, so it is vetted, tested and linted by name: an API it
 # uses cannot be deleted unnoticed.
@@ -82,6 +85,7 @@ check: build
 	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
 	$(GO) test -race -cpu 1,2,4 -run 'GPU|Pipelined|Engine|Socket|HotPath|FFTExec' ./internal/stitch/
 	$(GO) test -race -run 'Size|Autotune|Padded|Alloc|Pool' ./internal/fft/ ./internal/pciam/
+	$(GO) test -race -cpu 1,2,4 -run 'TestSolveParallelPoolsAgree' ./internal/global/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -47,7 +47,6 @@ func main() {
 		stretchF = flag.Bool("stretch", true, "contrast-stretch outputs for display")
 		threads  = flag.Int("threads", runtime.GOMAXPROCS(0), "phase-1 worker threads when computing displacements fresh")
 		solver   = flag.String("solver", "mst", "phase-2 solver: mst (spanning tree) or ls (least squares); matches `stitch -solver`")
-		lsSolver = flag.String("ls-solver", "auto", "least-squares engine for -solver ls: auto (pcg on large plates), gs, pcg")
 
 		serveAddr  = flag.String("serve", "", "serve deep-zoom tiles over HTTP on this address (requires -pyramid)")
 		pyramid    = flag.String("pyramid", "", "pyramid file written by `stitch -compose-out`")
@@ -97,11 +96,7 @@ func main() {
 	case "mst":
 		pl, err = global.Solve(res, global.Options{RepairOutliers: true})
 	case "ls":
-		kind, kerr := global.ParseSolverKind(*lsSolver)
-		if kerr != nil {
-			log.Fatalf("-ls-solver: %v", kerr)
-		}
-		pl, err = global.SolveLeastSquares(res, global.LSOptions{Solver: kind})
+		pl, err = global.SolveLeastSquares(res, global.LSOptions{})
 	default:
 		log.Fatalf("unknown -solver %q (want mst or ls)", *solver)
 	}

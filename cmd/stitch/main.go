@@ -57,8 +57,6 @@ func main() {
 		highlight = flag.String("highlight", "", "write a tile-outline overlay to this PNG")
 		blendName = flag.String("blend", "overlay", "composite blend: overlay, average, linear")
 		solver    = flag.String("solver", "mst", "phase-2 solver: mst (spanning tree) or ls (least squares)")
-		lsSolver  = flag.String("ls-solver", "auto", "least-squares engine for -solver ls: auto (pcg on large plates), gs, pcg")
-		lsPrecond = flag.String("ls-precond", "twolevel", "PCG preconditioner for -solver ls: twolevel, jacobi")
 		stretch   = flag.Bool("stretch", true, "contrast-stretch the composite PNG for display")
 		refine    = flag.Bool("refine", false, "repair low-confidence pairs via CCF search from the stage model before phase 2")
 		saveDisp  = flag.String("save-displacements", "", "write the phase-1 displacement arrays to this JSON file")
@@ -173,17 +171,7 @@ func main() {
 	case "mst":
 		pl, err = global.Solve(res, global.Options{RepairOutliers: true, Obs: rec})
 	case "ls":
-		kind, kerr := global.ParseSolverKind(*lsSolver)
-		if kerr != nil {
-			log.Fatalf("-ls-solver: %v", kerr)
-		}
-		pre, perr := global.ParsePrecondKind(*lsPrecond)
-		if perr != nil {
-			log.Fatalf("-ls-precond: %v", perr)
-		}
-		pl, err = global.SolveLeastSquares(res, global.LSOptions{
-			Solver: kind, Precond: pre, Pool: opts.TransformPool(), Obs: rec,
-		})
+		pl, err = global.SolveLeastSquares(res, global.LSOptions{Pool: opts.TransformPool(), Obs: rec})
 	default:
 		log.Fatalf("unknown -solver %q (want mst or ls)", *solver)
 	}

@@ -20,89 +20,36 @@ import (
 //
 // over tile positions p, with w_e = max(corr_e, ε). The normal equations
 // form a graph Laplacian system (tile 0 pinned to remove the translation
-// null space) solved by one of two engines: the seed's serial
-// Gauss-Seidel sweeps, retained bit-identical as the differential
-// oracle, or the parallel preconditioned conjugate-gradient engine in
-// pcg.go, which `auto` selects above a size threshold. Robustness comes
-// from IRLS reweighting (Cauchy loss) around either engine; the sparse
-// system itself is built once and reweighted in place (sparse.go).
+// null space) solved at every plate size by the parallel preconditioned
+// conjugate-gradient engine in pcg.go. Robustness comes from IRLS
+// reweighting (Cauchy loss) around it; the sparse system itself is built
+// once and reweighted in place (sparse.go).
 
-// SolverKind selects the phase-2 least-squares engine.
+// SolverKind names a least-squares engine. There is one, so
+// LSOptions.Solver is ignored; the type stays for callers that set it.
 type SolverKind string
 
-const (
-	// SolverAuto (the zero value) picks PCG at or above
-	// autoPCGMinTiles tiles and Gauss-Seidel below it — small plates
-	// keep the seed solver's exact arithmetic, large plates get the
-	// parallel engine.
-	SolverAuto SolverKind = ""
-	// SolverGS forces the serial Gauss-Seidel sweeps.
-	SolverGS SolverKind = "gs"
-	// SolverPCG forces the preconditioned conjugate-gradient engine.
-	SolverPCG SolverKind = "pcg"
-)
-
-// PrecondKind selects the PCG preconditioner.
-type PrecondKind string
-
-const (
-	// PrecondTwoLevel (the zero value) is the aggregation hierarchy:
-	// super-tile coarse solve between damped-Jacobi smoothing flanks.
-	// Iteration counts stay in the tens regardless of plate size.
-	PrecondTwoLevel PrecondKind = ""
-	// PrecondJacobi is plain diagonal scaling — the baseline arm, kept
-	// for the differential matrix and for triage.
-	PrecondJacobi PrecondKind = "jacobi"
-)
-
-// autoPCGMinTiles is the grid size at which SolverAuto switches from the
-// seed Gauss-Seidel to PCG. Below it the serial sweeps finish in
-// microseconds and bit-compatibility with historical snapshots is worth
-// more than the speedup.
-const autoPCGMinTiles = 1024
+// SolverPCG is the preconditioned conjugate-gradient engine — the only
+// one SolveLeastSquares runs.
+const SolverPCG SolverKind = "pcg"
 
 // irlsRoundTolFactor scales LSOptions.Tol into the round-level IRLS
-// convergence threshold on the PCG path: a round whose largest total
-// position movement stays under factor·Tol (0.01 px at the default Tol)
-// has fixed-pointed — reweighting from essentially unchanged positions
-// yields essentially unchanged weights.
+// convergence threshold: a round whose largest total position movement
+// stays under factor·Tol (0.01 px at the default Tol) has fixed-pointed
+// — reweighting from essentially unchanged positions yields essentially
+// unchanged weights.
 const irlsRoundTolFactor = 100
-
-// ParseSolverKind maps a CLI flag value to a SolverKind.
-func ParseSolverKind(s string) (SolverKind, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "gs":
-		return SolverGS, nil
-	case "pcg":
-		return SolverPCG, nil
-	}
-	return SolverAuto, fmt.Errorf("global: unknown solver %q (want auto, gs, or pcg)", s)
-}
-
-// ParsePrecondKind maps a CLI flag value to a PrecondKind.
-func ParsePrecondKind(s string) (PrecondKind, error) {
-	switch s {
-	case "", "auto", "twolevel", "two-level":
-		return PrecondTwoLevel, nil
-	case "jacobi":
-		return PrecondJacobi, nil
-	}
-	return PrecondTwoLevel, fmt.Errorf("global: unknown preconditioner %q (want twolevel or jacobi)", s)
-}
 
 // LSOptions tunes SolveLeastSquares.
 type LSOptions struct {
 	// MinCorr excludes edges below this correlation from the system
 	// entirely (they contribute no information).
 	MinCorr float64
-	// MaxIter bounds the iterations per reweighting round — Gauss-Seidel
-	// sweeps or CG iterations per axis; 0 picks 100·√tiles (a cap CG
-	// never approaches).
+	// MaxIter bounds the CG iterations per axis and reweighting round;
+	// 0 picks 100·√tiles (a cap CG never approaches).
 	MaxIter int
 	// Tol stops iteration when the largest per-tile position update of a
-	// sweep (GS) or iteration (CG) falls below it (pixels); 0 picks 1e-4.
+	// CG iteration falls below it (pixels); 0 picks 1e-4.
 	Tol float64
 	// Rounds is the number of IRLS reweighting rounds: after each
 	// solve, edges are down-weighted by their residual (Cauchy loss),
@@ -120,12 +67,9 @@ type LSOptions struct {
 	// adversarial plates it lets one confidently-wrong displacement drag
 	// whole rows of tiles. Production callers leave it false.
 	Unweighted bool
-	// Solver picks the engine: auto (PCG above autoPCGMinTiles tiles,
-	// Gauss-Seidel below), gs, or pcg.
+	// Solver is ignored: every solve runs PCG with the two-level
+	// preconditioner.
 	Solver SolverKind
-	// Precond picks the PCG preconditioner: the two-level aggregation
-	// hierarchy (default) or plain Jacobi.
-	Precond PrecondKind
 	// Warm seeds the solve from a previous placement of the SAME grid
 	// instead of the robust spanning tree — the rolling re-solve path.
 	// For grids that grew since the previous solve, use Resolver, which
@@ -137,8 +81,8 @@ type LSOptions struct {
 	// with phase-1 pair-worker reservations instead of oversubscribing.
 	Pool *fft.WorkerPool
 	// Obs, when non-nil, records a "solve.ls" span on the phase2 track
-	// plus the global.ls.* counters (rounds, GS sweeps, CG iterations)
-	// and the final max-residual gauge.
+	// plus the global.ls.* counters (rounds, CG iterations) and the
+	// final max-residual gauge.
 	Obs *obs.Recorder
 
 	// warmIncremental (set by Resolver for warm re-solves) runs a single
@@ -172,18 +116,6 @@ func (o LSOptions) withDefaults(n int) LSOptions {
 	return o
 }
 
-// effectiveSolver resolves SolverAuto against the plate size.
-func (o LSOptions) effectiveSolver(n int) SolverKind {
-	switch o.Solver {
-	case SolverGS, SolverPCG:
-		return o.Solver
-	}
-	if n >= autoPCGMinTiles {
-		return SolverPCG
-	}
-	return SolverGS
-}
-
 // SolveLeastSquares computes absolute positions by global optimization.
 // Compared with the spanning tree, it averages the over-constraint
 // instead of discarding it: every displacement influences the result in
@@ -211,7 +143,7 @@ func SolveLeastSquares(res *stitch.Result, opts LSOptions) (*Placement, error) {
 // solveLS is the shared driver behind SolveLeastSquares and Resolver:
 // build the sparse system once, seed positions (warm vectors, else the
 // robust spanning tree, else nominal), then run IRLS rounds around the
-// selected engine. It returns the placement plus the un-normalized float
+// PCG engine. It returns the placement plus the un-normalized float
 // solution, which Resolver retains as the next warm start.
 func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Placement, []float64, []float64, error) {
 	g := res.Grid
@@ -220,11 +152,9 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 	}
 	n := g.NumTiles()
 	opts = opts.withDefaults(n)
-	kind := opts.effectiveSolver(n)
 
 	sp := opts.Obs.StartSpan(obs.TrackPhase2, obs.SpanSolveLS,
-		obs.String("grid", fmt.Sprintf("%dx%d", g.Rows, g.Cols)),
-		obs.String("solver", solverLabel(kind, opts.Precond)))
+		obs.String("grid", fmt.Sprintf("%dx%d", g.Rows, g.Cols)))
 	defer sp.End()
 
 	edges, dropped, err := buildLSEdges(res, opts)
@@ -233,29 +163,9 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 	}
 	sys := newLSSystem(n, edges)
 
-	// Initialize from the warm placement when given; otherwise from the
-	// robust spanning-tree placement (nominal positions as a fallback).
-	// IRLS converges to the nearest local minimum, so starting from a
-	// fit that outliers cannot drag makes the first residuals meaningful
-	// and the suppression decisive.
 	px, py := warmX, warmY
 	if px == nil {
-		px = make([]float64, n)
-		py = make([]float64, n)
-		if seed, err := Solve(res, Options{MinCorr: opts.MinCorr, RepairOutliers: true}); err == nil {
-			for i := 0; i < n; i++ {
-				px[i] = float64(seed.X[i])
-				py[i] = float64(seed.Y[i])
-			}
-		} else {
-			nomW := g.NominalDisplacement(tile.West)
-			nomN := g.NominalDisplacement(tile.North)
-			for i := 0; i < n; i++ {
-				c := g.CoordOf(i)
-				px[i] = float64(c.Col * nomW.X)
-				py[i] = float64(c.Row * nomN.Y)
-			}
-		}
+		px, py = seedPositions(res, opts.MinCorr)
 	}
 
 	// IRLS rounds: reweight from the current positions (the seed
@@ -264,61 +174,37 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 	// their correlation values (plain weighted least squares).
 	c2 := opts.ResidualScale * opts.ResidualScale
 	reweight := opts.Rounds > 1 || (opts.warmIncremental && !opts.Unweighted)
-	roundsRun, gsSweeps, cgIters := 0, 0, 0
-	switch kind {
-	case SolverPCG:
-		par := newParRun(opts.Pool)
-		defer par.release()
-		st := newPCGState(sys, opts.Precond, g.Rows, g.Cols)
-		for round := 0; round < opts.Rounds; round++ {
-			roundsRun++
-			if reweight {
-				par.run(len(sys.edges), parMinChunk, func(lo, hi int) {
-					sys.reweightRange(px, py, c2, lo, hi)
-				})
-			}
-			st.refresh(par)
-			ix, mx := st.solveAxis(px, st.bx, opts.Tol, opts.MaxIter, par)
-			iy, my := st.solveAxis(py, st.by, opts.Tol, opts.MaxIter, par)
-			cgIters += ix + iy
-			// Round-level IRLS convergence: if this round barely moved
-			// any tile, the next reweighting changes the weights by the
-			// same order — the iteration has fixed-pointed and further
-			// rounds would re-solve an unchanged system. This is what
-			// makes warm re-solves cheap: the first round does the
-			// (local) correction, then the loop exits instead of paying
-			// full CG cost four more times.
-			if mx < irlsRoundTolFactor*opts.Tol && my < irlsRoundTolFactor*opts.Tol {
-				break
-			}
+	roundsRun, cgIters := 0, 0
+	par := newParRun(opts.Pool)
+	defer par.release()
+	st := newPCGState(sys, g.Rows, g.Cols)
+	for round := 0; round < opts.Rounds; round++ {
+		roundsRun++
+		if reweight {
+			par.run(len(sys.edges), parMinChunk, func(lo, hi int) {
+				sys.reweightRange(px, py, c2, lo, hi)
+			})
 		}
-		if opts.Obs != nil {
-			st.refresh(par)
-			opts.Obs.Gauge(obs.GaugeLSResidualPx).Set(sys.residualMax(px, py, st.diag, st.bx, st.by))
-		}
-	default: // SolverGS — the seed path, arithmetic-identical.
-		for round := 0; round < opts.Rounds; round++ {
-			roundsRun++
-			if reweight {
-				sys.reweightRange(px, py, c2, 0, len(sys.edges))
-			}
-			for it := 0; it < opts.MaxIter; it++ {
-				gsSweeps++
-				if sys.gsSweep(px, py) < opts.Tol {
-					break
-				}
-			}
-		}
-		if opts.Obs != nil {
-			diag := make([]float64, n)
-			bx := make([]float64, n)
-			by := make([]float64, n)
-			sys.normalRange(diag, bx, by, 0, n)
-			opts.Obs.Gauge(obs.GaugeLSResidualPx).Set(sys.residualMax(px, py, diag, bx, by))
+		st.refresh(par)
+		ix, mx := st.solveAxis(px, st.bx, opts.Tol, opts.MaxIter, par)
+		iy, my := st.solveAxis(py, st.by, opts.Tol, opts.MaxIter, par)
+		cgIters += ix + iy
+		// Round-level IRLS convergence: if this round barely moved any
+		// tile, the next reweighting changes the weights by the same
+		// order — the iteration has fixed-pointed and further rounds
+		// would re-solve an unchanged system. This is what makes warm
+		// re-solves cheap: the first round does the (local) correction,
+		// then the loop exits instead of paying full CG cost four more
+		// times.
+		if mx < irlsRoundTolFactor*opts.Tol && my < irlsRoundTolFactor*opts.Tol {
+			break
 		}
 	}
+	if opts.Obs != nil {
+		st.refresh(par)
+		opts.Obs.Gauge(obs.GaugeLSResidualPx).Set(sys.residualMax(px, py, st.diag, st.bx, st.by))
+	}
 	opts.Obs.Counter(obs.CounterLSRounds).Add(int64(roundsRun))
-	opts.Obs.Counter(obs.CounterLSSweepsGS).Add(int64(gsSweeps))
 	opts.Obs.Counter(obs.CounterLSItersCG).Add(int64(cgIters))
 
 	pl := &Placement{Grid: g, X: make([]int, n), Y: make([]int, n), Dropped: dropped}
@@ -330,12 +216,29 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 	return pl, px, py, nil
 }
 
-func solverLabel(kind SolverKind, pre PrecondKind) string {
-	if kind != SolverPCG {
-		return string(SolverGS)
+// seedPositions returns the starting positions of a cold solve: the
+// robust spanning-tree placement, or nominal stage positions when the
+// tree cannot be built. IRLS converges to the nearest local minimum, so
+// starting from a fit that outliers cannot drag makes the first
+// residuals meaningful and the suppression decisive.
+func seedPositions(res *stitch.Result, minCorr float64) (px, py []float64) {
+	g := res.Grid
+	n := g.NumTiles()
+	px = make([]float64, n)
+	py = make([]float64, n)
+	if seed, err := Solve(res, Options{MinCorr: minCorr, RepairOutliers: true}); err == nil {
+		for i := 0; i < n; i++ {
+			px[i] = float64(seed.X[i])
+			py[i] = float64(seed.Y[i])
+		}
+		return px, py
 	}
-	if pre == PrecondJacobi {
-		return "pcg/jacobi"
+	nomW := g.NominalDisplacement(tile.West)
+	nomN := g.NominalDisplacement(tile.North)
+	for i := 0; i < n; i++ {
+		c := g.CoordOf(i)
+		px[i] = float64(c.Col * nomW.X)
+		py[i] = float64(c.Row * nomN.Y)
 	}
-	return "pcg/twolevel"
+	return px, py
 }

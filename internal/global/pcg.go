@@ -14,8 +14,7 @@ import (
 // stationary sweep needs O(√n) iterations per digit; CG with a two-level
 // hierarchy (coarsen tiles into super-tiles along the grid, solve the
 // coarse Laplacian directly, interpolate, smooth) turns that into tens
-// of iterations regardless of plate size. Jacobi preconditioning is kept
-// as the cheap baseline arm.
+// of iterations regardless of plate size.
 //
 // Parallel work (SpMV, dot products, reweighting) draws helper tokens
 // from the shared fft.WorkerPool — the same budget phase-1 pair workers
@@ -131,38 +130,9 @@ func dotRange(a, b []float64, lo, hi int) float64 {
 // parMinChunk is the smallest row range worth a goroutine handoff.
 const parMinChunk = 2048
 
-// preconditioner applies z ← M⁻¹r on the pinned subspace (z[0] = 0).
-// refresh is called once per IRLS round, after the weights and the
-// normal-equation diagonal changed.
-type preconditioner interface {
-	refresh(par *parRun)
-	apply(z, r []float64, par *parRun)
-}
-
-// jacobiPrecond is diagonal scaling — the baseline arm. One division per
-// row; leaves the O(√n) grid conditioning to CG itself.
-type jacobiPrecond struct {
-	diag []float64
-}
-
-func (j *jacobiPrecond) refresh(*parRun) {}
-
-func (j *jacobiPrecond) apply(z, r []float64, par *parRun) {
-	diag := j.diag
-	par.run(len(z), parMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if d := diag[i]; d > 0 {
-				z[i] = r[i] / d
-			} else {
-				z[i] = r[i]
-			}
-		}
-	})
-	z[0] = 0
-}
-
-// twoLevelPrecond is the aggregation hierarchy: tiles coarsen into f×f
-// super-tiles along the grid, the Galerkin coarse Laplacian (exact for a
+// twoLevelPrecond is the aggregation hierarchy that applies z ← M⁻¹r on
+// the pinned subspace (z[0] = 0): tiles coarsen into f×f super-tiles
+// along the grid, the Galerkin coarse Laplacian (exact for a
 // piecewise-constant prolongator that zeroes the pinned tile) is
 // Cholesky-factored once per IRLS round, and one application runs
 // damped-Jacobi pre-smooth → coarse correction → post-smooth. The
@@ -184,9 +154,14 @@ type twoLevelPrecond struct {
 // at 59k) for the smoother to cover intra-aggregate modes.
 const twoLevelCoarseTarget = 600
 
+// newTwoLevelPrecond picks the aggregate side f: the smallest f ≥ 2 that
+// brings the coarse grid to twoLevelCoarseTarget nodes or fewer. f starts
+// at 2, not 1, so a small plate still coarsens by at least 4: with f = 1
+// the coarse grid is the fine grid, and every IRLS round would pay a
+// dense Cholesky of the whole plate.
 func newTwoLevelPrecond(sys *lsSystem, diag []float64, rows, cols int) *twoLevelPrecond {
 	n := sys.n
-	f := 1
+	f := 2
 	for (rows+f-1)/f*((cols+f-1)/f) > twoLevelCoarseTarget {
 		f++
 	}
@@ -209,9 +184,11 @@ func newTwoLevelPrecond(sys *lsSystem, diag []float64, rows, cols int) *twoLevel
 }
 
 // refresh rebuilds and factors the coarse Laplacian from the current
-// IRLS weights. The prolongator zeroes the pinned fine tile, so an edge
-// touching tile 0 contributes only its grounding term.
-func (t *twoLevelPrecond) refresh(*parRun) {
+// IRLS weights; it runs once per round, after the weights and the
+// normal-equation diagonal changed. The prolongator zeroes the pinned
+// fine tile, so an edge touching tile 0 contributes only its grounding
+// term.
+func (t *twoLevelPrecond) refresh() {
 	nc := t.nc
 	for i := range t.ac {
 		t.ac[i] = 0
@@ -348,10 +325,10 @@ type pcgState struct {
 	sys            *lsSystem
 	diag, bx, by   []float64
 	r, z, p, ap, u []float64
-	pre            preconditioner
+	pre            *twoLevelPrecond
 }
 
-func newPCGState(sys *lsSystem, precond PrecondKind, rows, cols int) *pcgState {
+func newPCGState(sys *lsSystem, rows, cols int) *pcgState {
 	n := sys.n
 	st := &pcgState{
 		sys:  sys,
@@ -364,11 +341,7 @@ func newPCGState(sys *lsSystem, precond PrecondKind, rows, cols int) *pcgState {
 		ap:   make([]float64, n),
 		u:    make([]float64, n),
 	}
-	if precond == PrecondJacobi {
-		st.pre = &jacobiPrecond{diag: st.diag}
-	} else {
-		st.pre = newTwoLevelPrecond(sys, st.diag, rows, cols)
-	}
+	st.pre = newTwoLevelPrecond(sys, st.diag, rows, cols)
 	return st
 }
 
@@ -378,14 +351,13 @@ func (st *pcgState) refresh(par *parRun) {
 	par.run(st.sys.n, parMinChunk, func(lo, hi int) {
 		st.sys.normalRange(st.diag, st.bx, st.by, lo, hi)
 	})
-	st.pre.refresh(par)
+	st.pre.refresh()
 }
 
 // solveAxis runs PCG on L·u = b − L·p for one axis, updating pos in
 // place. It returns the iteration count and the largest per-tile total
-// movement of the solve. Convergence matches the GS criterion in spirit:
-// stop when the largest per-tile position update of an iteration falls
-// below tol.
+// movement of the solve. It stops when the largest per-tile position
+// update of an iteration falls below tol.
 func (st *pcgState) solveAxis(pos, b []float64, tol float64, maxIter int, par *parRun) (int, float64) {
 	n := st.sys.n
 	// r = b − L·pos, restricted to the pinned subspace.
@@ -447,4 +419,3 @@ func (st *pcgState) solveAxis(pos, b []float64, tol float64, maxIter int, par *p
 	}
 	return iters, moved
 }
-

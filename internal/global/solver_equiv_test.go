@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/obs"
 	"hybridstitch/internal/stitch"
 	"hybridstitch/internal/tile"
@@ -111,14 +112,86 @@ func maxPlacementDiff(a, b *Placement) int {
 	return worst
 }
 
+// gsSweep runs one Gauss-Seidel sweep (tile 0 pinned) and returns the
+// largest per-tile position update. The accumulation order and
+// expressions are the seed solver's, so gsSolve reproduces it bit for
+// bit (FuzzCSRLaplacian checks the sweep against an adjacency replay).
+func (s *lsSystem) gsSweep(px, py []float64) float64 {
+	var maxDelta float64
+	for i := 1; i < s.n; i++ {
+		var sw, sx, sy float64
+		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
+			w := s.robustW[s.edgeRef[k]]
+			j := s.colInd[k]
+			sw += w
+			sx += w * (px[j] + s.ex[k])
+			sy += w * (py[j] + s.ey[k])
+		}
+		if sw == 0 {
+			continue
+		}
+		nx, ny := sx/sw, sy/sw
+		if d := nx - px[i]; d > maxDelta {
+			maxDelta = d
+		} else if -d > maxDelta {
+			maxDelta = -d
+		}
+		if d := ny - py[i]; d > maxDelta {
+			maxDelta = d
+		} else if -d > maxDelta {
+			maxDelta = -d
+		}
+		px[i], py[i] = nx, ny
+	}
+	return maxDelta
+}
+
+// gsSolve is the seed's serial Gauss-Seidel IRLS solve, kept as the
+// oracle production PCG is compared against: the same edges, seed
+// positions and Cauchy reweighting as solveLS, with sweeps in place of
+// CG.
+//
+// Its stop is known to be wrong, and only a tight Tol makes it an
+// oracle: the per-sweep max-movement test triggers while sweeps are
+// stalled — moving slowly but still far from the solution — on
+// weakly-connected, prior-only regions. At the default Tol it sat 17 px
+// off a tight-tolerance reference at 250×235 tiles, and 0–3 px (twice
+// 44–49 px) off on noisyResult plates below 1024 tiles. The equivalence
+// tests therefore run both solvers at Tol = 1e-7, where both converge.
+func gsSolve(res *stitch.Result, opts LSOptions) (*Placement, error) {
+	g := res.Grid
+	n := g.NumTiles()
+	opts = opts.withDefaults(n)
+	edges, dropped, err := buildLSEdges(res, opts)
+	if err != nil {
+		return nil, err
+	}
+	sys := newLSSystem(n, edges)
+	px, py := seedPositions(res, opts.MinCorr)
+	c2 := opts.ResidualScale * opts.ResidualScale
+	for round := 0; round < opts.Rounds; round++ {
+		if opts.Rounds > 1 {
+			sys.reweightRange(px, py, c2, 0, len(sys.edges))
+		}
+		for it := 0; it < opts.MaxIter; it++ {
+			if sys.gsSweep(px, py) < opts.Tol {
+				break
+			}
+		}
+	}
+	pl := &Placement{Grid: g, X: make([]int, n), Y: make([]int, n), Dropped: dropped}
+	for i := 0; i < n; i++ {
+		pl.X[i] = int(math.Round(px[i]))
+		pl.Y[i] = int(math.Round(py[i]))
+	}
+	pl.normalize()
+	return pl, nil
+}
+
 // TestSolverEquivalenceRandomized is the cross-engine property test: on
-// randomized noisy grids, Gauss-Seidel (the seed oracle) and PCG under
-// both preconditioners must land every tile within a pixel of each
-// other, weighted and unweighted. Both engines run at a tight tolerance:
-// at the loose default, GS's per-sweep-delta stop triggers while the
-// sweeps are still stalled far from the solution on weakly-connected
-// (prior-only) regions, so agreement there would compare two different
-// truncation artifacts rather than two solvers.
+// randomized noisy grids, the Gauss-Seidel oracle and production PCG
+// must land every tile within a pixel of each other, weighted and
+// unweighted, both at a tight tolerance (see gsSolve).
 func TestSolverEquivalenceRandomized(t *testing.T) {
 	cases := []struct{ rows, cols int }{{4, 5}, {9, 7}, {16, 16}}
 	for _, tc := range cases {
@@ -126,26 +199,18 @@ func TestSolverEquivalenceRandomized(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed * 1000))
 			res, _, _ := noisyResult(rng, tc.rows, tc.cols)
 			for _, unweighted := range []bool{false, true} {
-				base := LSOptions{Unweighted: unweighted, Tol: 1e-7, MaxIter: 200000}
-
-				gsOpts := base
-				gsOpts.Solver = SolverGS
-				gs, err := SolveLeastSquares(res, gsOpts)
+				opts := LSOptions{Unweighted: unweighted, Tol: 1e-7, MaxIter: 200000}
+				gs, err := gsSolve(res, opts)
 				if err != nil {
 					t.Fatalf("%dx%d seed %d gs: %v", tc.rows, tc.cols, seed, err)
 				}
-				for _, pre := range []PrecondKind{PrecondJacobi, PrecondTwoLevel} {
-					pcgOpts := base
-					pcgOpts.Solver = SolverPCG
-					pcgOpts.Precond = pre
-					pcg, err := SolveLeastSquares(res, pcgOpts)
-					if err != nil {
-						t.Fatalf("%dx%d seed %d pcg/%s: %v", tc.rows, tc.cols, seed, pre, err)
-					}
-					if d := maxPlacementDiff(gs, pcg); d > 1 {
-						t.Errorf("%dx%d seed %d unweighted=%v: gs vs pcg/%s differ by %d px",
-							tc.rows, tc.cols, seed, unweighted, pre, d)
-					}
+				pcg, err := SolveLeastSquares(res, opts)
+				if err != nil {
+					t.Fatalf("%dx%d seed %d pcg: %v", tc.rows, tc.cols, seed, err)
+				}
+				if d := maxPlacementDiff(gs, pcg); d > 1 {
+					t.Errorf("%dx%d seed %d unweighted=%v: gs vs pcg differ by %d px",
+						tc.rows, tc.cols, seed, unweighted, d)
 				}
 			}
 		}
@@ -155,7 +220,7 @@ func TestSolverEquivalenceRandomized(t *testing.T) {
 // TestSolverEquivalenceSparseGraph drops every measured edge in two
 // interior rows, leaving only the weak prior edges to hold the plate
 // together there — the reconnection-ish regime where the system is at
-// its worst-conditioned. Engines must still agree.
+// its worst-conditioned. Oracle and PCG must still agree.
 func TestSolverEquivalenceSparseGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	res, _, _ := noisyResult(rng, 10, 8)
@@ -166,62 +231,117 @@ func TestSolverEquivalenceSparseGraph(t *testing.T) {
 			res.North[i].Corr = math.NaN()
 		}
 	}
-	gs, err := SolveLeastSquares(res, LSOptions{Solver: SolverGS, Tol: 1e-7, MaxIter: 200000})
+	opts := LSOptions{Tol: 1e-7, MaxIter: 200000}
+	gs, err := gsSolve(res, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pre := range []PrecondKind{PrecondJacobi, PrecondTwoLevel} {
-		pcg, err := SolveLeastSquares(res, LSOptions{Solver: SolverPCG, Precond: pre, Tol: 1e-7, MaxIter: 200000})
-		if err != nil {
-			t.Fatalf("pcg/%s: %v", pre, err)
-		}
-		if d := maxPlacementDiff(gs, pcg); d > 1 {
-			t.Errorf("gs vs pcg/%s differ by %d px on sparse graph", pre, d)
-		}
+	pcg, err := SolveLeastSquares(res, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := maxPlacementDiff(gs, pcg); d > 1 {
+		t.Errorf("gs vs pcg differ by %d px on sparse graph", d)
 	}
 }
 
-// TestSolverAutoSelection pins the auto threshold from the outside: a
-// small plate must run Gauss-Seidel sweeps (bit-compat with history), a
-// plate at/above autoPCGMinTiles must run CG iterations.
+// TestSolverAutoSelection pins that there is no selection left: a plate
+// below 1024 tiles (which once ran Gauss-Seidel) and one above both run
+// the CG engine.
 func TestSolverAutoSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	small, _, _ := noisyResult(rng, 5, 6)
-	rec := obs.New()
-	defer rec.Close()
-	if _, err := SolveLeastSquares(small, LSOptions{Obs: rec}); err != nil {
-		t.Fatal(err)
-	}
-	if sw := rec.CounterValue(obs.CounterLSSweepsGS); sw == 0 {
-		t.Error("small plate under auto: expected GS sweeps, got none")
-	}
-	if cg := rec.CounterValue(obs.CounterLSItersCG); cg != 0 {
-		t.Errorf("small plate under auto: expected 0 CG iterations, got %d", cg)
-	}
-
-	big, _, _ := noisyResult(rng, 33, 32) // 1056 ≥ autoPCGMinTiles
-	rec2 := obs.New()
-	defer rec2.Close()
-	if _, err := SolveLeastSquares(big, LSOptions{Obs: rec2}); err != nil {
-		t.Fatal(err)
-	}
-	if cg := rec2.CounterValue(obs.CounterLSItersCG); cg == 0 {
-		t.Error("large plate under auto: expected CG iterations, got none")
-	}
-	if sw := rec2.CounterValue(obs.CounterLSSweepsGS); sw != 0 {
-		t.Errorf("large plate under auto: expected 0 GS sweeps, got %d", sw)
+	for _, sz := range []struct{ rows, cols int }{{5, 6}, {33, 32}} {
+		res, _, _ := noisyResult(rng, sz.rows, sz.cols)
+		rec := obs.New()
+		if _, err := SolveLeastSquares(res, LSOptions{Obs: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if cg := rec.CounterValue(obs.CounterLSItersCG); cg == 0 {
+			t.Errorf("%dx%d plate: expected CG iterations, got none", sz.rows, sz.cols)
+		}
+		rec.Close()
 	}
 }
 
-// TestLeastSquaresObsGolden is the golden span/counter test for the new
+// TestTwoLevelCoarsensSmallPlates pins the aggregation rule's floor:
+// aggregates are at least 2×2 tiles, so on a plate under the coarse
+// target the preconditioner is still a two-level method, not a dense
+// Cholesky of the whole plate every IRLS round.
+func TestTwoLevelCoarsensSmallPlates(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	res, _, _ := noisyResult(rng, 24, 24)
+	n := res.Grid.NumTiles()
+	edges, _, err := buildLSEdges(res, LSOptions{}.withDefaults(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := newTwoLevelPrecond(newLSSystem(n, edges), make([]float64, n), 24, 24)
+	if pre.nc > n/4 {
+		t.Errorf("24x24 plate: %d coarse nodes, want at most %d", pre.nc, n/4)
+	}
+}
+
+// TestDefaultTolMatchesTightReference is the property GS's stop lacked:
+// at the default Tol, the solve lands every tile exactly where a
+// Tol = 1e-9 solve of the same plate does.
+func TestDefaultTolMatchesTightReference(t *testing.T) {
+	for _, sz := range []struct{ rows, cols int }{{5, 6}, {16, 16}, {31, 33}} {
+		for seed := int64(1); seed <= 3; seed++ {
+			res, _, _ := noisyResult(rand.New(rand.NewSource(seed)), sz.rows, sz.cols)
+			def, err := SolveLeastSquares(res, LSOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := SolveLeastSquares(res, LSOptions{Tol: 1e-9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxPlacementDiff(def, ref); d != 0 {
+				t.Errorf("%dx%d seed %d: default Tol is %d px off the 1e-9 reference",
+					sz.rows, sz.cols, seed, d)
+			}
+		}
+	}
+}
+
+// TestSolveParallelPoolsAgree runs the engine's parallel SpMV, dot and
+// reweight fan-outs: the plate has more than parMinChunk rows, so each
+// private pool's helpers take real chunks. Chunk boundaries follow the
+// reserved count, so float solutions differ in the low bits between
+// pools, but the integer placements must not. `make check` runs this
+// under -race at -cpu 1,2,4; two IRLS rounds (one reweight) keep that
+// run short.
+func TestSolveParallelPoolsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	res, _, _ := noisyResult(rng, 46, 46)
+	var want *Placement
+	for _, helpers := range []int{0, 1, 3} {
+		pl, err := SolveLeastSquares(res, LSOptions{Rounds: 2, Pool: fft.NewWorkerPool(helpers)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = pl
+			continue
+		}
+		for i := range want.X {
+			if pl.X[i] != want.X[i] || pl.Y[i] != want.Y[i] {
+				t.Fatalf("%d helpers: tile %d at (%d,%d), serial solve put it at (%d,%d)",
+					helpers, i, pl.X[i], pl.Y[i], want.X[i], want.Y[i])
+			}
+		}
+	}
+}
+
+// TestLeastSquaresObsGolden is the golden span/counter test for the
 // phase-2 instrumentation: one solve.ls span on the phase2 track with
-// the solver attr, the effort counters consistent with the engine used,
-// and the convergence gauge present and small.
+// the grid attr, the effort counters, and the convergence gauge present
+// and small.
 func TestLeastSquaresObsGolden(t *testing.T) {
 	res, _ := syntheticResult(t, 5, 6, 9)
 	rec := obs.New()
 	defer rec.Close()
-	if _, err := SolveLeastSquares(res, LSOptions{Obs: rec, Solver: SolverPCG}); err != nil {
+	if _, err := SolveLeastSquares(res, LSOptions{Obs: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var found int
@@ -237,9 +357,6 @@ func TestLeastSquaresObsGolden(t *testing.T) {
 		if attrs["grid"] != "5x6" {
 			t.Errorf("span grid attr = %q, want 5x6", attrs["grid"])
 		}
-		if attrs["solver"] != "pcg/twolevel" {
-			t.Errorf("span solver attr = %q, want pcg/twolevel", attrs["solver"])
-		}
 	}
 	if found != 1 {
 		t.Fatalf("got %d solve.ls spans, want 1", found)
@@ -248,36 +365,11 @@ func TestLeastSquaresObsGolden(t *testing.T) {
 		t.Errorf("rounds counter = %d, want 1..5", rounds)
 	}
 	if cg := rec.CounterValue(obs.CounterLSItersCG); cg == 0 {
-		t.Error("forced PCG recorded no CG iterations")
-	}
-	if sw := rec.CounterValue(obs.CounterLSSweepsGS); sw != 0 {
-		t.Errorf("forced PCG recorded %d GS sweeps, want 0", sw)
+		t.Error("solve recorded no CG iterations")
 	}
 	last, _ := rec.Gauge(obs.GaugeLSResidualPx).Value()
 	if math.IsNaN(last) || last < 0 || last > 1 {
 		t.Errorf("final residual gauge = %v, want small non-negative", last)
-	}
-}
-
-// TestGSSteadyStateAllocs pins the IRLS allocation fix: with the sparse
-// system built once, a full reweight+sweep round allocates nothing.
-func TestGSSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	res, _, _ := noisyResult(rng, 8, 8)
-	opts := LSOptions{}.withDefaults(res.Grid.NumTiles())
-	edges, _, err := buildLSEdges(res, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := newLSSystem(res.Grid.NumTiles(), edges)
-	px := make([]float64, sys.n)
-	py := make([]float64, sys.n)
-	allocs := testing.AllocsPerRun(20, func() {
-		sys.reweightRange(px, py, 4, 0, len(sys.edges))
-		sys.gsSweep(px, py)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state IRLS round allocated %v times, want 0", allocs)
 	}
 }
 
@@ -295,12 +387,9 @@ func TestResolverWarmStartAppendRow(t *testing.T) {
 	resA, _, _ := noisyResult(rng, 10, 8)
 	resB := appendRow(resA, rng)
 
-	// Jacobi preconditioning: on plates this small the two-level coarse
-	// grid is the fine grid (a direct solve, ~2 iterations cold), which
-	// would leave no iteration-count headroom to observe the warm start.
 	warmRec := obs.New()
 	defer warmRec.Close()
-	r := NewResolver(LSOptions{Solver: SolverPCG, Precond: PrecondJacobi, Unweighted: true, Obs: warmRec})
+	r := NewResolver(LSOptions{Unweighted: true, Obs: warmRec})
 	if _, err := r.Solve(resA); err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +402,7 @@ func TestResolverWarmStartAppendRow(t *testing.T) {
 
 	coldRec := obs.New()
 	defer coldRec.Close()
-	cold, err := SolveLeastSquares(resB, LSOptions{Solver: SolverPCG, Precond: PrecondJacobi, Unweighted: true, Obs: coldRec})
+	cold, err := SolveLeastSquares(resB, LSOptions{Unweighted: true, Obs: coldRec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +423,7 @@ func TestResolverSameGridReuse(t *testing.T) {
 	res, _, _ := noisyResult(rng, 9, 9)
 	rec := obs.New()
 	defer rec.Close()
-	r := NewResolver(LSOptions{Solver: SolverPCG, Unweighted: true, Obs: rec})
+	r := NewResolver(LSOptions{Unweighted: true, Obs: rec})
 	first, err := r.Solve(res)
 	if err != nil {
 		t.Fatal(err)
@@ -361,8 +450,7 @@ func TestResolverSameGridReuse(t *testing.T) {
 // suppress them nearly as well as cold's five rounds do. The tolerance
 // is 4 px (|Δx|+|Δy|): the incremental solution legitimately trails the
 // full-IRLS fixed point by the tail of the remaining round movements,
-// ~2 px per axis at this fixture's outlier density (measured: exactly
-// 4 on this deterministic fixture).
+// ~2 px per axis at this fixture's outlier density.
 func TestResolverIncrementalRobustness(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	resA, _, _ := noisyResult(rng, 10, 8)
@@ -374,7 +462,7 @@ func TestResolverIncrementalRobustness(t *testing.T) {
 	resB.West[iOut].Y -= 25
 	resB.West[iOut].Corr = 0.97
 
-	r := NewResolver(LSOptions{Solver: SolverPCG, Precond: PrecondJacobi})
+	r := NewResolver(LSOptions{})
 	if _, err := r.Solve(resA); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +470,7 @@ func TestResolverIncrementalRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := SolveLeastSquares(resB, LSOptions{Solver: SolverPCG, Precond: PrecondJacobi})
+	cold, err := SolveLeastSquares(resB, LSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,36 +494,15 @@ func TestWarmOptionValidation(t *testing.T) {
 func TestWarmOptionMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	res, _, _ := noisyResult(rng, 7, 7)
-	cold, err := SolveLeastSquares(res, LSOptions{Solver: SolverPCG, Rounds: 1})
+	cold, err := SolveLeastSquares(res, LSOptions{Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := SolveLeastSquares(res, LSOptions{Solver: SolverPCG, Rounds: 1, Warm: cold})
+	warm, err := SolveLeastSquares(res, LSOptions{Rounds: 1, Warm: cold})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := maxPlacementDiff(cold, warm); d > 1 {
 		t.Errorf("warm-from-cold differs by %d px", d)
-	}
-}
-
-func TestParseSolverKinds(t *testing.T) {
-	for in, want := range map[string]SolverKind{"": SolverAuto, "auto": SolverAuto, "gs": SolverGS, "pcg": SolverPCG} {
-		got, err := ParseSolverKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParseSolverKind(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseSolverKind("sor"); err == nil {
-		t.Error("ParseSolverKind accepted junk")
-	}
-	for in, want := range map[string]PrecondKind{"": PrecondTwoLevel, "twolevel": PrecondTwoLevel, "jacobi": PrecondJacobi} {
-		got, err := ParsePrecondKind(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePrecondKind(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParsePrecondKind("ilu"); err == nil {
-		t.Error("ParsePrecondKind accepted junk")
 	}
 }

@@ -17,10 +17,9 @@ import (
 //
 // Every CSR row stores its entries in the same order the seed's
 // adjacency lists did (edge-index order, `to` row before `from` row per
-// edge), and the Gauss-Seidel sweep below accumulates them with the same
-// expressions — so the retained GS path is arithmetic-for-arithmetic
-// identical to the seed solver and stays valid as the differential
-// oracle for PCG.
+// edge), so the Gauss-Seidel sweep the tests keep as PCG's oracle
+// (solver_equiv_test.go) accumulates them exactly as the seed solver
+// did.
 
 // lsEdge is one constraint of the least-squares system: position of
 // tile `to` minus position of tile `from` should equal (dx, dy), with
@@ -100,8 +99,7 @@ func (s *lsSystem) resetWeights() {
 
 // reweightRange applies the Cauchy reweighting w ← w/(1+(r/c)²) to edges
 // [lo, hi) from the current positions. c2 is the squared residual scale.
-// The serial GS path calls it directly (closure-free, zero allocations);
-// the PCG path fans it out over the worker budget.
+// The solve fans it out over the worker budget.
 //
 //stitchlint:hotpath
 func (s *lsSystem) reweightRange(px, py []float64, c2 float64, lo, hi int) {
@@ -111,42 +109,6 @@ func (s *lsSystem) reweightRange(px, py []float64, c2 float64, lo, hi int) {
 		ry := py[e.to] - py[e.from] - float64(e.dy)
 		s.robustW[i] = e.w / (1 + (rx*rx+ry*ry)/c2)
 	}
-}
-
-// gsSweep runs one Gauss-Seidel sweep (tile 0 pinned) and returns the
-// largest per-tile position update. The accumulation order and
-// expressions match the seed implementation exactly, so a GS solve from
-// this structure is bit-identical to the seed's.
-//
-//stitchlint:hotpath
-func (s *lsSystem) gsSweep(px, py []float64) float64 {
-	var maxDelta float64
-	for i := 1; i < s.n; i++ {
-		var sw, sx, sy float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			w := s.robustW[s.edgeRef[k]]
-			j := s.colInd[k]
-			sw += w
-			sx += w * (px[j] + s.ex[k])
-			sy += w * (py[j] + s.ey[k])
-		}
-		if sw == 0 {
-			continue
-		}
-		nx, ny := sx/sw, sy/sw
-		if d := nx - px[i]; d > maxDelta {
-			maxDelta = d
-		} else if -d > maxDelta {
-			maxDelta = -d
-		}
-		if d := ny - py[i]; d > maxDelta {
-			maxDelta = d
-		} else if -d > maxDelta {
-			maxDelta = -d
-		}
-		px[i], py[i] = nx, ny
-	}
-	return maxDelta
 }
 
 // normalRange fills the normal-equation diagonal and right-hand sides
@@ -213,8 +175,8 @@ func (s *lsSystem) residualMax(px, py, diag, bx, by []float64) float64 {
 // buildLSEdges assembles the least-squares edge list for a phase-1
 // result: measured displacements above MinCorr, the weak stage-model
 // prior on every pair, and nominal reconnection edges for any components
-// the correlation filter disconnected. The append order is part of the
-// GS oracle's bit-identity contract — do not reorder.
+// the correlation filter disconnected. The append order is the seed
+// solver's, which the GS test oracle replays — do not reorder.
 func buildLSEdges(res *stitch.Result, opts LSOptions) (edges []lsEdge, dropped int, err error) {
 	g := res.Grid
 	n := g.NumTiles()

@@ -82,12 +82,9 @@ const (
 	CounterDispOps       = "stitch.disp.ops"
 	CounterEdgesRepaired = "global.edges.repaired"
 	CounterEdgesDropped  = "global.edges.dropped"
-	// Least-squares solver effort: IRLS rounds executed, Gauss-Seidel
-	// sweeps (serial engine), and CG iterations summed over both axes
-	// (PCG engine). Exactly one of the two iteration counters is nonzero
-	// per solve.
+	// Least-squares solver effort: IRLS rounds executed, and CG
+	// iterations summed over both axes.
 	CounterLSRounds        = "global.ls.rounds"
-	CounterLSSweepsGS      = "global.ls.gs.sweeps"
 	CounterLSItersCG       = "global.ls.cg.iterations"
 	CounterMemgovFaults    = "memgov.faults"
 	CounterPipelineNotes   = "pipeline.notes"

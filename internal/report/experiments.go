@@ -85,7 +85,6 @@ func All() []Experiment {
 		{"ablation-variants", "§VI.A — FFT layout (complex / real) at the size rule's frame, pipeline ablation", runAblationVariants},
 		{"bottleneck", "analysis — per-resource utilization of the modeled runs", runBottleneck},
 		{"solvers", "phase 2 — spanning tree vs least-squares placement", runSolvers},
-		{"solver-scaling", "extension — phase-2 LS engines vs plate size (GS / PCG / warm)", runSolverScaling},
 		{"ablation-sockets", "§IV.B — per-socket CPU pipelines (future work)", runAblationSockets},
 		{"drift", "extension — thermal stage drift and the linear stage model", runDrift},
 		{"io-overlap", "§IV.B — pipeline hides I/O latency (real wall times)", runIOOverlap},
@@ -887,123 +886,6 @@ func runSolvers(o Options) (string, error) {
 		tbl.Add(noise, fmt.Sprintf("%.2f", mstRMS), fmt.Sprintf("%.2f", lsRMS))
 	}
 	return tbl.String() + "\nThe over-constrained graph pays off under global optimization: LS averages\nper-edge noise where the tree accumulates it along root paths.\n", nil
-}
-
-// runSolverScaling times the phase-2 least-squares engines across plate
-// sizes. Gauss-Seidel's stationary sweeps need O(n) iterations on the
-// O(√n)-conditioned grid Laplacian, so its cost grows superlinearly; the
-// two-level PCG hierarchy holds the iteration count roughly flat. Above
-// a size cutoff the GS arm is skipped (it is the multi-minute regime the
-// BenchmarkSolvers59k snapshot records once per PR). The warm column
-// re-solves after appending one tile row via Resolver.
-func runSolverScaling(o Options) (string, error) {
-	o = o.withDefaults()
-	tbl := Table{
-		Title:   "Phase-2 LS engine scaling (synthetic plates, 5-round IRLS, wall time)",
-		Headers: []string{"Grid", "Tiles", "GS", "PCG jacobi", "PCG 2-level", "Warm +1 row"},
-	}
-	sizes := []struct{ rows, cols int }{{16, 16}, {45, 45}, {90, 90}}
-	if !o.Quick {
-		sizes = append(sizes, struct{ rows, cols int }{250, 235})
-	}
-	const gsCutoff = 10000 // tiles; beyond this GS is the multi-minute regime
-	timeArm := func(res *stitch.Result, opts global.LSOptions) (time.Duration, error) {
-		t0 := time.Now()
-		_, err := global.SolveLeastSquares(res, opts)
-		return time.Since(t0), err
-	}
-	for _, sz := range sizes {
-		res := synthPlateResult(sz.rows, sz.cols, o.Seed)
-		n := sz.rows * sz.cols
-		gsCell := "(skipped)"
-		if n <= gsCutoff {
-			d, err := timeArm(res, global.LSOptions{Solver: global.SolverGS})
-			if err != nil {
-				return "", err
-			}
-			gsCell = fmt.Sprintf("%.2fs", d.Seconds())
-		}
-		dj, err := timeArm(res, global.LSOptions{Solver: global.SolverPCG, Precond: global.PrecondJacobi})
-		if err != nil {
-			return "", err
-		}
-		d2, err := timeArm(res, global.LSOptions{Solver: global.SolverPCG})
-		if err != nil {
-			return "", err
-		}
-		// Warm: cold-solve the plate, append a row, re-solve.
-		rs := global.NewResolver(global.LSOptions{Solver: global.SolverPCG})
-		if _, err := rs.Solve(res); err != nil {
-			return "", err
-		}
-		grown := synthPlateResult(sz.rows+1, sz.cols, o.Seed)
-		t0 := time.Now()
-		if _, err := rs.Solve(grown); err != nil {
-			return "", err
-		}
-		dw := time.Since(t0)
-		tbl.Add(fmt.Sprintf("%dx%d", sz.rows, sz.cols), n, gsCell,
-			fmt.Sprintf("%.2fs", dj.Seconds()), fmt.Sprintf("%.2fs", d2.Seconds()),
-			fmt.Sprintf("%.2fs", dw.Seconds()))
-	}
-	return tbl.String() + "\nThe two-level hierarchy keeps CG iteration counts size-independent, so its\ncolumn grows only with the SpMV cost; GS grows with both. Warm re-solves\ntouch the appended row and its neighborhood, nearly independent of plate size.\n", nil
-}
-
-// synthPlateResult fabricates a phase-1 result at arbitrary scale without
-// generating images: truth near nominal stage positions, noisy measured
-// displacements, and 1% confident outliers for the IRLS rounds to defuse.
-// Random draws are keyed to the tile coordinate so a plate grown by a
-// row is a strict superset of the smaller one — the warm-resolve arm
-// models streaming ingest, not a full re-measurement.
-func synthPlateResult(rows, cols int, seed int64) *stitch.Result {
-	g := tile.Grid{Rows: rows, Cols: cols, TileW: 1392, TileH: 1040, OverlapX: 0.1, OverlapY: 0.1}
-	n := g.NumTiles()
-	nomW := g.NominalDisplacement(tile.West)
-	nomN := g.NominalDisplacement(tile.North)
-	coordRNG := func(row, col, salt int) *rand.Rand {
-		return rand.New(rand.NewSource(seed + int64(row)*1_000_003 + int64(col)*4 + int64(salt)))
-	}
-	tx := make([]int, n)
-	ty := make([]int, n)
-	for i := 0; i < n; i++ {
-		c := g.CoordOf(i)
-		r := coordRNG(c.Row, c.Col, 0)
-		tx[i] = c.Col*nomW.X + r.Intn(7) - 3
-		ty[i] = c.Row*nomN.Y + r.Intn(7) - 3
-	}
-	res := &stitch.Result{Grid: g,
-		West:  make([]tile.Displacement, n),
-		North: make([]tile.Displacement, n)}
-	for i := range res.West {
-		res.West[i].Corr = math.NaN()
-		res.North[i].Corr = math.NaN()
-	}
-	for _, p := range g.Pairs() {
-		to := g.Index(p.Coord)
-		from := g.Index(p.Neighbor())
-		salt := 1
-		if p.Dir == tile.North {
-			salt = 2
-		}
-		rng := coordRNG(p.Coord.Row, p.Coord.Col, salt)
-		d := tile.Displacement{X: tx[to] - tx[from], Y: ty[to] - ty[from],
-			Corr: 0.7 + 0.25*rng.Float64()}
-		switch r := rng.Float64(); {
-		case r < 0.01:
-			d.X += 35
-			d.Y -= 20
-			d.Corr = 0.97
-		default:
-			d.X += rng.Intn(3) - 1
-			d.Y += rng.Intn(3) - 1
-		}
-		if p.Dir == tile.West {
-			res.West[to] = d
-		} else {
-			res.North[to] = d
-		}
-	}
-	return res
 }
 
 // resultFromTruthNoisy fabricates a phase-1 result from ground truth with
