@@ -66,11 +66,12 @@ lint-help:
 # staged schedulers (the pipelined and GPU variants, the per-socket
 # bands) and the engine pieces they share run race-enabled at the same
 # three GOMAXPROCS: their stage interleavings differ with the P count;
-# the oracle wall (hotpath_diff_test.go: layout × transform size × exec ×
-# six implementations) rides the same line, since a padded GPU run is a
-# staged scheduler too. The transform size is a pure function the
-# aligners are pooled by: the fft and pciam size, pool and zero-alloc
-# tests run race-enabled by name, with no timing to skip. Phase 2's
+# the oracle wall (hotpath_diff_test.go: layout × transform size × pool
+# budget × six implementations) rides the same line, since a padded GPU
+# run is a staged scheduler too. The transform size and the split rule
+# are pure functions of the size and the free pool tokens: the fft and
+# pciam size, split-rule, pool and zero-alloc tests run race-enabled by
+# name, with no timing to skip. Phase 2's
 # parallel SpMV, dot and reweight fan-outs run only above 2048 rows, so
 # the one solve test on a plate that large runs race-enabled at the same
 # three GOMAXPROCS, with private pools of 0, 1 and 3 helpers.
@@ -84,7 +85,7 @@ check: build
 	$(GO) test -race ./internal/obs/ ./internal/gpu/
 	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
 	$(GO) test -race -cpu 1,2,4 -run 'GPU|Pipelined|Engine|Socket|HotPath|FFTExec' ./internal/stitch/
-	$(GO) test -race -run 'Size|Autotune|Padded|Alloc|Pool' ./internal/fft/ ./internal/pciam/
+	$(GO) test -race -run 'Size|Autotune|SplitRule|Clock|Padded|Alloc|Pool' ./internal/fft/ ./internal/pciam/
 	$(GO) test -race -cpu 1,2,4 -run 'TestSolveParallelPoolsAgree' ./internal/global/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...

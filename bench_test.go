@@ -735,9 +735,9 @@ func BenchmarkRealFFTPhase1(b *testing.B) {
 // intra-transform split path targets: a 1×2 grid has one pair, so
 // pair-level parallelism cannot use the machine no matter how many
 // threads are configured, and the only remaining parallelism is inside
-// each transform (plus batching the pair's two forward FFTs into shared
-// passes). Large tiles keep the workload FFT-dominated. ExecAuto is the
-// shipped default, so this measures what users actually get.
+// each transform. Large tiles keep the workload FFT-dominated: 384×320
+// is above the split floor, so with the shared pool's tokens free every
+// transform call forks by the split rule — what users actually get.
 func BenchmarkRealFFTPhase1SmallGrid(b *testing.B) {
 	for _, bench := range []struct {
 		name    string

@@ -23,7 +23,6 @@ import (
 
 	"hybridstitch/internal/compose"
 	"hybridstitch/internal/fault"
-	"hybridstitch/internal/fft"
 	"hybridstitch/internal/global"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/imagegen"
@@ -48,7 +47,6 @@ func main() {
 		travName  = flag.String("traversal", "chained-diagonal", "grid traversal order")
 		npeaks    = flag.Int("npeaks", 1, "correlation peaks to consider per pair (CPU implementations)")
 		fftLayout = flag.String("fft", "real", "spectrum layout: real (real-to-complex half spectra, ~half the FFT work) or complex (the paper's baseline); the transform size follows from the tile size either way")
-		fftExec   = flag.String("fft-exec", "auto", "per-transform execution strategy: auto (measured at plan time), serial, split")
 		sockets   = flag.Int("sockets", 1, "CPU pipelines (pipelined-cpu; one per socket)")
 		outPNG    = flag.String("out", "", "write the composite image to this PNG")
 		outTIFF   = flag.String("out-tiff", "", "write the composite image to this 16-bit TIFF (tiled layout for large plates)")
@@ -118,12 +116,8 @@ func main() {
 	}
 	tiffio.SetInjector(injector)
 
-	execStrategy, err := fft.ParseExecStrategy(*fftExec)
-	if err != nil {
-		log.Fatalf("-fft-exec: %v", err)
-	}
 	opts := stitch.Options{Threads: *threads, Traversal: trav, NPeaks: *npeaks,
-		FFTVariant: fftVariant, Sockets: *sockets, FFTExec: execStrategy,
+		FFTVariant: fftVariant, Sockets: *sockets,
 		Faults: injector, MaxRetries: *maxRetry, RetryBackoff: 5 * time.Millisecond,
 		Degrade: *degrade && *implName != "fiji", Obs: rec}
 	var devs []*gpu.Device

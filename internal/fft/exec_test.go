@@ -1,34 +1,41 @@
 package fft
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"hybridstitch/internal/analysis/leaktest"
 )
 
-// This file is the differential/property wall for the intra-transform
-// execution strategies. The split path only repartitions the
-// row/column loops — every 1-D transform sees the same data in the same
-// order — so the contract throughout is exact (==) equality with the
-// serial path, not a tolerance.
+// This file is the differential/property wall for the split rule. A
+// split only repartitions the row/column loops — every 1-D transform
+// sees the same data in the same order — so the contract throughout is
+// exact (==) equality with the serial path, not a tolerance.
 
-// execSizes mixes shapes below and above the split threshold
-// (splitMinWork = 4096 elements): odd, prime, power-of-two, and two
-// sizes big enough that ExecSplit actually forks.
+// forkH×forkW is a frame at or above splitFloor: a default plan over a
+// pool with a free token forks its passes for real (should the floor
+// move above it, TestSplitRuleReadsThePoolPerCall fails).
+const forkH, forkW = 256, 384
+
+// execSizes mixes odd, prime and power-of-two shapes below the split
+// floor, which never fork, with one frame at or above it.
 var execSizes = []struct{ h, w int }{
-	{9, 15},   // odd × odd, far below the split floor
-	{13, 17},  // prime × prime
-	{16, 16},  // power of two
-	{64, 96},  // above splitMinWork: splits fork for real
-	{80, 128}, // multi-block, pow2 width
+	{9, 15},        // odd × odd
+	{13, 17},       // prime × prime
+	{16, 16},       // power of two
+	{64, 96},       // multi-block, below the floor
+	{forkH, forkW}, // at or above splitFloor: default calls fork
 }
 
-// execPools is the worker-budget axis: empty (split must degrade to
-// inline), one helper, and a machine's worth.
+// execOpts is the execution axis: the never-fork path and the default
+// rule.
+var execOpts = []ExecStrategy{ExecSerial, ExecAuto}
+
+// execPools is the worker-budget axis: empty (the rule never forks),
+// one helper, and a machine's worth.
 func execPools(t *testing.T) []*WorkerPool {
 	t.Helper()
 	pools := []*WorkerPool{NewWorkerPool(0), NewWorkerPool(1), NewWorkerPool(runtime.NumCPU())}
@@ -40,43 +47,45 @@ func execPools(t *testing.T) []*WorkerPool {
 	return pools
 }
 
-// TestExecMatrixBitIdentical runs the full complex-plan execution matrix
-// — {serial, split, auto} × pool sizes {0, 1, NumCPU} × both
-// directions — and requires bit-identical output to the row-then-column
-// oracle.
+// execMatrix is the full execution axis as plan options: {serial,
+// default} × the execPools budgets.
+func execMatrix(t *testing.T) []Plan2DOpts {
+	t.Helper()
+	var opts []Plan2DOpts
+	for _, pool := range execPools(t) {
+		for _, exec := range execOpts {
+			opts = append(opts, Plan2DOpts{Exec: exec, Pool: pool})
+		}
+	}
+	return opts
+}
+
+// TestExecMatrixBitIdentical runs the complex-plan execution matrix —
+// {serial, default} × pool budgets {0, 1, NumCPU} × both directions —
+// and requires bit-identical output to the row-then-column oracle.
 func TestExecMatrixBitIdentical(t *testing.T) {
 	for _, sz := range execSizes {
 		for _, dir := range []Direction{Forward, Inverse} {
 			src := randComplex(sz.h*sz.w, int64(sz.h*100+sz.w))
 			want := oracle2D(t, src, sz.h, sz.w, dir)
-			check := func(label string, got []complex128) {
-				t.Helper()
+			for _, opts := range execMatrix(t) {
+				p, err := NewPlan2D(sz.h, sz.w, dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := append([]complex128(nil), src...)
+				if err := p.Execute(got); err != nil {
+					t.Fatal(err)
+				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("%dx%d dir=%v %s: element %d differs: got %v want %v",
-							sz.h, sz.w, dir, label, i, got[i], want[i])
+						t.Fatalf("%dx%d dir=%v exec=%d/cap=%d: element %d differs: got %v want %v",
+							sz.h, sz.w, dir, opts.Exec, opts.Pool.Cap(), i, got[i], want[i])
 					}
-				}
-			}
-			for _, pool := range execPools(t) {
-				for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
-					p, err := NewPlan2D(sz.h, sz.w, dir, Plan2DOpts{Exec: exec, Pool: pool})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := append([]complex128(nil), src...)
-					if err := p.Execute(got); err != nil {
-						t.Fatal(err)
-					}
-					check(execLabel(exec, pool), got)
 				}
 			}
 		}
 	}
-}
-
-func execLabel(exec ExecStrategy, pool *WorkerPool) string {
-	return exec.String() + "/cap=" + itoa(pool.Cap())
 }
 
 // TestRealExecMatrixBitIdentical is the r2c counterpart: Forward
@@ -92,207 +101,185 @@ func TestRealExecMatrixBitIdentical(t *testing.T) {
 		want := oracleRealForward(t, img, sz.h, sz.w)
 		wantRec := oracleRealInverse(t, want, sz.h, sz.w)
 		sh, sw := sz.h, sz.w/2+1
-		for _, pool := range execPools(t) {
-			for _, exec := range []ExecStrategy{ExecSerial, ExecSplit, ExecAuto} {
-				label := execLabel(exec, pool)
-				p, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Exec: exec, Pool: pool})
-				if err != nil {
-					t.Fatal(err)
+		for _, opts := range execMatrix(t) {
+			label := fmt.Sprintf("%dx%d exec=%d/cap=%d", sz.h, sz.w, opts.Exec, opts.Pool.Cap())
+			p, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Exec: opts.Exec, Pool: opts.Pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := make([]complex128, sh*sw)
+			if err := p.Forward(spec, img); err != nil {
+				t.Fatal(err)
+			}
+			for i := range spec {
+				if spec[i] != want[i] {
+					t.Fatalf("%s: forward bin %d differs", label, i)
 				}
-				spec := make([]complex128, sh*sw)
-				if err := p.Forward(spec, img); err != nil {
-					t.Fatal(err)
-				}
-				for i := range spec {
-					if spec[i] != want[i] {
-						t.Fatalf("%dx%d %s: forward bin %d differs", sz.h, sz.w, label, i)
-					}
-				}
-				rec := make([]float64, sz.h*sz.w)
-				if err := p.Inverse(rec, spec); err != nil {
-					t.Fatal(err)
-				}
-				for i := range rec {
-					if rec[i] != wantRec[i] {
-						t.Fatalf("%dx%d %s: inverse sample %d differs", sz.h, sz.w, label, i)
-					}
+			}
+			rec := make([]float64, sz.h*sz.w)
+			if err := p.Inverse(rec, spec); err != nil {
+				t.Fatal(err)
+			}
+			for i := range rec {
+				if rec[i] != wantRec[i] {
+					t.Fatalf("%s: inverse sample %d differs", label, i)
 				}
 			}
 		}
 	}
 }
 
-// TestAutotuneChoiceInvariance is the property behind shipping ExecAuto
-// as the default: whatever the measured autotuner commits to — which
-// varies with machine load and core count — the numerical results never
-// change. The decision cache is reset so the measurement really runs.
-func TestAutotuneChoiceInvariance(t *testing.T) {
-	resetAutotuneForTest()
+// callDelta returns how many 2-D transform calls fn made on each branch
+// of the split rule. The counters are process-wide; this package's tests
+// do not run in parallel, so the delta is fn's alone.
+func callDelta(t *testing.T, fn func() error) (serial, split int64) {
+	t.Helper()
+	s0, p0 := AutotuneCounts()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	s1, p1 := AutotuneCounts()
+	return s1 - s0, p1 - p0
+}
+
+// settle waits until every token but the held ones is back in pool. A
+// split's helper hands back its result before its token, so the call
+// right after a split can find the pool briefly short.
+func settle(pool *WorkerPool, held int) {
+	for pool.Free()+held < pool.Cap() {
+		runtime.Gosched()
+	}
+}
+
+// TestAutotuneCounters pins the counting contract: every 2-D transform
+// call — Execute, Forward, Inverse, InverseFill — records exactly one
+// branch, split only when the call really forks.
+func TestAutotuneCounters(t *testing.T) {
+	pool := NewWorkerPool(2)
+	defer pool.Close()
+	data := randComplex(forkH*forkW, 3)
+	img := make([]float64, forkH*forkW)
+	spec := make([]complex128, forkH*(forkW/2+1))
+	fill := func(dst []complex128, r int) { copy(dst, spec[r*len(dst):(r+1)*len(dst)]) }
+
+	for _, tc := range []struct {
+		name          string
+		exec          ExecStrategy
+		reserve       int
+		serial, split int64
+	}{
+		{"default/free", ExecAuto, 0, 0, 1},
+		{"default/reserved", ExecAuto, 2, 1, 0},
+		{"serial/free", ExecSerial, 0, 1, 0},
+	} {
+		settle(pool, 0)
+		held := pool.Reserve(tc.reserve)
+		p, err := NewPlan2D(forkH, forkW, Forward, Plan2DOpts{Exec: tc.exec, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp, err := NewRealPlan2DOpts(forkH, forkW, Real2DOpts{Exec: tc.exec, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, call := range []struct {
+			name string
+			fn   func() error
+		}{
+			{"Execute", func() error { return p.Execute(data) }},
+			{"Forward", func() error { return rp.Forward(spec, img) }},
+			{"Inverse", func() error { return rp.Inverse(img, spec) }},
+			{"InverseFill", func() error { return rp.InverseFill(img, fill) }},
+		} {
+			settle(pool, held)
+			if s, sp := callDelta(t, call.fn); s != tc.serial || sp != tc.split {
+				t.Errorf("%s %s: counted serial+%d split+%d, want serial+%d split+%d",
+					tc.name, call.name, s, sp, tc.serial, tc.split)
+			}
+		}
+		pool.Release(held)
+	}
+}
+
+// TestSplitRuleReadsThePoolPerCall pins the bug the plan-time timer had:
+// a default plan built while pair workers hold every token must still
+// fork once a token is free, because the rule is applied on each call,
+// not resolved at construction. The complex plan is held to the same.
+func TestSplitRuleReadsThePoolPerCall(t *testing.T) {
+	pool := NewWorkerPool(1)
+	defer pool.Close()
+	held := pool.Reserve(1)
+	rp, err := NewRealPlan2DOpts(forkH, forkW, Real2DOpts{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlan2D(forkH, forkW, Forward, Plan2DOpts{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make([]float64, forkH*forkW)
+	spec := make([]complex128, forkH*(forkW/2+1))
+	data := randComplex(forkH*forkW, 4)
+	if _, split := callDelta(t, func() error { return rp.Forward(spec, img) }); split != 0 {
+		t.Fatalf("Forward forked %d times with every token reserved", split)
+	}
+	pool.Release(held)
+	if _, split := callDelta(t, func() error { return rp.Forward(spec, img) }); split != 1 {
+		t.Errorf("real plan built under a full reservation: Forward after Release forked %d times, want 1", split)
+	}
+	settle(pool, 0)
+	if _, split := callDelta(t, func() error { return p.Execute(data) }); split != 1 {
+		t.Errorf("complex plan built under a full reservation: Execute after Release forked %d times, want 1", split)
+	}
+}
+
+// TestSplitRuleFloor: a frame below splitFloor never forks, however many
+// tokens are free, and its plan builds one slot.
+func TestSplitRuleFloor(t *testing.T) {
 	pool := NewWorkerPool(runtime.NumCPU())
 	defer pool.Close()
-	h, w := 96, 64 // above autotuneFloor with the pool budget: a real decision
-	src := randComplex(h*w, 5)
-
-	ref, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSerial})
+	h, w := 64, splitFloor/64-2 // just below the floor
+	p, err := NewPlan2D(h, w, Forward, Plan2DOpts{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := append([]complex128(nil), src...)
-	if err := ref.Execute(want); err != nil {
+	rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Pool: pool})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 3; trial++ {
-		resetAutotuneForTest()
-		p, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecAuto, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append([]complex128(nil), src...)
-		if err := p.Execute(got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (chose exec=%v): element %d differs", trial, p.Exec(), i)
-			}
-		}
+	if len(p.rowPlans) != 1 || len(rp.rowF) != 1 {
+		t.Fatalf("%dx%d below the floor built %d/%d slots, want 1", h, w, len(p.rowPlans), len(rp.rowF))
 	}
-
-	// Real plans: same property.
-	rng := rand.New(rand.NewSource(13))
+	data := randComplex(h*w, 6)
 	img := make([]float64, h*w)
-	for i := range img {
-		img[i] = rng.NormFloat64()
-	}
-	rref, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, sw := rref.SpectrumDims()
-	rwant := make([]complex128, sh*sw)
-	if err := rref.Forward(rwant, img); err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 3; trial++ {
-		resetAutotuneForTest()
-		rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecAuto, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]complex128, sh*sw)
-		if err := rp.Forward(got, img); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != rwant[i] {
-				t.Fatalf("trial %d (chose exec=%v): bin %d differs", trial, rp.Exec(), i)
-			}
+	spec := make([]complex128, h*(w/2+1))
+	for _, fn := range []func() error{
+		func() error { return p.Execute(data) },
+		func() error { return rp.Forward(spec, img) },
+		func() error { return rp.Inverse(img, spec) },
+	} {
+		if s, split := callDelta(t, fn); s != 1 || split != 0 {
+			t.Errorf("%dx%d with %d free tokens: serial+%d split+%d, want serial+1 split+0",
+				h, w, pool.Free(), s, split)
 		}
 	}
 }
 
-// TestAutotuneSerialWinsTies pins the two halves of the tie rule. With
-// every pool token held — pair workers reserve theirs before any plan is
-// built — a split cannot fork: every fresh decision is serial, not a
-// coin flip, and none is cached for a later caller that finds the pool
-// free. And where both shapes are measured, split needs a clear tenth,
-// not any measured edge.
-func TestAutotuneSerialWinsTies(t *testing.T) {
-	pool := NewWorkerPool(2)
-	defer pool.Close()
-	held := pool.Reserve(2)
-	defer pool.Release(held)
-	for trial := 0; trial < 20; trial++ {
-		resetAutotuneForTest()
-		p, err := NewRealPlan2DOpts(128, 192, Real2DOpts{Exec: ExecAuto, Pool: pool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Exec() != ExecSerial {
-			t.Errorf("decision %d with no free token: %v, want serial", trial, p.Exec())
-		}
-	}
-	autoMu.Lock()
-	cached := len(autoCache)
-	autoMu.Unlock()
-	if cached != 0 {
-		t.Errorf("%d decisions cached while no split could fork", cached)
-	}
-
-	resetAutotuneForTest()
-	nap := func(d time.Duration) func() error {
-		return func() error { time.Sleep(d); return nil }
-	}
-	if c := autotune(autoKey{kind: "tie"}, nap(20*time.Millisecond), nap(19*time.Millisecond)); c != ExecSerial {
-		t.Errorf("split 5%% faster: chose %v, want serial", c)
-	}
-	if c := autotune(autoKey{kind: "clear"}, nap(20*time.Millisecond), nap(5*time.Millisecond)); c != ExecSplit {
-		t.Errorf("split 4x faster: chose %v, want split", c)
-	}
-}
-
-// TestAutotuneCounters pins the decision-counting contract: every
-// ExecAuto plan construction records exactly one decision, serial or
-// split and nothing else (trivial no-budget resolutions included),
-// forced strategies record none, and cache hits still count — the
-// counters meter decisions consumed, not measurements run.
-func TestAutotuneCounters(t *testing.T) {
-	resetAutotuneForTest()
-	total := func() int64 {
-		s, p := AutotuneCounts()
-		return s + p
-	}
-
-	before := total()
-	if _, err := NewPlan2D(8, 8, Forward, Plan2DOpts{Exec: ExecSerial}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewPlan2D(8, 8, Forward, Plan2DOpts{Exec: ExecSplit}); err != nil {
-		t.Fatal(err)
-	}
-	if got := total(); got != before {
-		t.Fatalf("forced plans moved the autotune counters by %d", got-before)
-	}
-
-	// Trivial auto resolution (empty pool): counted as serial.
-	empty := NewWorkerPool(0)
-	defer empty.Close()
-	sBefore, _ := AutotuneCounts()
-	if _, err := NewPlan2D(8, 8, Forward, Plan2DOpts{Exec: ExecAuto, Pool: empty}); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := AutotuneCounts(); s != sBefore+1 {
-		t.Fatalf("trivial auto resolution: serial count %d -> %d, want +1", sBefore, s)
-	}
-
-	// Measured resolution, twice: the second construction hits the cache
-	// but still consumes (and counts) a decision.
-	pool := NewWorkerPool(2)
-	defer pool.Close()
-	before = total()
-	for i := 0; i < 2; i++ {
-		if _, err := NewPlan2D(96, 64, Forward, Plan2DOpts{Exec: ExecAuto, Pool: pool}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := total(); got != before+2 {
-		t.Fatalf("two auto constructions counted %d decisions, want 2", got-before)
-	}
-}
-
-// FuzzSplitPlanRoundTrip is the property test for the split executor:
-// for any shape and any worker budget, the split-path forward transform
-// equals the serial one bit-for-bit, and (for the real plan) the
-// inverse round trip reproduces the input within DFT tolerance.
+// FuzzSplitPlanRoundTrip is the property test for the split rule: for
+// any shape and any worker budget, a default plan with free tokens —
+// which forks whenever the frame reaches splitFloor — equals the serial
+// one bit-for-bit, and (for the real plan) the inverse round trip
+// reproduces the input within DFT tolerance.
 func FuzzSplitPlanRoundTrip(f *testing.F) {
 	f.Add(4, 4, 0, int64(1))
 	f.Add(9, 15, 1, int64(2))
 	f.Add(64, 96, 4, int64(3))
 	f.Add(13, 17, 2, int64(4))
-	f.Add(80, 128, 8, int64(5))
+	f.Add(forkH-2, forkW-2, 1, int64(5))
+	f.Add(390, 300, 8, int64(6))
 	f.Fuzz(func(t *testing.T, h, w, budget int, seed int64) {
-		h = 2 + ((h%95)+95)%95          // [2, 96]
-		w = 2 + ((w%95)+95)%95          // [2, 96]
+		h = 2 + ((h%399)+399)%399       // [2, 400]
+		w = 2 + ((w%399)+399)%399       // [2, 400]
 		budget = ((budget % 9) + 9) % 9 // [0, 8]
 		pool := NewWorkerPool(budget)
 		defer pool.Close()
@@ -306,7 +293,7 @@ func FuzzSplitPlanRoundTrip(f *testing.F) {
 		if err := ref.Execute(want); err != nil {
 			t.Fatal(err)
 		}
-		sp, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSplit, Pool: pool})
+		sp, err := NewPlan2D(h, w, Forward, Plan2DOpts{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,12 +303,12 @@ func FuzzSplitPlanRoundTrip(f *testing.F) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("h=%d w=%d budget=%d: split forward element %d differs", h, w, budget, i)
+				t.Fatalf("h=%d w=%d budget=%d: default forward element %d differs", h, w, budget, i)
 			}
 		}
 
-		// Real plan: split forward must match serial, and inverting the
-		// spectrum must reproduce the image ×(h·w).
+		// Real plan: the default forward must match serial, and
+		// inverting the spectrum must reproduce the image ×(h·w).
 		rng := rand.New(rand.NewSource(seed))
 		img := make([]float64, h*w)
 		for i := range img {
@@ -331,7 +318,7 @@ func FuzzSplitPlanRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSplit, Pool: pool})
+		rsp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +333,7 @@ func FuzzSplitPlanRoundTrip(f *testing.F) {
 		}
 		for i := range gotSpec {
 			if gotSpec[i] != wantSpec[i] {
-				t.Fatalf("h=%d w=%d budget=%d: split r2c bin %d differs", h, w, budget, i)
+				t.Fatalf("h=%d w=%d budget=%d: default r2c bin %d differs", h, w, budget, i)
 			}
 		}
 		back := make([]float64, h*w)
@@ -414,7 +401,7 @@ func TestPairAndSplitParallelismStress(t *testing.T) {
 	pool := NewWorkerPool(4)
 	defer pool.Close()
 	const workers = 4
-	h, w := 64, 80
+	h, w := forkH, forkW
 	src := randComplex(h*w, 21)
 	ref, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSerial})
 	if err != nil {
@@ -431,12 +418,12 @@ func TestPairAndSplitParallelismStress(t *testing.T) {
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
-			p, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSplit, Pool: pool})
+			p, err := NewPlan2D(h, w, Forward, Plan2DOpts{Pool: pool})
 			if err != nil {
 				errCh <- err
 				return
 			}
-			rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSplit, Pool: pool})
+			rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Pool: pool})
 			if err != nil {
 				errCh <- err
 				return
@@ -447,7 +434,7 @@ func TestPairAndSplitParallelismStress(t *testing.T) {
 				img[i] = float64((i*7+wk)%13) - 6
 			}
 			spec := make([]complex128, sh*sw)
-			for iter := 0; iter < 25; iter++ {
+			for iter := 0; iter < 8; iter++ {
 				// Pair-level reservation churn against everyone's splits.
 				got := pool.Reserve(1 + wk%2)
 				data := append([]complex128(nil), src...)
@@ -485,62 +472,66 @@ type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "split result diverged from serial under stress" }
 
-// TestSerialExecZeroAllocs pins the PR 5 steady-state guarantee on the
-// serial path after the executor refactor, and bounds the split path:
-// splitting allocates only its per-fork channels and helper closures,
-// never per-element scratch.
+// TestSerialExecZeroAllocs pins the steady-state guarantee: a call that
+// does not split allocates nothing — under ExecSerial, and under the
+// default rule while every token is reserved, which is the configuration
+// the pipelined run executes (its pair workers hold the whole pool). The
+// split path is bounded: it allocates only its per-fork channels and
+// helper closures, never per-element scratch.
 func TestSerialExecZeroAllocs(t *testing.T) {
-	h, w := 64, 48
-	p, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSerial})
-	if err != nil {
-		t.Fatal(err)
+	pool := NewWorkerPool(4)
+	defer pool.Close()
+	zero := func(label string, fn func() error) {
+		t.Helper()
+		if err := fn(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := fn(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", label, allocs)
+		}
 	}
+	h, w := forkH, forkW
 	data := randComplex(h*w, 31)
-	if err := p.Execute(data); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if err := p.Execute(data); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("serial Plan2D.Execute allocates %.1f per call, want 0", allocs)
-	}
-
-	rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSerial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, sw := rp.SpectrumDims()
 	img := make([]float64, h*w)
-	spec := make([]complex128, sh*sw)
-	if err := rp.Forward(spec, img); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		if err := rp.Forward(spec, img); err != nil {
+	spec := make([]complex128, h*(w/2+1))
+	fill := func(dst []complex128, r int) { copy(dst, spec[r*len(dst):(r+1)*len(dst)]) }
+	for _, exec := range execOpts {
+		held := 0
+		label := "serial"
+		if exec == ExecAuto {
+			held, label = pool.Reserve(pool.Cap()), "default/reserved"
+		}
+		p, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: exec, Pool: pool})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Fatalf("serial RealPlan2D.Forward allocates %.1f per call, want 0", allocs)
+		rp, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: exec, Pool: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero(label+" Plan2D.Execute", func() error { return p.Execute(data) })
+		zero(label+" RealPlan2D.Forward", func() error { return rp.Forward(spec, img) })
+		zero(label+" RealPlan2D.InverseFill", func() error { return rp.InverseFill(img, fill) })
+		pool.Release(held)
 	}
 
 	// Split path: bounded, not zero — each fork costs one channel, one
 	// closure, and one goroutine. 8 slots across 3 passes stays well
 	// under this pin; growth means someone put per-element allocation on
 	// the hot path.
-	pool := NewWorkerPool(4)
-	defer pool.Close()
-	sp, err := NewPlan2D(128, 96, Forward, Plan2DOpts{Exec: ExecSplit, Pool: pool})
+	sp, err := NewPlan2D(h, w, Forward, Plan2DOpts{Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := randComplex(128*96, 33)
-	if err := sp.Execute(big); err != nil {
+	if err := sp.Execute(data); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := sp.Execute(big); err != nil {
+		if err := sp.Execute(data); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 128 {

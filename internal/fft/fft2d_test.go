@@ -54,11 +54,11 @@ func TestPlan2DMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPlan2DParallelMatchesSerial: a transform big enough that the split
-// really forks must equal the single-goroutine one at every helper
-// budget.
+// TestPlan2DParallelMatchesSerial: a frame big enough that a default
+// call really forks must equal the single-goroutine transform at every
+// helper budget.
 func TestPlan2DParallelMatchesSerial(t *testing.T) {
-	const h, w = 72, 80
+	const h, w = forkH, forkW
 	x := randComplex(h*w, 9)
 	serial, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSerial})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestPlan2DParallelMatchesSerial(t *testing.T) {
 	}
 	for _, helpers := range []int{1, 2, 3, 6} {
 		pool := NewWorkerPool(helpers)
-		par, err := NewPlan2D(h, w, Forward, Plan2DOpts{Exec: ExecSplit, Pool: pool})
+		par, err := NewPlan2D(h, w, Forward, Plan2DOpts{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +337,7 @@ func TestPlannerPlan2D(t *testing.T) {
 // TestRealPlan2DParallelMatchesSerial is the r2c counterpart, forward
 // and back.
 func TestRealPlan2DParallelMatchesSerial(t *testing.T) {
-	const h, w = 72, 80
+	const h, w = forkH, forkW
 	rng := rand.New(rand.NewSource(8))
 	img := make([]float64, h*w)
 	for i := range img {
@@ -354,7 +354,7 @@ func TestRealPlan2DParallelMatchesSerial(t *testing.T) {
 	}
 	for _, helpers := range []int{1, 2, 4} {
 		pool := NewWorkerPool(helpers)
-		par, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: ExecSplit, Pool: pool})
+		par, err := NewRealPlan2DOpts(h, w, Real2DOpts{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}

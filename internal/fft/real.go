@@ -173,50 +173,41 @@ func (rp *RealPlan) Inverse(x []float64, spec []complex128) error {
 // row-major real images, producing the half spectrum with rows of length
 // w/2+1 (h rows). Inverse reconstructs the real image. Like Plan2D, the
 // spectrum column passes run through a blocked transpose into plan-held
-// scratch. Not safe for concurrent use.
+// scratch, and a single call may split its passes across idle pool
+// workers (the split rule, exec.go). Not safe for concurrent use.
 type RealPlan2D struct {
 	w, h int
 	sw   int // spectrum row width = w/2+1
 
-	exec   ExecStrategy // resolved: ExecSerial or ExecSplit
-	pool   *WorkerPool
-	nslots int // len(rowF); split legs use disjoint slot ranges
-
+	px    *passExec
 	rowF  []*RealPlan // one per slot
 	colF  []*Plan
 	colI  []*Plan
 	specF []complex128 // scratch spectrum for inverse
-	tbuf  []complex128 // sw×h transpose scratch for the column passes
 
 	// Split-pass spans (minimum indices per leg), precomputed per pass
 	// shape so the hot path does no division.
-	rowSpan, colSpan, specRowSpan int
+	rowSpan, specRowSpan int
 
-	// Pending-pass operands. The shard/slab bodies below are bound once
-	// at construction and read their per-call operands from these fields;
-	// building them as literals inside Forward/Inverse would heap-allocate
-	// a closure per pass (the split branch makes them escape), which the
-	// zero-allocation steady state cannot afford.
-	opImg   []float64
-	opSpec  []complex128
-	opPlans []*Plan
-	opFill  func(dst []complex128, r int)
+	// Pending row-pass operands, read by the bound bodies below (see
+	// passExec for why the bodies are bound once).
+	opImg  []float64
+	opSpec []complex128
+	opFill func(dst []complex128, r int)
 
-	fnRowFwd  func(wk, r int) error
-	fnRowInv  func(wk, r int) error
-	fnFill    func(wk, r int) error
-	fnColSlab func(wk, lo, hi int) error
-	fnColBack func(wk, lo, hi int) error
+	fnRowFwd func(slot, r int) error
+	fnRowInv func(slot, r int) error
+	fnFill   func(slot, r int) error
 }
 
 // Real2DOpts adjusts real 2-D plan construction — the r2c counterpart of
 // Plan2DOpts.
 type Real2DOpts struct {
 	// Exec selects the single-call execution shape: ExecAuto (zero
-	// value) measures serial vs split at plan time, ExecSerial pins the
-	// zero-allocation path, ExecSplit pins the recursive pool-fed split.
+	// value) applies the split rule per call, ExecSerial pins the
+	// zero-allocation path.
 	Exec ExecStrategy
-	// Pool supplies the helper budget for the split path; nil means
+	// Pool supplies the helper budget for split calls; nil means
 	// SharedPool().
 	Pool *WorkerPool
 }
@@ -232,23 +223,13 @@ func NewRealPlan2DOpts(h, w int, opts Real2DOpts) (*RealPlan2D, error) {
 	if h <= 0 || w < 2 {
 		return nil, fmt.Errorf("fft: invalid real 2-D size %dx%d", h, w)
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = SharedPool()
-	}
-	p := &RealPlan2D{w: w, h: h, sw: w/2 + 1, exec: opts.Exec, pool: pool,
-		specF: make([]complex128, h*(w/2+1)),
-		tbuf:  make([]complex128, h*(w/2+1))}
-	p.rowSpan = spanAtLeast1(splitMinWork / w)
-	p.colSpan = spanAtLeast1(splitMinWork / h)
-	p.specRowSpan = spanAtLeast1(splitMinWork / p.sw)
-
-	autoTrivial := p.exec == ExecAuto && (pool.Free() == 0 || w*h < autotuneFloor)
-	if autoTrivial {
-		p.exec = ExecSerial
-	}
-	p.nslots = splitSlots(p.exec, pool)
-	for i := 0; i < p.nslots; i++ {
+	sw := w/2 + 1
+	p := &RealPlan2D{w: w, h: h, sw: sw,
+		px:          newPassExec(opts.Exec, opts.Pool, w*h, h, sw),
+		specF:       make([]complex128, h*sw),
+		rowSpan:     spanAtLeast1(splitMinWork / w),
+		specRowSpan: spanAtLeast1(splitMinWork / sw)}
+	for i := 0; i < p.px.nslots; i++ {
 		rowF, err := NewRealPlan(w)
 		if err != nil {
 			return nil, err
@@ -257,109 +238,17 @@ func NewRealPlan2DOpts(h, w int, opts Real2DOpts) (*RealPlan2D, error) {
 		p.colF = append(p.colF, complexPlan(h, Forward))
 		p.colI = append(p.colI, complexPlan(h, Inverse))
 	}
-	p.fnRowFwd = func(wk, r int) error {
-		return p.rowF[wk].Forward(p.opSpec[r*p.sw:(r+1)*p.sw], p.opImg[r*p.w:(r+1)*p.w])
+	p.fnRowFwd = func(slot, r int) error {
+		return p.rowF[slot].Forward(p.opSpec[r*p.sw:(r+1)*p.sw], p.opImg[r*p.w:(r+1)*p.w])
 	}
-	p.fnRowInv = func(wk, r int) error {
-		return p.rowF[wk].Inverse(p.opImg[r*p.w:(r+1)*p.w], p.specF[r*p.sw:(r+1)*p.sw])
+	p.fnRowInv = func(slot, r int) error {
+		return p.rowF[slot].Inverse(p.opImg[r*p.w:(r+1)*p.w], p.specF[r*p.sw:(r+1)*p.sw])
 	}
-	p.fnFill = func(wk, r int) error {
+	p.fnFill = func(_, r int) error {
 		p.opFill(p.specF[r*p.sw:(r+1)*p.sw], r)
 		return nil
 	}
-	p.fnColSlab = func(wk, lo, hi int) error {
-		transposeRange(p.tbuf, p.opSpec, p.h, p.sw, lo, hi)
-		for c := lo; c < hi; c++ {
-			if err := p.opPlans[wk].Execute(p.tbuf[c*p.h : (c+1)*p.h]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	p.fnColBack = func(wk, lo, hi int) error {
-		transposeRange(p.opSpec, p.tbuf, p.sw, p.h, lo, hi)
-		return nil
-	}
-	switch {
-	case autoTrivial:
-		countChoice(ExecSerial)
-	case p.exec == ExecAuto:
-		p.resolveAuto()
-	}
 	return p, nil
-}
-
-// resolveAuto times the forward transform under the serial and split
-// shapes on scratch data and commits the plan to the faster (cached per
-// size/budget; one decision covers forward and inverse, whose pass
-// structures match).
-func (p *RealPlan2D) resolveAuto() {
-	key := autoKey{kind: "r2c", h: p.h, w: p.w, budget: p.pool.Cap()}
-
-	var img []float64
-	var spec []complex128
-	run := func(exec ExecStrategy) error {
-		if img == nil {
-			img, spec = make([]float64, p.h*p.w), make([]complex128, p.h*p.sw)
-			for i := range img {
-				img[i] = float64(i%97) - 48
-			}
-		}
-		p.exec = exec
-		return p.Forward(spec, img)
-	}
-	p.exec = autotune(key,
-		func() error { return run(ExecSerial) },
-		func() error { return run(ExecSplit) })
-}
-
-// shard runs fn(slot, index) for every index in [0, n): by recursive
-// range splitting over the pool when the plan resolved to ExecSplit
-// (minSpan is the smallest index range a split leg may keep), and as a
-// plain loop otherwise. The serial branch creates no closures and
-// performs no allocation — the zero-alloc steady state runs there.
-func (p *RealPlan2D) shard(n, minSpan int, fn func(slot, index int) error) error {
-	if p.exec == ExecSplit {
-		return splitRange(p.pool, 0, p.nslots, 0, n, minSpan, func(slot, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if err := fn(slot, i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	for i := 0; i < n; i++ {
-		if err := fn(0, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// slab runs fn(slot, lo, hi) over contiguous shares of [0, n) — the
-// slab counterpart of shard, used by the blocked-transpose column passes
-// so each leg transposes and transforms a disjoint column range.
-func (p *RealPlan2D) slab(n, minSpan int, fn func(slot, lo, hi int) error) error {
-	if p.exec == ExecSplit {
-		return splitRange(p.pool, 0, p.nslots, 0, n, minSpan, fn)
-	}
-	return fn(0, 0, n)
-}
-
-// columnPass runs length-h FFTs over every spectrum column of the h×sw
-// matrix spec in place, using plans to select the per-slot forward or
-// inverse plans.
-//
-//stitchlint:hotpath
-func (p *RealPlan2D) columnPass(spec []complex128, plans []*Plan) error {
-	p.opSpec, p.opPlans = spec, plans
-	err := p.slab(p.sw, p.colSpan, p.fnColSlab)
-	if err == nil {
-		err = p.slab(p.h, p.specRowSpan, p.fnColBack)
-	}
-	p.opSpec, p.opPlans = nil, nil
-	return err
 }
 
 // SpectrumDims returns the half-spectrum dimensions (rows, cols).
@@ -370,9 +259,6 @@ func (p *RealPlan2D) W() int { return p.w }
 
 // H returns the real image height.
 func (p *RealPlan2D) H() int { return p.h }
-
-// Exec reports the resolved execution strategy (never ExecAuto).
-func (p *RealPlan2D) Exec() ExecStrategy { return p.exec }
 
 // Forward computes the half spectrum of the real image img (h*w,
 // row-major) into dst (h*(w/2+1), row-major).
@@ -385,13 +271,14 @@ func (p *RealPlan2D) Forward(dst []complex128, img []float64) error {
 	if len(dst) != p.h*p.sw {
 		return fmt.Errorf("fft: spectrum is %d elements, want %d", len(dst), p.h*p.sw)
 	}
+	p.px.begin()
 	p.opImg, p.opSpec = img, dst
-	err := p.shard(p.h, p.rowSpan, p.fnRowFwd)
+	err := p.px.shard(p.h, p.rowSpan, p.fnRowFwd)
 	p.opImg, p.opSpec = nil, nil
 	if err != nil {
 		return err
 	}
-	return p.columnPass(dst, p.colF)
+	return p.px.columns(dst, p.colF)
 }
 
 // Inverse reconstructs the real image from the half spectrum. The result
@@ -405,6 +292,7 @@ func (p *RealPlan2D) Inverse(img []float64, spec []complex128) error {
 	if len(spec) != p.h*p.sw {
 		return fmt.Errorf("fft: spectrum is %d elements, want %d", len(spec), p.h*p.sw)
 	}
+	p.px.begin()
 	copy(p.specF, spec)
 	return p.inverseStaged(img)
 }
@@ -425,8 +313,9 @@ func (p *RealPlan2D) InverseFill(img []float64, fill func(dst []complex128, r in
 	if fill == nil {
 		return fmt.Errorf("fft: InverseFill requires a fill function")
 	}
+	p.px.begin()
 	p.opFill = fill
-	err := p.shard(p.h, p.specRowSpan, p.fnFill)
+	err := p.px.shard(p.h, p.specRowSpan, p.fnFill)
 	p.opFill = nil
 	if err != nil {
 		return err
@@ -442,11 +331,11 @@ func (p *RealPlan2D) InverseFill(img []float64, fill func(dst []complex128, r in
 //
 //stitchlint:hotpath
 func (p *RealPlan2D) inverseStaged(img []float64) error {
-	if err := p.columnPass(p.specF, p.colI); err != nil {
+	if err := p.px.columns(p.specF, p.colI); err != nil {
 		return err
 	}
 	p.opImg = img
-	err := p.shard(p.h, p.rowSpan, p.fnRowInv)
+	err := p.px.shard(p.h, p.rowSpan, p.fnRowInv)
 	p.opImg = nil
 	return err
 }

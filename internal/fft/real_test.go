@@ -10,24 +10,22 @@ import (
 // TestPlannerRealPlansUseWisdom checks the Planner's real-plan entry
 // point builds working plans. The planner's only wisdom is the package's
 // rules, so its plan must have the asked geometry and match the package
-// constructor bit for bit, forward and inverse, under each execution
-// mode.
+// constructor bit for bit, forward and inverse, across the exec matrix.
 func TestPlannerRealPlansUseWisdom(t *testing.T) {
-	const h, w = 10, 12
+	const h, w = forkH, forkW
 	rng := rand.New(rand.NewSource(23))
 	img := make([]float64, h*w)
 	for i := range img {
 		img[i] = rng.Float64()*2 - 1
 	}
-	pool := NewWorkerPool(2)
-	defer pool.Close()
-	for _, opts := range []Real2DOpts{{Exec: ExecSerial}, {Exec: ExecSplit, Pool: pool}} {
+	for _, o := range execMatrix(t) {
+		opts := Real2DOpts{Exec: o.Exec, Pool: o.Pool}
 		p, err := NewPlanner(Measure).RealPlan2DOpts(h, w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.H() != h || p.W() != w {
-			t.Fatalf("exec %v: RealPlan2D geometry %dx%d, want %dx%d", opts.Exec, p.H(), p.W(), h, w)
+			t.Fatalf("exec %v/cap %d: RealPlan2D geometry %dx%d, want %dx%d", opts.Exec, o.Pool.Cap(), p.H(), p.W(), h, w)
 		}
 		ref, err := NewRealPlan2DOpts(h, w, opts)
 		if err != nil {
@@ -42,7 +40,7 @@ func TestPlannerRealPlansUseWisdom(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d := maxAbsDiff(a, b); d != 0 {
-			t.Errorf("exec %v: planner-built forward diverges from the package plan by %g", opts.Exec, d)
+			t.Errorf("exec %v/cap %d: planner-built forward diverges from the package plan by %g", opts.Exec, o.Pool.Cap(), d)
 		}
 		x := make([]float64, h*w)
 		y := make([]float64, h*w)
@@ -54,7 +52,7 @@ func TestPlannerRealPlansUseWisdom(t *testing.T) {
 		}
 		for i := range x {
 			if x[i] != y[i] {
-				t.Fatalf("exec %v: planner-built inverse at %d: %v, package plan %v", opts.Exec, i, x[i], y[i])
+				t.Fatalf("exec %v/cap %d: planner-built inverse at %d: %v, package plan %v", opts.Exec, o.Pool.Cap(), i, x[i], y[i])
 			}
 		}
 	}

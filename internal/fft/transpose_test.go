@@ -9,24 +9,14 @@ import (
 // the oracle bit-for-bit: odd, prime, power-of-two, mixed, and sizes
 // straddling the block edge.
 var transposeSizes = []struct{ h, w int }{
-	{9, 15},  // odd × odd
-	{13, 17}, // prime × prime
-	{7, 31},  // prime, wider than one block
-	{16, 16}, // power of two, exactly one block
-	{8, 64},  // power of two, several blocks
-	{33, 18}, // one past the block edge × mixed radix
-	{48, 40}, // mixed radix, multi-block
-	{72, 80}, // above the split floor: legs really transpose concurrently
-}
-
-// transposeExecs is the execution axis of the transpose tests: the
-// serial passes and the pool-fed split, whose legs transpose disjoint
-// slabs concurrently.
-func transposeExecs(t *testing.T) []Plan2DOpts {
-	t.Helper()
-	pool := NewWorkerPool(2)
-	t.Cleanup(pool.Close)
-	return []Plan2DOpts{{Exec: ExecSerial}, {Exec: ExecSplit, Pool: pool}}
+	{9, 15},        // odd × odd
+	{13, 17},       // prime × prime
+	{7, 31},        // prime, wider than one block
+	{16, 16},       // power of two, exactly one block
+	{8, 64},        // power of two, several blocks
+	{33, 18},       // one past the block edge × mixed radix
+	{48, 40},       // mixed radix, multi-block
+	{forkH, forkW}, // at or above the split floor: legs transpose concurrently
 }
 
 // TestBlockedTransposeBitIdentical pins the blocked-transpose column
@@ -35,7 +25,7 @@ func transposeExecs(t *testing.T) []Plan2DOpts {
 // both directions, serial and split.
 func TestBlockedTransposeBitIdentical(t *testing.T) {
 	for _, sz := range transposeSizes {
-		for _, opts := range transposeExecs(t) {
+		for _, opts := range execMatrix(t) {
 			for _, dir := range []Direction{Forward, Inverse} {
 				src := randComplex(sz.h*sz.w, int64(sz.h*1000+sz.w))
 				p, err := NewPlan2D(sz.h, sz.w, dir, opts)
@@ -49,8 +39,8 @@ func TestBlockedTransposeBitIdentical(t *testing.T) {
 				want := oracle2D(t, src, sz.h, sz.w, dir)
 				for i := range blocked {
 					if blocked[i] != want[i] {
-						t.Fatalf("%dx%d dir=%v exec=%v: element %d differs: blocked=%v oracle=%v",
-							sz.h, sz.w, dir, opts.Exec, i, blocked[i], want[i])
+						t.Fatalf("%dx%d dir=%v exec=%v/cap=%d: element %d differs: blocked=%v oracle=%v",
+							sz.h, sz.w, dir, opts.Exec, opts.Pool.Cap(), i, blocked[i], want[i])
 					}
 				}
 			}
@@ -64,7 +54,7 @@ func TestBlockedTransposeBitIdentical(t *testing.T) {
 func TestRealPlan2DBlockedTransposeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, sz := range transposeSizes {
-		for _, opts := range transposeExecs(t) {
+		for _, opts := range execMatrix(t) {
 			p, err := NewRealPlan2DOpts(sz.h, sz.w, Real2DOpts{Exec: opts.Exec, Pool: opts.Pool})
 			if err != nil {
 				t.Fatalf("NewRealPlan2DOpts(%d,%d): %v", sz.h, sz.w, err)
@@ -81,7 +71,7 @@ func TestRealPlan2DBlockedTransposeBitIdentical(t *testing.T) {
 			wantSpec := oracleRealForward(t, img, sz.h, sz.w)
 			for i := range spec {
 				if spec[i] != wantSpec[i] {
-					t.Fatalf("%dx%d exec=%v: forward spectrum bin %d differs", sz.h, sz.w, opts.Exec, i)
+					t.Fatalf("%dx%d exec=%v/cap=%d: forward spectrum bin %d differs", sz.h, sz.w, opts.Exec, opts.Pool.Cap(), i)
 				}
 			}
 			rec := make([]float64, sz.h*sz.w)
@@ -91,7 +81,7 @@ func TestRealPlan2DBlockedTransposeBitIdentical(t *testing.T) {
 			wantRec := oracleRealInverse(t, spec, sz.h, sz.w)
 			for i := range rec {
 				if rec[i] != wantRec[i] {
-					t.Fatalf("%dx%d exec=%v: inverse sample %d differs", sz.h, sz.w, opts.Exec, i)
+					t.Fatalf("%dx%d exec=%v/cap=%d: inverse sample %d differs", sz.h, sz.w, opts.Exec, opts.Pool.Cap(), i)
 				}
 			}
 		}
@@ -101,7 +91,7 @@ func TestRealPlan2DBlockedTransposeBitIdentical(t *testing.T) {
 // TestExecuteFillMatchesSeparatePass checks the fused row-fill entry
 // point against filling the buffer up front and calling Execute.
 func TestExecuteFillMatchesSeparatePass(t *testing.T) {
-	for _, opts := range transposeExecs(t) {
+	for _, opts := range execMatrix(t) {
 		h, w := 12, 20
 		src := randComplex(h*w, 42)
 		p, err := NewPlan2D(h, w, Inverse, opts)
@@ -121,7 +111,7 @@ func TestExecuteFillMatchesSeparatePass(t *testing.T) {
 		}
 		for i := range fused {
 			if fused[i] != separate[i] {
-				t.Fatalf("exec=%v: element %d differs", opts.Exec, i)
+				t.Fatalf("exec=%v/cap=%d: element %d differs", opts.Exec, opts.Pool.Cap(), i)
 			}
 		}
 	}
@@ -130,7 +120,7 @@ func TestExecuteFillMatchesSeparatePass(t *testing.T) {
 // TestInverseFillMatchesInverse checks the r2c fused staging entry point
 // against the copy-then-Inverse path.
 func TestInverseFillMatchesInverse(t *testing.T) {
-	for _, opts := range transposeExecs(t) {
+	for _, opts := range execMatrix(t) {
 		h, w := 10, 24
 		p, err := NewRealPlan2DOpts(h, w, Real2DOpts{Exec: opts.Exec, Pool: opts.Pool})
 		if err != nil {
@@ -160,7 +150,7 @@ func TestInverseFillMatchesInverse(t *testing.T) {
 		}
 		for i := range fused {
 			if fused[i] != separate[i] {
-				t.Fatalf("exec=%v: sample %d differs", opts.Exec, i)
+				t.Fatalf("exec=%v/cap=%d: sample %d differs", opts.Exec, opts.Pool.Cap(), i)
 			}
 		}
 	}

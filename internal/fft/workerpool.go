@@ -83,9 +83,9 @@ func (p *WorkerPool) Cap() int {
 }
 
 // Free reports how many tokens are unclaimed at this instant. Advisory:
-// ExecAuto reads it to skip measuring a split that could not fork —
-// every token reserved by pair workers, or none to begin with — instead
-// of committing the process to whichever shape noise favoured.
+// the split rule reads it at the start of every 2-D transform call, and
+// a call that finds none — every token reserved by pair workers, or none
+// to begin with — runs its passes inline, allocation-free.
 func (p *WorkerPool) Free() int {
 	if p == nil {
 		return 0

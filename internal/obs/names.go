@@ -91,8 +91,10 @@ const (
 	CounterPipelineAborts  = "pipeline.aborts"
 	CounterGPULaunchFused  = "gpu.launch.fused"
 	CounterTransposeBlocks = "fft.transpose.blocks"
-	// The autotune family records plan-time execution-strategy decisions
-	// (one per ExecAuto plan construction, cache hits included).
+	// The autotune family counts 2-D transform calls by the branch the
+	// fft split rule took: serial (inline passes) or split (passes forked
+	// across free pool tokens), one per call. The name predates the rule:
+	// a plan-time autotuner used to make this choice.
 	// CounterFFTAutotuneBatched is a name only: the batched pair-transform
 	// path it counted was removed and nothing publishes it, but
 	// bench/layers.go reads it (as zero) and bench/ is frozen.

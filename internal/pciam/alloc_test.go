@@ -30,7 +30,7 @@ var zeroAllocSizes = [][2]int{{64, 48}, {116, 87}}
 func TestDisplaceZeroAllocs(t *testing.T) {
 	for _, sz := range zeroAllocSizes {
 		testDisplaceZeroAllocs(t, "complex", sz[0], sz[1], func(w, h int) (allocAligner, error) {
-			return NewAligner(w, h, Options{FFTExec: fft.ExecSerial})
+			return NewAligner(w, h, Options{FFTPool: fft.NewWorkerPool(0)})
 		})
 	}
 }
@@ -40,7 +40,7 @@ func TestDisplaceZeroAllocs(t *testing.T) {
 func TestRealDisplaceZeroAllocs(t *testing.T) {
 	for _, sz := range zeroAllocSizes {
 		testDisplaceZeroAllocs(t, "real", sz[0], sz[1], func(w, h int) (allocAligner, error) {
-			return NewRealAligner(w, h, Options{FFTExec: fft.ExecSerial})
+			return NewRealAligner(w, h, Options{FFTPool: fft.NewWorkerPool(0)})
 		})
 	}
 }

@@ -38,14 +38,9 @@ type Options struct {
 	// 1 matches the paper; larger values (MIST later shipped 2) make
 	// sparse-feature pairs more robust at the cost of extra CCFs.
 	NPeaks int
-	// FFTExec selects the execution shape of the aligner's 2-D plans:
-	// the zero value lets the plan-time autotuner measure serial vs
-	// split per size and core budget; ExecSerial pins the
-	// zero-allocation path; ExecSplit pins the recursive pool-fed
-	// split.
-	FFTExec fft.ExecStrategy
-	// FFTPool is the bounded worker budget the split path draws from;
-	// nil means fft.SharedPool(). Pair-level runners Reserve their
+	// FFTPool is the bounded worker budget the aligner's 2-D transforms
+	// split across, by the fft split rule, when a token is free at the
+	// call; nil means fft.SharedPool(). Pair-level runners Reserve their
 	// worker count from the same pool, so transform-level splits only
 	// use genuinely idle cores.
 	FFTPool *fft.WorkerPool
@@ -66,12 +61,12 @@ func (o Options) withDefaults() Options {
 // plan2DOpts translates the aligner options into complex 2-D plan
 // options.
 func (o Options) plan2DOpts() fft.Plan2DOpts {
-	return fft.Plan2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
+	return fft.Plan2DOpts{Pool: o.FFTPool}
 }
 
 // real2DOpts is the r2c counterpart of plan2DOpts.
 func (o Options) real2DOpts() fft.Real2DOpts {
-	return fft.Real2DOpts{Exec: o.FFTExec, Pool: o.FFTPool}
+	return fft.Real2DOpts{Pool: o.FFTPool}
 }
 
 // Aligner computes displacements for tile pairs of one fixed size through

@@ -55,7 +55,6 @@ type alignerKey struct {
 	real      bool
 	w, h      int
 	nPeaks    int
-	fftExec   fft.ExecStrategy
 	fftPoolID uint64
 }
 
@@ -78,7 +77,6 @@ func makeAlignerKey(real bool, w, h int, opts Options) alignerKey {
 	return alignerKey{
 		real: real, w: w, h: h,
 		nPeaks:    opts.NPeaks,
-		fftExec:   opts.FFTExec,
 		fftPoolID: pool.ID(),
 	}
 }

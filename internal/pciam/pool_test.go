@@ -3,6 +3,8 @@ package pciam
 import (
 	"sync"
 	"testing"
+
+	"hybridstitch/internal/fft"
 )
 
 // listPool is the deterministic pool used by retention tests: a plain
@@ -63,5 +65,41 @@ func TestDeterministicPoolRoundTrip(t *testing.T) {
 	}
 	if v := p.Get(); v != nil {
 		t.Fatalf("drained pool returned %v", v)
+	}
+}
+
+// TestPooledAlignerSplitsOnceTokensFree pins the bug a plan-time
+// serial/split decision had: an aligner built while pair workers hold
+// every token, then recycled through the free list, must still split
+// its transforms for a later caller that finds a token free. The split
+// rule is applied on each call, so the pooled plans carry no stale
+// shape. Tiles are 384×256, a frame at the fft split floor.
+func TestPooledAlignerSplitsOnceTokensFree(t *testing.T) {
+	useDeterministicPools(t)
+	pool := fft.NewWorkerPool(1)
+	defer pool.Close()
+	const w, h = 384, 256
+	held := pool.Reserve(1)
+	al, err := NewRealAligner(w, h, Options{FFTPool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	al.Close()
+	pool.Release(held)
+
+	again, err := NewRealAligner(w, h, Options{FFTPool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again != al {
+		t.Fatal("second acquisition built a fresh aligner; the test needs the pooled one")
+	}
+	_, split0 := fft.AutotuneCounts()
+	if _, err := again.Transform(allocTile(w, h, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, split1 := fft.AutotuneCounts(); split1-split0 != 1 {
+		t.Errorf("pooled aligner's forward transform forked %d times with a token free, want 1", split1-split0)
 	}
 }

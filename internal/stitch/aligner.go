@@ -117,7 +117,7 @@ func (r *run) newDeviceOps(dev *gpu.Device, lanes int) (*deviceOps, error) {
 	var err error
 	switch opts.FFTVariant {
 	case VariantComplex:
-		po := fft.Plan2DOpts{Exec: opts.FFTExec, Pool: opts.FFTPool}
+		po := fft.Plan2DOpts{Pool: opts.FFTPool}
 		plans := make([]*fft.Plan2D, lanes+1) // the last is the inverse
 		for i := range plans {
 			dir := fft.Forward
@@ -143,7 +143,7 @@ func (r *run) newDeviceOps(dev *gpu.Device, lanes int) (*deviceOps, error) {
 		// spectrum (Hermitian symmetry supplies the mirrored bins) and the
 		// c2r inverse hands the reduction a real surface held in stream
 		// scratch: the fused kernel writes no device buffer.
-		po := fft.Real2DOpts{Exec: opts.FFTExec, Pool: opts.FFTPool}
+		po := fft.Real2DOpts{Pool: opts.FFTPool}
 		plans := make([]*fft.RealPlan2D, lanes+1) // the last runs the inverse
 		for i := range plans {
 			if plans[i], err = fft.NewRealPlan2DOpts(h, w, po); err != nil {

@@ -7,13 +7,10 @@ import (
 	"hybridstitch/internal/obs"
 )
 
-// TestAutotuneCounterPublished guards the startRun/finishRun bridge
-// ordering for the autotune decision counters: SimpleCPU constructs
-// its aligner (where FFT plans are built and fft.autotune.* ticks)
-// at the top of Run, so startRun must snapshot the baselines before
-// that acquisition or every published delta is zero. The tile size is
-// deliberately one no other test uses, so the process-global aligner
-// pool cannot satisfy the acquisition without constructing plans.
+// TestAutotuneCounterPublished guards the startRun/publishRun bridge
+// for the split-rule counters: every 2-D transform call counts the
+// branch it took, serial or split, so a SimpleCPU run — which
+// transforms every tile — must publish at least one call.
 func TestAutotuneCounterPublished(t *testing.T) {
 	p := imagegen.DefaultParams(2, 2, 140, 76)
 	ds, err := imagegen.Generate(p)
@@ -25,11 +22,10 @@ func TestAutotuneCounterPublished(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.Close()
-	// Two outcomes, no third: every decision is serial or split.
 	serial := rec.CounterValue(obs.CounterFFTAutotuneSerial)
 	split := rec.CounterValue(obs.CounterFFTAutotuneSplit)
 	if serial+split < 1 {
-		t.Fatalf("run published no autotune decisions (serial=%d split=%d); "+
-			"plan construction escaped the startRun baseline window", serial, split)
+		t.Fatalf("run published no transform calls (serial=%d split=%d): "+
+			"the calls escaped the startRun baseline window", serial, split)
 	}
 }

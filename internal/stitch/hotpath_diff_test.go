@@ -3,6 +3,7 @@ package stitch
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"hybridstitch/internal/fft"
@@ -196,23 +197,35 @@ func TestPaddedHotPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFFTExecTogglesBitIdentical extends the wall along the execution-
-// strategy axis: with the strategy pinned serial and pinned split over a
-// private pool, every implementation still equals the oracle, across
-// both layouts at the exact and at the padded size. Split execution only
+// TestFFTExecTogglesBitIdentical extends the wall along the
+// worker-budget axis the split rule reads: over private pools of 0, 1
+// and NumCPU helpers, every implementation still equals the oracle,
+// across both layouts at the exact and at the padded size, and on a
+// plate whose frame is large enough that a call with a free token
+// splits (384×256: single-worker implementations fork there, pipelined
+// ones hold the tokens for their pair workers). A split only
 // repartitions the row/column loops — the per-element arithmetic is
 // unchanged — so exact equality is the contract, not a tolerance.
 func TestFFTExecTogglesBitIdentical(t *testing.T) {
 	exact, padded := testDataset(t, 3, 3), paddedDataset(t, 3, 3)
-	pool := fft.NewWorkerPool(2)
-	defer pool.Close()
+	ds, err := imagegen.Generate(imagegen.DefaultParams(2, 2, 384, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := &MemorySource{DS: ds}
+	var pools []*fft.WorkerPool
+	for _, n := range []int{0, 1, runtime.NumCPU()} {
+		pool := fft.NewWorkerPool(n)
+		defer pool.Close()
+		pools = append(pools, pool)
+	}
 
 	wall := func(src Source, pw, ph int, ls ...layout) func(*testing.T) {
 		return func(t *testing.T) {
 			for _, l := range ls {
-				for _, exec := range []fft.ExecStrategy{fft.ExecSerial, fft.ExecSplit} {
-					assertMatchOracle(t, src, Options{FFTVariant: l.variant, FFTExec: exec, FFTPool: pool},
-						fmt.Sprintf("%s/%s/exec=%v", t.Name(), l.name, exec), pw, ph)
+				for _, pool := range pools {
+					assertMatchOracle(t, src, Options{FFTVariant: l.variant, FFTPool: pool},
+						fmt.Sprintf("%s/%s/pool=%d", t.Name(), l.name, pool.Cap()), pw, ph)
 				}
 			}
 		}
@@ -220,4 +233,9 @@ func TestFFTExecTogglesBitIdentical(t *testing.T) {
 	t.Run("complex", wall(exact, 128, 96, layouts[0]))
 	t.Run("real", wall(exact, 128, 96, layouts[1]))
 	t.Run("padded", wall(padded, 120, 90, layouts...))
+	_, split0 := fft.AutotuneCounts()
+	t.Run("split", wall(large, 384, 256, layouts...))
+	if _, split1 := fft.AutotuneCounts(); split1 == split0 {
+		t.Error("no transform of the 384×256 plate split: the wall never left the inline branch")
+	}
 }

@@ -50,9 +50,9 @@ type run struct {
 }
 
 // newRun validates the grid, applies option defaults and opens the run's
-// root span. The span opens before any aligner is acquired: building an
-// aligner builds FFT plans, which is where the autotune counters tick,
-// and the baseline snapshot has to predate that.
+// root span. The span opens before any aligner is acquired, so the
+// baseline snapshot of the process-wide counters (transpose blocks,
+// arena reuse, split-rule calls) predates every transform of the run.
 func newRun(src Source, opts Options, impl string) (*run, error) {
 	g := src.Grid()
 	if err := g.Validate(); err != nil {

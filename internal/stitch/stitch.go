@@ -165,16 +165,11 @@ type Options struct {
 	// fast transform size, is not selected here: fft.TransformSize
 	// chooses the size for either layout.
 	FFTVariant FFTVariant
-	// FFTExec selects how each 2-D transform uses the machine: the zero
-	// value (auto) lets the plan-time autotuner measure serial vs split
-	// per transform size and core budget; "serial" pins the
-	// zero-allocation path; "split" pins the recursive intra-transform
-	// split. Pair-level and transform-level parallelism draw from ONE
-	// worker budget (FFTPool), so split transforms only use cores the
-	// pair workers left idle.
-	FFTExec fft.ExecStrategy
 	// FFTPool overrides the shared transform worker budget (tests and
 	// experiments); nil means fft.SharedPool(), sized GOMAXPROCS-1.
+	// Pair-level and transform-level parallelism draw from this ONE
+	// budget: a 2-D transform splits its passes, by the fft split rule,
+	// only when a token the pair workers left idle is free at the call.
 	FFTPool *fft.WorkerPool
 	// Sockets runs one independent CPU pipeline per (simulated) CPU
 	// socket in Pipelined-CPU, each over a row band with its own
@@ -242,7 +237,6 @@ func (o Options) withDefaults(g tile.Grid) Options {
 func (o Options) pciamOptions() pciam.Options {
 	return pciam.Options{
 		NPeaks:  o.NPeaks,
-		FFTExec: o.FFTExec,
 		FFTPool: o.FFTPool,
 	}
 }
