@@ -130,6 +130,7 @@ fuzz:
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzRealPlanRoundTrip -fuzztime 30s ./internal/fft/
 	$(GO) test -fuzz FuzzCSRLaplacian -fuzztime 30s ./internal/global/
+	$(GO) test -fuzz FuzzBandEngine -fuzztime 30s ./internal/compose/
 
 # fuzz-smoke is the CI-sized pass: every fuzz target for 10s each, enough
 # to catch regressions in the decode/unmarshal paths without dominating
@@ -143,6 +144,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 10s ./internal/obs/
 	$(GO) test -fuzz FuzzRealPlanRoundTrip -fuzztime 10s ./internal/fft/
 	$(GO) test -fuzz FuzzCSRLaplacian -fuzztime 10s ./internal/global/
+	$(GO) test -fuzz FuzzBandEngine -fuzztime 10s ./internal/compose/
 
 clean:
 	rm -rf results dataset pyramid_out

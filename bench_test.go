@@ -281,14 +281,12 @@ func benchCompose(b *testing.B, highlight bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		img, err := compose.Compose(pl, src, compose.BlendOverlay)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if highlight {
-			if _, err := compose.HighlightGrid(pl, src, compose.BlendOverlay); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if _, err := compose.Compose(pl, src, compose.BlendOverlay); err != nil {
-				b.Fatal(err)
-			}
+			compose.HighlightGrid(img, pl)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 		y        = flag.Int("y", 0, "viewport top, plate pixels")
 		w        = flag.Int("w", 512, "viewport width")
 		h        = flag.Int("h", 384, "viewport height")
-		level    = flag.Int("level", 0, "pyramid level (downsample by 2^level)")
+		level    = flag.Int("level", 0, "pyramid level (downsample by 2^level); the viewport snaps to the plate's 2^level grid, so it shows the pixels -serve serves at that level")
 		out      = flag.String("out", "view.png", "output PNG for the viewport")
 		overview = flag.String("overview", "", "also write a whole-plate overview PNG (max side 1024)")
 		cache    = flag.Int("cache", 0, "decoded-tile cache bound (0 = 2×columns)")

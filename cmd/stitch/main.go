@@ -23,6 +23,7 @@ import (
 
 	"hybridstitch/internal/compose"
 	"hybridstitch/internal/fault"
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/global"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/imagegen"
@@ -172,7 +173,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w, h := pl.Bounds()
 	fmt.Print(phase2Summary(time.Since(t0), pl))
 	if truthX != nil {
 		if rms, err := global.RMSError(pl, truthX, truthY); err == nil {
@@ -187,65 +187,80 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	out := phase3Outputs{png: *outPNG, tiff: *outTIFF, highlight: *highlight, pyramid: *compOut,
+		stretch: *stretch, budget: *compBudg}
 	// Degraded tiles render as blank background rather than failing the
 	// composite read.
-	src = stitch.MaskDegraded(src, res)
-	t0 = time.Now()
-	if *outPNG != "" {
+	if err := phase3(rec, pl, stitch.MaskDegraded(src, res), blend, out, opts.TransformPool()); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// phase3Outputs names the files phase 3 writes; an empty name skips one.
+type phase3Outputs struct {
+	png, tiff, highlight string // from one in-memory composite
+	pyramid              string // composed again, out of core
+	stretch              bool   // contrast-stretch the PNG
+	budget               int64  // memory budget for the pyramid's bands
+}
+
+// phase3 writes the requested outputs of pl's composite. The PNG, TIFF
+// and highlight share one in-memory composite, so the plate is composed
+// once for all three.
+func phase3(rec *obs.Recorder, pl *global.Placement, src stitch.Source, blend compose.Blend, out phase3Outputs, pool *fft.WorkerPool) error {
+	t0 := time.Now()
+	if out.png != "" || out.tiff != "" || out.highlight != "" {
 		img, err := compose.ComposeObs(rec, pl, src, blend)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		if *stretch {
-			if img, err = compose.Stretch(img, 0.5, 99.8); err != nil {
-				log.Fatal(err)
+		if out.png != "" {
+			view := img
+			if out.stretch {
+				if view, err = compose.Stretch(img, 0.5, 99.8); err != nil {
+					return err
+				}
 			}
+			if err := compose.WritePNGFile(out.png, view); err != nil {
+				return err
+			}
+			fmt.Printf("phase 3: wrote %s (%dx%d, %s blend) in %v\n", out.png, img.W, img.H, blend, time.Since(t0).Round(time.Millisecond))
 		}
-		if err := compose.WritePNGFile(*outPNG, img); err != nil {
-			log.Fatal(err)
+		if out.tiff != "" {
+			if err := compose.WriteTIFFFile(out.tiff, img); err != nil {
+				return err
+			}
+			fmt.Printf("phase 3: wrote %s (%dx%d 16-bit TIFF)\n", out.tiff, img.W, img.H)
 		}
-		fmt.Printf("phase 3: wrote %s (%dx%d, %s blend) in %v\n", *outPNG, img.W, img.H, blend, time.Since(t0).Round(time.Millisecond))
+		if out.highlight != "" {
+			if err := compose.WriteRGBAPNGFile(out.highlight, compose.HighlightGrid(img, pl)); err != nil {
+				return err
+			}
+			fmt.Printf("phase 3: wrote %s (tile outlines)\n", out.highlight)
+		}
 	}
-	if *outTIFF != "" {
-		img, err := compose.ComposeObs(rec, pl, src, blend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := compose.WriteTIFFFile(*outTIFF, img); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("phase 3: wrote %s (%dx%d 16-bit TIFF)\n", *outTIFF, img.W, img.H)
-	}
-	if *compOut != "" {
+	if out.pyramid != "" {
 		// Out-of-core path: band-by-band composition into a pyramid file,
 		// with the band height sized from the governor budget. This is
 		// the route for plates whose composite exceeds RAM — bit-identical
 		// pixels, bounded working set.
-		gov := memgov.New(*compBudg, 0)
+		gov := memgov.New(out.budget, 0)
 		if rec != nil {
 			gov.SetObs(rec)
 		}
 		t0 = time.Now()
-		err := compose.ComposeShardedFile(pl, src, *compOut, compose.ShardedOpts{
-			Blend: blend, Gov: gov, Rec: rec, Pool: opts.TransformPool(),
+		err := compose.ComposeShardedFile(pl, src, out.pyramid, compose.ShardedOpts{
+			Blend: blend, Gov: gov, Rec: rec, Pool: pool,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		_, peak, _, _ := gov.Stats()
+		w, h := pl.Bounds()
 		fmt.Printf("phase 3: wrote %s (%dx%d pyramid, %s blend, peak %d bytes of %d budget) in %v\n",
-			*compOut, w, h, blend, peak, *compBudg, time.Since(t0).Round(time.Millisecond))
+			out.pyramid, w, h, blend, peak, out.budget, time.Since(t0).Round(time.Millisecond))
 	}
-	if *highlight != "" {
-		img, err := compose.HighlightGrid(pl, src, blend)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := compose.WriteRGBAPNGFile(*highlight, img); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("phase 3: wrote %s (tile outlines)\n", *highlight)
-	}
+	return nil
 }
 
 // writeObs flushes the run's observability outputs. Deferred from main

@@ -230,6 +230,51 @@ func TestSaveResultIsHostIndependent(t *testing.T) {
 	}
 }
 
+// countingSource counts reads per tile.
+type countingSource struct {
+	stitch.Source
+	mu    sync.Mutex
+	reads map[tile.Coord]int
+}
+
+func (s *countingSource) ReadTile(c tile.Coord) (*tile.Gray16, error) {
+	s.mu.Lock()
+	s.reads[c]++
+	s.mu.Unlock()
+	return s.Source.ReadTile(c)
+}
+
+func TestPhase3ComposesOnce(t *testing.T) {
+	// -out, -out-tiff and -highlight share one composite: each tile is
+	// read once for all three files.
+	ds, err := imagegen.Generate(imagegen.DefaultParams(3, 4, 64, 48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := &global.Placement{Grid: ds.Params.Grid, X: make([]int, len(ds.TruthX)), Y: make([]int, len(ds.TruthY))}
+	for i := range pl.X {
+		pl.X[i], pl.Y[i] = ds.TruthX[i]-ds.TruthX[0]+8, ds.TruthY[i]-ds.TruthY[0]+8
+	}
+	src := &countingSource{Source: &stitch.MemorySource{DS: ds}, reads: map[tile.Coord]int{}}
+	dir := t.TempDir()
+	out := phase3Outputs{png: filepath.Join(dir, "a.png"), tiff: filepath.Join(dir, "a.tif"),
+		highlight: filepath.Join(dir, "h.png"), stretch: true}
+	if err := phase3(nil, pl, src, compose.BlendLinear, out, nil); err != nil {
+		t.Fatal(err)
+	}
+	g := ds.Params.Grid
+	for i := 0; i < g.NumTiles(); i++ {
+		if n := src.reads[g.CoordOf(i)]; n != 1 {
+			t.Errorf("tile %v read %d times, want once", g.CoordOf(i), n)
+		}
+	}
+	for _, path := range []string{out.png, out.tiff, out.highlight} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v", path, err)
+		}
+	}
+}
+
 // TestPhase2SummaryKeepsMicroseconds: a sub-millisecond solve prints its
 // duration, not "0s".
 func TestPhase2SummaryKeepsMicroseconds(t *testing.T) {

@@ -1,8 +1,9 @@
 // Pyramid: the paper's future-work visualization tool "will generate
 // image pyramids for all the tiles in a grid and render a stitched image
 // at varying resolutions" (its Figs 13 and 14 come from that prototype).
-// This example stitches a plate, builds the multi-resolution pyramid,
-// and writes one PNG per level plus the highlighted-tile view.
+// This example stitches a plate, renders every level of its
+// multi-resolution pyramid on demand with a Viewer, and writes one PNG
+// per level plus the highlighted-tile view.
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 	"hybridstitch/internal/global"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/stitch"
+	"hybridstitch/internal/tiffio"
 )
 
 func main() {
@@ -39,16 +41,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := compose.Compose(pl, src, compose.BlendLinear)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	levels := compose.Pyramid(full, 64)
-	for i, lvl := range levels {
+	viewer, err := compose.NewViewer(pl, src, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, h := viewer.PlateBounds()
+	levels := tiffio.PyramidLevelDims(w, h, 64)
+	for i := range levels {
+		lvl, err := viewer.RenderScaled(0, 0, w, h, i)
+		if err != nil {
+			log.Fatal(err)
+		}
 		path := filepath.Join(outDir, fmt.Sprintf("level%d_%dx%d.png", i, lvl.W, lvl.H))
 		if err := compose.WritePNGFile(path, lvl); err != nil {
 			log.Fatal(err)
@@ -56,14 +62,14 @@ func main() {
 		fmt.Printf("level %d: %dx%d → %s\n", i, lvl.W, lvl.H, path)
 	}
 
-	grid, err := compose.HighlightGrid(pl, src, compose.BlendOverlay)
+	full, err := compose.Compose(pl, src, compose.BlendOverlay)
 	if err != nil {
 		log.Fatal(err)
 	}
 	gridPath := filepath.Join(outDir, "highlight.png")
-	if err := compose.WriteRGBAPNGFile(gridPath, grid); err != nil {
+	if err := compose.WriteRGBAPNGFile(gridPath, compose.HighlightGrid(full, pl)); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("tile-outline view (the paper's Fig 14) → %s\n", gridPath)
-	fmt.Printf("ok: %d pyramid levels from a %dx%d composite\n", len(levels), full.W, full.H)
+	fmt.Printf("ok: %d pyramid levels from a %dx%d plate\n", len(levels), w, h)
 }

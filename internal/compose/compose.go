@@ -16,8 +16,8 @@ import (
 	"io"
 	"os"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/global"
-	"hybridstitch/internal/memgov"
 	"hybridstitch/internal/obs"
 	"hybridstitch/internal/stitch"
 	"hybridstitch/internal/tiffio"
@@ -63,84 +63,19 @@ func ComposeObs(rec *obs.Recorder, pl *global.Placement, src stitch.Source, blen
 	return Compose(pl, src, blend)
 }
 
-// Compose assembles the composite image for a placement, streaming tiles
-// from src.
+// Compose assembles the composite image for a placement: the band
+// engine over the whole plate into an image, so the blend accumulators
+// are one band deep (ShardedOpts' default band), not the whole plate.
+// Tiles are read ahead on the shared pool.
 func Compose(pl *global.Placement, src stitch.Source, blend Blend) (*tile.Gray16, error) {
-	return ComposeGoverned(pl, src, blend, nil)
-}
-
-// ComposeGoverned is Compose with the working set charged to gov (nil
-// gov skips accounting): the output plane always, plus the two
-// full-plate float64 accumulator planes the blended modes allocate —
-// 16·w·h bytes that previously slipped past the budget the rest of the
-// pipeline respects. Plates whose accumulators dwarf the budget belong
-// in ComposeSharded, which bounds the working set to one band.
-func ComposeGoverned(pl *global.Placement, src stitch.Source, blend Blend, gov *memgov.Governor) (*tile.Gray16, error) {
-	w, h := pl.Bounds()
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("compose: degenerate composite %dx%d", w, h)
+	w, h, err := plateBounds(pl, blend)
+	if err != nil {
+		return nil, err
 	}
-	if gov != nil {
-		charge := int64(2 * w * h)
-		if blend == BlendAverage || blend == BlendLinear {
-			charge += int64(16 * w * h)
-		}
-		a, err := gov.Alloc(charge)
-		if err != nil {
-			return nil, err
-		}
-		defer a.Free()
-		gov.Touch(charge)
-	}
-	g := pl.Grid
-	out := tile.NewGray16(w, h)
-
-	switch blend {
-	case BlendOverlay:
-		for i := 0; i < g.NumTiles(); i++ {
-			t, err := src.ReadTile(g.CoordOf(i))
-			if err != nil {
-				return nil, err
-			}
-			x0, y0 := pl.X[i], pl.Y[i]
-			for y := 0; y < t.H; y++ {
-				copy(out.Pix[(y0+y)*w+x0:(y0+y)*w+x0+t.W], t.Pix[y*t.W:(y+1)*t.W])
-			}
-		}
-	case BlendAverage, BlendLinear:
-		acc := make([]float64, w*h)
-		wgt := make([]float64, w*h)
-		for i := 0; i < g.NumTiles(); i++ {
-			t, err := src.ReadTile(g.CoordOf(i))
-			if err != nil {
-				return nil, err
-			}
-			x0, y0 := pl.X[i], pl.Y[i]
-			for y := 0; y < t.H; y++ {
-				for x := 0; x < t.W; x++ {
-					wt := 1.0
-					if blend == BlendLinear {
-						wt = feather(x, y, t.W, t.H)
-					}
-					idx := (y0+y)*w + x0 + x
-					acc[idx] += wt * float64(t.Pix[y*t.W+x])
-					wgt[idx] += wt
-				}
-			}
-		}
-		for i := range acc {
-			if wgt[i] > 0 {
-				v := acc[i] / wgt[i]
-				if v > 65535 {
-					v = 65535
-				}
-				out.Pix[i] = uint16(v)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("compose: unknown blend %v", blend)
-	}
-	return out, nil
+	opts := ShardedOpts{Blend: blend}.withDefaults()
+	opts.BandRows = bandRowsFor(opts, w, h, 0)
+	pool := fft.SharedPool()
+	return render(pl, src, 0, 0, w, h, 0, opts, &laneRunner{pool: pool, n: pool.Cap()})
 }
 
 // feather is the linear-blend weight: distance to the nearest tile edge,
@@ -161,14 +96,10 @@ func feather(x, y, w, h int) float64 {
 	return float64(d)
 }
 
-// HighlightGrid renders the composite with tile boundaries marked (the
-// paper's Fig 14) as an RGBA image: grayscale content with colored
-// 1-pixel tile outlines.
-func HighlightGrid(pl *global.Placement, src stitch.Source, blend Blend) (*image.RGBA, error) {
-	base, err := Compose(pl, src, blend)
-	if err != nil {
-		return nil, err
-	}
+// HighlightGrid renders a composite of pl with its tile boundaries
+// marked (the paper's Fig 14) as an RGBA image: grayscale content with
+// colored 1-pixel tile outlines.
+func HighlightGrid(base *tile.Gray16, pl *global.Placement) *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, base.W, base.H))
 	for y := 0; y < base.H; y++ {
 		for x := 0; x < base.W; x++ {
@@ -190,51 +121,7 @@ func HighlightGrid(pl *global.Placement, src stitch.Source, blend Blend) (*image
 			img.SetRGBA(x1, y, outline)
 		}
 	}
-	return img, nil
-}
-
-// Pyramid builds successive 2× downsampled levels of an image until both
-// dimensions fall below minSide. Level 0 is the input itself.
-func Pyramid(img *tile.Gray16, minSide int) []*tile.Gray16 {
-	if minSide < 1 {
-		minSide = 1
-	}
-	levels := []*tile.Gray16{img}
-	cur := img
-	for cur.W > minSide || cur.H > minSide {
-		next := Downsample2x(cur)
-		if next.W == cur.W && next.H == cur.H {
-			break
-		}
-		levels = append(levels, next)
-		cur = next
-	}
-	return levels
-}
-
-// Downsample2x box-filters an image to half resolution (rounding up).
-func Downsample2x(img *tile.Gray16) *tile.Gray16 {
-	w := (img.W + 1) / 2
-	h := (img.H + 1) / 2
-	out := tile.NewGray16(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var sum, cnt int
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					sx, sy := 2*x+dx, 2*y+dy
-					if sx < img.W && sy < img.H {
-						sum += int(img.At(sx, sy))
-						cnt++
-					}
-				}
-			}
-			// Round to nearest: plain sum/cnt truncates, a half-LSB
-			// darkening bias that compounds across pyramid levels.
-			out.Set(x, y, uint16((sum+cnt/2)/cnt))
-		}
-	}
-	return out
+	return img
 }
 
 // WritePNG saves a 16-bit grayscale image as PNG.

@@ -127,10 +127,11 @@ func TestComposeBounds(t *testing.T) {
 func TestHighlightGrid(t *testing.T) {
 	ds, src := genClean(t, 2, 2)
 	pl := truthPlacement(ds)
-	img, err := HighlightGrid(pl, src, BlendOverlay)
+	base, err := Compose(pl, src, BlendOverlay)
 	if err != nil {
 		t.Fatal(err)
 	}
+	img := HighlightGrid(base, pl)
 	// Tile 0's outline corner must be the highlight color.
 	c := img.RGBAAt(pl.X[0], pl.Y[0])
 	if c.R != 255 || c.G != 64 {
@@ -206,11 +207,7 @@ func TestWriteFiles(t *testing.T) {
 	if err := WritePNGFile(filepath.Join(dir, "plate.png"), out); err != nil {
 		t.Fatal(err)
 	}
-	hl, err := HighlightGrid(pl, src, BlendOverlay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRGBAPNGFile(filepath.Join(dir, "grid.png"), hl); err != nil {
+	if err := WriteRGBAPNGFile(filepath.Join(dir, "grid.png"), HighlightGrid(out, pl)); err != nil {
 		t.Fatal(err)
 	}
 	if err := WritePNGFile(filepath.Join(dir, "missing", "x.png"), out); err == nil {

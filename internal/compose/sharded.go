@@ -2,6 +2,7 @@ package compose
 
 import (
 	"fmt"
+	"image"
 	"io"
 	"os"
 	"sync"
@@ -17,22 +18,21 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// This file is the out-of-core compositor: phase 3 for plates whose
-// composite (let alone the 16-bytes-per-pixel blend accumulators) does
-// not fit the memory budget. Instead of assembling the plate in one
-// resident buffer, ComposeSharded walks the placement top to bottom in
-// output-tile-aligned bands, blends only the source tiles intersecting
-// each band, and streams finished bands into a tiffio.PyramidWriter.
-// Reduced pyramid levels are box-filtered row by row as bands retire
-// (a cascade of 2x reducers, one pending row per level), so no level is
-// ever fully resident either.
+// This file is phase 3's one engine, composeRect, and its sinks. The
+// engine walks a plate rectangle top to bottom in bands, blends only the
+// source tiles intersecting each band, and hands finished rows to a
+// cascade of 2x reducers (one pending row per level), so neither the
+// plate nor any reduced level is ever resident. Three sinks share it:
+// ComposeSharded streams every level into a tiffio.PyramidWriter,
+// Compose copies level 0 into an image, and the Viewer keeps level L of
+// a region snapped to the plate's 2^L grid.
 //
-// Bit-identity with the in-memory path is a design invariant, not an
-// approximation: within a band, tiles are visited in the same grid order
-// Compose uses, so every pixel sees the same float additions in the same
-// order, and the reducer applies the same round-to-nearest box filter
-// Downsample2x does to the same rounded inputs. The equivalence tests
-// compare byte-for-byte.
+// Bit-identity with the whole-plate blend is a design invariant, not an
+// approximation: within a band, tiles are visited in grid order, so
+// every pixel sees the same float additions in the same order, and the
+// reducer applies the same round-to-nearest box filter to the same
+// rounded inputs as recursive downsampling. The tests compare against
+// in-memory oracles byte-for-byte.
 //
 // The phase is a pipeline on the shared worker budget: pool helpers read
 // a band's tiles ahead of the blend (readAhead, below) and deflate the
@@ -338,20 +338,206 @@ func (ra *readAhead) stop() {
 	ra.helpers.Wait()
 }
 
+// cascade is the engine's sink. Level-0 rows go in top to bottom;
+// reducers[l] halves level-l rows into level l+1, and at sees every
+// finished row of every level, each level top to bottom. The pyramid
+// sink writes every level; the region sink keeps the last one.
+type cascade struct {
+	reducers []*rowReducer
+	at       func(l int, row []uint16) error
+}
+
+// newCascade builds a sink of levels reductions over level-0 rows w
+// pixels wide.
+func newCascade(w, levels int, at func(l int, row []uint16) error) *cascade {
+	c := &cascade{reducers: make([]*rowReducer, levels), at: at}
+	for l := range c.reducers {
+		c.reducers[l] = newRowReducer(w)
+		w = (w + 1) / 2
+	}
+	return c
+}
+
+func (c *cascade) feed(l int, row []uint16) error {
+	if err := c.at(l, row); err != nil {
+		return err
+	}
+	if l < len(c.reducers) {
+		if red := c.reducers[l].feed(row); red != nil {
+			return c.feed(l+1, red)
+		}
+	}
+	return nil
+}
+
+// flush drains the reducers: an odd-height level leaves one pending row
+// per reducer.
+func (c *cascade) flush() error {
+	for l, r := range c.reducers {
+		if red := r.flush(); red != nil {
+			if err := c.feed(l+1, red); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// plateBounds returns the composite's size, or why pl and blend cannot
+// be composed.
+func plateBounds(pl *global.Placement, blend Blend) (w, h int, err error) {
+	w, h = pl.Bounds()
+	if w <= 0 || h <= 0 {
+		return 0, 0, fmt.Errorf("compose: degenerate composite %dx%d", w, h)
+	}
+	switch blend {
+	case BlendOverlay, BlendAverage, BlendLinear:
+		return w, h, nil
+	}
+	return 0, 0, fmt.Errorf("compose: unknown blend %v", blend)
+}
+
+// composeRect is phase 3's one engine. It composes the plate rectangle
+// r in bands of opts.BandRows rows: each band reads the tiles that
+// intersect it, in grid order, through a readAhead on run, and blends
+// them clipped to the band on both axes — a row copy for BlendOverlay,
+// weighted accumulation then resolve for the others. Within a band every
+// pixel sees the same float additions in the same order as a
+// whole-plate blend, so the band height never shows in the output.
+// Finished rows go to sink at level 0, top to bottom, and the sink is
+// flushed at the end.
+func composeRect(pl *global.Placement, src stitch.Source, r image.Rectangle, opts ShardedOpts, run *laneRunner, sink *cascade) error {
+	g := pl.Grid
+	w := r.Dx()
+	bandRows := min(opts.BandRows, r.Dy())
+	band := make([]uint16, w*bandRows)
+	blended := opts.Blend == BlendAverage || opts.Blend == BlendLinear
+	var acc, wgt []float64
+	if blended {
+		acc = make([]float64, w*bandRows)
+		wgt = make([]float64, w*bandRows)
+	}
+	cBands := opts.Rec.Counter(obs.CounterComposeBands)
+	cTiles := opts.Rec.Counter(obs.CounterComposeBandTiles)
+	ra := newReadAhead(src, g, run, readWindow(run.n+1))
+	defer func() {
+		ra.stop()
+		opts.Rec.Counter(obs.CounterComposeReadBusyNS).Add(ra.busyNS.Load())
+	}()
+
+	var inBand []int // the band's source tiles, in grid order
+	for y0 := r.Min.Y; y0 < r.Max.Y; y0 += bandRows {
+		y1 := min(y0+bandRows, r.Max.Y)
+		bh := y1 - y0
+		bsp := opts.Rec.StartSpan(obs.TrackPhase3, obs.SpanComposeBand,
+			obs.String("y0", fmt.Sprint(y0)), obs.String("rows", fmt.Sprint(bh)))
+		if opts.Gov != nil {
+			opts.Gov.Touch(int64(bh) * bytesPerBandRow(w, opts.Blend))
+		}
+		clear(band[:bh*w])
+		if blended {
+			clear(acc[:bh*w])
+			clear(wgt[:bh*w])
+		}
+
+		inBand = inBand[:0]
+		for i := 0; i < g.NumTiles(); i++ {
+			if pl.Y[i] < y1 && pl.Y[i]+g.TileH > y0 && pl.X[i] < r.Max.X && pl.X[i]+g.TileW > r.Min.X {
+				inBand = append(inBand, i)
+			}
+		}
+		ra.begin(inBand)
+		for c, i := range inBand {
+			t, err := ra.get(c)
+			if err != nil {
+				bsp.End()
+				return err
+			}
+			// The tile's rows [rs, re) and columns [cs, ce) inside the
+			// band; off is where its pixel (0, 0) falls in band.
+			tx0, ty0 := pl.X[i], pl.Y[i]
+			rs, re := max(y0-ty0, 0), min(t.H, y1-ty0)
+			cs, ce := max(r.Min.X-tx0, 0), min(t.W, r.Max.X-tx0)
+			off := (ty0-y0)*w + tx0 - r.Min.X
+			switch opts.Blend {
+			case BlendOverlay:
+				for y := rs; y < re; y++ {
+					copy(band[off+y*w+cs:off+y*w+ce], t.Pix[y*t.W+cs:y*t.W+ce])
+				}
+			default:
+				for y := rs; y < re; y++ {
+					for x := cs; x < ce; x++ {
+						wt := 1.0
+						if opts.Blend == BlendLinear {
+							wt = feather(x, y, t.W, t.H)
+						}
+						idx := off + y*w + x
+						acc[idx] += wt * float64(t.Pix[y*t.W+x])
+						wgt[idx] += wt
+					}
+				}
+			}
+		}
+		if blended {
+			for i := range band[:bh*w] {
+				if wgt[i] > 0 {
+					band[i] = uint16(min(acc[i]/wgt[i], 65535))
+				}
+			}
+		}
+		for y := 0; y < bh; y++ {
+			if err := sink.feed(0, band[y*w:(y+1)*w]); err != nil {
+				bsp.End()
+				return err
+			}
+		}
+		cBands.Add(1)
+		cTiles.Add(int64(len(inBand)))
+		bsp.End()
+	}
+	return sink.flush()
+}
+
+// render composes the region [ox, ox+w) × [oy, oy+h) of pyramid level
+// level, in that level's pixels, into a new w×h image; what lies outside
+// the level is 0. The engine walks the plate rectangle under the region,
+// whose corners sit on the plate's 2^level grid or on its edge, so the
+// level reducers in front of the image see the same 2×2 blocks the
+// pyramid's do: the region is a crop of the pyramid's level.
+func render(pl *global.Placement, src stitch.Source, ox, oy, w, h, level int, opts ShardedOpts, run *laneRunner) (*tile.Gray16, error) {
+	out := tile.NewGray16(w, h)
+	pw, ph := pl.Bounds()
+	lw, lh := (pw+1<<level-1)>>level, (ph+1<<level-1)>>level // the level's size
+	x0, y0 := max(ox, 0), max(oy, 0)
+	x1, y1 := min(ox+w, lw), min(oy+h, lh)
+	if x0 >= x1 || y0 >= y1 {
+		return out, nil
+	}
+	r := image.Rect(x0<<level, y0<<level, min(x1<<level, pw), min(y1<<level, ph))
+	next := (y0-oy)*w + x0 - ox // where the region's next level row goes
+	sink := newCascade(r.Dx(), level, func(l int, row []uint16) error {
+		if l == level {
+			copy(out.Pix[next:], row)
+			next += w
+		}
+		return nil
+	})
+	if err := composeRect(pl, src, r, opts, run, sink); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // ComposeSharded composes the placement into a pyramid file on ws in
-// bounded memory. The level-0 pixels are bit-identical to Compose with
-// the same blend; the reduced levels are bit-identical to Pyramid
-// (recursive Downsample2x) over that composite.
+// bounded memory: the engine over the whole plate, feeding a cascade
+// that writes every level. The level-0 pixels are those of Compose with
+// the same blend; each reduced level is the 2× box filter (rounding to
+// nearest) of the one above.
 func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, opts ShardedOpts) error {
 	opts = opts.withDefaults()
-	w, h := pl.Bounds()
-	if w <= 0 || h <= 0 {
-		return fmt.Errorf("compose: degenerate composite %dx%d", w, h)
-	}
-	switch opts.Blend {
-	case BlendOverlay, BlendAverage, BlendLinear:
-	default:
-		return fmt.Errorf("compose: unknown blend %v", opts.Blend)
+	w, h, err := plateBounds(pl, opts.Blend)
+	if err != nil {
+		return err
 	}
 
 	// lanes is how many goroutines phase 3 plans to keep busy: the caller
@@ -372,25 +558,21 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 		run.n--
 		fixed, inflight = shardedFixedBytes(dims, g, popts, run.n+1)
 	}
-	bandRows := bandRowsFor(opts, w, h, fixed)
+	opts.BandRows = bandRowsFor(opts, w, h, fixed)
 
 	sp := opts.Rec.StartSpan(obs.TrackPhase3, obs.SpanComposeSharded,
 		obs.String("blend", opts.Blend.String()),
 		obs.String("size", fmt.Sprintf("%dx%d", w, h)),
-		obs.String("band_rows", fmt.Sprint(bandRows)),
+		obs.String("band_rows", fmt.Sprint(opts.BandRows)),
 		obs.String("levels", fmt.Sprint(len(dims))))
 	defer sp.End()
-	cBands := opts.Rec.Counter(obs.CounterComposeBands)
-	cTiles := opts.Rec.Counter(obs.CounterComposeBandTiles)
 
 	// One charge covers the whole run: the fixed staging plus one band's
 	// accumulators. The working set genuinely is this size from first
 	// band to last, so a single Alloc both keeps peak accounting honest
-	// and pays the paging penalty (Touch) per band below.
-	blended := opts.Blend == BlendAverage || opts.Blend == BlendLinear
-	charge := fixed + int64(bandRows)*bytesPerBandRow(w, opts.Blend)
+	// and pays the paging penalty (Touch) per band in the engine.
 	if opts.Gov != nil {
-		a, err := opts.Gov.Alloc(charge)
+		a, err := opts.Gov.Alloc(fixed + int64(opts.BandRows)*bytesPerBandRow(w, opts.Blend))
 		if err != nil {
 			return err
 		}
@@ -401,145 +583,21 @@ func ComposeSharded(pl *global.Placement, src stitch.Source, ws io.WriteSeeker, 
 	if err != nil {
 		return err
 	}
-	ra := newReadAhead(src, g, run, readWindow(run.n+1))
-	// Every return joins the goroutines the two stages own (Abort does
-	// nothing after Close), then publishes what they did.
+	// Every return joins the writer's goroutines (Abort does nothing
+	// after Close), then publishes what they did.
 	defer func() {
 		pw.Abort()
-		ra.stop()
 		st := pw.Stats()
 		opts.Rec.Counter(obs.CounterComposeEncodeTiles).Add(st.Tiles)
 		opts.Rec.Counter(obs.CounterComposeEncodeCallerTiles).Add(st.CallerTiles)
 		opts.Rec.Counter(obs.CounterComposeEncodeBusyNS).Add(int64(st.DeflateBusy))
-		opts.Rec.Counter(obs.CounterComposeReadBusyNS).Add(ra.busyNS.Load())
 		opts.Rec.Gauge(obs.GaugeComposeEncodeQueueDepth).Set(float64(st.MaxQueue))
 	}()
-
-	// The reducer cascade: reducers[l] consumes level-l rows and emits
-	// level-l+1 rows.
-	reducers := make([]*rowReducer, len(dims)-1)
-	for l := range reducers {
-		reducers[l] = newRowReducer(dims[l][0])
-	}
-	var cascade func(l int, row []uint16) error
-	cascade = func(l int, row []uint16) error {
-		if err := pw.WriteRows(l, row, 1); err != nil {
-			return err
-		}
-		if l < len(reducers) {
-			if red := reducers[l].feed(row); red != nil {
-				return cascade(l+1, red)
-			}
-		}
-		return nil
-	}
-
-	band := tile.NewGray16(w, bandRows)
-	var acc, wgt []float64
-	if blended {
-		acc = make([]float64, w*bandRows)
-		wgt = make([]float64, w*bandRows)
-	}
-
-	var inBand []int // the band's source tiles, in grid order
-	for y0 := 0; y0 < h; y0 += bandRows {
-		y1 := y0 + bandRows
-		if y1 > h {
-			y1 = h
-		}
-		bh := y1 - y0
-		bsp := opts.Rec.StartSpan(obs.TrackPhase3, obs.SpanComposeBand,
-			obs.String("y0", fmt.Sprint(y0)), obs.String("rows", fmt.Sprint(bh)))
-		if opts.Gov != nil {
-			opts.Gov.Touch(int64(bh) * bytesPerBandRow(w, opts.Blend))
-		}
-		for i := range band.Pix[:bh*w] {
-			band.Pix[i] = 0
-		}
-		if blended {
-			for i := range acc[:bh*w] {
-				acc[i] = 0
-				wgt[i] = 0
-			}
-		}
-
-		inBand = inBand[:0]
-		for i := 0; i < g.NumTiles(); i++ {
-			if ty0 := pl.Y[i]; ty0 < y1 && ty0+g.TileH > y0 {
-				inBand = append(inBand, i)
-			}
-		}
-		ra.begin(inBand)
-		for c, i := range inBand {
-			tx0, ty0 := pl.X[i], pl.Y[i]
-			t, err := ra.get(c)
-			if err != nil {
-				bsp.End()
-				return err
-			}
-			// Clip the tile's row range to the band; x placement is
-			// unchanged from the in-memory path.
-			rs := 0
-			if ty0 < y0 {
-				rs = y0 - ty0
-			}
-			re := t.H
-			if ty0+re > y1 {
-				re = y1 - ty0
-			}
-			switch opts.Blend {
-			case BlendOverlay:
-				for y := rs; y < re; y++ {
-					by := ty0 + y - y0
-					copy(band.Pix[by*w+tx0:by*w+tx0+t.W], t.Pix[y*t.W:(y+1)*t.W])
-				}
-			default:
-				for y := rs; y < re; y++ {
-					by := ty0 + y - y0
-					for x := 0; x < t.W; x++ {
-						wt := 1.0
-						if opts.Blend == BlendLinear {
-							wt = feather(x, y, t.W, t.H)
-						}
-						idx := by*w + tx0 + x
-						acc[idx] += wt * float64(t.Pix[y*t.W+x])
-						wgt[idx] += wt
-					}
-				}
-			}
-		}
-		if blended {
-			for i := 0; i < bh*w; i++ {
-				if wgt[i] > 0 {
-					v := acc[i] / wgt[i]
-					if v > 65535 {
-						v = 65535
-					}
-					band.Pix[i] = uint16(v)
-				} else {
-					band.Pix[i] = 0
-				}
-			}
-		}
-		for y := 0; y < bh; y++ {
-			if err := cascade(0, band.Pix[y*w:(y+1)*w]); err != nil {
-				bsp.End()
-				return err
-			}
-		}
-		cBands.Add(1)
-		cTiles.Add(int64(len(inBand)))
-		bsp.End()
-	}
-
-	// Drain the reducer cascade: an odd-height level leaves one pending
-	// row per reducer.
-	for l := 0; l < len(reducers); l++ {
-		if red := reducers[l].flush(); red != nil {
-			if err := cascade(l+1, red); err != nil {
-				return err
-			}
-		}
+	sink := newCascade(w, len(dims)-1, func(l int, row []uint16) error {
+		return pw.WriteRows(l, row, 1)
+	})
+	if err := composeRect(pl, src, image.Rect(0, 0, w, h), opts, run, sink); err != nil {
+		return err
 	}
 	return pw.Close()
 }

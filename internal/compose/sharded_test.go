@@ -103,9 +103,18 @@ func TestShardedBitIdenticalToCompose(t *testing.T) {
 		// exceeds it (single band) and the minimum (one tile row).
 		for _, bandRows := range []int{16, 48, 10000} {
 			t.Run(fmt.Sprintf("%v_band%d", blend, bandRows), func(t *testing.T) {
-				want, err := Compose(pl, src, blend)
+				want, err := composeOracle(pl, src, blend)
 				if err != nil {
 					t.Fatal(err)
+				}
+				mem, err := Compose(pl, src, blend)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want.Pix {
+					if mem.Pix[i] != want.Pix[i] {
+						t.Fatalf("blend %v: Compose pixel %d = %d, oracle = %d", blend, i, mem.Pix[i], want.Pix[i])
+					}
 				}
 				p := shardedPyramid(t, pl, src, ShardedOpts{
 					Blend: blend, TileW: 16, TileH: 16, MinSide: 40, BandRows: bandRows,
@@ -119,7 +128,7 @@ func TestShardedBitIdenticalToCompose(t *testing.T) {
 				}
 				for i := range want.Pix {
 					if got.Pix[i] != want.Pix[i] {
-						t.Fatalf("blend %v band %d: pixel %d = %d, Compose = %d",
+						t.Fatalf("blend %v band %d: pixel %d = %d, oracle = %d",
 							blend, bandRows, i, got.Pix[i], want.Pix[i])
 					}
 				}
@@ -136,7 +145,7 @@ func TestShardedPyramidMatchesInMemoryPyramid(t *testing.T) {
 	// box filter sees 1- and 2-sample neighborhoods.
 	ds, src := genNoisy(t, 3, 3)
 	pl := truthPlacement(ds)
-	full, err := Compose(pl, src, BlendAverage)
+	full, err := composeOracle(pl, src, BlendAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +219,7 @@ func TestShardedPeakWithinBudget(t *testing.T) {
 		t.Fatal("sharded compose charged nothing to the governor")
 	}
 	// And the output is still exact.
-	want, err := Compose(pl, src, BlendAverage)
+	want, err := composeOracle(pl, src, BlendAverage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,33 +235,6 @@ func TestShardedPeakWithinBudget(t *testing.T) {
 		if got.Pix[i] != want.Pix[i] {
 			t.Fatalf("budget-sized bands broke bit-identity at pixel %d", i)
 		}
-	}
-}
-
-func TestComposeGovernedChargesAccumulators(t *testing.T) {
-	ds, src := genNoisy(t, 2, 2)
-	pl := truthPlacement(ds)
-	w, h := pl.Bounds()
-
-	gov := memgov.New(1<<30, 0)
-	if _, err := ComposeGoverned(pl, src, BlendAverage, gov); err != nil {
-		t.Fatal(err)
-	}
-	live, peak, _, _ := gov.Stats()
-	if live != 0 {
-		t.Fatalf("compose leaked %d live bytes", live)
-	}
-	if want := int64(18 * w * h); peak != want {
-		t.Fatalf("blended compose peak = %d, want %d (output + accumulators)", peak, want)
-	}
-
-	gov2 := memgov.New(1<<30, 0)
-	if _, err := ComposeGoverned(pl, src, BlendOverlay, gov2); err != nil {
-		t.Fatal(err)
-	}
-	_, peak2, _, _ := gov2.Stats()
-	if want := int64(2 * w * h); peak2 != want {
-		t.Fatalf("overlay compose peak = %d, want %d (output only)", peak2, want)
 	}
 }
 

@@ -55,8 +55,13 @@ func (v *Viewer) PlateBounds() (w, h int) { return v.pl.Bounds() }
 // CacheLen reports the number of tiles currently cached.
 func (v *Viewer) CacheLen() int { return len(v.cache) }
 
-// tileAt returns tile i through the LRU cache.
-func (v *Viewer) tileAt(i int) (*tile.Gray16, error) {
+// viewerSource reads tiles through the viewer's LRU cache.
+type viewerSource struct{ v *Viewer }
+
+func (s viewerSource) Grid() tile.Grid { return s.v.pl.Grid }
+
+func (s viewerSource) ReadTile(c tile.Coord) (*tile.Gray16, error) {
+	v, i := s.v, s.v.pl.Grid.Index(c)
 	if t, ok := v.cache[i]; ok {
 		// refresh LRU position
 		for k, idx := range v.order {
@@ -68,7 +73,7 @@ func (v *Viewer) tileAt(i int) (*tile.Gray16, error) {
 		v.order = append(v.order, i)
 		return t, nil
 	}
-	t, err := v.src.ReadTile(v.pl.Grid.CoordOf(i))
+	t, err := v.src.ReadTile(c)
 	if err != nil {
 		return nil, err
 	}
@@ -86,50 +91,29 @@ func (v *Viewer) tileAt(i int) (*tile.Gray16, error) {
 // plate coordinates at full resolution. Pixels outside every tile are 0.
 // Tiles draw in grid order, so overlaps resolve like BlendOverlay.
 func (v *Viewer) Render(x0, y0, w, h int) (*tile.Gray16, error) {
+	return v.RenderScaled(x0, y0, w, h, 0)
+}
+
+// RenderScaled renders the viewport (in plate coordinates) at pyramid
+// level level, downsampled by 2^level — the multi-resolution access
+// pattern of the visualization prototype; level 0 is full resolution.
+// The viewport snaps to the plate's 2^level grid: output pixel (i, j) is
+// level pixel (x0>>level + i, y0>>level + j), the same pixel the pyramid
+// written by ComposeSharded holds there, and pixels past the level's
+// edge are 0. The output is ⌈w/2^level⌉ × ⌈h/2^level⌉.
+func (v *Viewer) RenderScaled(x0, y0, w, h, level int) (*tile.Gray16, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("compose: invalid viewport %dx%d", w, h)
 	}
-	out := tile.NewGray16(w, h)
-	g := v.pl.Grid
-	for i := 0; i < g.NumTiles(); i++ {
-		tx, ty := v.pl.X[i], v.pl.Y[i]
-		// Intersection of [tx, tx+TileW) × [ty, ty+TileH) with the
-		// viewport [x0, x0+w) × [y0, y0+h).
-		ix0 := maxi(tx, x0)
-		iy0 := maxi(ty, y0)
-		ix1 := mini(tx+g.TileW, x0+w)
-		iy1 := mini(ty+g.TileH, y0+h)
-		if ix0 >= ix1 || iy0 >= iy1 {
-			continue
-		}
-		t, err := v.tileAt(i)
-		if err != nil {
-			return nil, err
-		}
-		for y := iy0; y < iy1; y++ {
-			srcRow := t.Pix[(y-ty)*t.W+(ix0-tx) : (y-ty)*t.W+(ix1-tx)]
-			dstRow := out.Pix[(y-y0)*w+(ix0-x0) : (y-y0)*w+(ix1-x0)]
-			copy(dstRow, srcRow)
-		}
-	}
-	return out, nil
-}
-
-// RenderScaled renders the viewport (in plate coordinates) downsampled by
-// 2^level — the multi-resolution access pattern of the visualization
-// prototype. Level 0 is full resolution.
-func (v *Viewer) RenderScaled(x0, y0, w, h, level int) (*tile.Gray16, error) {
 	if level < 0 || level > 16 {
 		return nil, fmt.Errorf("compose: invalid pyramid level %d", level)
 	}
-	full, err := v.Render(x0, y0, w, h)
-	if err != nil {
-		return nil, err
-	}
-	for l := 0; l < level; l++ {
-		full = Downsample2x(full)
-	}
-	return full, nil
+	// One source tile row per band: the default cache holds the two
+	// tile rows a band touches, so a render reads each tile once. The
+	// LRU is not synchronised, so the engine runs on the caller alone.
+	opts := ShardedOpts{Blend: BlendOverlay, BandRows: v.pl.Grid.TileH}
+	step := 1<<level - 1
+	return render(v.pl, viewerSource{v}, x0>>level, y0>>level, (w+step)>>level, (h+step)>>level, level, opts, &laneRunner{})
 }
 
 // Overview renders the whole plate at the coarsest level whose longer
@@ -148,34 +132,4 @@ func (v *Viewer) Overview(maxSide int) (*tile.Gray16, int, error) {
 		return nil, 0, err
 	}
 	return img, level, nil
-}
-
-// TileRegionStats computes the per-viewport mean and normalized cross
-// correlation between a viewport rendered by this viewer and the same
-// viewport from another viewer — used by the time-series steering code to
-// compare consecutive scans without composing either plate.
-func (v *Viewer) TileRegionStats(other *Viewer, x0, y0, w, h int) (meanA, meanB, ncc float64, err error) {
-	a, err := v.Render(x0, y0, w, h)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	b, err := other.Render(x0, y0, w, h)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return a.Mean(), b.Mean(), tile.NCCRegion(a, 0, 0, b, 0, 0, w, h), nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -440,22 +440,17 @@ func composeExperiment(o Options, highlight bool, file string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(o.OutDir, file)
+	img, err := compose.Compose(pl, src, compose.BlendOverlay)
+	if err != nil {
+		return "", err
+	}
 	if highlight {
-		img, err := compose.HighlightGrid(pl, src, compose.BlendOverlay)
-		if err != nil {
-			return "", err
-		}
-		if err := compose.WriteRGBAPNGFile(path, img); err != nil {
-			return "", err
-		}
+		err = compose.WriteRGBAPNGFile(path, compose.HighlightGrid(img, pl))
 	} else {
-		img, err := compose.Compose(pl, src, compose.BlendOverlay)
-		if err != nil {
-			return "", err
-		}
-		if err := compose.WritePNGFile(path, img); err != nil {
-			return "", err
-		}
+		err = compose.WritePNGFile(path, img)
+	}
+	if err != nil {
+		return "", err
 	}
 	fmt.Fprintf(&sb, "wrote %s\n", path)
 	return sb.String(), nil

@@ -45,7 +45,7 @@ type PyramidOpts struct {
 	// requires multiples of 16).
 	TileW, TileH int
 	// MinSide stops the level chain once both dimensions fit (default
-	// 256). Matches compose.Pyramid's termination rule.
+	// 256). Matches the level chain a compose.Viewer renders.
 	MinSide int
 	// NoDeflate stores tiles uncompressed. The default compresses each
 	// tile independently with zlib (Compression=8) so readers can still
@@ -119,7 +119,8 @@ func (o PyramidOpts) withDefaults() PyramidOpts {
 // PyramidLevelDims returns the (width, height) of every pyramid level
 // for a full-resolution w×h image: level 0 is the input, each further
 // level halves both dimensions (rounding up) until both fit minSide.
-// This is the same chain compose.Pyramid builds in memory.
+// compose.ComposeSharded streams exactly this chain, and a
+// compose.Viewer renders regions of the same levels.
 func PyramidLevelDims(w, h, minSide int) [][2]int {
 	if minSide < 1 {
 		minSide = 1
