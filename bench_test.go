@@ -393,7 +393,7 @@ func BenchmarkFFT2DTile(b *testing.B) {
 
 func BenchmarkPCIAMPair(b *testing.B) {
 	src := benchSource(b, 2, 2, 128, 96)
-	al, err := pciam.NewAligner(128, 96, pciam.Options{})
+	al, err := pciam.NewRealAligner(128, 96, pciam.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -700,33 +700,12 @@ func BenchmarkAblationSockets(b *testing.B) {
 	}
 }
 
-// BenchmarkRealFFTPhase1 is the headline A/B for the r2c path: the full
-// phase-1 computation on an FFT-dominated workload (large tiles, small
-// grid, single thread — transforms dwarf the read and CCF stages),
-// with `-fft complex` (off) vs `-fft real` (on). The real path halves the forward transform
-// work and runs the inverse on a half spectrum, so the "on" run should
-// beat "off" by well over the 1.25x acceptance floor.
+// BenchmarkRealFFTPhase1 is the full phase-1 computation on an
+// FFT-dominated workload (large tiles, small grid, single thread —
+// transforms dwarf the read and CCF stages). BENCH_pr4.json and
+// BENCH_pr5.json record it beside the paper's complex layout.
 func BenchmarkRealFFTPhase1(b *testing.B) {
-	for _, bench := range []struct {
-		name    string
-		variant stitch.FFTVariant
-	}{
-		{"real-fft-off", stitch.VariantComplex},
-		{"real-fft-on", stitch.VariantReal},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			src := benchSource(b, 3, 3, 192, 160)
-			for i := 0; i < b.N; i++ {
-				res, err := (&stitch.SimpleCPU{}).Run(src, stitch.Options{FFTVariant: bench.variant})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Complete() {
-					b.Fatal("incomplete")
-				}
-			}
-		})
-	}
+	benchPhase1(b, &stitch.SimpleCPU{}, benchSource(b, 3, 3, 192, 160), stitch.Options{})
 }
 
 // BenchmarkRealFFTPhase1SmallGrid is the pair-starved configuration the
@@ -737,51 +716,34 @@ func BenchmarkRealFFTPhase1(b *testing.B) {
 // is above the split floor, so with the shared pool's tokens free every
 // transform call forks by the split rule — what users actually get.
 func BenchmarkRealFFTPhase1SmallGrid(b *testing.B) {
-	for _, bench := range []struct {
-		name    string
-		variant stitch.FFTVariant
-	}{
-		{"real-fft-off", stitch.VariantComplex},
-		{"real-fft-on", stitch.VariantReal},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			src := benchSource(b, 1, 2, 384, 320)
-			for i := 0; i < b.N; i++ {
-				res, err := (&stitch.SimpleCPU{}).Run(src, stitch.Options{FFTVariant: bench.variant})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Complete() {
-					b.Fatal("incomplete")
-				}
-			}
-		})
-	}
+	benchPhase1(b, &stitch.SimpleCPU{}, benchSource(b, 1, 2, 384, 320), stitch.Options{})
 }
 
-// BenchmarkAblationFFTVariants runs both spectrum layouts on tiles
-// carrying the paper's awkward factors (116×87 = 4·29 × 3·29), each at
-// the frame the size rule chooses (120×90), aligners built once outside
-// the timed loop.
+// BenchmarkAblationFFTVariants runs the pipeline on tiles carrying the
+// paper's awkward factors (116×87 = 4·29 × 3·29), at the frame the size
+// rule chooses (120×90), aligners built once outside the timed loop.
+// BenchmarkTransformSizeStages times the c2c layout it was compared
+// with, stage by stage.
 func BenchmarkAblationFFTVariants(b *testing.B) {
-	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantReal} {
-		name := "complex"
-		if v == stitch.VariantReal {
-			name = "real"
+	src := benchSource(b, 5, 5, 116, 87)
+	opts := stitch.Options{Threads: 4}
+	if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	benchPhase1(b, &stitch.PipelinedCPU{}, src, opts)
+}
+
+// benchPhase1 times b.N phase-1 runs of impl over src, each complete.
+func benchPhase1(b *testing.B, impl stitch.Stitcher, src stitch.Source, opts stitch.Options) {
+	for i := 0; i < b.N; i++ {
+		res, err := impl.Run(src, opts)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			src := benchSource(b, 5, 5, 116, 87)
-			opts := stitch.Options{Threads: 4, FFTVariant: v}
-			if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if !res.Complete() {
+			b.Fatal("incomplete")
+		}
 	}
 }
 
@@ -793,16 +755,16 @@ func BenchmarkAblationFFTVariants(b *testing.B) {
 // from fft plans at that frame, all serial. EXPERIMENTS.md "Transform
 // size" cites it.
 func BenchmarkTransformSizeStages(b *testing.B) {
-	for _, real := range []bool{false, true} {
+	for _, r2c := range []bool{false, true} {
 		for _, sz := range [][2]int{{1392, 1040}, {1400, 1050}, {1440, 1080}} {
-			benchSizeStages(b, real, sz[0], sz[1])
+			benchSizeStages(b, r2c, sz[0], sz[1])
 		}
 	}
 }
 
 // benchSizeStages runs the four stage benchmarks of one (layout, frame);
 // its plans are released before the next configuration's are built.
-func benchSizeStages(b *testing.B, real bool, pw, ph int) {
+func benchSizeStages(b *testing.B, r2c bool, pw, ph int) {
 	const w, h = 1392, 1040
 	src := benchSource(b, 1, 2, w, h)
 	ta, tb := src.DS.Tile(tile.Coord{}), src.DS.Tile(tile.Coord{Col: 1})
@@ -811,7 +773,7 @@ func benchSizeStages(b *testing.B, real bool, pw, ph int) {
 	var inverse func(fa, fb []complex128) // NCC + inverse into the surface
 	var peak func() int
 	layout := "complex"
-	if real {
+	if r2c {
 		layout = "real"
 		plan, err := fft.NewRealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
 		if err != nil {
@@ -864,7 +826,15 @@ func benchSizeStages(b *testing.B, real bool, pw, ph int) {
 				b.Fatal(err)
 			}
 		}
-		peak = func() int { i, _ := pciam.MaxAbs(surf); return i }
+		peak = func() int {
+			bi, bm := 0, -1.0
+			for i, v := range surf {
+				if m := math.Max(math.Abs(real(v)), math.Abs(imag(v))); m > bm {
+					bi, bm = i, m
+				}
+			}
+			return bi
+		}
 	}
 	fa, fb := transform(ta), transform(tb)
 	inverse(fa, fb)

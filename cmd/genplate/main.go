@@ -23,20 +23,6 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// truthFile is the ground-truth sidecar written next to the tiles.
-type truthFile struct {
-	Rows      int     `json:"rows"`
-	Cols      int     `json:"cols"`
-	TileW     int     `json:"tile_w"`
-	TileH     int     `json:"tile_h"`
-	OverlapX  float64 `json:"overlap_x"`
-	OverlapY  float64 `json:"overlap_y"`
-	MaxJitter int     `json:"max_jitter"`
-	Seed      int64   `json:"seed"`
-	TruthX    []int   `json:"truth_x"`
-	TruthY    []int   `json:"truth_y"`
-}
-
 // writeDataset writes tiles in DirSource layout, optionally tiled TIFF.
 func writeDataset(dir string, ds *imagegen.Dataset, tiled int) error {
 	if tiled <= 0 {
@@ -65,10 +51,10 @@ func writeDataset(dir string, ds *imagegen.Dataset, tiled int) error {
 	return nil
 }
 
-// writeTruth writes the ground-truth sidecar.
+// writeTruth writes the ground-truth sidecar stitch.OpenDataset reads.
 func writeTruth(dir string, ds *imagegen.Dataset, overlap float64, jitter int, seed int64) error {
 	g := ds.Params.Grid
-	truth := truthFile{
+	truth := stitch.DatasetMeta{
 		Rows: g.Rows, Cols: g.Cols, TileW: g.TileW, TileH: g.TileH,
 		OverlapX: overlap, OverlapY: overlap,
 		MaxJitter: jitter, Seed: seed,

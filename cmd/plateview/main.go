@@ -65,7 +65,7 @@ func main() {
 		log.Fatal("need -dir (a dataset written by genplate) or -serve with -pyramid")
 	}
 
-	src, _, _, err := openDataset(*dir)
+	src, _, err := stitch.OpenDataset(*dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -140,17 +140,10 @@ func main() {
 	}
 }
 
-// openDataset reads the genplate metadata and returns a DirSource.
-func openDataset(dir string) (stitch.Source, []int, []int, error) {
-	// Reuse cmd/stitch's metadata format via a local copy of the loader
-	// (main packages cannot import each other).
-	return loadDirSource(dir)
-}
-
 // freshDisplacements is phase 1 for a dataset without saved
 // displacements. It passes no FFT planner, and needs none: the transform
-// size and algorithms are rules, so this matches a `stitch` run of the
-// same layout pair for pair.
+// size and algorithms are rules, so this matches a `stitch` run pair for
+// pair.
 func freshDisplacements(src stitch.Source, threads int) (*stitch.Result, error) {
 	return (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: threads})
 }

@@ -10,6 +10,9 @@ import (
 	"hybridstitch/internal/stitch"
 )
 
+// TestLoadDirSource: plateview opens a genplate dataset through
+// stitch.OpenDataset, and a truth.json whose grid does not validate fails
+// with the same error as in cmd/stitch's TestOpenSourceDir.
 func TestLoadDirSource(t *testing.T) {
 	dir := t.TempDir()
 	p := imagegen.DefaultParams(2, 3, 64, 48)
@@ -24,20 +27,25 @@ func TestLoadDirSource(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "truth.json"), meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	src, tx, ty, err := loadDirSource(dir)
+	src, m, err := stitch.OpenDataset(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Grid().Rows != 2 || len(tx) != 6 || len(ty) != 6 {
-		t.Errorf("grid %+v tx %v", src.Grid(), tx)
+	if src.Grid().Rows != 2 || len(m.TruthX) != 6 || len(m.TruthY) != 6 {
+		t.Errorf("grid %+v tx %v", src.Grid(), m.TruthX)
 	}
-	if _, _, _, err := loadDirSource(t.TempDir()); err == nil {
+	if _, _, err := stitch.OpenDataset(t.TempDir()); err == nil {
 		t.Error("missing metadata should fail")
 	}
 	bad := t.TempDir()
 	_ = os.WriteFile(filepath.Join(bad, "truth.json"), []byte("{"), 0o644)
-	if _, _, _, err := loadDirSource(bad); err == nil {
+	if _, _, err := stitch.OpenDataset(bad); err == nil {
 		t.Error("corrupt metadata should fail")
+	}
+	_ = os.WriteFile(filepath.Join(bad, "truth.json"), []byte(`{"rows":0}`), 0o644)
+	const want = "dataset metadata: tile: grid 0x0 must be positive"
+	if _, _, err := stitch.OpenDataset(bad); err == nil || err.Error() != want {
+		t.Errorf("invalid grid: error %v, want %q", err, want)
 	}
 }
 

@@ -10,14 +10,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr exposes the default mux
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -31,7 +29,6 @@ import (
 	"hybridstitch/internal/obs"
 	"hybridstitch/internal/stitch"
 	"hybridstitch/internal/tiffio"
-	"hybridstitch/internal/tile"
 )
 
 func main() {
@@ -47,7 +44,6 @@ func main() {
 		gpus      = flag.Int("gpus", 1, "simulated GPU count (GPU implementations)")
 		travName  = flag.String("traversal", "chained-diagonal", "grid traversal order")
 		npeaks    = flag.Int("npeaks", 1, "correlation peaks to consider per pair (CPU implementations)")
-		fftLayout = flag.String("fft", "real", "spectrum layout: real (real-to-complex half spectra, ~half the FFT work) or complex (the paper's baseline); the transform size follows from the tile size either way")
 		sockets   = flag.Int("sockets", 1, "CPU pipelines (pipelined-cpu; one per socket)")
 		outPNG    = flag.String("out", "", "write the composite image to this PNG")
 		outTIFF   = flag.String("out-tiff", "", "write the composite image to this 16-bit TIFF (tiled layout for large plates)")
@@ -68,11 +64,6 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration")
 	)
 	flag.Parse()
-
-	fftVariant, ok := map[string]stitch.FFTVariant{"real": stitch.VariantReal, "complex": stitch.VariantComplex}[*fftLayout]
-	if !ok {
-		log.Fatalf("-fft: unknown layout %q (want real or complex)", *fftLayout)
-	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -117,8 +108,7 @@ func main() {
 	}
 	tiffio.SetInjector(injector)
 
-	opts := stitch.Options{Threads: *threads, Traversal: trav, NPeaks: *npeaks,
-		FFTVariant: fftVariant, Sockets: *sockets,
+	opts := stitch.Options{Threads: *threads, Traversal: trav, NPeaks: *npeaks, Sockets: *sockets,
 		Faults: injector, MaxRetries: *maxRetry, RetryBackoff: 5 * time.Millisecond,
 		Degrade: *degrade && *implName != "fiji", Obs: rec}
 	var devs []*gpu.Device
@@ -328,29 +318,11 @@ func openSource(dir, synthetic string, tileW, tileH int, seed int64) (stitch.Sou
 	case dir != "" && synthetic != "":
 		return nil, nil, nil, fmt.Errorf("-dir and -synthetic are mutually exclusive")
 	case dir != "":
-		blob, err := os.ReadFile(filepath.Join(dir, "truth.json"))
+		src, meta, err := stitch.OpenDataset(dir)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("reading dataset metadata: %w", err)
-		}
-		var meta struct {
-			Rows     int     `json:"rows"`
-			Cols     int     `json:"cols"`
-			TileW    int     `json:"tile_w"`
-			TileH    int     `json:"tile_h"`
-			OverlapX float64 `json:"overlap_x"`
-			OverlapY float64 `json:"overlap_y"`
-			TruthX   []int   `json:"truth_x"`
-			TruthY   []int   `json:"truth_y"`
-		}
-		if err := json.Unmarshal(blob, &meta); err != nil {
 			return nil, nil, nil, err
 		}
-		g := tile.Grid{Rows: meta.Rows, Cols: meta.Cols, TileW: meta.TileW, TileH: meta.TileH,
-			OverlapX: meta.OverlapX, OverlapY: meta.OverlapY}
-		if err := g.Validate(); err != nil {
-			return nil, nil, nil, fmt.Errorf("dataset metadata: %w", err)
-		}
-		return &stitch.DirSource{Dir: dir, GridSpec: g}, meta.TruthX, meta.TruthY, nil
+		return src, meta.TruthX, meta.TruthY, nil
 	case synthetic != "":
 		var rows, cols int
 		if _, err := fmt.Sscanf(synthetic, "%dx%d", &rows, &cols); err != nil {

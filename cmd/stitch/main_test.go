@@ -102,11 +102,13 @@ func TestOpenSourceDir(t *testing.T) {
 	if _, _, _, err := openSource(bad, "", 0, 0, 0); err == nil {
 		t.Error("corrupt truth.json should fail")
 	}
-	// Invalid grid in metadata.
+	// Invalid grid in metadata: the same error as plateview's (its
+	// TestLoadDirSource), both from stitch.OpenDataset.
 	badGrid := t.TempDir()
 	_ = os.WriteFile(filepath.Join(badGrid, "truth.json"), []byte(`{"rows":0}`), 0o644)
-	if _, _, _, err := openSource(badGrid, "", 0, 0, 0); err == nil {
-		t.Error("invalid grid metadata should fail")
+	const want = "dataset metadata: tile: grid 0x0 must be positive"
+	if _, _, _, err := openSource(badGrid, "", 0, 0, 0); err == nil || err.Error() != want {
+		t.Errorf("invalid grid metadata: error %v, want %q", err, want)
 	}
 }
 
@@ -185,7 +187,7 @@ func TestSaveResultIsHostIndependent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disp.json")
 	save := func(planner *fft.Planner) []byte {
 		t.Helper()
-		res, err := impl.Run(src, stitch.Options{Threads: 2, FFTVariant: stitch.VariantReal, Planner: planner})
+		res, err := impl.Run(src, stitch.Options{Threads: 2, Planner: planner})
 		if err != nil {
 			t.Fatal(err)
 		}

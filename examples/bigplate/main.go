@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hybridstitch/internal/compose"
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/global"
 	"hybridstitch/internal/imagegen"
 	"hybridstitch/internal/memgov"
@@ -35,7 +36,10 @@ func main() {
 	src := &stitch.MemorySource{DS: dataset}
 	grid := src.Grid()
 
-	transformBytes := int64(grid.TileW) * int64(grid.TileH) * 16
+	// One "RAM unit" holds one transform: the half spectrum of a tile at
+	// the size rule's frame.
+	tw, th := fft.TransformSize(grid.TileW, grid.TileH, true)
+	transformBytes := int64(th) * int64(tw/2+1) * 16
 	const ramUnits = 28
 	gov := memgov.New(ramUnits*transformBytes, 50*time.Nanosecond)
 

@@ -43,7 +43,7 @@ func TestPlannedSizeKeepsAccuracy(t *testing.T) {
 		src := &stitch.MemorySource{DS: ds}
 		var res *stitch.Result
 		if padded {
-			res, err = (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: opts.Threads, FFTVariant: stitch.VariantReal})
+			res, err = (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: opts.Threads})
 			if err != nil {
 				t.Fatal(err)
 			}

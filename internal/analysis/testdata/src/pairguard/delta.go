@@ -164,7 +164,7 @@ func leakChildSpan(parent *obs.Span, work func() error) error {
 // leakAlignerNeverClosed checks the pooled-aligner pairing: a
 // constructed aligner that is never Closed never returns to the pool.
 func leakAlignerNeverClosed(w, h int, opts pciam.Options) error {
-	al, err := pciam.NewAligner(w, h, opts) // want "never freed or ownership-transferred"
+	al, err := pciam.NewRealAligner(w, h, opts) // want "never freed or ownership-transferred"
 	if err != nil {
 		return err
 	}
@@ -174,7 +174,7 @@ func leakAlignerNeverClosed(w, h int, opts pciam.Options) error {
 
 // okAlignerDeferClosed releases by a deferred Close.
 func okAlignerDeferClosed(w, h int, opts pciam.Options) error {
-	al, err := pciam.NewAligner(w, h, opts)
+	al, err := pciam.NewRealAligner(w, h, opts)
 	if err != nil {
 		return err
 	}

@@ -242,30 +242,33 @@ func TestMemcpyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKernelFFTMatchesHost: the device's in-place r2c transform of
+// packed pixels is the host plan's half spectrum, bit for bit.
 func TestKernelFFTMatchesHost(t *testing.T) {
 	const h, w = 12, 16
 	d := New(Config{})
 	defer d.Close()
 	s, _ := d.NewStream("s")
-	plan, err := fft.NewPlan2D(h, w, fft.Forward, fft.Plan2DOpts{})
+	plan, err := fft.NewRealPlan2DOpts(h, w, fft.Real2DOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	host := make([]complex128, h*w)
+	host := make([]float64, h*w)
 	for i := range host {
-		host[i] = complex(rng.Float64(), 0)
+		host[i] = rng.Float64()
 	}
-	want := append([]complex128(nil), host...)
-	hostPlan, _ := fft.NewPlan2D(h, w, fft.Forward, fft.Plan2DOpts{})
-	if err := hostPlan.Execute(want); err != nil {
+	sh, sw := plan.SpectrumDims()
+	want := make([]complex128, sh*sw)
+	hostPlan, _ := fft.NewRealPlan2DOpts(h, w, fft.Real2DOpts{})
+	if err := hostPlan.Forward(want, host); err != nil {
 		t.Fatal(err)
 	}
 
-	buf, _ := d.Alloc(int64(h * w))
-	s.MemcpyH2D(buf, host)
-	s.FFT2D(plan, buf)
-	got := make([]complex128, h*w)
+	buf, _ := d.AllocSpectrum(h, w)
+	s.MemcpyH2DPackedReal(buf, host)
+	s.RealFFT2D(plan, buf)
+	got := make([]complex128, sh*sw)
 	if err := s.MemcpyD2H(got, buf).Wait(); err != nil {
 		t.Fatal(err)
 	}

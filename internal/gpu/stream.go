@@ -212,10 +212,10 @@ func (s *Stream) injectFault(cmd *command) error {
 		site = fault.SiteGPUCopyD2H
 	default:
 		switch cmd.name {
-		case "fft2d", "ifft2d", "rfft2d", "irfft2d":
+		case "fft2d", "rfft2d":
 			site = fault.SiteGPUKernelFFT
-		case "ncc", "ncc+ifft2d+maxabs", "ncc+irfft2d+maxabs":
-			// The fused displacement kernels inject at the NCC site.
+		case "ncc", "ncc+irfft2d+maxabs":
+			// The fused displacement kernel injects at the NCC site.
 			site = fault.SiteGPUKernelNCC
 		case "maxabs":
 			site = fault.SiteGPUKernelReduce
@@ -258,21 +258,6 @@ func (s *Stream) MemcpyH2D(dst *Buffer, src []complex128, after ...*Event) *Even
 		}
 		s.bandwidthDelay(len(src)*16, s.dev.cfg.H2DBytesPerSec)
 		copy(dst.Data, src)
-		return nil
-	})
-}
-
-// MemcpyH2DReal widens float64 host pixels into the device buffer as
-// complex values — the upload format of tile images.
-func (s *Stream) MemcpyH2DReal(dst *Buffer, src []float64, after ...*Event) *Event {
-	return s.enqueue(opH2D, "H2D", after, func() error {
-		if len(src) > len(dst.Data) {
-			return fmt.Errorf("gpu: H2D copy of %d words into %d-word buffer", len(src), len(dst.Data))
-		}
-		s.bandwidthDelay(len(src)*8, s.dev.cfg.H2DBytesPerSec)
-		for i, v := range src {
-			dst.Data[i] = complex(v, 0)
-		}
 		return nil
 	})
 }

@@ -24,41 +24,55 @@ func allocTile(w, h int, seed int64) *tile.Gray16 {
 var zeroAllocSizes = [][2]int{{64, 48}, {116, 87}}
 
 // TestDisplaceZeroAllocs pins the tentpole guarantee: after one warm-up
-// pair, the steady-state Displace hot path of the complex CPU aligner
-// performs zero heap allocations per pair, at the exact and at a padded
-// transform size.
+// pair, the steady-state Displace hot path of the CPU aligner performs
+// zero heap allocations per pair, at the exact and at a padded transform
+// size.
 func TestDisplaceZeroAllocs(t *testing.T) {
 	for _, sz := range zeroAllocSizes {
-		testDisplaceZeroAllocs(t, "complex", sz[0], sz[1], func(w, h int) (allocAligner, error) {
-			return NewAligner(w, h, Options{FFTPool: fft.NewWorkerPool(0)})
-		})
+		al, err := NewRealAligner(sz[0], sz[1], Options{FFTPool: fft.NewWorkerPool(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		testDisplaceZeroAllocs(t, al)
+		al.Close()
 	}
 }
 
-// TestRealDisplaceZeroAllocs is the r2c counterpart of
-// TestDisplaceZeroAllocs.
+// TestRealDisplaceZeroAllocs pins the same guarantee for an aligner the
+// pool serves back (New → warm pair → Close → New): reuse hands over the
+// plan and scratch intact, so the re-served aligner's Displace stays
+// allocation-free at the exact and at a padded transform size.
 func TestRealDisplaceZeroAllocs(t *testing.T) {
+	useDeterministicPools(t)
 	for _, sz := range zeroAllocSizes {
-		testDisplaceZeroAllocs(t, "real", sz[0], sz[1], func(w, h int) (allocAligner, error) {
-			return NewRealAligner(w, h, Options{FFTPool: fft.NewWorkerPool(0)})
-		})
+		w, h := sz[0], sz[1]
+		opts := Options{FFTPool: fft.NewWorkerPool(0)}
+		first, err := NewRealAligner(w, h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := allocTile(w, h, 1), allocTile(w, h, 2)
+		if _, err := first.DisplaceTiles(a, b); err != nil {
+			t.Fatal(err)
+		}
+		first.Close()
+		al, err := NewRealAligner(w, h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if al != first {
+			t.Fatalf("%dx%d: New after Close built a different aligner", w, h)
+		}
+		testDisplaceZeroAllocs(t, al)
+		al.Close()
 	}
 }
 
-type allocAligner interface {
-	Transform(*tile.Gray16) ([]complex128, error)
-	Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error)
-	TransformDims() (int, int)
-	Close()
-}
-
-func testDisplaceZeroAllocs(t *testing.T, layout string, w, h int, mk func(w, h int) (allocAligner, error)) {
+// testDisplaceZeroAllocs warms al with one pair and fails if further
+// Displace calls on it allocate.
+func testDisplaceZeroAllocs(t *testing.T, al *RealAligner) {
 	t.Helper()
-	al, err := mk(w, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer al.Close()
+	w, h := al.w, al.h
 	a := allocTile(w, h, 1)
 	b := allocTile(w, h, 2)
 	fa, err := al.Transform(a)
@@ -79,23 +93,21 @@ func testDisplaceZeroAllocs(t *testing.T, layout string, w, h int, mk func(w, h 
 		}
 	})
 	if pw, ph := al.TransformDims(); allocs != 0 {
-		t.Fatalf("steady-state %s Displace at %dx%d allocates %.1f times per pair, want 0", layout, pw, ph, allocs)
+		t.Fatalf("steady-state Displace at %dx%d allocates %.1f times per pair, want 0", pw, ph, allocs)
 	}
 }
 
-// TestAlignerPoolReuse pins the one pooling level for each constructor:
-// New → Close → New hands back the same aligner and advances the reuse
-// counter, different options miss, and a second Close does not insert the
-// aligner twice. The deterministic pool seam keeps retention observable
+// TestAlignerPoolReuse pins the one pooling level at an exact and at a
+// padded size: New → Close → New hands back the same aligner and
+// advances the reuse counter, different options miss, and a second Close
+// does not insert the aligner twice. The deterministic pool seam keeps retention observable
 // under the race detector, where sync.Pool drops Put items.
 func TestAlignerPoolReuse(t *testing.T) {
 	useDeterministicPools(t)
 	type closer interface{ Close() }
 	ctors := map[string]func(Options) (closer, error){
-		"complex":     func(o Options) (closer, error) { return NewAligner(16, 12, o) },
-		"padded":      func(o Options) (closer, error) { return NewAligner(22, 14, o) }, // at 24×14
-		"real":        func(o Options) (closer, error) { return NewRealAligner(16, 12, o) },
-		"real-padded": func(o Options) (closer, error) { return NewRealAligner(22, 14, o) },
+		"exact":  func(o Options) (closer, error) { return NewRealAligner(16, 12, o) },
+		"padded": func(o Options) (closer, error) { return NewRealAligner(22, 14, o) }, // at 24×14
 	}
 	for name, mk := range ctors {
 		must := func(o Options) closer {

@@ -5,9 +5,11 @@
 //
 // Steps (per adjacent tile pair i, j):
 //
-//  1. forward 2-D FFTs of both tiles (usually cached and reused),
-//  2. NCC — element-wise normalized conjugate multiplication,
-//  3. inverse 2-D FFT of the NCC,
+//  1. forward 2-D FFTs of both tiles (usually cached and reused), real
+//     to complex: only the half spectrum is stored,
+//  2. NCC — element-wise normalized conjugate multiplication over the
+//     half spectrum,
+//  3. inverse 2-D FFT of the NCC, complex to real,
 //  4. max-reduction of |NCC⁻¹| to a peak (px, py),
 //  5. four-way ambiguity resolution: the transform is periodic, so the
 //     peak is congruent to the true displacement modulo (W, H); the four
@@ -58,85 +60,75 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// plan2DOpts translates the aligner options into complex 2-D plan
-// options.
-func (o Options) plan2DOpts() fft.Plan2DOpts {
-	return fft.Plan2DOpts{Pool: o.FFTPool}
-}
-
-// real2DOpts is the r2c counterpart of plan2DOpts.
-func (o Options) real2DOpts() fft.Real2DOpts {
-	return fft.Real2DOpts{Pool: o.FFTPool}
-}
-
-// Aligner computes displacements for tile pairs of one fixed size through
-// full complex transforms. The transform size (pw, ph) is
-// fft.TransformSize's for the tile size (w, h): the tile size itself, or
-// a larger frame that transforms faster, into which tiles are padded with
-// their own periodic continuation (tile.ToFloatFrame; the paper's §VI.A
-// padding optimization). It is NOT safe for
-// concurrent use: each worker thread owns one Aligner, the same
-// discipline the original applies to FFTW plans.
-type Aligner struct {
+// RealAligner computes displacements for tile pairs of one fixed size
+// through real-to-complex transforms (the paper's §VI.A future-work
+// optimization): the tiles are real, so the forward FFT stores only the
+// half spectrum (pw/2+1 columns) and the inverse correlation comes back
+// as a real surface — roughly half the work and memory of full complex
+// transforms, with the same displacements. The transform size (pw, ph)
+// is fft.TransformSize's for the tile size (w, h): the tile size itself,
+// or a larger frame that transforms faster, into which tiles are padded
+// with their own periodic continuation (tile.ToFloatFrame; §VI.A's
+// padding optimization). It is NOT safe for concurrent use: each worker
+// thread owns one aligner, the same discipline the original applies to
+// FFTW plans.
+type RealAligner struct {
 	w, h   int // tile size
 	pw, ph int // transform size
+	sw     int // spectrum width = pw/2+1
 	opts   Options
-	fwd    *fft.Plan2D
-	inv    *fft.Plan2D
-	work   []complex128 // pw×ph NCC spectrum, then correlation surface
-	pix    []float64    // pw×ph pixel staging for Transform
+	fwd    *fft.RealPlan2D
+	corr   []float64 // pw×ph real correlation surface
+	pix    []float64 // pw×ph pixel staging for Transform
 	peaks  []Peak
 	cands  []peakCand // grows on first NPeaks>1 use
 
 	key    alignerKey // the free list Close returns to
 	closed bool
 
-	// fa/fb hold the pending pair's transforms for the fused NCC fill;
+	// fa/fb hold the pending pair's half spectra for the fused NCC fill;
 	// fill is built once at construction so the per-pair path closes
 	// over nothing (zero steady-state allocations).
 	fa, fb []complex128
 	fill   func(dst []complex128, r int)
 }
 
-// NewAligner returns an aligner for w×h tiles transformed at
+// NewRealAligner returns an aligner for w×h tiles transformed at
 // fft.TransformSize's frame for them: a pooled one when a Closed aligner
 // with the same size and options is available, a fresh one otherwise.
 // Close it when the worker is done.
-func NewAligner(w, h int, opts Options) (*Aligner, error) {
-	if w <= 0 || h <= 0 {
+func NewRealAligner(w, h int, opts Options) (*RealAligner, error) {
+	if w < 2 || h <= 0 {
 		return nil, fmt.Errorf("pciam: invalid tile size %dx%d", w, h)
 	}
 	opts = opts.withDefaults()
-	key := makeAlignerKey(false, w, h, opts)
+	key := makeAlignerKey(w, h, opts)
 	if v := checkout(key); v != nil {
-		al := v.(*Aligner)
+		al := v.(*RealAligner)
 		al.closed = false
 		return al, nil
 	}
-	pw, ph := fft.TransformSize(w, h, false)
-	fwd, err := fft.NewPlan2D(ph, pw, fft.Forward, opts.plan2DOpts())
+	pw, ph := fft.TransformSize(w, h, true)
+	fwd, err := fft.NewRealPlan2DOpts(ph, pw, fft.Real2DOpts{Pool: opts.FFTPool})
 	if err != nil {
 		return nil, err
 	}
-	inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, opts.plan2DOpts())
-	if err != nil {
-		return nil, err
-	}
-	al := &Aligner{
-		w: w, h: h, pw: pw, ph: ph, opts: opts, fwd: fwd, inv: inv, key: key,
-		work: make([]complex128, pw*ph), pix: make([]float64, pw*ph), peaks: make([]Peak, 0, 4),
+	_, sw := fwd.SpectrumDims()
+	al := &RealAligner{
+		w: w, h: h, pw: pw, ph: ph, sw: sw, opts: opts, fwd: fwd, key: key,
+		corr: make([]float64, pw*ph), pix: make([]float64, pw*ph), peaks: make([]Peak, 0, 4),
 	}
 	al.fill = func(dst []complex128, r int) {
-		o := r * al.pw
-		NCCSpectrum(dst, al.fa[o:o+al.pw], al.fb[o:o+al.pw])
+		o := r * al.sw
+		NCCSpectrum(dst, al.fa[o:o+al.sw], al.fb[o:o+al.sw])
 	}
 	return al, nil
 }
 
-// Close returns the aligner, plans and scratch included, to the pool for
+// Close returns the aligner, plan and scratch included, to the pool for
 // a later constructor call with the same size and options. The aligner
 // must not be used afterwards; a second Close is a no-op.
-func (al *Aligner) Close() {
+func (al *RealAligner) Close() {
 	if al.closed {
 		return
 	}
@@ -144,36 +136,28 @@ func (al *Aligner) Close() {
 	alignerPool(al.key).Put(al)
 }
 
-// W returns the tile width the aligner was built for.
-func (al *Aligner) W() int { return al.w }
-
-// H returns the tile height the aligner was built for.
-func (al *Aligner) H() int { return al.h }
-
 // TransformDims reports the transform size in use: the tile size, or the
 // larger frame fft.TransformSize chose.
-func (al *Aligner) TransformDims() (w, h int) { return al.pw, al.ph }
+func (al *RealAligner) TransformDims() (w, h int) { return al.pw, al.ph }
 
-// Transform computes the forward 2-D FFT of a tile into a fresh buffer.
-// This is the cacheable per-tile work (step 2 of the paper's data-flow
-// graph); each tile's transform is reused by up to four pairs.
-func (al *Aligner) Transform(t *tile.Gray16) ([]complex128, error) {
+// Transform computes the half-spectrum forward transform of a tile into
+// a fresh ph×(pw/2+1) buffer. This is the cacheable per-tile work (step
+// 2 of the paper's data-flow graph); each tile's transform is reused by
+// up to four pairs.
+func (al *RealAligner) Transform(t *tile.Gray16) ([]complex128, error) {
 	if t.W != al.w || t.H != al.h {
 		return nil, fmt.Errorf("pciam: tile is %dx%d, aligner expects %dx%d", t.W, t.H, al.w, al.h)
 	}
 	t.ToFloatFrame(al.pix, al.pw)
-	buf := make([]complex128, al.pw*al.ph)
-	for i, v := range al.pix {
-		buf[i] = complex(v, 0)
-	}
-	if err := al.fwd.Execute(buf); err != nil {
+	out := make([]complex128, al.ph*al.sw)
+	if err := al.fwd.Forward(out, al.pix); err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return out, nil
 }
 
-// TransformPair computes the forward transforms of both tiles of a pair.
-func (al *Aligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128, error) {
+// TransformPair computes both tiles' half-spectrum transforms.
+func (al *RealAligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128, error) {
 	fa, err := al.Transform(a)
 	if err != nil {
 		return nil, nil, err
@@ -186,35 +170,37 @@ func (al *Aligner) TransformPair(a, b *tile.Gray16) ([]complex128, []complex128,
 }
 
 // Displace computes the displacement of tile b relative to tile a, given
-// their cached forward transforms fa and fb. For a west pair, a is the
-// west neighbor and b the tile; for a north pair, a is the north neighbor
-// and b the tile — so the returned displacement is positive ≈ the tile
-// stride along the primary axis. The peak is congruent to the
-// displacement modulo the transform size, padded or not; the CCF pass
-// over the congruent interpretations is the same either way.
+// their cached half spectra fa and fb. For a west pair, a is the west
+// neighbor and b the tile; for a north pair, a is the north neighbor and
+// b the tile — so the returned displacement is positive ≈ the tile
+// stride along the primary axis. The NCC runs over the half spectrum
+// only; by conjugate symmetry the missing bins contribute the mirrored
+// phases, so the inverse c2r transform reconstructs the full real
+// correlation surface. The peak is congruent to the displacement modulo
+// the transform size, padded or not; the CCF pass over the congruent
+// interpretations is the same either way.
 //
 //stitchlint:hotpath
-func (al *Aligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error) {
-	n := al.pw * al.ph
+func (al *RealAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Displacement, error) {
+	n := al.ph * al.sw
 	if len(fa) != n || len(fb) != n {
-		return tile.Displacement{}, fmt.Errorf("pciam: transform length %d/%d, want %d", len(fa), len(fb), n)
+		return tile.Displacement{}, fmt.Errorf("pciam: half-spectrum length %d/%d, want %d", len(fa), len(fb), n)
 	}
-	// The NCC row is computed immediately before the inverse's row FFT
-	// consumes it, so the spectrum never makes a separate full-size pass
-	// through memory.
+	// The NCC row is the inverse's own staging write, so the
+	// half-spectrum product never makes a separate pass.
 	al.fa, al.fb = fa, fb
-	err := al.inv.ExecuteFill(al.work, al.fill)
+	err := al.fwd.InverseFill(al.corr, al.fill)
 	al.fa, al.fb = nil, nil
 	if err != nil {
 		return tile.Displacement{}, err
 	}
-	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.work, al.pw, al.ph, al.opts.NPeaks)
+	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.corr, al.pw, al.ph, al.opts.NPeaks)
 	return resolvePeaks(a, b, al.peaks, al.pw, al.ph), nil
 }
 
 // DisplaceTiles is the convenience form that computes both forward
 // transforms itself — the no-reuse path of the Fiji baseline.
-func (al *Aligner) DisplaceTiles(a, b *tile.Gray16) (tile.Displacement, error) {
+func (al *RealAligner) DisplaceTiles(a, b *tile.Gray16) (tile.Displacement, error) {
 	fa, fb, err := al.TransformPair(a, b)
 	if err != nil {
 		return tile.Displacement{}, err
@@ -259,34 +245,21 @@ type Peak struct {
 	Mag  float64
 }
 
-// MaxAbs reduces data to the index and magnitude of its largest absolute
-// value (paper Fig 2 line 7; the GPU version of this is the max-reduction
-// kernel).
+// MaxAbsReal reduces a real correlation surface to the index and
+// magnitude of its largest absolute value (paper Fig 2 line 7; the GPU
+// version of this is the max-reduction kernel). First-seen index wins
+// ties.
 //
 //stitchlint:hotpath
-func MaxAbs(data []complex128) (int, float64) {
+func MaxAbsReal(data []float64) (int, float64) {
 	bi, bm := 0, -1.0
 	for i, v := range data {
-		m := math.Abs(real(v)) // |NCC⁻¹| is real up to rounding; using
-		// the real part's magnitude matches the reference kernels
-		if im := math.Abs(imag(v)); im > m {
-			m = im
-		}
-		if m > bm {
+		if m := math.Abs(v); m > bm {
 			bm = m
 			bi = i
 		}
 	}
 	return bi, bm
-}
-
-// TopPeaks returns the k largest local peaks of |data| interpreted as an
-// h×w image, suppressing a 5×5 neighborhood around each accepted peak so
-// the candidates are distinct displacement hypotheses rather than one
-// blurred maximum.
-func TopPeaks(data []complex128, w, h, k int) []Peak {
-	peaks, _ := topPeaksInto(nil, nil, data, w, h, k)
-	return peaks
 }
 
 // peakCand is one sortable candidate of the k>1 peak search.
@@ -295,17 +268,20 @@ type peakCand struct {
 	mag float64
 }
 
-// topPeaksInto is TopPeaks writing into caller-supplied scratch (the
-// aligners' own) so the k=1 steady state allocates nothing. The k>1
+// topPeaksInto returns the k largest local peaks of |data| interpreted
+// as an h×w surface, suppressing a 5×5 neighborhood around each accepted
+// peak so the candidates are distinct displacement hypotheses rather
+// than one blurred maximum. It writes into caller-supplied scratch (the
+// aligner's own) so the k=1 steady state allocates nothing. The k>1
 // path still pays sort.Slice's internal allocation; NPeaks=1 is the
 // paper's configuration and the one the zero-allocation guarantee
 // covers.
 //
 //stitchlint:hotpath
-func topPeaksInto(peaks []Peak, cands []peakCand, data []complex128, w, h, k int) ([]Peak, []peakCand) {
+func topPeaksInto(peaks []Peak, cands []peakCand, data []float64, w, h, k int) ([]Peak, []peakCand) {
 	peaks = peaks[:0]
 	if k <= 1 {
-		i, m := MaxAbs(data)
+		i, m := MaxAbsReal(data)
 		return append(peaks, Peak{X: i % w, Y: i / w, Mag: m}), cands
 	}
 	if cap(cands) < len(data) {
@@ -313,7 +289,7 @@ func topPeaksInto(peaks []Peak, cands []peakCand, data []complex128, w, h, k int
 	}
 	cands = cands[:len(data)]
 	for i, v := range data {
-		cands[i] = peakCand{idx: i, mag: cmplx.Abs(v)}
+		cands[i] = peakCand{idx: i, mag: math.Abs(v)}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].mag > cands[j].mag })
 	const sep = 2

@@ -2,6 +2,7 @@ package pciam
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -46,9 +47,9 @@ func abs(x int) int {
 	return x
 }
 
-func mustAligner(t testing.TB, w, h int, opts Options) *Aligner {
+func mustAligner(t testing.TB, w, h int, opts Options) *RealAligner {
 	t.Helper()
-	al, err := NewAligner(w, h, opts)
+	al, err := NewRealAligner(w, h, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestDisplaceProperty(t *testing.T) {
 	}
 }
 
-func mustTransform(al *Aligner, g *tile.Gray16) []complex128 {
+func mustTransform(al *RealAligner, g *tile.Gray16) []complex128 {
 	f, err := al.Transform(g)
 	if err != nil {
 		panic(err)
@@ -177,24 +178,78 @@ func TestNCCSpectrumUnitMagnitude(t *testing.T) {
 	}
 }
 
+// MaxAbs reduces a complex surface to the index and magnitude of its
+// largest absolute value — the complex oracle's max-reduction. |NCC⁻¹|
+// is real up to rounding; using the larger component's magnitude
+// matches the reference kernels.
+func MaxAbs(data []complex128) (int, float64) {
+	bi, bm := 0, -1.0
+	for i, v := range data {
+		m := math.Abs(real(v))
+		if im := math.Abs(imag(v)); im > m {
+			m = im
+		}
+		if m > bm {
+			bm = m
+			bi = i
+		}
+	}
+	return bi, bm
+}
+
+// TopPeaks is the peak search over a complex h×w surface: MaxAbs for
+// k=1, the production search over the magnitudes otherwise.
+func TopPeaks(data []complex128, w, h, k int) []Peak {
+	if k <= 1 {
+		i, m := MaxAbs(data)
+		return []Peak{{X: i % w, Y: i / w, Mag: m}}
+	}
+	mag := make([]float64, len(data))
+	for i, v := range data {
+		mag[i] = cmplx.Abs(v)
+	}
+	peaks, _ := topPeaksInto(nil, nil, mag, w, h, k)
+	return peaks
+}
+
+// TestMaxAbsAndTopPeaks pins the peak search on a real surface, and that
+// it finds on it exactly what the complex search finds on the same
+// surface widened to complex.
 func TestMaxAbsAndTopPeaks(t *testing.T) {
-	data := make([]complex128, 8*8)
-	data[5] = complex(10, 0)  // (5,0)
-	data[6] = complex(9, 0)   // (6,0): adjacent to peak0, suppressed
-	data[36] = complex(-8, 0) // (4,4): far enough to stand alone
-	i, m := MaxAbs(data)
+	surf := make([]float64, 8*8)
+	surf[5] = 10  // (5,0)
+	surf[6] = 9   // (6,0): adjacent to peak0, suppressed
+	surf[36] = -8 // (4,4): far enough to stand alone
+	data := make([]complex128, len(surf))
+	for i, v := range surf {
+		data[i] = complex(v, 0)
+	}
+	i, m := MaxAbsReal(surf)
 	if i != 5 || m != 10 {
-		t.Fatalf("MaxAbs = %d, %g", i, m)
+		t.Fatalf("MaxAbsReal = %d, %g", i, m)
 	}
-	peaks := TopPeaks(data, 8, 8, 2)
-	if len(peaks) != 2 {
-		t.Fatalf("got %d peaks", len(peaks))
+	if ci, cm := MaxAbs(data); ci != i || cm != m {
+		t.Errorf("MaxAbs = %d, %g; MaxAbsReal = %d, %g", ci, cm, i, m)
 	}
-	if peaks[0].X != 5 || peaks[0].Y != 0 {
-		t.Errorf("peak0 = %+v", peaks[0])
-	}
-	if peaks[1].X != 4 || peaks[1].Y != 4 {
-		t.Errorf("peak1 = %+v (want the distant peak, neighbor suppressed)", peaks[1])
+	for k := 1; k <= 3; k++ {
+		peaks, _ := topPeaksInto(nil, nil, surf, 8, 8, k)
+		want := TopPeaks(data, 8, 8, k)
+		if len(peaks) != len(want) {
+			t.Fatalf("k=%d: %d peaks on the real surface, %d on the complex one", k, len(peaks), len(want))
+		}
+		for j := range peaks {
+			if peaks[j] != want[j] {
+				t.Errorf("k=%d peak %d: real %+v, complex %+v", k, j, peaks[j], want[j])
+			}
+		}
+		if k == 2 {
+			if peaks[0].X != 5 || peaks[0].Y != 0 {
+				t.Errorf("peak0 = %+v", peaks[0])
+			}
+			if peaks[1].X != 4 || peaks[1].Y != 4 {
+				t.Errorf("peak1 = %+v (want the distant peak, neighbor suppressed)", peaks[1])
+			}
+		}
 	}
 }
 
@@ -249,7 +304,7 @@ func TestOverlapRegionsProperty(t *testing.T) {
 }
 
 func TestAlignerErrors(t *testing.T) {
-	if al, err := NewAligner(0, 4, Options{}); err == nil {
+	if al, err := NewRealAligner(0, 4, Options{}); err == nil {
 		al.Close()
 		t.Error("zero width should fail")
 	}

@@ -8,12 +8,12 @@ import (
 )
 
 // This file is the aligner pool behind the zero-allocation steady state.
-// An aligner owns its FFT plans and every per-pair scratch buffer — the
-// NCC/correlogram spectrum, the real correlation surface, pixel staging,
-// and the peak-candidate slices — all sized at construction, so after one
+// An aligner owns its FFT plan and every per-pair scratch buffer — the
+// real correlation surface, pixel staging, and the peak-candidate slices
+// — all sized at construction, so after one
 // warm-up pair Displace performs no heap allocations (pinned by the
 // AllocsPerRun tests in alloc_test.go). Whole aligners recycle: every
-// New*Aligner constructor first consults a free list keyed by tile size
+// NewRealAligner call first consults a free list keyed by tile size
 // and options, and Close returns the aligner to it, so the one aligner
 // per worker per run reuses warm plans and memory instead of rebuilding
 // them.
@@ -48,11 +48,10 @@ func resetPoolsForTest() {
 	alignerPools.Range(func(k, _ any) bool { alignerPools.Delete(k); return true })
 }
 
-// alignerKey identifies one aligner free list: spectrum layout, tile size
-// (which fixes the transform size) and every option that changes an
-// aligner's observable behavior. The Planner is not one of them.
+// alignerKey identifies one aligner free list: tile size (which fixes
+// the transform size) and every option that changes an aligner's
+// observable behavior. The Planner is not one of them.
 type alignerKey struct {
-	real      bool
 	w, h      int
 	nPeaks    int
 	fftPoolID uint64
@@ -69,13 +68,13 @@ func ArenaReuse() int64 { return arenaReuseCount.Load() }
 
 // makeAlignerKey builds the key for opts, which must already carry its
 // defaults.
-func makeAlignerKey(real bool, w, h int, opts Options) alignerKey {
+func makeAlignerKey(w, h int, opts Options) alignerKey {
 	pool := opts.FFTPool
 	if pool == nil {
 		pool = fft.SharedPool()
 	}
 	return alignerKey{
-		real: real, w: w, h: h,
+		w: w, h: h,
 		nPeaks:    opts.NPeaks,
 		fftPoolID: pool.ID(),
 	}

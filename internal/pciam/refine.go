@@ -92,3 +92,34 @@ func absI(x int) int {
 	}
 	return x
 }
+
+// SubpixelPeak refines an integer correlation peak to subpixel precision
+// by fitting a 1-D parabola through the peak and its neighbors along
+// each axis (the standard refinement MIST applies after phase
+// correlation). data is the h×w correlation surface; returns the refined
+// (x, y) with each offset clamped to (-0.5, 0.5).
+func SubpixelPeak(data []complex128, w, h, px, py int) (float64, float64) {
+	at := func(x, y int) float64 {
+		x = ((x % w) + w) % w
+		y = ((y % h) + h) % h
+		v := data[y*w+x]
+		return math.Hypot(real(v), imag(v))
+	}
+	refine := func(m1, c, p1 float64) float64 {
+		den := m1 - 2*c + p1
+		if den == 0 {
+			return 0
+		}
+		d := 0.5 * (m1 - p1) / den
+		if d > 0.5 {
+			d = 0.5
+		}
+		if d < -0.5 {
+			d = -0.5
+		}
+		return d
+	}
+	dx := refine(at(px-1, py), at(px, py), at(px+1, py))
+	dy := refine(at(px, py-1), at(px, py), at(px, py+1))
+	return float64(px) + dx, float64(py) + dy
+}

@@ -82,7 +82,6 @@ func All() []Experiment {
 		{"ablation-ccf", "design — CCF placement (CPU vs GPU) ablation", runAblationCCF},
 		{"ablation-pool", "design — GPU buffer pool size ablation", runAblationPool},
 		{"ablation-hyperq", "§VI.A — Kepler Hyper-Q kernel concurrency ablation", runAblationHyperQ},
-		{"ablation-variants", "§VI.A — FFT layout (complex / real) at the size rule's frame, pipeline ablation", runAblationVariants},
 		{"bottleneck", "analysis — per-resource utilization of the modeled runs", runBottleneck},
 		{"solvers", "phase 2 — spanning tree vs least-squares placement", runSolvers},
 		{"ablation-sockets", "§IV.B — per-socket CPU pipelines (future work)", runAblationSockets},
@@ -745,52 +744,6 @@ func sameDisplacements(a, b *stitch.Result) bool {
 		}
 	}
 	return true
-}
-
-// runAblationVariants runs both spectrum layouts on a plate whose tile
-// size carries the paper's awkward factors (29 and 13, a quarter-scale
-// 1392×1040), each at the frame the size rule chooses for it.
-func runAblationVariants(o Options) (string, error) {
-	o = o.withDefaults()
-	rows, cols, tw, th := 4, 4, 348, 260
-	if o.Quick {
-		rows, cols, tw, th = 3, 3, 116, 87
-	}
-	p := imagegen.DefaultParams(rows, cols, tw, th)
-	p.Seed = o.Seed
-	ds, err := imagegen.Generate(p)
-	if err != nil {
-		return "", err
-	}
-	src := &stitch.MemorySource{DS: ds}
-	tbl := Table{
-		Title:   fmt.Sprintf("FFT layout ablation at the size rule's frame (real pipelined-cpu runs, %dx%d tiles of %dx%d)", rows, cols, tw, th),
-		Headers: []string{"Layout", "Transformed at", "Wall", "Identical to complex"},
-	}
-	var base *stitch.Result
-	for _, v := range []stitch.FFTVariant{stitch.VariantComplex, stitch.VariantReal} {
-		opts := stitch.Options{Threads: 4, FFTVariant: v}
-		// The first run builds the aligners; the table times a warm second.
-		if _, err := (&stitch.PipelinedCPU{}).Run(src, opts); err != nil {
-			return "", err
-		}
-		res, err := (&stitch.PipelinedCPU{}).Run(src, opts)
-		if err != nil {
-			return "", err
-		}
-		layout, same := "complex", "-"
-		if v == stitch.VariantReal {
-			layout = "real"
-		}
-		if base == nil {
-			base = res
-		} else {
-			same = fmt.Sprint(sameDisplacements(base, res))
-		}
-		tbl.Add(layout, fmt.Sprintf("%dx%d", res.TransformW, res.TransformH),
-			res.Elapsed.Round(time.Millisecond).String(), same)
-	}
-	return tbl.String(), nil
 }
 
 func runBottleneck(o Options) (string, error) {

@@ -50,10 +50,12 @@ func (c OpCensus) TotalForwardAndInverseFFTs() int64 {
 }
 
 // TransformWorkingSetBytes returns the memory needed to hold every
-// forward transform at once — the number the paper contrasts with RAM
-// and GPU capacity (53.5 GB for the 42×59 grid).
+// forward transform at once as the paper computes them, full complex
+// spectra of 16·w·h bytes per tile — the number it contrasts with RAM
+// and GPU capacity (53.5 GB for the 42×59 grid). The half spectra this
+// package transforms into need roughly half.
 func (c OpCensus) TransformWorkingSetBytes() int64 {
-	return int64(c.Grid.NumTiles()) * VariantComplex.transformWords(c.Grid.TileW, c.Grid.TileH) * 16
+	return int64(c.Grid.NumTiles()) * int64(c.Grid.TileW) * int64(c.Grid.TileH) * 16
 }
 
 // String renders the census as an aligned text table.

@@ -1,6 +1,10 @@
 package stitch
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"hybridstitch/internal/pciam"
+)
 
 // Fiji models the ImageJ/Fiji stitching plugin's architecture as the
 // external baseline: the same mathematical operators (the paper stresses
@@ -28,7 +32,7 @@ func (f Fiji) Run(src Source, opts Options) (*Result, error) {
 	// Workers claim pairs by index, so one that fails simply stops
 	// claiming; nobody is left blocked feeding it.
 	var next atomic.Int64
-	err = r.workers(r.opts.Threads, func(_ int, al aligner) error {
+	err = r.workers(r.opts.Threads, func(_ int, al *pciam.RealAligner) error {
 		for i := next.Add(1) - 1; i < int64(len(pairs)); i = next.Add(1) - 1 {
 			p := pairs[i]
 			// Re-read and re-transform both tiles: the no-reuse

@@ -31,7 +31,7 @@ func assertBitIdenticalDisplacements(t *testing.T, ref, got *Result, refName, go
 }
 
 // paddedDataset is a plate whose tile size the size rule pads: 116×87 =
-// 4·29 × 3·29 tiles transform at 120×90 in either layout.
+// 4·29 × 3·29 tiles transform at 120×90.
 func paddedDataset(t testing.TB, rows, cols int) *MemorySource {
 	t.Helper()
 	ds, err := imagegen.Generate(imagegen.DefaultParams(rows, cols, 116, 87))
@@ -48,7 +48,10 @@ func paddedDataset(t testing.TB, rows, cols int) *MemorySource {
 // unfused serial inverse, the peak, and the CCF resolution. None of what
 // production fuses, splits, schedules or sizes is in it, which is what
 // makes it the reference the six implementations are held to with ==.
-func oracleResult(t *testing.T, src Source, variant FFTVariant, pw, ph int) *Result {
+// It runs in either spectrum layout: the complex one is the paper's
+// baseline of full complex transforms, which production no longer has;
+// the real one is production's half-spectrum arithmetic, unfused.
+func oracleResult(t *testing.T, src Source, l layout, pw, ph int) *Result {
 	t.Helper()
 	g := src.Grid()
 	w, h := g.TileW, g.TileH
@@ -64,8 +67,7 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant, pw, ph int) *Res
 	// peak inverts the NCC spectrum and returns the surface's maximum; its
 	// coordinates live in the transform frame (pw × ph).
 	var peak func(ncc []complex128) (px, py int)
-	switch variant {
-	case VariantComplex:
+	if !l.real {
 		fwd, err := fft.NewPlan2D(ph, pw, fft.Forward, fft.Plan2DOpts{Exec: fft.ExecSerial})
 		must(err)
 		inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
@@ -81,10 +83,10 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant, pw, ph int) *Res
 		}
 		peak = func(ncc []complex128) (int, int) {
 			must(inv.Execute(ncc))
-			pk := pciam.TopPeaks(ncc, pw, ph, 1)[0]
-			return pk.X, pk.Y
+			i := maxAbsComplex(ncc)
+			return i % pw, i / pw
 		}
-	case VariantReal:
+	} else {
 		plan, err := fft.NewRealPlan2DOpts(ph, pw, fft.Real2DOpts{Exec: fft.ExecSerial})
 		must(err)
 		corr := make([]float64, pw*ph)
@@ -146,61 +148,80 @@ func oracleResult(t *testing.T, src Source, variant FFTVariant, pw, ph int) *Res
 	return res
 }
 
+// maxAbsComplex is the complex oracle's max-reduction: the index of the
+// largest |re| or |im|, the first on a tie.
+func maxAbsComplex(data []complex128) int {
+	bi, bm := 0, -1.0
+	for i, v := range data {
+		if m := math.Max(math.Abs(real(v)), math.Abs(imag(v))); m > bm {
+			bi, bm = i, m
+		}
+	}
+	return bi
+}
+
 // assertMatchOracle runs all six implementations under opts and requires
-// each one's displacements to equal the oracle's at the pw×ph frame
-// exactly, and its result to report that frame.
-func assertMatchOracle(t *testing.T, src Source, opts Options, label string, pw, ph int) {
+// each one's displacements to equal, exactly, the oracle's at the pw×ph
+// frame in each of the layouts ls, and its result to report that frame.
+func assertMatchOracle(t *testing.T, src Source, opts Options, label string, pw, ph int, ls ...layout) {
 	t.Helper()
-	ref := oracleResult(t, src, opts.FFTVariant, pw, ph)
+	refs := make([]*Result, len(ls))
+	for i, l := range ls {
+		refs[i] = oracleResult(t, src, l, pw, ph)
+	}
 	for _, impl := range Implementations() {
 		opts.Threads = 3
 		opts.Devices = testDevices(2)
 		res := runStitcher(t, impl, src, opts)
 		closeDevices(opts.Devices)
-		assertBitIdenticalDisplacements(t, ref, res, "oracle", impl.Name()+"/"+label)
+		for i, l := range ls {
+			assertBitIdenticalDisplacements(t, refs[i], res, l.name+" oracle", impl.Name()+"/"+label)
+		}
 		if res.TransformW != pw || res.TransformH != ph {
 			t.Errorf("%s/%s: result reports transforms at %dx%d, want %dx%d", impl.Name(), label, res.TransformW, res.TransformH, pw, ph)
 		}
 	}
 }
 
-// layouts are the two spectrum layouts, by subtest name.
+// layout is a spectrum layout of the oracle, by subtest name.
 type layout struct {
-	name    string
-	variant FFTVariant
+	name string
+	real bool
 }
 
-var layouts = []layout{{"complex", VariantComplex}, {"real", VariantReal}}
+var (
+	complexOracle = layout{"complex", false}
+	realOracle    = layout{"real", true}
+	layouts       = []layout{complexOracle, realOracle}
+)
 
 // TestHotPathTogglesBitIdentical holds the hot path as production runs
-// it — blocked transpose, fused NCC, autotuned execution on the shared
-// pool — to the oracle: all six implementations, complex and real
-// transforms, at the exact tile size. (The name predates the removal of
-// the toggles that used to select the unfused and strided paths; their
-// arithmetic now lives in the oracle.)
+// it — r2c half spectra, blocked transpose, fused NCC, autotuned
+// execution on the shared pool — to the oracle in the complex and in the
+// real layout: all six implementations, at the exact tile size. (The
+// name predates the removal of the toggles that used to select the
+// unfused and strided paths and the complex layout; their arithmetic now
+// lives in the oracle.)
 func TestHotPathTogglesBitIdentical(t *testing.T) {
 	src := testDataset(t, 3, 3)
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
-			assertMatchOracle(t, src, Options{FFTVariant: l.variant}, l.name, 128, 96)
+			assertMatchOracle(t, src, Options{}, l.name, 128, 96, l)
 		})
 	}
 }
 
 // TestPaddedHotPathBitIdentical is the same wall on a plate the size
-// rule pads: both layouts, all six implementations — the GPU pair pads
-// in host staging and reads its peak in the padded frame.
+// rule pads: both oracle layouts, all six implementations — the GPU pair
+// pads in host staging and reads its peak in the padded frame.
 func TestPaddedHotPathBitIdentical(t *testing.T) {
-	src := paddedDataset(t, 3, 3)
-	for _, l := range layouts {
-		assertMatchOracle(t, src, Options{FFTVariant: l.variant}, "padded/"+l.name, 120, 90)
-	}
+	assertMatchOracle(t, paddedDataset(t, 3, 3), Options{}, "padded", 120, 90, layouts...)
 }
 
 // TestFFTExecTogglesBitIdentical extends the wall along the
 // worker-budget axis the split rule reads: over private pools of 0, 1
 // and NumCPU helpers, every implementation still equals the oracle,
-// across both layouts at the exact and at the padded size, and on a
+// in both its layouts at the exact and at the padded size, and on a
 // plate whose frame is large enough that a call with a free token
 // splits (384×256: single-worker implementations fork there, pipelined
 // ones hold the tokens for their pair workers). A split only
@@ -222,16 +243,14 @@ func TestFFTExecTogglesBitIdentical(t *testing.T) {
 
 	wall := func(src Source, pw, ph int, ls ...layout) func(*testing.T) {
 		return func(t *testing.T) {
-			for _, l := range ls {
-				for _, pool := range pools {
-					assertMatchOracle(t, src, Options{FFTVariant: l.variant, FFTPool: pool},
-						fmt.Sprintf("%s/%s/pool=%d", t.Name(), l.name, pool.Cap()), pw, ph)
-				}
+			for _, pool := range pools {
+				assertMatchOracle(t, src, Options{FFTPool: pool},
+					fmt.Sprintf("%s/pool=%d", t.Name(), pool.Cap()), pw, ph, ls...)
 			}
 		}
 	}
-	t.Run("complex", wall(exact, 128, 96, layouts[0]))
-	t.Run("real", wall(exact, 128, 96, layouts[1]))
+	t.Run("complex", wall(exact, 128, 96, complexOracle))
+	t.Run("real", wall(exact, 128, 96, realOracle))
 	t.Run("padded", wall(padded, 120, 90, layouts...))
 	_, split0 := fft.AutotuneCounts()
 	t.Run("split", wall(large, 384, 256, layouts...))

@@ -52,16 +52,12 @@ type runBaselines struct {
 }
 
 // startRun opens the per-run root span on the "run" track, tagged with
-// the transform size pw×ph the run uses. Nil-safe. Named FFT variants are
-// also tagged with an "fft" attribute; the baseline has no name.
+// the transform size pw×ph the run uses. Nil-safe.
 func startRun(opts Options, impl string, g tile.Grid, pw, ph int) (*obs.Span, runBaselines) {
 	attrs := []obs.Attr{
 		obs.String("impl", impl),
 		obs.String("grid", fmt.Sprintf("%dx%d", g.Rows, g.Cols)),
 		obs.String("size", fmt.Sprintf("%dx%d", pw, ph)),
-	}
-	if name := string(opts.FFTVariant); name != "" {
-		attrs = append(attrs, obs.String("fft", name))
 	}
 	base := runBaselines{
 		transposeBlocks: fft.TransposeBlocks(),
@@ -99,7 +95,7 @@ func publishRun(opts Options, base runBaselines, res *Result) {
 	rec.Counter(CounterDegradedTiles).Add(int64(len(res.DegradedTiles)))
 	rec.Counter(CounterDegradedPairs).Add(int64(len(res.DegradedPairs)))
 	rec.Gauge(obs.GaugeTransformsPeakLive).Set(float64(res.PeakTransformsLive))
-	rec.Gauge(obs.GaugeTransformWords).Set(float64(opts.FFTVariant.transformWords(res.TransformW, res.TransformH)))
+	rec.Gauge(obs.GaugeTransformWords).Set(float64(transformWords(res.TransformW, res.TransformH)))
 	rec.Gauge(obs.GaugeTransformWidth).Set(float64(res.TransformW))
 	rec.Gauge(obs.GaugeTransformHeight).Set(float64(res.TransformH))
 	for _, q := range res.QueueStats {

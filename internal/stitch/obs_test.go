@@ -209,9 +209,9 @@ func TestPipelinedGPUTraceShowsCopyComputeOverlap(t *testing.T) {
 		return out
 	}
 	h2d := byTrack("GPU0/copy/memcpyH2D", "H2D")
-	fft := byTrack("GPU0/fft0/kernel", "fft2d")
+	fft := byTrack("GPU0/fft0/kernel", "rfft2d")
 	if len(h2d) != src.Grid().NumTiles() || len(fft) != src.Grid().NumTiles() {
-		t.Fatalf("trace has %d H2D and %d fft2d spans, want %d each", len(h2d), len(fft), src.Grid().NumTiles())
+		t.Fatalf("trace has %d H2D and %d rfft2d spans, want %d each", len(h2d), len(fft), src.Grid().NumTiles())
 	}
 
 	// The copy stream and the FFT stream are FIFO, so index i on each
@@ -224,7 +224,7 @@ func TestPipelinedGPUTraceShowsCopyComputeOverlap(t *testing.T) {
 		}
 	}
 	if overlaps == 0 {
-		t.Fatalf("no H2D[n+1]/fft2d[n] overlap in %d tile slots: pipeline did not overlap copy with compute", len(h2d)-1)
+		t.Fatalf("no H2D[n+1]/rfft2d[n] overlap in %d tile slots: pipeline did not overlap copy with compute", len(h2d)-1)
 	}
 	t.Logf("%d/%d tile slots show copy/compute overlap", overlaps, len(h2d)-1)
 }

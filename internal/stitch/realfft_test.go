@@ -1,6 +1,7 @@
 package stitch
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // TestRealFFTDifferentialDisplacements is the end-to-end differential
 // check for the r2c path: every one of the five variants must produce
-// displacements identical to its own complex-path run — the real
-// transform changes footprint, never answers.
+// the complex oracle's displacements exactly, at an exact frame and at
+// a padded one — the real transform changes footprint, never answers.
 func TestRealFFTDifferentialDisplacements(t *testing.T) {
 	p := imagegen.DefaultParams(3, 4, 128, 96)
 	p.Seed = 5
@@ -20,36 +21,37 @@ func TestRealFFTDifferentialDisplacements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &MemorySource{DS: ds}
+	plates := []struct {
+		src    *MemorySource
+		ref    *Result
+		pw, ph int
+	}{{src: &MemorySource{DS: ds}, pw: 128, ph: 96}, {src: paddedDataset(t, 3, 4), pw: 120, ph: 90}}
+	for i := range plates {
+		plates[i].ref = oracleResult(t, plates[i].src, complexOracle, plates[i].pw, plates[i].ph)
+	}
 
 	for _, impl := range degradableVariants() {
 		impl := impl
 		t.Run(impl.Name(), func(t *testing.T) {
-			devs := testDevices(1)
-			defer closeDevices(devs)
-			opts := Options{Threads: 2, Devices: devs}
-			complexRes := runStitcher(t, impl, src, opts)
-			opts.FFTVariant = VariantReal
-			realRes := runStitcher(t, impl, src, opts)
-			assertSameDisplacements(t, complexRes, realRes, "complex", "real")
+			for _, pl := range plates {
+				devs := testDevices(1)
+				res := runStitcher(t, impl, pl.src, Options{Threads: 2, Devices: devs})
+				closeDevices(devs)
+				assertBitIdenticalDisplacements(t, pl.ref, res, "complex oracle", fmt.Sprintf("r2c at %dx%d", pl.pw, pl.ph))
+			}
 		})
 	}
 }
 
 // TestRealFFTDifferentialCountersUnderFaults reruns the semantic-counter
-// differential with the real FFT variant: under the same deterministic
-// injected read failure, all five variants must report the same
-// aligned/retry/casualty counters as the complex path's absolute
-// expectations — degraded-run bookkeeping is transform-variant-invariant.
+// differential (TestDifferentialSemanticCounters) on a plate the size
+// rule pads: under the same deterministic injected read failure, all
+// five variants must report the same absolute aligned/retry/casualty
+// counters at 120×90 as at the exact size — degraded-run bookkeeping is
+// transform-frame-invariant.
 func TestRealFFTDifferentialCountersUnderFaults(t *testing.T) {
 	const spec = "stitch.read@r001_c002:always"
-	p := imagegen.DefaultParams(3, 4, 128, 96)
-	p.Seed = 11
-	ds, err := imagegen.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &MemorySource{DS: ds}
+	src := paddedDataset(t, 3, 4)
 	g := src.Grid()
 	lostPairs := len(g.PairsOf(tile.Coord{Row: 1, Col: 2}))
 
@@ -70,7 +72,6 @@ func TestRealFFTDifferentialCountersUnderFaults(t *testing.T) {
 		opts.Faults = inj
 		opts.MaxRetries = 2
 		opts.Degrade = true
-		opts.FFTVariant = VariantReal
 		res, err := impl.Run(src, opts)
 		closeDevices(devs)
 		if err != nil {
@@ -80,6 +81,10 @@ func TestRealFFTDifferentialCountersUnderFaults(t *testing.T) {
 		if !res.Degraded() {
 			rec.Close()
 			t.Fatalf("%s: expected a degraded run", impl.Name())
+		}
+		if res.TransformW != 120 || res.TransformH != 90 {
+			rec.Close()
+			t.Fatalf("%s: transformed at %dx%d, want the padded 120x90", impl.Name(), res.TransformW, res.TransformH)
 		}
 		cs := counterSet{}
 		for _, name := range semanticCounters {

@@ -8,6 +8,7 @@ import (
 
 	"hybridstitch/internal/fault"
 	"hybridstitch/internal/obs"
+	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/tile"
 )
 
@@ -115,7 +116,7 @@ func (fp faultPlan) readTile(src Source, c tile.Coord, parent *obs.Span) (*tile.
 
 // transform computes a forward FFT through the "stitch.fft" error point
 // with bounded retry, recorded as an "fft" span under parent.
-func (fp faultPlan) transform(al aligner, c tile.Coord, img *tile.Gray16, parent *obs.Span) ([]complex128, error) {
+func (fp faultPlan) transform(al *pciam.RealAligner, c tile.Coord, img *tile.Gray16, parent *obs.Span) ([]complex128, error) {
 	var f []complex128
 	err := fp.op(parent, obs.SpanFFT, obs.HistFFTSeconds, obs.CounterFFTOps, tileAttr(c), func() error {
 		return fp.retry.Do(func() error {
@@ -135,7 +136,7 @@ func (fp faultPlan) transform(al aligner, c tile.Coord, img *tile.Gray16, parent
 
 // displace computes a pair displacement through the "pciam.ncc" error
 // point with bounded retry, recorded as a "disp" span under parent.
-func (fp faultPlan) displace(al aligner, p tile.Pair, aImg, bImg *tile.Gray16, aF, bF []complex128, parent *obs.Span) (tile.Displacement, error) {
+func (fp faultPlan) displace(al *pciam.RealAligner, p tile.Pair, aImg, bImg *tile.Gray16, aF, bF []complex128, parent *obs.Span) (tile.Displacement, error) {
 	var d tile.Displacement
 	err := fp.op(parent, obs.SpanDisp, obs.HistDispSeconds, obs.CounterDispOps, pairAttr(p), func() error {
 		return fp.retry.Do(func() error {

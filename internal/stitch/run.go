@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hybridstitch/internal/obs"
+	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/tile"
 )
 
@@ -35,7 +36,7 @@ type run struct {
 	start time.Time
 
 	// pw×ph is the size every tile is transformed at, host or device:
-	// fft.TransformSize's frame for g's tiles under the run's layout.
+	// fft.TransformSize's frame for g's tiles.
 	pw, ph int
 
 	// once guards tile(): the first caller to need a tile loads it, the
@@ -59,11 +60,11 @@ func newRun(src Source, opts Options, impl string) (*run, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(g)
-	pw, ph := opts.transformSize(g)
+	pw, ph := transformSize(g)
 	r := &run{
 		src: src, g: g, opts: opts, pw: pw, ph: ph,
 		fp:    opts.plan(),
-		cache: newHostCache(g, opts.Governor, opts.FFTVariant.transformWords(pw, ph)*16),
+		cache: newHostCache(g, opts.Governor, transformWords(pw, ph)*16),
 		ds:    newDegradedSet(g),
 		once:  make([]sync.Once, g.NumTiles()),
 		res:   newResult(g),
@@ -88,7 +89,7 @@ func newGPURun(src Source, opts Options, impl string) (*run, error) {
 // workers runs body on n goroutines, each holding its own pooled
 // aligner, charges them to the shared transform worker budget, and
 // returns the lowest-numbered worker's error once all have exited.
-func (r *run) workers(n int, body func(w int, al aligner) error) error {
+func (r *run) workers(n int, body func(w int, al *pciam.RealAligner) error) error {
 	defer r.opts.reservePairWorkers(n)()
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -117,7 +118,7 @@ func (r *run) workers(n int, body func(w int, al aligner) error) error {
 // walk runs one worker per part, each taking its pairs in order: the
 // sequential walk with one part, the SPMD decomposition with several.
 func (r *run) walk(parts [][]tile.Pair) error {
-	return r.workers(len(parts), func(w int, al aligner) error {
+	return r.workers(len(parts), func(w int, al *pciam.RealAligner) error {
 		for _, p := range parts[w] {
 			if err := r.pair(al, p); err != nil {
 				return err
@@ -134,7 +135,7 @@ func (r *run) read(c tile.Coord, parent *obs.Span) (*tile.Gray16, error) {
 
 // transform computes tile c's forward FFT through the "stitch.fft" error
 // point and makes the tile resident.
-func (r *run) transform(al aligner, c tile.Coord, img *tile.Gray16, parent *obs.Span) error {
+func (r *run) transform(al *pciam.RealAligner, c tile.Coord, img *tile.Gray16, parent *obs.Span) error {
 	r.cache.touch()
 	f, err := r.fp.transform(al, c, img, parent)
 	if err != nil {
@@ -145,7 +146,7 @@ func (r *run) transform(al aligner, c tile.Coord, img *tile.Gray16, parent *obs.
 
 // load is the host side's way of making tile c resident: read →
 // transform → cache.
-func (r *run) load(al aligner, c tile.Coord, parent *obs.Span) error {
+func (r *run) load(al *pciam.RealAligner, c tile.Coord, parent *obs.Span) error {
 	img, err := r.read(c, parent)
 	if err == nil {
 		err = r.transform(al, c, img, parent)
@@ -210,7 +211,7 @@ func (r *run) settle(p tile.Pair, d tile.Displacement, cause error) error {
 
 // displace aligns pair p from its two resident tiles through the
 // "pciam.ncc" error point and settles it.
-func (r *run) displace(al aligner, p tile.Pair, parent *obs.Span) error {
+func (r *run) displace(al *pciam.RealAligner, p tile.Pair, parent *obs.Span) error {
 	bImg, bF := r.cache.get(r.g.Index(p.Coord))
 	aImg, aF := r.cache.get(r.g.Index(p.Neighbor()))
 	if aImg == nil || bImg == nil {
@@ -241,7 +242,7 @@ func (r *run) pairWith(p tile.Pair, load func(tile.Coord, *obs.Span) error, disp
 
 // pair is pairWith on the host: tiles loaded into the host cache and
 // displaced by the worker's aligner.
-func (r *run) pair(al aligner, p tile.Pair) error {
+func (r *run) pair(al *pciam.RealAligner, p tile.Pair) error {
 	return r.pairWith(p,
 		func(c tile.Coord, psp *obs.Span) error { return r.load(al, c, psp) },
 		func(psp *obs.Span) error { return r.displace(al, p, psp) })

@@ -11,6 +11,7 @@ import (
 	"hybridstitch/internal/analysis/leaktest"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/imagegen"
+	"hybridstitch/internal/pciam"
 	"hybridstitch/internal/tile"
 )
 
@@ -62,7 +63,7 @@ func TestRunEngineInvariants(t *testing.T) {
 		pairs := g.Pairs()
 		var mu sync.Mutex
 		failed := map[tile.Pair]error{}
-		err = r.workers(workers, func(w int, al aligner) error {
+		err = r.workers(workers, func(w int, al *pciam.RealAligner) error {
 			for i := w; i < len(pairs); i += workers {
 				if err := r.pair(al, pairs[i]); err != nil {
 					mu.Lock()

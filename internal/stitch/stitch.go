@@ -14,8 +14,8 @@
 // Table I operation census, the per-run pair engine (run.go) that owns
 // every read, transform, displacement, retry, casualty and reference
 // count plus the pipelines' bookkeeping step, the host aligner and the
-// per-GPU operator set (aligner.go — the only code that knows a spectrum
-// layout), and the host cache and device residency (cache.go). Each
+// per-GPU operator set (aligner.go — the only code that knows the
+// spectrum layout), and the host cache and device residency (cache.go). Each
 // implementation file is a scheduler over those — threads, stages,
 // queues, streams — so every implementation produces identical
 // displacement arrays for the same input; they differ only in
@@ -23,6 +23,7 @@
 package stitch
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -125,6 +126,42 @@ func WriteDataset(dir string, ds *imagegen.Dataset) error {
 	return nil
 }
 
+// DatasetMeta is a dataset directory's truth.json sidecar: the grid
+// geometry, the generation parameters, and the true tile positions.
+// genplate writes it next to the tiles; OpenDataset reads it.
+type DatasetMeta struct {
+	Rows      int     `json:"rows"`
+	Cols      int     `json:"cols"`
+	TileW     int     `json:"tile_w"`
+	TileH     int     `json:"tile_h"`
+	OverlapX  float64 `json:"overlap_x"`
+	OverlapY  float64 `json:"overlap_y"`
+	MaxJitter int     `json:"max_jitter"`
+	Seed      int64   `json:"seed"`
+	TruthX    []int   `json:"truth_x"`
+	TruthY    []int   `json:"truth_y"`
+}
+
+// OpenDataset reads dir's truth.json and returns a source over the
+// dataset's tiles (WriteDataset layout) with the metadata. The grid the
+// metadata describes must validate.
+func OpenDataset(dir string) (*DirSource, *DatasetMeta, error) {
+	blob, err := os.ReadFile(filepath.Join(dir, "truth.json"))
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading dataset metadata: %w", err)
+	}
+	var meta DatasetMeta
+	if err := json.Unmarshal(blob, &meta); err != nil {
+		return nil, nil, err
+	}
+	g := tile.Grid{Rows: meta.Rows, Cols: meta.Cols, TileW: meta.TileW, TileH: meta.TileH,
+		OverlapX: meta.OverlapX, OverlapY: meta.OverlapY}
+	if err := g.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("dataset metadata: %w", err)
+	}
+	return &DirSource{Dir: dir, GridSpec: g}, &meta, nil
+}
+
 // Options configures a stitching run. The zero value is usable.
 type Options struct {
 	// Threads is the worker count for the CPU implementations (the
@@ -157,13 +194,10 @@ type Options struct {
 	// QueueCap bounds the inter-stage queues; 0 picks 4× the stage
 	// worker count.
 	QueueCap int
-	// FFTVariant selects the spectrum layout: baseline complex or
-	// real-to-complex half spectra (the paper's §VI.A future-work
-	// optimization); every implementation supports both. It is read where
-	// aligners and device operators are built (aligner.go); schedulers
-	// never branch on it. §VI.A's other optimization, padding tiles to a
-	// fast transform size, is not selected here: fft.TransformSize
-	// chooses the size for either layout.
+	// FFTVariant changes nothing: every run transforms real-to-complex
+	// into half spectra (the paper's §VI.A future-work optimization) at
+	// fft.TransformSize's frame. The field stays for callers that still
+	// set it.
 	FFTVariant FFTVariant
 	// FFTPool overrides the shared transform worker budget (tests and
 	// experiments); nil means fft.SharedPool(), sized GOMAXPROCS-1.

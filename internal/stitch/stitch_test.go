@@ -192,7 +192,7 @@ func TestGPUPoolTooSmallFails(t *testing.T) {
 
 func TestGPUDeviceMemoryTooSmallFails(t *testing.T) {
 	src := testDataset(t, 3, 3)
-	small := gpu.New(gpu.Config{Name: "tiny", MemWords: 128 * 96 * 3})
+	small := gpu.New(gpu.Config{Name: "tiny", MemWords: 3 * transformWords(128, 96)})
 	defer small.Close()
 	_, err := (&SimpleGPU{}).Run(src, Options{Devices: []*gpu.Device{small}})
 	if err == nil {

@@ -12,63 +12,53 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// TestFFTVariantsProduceSameDisplacements: the real layout finds the
-// complex baseline's displacements, and on a plate the size rule pads
-// (pciam's TestPaddedMatchesBaselineOnDataset plate: 3×4 tiles of
-// 174×130, at 180×144) either layout finds the displacements of the
-// exact tile size, which only the oracle computes.
+// TestFFTVariantsProduceSameDisplacements: the half-spectrum layout
+// finds the complex baseline's displacements, correlation included, at
+// its own frame; and on a plate the size rule pads (pciam's
+// TestPaddedMatchesBaselineOnDataset plate: 3×4 tiles of 174×130, at
+// 180×144) it finds the displacements of the exact tile size, which only
+// the oracle computes.
 func TestFFTVariantsProduceSameDisplacements(t *testing.T) {
 	ds, err := imagegen.Generate(imagegen.DefaultParams(3, 4, 174, 130))
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact, padded := testDataset(t, 3, 3), &MemorySource{DS: ds}
-	for _, c := range []struct {
-		src  *MemorySource
-		base *Result
-	}{
-		{exact, runStitcher(t, &SimpleCPU{}, exact, Options{})},
-		{padded, oracleResult(t, padded, VariantComplex, 174, 130)},
-	} {
-		for _, v := range []FFTVariant{VariantComplex, VariantReal} {
-			got := runStitcher(t, &SimpleCPU{}, c.src, Options{FFTVariant: v})
-			for _, p := range c.src.Grid().Pairs() {
-				d1, _ := c.base.PairDisplacement(p)
-				d2, _ := got.PairDisplacement(p)
-				if d1.X != d2.X || d1.Y != d2.Y {
-					t.Errorf("variant %q at %dx%d pair %v: (%d,%d) vs exact size (%d,%d)", v, got.TransformW, got.TransformH, p, d2.X, d2.Y, d1.X, d1.Y)
-				}
-			}
+	assertBitIdenticalDisplacements(t, oracleResult(t, exact, complexOracle, 128, 96),
+		runStitcher(t, &SimpleCPU{}, exact, Options{}), "complex oracle", "simple-cpu")
+	base := oracleResult(t, padded, complexOracle, 174, 130)
+	got := runStitcher(t, &SimpleCPU{}, padded, Options{})
+	for _, p := range padded.Grid().Pairs() {
+		d1, _ := base.PairDisplacement(p)
+		d2, _ := got.PairDisplacement(p)
+		if d1.X != d2.X || d1.Y != d2.Y {
+			t.Errorf("at %dx%d pair %v: (%d,%d) vs exact size (%d,%d)", got.TransformW, got.TransformH, p, d2.X, d2.Y, d1.X, d1.Y)
 		}
 	}
 }
 
+// TestFFTVariantsAcrossImplementations holds the five degradable
+// variants, with two workers, to the complex oracle at the exact and at
+// a padded frame with ==.
 func TestFFTVariantsAcrossImplementations(t *testing.T) {
-	for _, src := range []*MemorySource{testDataset(t, 2, 3), paddedDataset(t, 2, 3)} {
-		for _, impl := range []Stitcher{&MTCPU{}, &PipelinedCPU{}} {
-			for _, v := range []FFTVariant{VariantComplex, VariantReal} {
-				res := runStitcher(t, impl, src, Options{Threads: 2, FFTVariant: v})
-				if !res.Complete() {
-					t.Errorf("%s/%s at %dx%d incomplete", impl.Name(), v, res.TransformW, res.TransformH)
-				}
-			}
+	for _, c := range []struct {
+		src    *MemorySource
+		pw, ph int
+	}{{testDataset(t, 2, 3), 128, 96}, {paddedDataset(t, 2, 3), 120, 90}} {
+		ref := oracleResult(t, c.src, complexOracle, c.pw, c.ph)
+		for _, impl := range degradableVariants() {
+			devs := testDevices(1)
+			res := runStitcher(t, impl, c.src, Options{Threads: 2, Devices: devs})
+			closeDevices(devs)
+			assertBitIdenticalDisplacements(t, ref, res, "complex oracle", fmt.Sprintf("%s at %dx%d", impl.Name(), c.pw, c.ph))
 		}
 	}
 }
 
-func TestUnknownVariantRejected(t *testing.T) {
-	src := testDataset(t, 2, 2)
-	for _, v := range []FFTVariant{"banana", "padded"} {
-		if _, err := (&SimpleCPU{}).Run(src, Options{FFTVariant: v}); err == nil {
-			t.Errorf("unknown variant %q should fail", v)
-		}
-	}
-}
-
-// TestGPUVariantSupport: the GPU pair runs the real layout at the exact
-// and at a padded transform size, and its device footprint is the pool
-// and nothing else — the real layout's fused displacement kernel writes
-// no device buffer — at ph·(pw/2+1) words per transform.
+// TestGPUVariantSupport: the GPU pair runs at the exact and at a padded
+// transform size, and its device footprint is the pool and nothing else
+// — the fused displacement kernel writes no device buffer — at
+// ph·(pw/2+1) words per transform.
 func TestGPUVariantSupport(t *testing.T) {
 	for _, c := range []struct {
 		src    *MemorySource
@@ -77,19 +67,19 @@ func TestGPUVariantSupport(t *testing.T) {
 		g := c.src.Grid()
 		for _, impl := range []Stitcher{&SimpleGPU{}, &PipelinedGPU{}} {
 			devs := testDevices(1)
-			res, err := impl.Run(c.src, Options{Devices: devs, FFTVariant: VariantReal})
+			res, err := impl.Run(c.src, Options{Devices: devs})
 			if err != nil {
-				t.Fatalf("%s real variant: %v", impl.Name(), err)
+				t.Fatalf("%s: %v", impl.Name(), err)
 			}
 			if !res.Complete() {
-				t.Errorf("%s real variant incomplete", impl.Name())
+				t.Errorf("%s incomplete", impl.Name())
 			}
 			if res.TransformW != c.pw || res.TransformH != c.ph {
 				t.Errorf("%s: %dx%d tiles transformed at %dx%d, want %dx%d", impl.Name(), g.TileW, g.TileH, res.TransformW, res.TransformH, c.pw, c.ph)
 			}
 			want := int64(Options{}.withDefaults(g).PoolTransforms) * int64(c.ph) * int64(c.pw/2+1)
 			if _, peak, _, _ := devs[0].MemStats(); peak != want {
-				t.Errorf("%s real variant at %dx%d: device peak %d words, want the pool's %d", impl.Name(), c.pw, c.ph, peak, want)
+				t.Errorf("%s at %dx%d: device peak %d words, want the pool's %d", impl.Name(), c.pw, c.ph, peak, want)
 			}
 			closeDevices(devs)
 		}
@@ -208,15 +198,15 @@ func TestVariantBenchmarksShape(t *testing.T) {
 	for _, c := range []struct {
 		src  *MemorySource
 		opts Options
-	}{{testDataset(t, 3, 4), Options{}}, {paddedDataset(t, 3, 4), Options{}}, {testDataset(t, 3, 4), Options{FFTVariant: VariantReal}}} {
+	}{{testDataset(t, 3, 4), Options{}}, {paddedDataset(t, 3, 4), Options{}}} {
 		src, opts := c.src, c.opts
 		opts.Threads = 2
 		res := runStitcher(t, &PipelinedCPU{}, src, opts)
 		if res.TransformsComputed != src.Grid().NumTiles() {
-			t.Errorf("variant %q at %dx%d computed %d transforms", opts.FFTVariant, res.TransformW, res.TransformH, res.TransformsComputed)
+			t.Errorf("at %dx%d computed %d transforms", res.TransformW, res.TransformH, res.TransformsComputed)
 		}
 		if res.Elapsed <= 0 {
-			t.Errorf("variant %q at %dx%d reported no elapsed time", opts.FFTVariant, res.TransformW, res.TransformH)
+			t.Errorf("at %dx%d reported no elapsed time", res.TransformW, res.TransformH)
 		}
 	}
 }
