@@ -26,15 +26,17 @@ var zeroAllocSizes = [][2]int{{64, 48}, {116, 87}}
 // TestDisplaceZeroAllocs pins the tentpole guarantee: after one warm-up
 // pair, the steady-state Displace hot path of the CPU aligner performs
 // zero heap allocations per pair, at the exact and at a padded transform
-// size.
+// size, with one peak and with the multi-peak search.
 func TestDisplaceZeroAllocs(t *testing.T) {
 	for _, sz := range zeroAllocSizes {
-		al, err := NewRealAligner(sz[0], sz[1], Options{FFTPool: fft.NewWorkerPool(0)})
-		if err != nil {
-			t.Fatal(err)
+		for k := 1; k <= 3; k++ {
+			al, err := NewRealAligner(sz[0], sz[1], Options{FFTPool: fft.NewWorkerPool(0), NPeaks: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			testDisplaceZeroAllocs(t, al)
+			al.Close()
 		}
-		testDisplaceZeroAllocs(t, al)
-		al.Close()
 	}
 }
 
@@ -93,7 +95,7 @@ func testDisplaceZeroAllocs(t *testing.T, al *RealAligner) {
 		}
 	})
 	if pw, ph := al.TransformDims(); allocs != 0 {
-		t.Fatalf("steady-state Displace at %dx%d allocates %.1f times per pair, want 0", pw, ph, allocs)
+		t.Fatalf("steady-state Displace at %dx%d, NPeaks %d, allocates %.1f times per pair, want 0", pw, ph, al.opts.NPeaks, allocs)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"hybridstitch/internal/fft"
 	"hybridstitch/internal/tile"
@@ -81,7 +80,6 @@ type RealAligner struct {
 	corr   []float64 // pw×ph real correlation surface
 	pix    []float64 // pw×ph pixel staging for Transform
 	peaks  []Peak
-	cands  []peakCand // grows on first NPeaks>1 use
 
 	key    alignerKey // the free list Close returns to
 	closed bool
@@ -194,7 +192,7 @@ func (al *RealAligner) Displace(a, b *tile.Gray16, fa, fb []complex128) (tile.Di
 	if err != nil {
 		return tile.Displacement{}, err
 	}
-	al.peaks, al.cands = topPeaksInto(al.peaks, al.cands, al.corr, al.pw, al.ph, al.opts.NPeaks)
+	al.peaks = topPeaksInto(al.peaks, al.corr, al.pw, al.ph, al.opts.NPeaks)
 	return resolvePeaks(a, b, al.peaks, al.pw, al.ph), nil
 }
 
@@ -262,56 +260,43 @@ func MaxAbsReal(data []float64) (int, float64) {
 	return bi, bm
 }
 
-// peakCand is one sortable candidate of the k>1 peak search.
-type peakCand struct {
-	idx int
-	mag float64
-}
-
 // topPeaksInto returns the k largest local peaks of |data| interpreted
-// as an h×w surface, suppressing a 5×5 neighborhood around each accepted
-// peak so the candidates are distinct displacement hypotheses rather
-// than one blurred maximum. It writes into caller-supplied scratch (the
-// aligner's own) so the k=1 steady state allocates nothing. The k>1
-// path still pays sort.Slice's internal allocation; NPeaks=1 is the
-// paper's configuration and the one the zero-allocation guarantee
-// covers.
+// as an h×w surface, suppressing a 5×5 neighborhood (circular) around
+// each accepted peak so the candidates are distinct displacement
+// hypotheses rather than one blurred maximum. The greedy rule — take the
+// largest |v| not within 2 px of an accepted peak — is k argmax passes
+// that skip accepted neighborhoods, ties going to the lower index as in
+// MaxAbsReal, so peak 1 is always the k=1 peak. It writes into the
+// caller's scratch (the aligner's own) and allocates nothing once that
+// has grown to k.
 //
 //stitchlint:hotpath
-func topPeaksInto(peaks []Peak, cands []peakCand, data []float64, w, h, k int) ([]Peak, []peakCand) {
-	peaks = peaks[:0]
-	if k <= 1 {
-		i, m := MaxAbsReal(data)
-		return append(peaks, Peak{X: i % w, Y: i / w, Mag: m}), cands
-	}
-	if cap(cands) < len(data) {
-		cands = make([]peakCand, len(data)) //lint:allow hotpath scratch growth on first NPeaks>1 use, amortized after warm-up
-	}
-	cands = cands[:len(data)]
-	for i, v := range data {
-		cands[i] = peakCand{idx: i, mag: math.Abs(v)}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].mag > cands[j].mag })
+func topPeaksInto(peaks []Peak, data []float64, w, h, k int) []Peak {
+	i, m := MaxAbsReal(data)
+	peaks = append(peaks[:0], Peak{X: i % w, Y: i / w, Mag: m})
 	const sep = 2
-	for _, c := range cands {
-		if len(peaks) == k {
+	for len(peaks) < k {
+		bi, bm := -1, -1.0
+	scan:
+		for j, v := range data {
+			a := math.Abs(v)
+			if a <= bm {
+				continue
+			}
+			x, y := j%w, j/w
+			for _, p := range peaks {
+				if wrapDist(x, p.X, w) <= sep && wrapDist(y, p.Y, h) <= sep {
+					continue scan
+				}
+			}
+			bi, bm = j, a
+		}
+		if bi < 0 {
 			break
 		}
-		x, y := c.idx%w, c.idx/w
-		ok := true
-		for _, p := range peaks {
-			dx := wrapDist(x, p.X, w)
-			dy := wrapDist(y, p.Y, h)
-			if dx <= sep && dy <= sep {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			peaks = append(peaks, Peak{X: x, Y: y, Mag: c.mag})
-		}
+		peaks = append(peaks, Peak{X: bi % w, Y: bi / w, Mag: bm})
 	}
-	return peaks, cands
+	return peaks
 }
 
 // wrapDist is the circular distance between coordinates on a ring of

@@ -208,7 +208,7 @@ func TopPeaks(data []complex128, w, h, k int) []Peak {
 	for i, v := range data {
 		mag[i] = cmplx.Abs(v)
 	}
-	peaks, _ := topPeaksInto(nil, nil, mag, w, h, k)
+	peaks := topPeaksInto(nil, mag, w, h, k)
 	return peaks
 }
 
@@ -232,7 +232,7 @@ func TestMaxAbsAndTopPeaks(t *testing.T) {
 		t.Errorf("MaxAbs = %d, %g; MaxAbsReal = %d, %g", ci, cm, i, m)
 	}
 	for k := 1; k <= 3; k++ {
-		peaks, _ := topPeaksInto(nil, nil, surf, 8, 8, k)
+		peaks := topPeaksInto(nil, surf, 8, 8, k)
 		want := TopPeaks(data, 8, 8, k)
 		if len(peaks) != len(want) {
 			t.Fatalf("k=%d: %d peaks on the real surface, %d on the complex one", k, len(peaks), len(want))

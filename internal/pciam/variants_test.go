@@ -39,7 +39,7 @@ func oracleDisplace(t testing.TB, a, b *tile.Gray16, pw, ph int, real bool, k in
 		fa, fb := spectrum(a), spectrum(b)
 		NCCSpectrum(fa, fa, fb)
 		must(plan.Inverse(pix, fa))
-		peaks, _ = topPeaksInto(nil, nil, pix, pw, ph, k)
+		peaks = topPeaksInto(nil, pix, pw, ph, k)
 	} else {
 		inv, err := fft.NewPlan2D(ph, pw, fft.Inverse, fft.Plan2DOpts{Exec: fft.ExecSerial})
 		must(err)

@@ -52,6 +52,28 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("II*\x00trunc"))
 	f.Add(bytes.Repeat([]byte{0}, 64))
 
+	// Tiled files reach the shared tile decoder: raw and Deflate, in both
+	// byte orders, with edge tiles to clip.
+	for _, opts := range []EncodeOpts{
+		{TileW: 16, TileH: 16},
+		{TileW: 16, TileH: 16, BigEndian: true},
+		{TileW: 16, TileH: 16, Deflate: true},
+		{TileW: 16, TileH: 32, Deflate: true, BigEndian: true},
+	} {
+		var tiled bytes.Buffer
+		if err := Encode(&tiled, img, opts); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(tiled.Bytes())
+	}
+	// A pyramid shares the directory reader but is BigTIFF, which Decode
+	// does not take.
+	pyr := writePyramidFromImage(f, img, PyramidOpts{TileW: 16, TileH: 16, MinSide: 4})
+	if _, err := Decode(bytes.NewReader(pyr)); !errors.Is(err, ErrCorrupt) {
+		f.Fatalf("Decode of a pyramid: err = %v, want ErrCorrupt-classified", err)
+	}
+	f.Add(pyr)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := Decode(bytes.NewReader(data))
 		if err != nil {
@@ -112,6 +134,11 @@ func FuzzPyramidRoundTrip(f *testing.F) {
 		f.Add(flipped, byte(3))
 	}
 	f.Add([]byte("II+\x00\x08\x00\x00\x00"), byte(1))
+	var classic bytes.Buffer
+	if err := Encode(&classic, img, EncodeOpts{TileW: 32, TileH: 32, Deflate: true}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(classic.Bytes(), byte(2)) // shares the directory reader, but is not BigTIFF
 	f.Add(bytes.Repeat([]byte{0xff}, 64), byte(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, helpers byte) {

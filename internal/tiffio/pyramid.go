@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -30,14 +29,6 @@ import (
 // written by one goroutine in the order they were cut, so the file does
 // not depend on who compressed what. Offsets are bookkept in memory (16
 // bytes per tile) and the IFD chain is written at Close.
-
-// BigTIFF constants (the TIFF 6.0 supplement "BigTIFF").
-const (
-	bigtiffVersion    = 43
-	typeLong8         = 16 // 64-bit unsigned
-	tagNewSubfileType = 254
-	subfileReduced    = 1 // bit 0: reduced-resolution version of another image
-)
 
 // PyramidOpts configures NewPyramidWriter.
 type PyramidOpts struct {
@@ -181,7 +172,6 @@ type PyramidStats struct {
 type PyramidWriter struct {
 	ws     io.WriteSeeker
 	bo     binary.ByteOrder
-	mark   [2]byte
 	opts   PyramidOpts
 	levels []*levelWriter
 	off    int64 // file position; the writer goroutine's until it is joined
@@ -218,11 +208,7 @@ func NewPyramidWriter(ws io.WriteSeeker, w, h int, opts PyramidOpts) (*PyramidWr
 	if opts.TileW%16 != 0 || opts.TileH%16 != 0 || opts.TileW <= 0 || opts.TileH <= 0 {
 		return nil, fmt.Errorf("tiffio: pyramid tile size %dx%d must be positive multiples of 16", opts.TileW, opts.TileH)
 	}
-	pw := &PyramidWriter{ws: ws, bo: binary.LittleEndian, mark: [2]byte{'I', 'I'}, opts: opts}
-	if opts.BigEndian {
-		pw.bo = binary.BigEndian
-		pw.mark = [2]byte{'M', 'M'}
-	}
+	pw := &PyramidWriter{ws: ws, bo: byteOrder(opts.BigEndian), opts: opts}
 	for _, d := range PyramidLevelDims(w, h, opts.MinSide) {
 		lw := &levelWriter{
 			w: d[0], h: d[1],
@@ -247,14 +233,7 @@ func NewPyramidWriter(ws io.WriteSeeker, w, h int, opts PyramidOpts) (*PyramidWr
 		pw.free <- j
 	}
 
-	// BigTIFF header: mark | 43 | offset size 8 | reserved 0 | IFD offset.
-	hdr := make([]byte, 16)
-	hdr[0], hdr[1] = pw.mark[0], pw.mark[1]
-	pw.bo.PutUint16(hdr[2:4], bigtiffVersion)
-	pw.bo.PutUint16(hdr[4:6], 8)
-	pw.bo.PutUint16(hdr[6:8], 0)
-	pw.bo.PutUint64(hdr[8:16], 0) // patched by Close
-	if err := pw.write(hdr); err != nil {
+	if err := pw.write(bigTIFF.header(pw.bo, 0)); err != nil { // patched by Close
 		return nil, err
 	}
 	pw.written = make(chan struct{})
@@ -310,30 +289,14 @@ func (pw *PyramidWriter) WriteRows(l int, pix []uint16, n int) error {
 // zero-padded to full tile size at the right and bottom edges. Staging is
 // reused by the next row, so every tile is copied out before it returns.
 func (pw *PyramidWriter) flushTileRow(lv *levelWriter) error {
-	tw, th := pw.opts.TileW, pw.opts.TileH
+	tw := pw.opts.TileW
 	for tx := 0; tx < lv.across; tx++ {
 		if err := pw.failure(); err != nil {
 			return err
 		}
 		j := pw.acquire()
 		j.lv = lv
-		cols := min(tw, lv.w-tx*tw)
-		if cols < tw || lv.staged < th {
-			clear(j.raw)
-		}
-		for y := 0; y < lv.staged; y++ {
-			src := lv.buf[y*lv.w+tx*tw:][:cols]
-			dst := j.raw[2*y*tw:][:2*cols]
-			if pw.opts.BigEndian {
-				for x, v := range src {
-					dst[2*x], dst[2*x+1] = byte(v>>8), byte(v)
-				}
-			} else {
-				for x, v := range src {
-					dst[2*x], dst[2*x+1] = byte(v), byte(v>>8)
-				}
-			}
-		}
+		packTile(j.raw, lv.buf[tx*tw:], lv.w, min(tw, lv.w-tx*tw), lv.staged, tw, pw.bo)
 		pw.stats.Tiles++
 		pw.order <- j
 		if pw.opts.NoDeflate {
@@ -398,31 +361,17 @@ func (pw *PyramidWriter) help() {
 	pw.drain()
 }
 
-// sliceWriter appends to a byte slice.
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
 // deflate compresses j.raw into j.z as one independent zlib stream and
 // marks the job final. After a failure it only marks it.
 func (pw *PyramidWriter) deflate(j *tileJob) {
 	if pw.failure() == nil {
 		start := time.Now()
-		sink := sliceWriter{j.z[:0]}
 		var zw *zlib.Writer
 		select {
 		case zw = <-pw.zfree:
-			zw.Reset(&sink)
 		default:
-			zw = zlib.NewWriter(&sink)
 		}
-		_, err := zw.Write(j.raw)
-		if err == nil {
-			err = zw.Close()
-		}
+		zw, z, err := deflateTile(zw, j.z[:0], j.raw)
 		if err != nil {
 			pw.fail(err)
 		}
@@ -430,7 +379,7 @@ func (pw *PyramidWriter) deflate(j *tileJob) {
 		case pw.zfree <- zw:
 		default:
 		}
-		j.z, j.payload = sink.b, sink.b
+		j.z, j.payload = z, z
 		pw.deflateNS.Add(int64(time.Since(start)))
 	}
 	j.done <- struct{}{}
@@ -494,14 +443,6 @@ func (pw *PyramidWriter) Stats() PyramidStats {
 	return st
 }
 
-// bigEntry is one BigTIFF IFD entry.
-type bigEntry struct {
-	tag, ftype uint16
-	count      uint64
-	value      uint64 // inline value or out-of-line offset
-	array      []uint64
-}
-
 // Close waits for every tile to reach the file, reports the first
 // failure if there was one, then writes the chained IFDs (one per level,
 // in level order) and patches the header to point at level 0's IFD. It
@@ -527,89 +468,34 @@ func (pw *PyramidWriter) Close() error {
 	if pw.opts.NoDeflate {
 		compression = compressionNone
 	}
-	// Precompute each IFD's position so the next-IFD chain can be
-	// written in a single forward pass. Every entry array larger than 8
-	// bytes goes out of line, directly after its IFD.
-	const entryCount = 11
-	ifdOff := make([]int64, len(pw.levels)+1)
-	pos := pw.off
+	first := uint64(pw.off)
 	for l, lv := range pw.levels {
-		ifdOff[l] = pos
-		pos += 8 + entryCount*20 + 8
-		n := lv.across * lv.down
-		if n > 1 {
-			pos += 2 * 8 * int64(n) // offsets + counts arrays
-		}
-	}
-	ifdOff[len(pw.levels)] = 0 // end of chain
-
-	for l, lv := range pw.levels {
-		subfile := uint64(0)
+		subfile := 0
 		if l > 0 {
 			subfile = subfileReduced
 		}
-		n := uint64(lv.across * lv.down)
-		entries := []bigEntry{
-			{tag: tagNewSubfileType, ftype: typeLong, count: 1, value: subfile},
-			{tag: tagImageWidth, ftype: typeLong, count: 1, value: uint64(lv.w)},
-			{tag: tagImageLength, ftype: typeLong, count: 1, value: uint64(lv.h)},
-			{tag: tagBitsPerSample, ftype: typeShort, count: 1, value: 16},
-			{tag: tagCompression, ftype: typeShort, count: 1, value: compression},
-			{tag: tagPhotometric, ftype: typeShort, count: 1, value: photometricMinIsBlack},
-			{tag: tagSamplesPerPixel, ftype: typeShort, count: 1, value: 1},
-			{tag: tagTileWidth, ftype: typeLong, count: 1, value: uint64(pw.opts.TileW)},
-			{tag: tagTileLength, ftype: typeLong, count: 1, value: uint64(pw.opts.TileH)},
-			{tag: tagTileOffsets, ftype: typeLong8, count: n, array: lv.offs},
-			{tag: tagTileByteCounts, ftype: typeLong8, count: n, array: lv.cnts},
-		}
-		var arrays []byte
-		arrayOff := ifdOff[l] + 8 + entryCount*20 + 8
-		buf := make([]byte, 8+entryCount*20+8)
-		pw.bo.PutUint64(buf[0:8], entryCount)
-		for i := range entries {
-			e := &entries[i]
-			b := buf[8+i*20 : 8+(i+1)*20]
-			pw.bo.PutUint16(b[0:2], e.tag)
-			pw.bo.PutUint16(b[2:4], e.ftype)
-			pw.bo.PutUint64(b[4:12], e.count)
-			switch {
-			case e.array != nil && len(e.array) == 1:
-				pw.bo.PutUint64(b[12:20], e.array[0])
-			case e.array != nil:
-				pw.bo.PutUint64(b[12:20], uint64(arrayOff)+uint64(len(arrays)))
-				for _, v := range e.array {
-					var vb [8]byte
-					pw.bo.PutUint64(vb[:], v)
-					arrays = append(arrays, vb[:]...)
-				}
-			case e.ftype == typeShort:
-				// Inline values are left-justified in the 8-byte field
-				// regardless of byte order (BigTIFF follows TIFF 6.0 here).
-				pw.bo.PutUint16(b[12:14], uint16(e.value))
-			case e.ftype == typeLong:
-				pw.bo.PutUint32(b[12:16], uint32(e.value))
-			default:
-				pw.bo.PutUint64(b[12:20], e.value)
-			}
-		}
-		pw.bo.PutUint64(buf[8+entryCount*20:], uint64(ifdOff[l+1]))
-		if err := pw.write(buf); err != nil {
+		fields := append([]field{one(tagNewSubfileType, typeLong, subfile)},
+			bigTIFF.tiledFields(lv.w, lv.h, pw.opts.TileW, pw.opts.TileH, compression, lv.offs, lv.cnts)...)
+		dir, err := bigTIFF.encodeDir(pw.bo, uint64(pw.off), fields, l+1 < len(pw.levels))
+		if err != nil {
 			return err
 		}
-		if len(arrays) > 0 {
-			if err := pw.write(arrays); err != nil {
+		// The entries, then the arrays they point at: two writes per level
+		// with tiles enough to need arrays, one per level without.
+		head := bigTIFF.dirHead(len(fields))
+		for _, b := range [][]byte{dir[:head], dir[head:]} {
+			if len(b) == 0 {
+				continue
+			}
+			if err := pw.write(b); err != nil {
 				return err
 			}
 		}
 	}
-
-	// Patch the header's first-IFD offset.
-	if _, err := pw.ws.Seek(8, io.SeekStart); err != nil {
+	if _, err := pw.ws.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	var ob [8]byte
-	pw.bo.PutUint64(ob[:], uint64(ifdOff[0]))
-	if _, err := pw.ws.Write(ob[:]); err != nil {
+	if _, err := pw.ws.Write(bigTIFF.header(pw.bo, first)); err != nil {
 		return err
 	}
 	_, err := pw.ws.Seek(pw.off, io.SeekStart)
@@ -622,8 +508,7 @@ type PyramidLevel struct {
 	TileW, TileH int
 	Across, Down int
 
-	compression uint64
-	offs, cnts  []uint64
+	dir *directory
 }
 
 // Pyramid is a random-access reader over a pyramid file written by
@@ -651,50 +536,27 @@ func OpenPyramid(r io.ReaderAt) (*Pyramid, error) {
 }
 
 func openPyramid(r io.ReaderAt) (*Pyramid, error) {
-	var hdr [16]byte
-	if _, err := r.ReadAt(hdr[:8], 0); err != nil {
-		return nil, fmt.Errorf("tiffio: short pyramid header: %w", err)
+	bo, next, err := bigTIFF.readHeader(r)
+	if err != nil {
+		return nil, err
 	}
-	var bo binary.ByteOrder
-	switch {
-	case hdr[0] == 'I' && hdr[1] == 'I':
-		bo = binary.LittleEndian
-	case hdr[0] == 'M' && hdr[1] == 'M':
-		bo = binary.BigEndian
-	default:
-		return nil, fmt.Errorf("tiffio: bad byte-order mark %q", hdr[:2])
-	}
-	if v := bo.Uint16(hdr[2:4]); v != bigtiffVersion {
-		return nil, fmt.Errorf("tiffio: not a BigTIFF pyramid (version %d, want %d)", v, bigtiffVersion)
-	}
-	if _, err := r.ReadAt(hdr[4:16], 4); err != nil {
-		return nil, fmt.Errorf("tiffio: short BigTIFF header: %w", err)
-	}
-	if sz := bo.Uint16(hdr[4:6]); sz != 8 {
-		return nil, fmt.Errorf("tiffio: BigTIFF offset size %d, want 8", sz)
-	}
-	next := bo.Uint64(hdr[8:16])
-	if next == 0 {
-		return nil, fmt.Errorf("tiffio: pyramid has no IFDs")
-	}
-
 	p := &Pyramid{r: r, bo: bo}
 	for next != 0 {
 		if len(p.levels) >= maxPyramidLevels {
 			return nil, fmt.Errorf("tiffio: IFD chain longer than %d levels", maxPyramidLevels)
 		}
-		if next > math.MaxInt64 {
-			return nil, fmt.Errorf("tiffio: IFD offset %d out of range", next)
-		}
-		lv, n, err := readPyramidIFD(r, bo, int64(next))
+		d, err := bigTIFF.readDir(r, bo, next)
 		if err != nil {
 			return nil, err
 		}
-		p.levels = append(p.levels, lv)
-		if n == next {
-			return nil, fmt.Errorf("tiffio: IFD chain loops at %d", n)
+		if d.tileW == 0 || d.bits != 16 {
+			return nil, fmt.Errorf("tiffio: pyramid level %d is not 16-bit tiles", len(p.levels))
 		}
-		next = n
+		p.levels = append(p.levels, PyramidLevel{W: d.w, H: d.h, TileW: d.tileW, TileH: d.tileH, Across: d.across, Down: d.down, dir: d})
+		if d.next == next {
+			return nil, fmt.Errorf("tiffio: IFD chain loops at %d", next)
+		}
+		next = d.next
 	}
 	// Levels must shrink monotonically: that is what makes the chain a
 	// pyramid rather than an arbitrary multi-image file.
@@ -705,131 +567,6 @@ func openPyramid(r io.ReaderAt) (*Pyramid, error) {
 		}
 	}
 	return p, nil
-}
-
-// readPyramidIFD parses one BigTIFF IFD into a level description.
-func readPyramidIFD(r io.ReaderAt, bo binary.ByteOrder, off int64) (PyramidLevel, uint64, error) {
-	var lv PyramidLevel
-	var nb [8]byte
-	if _, err := r.ReadAt(nb[:], off); err != nil {
-		return lv, 0, fmt.Errorf("tiffio: IFD count: %w", err)
-	}
-	n := bo.Uint64(nb[:])
-	if n == 0 || n > 64 {
-		return lv, 0, fmt.Errorf("tiffio: implausible IFD entry count %d", n)
-	}
-	buf := make([]byte, n*20+8)
-	if _, err := r.ReadAt(buf, off+8); err != nil {
-		return lv, 0, fmt.Errorf("tiffio: IFD entries: %w", err)
-	}
-	next := bo.Uint64(buf[n*20:])
-
-	var (
-		bits, comp, spp uint64 = 1, compressionNone, 1
-		offs, cnts      []uint64
-	)
-	readArray := func(ftype uint16, count uint64, inline []byte) ([]uint64, error) {
-		sz := uint64(0)
-		switch ftype {
-		case typeShort:
-			sz = 2
-		case typeLong:
-			sz = 4
-		case typeLong8:
-			sz = 8
-		default:
-			return nil, fmt.Errorf("tiffio: unsupported tile-array type %d", ftype)
-		}
-		total := sz * count
-		if count == 0 || total > 256<<20 {
-			return nil, fmt.Errorf("tiffio: tile array claims %d bytes", total)
-		}
-		data := inline[:min(8, len(inline))]
-		if total > 8 {
-			data = make([]byte, total)
-			o := bo.Uint64(inline)
-			if o > math.MaxInt64 {
-				return nil, fmt.Errorf("tiffio: array offset %d out of range", o)
-			}
-			if _, err := r.ReadAt(data, int64(o)); err != nil {
-				return nil, fmt.Errorf("tiffio: tile array: %w", err)
-			}
-		}
-		vals := make([]uint64, count)
-		for i := range vals {
-			switch ftype {
-			case typeShort:
-				vals[i] = uint64(bo.Uint16(data[2*i:]))
-			case typeLong:
-				vals[i] = uint64(bo.Uint32(data[4*i:]))
-			case typeLong8:
-				vals[i] = bo.Uint64(data[8*i:])
-			}
-		}
-		return vals, nil
-	}
-	scalar := func(ftype uint16, inline []byte) uint64 {
-		switch ftype {
-		case typeShort:
-			return uint64(bo.Uint16(inline))
-		case typeLong:
-			return uint64(bo.Uint32(inline))
-		default:
-			return bo.Uint64(inline)
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		b := buf[i*20 : (i+1)*20]
-		tag := bo.Uint16(b[0:2])
-		ftype := bo.Uint16(b[2:4])
-		count := bo.Uint64(b[4:12])
-		inline := b[12:20]
-		var err error
-		switch tag {
-		case tagImageWidth:
-			lv.W = int(scalar(ftype, inline))
-		case tagImageLength:
-			lv.H = int(scalar(ftype, inline))
-		case tagBitsPerSample:
-			bits = scalar(ftype, inline)
-		case tagCompression:
-			comp = scalar(ftype, inline)
-		case tagSamplesPerPixel:
-			spp = scalar(ftype, inline)
-		case tagTileWidth:
-			lv.TileW = int(scalar(ftype, inline))
-		case tagTileLength:
-			lv.TileH = int(scalar(ftype, inline))
-		case tagTileOffsets:
-			offs, err = readArray(ftype, count, inline)
-		case tagTileByteCounts:
-			cnts, err = readArray(ftype, count, inline)
-		}
-		if err != nil {
-			return lv, 0, err
-		}
-	}
-	if bits != 16 || spp != 1 {
-		return lv, 0, fmt.Errorf("tiffio: pyramid level is %d-bit ×%d samples, want 16-bit grayscale", bits, spp)
-	}
-	if comp != compressionNone && comp != compressionDeflate {
-		return lv, 0, fmt.Errorf("tiffio: unsupported pyramid compression %d", comp)
-	}
-	if lv.W <= 0 || lv.H <= 0 || lv.W > 1<<30 || lv.H > 1<<30 {
-		return lv, 0, fmt.Errorf("tiffio: implausible level dimensions %dx%d", lv.W, lv.H)
-	}
-	if lv.TileW <= 0 || lv.TileH <= 0 || lv.TileW > 1<<16 || lv.TileH > 1<<16 {
-		return lv, 0, fmt.Errorf("tiffio: invalid tile size %dx%d", lv.TileW, lv.TileH)
-	}
-	lv.Across = (lv.W + lv.TileW - 1) / lv.TileW
-	lv.Down = (lv.H + lv.TileH - 1) / lv.TileH
-	want := lv.Across * lv.Down
-	if len(offs) != want || len(cnts) != want {
-		return lv, 0, fmt.Errorf("tiffio: %d tile offsets / %d counts for a %dx%d tile grid", len(offs), len(cnts), lv.Down, lv.Across)
-	}
-	lv.compression = comp
-	lv.offs, lv.cnts = offs, cnts
-	return lv, next, nil
 }
 
 // NumLevels reports the number of pyramid levels.
@@ -858,24 +595,11 @@ func (p *Pyramid) TilePayload(l, tx, ty int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := lv.cnts[idx]
-	tileBytes := uint64(lv.TileW) * uint64(lv.TileH) * 2
-	limit := tileBytes
-	if lv.compression == compressionDeflate {
-		limit = 2*tileBytes + 1024
-	}
-	if n == 0 || n > limit {
-		return nil, &corruptError{err: fmt.Errorf("tiffio: tile (%d,%d,%d) claims %d bytes for a %d-byte tile", l, tx, ty, n, tileBytes)}
-	}
-	off := lv.offs[idx]
-	if off > math.MaxInt64 {
-		return nil, &corruptError{err: fmt.Errorf("tiffio: tile offset %d out of range", off)}
-	}
-	buf := make([]byte, n)
-	if _, err := p.r.ReadAt(buf, int64(off)); err != nil {
+	payload, err := lv.dir.readTile(p.r, idx, nil)
+	if err != nil {
 		return nil, &corruptError{err: fmt.Errorf("tiffio: tile (%d,%d,%d): %w", l, tx, ty, err)}
 	}
-	return buf, nil
+	return payload, nil
 }
 
 // DecodePayload decodes a payload returned by TilePayload for level l
@@ -886,24 +610,14 @@ func (p *Pyramid) DecodePayload(l, tx, ty int, payload []byte) (*tile.Gray16, er
 	if err != nil {
 		return nil, err
 	}
-	tileBytes := lv.TileW * lv.TileH * 2
-	raw := payload
-	if lv.compression == compressionDeflate {
-		full := make([]byte, tileBytes)
-		if err := inflateTile(full, payload); err != nil {
-			return nil, &corruptError{err: fmt.Errorf("tiffio: tile (%d,%d,%d): %w", l, tx, ty, err)}
-		}
-		raw = full
-	} else if len(raw) != tileBytes {
-		return nil, &corruptError{err: fmt.Errorf("tiffio: tile payload is %d bytes, want %d", len(raw), tileBytes)}
+	err = lv.dir.checkTileBytes(uint64(len(payload)))
+	var img *tile.Gray16
+	if err == nil {
+		img = tile.NewGray16(min(lv.TileW, lv.W-tx*lv.TileW), min(lv.TileH, lv.H-ty*lv.TileH))
+		err = lv.dir.unpackTile(img.Pix, img.W, payload, tx, ty, p.bo)
 	}
-	w := min(lv.TileW, lv.W-tx*lv.TileW)
-	h := min(lv.TileH, lv.H-ty*lv.TileH)
-	img := tile.NewGray16(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			img.Pix[y*w+x] = p.bo.Uint16(raw[2*(y*lv.TileW+x):])
-		}
+	if err != nil {
+		return nil, &corruptError{err: fmt.Errorf("tiffio: tile (%d,%d,%d): %w", l, tx, ty, err)}
 	}
 	return img, nil
 }
@@ -927,18 +641,9 @@ func (p *Pyramid) Image(l int) (*tile.Gray16, error) {
 	if int64(lv.W)*int64(lv.H) > 1<<28 {
 		return nil, fmt.Errorf("tiffio: level %d (%dx%d) too large to assemble in memory", l, lv.W, lv.H)
 	}
-	img := tile.NewGray16(lv.W, lv.H)
-	for ty := 0; ty < lv.Down; ty++ {
-		for tx := 0; tx < lv.Across; tx++ {
-			t, err := p.ReadTileAt(l, tx, ty)
-			if err != nil {
-				return nil, err
-			}
-			x0, y0 := tx*lv.TileW, ty*lv.TileH
-			for y := 0; y < t.H; y++ {
-				copy(img.Pix[(y0+y)*lv.W+x0:(y0+y)*lv.W+x0+t.W], t.Pix[y*t.W:(y+1)*t.W])
-			}
-		}
+	img, err := lv.dir.image(p.r, p.bo)
+	if err != nil {
+		return nil, &corruptError{err: fmt.Errorf("tiffio: level %d: %w", l, err)}
 	}
 	return img, nil
 }

@@ -50,8 +50,8 @@ func TestChunkLayoutAssignsSequentialOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOffs := []uint32{8, 108, 158, 158}
-	wantCnts := []uint32{100, 50, 0, 7}
+	wantOffs := []uint64{8, 108, 158, 158}
+	wantCnts := []uint64{100, 50, 0, 7}
 	for i := range wantOffs {
 		if offs[i] != wantOffs[i] || cnts[i] != wantCnts[i] {
 			t.Fatalf("chunk %d: got (%d,%d), want (%d,%d)", i, offs[i], cnts[i], wantOffs[i], wantCnts[i])
@@ -180,7 +180,7 @@ func TestPyramidLevelDims(t *testing.T) {
 // computing reduced levels with the same recursive in-memory halving the
 // reader tests compare against. Rows are delivered in uneven chunks to
 // exercise the staging logic.
-func writePyramidFromImage(t *testing.T, img *tile.Gray16, opts PyramidOpts) []byte {
+func writePyramidFromImage(t testing.TB, img *tile.Gray16, opts PyramidOpts) []byte {
 	t.Helper()
 	var sb seekBuffer
 	pw, err := NewPyramidWriter(&sb, img.W, img.H, opts)

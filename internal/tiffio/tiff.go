@@ -1,16 +1,18 @@
-// Package tiffio reads and writes the subset of baseline TIFF 6.0 that
-// optical-microscopy acquisition software emits: single-image files,
-// grayscale, 8 or 16 bits per sample, uncompressed, strip-organized, in
-// either byte order. It is the stand-in for libTIFF in the stitching
-// pipeline, implemented on the standard library only.
+// Package tiffio reads and writes the subset of TIFF 6.0 that
+// optical-microscopy acquisition software emits and phase 3 produces:
+// grayscale, 8 or 16 bits per sample, in either byte order; classic
+// single-image files of raw strips or of raw or Deflate tiles, and the
+// multi-resolution BigTIFF pyramid. One directory codec (ifd.go) and one
+// chunk codec (tiled.go) serve both formats. It is the stand-in for
+// libTIFF in the stitching pipeline, implemented on the standard library
+// only.
 package tiffio
 
 import (
-	"encoding/binary"
+	"compress/zlib"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync/atomic"
 
@@ -47,69 +49,9 @@ func SetInjector(in *fault.Injector) {
 	injector.Store(in)
 }
 
-// TIFF tag IDs used by the baseline grayscale subset.
-const (
-	tagImageWidth      = 256
-	tagImageLength     = 257
-	tagBitsPerSample   = 258
-	tagCompression     = 259
-	tagPhotometric     = 262
-	tagStripOffsets    = 273
-	tagSamplesPerPixel = 277
-	tagRowsPerStrip    = 278
-	tagStripByteCounts = 279
-	tagXResolution     = 282
-	tagYResolution     = 283
-	tagResolutionUnit  = 296
-	tagTileWidth       = 322
-	tagTileLength      = 323
-	tagTileOffsets     = 324
-	tagTileByteCounts  = 325
-	tagSampleFormat    = 339
-)
-
-// TIFF field types.
-const (
-	typeByte     = 1
-	typeASCII    = 2
-	typeShort    = 3
-	typeLong     = 4
-	typeRational = 5
-)
-
-const (
-	compressionNone       = 1
-	photometricMinIsBlack = 1
-)
-
-// typeSize maps a TIFF field type to its byte width.
-func typeSize(t uint16) int {
-	switch t {
-	case typeByte, typeASCII:
-		return 1
-	case typeShort:
-		return 2
-	case typeLong:
-		return 4
-	case typeRational:
-		return 8
-	default:
-		return 0
-	}
-}
-
-// ifdEntry is one parsed directory entry.
-type ifdEntry struct {
-	tag   uint16
-	ftype uint16
-	count uint32
-	// values as unsigned integers (we only need integral tags)
-	vals []uint32
-}
-
-// Decode parses a baseline grayscale TIFF from r. Any failure wraps
-// ErrCorrupt: the input is a complete byte stream, so an undecodable one
-// is bad data, not a transient condition.
+// Decode parses a classic TIFF from r. Any failure wraps ErrCorrupt: the
+// input is a complete byte stream, so an undecodable one is bad data, not
+// a transient condition.
 func Decode(r io.ReaderAt) (*tile.Gray16, error) {
 	img, err := decode(r)
 	if err != nil {
@@ -120,267 +62,21 @@ func Decode(r io.ReaderAt) (*tile.Gray16, error) {
 
 // decode is the unwrapped parser.
 func decode(r io.ReaderAt) (*tile.Gray16, error) {
-	var hdr [8]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("tiffio: short header: %w", err)
-	}
-	var bo binary.ByteOrder
-	switch {
-	case hdr[0] == 'I' && hdr[1] == 'I':
-		bo = binary.LittleEndian
-	case hdr[0] == 'M' && hdr[1] == 'M':
-		bo = binary.BigEndian
-	default:
-		return nil, fmt.Errorf("tiffio: bad byte-order mark %q", hdr[:2])
-	}
-	if magic := bo.Uint16(hdr[2:4]); magic != 42 {
-		return nil, fmt.Errorf("tiffio: bad magic %d", magic)
-	}
-	ifdOff := int64(bo.Uint32(hdr[4:8]))
-	if ifdOff < 8 {
-		return nil, fmt.Errorf("tiffio: IFD offset %d inside header", ifdOff)
-	}
-
-	entries, err := readIFD(r, bo, ifdOff)
+	bo, first, err := classicTIFF.readHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	get := func(tag uint16) (ifdEntry, bool) {
-		for _, e := range entries {
-			if e.tag == tag {
-				return e, true
-			}
-		}
-		return ifdEntry{}, false
+	d, err := classicTIFF.readDir(r, bo, first)
+	if err != nil {
+		return nil, err
 	}
-	first := func(tag uint16, def uint32) uint32 {
-		if e, ok := get(tag); ok && len(e.vals) > 0 {
-			return e.vals[0]
-		}
-		return def
-	}
-
-	width := int(first(tagImageWidth, 0))
-	height := int(first(tagImageLength, 0))
-	if width <= 0 || height <= 0 {
-		return nil, fmt.Errorf("tiffio: missing or invalid dimensions %dx%d", width, height)
-	}
-	// Sanity bounds: reject absurd headers before allocating. 2^20 per
-	// side and 2^28 pixels (512 MB of 16-bit data) comfortably cover
-	// every plate the paper discusses (10k–200k px per side are full
+	// 2^20 per side and 2^28 pixels (512 MB of 16-bit data) comfortably
+	// cover every plate the paper discusses (10k–200k px per side are full
 	// COMPOSITES; tiles are thousands per side).
-	if width > 1<<20 || height > 1<<20 || int64(width)*int64(height) > 1<<28 {
-		return nil, fmt.Errorf("tiffio: implausible dimensions %dx%d", width, height)
+	if d.w > 1<<20 || d.h > 1<<20 || int64(d.w)*int64(d.h) > 1<<28 {
+		return nil, fmt.Errorf("tiffio: implausible dimensions %dx%d", d.w, d.h)
 	}
-	bits := int(first(tagBitsPerSample, 1))
-	if bits != 8 && bits != 16 {
-		return nil, fmt.Errorf("tiffio: unsupported bits per sample %d", bits)
-	}
-	if spp := first(tagSamplesPerPixel, 1); spp != 1 {
-		return nil, fmt.Errorf("tiffio: unsupported samples per pixel %d", spp)
-	}
-
-	// Tiled layout (TIFF 6.0 §15): fixed-size tiles, edge tiles padded.
-	// Tiles may be Deflate-compressed; strips are uncompressed only.
-	if tw := int(first(tagTileWidth, 0)); tw > 0 {
-		return decodeTiled(r, bo, get, width, height, bits)
-	}
-	if c := first(tagCompression, compressionNone); c != compressionNone {
-		return nil, fmt.Errorf("tiffio: unsupported compression %d", c)
-	}
-
-	offsets, ok := get(tagStripOffsets)
-	if !ok {
-		return nil, fmt.Errorf("tiffio: missing StripOffsets")
-	}
-	counts, ok := get(tagStripByteCounts)
-	if !ok {
-		return nil, fmt.Errorf("tiffio: missing StripByteCounts")
-	}
-	if len(offsets.vals) != len(counts.vals) {
-		return nil, fmt.Errorf("tiffio: %d strip offsets vs %d byte counts", len(offsets.vals), len(counts.vals))
-	}
-
-	bytesPerPixel := bits / 8
-	want := width * height * bytesPerPixel
-	raw := make([]byte, 0, want)
-	for i := range offsets.vals {
-		n := int(counts.vals[i])
-		if len(raw)+n > want {
-			n = want - len(raw) // tolerate trailing padding in final strip
-		}
-		buf := make([]byte, n)
-		if _, err := r.ReadAt(buf, int64(offsets.vals[i])); err != nil {
-			return nil, fmt.Errorf("tiffio: strip %d: %w", i, err)
-		}
-		raw = append(raw, buf...)
-	}
-	if len(raw) != want {
-		return nil, fmt.Errorf("tiffio: pixel data is %d bytes, want %d", len(raw), want)
-	}
-
-	img := tile.NewGray16(width, height)
-	if bits == 8 {
-		for i, b := range raw {
-			// Scale 8-bit to the 16-bit range the pipeline works in.
-			img.Pix[i] = uint16(b) * 257
-		}
-	} else {
-		for i := range img.Pix {
-			img.Pix[i] = bo.Uint16(raw[2*i : 2*i+2])
-		}
-	}
-	return img, nil
-}
-
-// decodeTiled reads the tile-organized pixel layout.
-func decodeTiled(r io.ReaderAt, bo binary.ByteOrder, get func(uint16) (ifdEntry, bool), width, height, bits int) (*tile.Gray16, error) {
-	first := func(tag uint16, def uint32) uint32 {
-		if e, ok := get(tag); ok && len(e.vals) > 0 {
-			return e.vals[0]
-		}
-		return def
-	}
-	tw := int(first(tagTileWidth, 0))
-	th := int(first(tagTileLength, 0))
-	if tw <= 0 || th <= 0 || tw > 1<<16 || th > 1<<16 {
-		return nil, fmt.Errorf("tiffio: invalid tile size %dx%d", tw, th)
-	}
-	comp := first(tagCompression, compressionNone)
-	if comp != compressionNone && comp != compressionDeflate {
-		return nil, fmt.Errorf("tiffio: unsupported tile compression %d", comp)
-	}
-	offsets, ok := get(tagTileOffsets)
-	if !ok {
-		return nil, fmt.Errorf("tiffio: missing TileOffsets")
-	}
-	counts, ok := get(tagTileByteCounts)
-	if !ok {
-		return nil, fmt.Errorf("tiffio: missing TileByteCounts")
-	}
-	across := (width + tw - 1) / tw
-	down := (height + th - 1) / th
-	if len(offsets.vals) != across*down || len(counts.vals) != across*down {
-		return nil, fmt.Errorf("tiffio: %d tile offsets for a %dx%d tile grid", len(offsets.vals), down, across)
-	}
-	bytesPerPixel := bits / 8
-	tileBytes := tw * th * bytesPerPixel
-	img := tile.NewGray16(width, height)
-	buf := make([]byte, tileBytes)
-	var raw []byte // compressed staging, reused across tiles
-	for ty := 0; ty < down; ty++ {
-		for tx := 0; tx < across; tx++ {
-			idx := ty*across + tx
-			n := int(counts.vals[idx])
-			if comp == compressionDeflate {
-				// zlib never expands a tile past a small constant-factor
-				// overhead; a larger claim is a corrupt directory, caught
-				// before allocating.
-				if n <= 0 || n > 2*tileBytes+1024 {
-					return nil, fmt.Errorf("tiffio: compressed tile %d claims %d bytes for a %d-byte tile", idx, n, tileBytes)
-				}
-				if cap(raw) < n {
-					raw = make([]byte, n)
-				}
-				raw = raw[:n]
-				if _, err := r.ReadAt(raw, int64(offsets.vals[idx])); err != nil {
-					return nil, fmt.Errorf("tiffio: tile %d: %w", idx, err)
-				}
-				if err := inflateTile(buf, raw); err != nil {
-					return nil, fmt.Errorf("tiffio: tile %d: %w", idx, err)
-				}
-			} else {
-				if n != tileBytes {
-					return nil, fmt.Errorf("tiffio: tile %d is %d bytes, want %d", idx, n, tileBytes)
-				}
-				if _, err := r.ReadAt(buf, int64(offsets.vals[idx])); err != nil {
-					return nil, fmt.Errorf("tiffio: tile %d: %w", idx, err)
-				}
-			}
-			for y := 0; y < th; y++ {
-				iy := ty*th + y
-				if iy >= height {
-					break
-				}
-				for x := 0; x < tw; x++ {
-					ix := tx*tw + x
-					if ix >= width {
-						break
-					}
-					var v uint16
-					if bits == 8 {
-						v = uint16(buf[y*tw+x]) * 257
-					} else {
-						v = bo.Uint16(buf[2*(y*tw+x):])
-					}
-					img.Set(ix, iy, v)
-				}
-			}
-		}
-	}
-	return img, nil
-}
-
-// readIFD parses the directory at off.
-func readIFD(r io.ReaderAt, bo binary.ByteOrder, off int64) ([]ifdEntry, error) {
-	var nb [2]byte
-	if _, err := r.ReadAt(nb[:], off); err != nil {
-		return nil, fmt.Errorf("tiffio: IFD count: %w", err)
-	}
-	n := int(bo.Uint16(nb[:]))
-	if n == 0 {
-		return nil, fmt.Errorf("tiffio: empty IFD")
-	}
-	buf := make([]byte, n*12)
-	if _, err := r.ReadAt(buf, off+2); err != nil {
-		return nil, fmt.Errorf("tiffio: IFD entries: %w", err)
-	}
-	entries := make([]ifdEntry, 0, n)
-	for i := 0; i < n; i++ {
-		b := buf[i*12 : (i+1)*12]
-		e := ifdEntry{
-			tag:   bo.Uint16(b[0:2]),
-			ftype: bo.Uint16(b[2:4]),
-			count: bo.Uint32(b[4:8]),
-		}
-		sz := typeSize(e.ftype)
-		if sz == 0 || e.count == 0 {
-			entries = append(entries, e)
-			continue
-		}
-		total := sz * int(e.count)
-		// Bound out-of-line tag data: no baseline grayscale tag needs
-		// more than one offset per strip, and strips are bounded by the
-		// pixel data; 64 MB of tag data means a corrupt file.
-		if total < 0 || total > 64<<20 {
-			return nil, fmt.Errorf("tiffio: tag %d claims %d bytes of data", e.tag, total)
-		}
-		var data []byte
-		if total <= 4 {
-			data = b[8 : 8+total]
-		} else {
-			data = make([]byte, total)
-			if _, err := r.ReadAt(data, int64(bo.Uint32(b[8:12]))); err != nil {
-				return nil, fmt.Errorf("tiffio: tag %d data: %w", e.tag, err)
-			}
-		}
-		e.vals = make([]uint32, 0, e.count)
-		for j := 0; j < int(e.count); j++ {
-			switch e.ftype {
-			case typeByte, typeASCII:
-				e.vals = append(e.vals, uint32(data[j]))
-			case typeShort:
-				e.vals = append(e.vals, uint32(bo.Uint16(data[2*j:2*j+2])))
-			case typeLong:
-				e.vals = append(e.vals, bo.Uint32(data[4*j:4*j+4]))
-			case typeRational:
-				// store numerator only; resolution tags are ignored
-				e.vals = append(e.vals, bo.Uint32(data[8*j:8*j+4]))
-			}
-		}
-		entries = append(entries, e)
-	}
-	return entries, nil
+	return d.image(r, bo)
 }
 
 // EncodeOpts adjusts Encode output.
@@ -399,133 +95,92 @@ type EncodeOpts struct {
 	Deflate bool
 }
 
-// Encode writes img as an uncompressed 16-bit grayscale baseline TIFF.
+// Encode writes img as a 16-bit grayscale classic TIFF: header(8) |
+// chunks | IFD | out-of-line arrays. A chunk is a strip (whole rows, the
+// last strip short) or, with TileW/TileH, a tile (TIFF 6.0 §15: fixed
+// size, edge tiles zero-padded), raw or independently deflated so readers
+// can still random-access single tiles.
 func Encode(w io.Writer, img *tile.Gray16, opts EncodeOpts) error {
 	if img.W <= 0 || img.H <= 0 {
 		return fmt.Errorf("tiffio: cannot encode empty image %dx%d", img.W, img.H)
 	}
-	var bo binary.ByteOrder = binary.LittleEndian
-	mark := [2]byte{'I', 'I'}
-	if opts.BigEndian {
-		bo = binary.BigEndian
-		mark = [2]byte{'M', 'M'}
-	}
-	if opts.TileW > 0 || opts.TileH > 0 {
-		return encodeTiled(w, img, bo, mark, opts)
-	}
-	if opts.Deflate {
+	bo := byteOrder(opts.BigEndian)
+	tiled := opts.TileW > 0 || opts.TileH > 0
+	cw, ch := img.W, opts.RowsPerStrip
+	switch {
+	case tiled:
+		cw, ch = opts.TileW, opts.TileH
+		if cw <= 0 {
+			cw = 64
+		}
+		if ch <= 0 {
+			ch = 64
+		}
+		if cw%16 != 0 || ch%16 != 0 {
+			return fmt.Errorf("tiffio: tile size %dx%d must be multiples of 16", cw, ch)
+		}
+	case opts.Deflate:
 		return fmt.Errorf("tiffio: Deflate requires the tiled layout (set TileW/TileH)")
+	case ch <= 0:
+		ch = max(1, (8<<10)/(img.W*2))
 	}
-	rps := opts.RowsPerStrip
-	if rps <= 0 {
-		rowBytes := img.W * 2
-		rps = (8 << 10) / rowBytes
-		if rps < 1 {
-			rps = 1
-		}
+	if !tiled {
+		ch = min(ch, img.H)
 	}
-	if rps > img.H {
-		rps = img.H
-	}
-	nStrips := (img.H + rps - 1) / rps
 
-	// Layout: header(8) | pixel strips | IFD | out-of-line tag data. The
-	// offsets are computed in int64 and checked against the 32-bit field
-	// width: before the check a >4 GiB image wrapped them silently.
-	sizes := make([]int, nStrips)
-	for s := 0; s < nStrips; s++ {
-		rows := rps
-		if s == nStrips-1 {
-			rows = img.H - s*rps
-		}
-		sizes[s] = rows * img.W * 2
+	// Every chunk is built before the header is written: compressed sizes
+	// are only known after compressing, and the IFD follows the chunks.
+	raw := make([]byte, 2*cw*ch)
+	n := ((img.W + cw - 1) / cw) * ((img.H + ch - 1) / ch)
+	sizes := make([]int, 0, n)
+	var payload []byte
+	if !opts.Deflate {
+		payload = make([]byte, 0, n*len(raw))
 	}
-	stripOff, stripCnt, ifdOff, err := chunkLayout(8, sizes)
+	var zw *zlib.Writer
+	for y0 := 0; y0 < img.H; y0 += ch {
+		rows := min(ch, img.H-y0)
+		chunk := raw
+		if !tiled {
+			chunk = raw[:2*cw*rows]
+		}
+		for x0 := 0; x0 < img.W; x0 += cw {
+			packTile(chunk, img.Pix[y0*img.W+x0:], img.W, min(cw, img.W-x0), rows, cw, bo)
+			start := len(payload)
+			if opts.Deflate {
+				var err error
+				if zw, payload, err = deflateTile(zw, payload, chunk); err != nil {
+					return err
+				}
+			} else {
+				payload = append(payload, chunk...)
+			}
+			sizes = append(sizes, len(payload)-start)
+		}
+	}
+	offs, cnts, ifdOff, err := chunkLayout(classicTIFF.headerSize(), sizes)
 	if err != nil {
 		return err
 	}
-
-	// Header.
-	hdr := make([]byte, 8)
-	hdr[0], hdr[1] = mark[0], mark[1]
-	bo.PutUint16(hdr[2:4], 42)
-	bo.PutUint32(hdr[4:8], uint32(ifdOff))
-	if _, err := w.Write(hdr); err != nil {
+	compression := uint64(compressionNone)
+	if opts.Deflate {
+		compression = compressionDeflate
+	}
+	fields := classicTIFF.tiledFields(img.W, img.H, cw, ch, compression, offs, cnts)
+	if !tiled {
+		fields = append(imageFields(img.W, img.H, compression),
+			field{tagStripOffsets, typeLong, offs},
+			one(tagSamplesPerPixel, typeShort, 1),
+			one(tagRowsPerStrip, typeLong, ch),
+			field{tagStripByteCounts, typeLong, cnts},
+			one(tagSampleFormat, typeShort, 1)) // unsigned integer
+	}
+	dir, err := classicTIFF.encodeDir(bo, ifdOff, fields, false)
+	if err != nil {
 		return err
 	}
-
-	// Pixel data.
-	rowBuf := make([]byte, img.W*2)
-	for y := 0; y < img.H; y++ {
-		for x := 0; x < img.W; x++ {
-			bo.PutUint16(rowBuf[2*x:2*x+2], img.At(x, y))
-		}
-		if _, err := w.Write(rowBuf); err != nil {
-			return err
-		}
-	}
-
-	// IFD with 10 entries, then the out-of-line arrays.
-	type entry struct {
-		tag, ftype uint16
-		count      uint32
-		value      uint32
-	}
-	nEntries := 10
-	ifdSize := 2 + nEntries*12 + 4
-	extraBase := ifdOff + int64(ifdSize)
-
-	var extra []byte
-	appendLongs := func(vals []uint32) uint32 {
-		o := extraBase + int64(len(extra))
-		for _, v := range vals {
-			var b [4]byte
-			bo.PutUint32(b[:], v)
-			extra = append(extra, b[:]...)
-		}
-		return uint32(o)
-	}
-
-	offVal, cntVal := stripOff[0], stripCnt[0]
-	if nStrips > 1 {
-		offVal = appendLongs(stripOff)
-		cntVal = appendLongs(stripCnt)
-	}
-	if extraBase+int64(len(extra)) > math.MaxUint32 {
-		return ErrOffsetOverflow
-	}
-	entries := []entry{
-		{tagImageWidth, typeLong, 1, uint32(img.W)},
-		{tagImageLength, typeLong, 1, uint32(img.H)},
-		{tagBitsPerSample, typeShort, 1, 16},
-		{tagCompression, typeShort, 1, compressionNone},
-		{tagPhotometric, typeShort, 1, photometricMinIsBlack},
-		{tagStripOffsets, typeLong, uint32(nStrips), offVal},
-		{tagSamplesPerPixel, typeShort, 1, 1},
-		{tagRowsPerStrip, typeLong, 1, uint32(rps)},
-		{tagStripByteCounts, typeLong, uint32(nStrips), cntVal},
-		{tagSampleFormat, typeShort, 1, 1}, // unsigned integer
-	}
-
-	ifd := make([]byte, ifdSize)
-	bo.PutUint16(ifd[0:2], uint16(nEntries))
-	for i, e := range entries {
-		b := ifd[2+i*12 : 2+(i+1)*12]
-		bo.PutUint16(b[0:2], e.tag)
-		bo.PutUint16(b[2:4], e.ftype)
-		bo.PutUint32(b[4:8], e.count)
-		if e.ftype == typeShort && e.count == 1 {
-			bo.PutUint16(b[8:10], uint16(e.value))
-		} else {
-			bo.PutUint32(b[8:12], e.value)
-		}
-	}
-	// next-IFD pointer = 0 (already zeroed)
-	if _, err := w.Write(ifd); err != nil {
-		return err
-	}
-	if len(extra) > 0 {
-		if _, err := w.Write(extra); err != nil {
+	for _, b := range [][]byte{classicTIFF.header(bo, ifdOff), payload, dir} {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}

@@ -2,9 +2,14 @@ package tiffio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +256,116 @@ func TestTiledProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// goldenClassic are the SHA-256 of the files Encode writes for
+// mixedImage(331, 191, 42), an image that divides evenly into neither the
+// strips nor the tiles below. They cover both strip and tile layouts, both
+// byte orders, raw and Deflate tiles, genplate's -tiled 64 form and the
+// 256×256 tiling compose.WriteTIFFFile picks for large composites. The
+// Deflate ones also pin compress/flate's output (go1.24).
+var goldenClassic = map[string]struct {
+	opts EncodeOpts
+	sum  string
+}{
+	"strips_II":        {EncodeOpts{}, "bf36793bafb7ac5bbdf475f82ec02677c6dff2e78d4e7d79c040a8854ecca459"},
+	"strips_MM_rps2":   {EncodeOpts{BigEndian: true, RowsPerStrip: 2}, "29c33481dbcc37a9549041acc61ff6013295819a56f47c256c12a071554600a6"},
+	"tiled64_raw_II":   {EncodeOpts{TileW: 64, TileH: 64}, "119368f64f72c03fccde86575725f758e969c598a46e6adc29c2e86aca350e3f"},
+	"tiled_deflate_II": {EncodeOpts{TileW: 64, TileH: 48, Deflate: true}, "2e1b6a99e6ab2906eafefad9aa5f6af4ded0a4aa67aa4abaa79ad6582bc4f10b"},
+	"tiled_deflate_MM": {EncodeOpts{TileW: 64, TileH: 48, Deflate: true, BigEndian: true}, "ffd32d326343a4d384fe07e543bdc92fe05d01d2ccbd2e550855daa93b89b933"},
+	"tiled256_raw_II":  {EncodeOpts{TileW: 256, TileH: 256}, "783ce23dc9fc68915518d85076c21ff443e58df5848e132ac40c184ca200a346"},
+}
+
+func TestEncodeBytesGolden(t *testing.T) {
+	img := mixedImage(331, 191, 42)
+	for name, g := range goldenClassic {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := Encode(&buf, img, g.opts); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != g.sum {
+				t.Fatalf("file SHA-256 %s, want %s", got, g.sum)
+			}
+			assertEqual(t, roundTrip(t, img, g.opts), img)
+		})
+	}
+}
+
+// hostileTiles returns small valid files of a 16×16 image, one per
+// reader path, with their TileWidth and TileLength rewritten to 4096: a
+// header that claims tiles the file does not hold. In "classic_image"
+// the image is rewritten to 4096×4096 too, so it claims its pixels as
+// well.
+func hostileTiles(t testing.TB) map[string][]byte {
+	img := randImage(16, 16, 1)
+	files := map[string][]byte{
+		"pyramid": writePyramidFromImage(t, img, PyramidOpts{TileW: 16, TileH: 16, MinSide: 16}),
+	}
+	for name, opts := range map[string]EncodeOpts{
+		"classic_raw":     {TileW: 16, TileH: 16},
+		"classic_deflate": {TileW: 16, TileH: 16, Deflate: true},
+		"classic_image":   {TileW: 16, TileH: 16, Deflate: true},
+	} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, img, opts); err != nil {
+			t.Fatal(err)
+		}
+		files[name] = buf.Bytes()
+	}
+	for name, data := range files {
+		// Little-endian first IFD: classic has a 2-byte entry count and
+		// 12-byte entries, BigTIFF an 8-byte count and 20-byte entries.
+		ifd, count, size, value := int(binary.LittleEndian.Uint32(data[4:])), 2, 12, 8
+		if name == "pyramid" {
+			ifd, count, size, value = int(binary.LittleEndian.Uint64(data[8:])), 8, 20, 12
+		}
+		n := int(binary.LittleEndian.Uint16(data[ifd:]))
+		for i := 0; i < n; i++ {
+			e := data[ifd+count+i*size:]
+			switch binary.LittleEndian.Uint16(e) {
+			case tagImageWidth, tagImageLength:
+				if name == "classic_image" {
+					binary.LittleEndian.PutUint32(e[value:], 4096)
+				}
+			case tagTileWidth, tagTileLength:
+				binary.LittleEndian.PutUint32(e[value:], 4096)
+			}
+		}
+	}
+	return files
+}
+
+// TestHostileTileHeaderAllocatesLittle pins that a header cannot buy an
+// allocation: a reader rejects tiles the file does not hold as corrupt
+// before allocating anything near the 32 MiB such a tile would take.
+func TestHostileTileHeaderAllocatesLittle(t *testing.T) {
+	for name, data := range hostileTiles(t) {
+		t.Run(name, func(t *testing.T) {
+			read := func() error {
+				_, err := Decode(bytes.NewReader(data))
+				return err
+			}
+			if name == "pyramid" {
+				read = func() error {
+					p, err := OpenPyramid(bytes.NewReader(data))
+					if err == nil {
+						_, err = p.ReadTileAt(0, 0, 0)
+					}
+					return err
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := read()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%d-byte file: err = %v, want ErrCorrupt-classified", len(data), err)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Fatalf("%d-byte file: rejecting it allocated %d bytes", len(data), n)
+			}
+		})
 	}
 }

@@ -12,217 +12,182 @@ import (
 	"hybridstitch/internal/tile"
 )
 
-// compressionDeflate is the zlib-wrapped Deflate codec (TIFF Technical
-// Note 2, the "Adobe" Deflate tag value every modern reader supports).
-const compressionDeflate = 8
+// This file is the chunk codec both formats share: packing a tile's
+// samples and deflating it on the way out, and one tiled-pixel decoder on
+// the way in. A reader allocates the pixels it returns, a scratch of one
+// stored tile row, and bytes the file holds: a chunk's claimed size is
+// checked against the tile and against the file before anything is
+// allocated for it, and a Deflate tile is inflated row by row.
 
-// ErrOffsetOverflow reports that an encode would place data past the
-// 4 GiB boundary classic TIFF's 32-bit offsets can address. Before this
-// check the offsets silently wrapped and the file was corrupt. Plates
-// that large belong in the BigTIFF pyramid layout: compose them with
-// compose.ComposeSharded into a tiffio.PyramidWriter, whose offsets are
-// 64-bit.
-var ErrOffsetOverflow = errors.New("tiffio: image exceeds the 4 GiB classic-TIFF offset space (write it with the sharded pyramid writer: compose.ComposeSharded / tiffio.NewPyramidWriter)")
-
-// chunkLayout assigns sequential file offsets starting at base to chunks
-// of the given sizes, returning the 32-bit offset and byte-count arrays
-// a classic TIFF directory stores and the file position after the last
-// chunk. The arithmetic runs in int64 so an offset that would wrap the
-// 32-bit field is detected instead of silently truncated.
-func chunkLayout(base int64, sizes []int) (offs, cnts []uint32, end int64, err error) {
-	offs = make([]uint32, len(sizes))
-	cnts = make([]uint32, len(sizes))
-	off := base
-	for i, n := range sizes {
-		if n < 0 {
-			return nil, nil, 0, fmt.Errorf("tiffio: negative chunk size %d", n)
-		}
-		if off > math.MaxUint32 {
-			return nil, nil, 0, ErrOffsetOverflow
-		}
-		offs[i] = uint32(off)
-		cnts[i] = uint32(n)
-		off += int64(n)
+// packTile writes rows×cols samples of src, whose rows are stride samples
+// apart, into dst as rows of tw samples in bo order, zeroing whatever of
+// dst lies past them (the padding of an edge tile).
+func packTile(dst []byte, src []uint16, stride, cols, rows, tw int, bo binary.ByteOrder) {
+	if cols < tw || 2*rows*tw < len(dst) {
+		clear(dst)
 	}
-	if off > math.MaxUint32 {
-		return nil, nil, 0, ErrOffsetOverflow
+	for y := 0; y < rows; y++ {
+		s := src[y*stride:][:cols]
+		d := dst[2*y*tw:][:2*cols]
+		if bo == binary.BigEndian {
+			for x, v := range s {
+				d[2*x], d[2*x+1] = byte(v>>8), byte(v)
+			}
+		} else {
+			for x, v := range s {
+				d[2*x], d[2*x+1] = byte(v), byte(v>>8)
+			}
+		}
 	}
-	return offs, cnts, off, nil
 }
 
-// inflateTile decompresses one zlib-wrapped tile payload into dst,
-// which must be exactly the decompressed tile size.
-func inflateTile(dst, src []byte) error {
-	zr, err := zlib.NewReader(bytes.NewReader(src))
-	if err != nil {
-		return err
+// sliceWriter appends to a byte slice.
+type sliceWriter struct{ b []byte }
+
+func (s *sliceWriter) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
+}
+
+// deflateTile appends raw to dst as one independent zlib stream, written
+// by zw reset onto dst (a new writer when zw is nil), and returns the
+// writer for reuse and the grown dst.
+func deflateTile(zw *zlib.Writer, dst, raw []byte) (*zlib.Writer, []byte, error) {
+	sink := sliceWriter{dst}
+	if zw == nil {
+		zw = zlib.NewWriter(&sink)
+	} else {
+		zw.Reset(&sink)
 	}
-	defer zr.Close()
-	if _, err := io.ReadFull(zr, dst); err != nil {
-		return fmt.Errorf("short tile payload: %w", err)
+	_, err := zw.Write(raw)
+	if err == nil {
+		err = zw.Close()
+	}
+	return zw, sink.b, err
+}
+
+// checkTileBytes fails unless n stored bytes can hold one tile of t
+// bytes of samples. A raw tile is exactly t. A Deflate tile is at most
+// 2t+1024, as zlib never expands one past a small constant overhead, and
+// at least t/1032, deflate's largest ratio (a 258-byte match in two bits),
+// so no claim makes a reader allocate more than the stored bytes can
+// decode to.
+func (d *directory) checkTileBytes(n uint64) error {
+	t := uint64(d.tileW * d.tileH * d.bits / 8)
+	if d.compression == compressionDeflate && (n*1032 < t || n > 2*t+1024) ||
+		d.compression == compressionNone && n != t {
+		return fmt.Errorf("%d stored bytes for a %d-byte tile", n, t)
+	}
+	return nil
+}
+
+// readTile reads the stored bytes of tile idx into buf, grown as needed.
+func (d *directory) readTile(r io.ReaderAt, idx int, buf []byte) ([]byte, error) {
+	if err := d.checkTileBytes(d.cnts[idx]); err != nil {
+		return nil, fmt.Errorf("tiffio: tile %d: %w", idx, err)
+	}
+	return readAt(r, d.offs[idx], d.cnts[idx], buf)
+}
+
+// unpackTile decodes payload, the stored bytes of tile (tx, ty), into
+// dst, whose rows are stride pixels apart: the tile's pixels inside the
+// image, its padding dropped. The payload is read one stored row at a
+// time, so a Deflate tile is never inflated whole; it must hold exactly
+// one tile.
+func (d *directory) unpackTile(dst []uint16, stride int, payload []byte, tx, ty int, bo binary.ByteOrder) error {
+	var src io.Reader = bytes.NewReader(payload)
+	if d.compression == compressionDeflate {
+		zr, err := zlib.NewReader(src)
+		if err != nil {
+			return err
+		}
+		defer zr.Close()
+		src = zr
+	}
+	w := min(d.tileW, d.w-tx*d.tileW)
+	h := min(d.tileH, d.h-ty*d.tileH)
+	row := make([]byte, d.tileW*d.bits/8)
+	for y := 0; y < d.tileH; y++ {
+		if _, err := io.ReadFull(src, row); err != nil {
+			return fmt.Errorf("short tile payload: %w", err)
+		}
+		if y < h {
+			unpackRow(dst[y*stride:][:w], row, d.bits, bo)
+		}
 	}
 	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
+	if n, _ := src.Read(one[:]); n != 0 {
 		return errors.New("tile payload longer than tile")
 	}
 	return nil
 }
 
-// packTile copies the (tx, ty) tile of img into buf (tw×th 16-bit
-// samples in bo order), zero-padding past the right/bottom image edges.
-func packTile(buf []byte, img *tile.Gray16, bo binary.ByteOrder, tx, ty, tw, th int) {
-	for i := range buf {
-		buf[i] = 0
+// unpackRow converts stored samples into len(dst) pixels; 8-bit samples
+// scale to the 16-bit range the pipeline works in.
+func unpackRow(dst []uint16, src []byte, bits int, bo binary.ByteOrder) {
+	if bits == 8 {
+		for i := range dst {
+			dst[i] = uint16(src[i]) * 257
+		}
+		return
 	}
-	for y := 0; y < th; y++ {
-		iy := ty*th + y
-		if iy >= img.H {
-			break
-		}
-		for x := 0; x < tw; x++ {
-			ix := tx*tw + x
-			if ix >= img.W {
-				break
-			}
-			bo.PutUint16(buf[2*(y*tw+x):], img.At(ix, iy))
-		}
+	for i := range dst {
+		dst[i] = bo.Uint16(src[2*i:])
 	}
 }
 
-// encodeTiled writes the tile-organized layout (TIFF 6.0 §15): the image
-// is cut into fixed-size tiles, edge tiles zero-padded to full size, and
-// the IFD carries TileWidth/TileLength/TileOffsets/TileByteCounts in
-// place of the strip tags. With opts.Deflate each tile payload is
-// zlib-compressed independently, so readers can still random-access
-// single tiles.
-func encodeTiled(w io.Writer, img *tile.Gray16, bo binary.ByteOrder, mark [2]byte, opts EncodeOpts) error {
-	tw, th := opts.TileW, opts.TileH
-	if tw <= 0 {
-		tw = 64
+// image decodes the whole image d describes: strips straight into place,
+// tiles one at a time through unpackTile. Every chunk's claim is checked,
+// and the file must hold the farthest chunk, before the image is
+// allocated.
+func (d *directory) image(r io.ReaderAt, bo binary.ByteOrder) (*tile.Gray16, error) {
+	want := uint64(d.w * d.h * d.bits / 8)
+	var have, end uint64
+	for i, off := range d.offs {
+		n := d.cnts[i]
+		if d.tileW == 0 {
+			n = min(n, want-have) // trailing padding in the final strip is tolerated
+		} else if err := d.checkTileBytes(n); err != nil {
+			return nil, fmt.Errorf("tiffio: tile %d: %w", i, err)
+		}
+		if off > math.MaxInt64-n {
+			return nil, fmt.Errorf("tiffio: chunk %d at offset %d out of range", i, off)
+		}
+		if n > 0 {
+			have, end = have+n, max(end, off+n)
+		}
 	}
-	if th <= 0 {
-		th = 64
+	if d.tileW == 0 && have != want {
+		return nil, fmt.Errorf("tiffio: pixel data is %d bytes, want %d", have, want)
 	}
-	if tw%16 != 0 || th%16 != 0 {
-		return fmt.Errorf("tiffio: tile size %dx%d must be multiples of 16", tw, th)
+	if err := probe(r, end); err != nil {
+		return nil, fmt.Errorf("tiffio: chunks end past the file: %w", err)
 	}
-	across := (img.W + tw - 1) / tw
-	down := (img.H + th - 1) / th
-	nTiles := across * down
-	tileBytes := tw * th * 2
-
-	// Build every tile payload up front: compressed sizes are only known
-	// after compressing, and the offsets must be final before the header
-	// is written (the IFD follows the payloads).
-	var payloads bytes.Buffer
-	sizes := make([]int, nTiles)
-	buf := make([]byte, tileBytes)
-	var zw *zlib.Writer
-	for ty := 0; ty < down; ty++ {
-		for tx := 0; tx < across; tx++ {
-			idx := ty*across + tx
-			packTile(buf, img, bo, tx, ty, tw, th)
-			if opts.Deflate {
-				start := payloads.Len()
-				if zw == nil {
-					zw = zlib.NewWriter(&payloads)
-				} else {
-					zw.Reset(&payloads)
-				}
-				if _, err := zw.Write(buf); err != nil {
-					return err
-				}
-				if err := zw.Close(); err != nil {
-					return err
-				}
-				sizes[idx] = payloads.Len() - start
-			} else {
-				payloads.Write(buf)
-				sizes[idx] = tileBytes
+	img := tile.NewGray16(d.w, d.h)
+	if d.tileW == 0 {
+		raw := make([]byte, want)
+		pos := uint64(0)
+		for i, off := range d.offs {
+			n := min(d.cnts[i], want-pos)
+			if _, err := r.ReadAt(raw[pos:pos+n], int64(off)); err != nil {
+				return nil, fmt.Errorf("tiffio: strip %d: %w", i, err)
+			}
+			pos += n
+		}
+		unpackRow(img.Pix, raw, d.bits, bo)
+		return img, nil
+	}
+	var payload []byte
+	for ty := 0; ty < d.down; ty++ {
+		for tx := 0; tx < d.across; tx++ {
+			var err error
+			if payload, err = d.readTile(r, ty*d.across+tx, payload); err != nil {
+				return nil, err
+			}
+			if err := d.unpackTile(img.Pix[ty*d.tileH*d.w+tx*d.tileW:], d.w, payload, tx, ty, bo); err != nil {
+				return nil, fmt.Errorf("tiffio: tile (%d,%d): %w", tx, ty, err)
 			}
 		}
 	}
-
-	// Layout: header(8) | tiles | IFD | out-of-line arrays.
-	offsets, counts, ifdOff, err := chunkLayout(8, sizes)
-	if err != nil {
-		return err
-	}
-
-	compression := uint32(compressionNone)
-	if opts.Deflate {
-		compression = compressionDeflate
-	}
-
-	type entry struct {
-		tag, ftype uint16
-		count      uint32
-		value      uint32
-	}
-	nEntries := 10
-	ifdSize := 2 + nEntries*12 + 4
-	extraBase := ifdOff + int64(ifdSize)
-	var extra []byte
-	appendLongs := func(vals []uint32) uint32 {
-		o := extraBase + int64(len(extra))
-		for _, v := range vals {
-			var b [4]byte
-			bo.PutUint32(b[:], v)
-			extra = append(extra, b[:]...)
-		}
-		return uint32(o)
-	}
-	offVal, cntVal := offsets[0], counts[0]
-	if nTiles > 1 {
-		offVal = appendLongs(offsets)
-		cntVal = appendLongs(counts)
-	}
-	if extraBase+int64(len(extra)) > math.MaxUint32 {
-		return ErrOffsetOverflow
-	}
-	entries := []entry{
-		{tagImageWidth, typeLong, 1, uint32(img.W)},
-		{tagImageLength, typeLong, 1, uint32(img.H)},
-		{tagBitsPerSample, typeShort, 1, 16},
-		{tagCompression, typeShort, 1, compression},
-		{tagPhotometric, typeShort, 1, photometricMinIsBlack},
-		{tagSamplesPerPixel, typeShort, 1, 1},
-		{tagTileWidth, typeLong, 1, uint32(tw)},
-		{tagTileLength, typeLong, 1, uint32(th)},
-		{tagTileOffsets, typeLong, uint32(nTiles), offVal},
-		{tagTileByteCounts, typeLong, uint32(nTiles), cntVal},
-	}
-
-	hdr := make([]byte, 8)
-	hdr[0], hdr[1] = mark[0], mark[1]
-	bo.PutUint16(hdr[2:4], 42)
-	bo.PutUint32(hdr[4:8], uint32(ifdOff))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(payloads.Bytes()); err != nil {
-		return err
-	}
-	ifd := make([]byte, ifdSize)
-	bo.PutUint16(ifd[0:2], uint16(nEntries))
-	for i, e := range entries {
-		b := ifd[2+i*12 : 2+(i+1)*12]
-		bo.PutUint16(b[0:2], e.tag)
-		bo.PutUint16(b[2:4], e.ftype)
-		bo.PutUint32(b[4:8], e.count)
-		if e.ftype == typeShort && e.count == 1 {
-			bo.PutUint16(b[8:10], uint16(e.value))
-		} else {
-			bo.PutUint32(b[8:12], e.value)
-		}
-	}
-	if _, err := w.Write(ifd); err != nil {
-		return err
-	}
-	if len(extra) > 0 {
-		if _, err := w.Write(extra); err != nil {
-			return err
-		}
-	}
-	return nil
+	return img, nil
 }
