@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-race lint lint-json lint-baseline lint-help check acc accdiff experiments fuzz fuzz-smoke clean
+.PHONY: all build test race test-race lint lint-help check acc accdiff experiments fuzz fuzz-smoke clean
 
 all: build test
 
@@ -17,45 +17,30 @@ race:
 
 test-race: race
 
-# Repo-specific static analysis: the seven stitchlint analyzers
-# (pairguard, streamsync, faultsite, blockinglock, lockorder, obsnames,
-# hotpath) over every package, including tests. Packages are checked in
-# parallel (bounded by GOMAXPROCS); the gate fails only on findings not
-# recorded in the committed lint-baseline.json.
+# Repo-specific static analysis: the five stitchlint analyzers
+# (pairguard, blockinglock, lockorder, obsnames, hotpath) over every
+# package, including tests. Packages are checked in parallel (bounded by
+# GOMAXPROCS); any finding fails the gate.
 lint:
-	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/stitchlint ./...
 
-# Machine-readable findings (SARIF-lite JSON) for editors and CI
-# annotation:
-lint-json:
-	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json -json ./...
-
-# Accept the current findings into the baseline. Every generated entry
-# carries a placeholder reason — rewrite it before committing, or fix the
-# finding instead. ReadBaseline rejects reasonless entries.
-lint-baseline:
-	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json -update-baseline ./...
-
-# How to waive a finding: stitchlint diagnostics can be suppressed at the
-# offending line (same line or the line above) with
+# How to waive a finding — the only way: suppress it at the offending
+# line (same line or the line above) with
 #
 #     //lint:allow <analyzer> <reason>
 #
 # e.g. //lint:allow pairguard allocation must fail; nothing is allocated
 #
 # The reason is mandatory — a bare //lint:allow <analyzer> is itself
-# reported, as is one naming an analyzer the suite does not have. Larger
-# accepted debts belong in lint-baseline.json (make lint-baseline), where
-# every entry also needs a reason and stale entries are warned about.
+# reported, as is one naming an analyzer the suite does not have.
 # `make lint-help` prints the analyzers and this recipe.
 lint-help:
 	$(GO) run ./cmd/stitchlint -list
 	@echo ""
-	@echo "suppress one finding:  //lint:allow <analyzer> <reason>   (same line or line above; reason required)"
-	@echo "accept standing debt:  make lint-baseline                 (rewrite the placeholder reasons before committing)"
-	@echo "machine output:        make lint-json"
+	@echo "waive one finding:  //lint:allow <analyzer> <reason>   (same line or line above; reason required)"
 
-# Full pre-merge gate: vet, static analysis, build, tests, race detector.
+# Full pre-merge gate: formatting, vet, static analysis, build, tests,
+# race detector.
 # The obs suite runs race-enabled on its own first: the span ring and the
 # timeline ordering fix are exactly the code whose bugs only the race
 # detector sees. Phase 3's pipeline (pyramid writer, read-ahead) and the
@@ -79,8 +64,9 @@ lint-help:
 # to ./... here, so it is vetted, tested and linted by name: an API it
 # uses cannot be deleted unnoticed.
 check: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
-	$(GO) run ./cmd/stitchlint -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/stitchlint ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/ ./internal/gpu/
 	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
@@ -90,7 +76,7 @@ check: build
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) run ./cmd/stitchlint -C bench -baseline ../lint-baseline.json ./...
+	$(GO) run ./cmd/stitchlint -C bench ./...
 
 # Benchmarks: the end-to-end benchmark and its parent-vs-change gate live
 # in bench/ (see bench/README.md: `bash bench/run.sh ...`, and

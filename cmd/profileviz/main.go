@@ -75,7 +75,7 @@ func main() {
 	for d := 0; d < *gpus; d++ {
 		dev := gpu.New(gpu.Config{
 			Name: fmt.Sprintf("GPU%d", d), Obs: rec,
-			H2DBytesPerSec: 2e9, D2HBytesPerSec: 2e9,
+			H2DBytesPerSec: 2e9,
 		})
 		defer dev.Close()
 		devs = append(devs, dev)

@@ -1,38 +1,31 @@
 // Command stitchlint is the repo's static-analysis gate: a multichecker
 // running the analyzers in internal/analysis over the tree. The
 // invariants it enforces — every acquire (pooled device buffer, governor
-// reservation, span, pooled aligner) released on every path, no host
-// reads ahead of async D2H events, fault sites drawn from the
-// internal/fault registry, no blocking calls under a mutex, an acyclic
-// cross-package lock-ordering graph, and obs names drawn from the
-// internal/obs registry — are the load-bearing discipline of the paper's
-// pipelined design that the compiler cannot check.
+// reservation, span, pooled aligner) released on every path, no
+// blocking calls under a mutex, an acyclic cross-package lock-ordering
+// graph, obs names drawn from the internal/obs registry, and no
+// allocation in marked hot paths — are the load-bearing discipline of
+// the paper's pipelined design that the compiler cannot check.
 //
 // Usage:
 //
 //	stitchlint [flags] [packages]
 //
 // With no package patterns it checks ./... from the current directory.
-// Exit status is 1 if any non-baselined diagnostics were reported, 2 on
-// operational failure. Individual findings can be waived with a trailing
-// or preceding comment:
+// Exit status is 1 if any diagnostics were reported, 2 on operational
+// failure. The one way to waive a finding is a trailing or preceding
+// comment
 //
 //	//lint:allow <analyzer> <reason>
 //
-// where the reason is mandatory. Larger accepted debts live in a
-// committed baseline (-baseline lint-baseline.json): the gate fails only
-// on findings not recorded there, and warns when baseline entries go
-// stale. -update-baseline regenerates the file from the current
-// findings; -json emits a machine-readable report instead of text.
+// where the reason is mandatory.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"hybridstitch/internal/analysis"
 )
@@ -45,13 +38,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("stitchlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list     = fs.Bool("list", false, "list the analyzers and exit")
-		names    = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		tests    = fs.Bool("tests", true, "also analyze _test.go files")
-		workdir  = fs.String("C", "", "change to this directory before resolving package patterns")
-		jsonOut  = fs.Bool("json", false, "emit findings as machine-readable JSON instead of text")
-		baseline = fs.String("baseline", "", "baseline file of accepted findings; only findings not recorded there fail the gate")
-		update   = fs.Bool("update-baseline", false, "rewrite the -baseline file to accept the current findings, then exit 0")
+		list    = fs.Bool("list", false, "list the analyzers and exit")
+		names   = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+		tests   = fs.Bool("tests", true, "also analyze _test.go files")
+		workdir = fs.String("C", "", "change to this directory before resolving package patterns")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -61,10 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *update && *baseline == "" {
-		fmt.Fprintln(stderr, "stitchlint: -update-baseline requires -baseline <file>")
-		return 2
 	}
 	analyzers, err := analysis.ByName(*names)
 	if err != nil {
@@ -85,60 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	// Baseline paths are relative to the lint root (the -C directory or
-	// the current directory), which is where the baseline file lives.
-	root := *workdir
-	if root == "" {
-		root = "."
-	}
-	if abs, err := filepath.Abs(root); err == nil {
-		root = abs
-	}
-
-	if *update {
-		b := analysis.NewBaseline(diags, root, "TODO: justify or fix")
-		path := *baseline
-		if *workdir != "" && !filepath.IsAbs(path) {
-			path = filepath.Join(*workdir, path)
-		}
-		if err := analysis.WriteBaseline(path, b); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "stitchlint: baseline %s updated with %d entr(y/ies) covering %d finding(s)\n", *baseline, len(b.Entries), len(diags))
-		return 0
-	}
-
-	if *baseline != "" {
-		path := *baseline
-		if *workdir != "" && !filepath.IsAbs(path) {
-			path = filepath.Join(*workdir, path)
-		}
-		b, err := analysis.ReadBaseline(path)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fresh, stale := b.Filter(diags, root)
-		for _, e := range stale {
-			fmt.Fprintf(stderr, "stitchlint: stale baseline entry: %d finding(s) of [%s] %q in %s no longer occur — delete the entry\n",
-				e.Count, e.Analyzer, e.Message, e.File)
-		}
-		diags = fresh
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(analysis.NewJSONReport(diags, root)); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "stitchlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

@@ -1,13 +1,12 @@
-// Package bad seeds exactly one violation per flow-insensitive analyzer
-// plus the pairing, lock-order, and obs-name checks. It is the known-bad
-// input for stitchlint's own tests: the multichecker must find all six
+// Package bad seeds exactly one violation for each of the pairing,
+// blocking-lock, lock-order and obs-name checks. It is the known-bad
+// input for stitchlint's own tests: the multichecker must find all four
 // and exit non-zero.
 package bad
 
 import (
 	"sync"
 
-	"hybridstitch/internal/fault"
 	"hybridstitch/internal/gpu"
 	"hybridstitch/internal/obs"
 )
@@ -20,18 +19,6 @@ func leak(d *gpu.Device) int64 {
 		return 0
 	}
 	return b.Words()
-}
-
-// race reads a D2H destination without waiting on the copy's event.
-func race(s *gpu.Stream, src *gpu.Buffer) complex128 {
-	dst := make([]complex128, 4)
-	s.MemcpyD2H(dst, src)
-	return dst[0]
-}
-
-// typo hits a fault site that is not in the internal/fault registry.
-func typo(in *fault.Injector) error {
-	return in.Hit("gpu.allocz", "dev")
 }
 
 // sleepy blocks on a WaitGroup while holding the mutex.

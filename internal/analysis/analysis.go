@@ -17,10 +17,6 @@
 //     early returns, error branches, and panics included — unless
 //     ownership is transferred. Path-sensitive on the CFG; understands
 //     defer and `if err != nil` refinement.
-//   - streamsync:   host code never reads a MemcpyD2H destination before
-//     the returned event resolves.
-//   - faultsite:    fault-injection site names come from the registry in
-//     internal/fault, so typos are build-time errors.
 //   - blockinglock: no blocking calls while holding a sync.Mutex.
 //   - lockorder:    the cross-package lock-ordering graph (keyed by
 //     owning named type) is acyclic, and no lock-held call re-locks the
@@ -129,7 +125,7 @@ func (p *Program) ReportfAt(pos token.Position, analyzer, format string, args ..
 
 // Analyzers returns the full stitchlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{PairGuard, StreamSync, FaultSite, BlockingLock, LockOrder, ObsNames, HotPath}
+	return []*Analyzer{PairGuard, BlockingLock, LockOrder, ObsNames, HotPath}
 }
 
 // ByName resolves a comma-separated analyzer selection ("" = all).

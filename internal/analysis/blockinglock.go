@@ -20,19 +20,19 @@ import (
 //
 //   - time.Sleep
 //   - (*gpu.Event).Wait, (*gpu.Stream).Synchronize,
-//     (*gpu.Device).Synchronize, (*gpu.Device).AllocBlocking
+//     (*gpu.Device).Synchronize
 //   - (*sync.WaitGroup).Wait
 //   - channel sends, channel receives, and select statements without a
 //     default case
 //
 // sync.Cond.Wait is exempt: it releases the mutex while parked, which is
-// precisely the pattern the device allocator and queues use. Function
+// precisely the pattern the stream dispatchers and queues use. Function
 // literals inside a section are analyzed as their own scope — code in a
 // callback or spawned goroutine does not (necessarily) run under the
 // lock.
 var BlockingLock = &Analyzer{
 	Name: "blockinglock",
-	Doc:  "no blocking calls (Synchronize, AllocBlocking, time.Sleep, channel ops) while holding a sync.Mutex",
+	Doc:  "no blocking calls (Synchronize, Event.Wait, time.Sleep, channel ops) while holding a sync.Mutex",
 	Run:  runBlockingLock,
 }
 
@@ -185,8 +185,6 @@ func blockingOp(pass *Pass, n ast.Node) (what string, pos token.Pos, ok bool) {
 			return "gpu.Stream.Synchronize", v.Pos(), true
 		case c.is(gpuPkg, "Device", "Synchronize"):
 			return "gpu.Device.Synchronize", v.Pos(), true
-		case c.is(gpuPkg, "Device", "AllocBlocking"):
-			return "gpu.Device.AllocBlocking", v.Pos(), true
 		}
 	case *ast.SendStmt:
 		return "channel send", v.Pos(), true

@@ -9,8 +9,8 @@ import (
 // lightweight intra-function control-flow graph over the typed AST plus
 // a worklist fixpoint driver for bitset-valued dataflow facts. The
 // path-sensitive analyzers (pairguard, lockorder) are built on it; the
-// older lexical analyzers (streamsync, faultsite, hotpath) do not need
-// it and keep their single-pass walks.
+// lexical ones (blockinglock, obsnames, hotpath) do not need it and keep
+// their single-pass walks.
 //
 // The CFG is deliberately statement-grained: each basic block holds the
 // statements (and branch-condition expressions) that execute on entry to
@@ -24,11 +24,11 @@ import (
 type termKind int
 
 const (
-	termNone  termKind = iota // falls through to successors
-	termReturn                // explicit return statement
-	termPanic                 // explicit call of the panic builtin
-	termEnd                   // implicit fall off the end of the body
-	termGoto                  // unresolved goto: analyzed conservatively
+	termNone   termKind = iota // falls through to successors
+	termReturn                 // explicit return statement
+	termPanic                  // explicit call of the panic builtin
+	termEnd                    // implicit fall off the end of the body
+	termGoto                   // unresolved goto: analyzed conservatively
 )
 
 // cfgEdge is one control transfer. When cond is non-nil the edge is the

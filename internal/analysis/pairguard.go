@@ -16,10 +16,10 @@ import (
 //
 // The acquire/release pairs are declared in one table (pairTable):
 //
-//   - gpu.Device.Alloc / AllocBlocking / AllocSpectrum → Buffer.Free
-//   - memgov.Governor.Alloc                            → Allocation.Free
-//   - obs.Recorder.StartSpan, obs.Span.Child/ChildOn   → Span.End
-//   - pciam.NewRealAligner                             → Close
+//   - gpu.Device.Alloc / AllocSpectrum               → Buffer.Free
+//   - memgov.Governor.Alloc                          → Allocation.Free
+//   - obs.Recorder.StartSpan, obs.Span.Child/ChildOn → Span.End
+//   - pciam.NewRealAligner                           → Close
 //
 // Releases are defer-aware: a `defer v.Free()` (or a defer whose closure
 // releases v) discharges every path that passes the defer statement,
@@ -48,8 +48,7 @@ func pairAcquire(info *types.Info, call *ast.CallExpr) (what, release string, ok
 		return "", "", false
 	}
 	switch {
-	case c.is(gpuPkg, "Device", "Alloc"), c.is(gpuPkg, "Device", "AllocBlocking"),
-		c.is(gpuPkg, "Device", "AllocSpectrum"):
+	case c.is(gpuPkg, "Device", "Alloc"), c.is(gpuPkg, "Device", "AllocSpectrum"):
 		return "gpu.Device." + c.name, "Free", true
 	case c.is(memgovPkg, "Governor", "Alloc"):
 		return "memgov.Governor.Alloc", "Free", true
@@ -64,8 +63,8 @@ func pairAcquire(info *types.Info, call *ast.CallExpr) (what, release string, ok
 
 // pairSite is one tracked acquisition inside a function.
 type pairSite struct {
-	what    string       // e.g. "gpu.Device.Alloc"
-	release string       // release method name, e.g. "Free"
+	what    string // e.g. "gpu.Device.Alloc"
+	release string // release method name, e.g. "Free"
 	pos     token.Pos
 	stmt    ast.Node     // the acquiring assignment
 	obj     types.Object // variable holding the resource

@@ -24,14 +24,6 @@ func TestObsNamesFixture(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/obsnames", analysis.ObsNames)
 }
 
-func TestStreamSyncFixture(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/streamsync", analysis.StreamSync)
-}
-
-func TestFaultSiteFixture(t *testing.T) {
-	analysistest.Run(t, "./testdata/src/faultsite", analysis.FaultSite)
-}
-
 func TestBlockingLockFixture(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/blockinglock", analysis.BlockingLock)
 }
@@ -42,10 +34,10 @@ func TestHotPathFixture(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := analysis.ByName("")
-	if err != nil || len(all) != 7 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
+	if err != nil || len(all) != 5 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 5, nil", len(all), err)
 	}
-	two, err := analysis.ByName("pairguard, streamsync")
+	two, err := analysis.ByName("pairguard, lockorder")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("ByName subset = %d analyzers, err %v; want 2, nil", len(two), err)
 	}

@@ -54,14 +54,6 @@ func badSynchronizeUnderLock(s *state, d *gpu.Device) {
 	s.mu.Unlock()
 }
 
-// badAllocBlockingUnderLock can deadlock: the free that would unblock it
-// may need the same mutex.
-func badAllocBlockingUnderLock(s *state, d *gpu.Device) (*gpu.Buffer, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return d.AllocBlocking(64) // want "gpu.Device.AllocBlocking while holding s.mu"
-}
-
 // badWaitGroupUnderLock joins workers that may themselves need the lock.
 func badWaitGroupUnderLock(s *state) {
 	s.mu.Lock()

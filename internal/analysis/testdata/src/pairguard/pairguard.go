@@ -23,12 +23,12 @@ func leakNeverFreed(d *gpu.Device) error {
 // leakEarlyReturn frees on the happy path but leaks when validation
 // fails after the allocation succeeded.
 func leakEarlyReturn(d *gpu.Device, n int64) error {
-	b, err := d.AllocBlocking(n)
+	b, err := d.Alloc(n)
 	if err != nil {
 		return err
 	}
 	if n > 1024 {
-		return nil // want "return leaks the gpu.Device.AllocBlocking result"
+		return nil // want "return leaks the gpu.Device.Alloc result"
 	}
 	return b.Free()
 }

@@ -88,33 +88,6 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 	return buf.String()
 }
 
-// baseIdentObj returns the variable at the root of an expression like
-// x, x[i], x[i:j], or x.f — the storage a read of the expression touches.
-func baseIdentObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if obj, ok := info.Uses[v].(*types.Var); ok {
-				return obj
-			}
-			if obj, ok := info.Defs[v].(*types.Var); ok {
-				return obj
-			}
-			return nil
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.SliceExpr:
-			e = v.X
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
-}
-
 // identObj resolves an identifier expression to its variable object, or
 // nil if e is not a plain identifier.
 func identObj(info *types.Info, e ast.Expr) types.Object {
@@ -131,9 +104,8 @@ func identObj(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
-// condMentions reports whether the expression mentions the object (used
-// to recognize `if err != nil` guards for an allocation's paired error).
-func condMentions(info *types.Info, e ast.Expr, obj types.Object) bool {
+// usesObj reports whether the expression subtree mentions obj.
+func usesObj(info *types.Info, e ast.Expr, obj types.Object) bool {
 	if e == nil || obj == nil {
 		return false
 	}
@@ -145,11 +117,6 @@ func condMentions(info *types.Info, e ast.Expr, obj types.Object) bool {
 		return !found
 	})
 	return found
-}
-
-// usesObj reports whether the expression subtree mentions obj.
-func usesObj(info *types.Info, e ast.Expr, obj types.Object) bool {
-	return condMentions(info, e, obj)
 }
 
 // funcBodies yields every function body in the files: declarations and
@@ -171,7 +138,6 @@ func funcBodies(files []*ast.File) []*ast.FuncDecl {
 const (
 	gpuPkg    = "hybridstitch/internal/gpu"
 	memgovPkg = "hybridstitch/internal/memgov"
-	faultPkg  = "hybridstitch/internal/fault"
 	obsPkg    = "hybridstitch/internal/obs"
 	pciamPkg  = "hybridstitch/internal/pciam"
 	syncPkg   = "sync"

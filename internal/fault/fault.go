@@ -1,12 +1,13 @@
 // Package fault is a deterministic, seedable fault-injection layer for
-// the stitching system. Components expose named error points ("sites") —
-// tiffio.read, gpu.alloc, gpu.kernel.fft, pciam.ncc, … — and an Injector
-// decides, per hit, whether the operation fails. Rules fire on the Nth
-// hit of a site (optionally for a run of consecutive hits), always, or
-// with seeded probability, and can be restricted to operations whose
-// detail string contains a substring (e.g. one tile's file name). The
-// package also provides the bounded Retrier the stitching variants use
-// to absorb transient failures before degrading a tile or pair.
+// the stitching system. Components expose named error points (Sites, a
+// closed registry in sites.go: tiffio.read, gpu.alloc, gpu.kernel.fft,
+// pciam.ncc, …) and an Injector decides, per hit, whether the operation
+// fails. Rules fire on the Nth hit of a site (optionally for a run of
+// consecutive hits), always, or with seeded probability, and can be
+// restricted to operations whose detail string contains a substring
+// (e.g. one tile's file name). The package also provides the bounded
+// Retrier the stitching variants use to absorb transient failures before
+// degrading a tile or pair.
 //
 // A nil *Injector is the production configuration: every site check is a
 // single nil comparison, so injection points cost nothing on the hot
@@ -26,7 +27,7 @@ import (
 // site, the operation detail, and the hit ordinal so degraded-run
 // reports can name the exact failure.
 type InjectedError struct {
-	Site   string
+	Site   Site
 	Detail string
 	Hit    int64
 	Msg    string
@@ -72,32 +73,32 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Rule is one error point configuration.
-type Rule struct {
-	// Site is the exact site name the rule watches.
-	Site string
-	// Match, if non-empty, restricts the rule to hits whose detail
+// rule is one error point configuration, built by ParseSpec.
+type rule struct {
+	// site is the site the rule watches.
+	site Site
+	// match, if non-empty, restricts the rule to hits whose detail
 	// string contains it (e.g. a tile file name).
-	Match string
-	// Nth fires the rule on the Nth matching hit (1-based).
-	Nth int64
-	// Count extends Nth to a run of consecutive hits [Nth, Nth+Count-1].
-	// Zero means 1. Ignored when Always or Prob is set.
-	Count int64
-	// Always fires on every matching hit — a permanent fault.
-	Always bool
-	// Prob fires each matching hit independently with this probability,
+	match string
+	// nth fires the rule on the Nth matching hit (1-based).
+	nth int64
+	// count extends nth to a run of consecutive hits [nth, nth+count-1].
+	// Zero means 1. Ignored when always or prob is set.
+	count int64
+	// always fires on every matching hit — a permanent fault.
+	always bool
+	// prob fires each matching hit independently with this probability,
 	// drawn from the rule's seeded generator.
-	Prob float64
-	// Seed seeds the Prob generator (defaults to a hash of Site).
-	Seed int64
-	// Msg overrides the injected error message.
-	Msg string
+	prob float64
+	// seed seeds the prob generator (defaults to a hash of the site name).
+	seed int64
+	// msg overrides the injected error message.
+	msg string
 }
 
-// ruleState is a Rule plus its runtime counters.
+// ruleState is a rule plus its runtime counters.
 type ruleState struct {
-	Rule
+	rule
 	hits int64
 	rng  *rand.Rand
 }
@@ -106,29 +107,29 @@ type ruleState struct {
 // nil Injector never fires.
 type Injector struct {
 	mu    sync.Mutex
-	rules map[string][]*ruleState
+	rules map[Site][]*ruleState
 	fired int64
 }
 
-// NewInjector builds an injector from rules.
-func NewInjector(rules ...Rule) *Injector {
-	in := &Injector{rules: make(map[string][]*ruleState)}
+// newInjector builds an injector from rules.
+func newInjector(rules ...rule) *Injector {
+	in := &Injector{rules: make(map[Site][]*ruleState)}
 	for _, r := range rules {
-		if r.Count <= 0 {
-			r.Count = 1
+		if r.count <= 0 {
+			r.count = 1
 		}
-		st := &ruleState{Rule: r}
-		if r.Prob > 0 {
-			seed := r.Seed
+		st := &ruleState{rule: r}
+		if r.prob > 0 {
+			seed := r.seed
 			if seed == 0 {
-				seed = int64(len(r.Site)) + 7919
-				for _, c := range r.Site {
+				seed = int64(len(r.site.name)) + 7919
+				for _, c := range r.site.name {
 					seed = seed*131 + int64(c)
 				}
 			}
 			st.rng = rand.New(rand.NewSource(seed))
 		}
-		in.rules[r.Site] = append(in.rules[r.Site], st)
+		in.rules[r.site] = append(in.rules[r.site], st)
 	}
 	return in
 }
@@ -136,29 +137,29 @@ func NewInjector(rules ...Rule) *Injector {
 // Hit evaluates site with an operation detail string. It returns an
 // *InjectedError if a rule fires, nil otherwise. A nil receiver returns
 // nil immediately, keeping uninstrumented runs free.
-func (in *Injector) Hit(site, detail string) error {
+func (in *Injector) Hit(site Site, detail string) error {
 	if in == nil {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for _, st := range in.rules[site] {
-		if st.Match != "" && !strings.Contains(detail, st.Match) {
+		if st.match != "" && !strings.Contains(detail, st.match) {
 			continue
 		}
 		st.hits++
 		fire := false
 		switch {
-		case st.Always:
+		case st.always:
 			fire = true
-		case st.Prob > 0:
-			fire = st.rng.Float64() < st.Prob
-		case st.Nth > 0:
-			fire = st.hits >= st.Nth && st.hits < st.Nth+st.Count
+		case st.prob > 0:
+			fire = st.rng.Float64() < st.prob
+		case st.nth > 0:
+			fire = st.hits >= st.nth && st.hits < st.nth+st.count
 		}
 		if fire {
 			in.fired++
-			return &InjectedError{Site: site, Detail: detail, Hit: st.hits, Msg: st.Msg}
+			return &InjectedError{Site: site, Detail: detail, Hit: st.hits, Msg: st.msg}
 		}
 	}
 	return nil
@@ -194,13 +195,15 @@ func (in *Injector) Fired() int64 {
 //	tiffio.read@tile_r002_c003:always
 //	gpu.kernel.fft:prob=0.01,seed=42
 //
-// An empty spec yields a nil Injector (all sites free).
+// Every site must be in the registry (Sites): a rule naming any other
+// site could never fire, so it is a parse error. An empty spec yields a
+// nil Injector (all sites free).
 func ParseSpec(spec string) (*Injector, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
 	}
-	var rules []Rule
+	var rules []rule
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -210,13 +213,14 @@ func ParseSpec(spec string) (*Injector, error) {
 		if colon <= 0 {
 			return nil, fmt.Errorf("fault: rule %q missing site:directive separator", clause)
 		}
-		r := Rule{Site: clause[:colon]}
-		if at := strings.Index(r.Site, "@"); at >= 0 {
-			r.Match = r.Site[at+1:]
-			r.Site = r.Site[:at]
+		var r rule
+		name := clause[:colon]
+		if at := strings.Index(name, "@"); at >= 0 {
+			name, r.match = name[:at], name[at+1:]
 		}
-		if r.Site == "" {
-			return nil, fmt.Errorf("fault: rule %q has an empty site", clause)
+		var err error
+		if r.site, err = lookupSite(name); err != nil {
+			return nil, fmt.Errorf("fault: rule %q: %v", clause, err)
 		}
 		for _, dir := range strings.Split(clause[colon+1:], ",") {
 			dir = strings.TrimSpace(dir)
@@ -227,29 +231,28 @@ func ParseSpec(spec string) (*Injector, error) {
 			if eq := strings.Index(dir, "="); eq >= 0 {
 				key, val = dir[:eq], dir[eq+1:]
 			}
-			var err error
 			switch key {
 			case "nth":
-				r.Nth, err = strconv.ParseInt(val, 10, 64)
-				if err == nil && r.Nth < 1 {
+				r.nth, err = strconv.ParseInt(val, 10, 64)
+				if err == nil && r.nth < 1 {
 					err = fmt.Errorf("nth must be >= 1")
 				}
 			case "count":
-				r.Count, err = strconv.ParseInt(val, 10, 64)
-				if err == nil && r.Count < 1 {
+				r.count, err = strconv.ParseInt(val, 10, 64)
+				if err == nil && r.count < 1 {
 					err = fmt.Errorf("count must be >= 1")
 				}
 			case "always":
-				r.Always = true
+				r.always = true
 			case "prob":
-				r.Prob, err = strconv.ParseFloat(val, 64)
-				if err == nil && (r.Prob <= 0 || r.Prob > 1) {
+				r.prob, err = strconv.ParseFloat(val, 64)
+				if err == nil && (r.prob <= 0 || r.prob > 1) {
 					err = fmt.Errorf("prob must be in (0, 1]")
 				}
 			case "seed":
-				r.Seed, err = strconv.ParseInt(val, 10, 64)
+				r.seed, err = strconv.ParseInt(val, 10, 64)
 			case "err":
-				r.Msg = val
+				r.msg = val
 			default:
 				err = fmt.Errorf("unknown directive %q", key)
 			}
@@ -257,7 +260,7 @@ func ParseSpec(spec string) (*Injector, error) {
 				return nil, fmt.Errorf("fault: rule %q: %v", clause, err)
 			}
 		}
-		if !r.Always && r.Nth == 0 && r.Prob == 0 {
+		if !r.always && r.nth == 0 && r.prob == 0 {
 			return nil, fmt.Errorf("fault: rule %q needs one of nth, always, prob", clause)
 		}
 		rules = append(rules, r)
@@ -265,5 +268,5 @@ func ParseSpec(spec string) (*Injector, error) {
 	if len(rules) == 0 {
 		return nil, nil
 	}
-	return NewInjector(rules...), nil
+	return newInjector(rules...), nil
 }

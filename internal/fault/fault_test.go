@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 func TestNilInjectorIsFree(t *testing.T) {
 	var in *Injector
 	for i := 0; i < 100; i++ {
-		if err := in.Hit("any.site", "detail"); err != nil {
+		if err := in.Hit(SiteTiffRead, "detail"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -21,10 +22,10 @@ func TestNilInjectorIsFree(t *testing.T) {
 }
 
 func TestNthAndCount(t *testing.T) {
-	in := NewInjector(Rule{Site: "s", Nth: 3, Count: 2})
+	in := newInjector(rule{site: SitePCIAMNCC, nth: 3, count: 2})
 	var fails []int
 	for i := 1; i <= 6; i++ {
-		if err := in.Hit("s", ""); err != nil {
+		if err := in.Hit(SitePCIAMNCC, ""); err != nil {
 			fails = append(fails, i)
 			var ie *InjectedError
 			if !errors.As(err, &ie) || ie.Hit != int64(i) {
@@ -41,27 +42,27 @@ func TestNthAndCount(t *testing.T) {
 }
 
 func TestAlwaysWithMatch(t *testing.T) {
-	in := NewInjector(Rule{Site: "read", Match: "r002", Always: true})
-	if err := in.Hit("read", "tile_r001_c000.tif"); err != nil {
+	in := newInjector(rule{site: SiteTiffRead, match: "r002", always: true})
+	if err := in.Hit(SiteTiffRead, "tile_r001_c000.tif"); err != nil {
 		t.Errorf("non-matching detail fired: %v", err)
 	}
-	if err := in.Hit("read", "tile_r002_c003.tif"); err == nil {
+	if err := in.Hit(SiteTiffRead, "tile_r002_c003.tif"); err == nil {
 		t.Error("matching detail did not fire")
 	}
-	if err := in.Hit("read", "tile_r002_c003.tif"); err == nil {
+	if err := in.Hit(SiteTiffRead, "tile_r002_c003.tif"); err == nil {
 		t.Error("always rule must fire every time")
 	}
-	if err := in.Hit("other", "tile_r002_c003.tif"); err != nil {
+	if err := in.Hit(SiteStitchRead, "tile_r002_c003.tif"); err != nil {
 		t.Errorf("wrong site fired: %v", err)
 	}
 }
 
 func TestProbDeterministicAcrossInjectors(t *testing.T) {
 	sequence := func() []bool {
-		in := NewInjector(Rule{Site: "p", Prob: 0.3, Seed: 99})
+		in := newInjector(rule{site: SiteStitchFFT, prob: 0.3, seed: 99})
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = in.Hit("p", "") != nil
+			out[i] = in.Hit(SiteStitchFFT, "") != nil
 		}
 		return out
 	}
@@ -81,7 +82,7 @@ func TestProbDeterministicAcrossInjectors(t *testing.T) {
 }
 
 func TestInjectorConcurrentHits(t *testing.T) {
-	in := NewInjector(Rule{Site: "c", Nth: 1, Count: 10})
+	in := newInjector(rule{site: SiteGPUAlloc, nth: 1, count: 10})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	fired := 0
@@ -90,7 +91,7 @@ func TestInjectorConcurrentHits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if in.Hit("c", "") != nil {
+				if in.Hit(SiteGPUAlloc, "") != nil {
 					mu.Lock()
 					fired++
 					mu.Unlock()
@@ -112,7 +113,7 @@ func TestParseSpec(t *testing.T) {
 	// nth=5,count=2 on generic reads.
 	fails := 0
 	for i := 0; i < 8; i++ {
-		if in.Hit("tiffio.read", "tile_r000_c000.tif") != nil {
+		if in.Hit(SiteTiffRead, "tile_r000_c000.tif") != nil {
 			fails++
 		}
 	}
@@ -120,7 +121,7 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("nth rule fired %d times, want 2", fails)
 	}
 	// always rule with match and custom message.
-	err = in.Hit("tiffio.read", "tile_r002_c001.tif")
+	err = in.Hit(SiteTiffRead, "tile_r002_c001.tif")
 	if err == nil {
 		t.Fatal("match rule did not fire")
 	}
@@ -140,14 +141,46 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 	for _, bad := range []string{
 		"noseparator",
 		":nth=1",
-		"s:nth=0",
-		"s:prob=2",
-		"s:count=3", // needs nth/always/prob
-		"s:wat=1",
-		"s:nth=x",
+		"@r001:always",
+		"stitch.read:nth=0",
+		"stitch.read:prob=2",
+		"stitch.read:count=3", // needs nth/always/prob
+		"stitch.read:wat=1",
+		"stitch.read:nth=x",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q should fail to parse", bad)
+		}
+	}
+}
+
+// TestParseSpecRejectsUnregisteredSite: a rule on a site no component
+// fires could never fire, so the spec must not parse. The first three
+// were accepted (and silently dead) before the registry became a type;
+// the last is a plain typo. The error names the registry.
+func TestParseSpecRejectsUnregisteredSite(t *testing.T) {
+	for _, spec := range []string{
+		"gpu.copy.d2h:always",
+		"gpu.kernel.reduce:nth=1",
+		"gpu.kernel.fft2d:always",
+		"gpu.kernl.fft:nth=1",
+		"stitch.read:nth=1;gpu.kernl.fft:nth=1",
+	} {
+		in, err := ParseSpec(spec)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted an unregistered site", spec)
+			continue
+		}
+		if in != nil {
+			t.Errorf("ParseSpec(%q) returned an injector with its error", spec)
+		}
+		if !strings.Contains(err.Error(), "registered sites: "+SiteNames()) {
+			t.Errorf("ParseSpec(%q) error %q does not name the registry", spec, err)
+		}
+	}
+	for _, s := range Sites() {
+		if _, err := ParseSpec(s.String() + ":nth=1"); err != nil {
+			t.Errorf("registered site %s rejected: %v", s, err)
 		}
 	}
 }
@@ -223,11 +256,11 @@ func TestPermanentNil(t *testing.T) {
 }
 
 func TestInjectedErrorFormat(t *testing.T) {
-	e := &InjectedError{Site: "gpu.alloc", Detail: "GPU0", Hit: 4}
+	e := &InjectedError{Site: SiteGPUAlloc, Detail: "GPU0", Hit: 4}
 	if !contains(e.Error(), "gpu.alloc") || !contains(e.Error(), "GPU0") {
 		t.Errorf("Error() = %q", e.Error())
 	}
-	e2 := &InjectedError{Site: "s", Hit: 1, Msg: "boom"}
+	e2 := &InjectedError{Site: SiteStitchRead, Hit: 1, Msg: "boom"}
 	if !contains(e2.Error(), "boom") {
 		t.Errorf("Error() = %q", e2.Error())
 	}

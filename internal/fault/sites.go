@@ -1,107 +1,79 @@
 package fault
 
 import (
-	"sort"
+	"fmt"
 	"strings"
 )
 
-// This file is the fault-site registry: the single authoritative list of
-// error-point names the injector can be asked to fire on. Components must
-// pass one of these constants (or a KernelSite-derived name) to
-// Injector.Hit; the stitchlint faultsite analyzer enforces that at build
-// time, so a typo'd site — which would otherwise silently never fire —
-// is a lint error instead of a dead rule in a long unattended run.
+// Site names one error point. Its field is unexported, so the only
+// Sites that exist are the registry's: a component cannot hit, and a
+// spec cannot arm, a site the injector does not know — a typo'd name is
+// a compile error in code and a parse error in a -fault-spec.
+type Site struct{ name string }
 
-// Registered fault sites. Every Hit call site in the tree names one of
-// these (directly or via KernelSite).
-const (
+// String returns the site's spec name.
+func (s Site) String() string { return s.name }
+
+// The registry: every site production code fires, and no other.
+var (
 	// SiteTiffRead fires on TIFF tile decodes (detail: file path).
-	SiteTiffRead = "tiffio.read"
+	SiteTiffRead = Site{"tiffio.read"}
 	// SiteGPUAlloc fires on device-pool allocations (detail: device name).
-	SiteGPUAlloc = "gpu.alloc"
+	SiteGPUAlloc = Site{"gpu.alloc"}
 	// SiteGPUAllocSpectrum fires on half-spectrum (r2c) buffer
 	// allocations (detail: device name). These also pass through
 	// SiteGPUAlloc, so generic allocation rules still cover them; this
 	// site lets a spec target the real-FFT path specifically.
-	SiteGPUAllocSpectrum = "gpu.alloc.spectrum"
+	SiteGPUAllocSpectrum = Site{"gpu.alloc.spectrum"}
 	// SiteGPUFreeSpectrum fires when a half-spectrum buffer is freed
 	// (detail: device name). A fault here leaves the buffer allocated.
-	SiteGPUFreeSpectrum = "gpu.free.spectrum"
+	SiteGPUFreeSpectrum = Site{"gpu.free.spectrum"}
 	// SiteGPUCopyH2D fires on host→device copies (detail: stream/op).
-	SiteGPUCopyH2D = "gpu.copy.h2d"
-	// SiteGPUCopyD2H fires on device→host copies (detail: stream/op).
-	SiteGPUCopyD2H = "gpu.copy.d2h"
-	// SiteGPUKernelFFT fires on forward/inverse FFT kernel launches.
-	SiteGPUKernelFFT = "gpu.kernel.fft"
-	// SiteGPUKernelNCC fires on NCC kernel launches.
-	SiteGPUKernelNCC = "gpu.kernel.ncc"
-	// SiteGPUKernelReduce fires on max-reduction kernel launches.
-	SiteGPUKernelReduce = "gpu.kernel.reduce"
+	SiteGPUCopyH2D = Site{"gpu.copy.h2d"}
+	// SiteGPUKernelFFT fires on forward FFT kernel launches.
+	SiteGPUKernelFFT = Site{"gpu.kernel.fft"}
+	// SiteGPUKernelNCC fires on the fused NCC → inverse FFT → max
+	// reduction kernel launches.
+	SiteGPUKernelNCC = Site{"gpu.kernel.ncc"}
 	// SiteStitchRead fires on stitch-layer tile reads (detail: rRRR_cCCC).
-	SiteStitchRead = "stitch.read"
+	SiteStitchRead = Site{"stitch.read"}
 	// SiteStitchFFT fires on stitch-layer forward transforms.
-	SiteStitchFFT = "stitch.fft"
+	SiteStitchFFT = Site{"stitch.fft"}
 	// SitePCIAMNCC fires on pair displacement computations.
-	SitePCIAMNCC = "pciam.ncc"
+	SitePCIAMNCC = Site{"pciam.ncc"}
 )
 
-// kernelSitePrefix is the namespace for dynamically named kernel sites.
-const kernelSitePrefix = "gpu.kernel."
-
-// KernelSite returns the fault site for a named device kernel. The three
-// paper kernels have dedicated constants (SiteGPUKernelFFT/NCC/Reduce);
-// this covers kernels a caller names itself (Stream.Launch) without
-// requiring a registry entry per kernel.
-func KernelSite(name string) string { return kernelSitePrefix + name }
-
-// Sites lists every registered site, in stable order. The stitchlint
-// faultsite analyzer and spec validation both consume it.
-func Sites() []string {
-	return []string{
+// Sites lists every registered site, in stable order.
+func Sites() []Site {
+	return []Site{
 		SiteTiffRead,
 		SiteGPUAlloc,
 		SiteGPUAllocSpectrum,
 		SiteGPUFreeSpectrum,
 		SiteGPUCopyH2D,
-		SiteGPUCopyD2H,
 		SiteGPUKernelFFT,
 		SiteGPUKernelNCC,
-		SiteGPUKernelReduce,
 		SiteStitchRead,
 		SiteStitchFFT,
 		SitePCIAMNCC,
 	}
 }
 
-// KnownSite reports whether s is a registered site or a dynamic kernel
-// site under the gpu.kernel. namespace.
-func KnownSite(s string) bool {
-	for _, k := range Sites() {
-		if s == k {
-			return true
-		}
+// SiteNames is the registry as a comma-separated list of spec names.
+func SiteNames() string {
+	var names []string
+	for _, s := range Sites() {
+		names = append(names, s.name)
 	}
-	return strings.HasPrefix(s, kernelSitePrefix) && len(s) > len(kernelSitePrefix)
+	return strings.Join(names, ", ")
 }
 
-// RuleSites returns the distinct site names the injector's rules watch,
-// in first-seen order. CLI front ends use it to warn about spec rules
-// naming unregistered sites (which would never fire). A nil receiver
-// returns nil.
-func (in *Injector) RuleSites() []string {
-	if in == nil {
-		return nil
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	seen := make(map[string]bool, len(in.rules))
-	var out []string
-	for site := range in.rules {
-		if !seen[site] {
-			seen[site] = true
-			out = append(out, site)
+// lookupSite resolves a spec name against the registry.
+func lookupSite(name string) (Site, error) {
+	for _, s := range Sites() {
+		if s.name == name {
+			return s, nil
 		}
 	}
-	sort.Strings(out)
-	return out
+	return Site{}, fmt.Errorf("unknown site %q (registered sites: %s)", name, SiteNames())
 }

@@ -92,7 +92,6 @@ func TestRefineResultKeepsBetterOriginal(t *testing.T) {
 	}
 }
 
-
 func TestRefineResultModelDeviationTrigger(t *testing.T) {
 	// A confidently-WRONG pair: high correlation, displacement the stage
 	// model calls geometrically impossible (the aliased-periodic-peak

@@ -50,10 +50,9 @@ type Config struct {
 	KernelSlots int
 	// H2DBytesPerSec, if positive, injects a transfer delay of
 	// size/bandwidth per host-to-device copy, modeling PCIe. Zero means
-	// no artificial delay.
+	// no artificial delay. There is no device-to-host copy to delay: the
+	// only datum coming back per pair is the fused kernel's Reduction.
 	H2DBytesPerSec float64
-	// D2HBytesPerSec is the device-to-host analogue.
-	D2HBytesPerSec float64
 	// Profile enables the timeline recorder.
 	Profile bool
 	// Obs, if set, records this device's timeline into a shared
@@ -62,9 +61,10 @@ type Config struct {
 	// recorder's, so GPU and CPU spans share one clock. The caller owns
 	// the recorder's lifecycle.
 	Obs *obs.Recorder
-	// Faults, if set, makes allocations, copies, and kernel launches
-	// error points (sites "gpu.alloc", "gpu.copy.h2d", "gpu.copy.d2h",
-	// "gpu.kernel.<name>"). Nil costs nothing.
+	// Faults, if set, makes allocations, spectrum frees, uploads and
+	// kernel launches error points (fault.SiteGPUAlloc,
+	// SiteGPUAllocSpectrum, SiteGPUFreeSpectrum, SiteGPUCopyH2D,
+	// SiteGPUKernelFFT, SiteGPUKernelNCC). Nil costs nothing.
 	Faults *fault.Injector
 }
 
@@ -90,12 +90,11 @@ type Device struct {
 	cfg   Config
 	epoch time.Time
 
-	memMu    sync.Mutex
-	memUsed  int64
-	memPeak  int64
-	allocs   int64
-	oomSeen  bool
-	memAvail *sync.Cond
+	memMu   sync.Mutex
+	memUsed int64
+	memPeak int64
+	allocs  int64
+	oomSeen bool
 
 	copySem   chan struct{}
 	kernelSem chan struct{}
@@ -121,13 +120,12 @@ func New(cfg Config) *Device {
 		kernelSem: make(chan struct{}, cfg.KernelSlots),
 		now:       time.Now,
 	}
-	d.memAvail = sync.NewCond(&d.memMu)
 	switch {
 	case cfg.Obs != nil:
 		d.epoch = cfg.Obs.Epoch() // one clock with the rest of the run
 		d.timeline = newTimeline(cfg.Obs, cfg.Name)
 	case cfg.Profile:
-		d.timeline = NewTimeline(d.epoch)
+		d.timeline = newOwnTimeline(d.epoch)
 	}
 	return d
 }
@@ -140,8 +138,9 @@ func (d *Device) MemWords() int64 { return d.cfg.MemWords }
 
 // Buffer is a device-memory allocation. Its Data lives in host RAM (the
 // simulator has no real VRAM) but is accounted against the device pool,
-// and the pipeline treats it as device-resident: host code only touches
-// it through Memcpy operations and kernels.
+// and the pipeline treats it as device-resident: host code only writes
+// it through MemcpyH2DPackedReal and only reads what a kernel reports
+// back (Reduction).
 type Buffer struct {
 	dev      *Device
 	Data     []complex128
@@ -199,32 +198,6 @@ func (d *Device) AllocSpectrum(h, w int) (*Buffer, error) {
 	return b, nil
 }
 
-// AllocBlocking reserves words of device memory, waiting for frees if the
-// pool is currently full. It fails immediately if the request can never
-// fit.
-func (d *Device) AllocBlocking(words int64) (*Buffer, error) {
-	if words <= 0 {
-		return nil, fmt.Errorf("gpu: invalid allocation of %d words", words)
-	}
-	if words > d.cfg.MemWords {
-		return nil, fmt.Errorf("%w: request %d exceeds total capacity %d", ErrOutOfMemory, words, d.cfg.MemWords)
-	}
-	if err := d.cfg.Faults.Hit(fault.SiteGPUAlloc, d.cfg.Name); err != nil {
-		return nil, err
-	}
-	d.memMu.Lock()
-	defer d.memMu.Unlock()
-	for d.memUsed+words > d.cfg.MemWords {
-		d.memAvail.Wait()
-	}
-	d.memUsed += words
-	d.allocs++
-	if d.memUsed > d.memPeak {
-		d.memPeak = d.memUsed
-	}
-	return &Buffer{dev: d, Data: make([]complex128, words), words: words}, nil
-}
-
 // Free returns a buffer to the pool. Double frees are rejected. For
 // half-spectrum buffers the free itself is an error point
 // (gpu.free.spectrum): an injected fault leaves the buffer allocated.
@@ -243,7 +216,6 @@ func (b *Buffer) Free() error {
 	d := b.dev
 	d.memMu.Lock()
 	d.memUsed -= b.words
-	d.memAvail.Broadcast()
 	d.memMu.Unlock()
 	b.Data = nil
 	return nil

@@ -3,11 +3,14 @@ package gpu_test
 import (
 	"fmt"
 
+	"hybridstitch/internal/fft"
 	"hybridstitch/internal/gpu"
 )
 
 // Example shows the stream/event model: two streams overlap, an event
-// makes the consumer wait for the producer.
+// makes the consumer wait for the producer. The producer uploads a 4×4
+// tile; the consumer transforms it in place once the upload has landed,
+// and the DC term of the half spectrum is the sum of the pixels.
 func Example() {
 	dev := gpu.New(gpu.Config{Name: "GPU0", KernelSlots: 2})
 	defer dev.Close()
@@ -15,32 +18,31 @@ func Example() {
 	producer, _ := dev.NewStream("producer")
 	consumer, _ := dev.NewStream("consumer")
 
-	buf, err := dev.Alloc(16)
+	const h, w = 4, 4
+	buf, err := dev.AllocSpectrum(h, w)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
 	defer func() { _ = buf.Free() }()
+	plan, err := fft.NewRealPlan2DOpts(h, w, fft.Real2DOpts{})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
-	filled := producer.Launch("fill", func() error {
-		for i := range buf.Data {
-			buf.Data[i] = complex(float64(i), 0)
-		}
-		return nil
-	})
-	var sum float64
-	done := consumer.Launch("sum", func() error {
-		for _, v := range buf.Data {
-			sum += real(v)
-		}
-		return nil
-	}, filled) // cross-stream dependency
+	pixels := make([]float64, h*w)
+	for i := range pixels {
+		pixels[i] = float64(i)
+	}
+	uploaded := producer.MemcpyH2DPackedReal(buf, pixels)
+	done := consumer.RealFFT2D(plan, buf, uploaded) // cross-stream dependency
 
 	if err := done.Wait(); err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(sum)
+	fmt.Println(real(buf.Data[0]))
 	// Output: 120
 }
 

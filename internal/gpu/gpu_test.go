@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hybridstitch/internal/fault"
 	"hybridstitch/internal/fft"
 )
 
@@ -47,37 +48,6 @@ func TestAllocFreeAccounting(t *testing.T) {
 	//lint:allow pairguard zero-word allocation must fail; nothing is allocated
 	if _, err := d.Alloc(0); err == nil {
 		t.Error("zero alloc should fail")
-	}
-}
-
-func TestAllocBlockingWaitsForFree(t *testing.T) {
-	d := New(Config{MemWords: 100})
-	a, _ := d.Alloc(80)
-	got := make(chan *Buffer)
-	go func() {
-		b, err := d.AllocBlocking(50)
-		if err != nil {
-			t.Errorf("AllocBlocking: %v", err)
-		}
-		got <- b
-	}()
-	select {
-	case <-got:
-		t.Fatal("AllocBlocking should have waited")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if err := a.Free(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case b := <-got:
-		_ = b.Free()
-	case <-time.After(time.Second):
-		t.Fatal("AllocBlocking never resumed")
-	}
-	//lint:allow pairguard over-capacity request must fail fast; nothing is allocated
-	if _, err := d.AllocBlocking(101); !errors.Is(err, ErrOutOfMemory) {
-		t.Error("impossible request must fail fast")
 	}
 }
 
@@ -121,7 +91,7 @@ func TestStreamInOrderExecution(t *testing.T) {
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
-		s.Launch("op", func() error {
+		s.launch(fault.Site{}, "op", func() error {
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
@@ -157,8 +127,8 @@ func TestStreamsOverlapButKernelSlotLimits(t *testing.T) {
 		return nil
 	}
 	for i := 0; i < 5; i++ {
-		s1.Launch("k", kernel)
-		s2.Launch("k", kernel)
+		s1.launch(fault.Site{}, "k", kernel)
+		s2.launch(fault.Site{}, "k", kernel)
 	}
 	d.Synchronize()
 	if peak != 1 {
@@ -174,8 +144,8 @@ func TestStreamsOverlapButKernelSlotLimits(t *testing.T) {
 	active, peak = 0, 0
 	mu.Unlock()
 	for i := 0; i < 5; i++ {
-		t1.Launch("k", kernel)
-		t2.Launch("k", kernel)
+		t1.launch(fault.Site{}, "k", kernel)
+		t2.launch(fault.Site{}, "k", kernel)
 	}
 	d2.Synchronize()
 	if peak < 2 {
@@ -190,14 +160,14 @@ func TestCrossStreamEventDependency(t *testing.T) {
 	s2, _ := d.NewStream("consumer")
 	var mu sync.Mutex
 	var order []string
-	ev := s1.Launch("produce", func() error {
+	ev := s1.launch(fault.Site{}, "produce", func() error {
 		time.Sleep(5 * time.Millisecond)
 		mu.Lock()
 		order = append(order, "produce")
 		mu.Unlock()
 		return nil
 	})
-	done := s2.Launch("consume", func() error {
+	done := s2.launch(fault.Site{}, "consume", func() error {
 		mu.Lock()
 		order = append(order, "consume")
 		mu.Unlock()
@@ -215,30 +185,28 @@ func TestMemcpyRoundTrip(t *testing.T) {
 	d := New(Config{})
 	defer d.Close()
 	s, _ := d.NewStream("s")
-	buf, err := d.Alloc(64)
+	buf, err := d.Alloc(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := make([]complex128, 64)
+	defer func() { _ = buf.Free() }()
+	src := make([]float64, 63) // odd: the last word holds one value
 	for i := range src {
-		src[i] = complex(float64(i), -float64(i))
+		src[i] = float64(i) - 0.5
 	}
-	s.MemcpyH2D(buf, src)
-	dst := make([]complex128, 64)
-	if err := s.MemcpyD2H(dst, buf).Wait(); err != nil {
+	if err := s.MemcpyH2DPackedReal(buf, src).Wait(); err != nil {
 		t.Fatal(err)
 	}
+	dst := make([]float64, len(src))
+	unpackReals(dst, buf.Data)
 	for i := range src {
 		if dst[i] != src[i] {
-			t.Fatalf("word %d: %v != %v", i, dst[i], src[i])
+			t.Fatalf("value %d: %v != %v", i, dst[i], src[i])
 		}
 	}
-	// size violations
-	if err := s.MemcpyH2D(buf, make([]complex128, 65)).Wait(); err == nil {
+	// size violation: 65 reals need 33 words
+	if err := s.MemcpyH2DPackedReal(buf, make([]float64, 65)).Wait(); err == nil {
 		t.Error("oversized H2D should fail")
-	}
-	if err := s.MemcpyD2H(make([]complex128, 65), buf).Wait(); err == nil {
-		t.Error("oversized D2H should fail")
 	}
 }
 
@@ -266,12 +234,12 @@ func TestKernelFFTMatchesHost(t *testing.T) {
 	}
 
 	buf, _ := d.AllocSpectrum(h, w)
+	defer func() { _ = buf.Free() }()
 	s.MemcpyH2DPackedReal(buf, host)
-	s.RealFFT2D(plan, buf)
-	got := make([]complex128, sh*sw)
-	if err := s.MemcpyD2H(got, buf).Wait(); err != nil {
+	if err := s.RealFFT2D(plan, buf).Wait(); err != nil {
 		t.Fatal(err)
 	}
+	got := buf.Data[:sh*sw]
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("device FFT differs from host at %d: %v vs %v", i, got[i], want[i])
@@ -284,7 +252,7 @@ func TestTimelineRecordsAndUtilization(t *testing.T) {
 	defer d.Close()
 	s, _ := d.NewStream("s0")
 	for i := 0; i < 3; i++ {
-		s.Launch("work", func() error {
+		s.launch(fault.Site{}, "work", func() error {
 			time.Sleep(2 * time.Millisecond)
 			return nil
 		})
@@ -312,7 +280,7 @@ func TestTimelineRecordsAndUtilization(t *testing.T) {
 }
 
 func TestTimelineGapCount(t *testing.T) {
-	tl := NewTimeline(time.Now())
+	tl := newOwnTimeline(time.Now())
 	defer tl.Close()
 	tl.Record(Span{Stream: "s", Kind: "kernel", Name: "a", Start: 0, End: time.Millisecond})
 	tl.Record(Span{Stream: "s", Kind: "kernel", Name: "b", Start: 10 * time.Millisecond, End: 11 * time.Millisecond})
@@ -326,7 +294,7 @@ func TestDeviceCloseRejectsWork(t *testing.T) {
 	d := New(Config{})
 	s, _ := d.NewStream("s")
 	d.Close()
-	if err := s.Launch("late", func() error { return nil }).Wait(); !errors.Is(err, ErrClosed) {
+	if err := s.launch(fault.Site{}, "late", func() error { return nil }).Wait(); !errors.Is(err, ErrClosed) {
 		t.Errorf("launch after close: %v", err)
 	}
 	if _, err := d.NewStream("s2"); !errors.Is(err, ErrClosed) {
@@ -341,9 +309,10 @@ func TestBandwidthModelDelays(t *testing.T) {
 	defer d.Close()
 	s, _ := d.NewStream("s")
 	buf, _ := d.Alloc(1024)
-	src := make([]complex128, 1024)
+	defer func() { _ = buf.Free() }()
+	src := make([]float64, 2048)
 	start := time.Now()
-	if err := s.MemcpyH2D(buf, src).Wait(); err != nil {
+	if err := s.MemcpyH2DPackedReal(buf, src).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el < 10*time.Millisecond {
@@ -356,8 +325,8 @@ func TestFailedDependencyPropagates(t *testing.T) {
 	defer d.Close()
 	s1, _ := d.NewStream("a")
 	s2, _ := d.NewStream("b")
-	bad := s1.Launch("explode", func() error { return errors.New("explode") })
-	dep := s2.Launch("after", func() error { return nil }, bad)
+	bad := s1.launch(fault.Site{}, "explode", func() error { return errors.New("explode") })
+	dep := s2.launch(fault.Site{}, "after", func() error { return nil }, bad)
 	if err := dep.Wait(); err == nil {
 		t.Error("dependent op should fail when its dependency fails")
 	}
@@ -389,8 +358,8 @@ func TestHyperQConcurrentFFTKernels(t *testing.T) {
 	s2, _ := d.NewStream("q2")
 	work := func() error { time.Sleep(3 * time.Millisecond); return nil }
 	for i := 0; i < 3; i++ {
-		s1.Launch("fft", work)
-		s2.Launch("fft", work)
+		s1.launch(fault.Site{}, "fft", work)
+		s2.launch(fault.Site{}, "fft", work)
 	}
 	d.Synchronize()
 	spans := d.Timeline().Spans()
@@ -413,7 +382,7 @@ func TestWriteTrace(t *testing.T) {
 	defer d.Close()
 	s, _ := d.NewStream("s0")
 	for i := 0; i < 3; i++ {
-		s.Launch("fft2d", func() error { time.Sleep(time.Millisecond); return nil })
+		s.launch(fault.Site{}, "fft2d", func() error { time.Sleep(time.Millisecond); return nil })
 	}
 	s.Synchronize()
 	var buf bytes.Buffer

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 
+	"hybridstitch/internal/fault"
 	"hybridstitch/internal/fft"
 	"hybridstitch/internal/obs"
 	"hybridstitch/internal/pciam"
@@ -52,7 +53,7 @@ func unpackReals(dst []float64, src []complex128) {
 // handle — the paper's FFT stage uses one thread for exactly this
 // reason).
 func (s *Stream) RealFFT2D(plan *fft.RealPlan2D, buf *Buffer, after ...*Event) *Event {
-	return s.Launch("rfft2d", func() error {
+	return s.launch(fault.SiteGPUKernelFFT, "rfft2d", func() error {
 		sh, sw := plan.SpectrumDims()
 		n := plan.H() * plan.W()
 		if int64(sh*sw) > buf.Words() || int64(packedWords(n)) > buf.Words() {
@@ -80,10 +81,10 @@ type Reduction struct {
 // so the NCC spectrum never materializes as a separate full-size pass,
 // and the correlation surface lives only in stream scratch: it is never
 // packed back into a device buffer, so the kernel takes no destination.
-// The result is bit-identical to the host aligner's. Fault injection
-// maps the launch to the gpu.kernel.ncc site.
+// The result is bit-identical to the host aligner's. The launch is the
+// gpu.kernel.ncc fault site.
 func (s *Stream) FusedNCCInverseMaxReal(plan *fft.RealPlan2D, fa, fb *Buffer, out *Reduction, after ...*Event) *Event {
-	return s.Launch("ncc+irfft2d+maxabs", func() error {
+	return s.launch(fault.SiteGPUKernelNCC, "ncc+irfft2d+maxabs", func() error {
 		sh, sw := plan.SpectrumDims()
 		if int64(sh*sw) > fa.Words() || int64(sh*sw) > fb.Words() {
 			return fmt.Errorf("gpu: fused ncc over %d half-spectrum words exceeds a buffer", sh*sw)

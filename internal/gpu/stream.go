@@ -13,19 +13,14 @@ type opKind int
 
 const (
 	opH2D opKind = iota
-	opD2H
 	opKernel
 )
 
 func (k opKind) String() string {
-	switch k {
-	case opH2D:
+	if k == opH2D {
 		return "memcpyH2D"
-	case opD2H:
-		return "memcpyD2H"
-	default:
-		return "kernel"
 	}
+	return "kernel"
 }
 
 // Event resolves when its command has executed. Like a CUDA event, it can
@@ -50,6 +45,7 @@ func (e *Event) Done() <-chan struct{} { return e.done }
 // command is one queued stream operation.
 type command struct {
 	kind  opKind
+	site  fault.Site // error point consulted before fn runs
 	name  string
 	after []*Event // cross-stream dependencies
 	fn    func() error
@@ -108,9 +104,9 @@ func (d *Device) NewStream(name string) (*Stream, error) {
 func (s *Stream) Name() string { return s.name }
 
 // enqueue appends a command and returns its event.
-func (s *Stream) enqueue(kind opKind, name string, after []*Event, fn func() error) *Event {
+func (s *Stream) enqueue(kind opKind, site fault.Site, name string, after []*Event, fn func() error) *Event {
 	ev := newEvent()
-	cmd := &command{kind: kind, name: name, after: after, fn: fn, ev: ev}
+	cmd := &command{kind: kind, site: site, name: name, after: after, fn: fn, ev: ev}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -160,16 +156,19 @@ func (s *Stream) execute(cmd *command) {
 		}
 	}
 	// Engine arbitration.
-	var sem chan struct{}
-	switch cmd.kind {
-	case opH2D, opD2H:
+	sem := s.dev.kernelSem
+	if cmd.kind == opH2D {
 		sem = s.dev.copySem
-	default:
-		sem = s.dev.kernelSem
 	}
 	sem <- struct{}{}
 	start := s.dev.now()
-	err := s.injectFault(cmd)
+	// An injected error takes the place of the command's own result, so
+	// it propagates through events and cross-stream dependencies exactly
+	// like a real device failure. The detail is "stream/op".
+	var err error
+	if in := s.dev.cfg.Faults; in != nil {
+		err = in.Hit(cmd.site, s.name+"/"+cmd.name)
+	}
 	if err == nil {
 		err = cmd.fn()
 	}
@@ -193,45 +192,12 @@ func (s *Stream) execute(cmd *command) {
 	close(cmd.ev.done)
 }
 
-// injectFault consults the device's fault injector for this command. The
-// injected error takes the place of the command's own result, so it
-// propagates through events and cross-stream dependencies exactly like a
-// real device failure. Sites (all from the internal/fault registry):
-// gpu.copy.h2d, gpu.copy.d2h, and gpu.kernel.{fft,ncc,reduce,<name>};
-// the detail is "stream/op".
-func (s *Stream) injectFault(cmd *command) error {
-	in := s.dev.cfg.Faults
-	if in == nil {
-		return nil
-	}
-	var site string
-	switch cmd.kind {
-	case opH2D:
-		site = fault.SiteGPUCopyH2D
-	case opD2H:
-		site = fault.SiteGPUCopyD2H
-	default:
-		switch cmd.name {
-		case "fft2d", "rfft2d":
-			site = fault.SiteGPUKernelFFT
-		case "ncc", "ncc+irfft2d+maxabs":
-			// The fused displacement kernel injects at the NCC site.
-			site = fault.SiteGPUKernelNCC
-		case "maxabs":
-			site = fault.SiteGPUKernelReduce
-		default:
-			site = fault.KernelSite(cmd.name)
-		}
-	}
-	return in.Hit(site, s.name+"/"+cmd.name)
-}
-
 // Synchronize blocks until the stream's queue is empty and its dispatcher
 // idle.
 func (s *Stream) Synchronize() {
 	// Enqueue a no-op marker and wait for it: everything submitted
 	// before has then executed (in-order guarantee).
-	ev := s.enqueue(opKernel, "sync", nil, func() error { return nil })
+	ev := s.enqueue(opKernel, fault.Site{}, "sync", nil, func() error { return nil })
 	_ = ev.Wait()
 }
 
@@ -250,18 +216,6 @@ func (s *Stream) close() {
 	s.wg.Wait()
 }
 
-// MemcpyH2D asynchronously copies host data into a device buffer.
-func (s *Stream) MemcpyH2D(dst *Buffer, src []complex128, after ...*Event) *Event {
-	return s.enqueue(opH2D, "H2D", after, func() error {
-		if len(src) > len(dst.Data) {
-			return fmt.Errorf("gpu: H2D copy of %d words into %d-word buffer", len(src), len(dst.Data))
-		}
-		s.bandwidthDelay(len(src)*16, s.dev.cfg.H2DBytesPerSec)
-		copy(dst.Data, src)
-		return nil
-	})
-}
-
 // MemcpyH2DPackedReal copies float64 host pixels into the device buffer
 // packed two per complex128 word — the upload format of the r2c path. A
 // w×h tile occupies ⌈wh/2⌉ words instead of wh, so the same bytes cross
@@ -269,7 +223,7 @@ func (s *Stream) MemcpyH2D(dst *Buffer, src []complex128, after ...*Event) *Even
 // r2c transform needs only the h×(w/2+1) half spectrum that fits in the
 // same halved buffer.
 func (s *Stream) MemcpyH2DPackedReal(dst *Buffer, src []float64, after ...*Event) *Event {
-	return s.enqueue(opH2D, "H2D", after, func() error {
+	return s.enqueue(opH2D, fault.SiteGPUCopyH2D, "H2D", after, func() error {
 		if packedWords(len(src)) > len(dst.Data) {
 			return fmt.Errorf("gpu: packed H2D copy of %d reals into %d-word buffer", len(src), len(dst.Data))
 		}
@@ -279,22 +233,10 @@ func (s *Stream) MemcpyH2DPackedReal(dst *Buffer, src []float64, after ...*Event
 	})
 }
 
-// MemcpyD2H asynchronously copies a device buffer back to host memory.
-func (s *Stream) MemcpyD2H(dst []complex128, src *Buffer, after ...*Event) *Event {
-	return s.enqueue(opD2H, "D2H", after, func() error {
-		if len(dst) > len(src.Data) {
-			return fmt.Errorf("gpu: D2H copy of %d words from %d-word buffer", len(dst), len(src.Data))
-		}
-		s.bandwidthDelay(len(dst)*16, s.dev.cfg.D2HBytesPerSec)
-		copy(dst, src.Data[:len(dst)])
-		return nil
-	})
-}
-
-// Launch runs fn as a kernel on this stream. The name labels the profiler
-// span.
-func (s *Stream) Launch(name string, fn func() error, after ...*Event) *Event {
-	return s.enqueue(opKernel, name, after, fn)
+// launch runs fn as a kernel on this stream, after consulting site's
+// fault rules. The name labels the profiler span.
+func (s *Stream) launch(site fault.Site, name string, fn func() error, after ...*Event) *Event {
+	return s.enqueue(opKernel, site, name, after, fn)
 }
 
 // bandwidthDelay sleeps size/bw seconds if a bandwidth model is set.

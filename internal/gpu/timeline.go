@@ -13,8 +13,8 @@ import (
 // Span is one profiled command execution.
 type Span struct {
 	Stream string
-	Kind   string // memcpyH2D, memcpyD2H, kernel
-	Name   string // fft2d, ncc, maxabs, H2D, ...
+	Kind   string // memcpyH2D, kernel
+	Name   string // H2D, rfft2d, ncc+irfft2d+maxabs, sync
 	Start  time.Duration
 	End    time.Duration
 	// Seq is the record-order sequence assigned by the obs recorder under
@@ -41,9 +41,9 @@ type Timeline struct {
 	device string
 }
 
-// NewTimeline creates a recorder with the given epoch. The timeline owns
-// its obs recorder; call Close to release its flusher goroutine.
-func NewTimeline(epoch time.Time) *Timeline {
+// newOwnTimeline creates a recorder with the given epoch. The timeline
+// owns its obs recorder; call Close to release its flusher goroutine.
+func newOwnTimeline(epoch time.Time) *Timeline {
 	return &Timeline{rec: obs.New(), own: true, epoch: epoch}
 }
 

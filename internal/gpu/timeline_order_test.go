@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridstitch/internal/fault"
 	"hybridstitch/internal/obs"
 )
 
@@ -39,7 +40,7 @@ func TestTimelineOrderUnderClockCollision(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < perStream; i++ {
-			s.Launch(fmt.Sprintf("k%03d", i), func() error { return nil })
+			s.launch(fault.Site{}, fmt.Sprintf("k%03d", i), func() error { return nil })
 		}
 	}
 	d.Synchronize()
@@ -83,7 +84,7 @@ func TestTimelinePerStreamMonotonicTimestamps(t *testing.T) {
 	}
 	for i := 0; i < 25; i++ {
 		for _, s := range streams {
-			s.Launch(fmt.Sprintf("k%03d", i), func() error { return nil })
+			s.launch(fault.Site{}, fmt.Sprintf("k%03d", i), func() error { return nil })
 		}
 	}
 	d.Synchronize()
@@ -125,8 +126,8 @@ func TestSharedRecorderScopesDevices(t *testing.T) {
 	}
 	s0, _ := d0.NewStream("q")
 	s1, _ := d1.NewStream("q")
-	s0.Launch("only0", func() error { return nil })
-	s1.Launch("only1", func() error { return nil })
+	s0.launch(fault.Site{}, "only0", func() error { return nil })
+	s1.launch(fault.Site{}, "only1", func() error { return nil })
 	d0.Synchronize()
 	d1.Synchronize()
 

@@ -292,7 +292,7 @@ func profileRun(o Options, impl stitch.Stitcher, gpus int) (string, error) {
 	var devs []*gpu.Device
 	for d := 0; d < gpus; d++ {
 		devs = append(devs, gpu.New(gpu.Config{Name: fmt.Sprintf("GPU%d", d), Profile: true,
-			H2DBytesPerSec: 2e9, D2HBytesPerSec: 2e9}))
+			H2DBytesPerSec: 2e9}))
 	}
 	defer func() {
 		for _, d := range devs {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"hybridstitch/internal/fault"
@@ -401,5 +402,43 @@ func TestMaskDegradedReadsBlankForLostTiles(t *testing.T) {
 	want, _ := src.ReadTile(tile.Coord{Row: 0, Col: 0})
 	if real1.Pix[100] != want.Pix[100] {
 		t.Error("surviving tiles must pass through unchanged")
+	}
+}
+
+// TestEveryRegisteredSiteFires keeps the fault registry honest: for each
+// registered site, a 3×3 plate under an implementation that reaches the
+// site, with "<site>:nth=1", must fire the injector at least once. A
+// site no production path hits can therefore not be registered — a spec
+// naming it would arm a rule that never fires. The run itself may fail
+// or degrade; only the firing is asserted.
+func TestEveryRegisteredSiteFires(t *testing.T) {
+	mem := testDataset(t, 3, 3)
+	dir := t.TempDir()
+	if err := WriteDataset(dir, mem.DS); err != nil {
+		t.Fatal(err)
+	}
+	disk := &DirSource{Dir: dir, GridSpec: mem.Grid()}
+	for _, site := range fault.Sites() {
+		t.Run(site.String(), func(t *testing.T) {
+			inj := mustSpec(t, site.String()+":nth=1")
+			var src Source = mem
+			var impl Stitcher = &SimpleCPU{}
+			var devs []*gpu.Device
+			switch {
+			case strings.HasPrefix(site.String(), "gpu."):
+				impl, devs = &PipelinedGPU{}, faultDevices(1, inj)
+				defer closeDevices(devs)
+			case strings.HasPrefix(site.String(), "tiffio."):
+				src = disk
+				tiffio.SetInjector(inj)
+				defer tiffio.SetInjector(nil)
+			}
+			_, err := impl.Run(src, Options{
+				Threads: 2, Devices: devs, Faults: inj, MaxRetries: 1, Degrade: true,
+			})
+			if inj.Fired() < 1 {
+				t.Errorf("%s under %s fired %d times (run err: %v)", site, impl.Name(), inj.Fired(), err)
+			}
+		})
 	}
 }
