@@ -115,7 +115,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDegradedTileRead -fuzztime 30s ./internal/stitch/
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 30s ./internal/obs/
 	$(GO) test -fuzz FuzzRealPlanRoundTrip -fuzztime 30s ./internal/fft/
-	$(GO) test -fuzz FuzzCSRLaplacian -fuzztime 30s ./internal/global/
+	$(GO) test -fuzz FuzzStencilLaplacian -fuzztime 30s ./internal/global/
 	$(GO) test -fuzz FuzzBandEngine -fuzztime 30s ./internal/compose/
 
 # fuzz-smoke is the CI-sized pass: every fuzz target for 10s each, enough
@@ -129,7 +129,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDegradedTileRead -fuzztime 10s ./internal/stitch/
 	$(GO) test -fuzz FuzzChromeTrace -fuzztime 10s ./internal/obs/
 	$(GO) test -fuzz FuzzRealPlanRoundTrip -fuzztime 10s ./internal/fft/
-	$(GO) test -fuzz FuzzCSRLaplacian -fuzztime 10s ./internal/global/
+	$(GO) test -fuzz FuzzStencilLaplacian -fuzztime 10s ./internal/global/
 	$(GO) test -fuzz FuzzBandEngine -fuzztime 10s ./internal/compose/
 
 clean:

@@ -554,8 +554,15 @@ func maxPlacementDiff(a, b *global.Placement) int {
 // `pcg-twolevel` arm keeps its placement and the `differential`
 // pseudo-arm asserts it lands every tile within 2 px of an untimed
 // tight-tolerance reference.
-func BenchmarkSolvers59k(b *testing.B) {
-	res := synthPlateResult(250, 235, 1)
+func BenchmarkSolvers59k(b *testing.B) { benchSolvers(b, 250, 235) }
+
+// BenchmarkSolvers2k is the same solve on a 45×45 = 2 025-tile plate,
+// the 2k–8k-tile band where the coarse factor, not the CG iterations,
+// once dominated the solve.
+func BenchmarkSolvers2k(b *testing.B) { benchSolvers(b, 45, 45) }
+
+func benchSolvers(b *testing.B, rows, cols int) {
+	res := synthPlateResult(rows, cols, 1)
 	var pl *global.Placement
 	b.Run("pcg-twolevel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -33,7 +33,11 @@ import (
 // under the lock — but the locks they take still contribute to the
 // enclosing function's transitive summary, because the common case
 // (the literal runs synchronously or on a goroutine the holder waits
-// on) is the dangerous one.
+// on) is the dangerous one. A `go` statement's callee is treated the
+// same way: at the spawn site it orders against none of the held locks
+// (the new goroutine holds none of them), while its receiver and
+// argument expressions, which the spawner evaluates, still do; its
+// locks still join the spawner's summary, as a literal's do.
 //
 // Mutexes held behind locally-declared variables are ignored: their
 // ordering cannot be observed outside one function and keying them
@@ -378,8 +382,26 @@ func (lw *lockWalker) observe(n ast.Node, fact bitset, edges *[]lockEdge) {
 	if ds, ok := n.(*ast.DeferStmt); ok {
 		n = ds.Call // a deferred call still runs; its locks still order
 	}
-	ast.Inspect(n, func(m ast.Node) bool {
+	var visit func(m ast.Node) bool
+	visit = func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		if gs, ok := m.(*ast.GoStmt); ok {
+			// The spawned call runs on a new goroutine that holds none of
+			// the spawner's locks, so neither it nor its summary orders
+			// against them. Its operands (receiver, arguments, a computed
+			// function value) are evaluated here, under the held set.
+			switch fun := ast.Unparen(gs.Call.Fun).(type) {
+			case *ast.Ident, *ast.FuncLit:
+			case *ast.SelectorExpr:
+				ast.Inspect(fun.X, visit)
+			default:
+				ast.Inspect(fun, visit)
+			}
+			for _, a := range gs.Call.Args {
+				ast.Inspect(a, visit)
+			}
 			return false
 		}
 		call, ok := m.(*ast.CallExpr)
@@ -432,7 +454,8 @@ func (lw *lockWalker) observe(n ast.Node, fact bitset, edges *[]lockEdge) {
 			}
 		}
 		return true
-	})
+	}
+	ast.Inspect(n, visit)
 }
 
 func (lw *lockWalker) addEdge(edges *[]lockEdge, e lockEdge) {

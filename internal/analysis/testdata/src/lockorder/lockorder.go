@@ -123,3 +123,29 @@ func lockEThenCallF(e *E, f *F) {
 	defer e.mu.Unlock()
 	touchF(f)
 }
+
+// count locks A.mu to read the counter.
+func (a *A) count() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.n
+}
+
+func sink(int) {}
+
+// okGoCalleeRunsElsewhere: the spawned goroutine holds none of the
+// spawner's locks, so a go statement's callee that locks a.mu is not a
+// re-lock.
+func (a *A) okGoCalleeRunsElsewhere() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	go a.helper()
+}
+
+// goArgsRunInSpawner: a go statement's arguments are evaluated by the
+// spawner, under its locks.
+func (a *A) goArgsRunInSpawner() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	go sink(a.count()) // want "call to lockorder.A.count while holding lockorder.A.mu"
+}

@@ -161,7 +161,10 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sys := newLSSystem(n, edges)
+	sys, err := newLSSystem(g.Rows, g.Cols, edges)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 
 	px, py := warmX, warmY
 	if px == nil {
@@ -185,7 +188,7 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 				sys.reweightRange(px, py, c2, lo, hi)
 			})
 		}
-		st.refresh(par)
+		st.refresh()
 		ix, mx := st.solveAxis(px, st.bx, opts.Tol, opts.MaxIter, par)
 		iy, my := st.solveAxis(py, st.by, opts.Tol, opts.MaxIter, par)
 		cgIters += ix + iy
@@ -200,8 +203,8 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 			break
 		}
 	}
-	if opts.Obs != nil {
-		st.refresh(par)
+	// The last round's assembly is current: no weight changed after it.
+	if opts.Obs != nil && roundsRun > 0 {
 		opts.Obs.Gauge(obs.GaugeLSResidualPx).Set(sys.residualMax(px, py, st.diag, st.bx, st.by))
 	}
 	opts.Obs.Counter(obs.CounterLSRounds).Add(int64(roundsRun))

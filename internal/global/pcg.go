@@ -138,27 +138,36 @@ const parMinChunk = 2048
 // damped-Jacobi pre-smooth → coarse correction → post-smooth. The
 // symmetric smoother on both flanks keeps the operator SPD, which PCG
 // requires of its preconditioner.
+//
+// Aggregates are numbered row-major on the coarse grid and couple only
+// to their four grid neighbours, so the coarse Laplacian is banded with
+// bandwidth cCols and its Cholesky factor fills in only inside that
+// band: the factor costs O(nc·cCols²) and a solve O(nc·cCols).
 type twoLevelPrecond struct {
 	sys  *lsSystem
 	diag []float64 // fine normal-equation diagonal (shared with pcgState)
 	agg  []int32   // fine tile → coarse aggregate
 	nc   int
-	ac   []float64 // dense nc×nc coarse Laplacian, then its Cholesky factor
-	rc   []float64 // coarse residual / correction
-	tmp  []float64 // fine scratch
+	bw   int // coarse bandwidth: cCols
+	// ac is the lower band of the coarse Laplacian, then of its Cholesky
+	// factor: row c holds columns c−bw … c, the diagonal last.
+	ac  []float64
+	rc  []float64 // coarse residual / correction
+	tmp []float64 // fine scratch
 }
 
-// twoLevelCoarseTarget bounds the coarse system size: the dense Cholesky
-// is O(nc³) once per round, so nc ≈ 600 keeps it a rounding error next
-// to the CG iterations while aggregates stay small enough (≈10×10 tiles
-// at 59k) for the smoother to cover intra-aggregate modes.
+// twoLevelCoarseTarget bounds the coarse system size. Aggregates of
+// ≈10×10 tiles at 59k keep the smoother covering intra-aggregate modes,
+// and the target is what fixes the CG iteration counts. It is set for
+// convergence, not bounded by the factor: the banded factor at 59k tiles
+// (nc = 600, cCols = 24) is ≈0.35 M multiply-adds per round.
 const twoLevelCoarseTarget = 600
 
 // newTwoLevelPrecond picks the aggregate side f: the smallest f ≥ 2 that
 // brings the coarse grid to twoLevelCoarseTarget nodes or fewer. f starts
 // at 2, not 1, so a small plate still coarsens by at least 4: with f = 1
 // the coarse grid is the fine grid, and every IRLS round would pay a
-// dense Cholesky of the whole plate.
+// banded factor of the whole plate.
 func newTwoLevelPrecond(sys *lsSystem, diag []float64, rows, cols int) *twoLevelPrecond {
 	n := sys.n
 	f := 2
@@ -172,7 +181,8 @@ func newTwoLevelPrecond(sys *lsSystem, diag []float64, rows, cols int) *twoLevel
 		sys: sys, diag: diag,
 		agg: make([]int32, n),
 		nc:  nc,
-		ac:  make([]float64, nc*nc),
+		bw:  cCols,
+		ac:  make([]float64, nc*(cCols+1)),
 		rc:  make([]float64, nc),
 		tmp: make([]float64, n),
 	}
@@ -187,41 +197,42 @@ func newTwoLevelPrecond(sys *lsSystem, diag []float64, rows, cols int) *twoLevel
 // IRLS weights; it runs once per round, after the weights and the
 // normal-equation diagonal changed. The prolongator zeroes the pinned
 // fine tile, so an edge touching tile 0 contributes only its grounding
-// term.
+// term. The edges are summed in index order, which makes the band the
+// dense Galerkin matrix's lower band bit for bit.
 func (t *twoLevelPrecond) refresh() {
-	nc := t.nc
-	for i := range t.ac {
-		t.ac[i] = 0
-	}
+	clear(t.ac)
+	at := func(i, j int) int { return i*(t.bw+1) + j - i + t.bw }
 	for i, e := range t.sys.edges {
 		w := t.sys.robustW[i]
 		ca, cb := int(t.agg[e.from]), int(t.agg[e.to])
 		switch {
 		case e.from == 0:
-			t.ac[cb*nc+cb] += w
+			t.ac[at(cb, cb)] += w
 		case e.to == 0:
-			t.ac[ca*nc+ca] += w
+			t.ac[at(ca, ca)] += w
 		case ca == cb:
 			// Interior edge: (e_ca − e_cb) vanishes under Pᵀ.
 		default:
-			t.ac[ca*nc+ca] += w
-			t.ac[cb*nc+cb] += w
-			t.ac[ca*nc+cb] -= w
-			t.ac[cb*nc+ca] -= w
+			t.ac[at(ca, ca)] += w
+			t.ac[at(cb, cb)] += w
+			t.ac[at(max(ca, cb), min(ca, cb))] -= w
 		}
 	}
 	// Aggregates with no grounded coupling (possible only on degenerate
 	// inputs) become inert identity rows rather than singular pivots.
-	for c := 0; c < nc; c++ {
-		if t.ac[c*nc+c] == 0 {
-			for j := 0; j < nc; j++ {
-				t.ac[c*nc+j] = 0
-				t.ac[j*nc+c] = 0
-			}
-			t.ac[c*nc+c] = 1
+	for c := 0; c < t.nc; c++ {
+		if t.ac[at(c, c)] != 0 {
+			continue
 		}
+		for j := max(0, c-t.bw); j < c; j++ {
+			t.ac[at(c, j)] = 0
+		}
+		for i := c + 1; i < min(t.nc, c+t.bw+1); i++ {
+			t.ac[at(i, c)] = 0
+		}
+		t.ac[at(c, c)] = 1
 	}
-	choleskyInPlace(t.ac, nc)
+	bandCholesky(t.ac, t.nc, t.bw)
 }
 
 // twoLevelOmega is the damped-Jacobi smoothing weight. 2/3 is the
@@ -252,7 +263,7 @@ func (t *twoLevelPrecond) apply(z, r []float64, par *parRun) {
 	for i := 1; i < n; i++ {
 		t.rc[t.agg[i]] += r[i] - t.tmp[i]
 	}
-	choleskySolve(t.ac, t.nc, t.rc)
+	bandCholeskySolve(t.ac, t.nc, t.bw, t.rc)
 	for i := 1; i < n; i++ {
 		z[i] += t.rc[t.agg[i]]
 	}
@@ -271,51 +282,58 @@ func (t *twoLevelPrecond) apply(z, r []float64, par *parRun) {
 	z[0] = 0
 }
 
-// choleskyInPlace factors the dense SPD matrix a (n×n, row-major) into
-// its lower-triangular Cholesky factor, stored in the lower triangle.
-// Non-positive pivots (numerically semi-definite inputs) are clamped so
-// the factor stays usable as a preconditioner.
-func choleskyInPlace(a []float64, n int) {
+// bandCholesky factors the SPD band matrix a (n rows of the lower band
+// of width bw, row i holding columns i−bw … i with the diagonal last)
+// into its lower-triangular Cholesky factor, in place. Entries outside
+// the band are zero in the factor too, and every dot product runs over
+// the same columns in the same order as a dense factor's non-zero terms,
+// so the band equals the dense factor's band bit for bit. Non-positive
+// pivots (numerically semi-definite inputs) are clamped so the factor
+// stays usable as a preconditioner.
+func bandCholesky(a []float64, n, bw int) {
+	w := bw + 1
 	for j := 0; j < n; j++ {
-		d := a[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * a[j*n+k]
+		rj := a[j*w : (j+1)*w] // rj[k−j+bw] = L[j][k]
+		d := rj[bw]
+		for k := max(0, j-bw); k < j; k++ {
+			v := rj[k-j+bw]
+			d -= v * v
 		}
 		if d < 1e-12 {
 			d = 1e-12
 		}
 		d = math.Sqrt(d)
-		a[j*n+j] = d
+		rj[bw] = d
 		inv := 1 / d
-		for i := j + 1; i < n; i++ {
-			s := a[i*n+j]
-			row := a[i*n:]
-			pj := a[j*n:]
-			for k := 0; k < j; k++ {
-				s -= row[k] * pj[k]
+		for i := j + 1; i < min(n, j+w); i++ {
+			ri := a[i*w : (i+1)*w]
+			s := ri[j-i+bw]
+			for k := max(0, i-bw); k < j; k++ {
+				s -= ri[k-i+bw] * rj[k-j+bw]
 			}
-			a[i*n+j] = s * inv
+			ri[j-i+bw] = s * inv
 		}
 	}
 }
 
-// choleskySolve solves L·Lᵀ·x = b in place given the factor from
-// choleskyInPlace.
-func choleskySolve(l []float64, n int, b []float64) {
+// bandCholeskySolve solves L·Lᵀ·x = b in place given the factor from
+// bandCholesky.
+func bandCholeskySolve(l []float64, n, bw int, b []float64) {
+	w := bw + 1
 	for i := 0; i < n; i++ {
+		ri := l[i*w : (i+1)*w]
 		s := b[i]
-		row := l[i*n:]
-		for k := 0; k < i; k++ {
-			s -= row[k] * b[k]
+		for k := max(0, i-bw); k < i; k++ {
+			s -= ri[k-i+bw] * b[k]
 		}
-		b[i] = s / row[i]
+		b[i] = s / ri[bw]
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * b[k]
+		for k := i + 1; k < min(n, i+w); k++ {
+			s -= l[k*w+i-k+bw] * b[k]
 		}
-		b[i] = s / l[i*n+i]
+		b[i] = s / l[i*w+bw]
 	}
 }
 
@@ -345,12 +363,10 @@ func newPCGState(sys *lsSystem, rows, cols int) *pcgState {
 	return st
 }
 
-// refresh recomputes the normal equations and the preconditioner for
-// the current IRLS weights.
-func (st *pcgState) refresh(par *parRun) {
-	par.run(st.sys.n, parMinChunk, func(lo, hi int) {
-		st.sys.normalRange(st.diag, st.bx, st.by, lo, hi)
-	})
+// refresh reassembles the stencil and the normal equations and
+// refactors the preconditioner for the current IRLS weights.
+func (st *pcgState) refresh() {
+	st.sys.assemble(st.diag, st.bx, st.by)
 	st.pre.refresh()
 }
 

@@ -112,20 +112,64 @@ func maxPlacementDiff(a, b *Placement) int {
 	return worst
 }
 
-// gsSweep runs one Gauss-Seidel sweep (tile 0 pinned) and returns the
-// largest per-tile position update. The accumulation order and
-// expressions are the seed solver's, so gsSolve reproduces it bit for
-// bit (FuzzCSRLaplacian checks the sweep against an adjacency replay).
-func (s *lsSystem) gsSweep(px, py []float64) float64 {
+// csrLaplacian is the seed's adjacency of the least-squares system in
+// CSR form, kept as the oracles' structure: row i lists every edge
+// incident to tile i in edge-index order (`to` row before `from` row per
+// edge), exactly as the seed's adjacency lists did. colInd is the
+// neighbour tile, edgeRef the edge index (for the weight lookup), and
+// ex/ey the displacement d(col→row).
+type csrLaplacian struct {
+	n       int
+	rowPtr  []int32
+	colInd  []int32
+	edgeRef []int32
+	ex, ey  []float64
+}
+
+func newCSRLaplacian(n int, edges []lsEdge) *csrLaplacian {
+	nnz := 2 * len(edges)
+	c := &csrLaplacian{n: n,
+		rowPtr:  make([]int32, n+1),
+		colInd:  make([]int32, nnz),
+		edgeRef: make([]int32, nnz),
+		ex:      make([]float64, nnz),
+		ey:      make([]float64, nnz),
+	}
+	for _, e := range edges {
+		c.rowPtr[e.to+1]++
+		c.rowPtr[e.from+1]++
+	}
+	for i := 0; i < n; i++ {
+		c.rowPtr[i+1] += c.rowPtr[i]
+	}
+	next := append([]int32(nil), c.rowPtr[:n]...)
+	for i, e := range edges {
+		for _, side := range [2]struct{ row, col, sign int }{{e.to, e.from, 1}, {e.from, e.to, -1}} {
+			k := next[side.row]
+			next[side.row]++
+			c.colInd[k] = int32(side.col)
+			c.edgeRef[k] = int32(i)
+			c.ex[k] = float64(side.sign * e.dx)
+			c.ey[k] = float64(side.sign * e.dy)
+		}
+	}
+	return c
+}
+
+// gsSweep runs one Gauss-Seidel sweep (tile 0 pinned) with edge weights
+// w and returns the largest per-tile position update. The accumulation
+// order and expressions are the seed solver's, so gsSolve reproduces it
+// bit for bit.
+func (c *csrLaplacian) gsSweep(w, px, py []float64) float64 {
 	var maxDelta float64
-	for i := 1; i < s.n; i++ {
+	for i := 1; i < c.n; i++ {
 		var sw, sx, sy float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			w := s.robustW[s.edgeRef[k]]
-			j := s.colInd[k]
-			sw += w
-			sx += w * (px[j] + s.ex[k])
-			sy += w * (py[j] + s.ey[k])
+		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
+			wk := w[c.edgeRef[k]]
+			j := c.colInd[k]
+			sw += wk
+			sx += wk * (px[j] + c.ex[k])
+			sy += wk * (py[j] + c.ey[k])
 		}
 		if sw == 0 {
 			continue
@@ -144,6 +188,54 @@ func (s *lsSystem) gsSweep(px, py []float64) float64 {
 		px[i], py[i] = nx, ny
 	}
 	return maxDelta
+}
+
+// choleskyInPlace is the dense Cholesky factor bandCholesky is checked
+// against: it factors the SPD matrix a (n×n, row-major) into its
+// lower-triangular factor, stored in the lower triangle, clamping
+// non-positive pivots the same way.
+func choleskyInPlace(a []float64, n int) {
+	for j := 0; j < n; j++ {
+		d := a[j*n+j]
+		for k := 0; k < j; k++ {
+			d -= a[j*n+k] * a[j*n+k]
+		}
+		if d < 1e-12 {
+			d = 1e-12
+		}
+		d = math.Sqrt(d)
+		a[j*n+j] = d
+		inv := 1 / d
+		for i := j + 1; i < n; i++ {
+			s := a[i*n+j]
+			row := a[i*n:]
+			pj := a[j*n:]
+			for k := 0; k < j; k++ {
+				s -= row[k] * pj[k]
+			}
+			a[i*n+j] = s * inv
+		}
+	}
+}
+
+// choleskySolve solves L·Lᵀ·x = b in place given the factor from
+// choleskyInPlace.
+func choleskySolve(l []float64, n int, b []float64) {
+	for i := 0; i < n; i++ {
+		s := b[i]
+		row := l[i*n:]
+		for k := 0; k < i; k++ {
+			s -= row[k] * b[k]
+		}
+		b[i] = s / row[i]
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * b[k]
+		}
+		b[i] = s / l[i*n+i]
+	}
 }
 
 // gsSolve is the seed's serial Gauss-Seidel IRLS solve, kept as the
@@ -166,7 +258,11 @@ func gsSolve(res *stitch.Result, opts LSOptions) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys := newLSSystem(n, edges)
+	sys, err := newLSSystem(g.Rows, g.Cols, edges)
+	if err != nil {
+		return nil, err
+	}
+	csr := newCSRLaplacian(n, edges)
 	px, py := seedPositions(res, opts.MinCorr)
 	c2 := opts.ResidualScale * opts.ResidualScale
 	for round := 0; round < opts.Rounds; round++ {
@@ -174,7 +270,7 @@ func gsSolve(res *stitch.Result, opts LSOptions) (*Placement, error) {
 			sys.reweightRange(px, py, c2, 0, len(sys.edges))
 		}
 		for it := 0; it < opts.MaxIter; it++ {
-			if sys.gsSweep(px, py) < opts.Tol {
+			if csr.gsSweep(sys.robustW, px, py) < opts.Tol {
 				break
 			}
 		}
@@ -275,9 +371,114 @@ func TestTwoLevelCoarsensSmallPlates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := newTwoLevelPrecond(newLSSystem(n, edges), make([]float64, n), 24, 24)
+	sys, err := newLSSystem(24, 24, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := newTwoLevelPrecond(sys, make([]float64, n), 24, 24)
 	if pre.nc > n/4 {
 		t.Errorf("24x24 plate: %d coarse nodes, want at most %d", pre.nc, n/4)
+	}
+}
+
+// TestBandCholeskyMatchesDense checks the banded coarse factor against
+// the dense oracle at every plate size this file solves: the Galerkin
+// matrix assembled densely in edge order and factored by choleskyInPlace
+// must equal the band (and be zero outside it) bit for bit, and so must
+// the solves. One plate gets an aggregate whose every edge weighs zero,
+// the inert-identity-row case.
+func TestBandCholeskyMatchesDense(t *testing.T) {
+	sizes := []struct{ rows, cols int }{{4, 5}, {9, 7}, {16, 16}, {10, 8}, {11, 8},
+		{5, 6}, {33, 32}, {24, 24}, {31, 33}, {46, 46}, {7, 7}, {9, 9}}
+	for _, sz := range sizes {
+		for _, inert := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(sz.rows*100 + sz.cols)))
+			res, _, _ := noisyResult(rng, sz.rows, sz.cols)
+			n := res.Grid.NumTiles()
+			opts := LSOptions{}.withDefaults(n)
+			edges, _, err := buildLSEdges(res, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := newLSSystem(sz.rows, sz.cols, edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			px, py := seedPositions(res, opts.MinCorr)
+			sys.reweightRange(px, py, 4, 0, len(edges))
+			pre := newTwoLevelPrecond(sys, make([]float64, n), sz.rows, sz.cols)
+			nc, bw := pre.nc, pre.bw
+			dead := int32(-1)
+			if inert {
+				dead = pre.agg[n-1]
+				for i, e := range edges {
+					if pre.agg[e.from] == dead || pre.agg[e.to] == dead {
+						sys.robustW[i] = 0
+					}
+				}
+			}
+			pre.refresh()
+
+			// The dense oracle: the same Galerkin matrix, assembled and
+			// patched the way the dense solver did it.
+			dense := make([]float64, nc*nc)
+			for i, e := range edges {
+				w := sys.robustW[i]
+				ca, cb := int(pre.agg[e.from]), int(pre.agg[e.to])
+				switch {
+				case e.from == 0:
+					dense[cb*nc+cb] += w
+				case e.to == 0:
+					dense[ca*nc+ca] += w
+				case ca == cb:
+				default:
+					dense[ca*nc+ca] += w
+					dense[cb*nc+cb] += w
+					dense[ca*nc+cb] -= w
+					dense[cb*nc+ca] -= w
+				}
+			}
+			for c := 0; c < nc; c++ {
+				if dense[c*nc+c] == 0 {
+					for j := 0; j < nc; j++ {
+						dense[c*nc+j] = 0
+						dense[j*nc+c] = 0
+					}
+					dense[c*nc+c] = 1
+				}
+			}
+			choleskyInPlace(dense, nc)
+
+			for i := 0; i < nc; i++ {
+				for j := 0; j <= i; j++ {
+					want := dense[i*nc+j]
+					if i-j > bw {
+						if want != 0 {
+							t.Fatalf("%dx%d: dense factor (%d,%d) = %v outside the band %d", sz.rows, sz.cols, i, j, want, bw)
+						}
+						continue
+					}
+					if got := pre.ac[i*(bw+1)+j-i+bw]; got != want {
+						t.Fatalf("%dx%d inert=%v: factor (%d,%d) = %v, dense says %v", sz.rows, sz.cols, inert, i, j, got, want)
+					}
+				}
+			}
+			if inert && pre.ac[int(dead)*(bw+1)+bw] != 1 {
+				t.Fatalf("%dx%d: aggregate %d has no coupling but is not an identity row", sz.rows, sz.cols, dead)
+			}
+			b := make([]float64, nc)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			want := append([]float64(nil), b...)
+			choleskySolve(dense, nc, want)
+			bandCholeskySolve(pre.ac, nc, bw, b)
+			for i := range b {
+				if b[i] != want[i] {
+					t.Fatalf("%dx%d inert=%v: solve[%d] = %v, dense says %v", sz.rows, sz.cols, inert, i, b[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -2,24 +2,22 @@ package global
 
 import (
 	"fmt"
+	"math"
 
 	"hybridstitch/internal/stitch"
 	"hybridstitch/internal/tile"
 )
 
 // This file holds the sparse representation behind SolveLeastSquares:
-// the edge list of the phase-2 least-squares system and a CSR view of
-// its graph Laplacian. The structure is built ONCE per solve — IRLS
-// rounds only rewrite the per-edge weights in place — which replaces the
-// seed implementation's per-round adjacency rebuild (an O(edges)
-// allocation storm repeated every round) and gives the PCG engine the
-// contiguous rows its SpMV wants.
-//
-// Every CSR row stores its entries in the same order the seed's
-// adjacency lists did (edge-index order, `to` row before `from` row per
-// edge), so the Gauss-Seidel sweep the tests keep as PCG's oracle
-// (solver_equiv_test.go) accumulates them exactly as the seed solver
-// did.
+// the edge list of the phase-2 least-squares system and its pinned graph
+// Laplacian. Every edge joins two grid neighbours (a measured pair, its
+// stage-model prior, or a nominal reconnection), so the Laplacian is a
+// five-point stencil on the plate grid: one weight per West pair and one
+// per North pair, the sum of the IRLS weights of that pair's edges. The
+// edge list is built ONCE per solve; each IRLS round rewrites the edge
+// weights in place and reassembles the stencil and the normal equations
+// from them, and the SpMV streams the two weight arrays with no index
+// array at all.
 
 // lsEdge is one constraint of the least-squares system: position of
 // tile `to` minus position of tile `from` should equal (dx, dy), with
@@ -31,63 +29,38 @@ type lsEdge struct {
 }
 
 // lsSystem is the built least-squares system: the edge list, the current
-// IRLS weights, and the CSR Laplacian structure over them.
+// IRLS weights, and the stencil they assemble into.
 type lsSystem struct {
-	n     int
-	edges []lsEdge
+	n, cols int
+	edges   []lsEdge
 	// robustW is the IRLS working weight per edge; reweight rewrites it
 	// in place from the current positions each round.
 	robustW []float64
 
-	// CSR over the graph Laplacian: row i lists every edge incident to
-	// tile i. colInd is the neighbor tile, edgeRef the edge index (for
-	// the weight lookup), and ex/ey the displacement d(col→row) — the
-	// value the row tile should sit at relative to the column tile.
-	rowPtr  []int32
-	colInd  []int32
-	edgeRef []int32
-	ex, ey  []float64
+	// The Laplacian's off-diagonal as a five-point stencil: wW[i] joins
+	// tile i to its West neighbour i−1, wN[i] to its North neighbour
+	// i−cols. Slots with no such neighbour (column 0, row 0) stay 0.
+	wW, wN []float64
 }
 
-// newLSSystem builds the CSR structure from the finished edge list.
-func newLSSystem(n int, edges []lsEdge) *lsSystem {
-	s := &lsSystem{n: n, edges: edges}
-	s.robustW = make([]float64, len(edges))
+// newLSSystem checks that every edge joins a West or North grid pair of
+// the rows×cols plate and allocates the stencil over them.
+func newLSSystem(rows, cols int, edges []lsEdge) (*lsSystem, error) {
+	n := rows * cols
 	for i, e := range edges {
-		s.robustW[i] = e.w
+		lo, hi := min(e.from, e.to), max(e.from, e.to)
+		if lo < 0 || hi >= n || (hi-lo != cols && (hi-lo != 1 || hi%cols == 0)) {
+			return nil, fmt.Errorf("global: edge %d joins tiles %d and %d, not grid neighbours on a %dx%d plate",
+				i, e.from, e.to, rows, cols)
+		}
 	}
-	nnz := 2 * len(edges)
-	s.rowPtr = make([]int32, n+1)
-	s.colInd = make([]int32, nnz)
-	s.edgeRef = make([]int32, nnz)
-	s.ex = make([]float64, nnz)
-	s.ey = make([]float64, nnz)
-	for _, e := range edges {
-		s.rowPtr[e.to+1]++
-		s.rowPtr[e.from+1]++
+	s := &lsSystem{n: n, cols: cols, edges: edges,
+		robustW: make([]float64, len(edges)),
+		wW:      make([]float64, n),
+		wN:      make([]float64, n),
 	}
-	for i := 0; i < n; i++ {
-		s.rowPtr[i+1] += s.rowPtr[i]
-	}
-	next := make([]int32, n)
-	copy(next, s.rowPtr[:n])
-	for i, e := range edges {
-		// Row `to` sees the edge as d(from→to) = +(dx, dy)…
-		k := next[e.to]
-		next[e.to]++
-		s.colInd[k] = int32(e.from)
-		s.edgeRef[k] = int32(i)
-		s.ex[k] = float64(e.dx)
-		s.ey[k] = float64(e.dy)
-		// …row `from` as the reverse.
-		k = next[e.from]
-		next[e.from]++
-		s.colInd[k] = int32(e.to)
-		s.edgeRef[k] = int32(i)
-		s.ex[k] = -float64(e.dx)
-		s.ey[k] = -float64(e.dy)
-	}
-	return s
+	s.resetWeights()
+	return s, nil
 }
 
 // resetWeights restores the base (pre-IRLS) weights.
@@ -111,63 +84,86 @@ func (s *lsSystem) reweightRange(px, py []float64, c2 float64, lo, hi int) {
 	}
 }
 
-// normalRange fills the normal-equation diagonal and right-hand sides
-// for rows [lo, hi): diag[i] = Σ w, bx[i] = Σ w·dx(col→i), by likewise.
+// assemble rebuilds the stencil and the normal equations from the
+// current IRLS weights: diag[i] = Σ w, bx[i] = Σ w·dx(neighbour→i), by
+// likewise. It is one serial scatter over the edges in index order, the
+// order in which the seed's adjacency lists summed each row, so the
+// normal equations are bit-identical to the seed's.
 //
 //stitchlint:hotpath
-func (s *lsSystem) normalRange(diag, bx, by []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var sw, sx, sy float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			w := s.robustW[s.edgeRef[k]]
-			sw += w
-			sx += w * s.ex[k]
-			sy += w * s.ey[k]
+func (s *lsSystem) assemble(diag, bx, by []float64) {
+	clear(s.wW)
+	clear(s.wN)
+	clear(diag)
+	clear(bx)
+	clear(by)
+	for i, e := range s.edges {
+		w := s.robustW[i]
+		dx, dy := w*float64(e.dx), w*float64(e.dy)
+		diag[e.to] += w
+		bx[e.to] += dx
+		by[e.to] += dy
+		diag[e.from] += w
+		bx[e.from] -= dx
+		by[e.from] -= dy
+		if hi := max(e.from, e.to); hi-min(e.from, e.to) == s.cols {
+			s.wN[hi] += w
+		} else {
+			s.wW[hi] += w
 		}
-		diag[i] = sw
-		bx[i] = sx
-		by[i] = sy
 	}
 }
 
 // spmvRange computes rows [lo, hi) of the pinned-Laplacian product:
-// dst[i] = diag[i]·x[i] − Σ_j w_ij·x[j]. Row 0 is the pinned tile — the
-// solve works in the subspace x[0] = 0 and the caller forces dst[0] = 0.
+// dst[i] = diag[i]·x[i] − Σ_j w_ij·x[j] over i's four grid neighbours.
+// Row 0 is the pinned tile — the solve works in the subspace x[0] = 0
+// and the caller forces dst[0] = 0.
 //
 //stitchlint:hotpath
 func (s *lsSystem) spmvRange(dst, x, diag []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		acc := diag[i] * x[i]
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			acc -= s.robustW[s.edgeRef[k]] * x[s.colInd[k]]
-		}
-		dst[i] = acc
+	cols, wW, wN := s.cols, s.wW, s.wN
+	// Rows with a North and a South neighbour index every array in
+	// range; the plate's first and last rows take the guarded stencilRow.
+	mid0 := min(max(lo, cols), hi)
+	mid1 := max(min(hi, s.n-cols), mid0)
+	for i := lo; i < mid0; i++ {
+		dst[i] = s.stencilRow(x, diag, i)
 	}
+	for i := mid0; i < mid1; i++ {
+		dst[i] = diag[i]*x[i] - wW[i]*x[i-1] - wW[i+1]*x[i+1] - wN[i]*x[i-cols] - wN[i+cols]*x[i+cols]
+	}
+	for i := mid1; i < hi; i++ {
+		dst[i] = s.stencilRow(x, diag, i)
+	}
+}
+
+// stencilRow is row i of the pinned-Laplacian product, for any row.
+func (s *lsSystem) stencilRow(x, diag []float64, i int) float64 {
+	acc := diag[i] * x[i]
+	if i > 0 {
+		acc -= s.wW[i] * x[i-1]
+	}
+	if i+1 < s.n {
+		acc -= s.wW[i+1] * x[i+1]
+	}
+	if i >= s.cols {
+		acc -= s.wN[i] * x[i-s.cols]
+	}
+	if i+s.cols < s.n {
+		acc -= s.wN[i+s.cols] * x[i+s.cols]
+	}
+	return acc
 }
 
 // residualMax returns the largest absolute entry of b − L·p over both
 // axes (rows 1..n-1) — the final-convergence figure the obs gauge
-// reports. diag/bx/by must hold the current round's normal equations.
+// reports. diag/bx/by and the stencil must hold the current round's
+// assembly.
 func (s *lsSystem) residualMax(px, py, diag, bx, by []float64) float64 {
 	var worst float64
 	for i := 1; i < s.n; i++ {
-		ax := diag[i] * px[i]
-		ay := diag[i] * py[i]
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			w := s.robustW[s.edgeRef[k]]
-			ax -= w * px[s.colInd[k]]
-			ay -= w * py[s.colInd[k]]
-		}
-		if d := bx[i] - ax; d > worst {
-			worst = d
-		} else if -d > worst {
-			worst = -d
-		}
-		if d := by[i] - ay; d > worst {
-			worst = d
-		} else if -d > worst {
-			worst = -d
-		}
+		worst = max(worst, math.Abs(bx[i]-s.stencilRow(px, diag, i)),
+			math.Abs(by[i]-s.stencilRow(py, diag, i)))
 	}
 	return worst
 }
