@@ -107,30 +107,29 @@ accdiff:
 experiments:
 	$(GO) run ./cmd/experiments -exp all -out results
 
-fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/tiffio/
-	$(GO) test -fuzz FuzzPyramidRoundTrip -fuzztime 30s ./internal/tiffio/
-	$(GO) test -fuzz FuzzSplitPlanRoundTrip -fuzztime 30s ./internal/fft/
-	$(GO) test -fuzz FuzzUnmarshalResult -fuzztime 30s ./internal/stitch/
-	$(GO) test -fuzz FuzzDegradedTileRead -fuzztime 30s ./internal/stitch/
-	$(GO) test -fuzz FuzzChromeTrace -fuzztime 30s ./internal/obs/
-	$(GO) test -fuzz FuzzRealPlanRoundTrip -fuzztime 30s ./internal/fft/
-	$(GO) test -fuzz FuzzStencilLaplacian -fuzztime 30s ./internal/global/
-	$(GO) test -fuzz FuzzBandEngine -fuzztime 30s ./internal/compose/
+# Every fuzz target, one package:Target pair each; a new target is one
+# more line here. fuzz and fuzz-smoke run them all and differ only in
+# -fuzztime: fuzz-smoke is the CI-sized pass, enough to catch
+# regressions in the decode/unmarshal paths without dominating the
+# workflow's wall clock.
+FUZZ_TARGETS := \
+	./internal/tiffio/:FuzzDecode \
+	./internal/tiffio/:FuzzPyramidRoundTrip \
+	./internal/fft/:FuzzSplitPlanRoundTrip \
+	./internal/stitch/:FuzzUnmarshalResult \
+	./internal/stitch/:FuzzDegradedTileRead \
+	./internal/obs/:FuzzChromeTrace \
+	./internal/fft/:FuzzRealPlanRoundTrip \
+	./internal/global/:FuzzStencilLaplacian \
+	./internal/compose/:FuzzBandEngine
 
-# fuzz-smoke is the CI-sized pass: every fuzz target for 10s each, enough
-# to catch regressions in the decode/unmarshal paths without dominating
-# the workflow's wall clock.
-fuzz-smoke:
-	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/tiffio/
-	$(GO) test -fuzz FuzzPyramidRoundTrip -fuzztime 10s ./internal/tiffio/
-	$(GO) test -fuzz FuzzSplitPlanRoundTrip -fuzztime 10s ./internal/fft/
-	$(GO) test -fuzz FuzzUnmarshalResult -fuzztime 10s ./internal/stitch/
-	$(GO) test -fuzz FuzzDegradedTileRead -fuzztime 10s ./internal/stitch/
-	$(GO) test -fuzz FuzzChromeTrace -fuzztime 10s ./internal/obs/
-	$(GO) test -fuzz FuzzRealPlanRoundTrip -fuzztime 10s ./internal/fft/
-	$(GO) test -fuzz FuzzStencilLaplacian -fuzztime 10s ./internal/global/
-	$(GO) test -fuzz FuzzBandEngine -fuzztime 10s ./internal/compose/
+fuzz: FUZZTIME = 30s
+fuzz-smoke: FUZZTIME = 10s
+fuzz fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "$(GO) test -fuzz $${t#*:} -fuzztime $(FUZZTIME) $${t%%:*}"; \
+		$(GO) test -fuzz $${t#*:} -fuzztime $(FUZZTIME) $${t%%:*}; \
+	done
 
 clean:
 	rm -rf results dataset pyramid_out

@@ -299,6 +299,11 @@ func TestPredictErrors(t *testing.T) {
 	if _, err := Predict(RunSpec{Impl: "simple-cpu"}); err == nil {
 		t.Error("invalid grid should fail")
 	}
+	noGPU := PaperHost()
+	noGPU.GPUs = 0
+	if _, err := Predict(RunSpec{Impl: "pipelined-gpu", Grid: paperGrid(), Host: noGPU}); err == nil {
+		t.Error("pipelined-gpu on a host without GPUs should fail")
+	}
 }
 
 func TestCostScaling(t *testing.T) {

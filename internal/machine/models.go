@@ -53,6 +53,9 @@ func (s RunSpec) withDefaults() RunSpec {
 	if s.KernelSlots < 1 {
 		s.KernelSlots = 1
 	}
+	if s.Costs.FijiThreads < 1 {
+		s.Costs.FijiThreads = 5
+	}
 	return s
 }
 
@@ -73,30 +76,7 @@ type ResourceStat struct {
 // backlog — the bottleneck analysis behind e.g. why a second GPU yields
 // 1.87× rather than 2× (the shared disk saturates).
 func PredictWithStats(spec RunSpec) (float64, []ResourceStat, error) {
-	spec = spec.withDefaults()
-	if err := spec.Grid.Validate(); err != nil {
-		return 0, nil, err
-	}
-	c := spec.Costs.ForHost(spec.Grid, spec.Host)
-	var m *Model
-	var resources []*Resource
-	var err error
-	switch spec.Impl {
-	case "simple-cpu":
-		m, resources, err = buildSimpleCPU(spec, c)
-	case "mt-cpu":
-		m, resources, err = buildPipelineCPU(spec, c, mtImbalance)
-	case "pipelined-cpu":
-		m, resources, err = buildPipelineCPU(spec, c, 1.0)
-	case "simple-gpu":
-		m, resources, err = buildSimpleGPU(spec, c)
-	case "pipelined-gpu":
-		m, resources, err = buildPipelinedGPU(spec, c)
-	case "fiji":
-		m, resources, err = buildFiji(spec, c)
-	default:
-		return 0, nil, fmt.Errorf("machine: unknown implementation %q", spec.Impl)
-	}
+	m, resources, err := build(spec)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -111,198 +91,261 @@ func PredictWithStats(spec RunSpec) (float64, []ResourceStat, error) {
 	return makespan, stats, nil
 }
 
+// PredictWithTrace runs the model with schedule recording and returns
+// the makespan together with the executed task spans.
+func PredictWithTrace(spec RunSpec) (float64, []TraceSpan, error) {
+	m, _, err := build(spec)
+	if err != nil {
+		return 0, nil, err
+	}
+	m.EnableTrace()
+	makespan, err := m.Run()
+	if err != nil {
+		return 0, nil, err
+	}
+	return makespan, m.Trace(), nil
+}
+
+// A schedule is one implementation's task graph stated as data. The six
+// implementations run the same operators; they differ only in the
+// stations the operators run on, in whether a tile's transform is kept
+// for its pairs, and in how the plate is split.
+type schedule struct {
+	stations []station
+	tile     []step // every tile's chain
+	pair     []step // every pair's chain, after both tiles' chains
+	// ccfOnGPU replaces pair under RunSpec.CCFOnGPU; nil when the
+	// schedule has no such variant.
+	ccfOnGPU []step
+	// reuse computes each tile's chain once for all its pairs; without
+	// it every pair re-runs both tiles' chains (Fiji re-reads and
+	// re-transforms per pair).
+	reuse bool
+	// serial schedules run every step on one thread in program order,
+	// all tiles then all pairs, so pairs need no dependency edges.
+	serial bool
+	// banded splits the plate into one row band per GPU (tile.SplitRows),
+	// each on its own per-device stations, reading its own rows plus the
+	// boundary row above; the bands' reads interleave round-robin on the
+	// shared stations, as the concurrent per-pipeline readers do.
+	banded bool
+	// sockets honours RunSpec.Sockets: one pipeline per socket halves
+	// the cross-socket share of memory contention, and the per-socket
+	// row split's boundary rows are read and transformed twice.
+	sockets bool
+}
+
+// station is one k-server resource of a schedule.
+type station struct {
+	name string
+	// perDevice stations exist once per GPU, named gpu<d>-<name>.
+	perDevice bool
+	cap       func(RunSpec) int
+}
+
+// step is one task of a chain: its service time and its station.
+type step struct {
+	name    string
+	station string
+	cost    func(prices) float64
+}
+
+// prices are one run's step costs: the op costs scaled to the grid and
+// host, with the CPU slowdowns the worker counts imply.
+type prices struct {
+	OpCosts
+	slow    float64 // CPU compute workers: contention and hyper-threading
+	ccfSlow float64 // the CCF worker pool
+}
+
 // mtImbalance is the static-partition penalty the dynamic pipeline
 // removes.
 const mtImbalance = 1.12
 
-// buildSimpleCPU chains every operation on a single core.
-func buildSimpleCPU(spec RunSpec, c OpCosts) (*Model, []*Resource, error) {
-	g := spec.Grid
-	m := NewModel()
-	cpu := NewResource(m.Sim, "cpu", 1)
-	for i := 0; i < g.NumTiles(); i++ {
-		m.AddTask(&Task{Name: "read+fft", Dur: c.Read + c.FFTCPU, Res: cpu})
+func single(RunSpec) int { return 1 }
+
+var (
+	disk = station{name: "disk", cap: single}
+	read = step{"read", "disk", func(p prices) float64 { return p.Read }}
+)
+
+// cpuPipeline is the CPU task graph MT-CPU and Pipelined-CPU share:
+// reads on a serial disk, transforms and pair computations on T workers.
+// imbalance multiplies the compute costs: MT-CPU's static partition
+// penalty, which the dynamic pipeline removes.
+func cpuPipeline(imbalance float64) schedule {
+	slow := func(p prices) float64 { return p.slow * imbalance }
+	return schedule{
+		stations: []station{disk, {name: "cpu", cap: func(s RunSpec) int { return s.Threads }}},
+		tile:     []step{read, {"fft", "cpu", func(p prices) float64 { return p.FFTCPU * slow(p) }}},
+		pair: []step{{"pair", "cpu", func(p prices) float64 {
+			return (p.NCCCPU + p.FFTCPU + p.MaxCPU + p.CCF) * slow(p)
+		}}},
+		reuse: true, sockets: true,
 	}
-	for i := 0; i < g.NumPairs(); i++ {
-		m.AddTask(&Task{Name: "pair", Dur: c.NCCCPU + c.FFTCPU + c.MaxCPU + c.CCF, Res: cpu})
-	}
-	return m, []*Resource{cpu}, nil
 }
 
-// buildPipelineCPU is the common CPU task graph: reads on a serial disk,
-// transforms and pair computations on T workers, pair tasks gated on
-// their tiles' transforms. imbalance models MT-CPU's static partitioning.
-// Sockets > 1 halves the cross-socket share of memory contention and
-// adds the redundant boundary-row work of the per-socket split.
-func buildPipelineCPU(spec RunSpec, c OpCosts, imbalance float64) (*Model, []*Resource, error) {
-	g := spec.Grid
-	host := spec.Host
-	extraTiles := 0
-	if spec.Sockets > 1 {
-		host.MemContention = host.MemContention + (1-host.MemContention)*0.5
-		extraTiles = (spec.Sockets - 1) * g.Cols
-	}
-	slow := cpuSlowdown(host, spec.Threads) * imbalance
-	m := NewModel()
-	disk := NewResource(m.Sim, "disk", 1)
-	cpu := NewResource(m.Sim, "cpu", spec.Threads)
-
-	ffts := make([]*Task, g.NumTiles())
-	for i := 0; i < g.NumTiles(); i++ {
-		read := m.AddTask(&Task{Name: "read", Dur: c.Read, Res: disk})
-		ffts[i] = m.AddTask(&Task{Name: "fft", Dur: c.FFTCPU * slow, Res: cpu}, read)
-	}
-	for i := 0; i < extraTiles; i++ {
-		read := m.AddTask(&Task{Name: "read", Dur: c.Read, Res: disk})
-		m.AddTask(&Task{Name: "fft", Dur: c.FFTCPU * slow, Res: cpu}, read)
-	}
-	pairDur := (c.NCCCPU + c.FFTCPU + c.MaxCPU + c.CCF) * slow
-	for _, p := range g.Pairs() {
-		bi := g.Index(p.Coord)
-		ai := g.Index(p.Neighbor())
-		m.AddTask(&Task{Name: "pair", Dur: pairDur, Res: cpu}, ffts[ai], ffts[bi])
-	}
-	return m, []*Resource{disk, cpu}, nil
+// schedules holds one row per stitch implementation, keyed by its
+// registry name.
+var schedules = map[string]schedule{
+	// Simple-CPU chains every operation on a single core.
+	"simple-cpu": {
+		stations: []station{{name: "cpu", cap: single}},
+		tile:     []step{{"read+fft", "cpu", func(p prices) float64 { return p.Read + p.FFTCPU }}},
+		pair: []step{{"pair", "cpu", func(p prices) float64 {
+			return p.NCCCPU + p.FFTCPU + p.MaxCPU + p.CCF
+		}}},
+		reuse: true, serial: true,
+	},
+	"mt-cpu":        cpuPipeline(mtImbalance),
+	"pipelined-cpu": cpuPipeline(1),
+	// Simple-GPU runs every operation on one CPU thread with synchronous
+	// GPU dispatch: each device call pays the launch+synchronize overhead
+	// that the profiler gaps of Fig 7 expose.
+	"simple-gpu": {
+		stations: []station{{name: "host-thread", cap: single}},
+		tile: []step{{"tile", "host-thread", func(p prices) float64 {
+			return p.Read + (p.H2D + p.SyncOverhead) + (p.FFTGPU + p.SyncOverhead)
+		}}},
+		pair: []step{{"pair", "host-thread", func(p prices) float64 {
+			ov := p.SyncOverhead
+			return (p.NCCGPU + ov) + (p.FFTGPU + ov) + (p.MaxGPU + ov) + (p.D2H + ov) + p.CCF
+		}}},
+		reuse: true, serial: true,
+	},
+	// Pipelined-GPU is the Fig 8 task graph: per GPU a copy engine and a
+	// kernel engine fed by a shared disk, pair kernels gated on both
+	// transforms, CCF on a shared CPU worker pool.
+	"pipelined-gpu": {
+		stations: []station{
+			disk,
+			{name: "ccf", cap: func(s RunSpec) int { return s.CCFThreads }},
+			{name: "copy", perDevice: true, cap: single},
+			{name: "kernel", perDevice: true, cap: func(s RunSpec) int { return s.KernelSlots }},
+		},
+		tile: []step{read, h2d, {"fft", "kernel", func(p prices) float64 { return p.FFTGPU }}},
+		pair: []step{pairKernels, d2h, {"ccf", "ccf", func(p prices) float64 { return p.CCF * p.ccfSlow }}},
+		// The GPU runs the CCF ~2× faster per op, but it competes with
+		// the FFT/NCC kernels for the card while CPU cores sit idle.
+		ccfOnGPU: []step{pairKernels, {"ccf-kernel", "kernel", func(p prices) float64 { return p.CCF * 0.5 }}, d2h},
+		reuse:    true, banded: true,
+	},
+	// Fiji is the plugin: a small thread pool of per-pair jobs, each
+	// re-reading both tiles and re-transforming them, with the calibrated
+	// runtime factor on compute.
+	"fiji": {
+		stations: []station{disk, {name: "java-pool", cap: func(s RunSpec) int { return s.Costs.FijiThreads }}},
+		tile:     []step{read},
+		pair: []step{{"pair", "java-pool", func(p prices) float64 {
+			return (2*p.FFTCPU + p.NCCCPU + p.FFTCPU + p.MaxCPU + p.CCF) * p.FijiFactor
+		}}},
+	},
 }
 
-// buildSimpleGPU chains every operation on one CPU thread with
-// synchronous GPU dispatch: each device call pays the launch+synchronize
-// overhead that the profiler gaps of Fig 7 expose.
-func buildSimpleGPU(spec RunSpec, c OpCosts) (*Model, []*Resource, error) {
-	g := spec.Grid
+var (
+	h2d         = step{"h2d", "copy", func(p prices) float64 { return p.H2D }}
+	d2h         = step{"d2h", "copy", func(p prices) float64 { return p.D2H }}
+	pairKernels = step{"pair-kernels", "kernel", func(p prices) float64 { return p.NCCGPU + p.FFTGPU + p.MaxGPU }}
+)
+
+// build turns spec's schedule into a task graph and lists its stations
+// in report order: shared stations, then each GPU's.
+func build(spec RunSpec) (*Model, []*Resource, error) {
+	spec = spec.withDefaults()
+	if err := spec.Grid.Validate(); err != nil {
+		return nil, nil, err
+	}
+	sc, ok := schedules[spec.Impl]
+	if !ok {
+		return nil, nil, fmt.Errorf("machine: unknown implementation %q", spec.Impl)
+	}
+	if sc.banded && spec.GPUs < 1 {
+		return nil, nil, fmt.Errorf("machine: %s needs a GPU and the host has none", spec.Impl)
+	}
+	g, host := spec.Grid, spec.Host
+	redundant := 0 // tile chains of the per-socket split's boundary rows
+	if sc.sockets && spec.Sockets > 1 {
+		host.MemContention += (1 - host.MemContention) * 0.5
+		redundant = (len(tile.SplitRows(g.Rows, spec.Sockets)) - 1) * g.Cols
+	}
+	p := prices{
+		OpCosts: spec.Costs.ForHost(g, spec.Host),
+		slow:    cpuSlowdown(host, spec.Threads),
+		ccfSlow: cpuSlowdown(host, spec.CCFThreads),
+	}
+
 	m := NewModel()
-	host := NewResource(m.Sim, "host-thread", 1)
-	ov := c.SyncOverhead
-	perTile := c.Read + (c.H2D + ov) + (c.FFTGPU + ov)
-	perPair := (c.NCCGPU + ov) + (c.FFTGPU + ov) + (c.MaxGPU + ov) + (c.D2H + ov) + c.CCF
-	for i := 0; i < g.NumTiles(); i++ {
-		m.AddTask(&Task{Name: "tile", Dur: perTile, Res: host})
+	var resources []*Resource
+	on := make([]map[string]*Resource, max(spec.GPUs, 1)) // device → station name → resource
+	for d := range on {
+		on[d] = map[string]*Resource{}
 	}
-	for i := 0; i < g.NumPairs(); i++ {
-		m.AddTask(&Task{Name: "pair", Dur: perPair, Res: host})
-	}
-	return m, []*Resource{host}, nil
-}
-
-// buildPipelinedGPU builds the Fig 8 task graph: per GPU a copy engine
-// and a kernel engine fed by a shared disk, pair kernels gated on both
-// transforms, CCF on a shared CPU worker pool.
-func buildPipelinedGPU(spec RunSpec, c OpCosts) (*Model, []*Resource, error) {
-	g := spec.Grid
-	m := NewModel()
-	disk := NewResource(m.Sim, "disk", 1)
-	ccfSlow := cpuSlowdown(spec.Host, spec.CCFThreads)
-	ccf := NewResource(m.Sim, "ccf", spec.CCFThreads)
-
-	type gpuRes struct{ copy, kernel *Resource }
-	gpus := make([]gpuRes, spec.GPUs)
-	resources := []*Resource{disk, ccf}
-	for d := range gpus {
-		gpus[d] = gpuRes{
-			copy:   NewResource(m.Sim, fmt.Sprintf("gpu%d-copy", d), 1),
-			kernel: NewResource(m.Sim, fmt.Sprintf("gpu%d-kernel", d), spec.KernelSlots),
-		}
-		resources = append(resources, gpus[d].copy, gpus[d].kernel)
-	}
-
-	// Row-band partitions, like the real implementation: each partition
-	// reads and transforms its band plus the boundary row above. The
-	// partitions' reads interleave on the shared disk (round-robin),
-	// matching the concurrent per-pipeline reader threads — creating
-	// them device-by-device would serialize the pipelines' lead-ins and
-	// wrongly flatten the multi-GPU speedup.
-	rows := g.Rows
-	nDev := spec.GPUs
-	if nDev > rows {
-		nDev = rows
-	}
-	type band struct {
-		lo, hi int
-		coords []tile.Coord
-	}
-	bands := make([]band, nDev)
-	maxNeed := 0
-	for d := 0; d < nDev; d++ {
-		lo := rows * d / nDev
-		hi := rows * (d + 1) / nDev
-		needLo := lo - 1
-		if needLo < 0 {
-			needLo = 0
-		}
-		b := band{lo: lo, hi: hi}
-		for r := needLo; r < hi; r++ {
-			for col := 0; col < g.Cols; col++ {
-				b.coords = append(b.coords, tile.Coord{Row: r, Col: col})
+	for _, st := range sc.stations {
+		if !st.perDevice {
+			r := NewResource(m.Sim, st.name, st.cap(spec))
+			resources = append(resources, r)
+			for d := range on {
+				on[d][st.name] = r
 			}
 		}
-		bands[d] = b
-		if len(b.coords) > maxNeed {
-			maxNeed = len(b.coords)
+	}
+	for d := range on {
+		for _, st := range sc.stations {
+			if st.perDevice {
+				on[d][st.name] = NewResource(m.Sim, fmt.Sprintf("gpu%d-%s", d, st.name), st.cap(spec))
+				resources = append(resources, on[d][st.name])
+			}
 		}
+	}
+	// chain adds steps in sequence on device d's stations, the first
+	// after deps, and returns the last.
+	chain := func(d int, steps []step, deps ...*Task) *Task {
+		for _, s := range steps {
+			deps = []*Task{m.AddTask(&Task{Name: s.name, Dur: s.cost(p), Res: on[d][s.station]}, deps...)}
+		}
+		return deps[0]
 	}
 
-	ffts := make([]map[int]*Task, nDev) // device → tile index → fft task
-	for d := range ffts {
-		ffts[d] = make(map[int]*Task)
+	bands := tile.SplitRows(g.Rows, 1)
+	if sc.banded {
+		bands = tile.SplitRows(g.Rows, spec.GPUs)
 	}
-	for k := 0; k < maxNeed; k++ {
-		for d := 0; d < nDev; d++ {
-			if k >= len(bands[d].coords) {
-				continue
+	done := make([][]*Task, len(bands)) // band → tile index → last tile step
+	if sc.reuse {
+		for d := range done {
+			done[d] = make([]*Task, g.NumTiles())
+		}
+		// Each band reads its rows in row order; the bands take turns.
+		for k, more := 0, true; more; k++ {
+			more = false
+			for d, b := range bands {
+				if c := (tile.Coord{Row: b.Need + k/g.Cols, Col: k % g.Cols}); c.Row < b.Hi {
+					done[d][g.Index(c)] = chain(d, sc.tile)
+					more = true
+				}
 			}
-			coord := bands[d].coords[k]
-			i := g.Index(coord)
-			read := m.AddTask(&Task{Name: "read", Dur: c.Read, Res: disk})
-			h2d := m.AddTask(&Task{Name: "h2d", Dur: c.H2D, Res: gpus[d].copy}, read)
-			ffts[d][i] = m.AddTask(&Task{Name: "fft", Dur: c.FFTGPU, Res: gpus[d].kernel}, h2d)
+		}
+		for i := 0; i < redundant; i++ {
+			chain(0, sc.tile)
 		}
 	}
-	for d := 0; d < nDev; d++ {
-		for r := bands[d].lo; r < bands[d].hi; r++ {
-			for col := 0; col < g.Cols; col++ {
-				addPair := func(ai, bi int) {
-					k := m.AddTask(&Task{Name: "pair-kernels", Dur: c.NCCGPU + c.FFTGPU + c.MaxGPU, Res: gpus[d].kernel},
-						ffts[d][ai], ffts[d][bi])
-					if spec.CCFOnGPU {
-						kc := m.AddTask(&Task{Name: "ccf-kernel", Dur: c.CCF * 0.5, Res: gpus[d].kernel}, k)
-						m.AddTask(&Task{Name: "d2h", Dur: c.D2H, Res: gpus[d].copy}, kc)
-						return
-					}
-					d2h := m.AddTask(&Task{Name: "d2h", Dur: c.D2H, Res: gpus[d].copy}, k)
-					m.AddTask(&Task{Name: "ccf", Dur: c.CCF * ccfSlow, Res: ccf}, d2h)
-				}
-				i := g.Index(tile.Coord{Row: r, Col: col})
-				if col > 0 {
-					addPair(g.Index(tile.Coord{Row: r, Col: col - 1}), i)
-				}
-				if r > 0 {
-					addPair(g.Index(tile.Coord{Row: r - 1, Col: col}), i)
-				}
+	pair := sc.pair
+	if spec.CCFOnGPU && sc.ccfOnGPU != nil {
+		pair = sc.ccfOnGPU
+	}
+	for d, b := range bands {
+		for _, pr := range b.Pairs(g) {
+			var deps []*Task
+			switch {
+			case !sc.reuse:
+				deps = []*Task{chain(d, sc.tile), chain(d, sc.tile)}
+			case !sc.serial:
+				deps = []*Task{done[d][g.Index(pr.Neighbor())], done[d][g.Index(pr.Coord)]}
 			}
+			chain(d, pair, deps...)
 		}
 	}
 	return m, resources, nil
-}
-
-// buildFiji models the plugin: a small thread pool of per-pair jobs,
-// each re-reading and re-transforming both tiles, with the calibrated
-// runtime factor on compute.
-func buildFiji(spec RunSpec, c OpCosts) (*Model, []*Resource, error) {
-	g := spec.Grid
-	m := NewModel()
-	disk := NewResource(m.Sim, "disk", 1)
-	threads := c.FijiThreads
-	if threads < 1 {
-		threads = 5
-	}
-	pool := NewResource(m.Sim, "java-pool", threads)
-	compute := (2*c.FFTCPU + c.NCCCPU + c.FFTCPU + c.MaxCPU + c.CCF) * c.FijiFactor
-	for i := 0; i < g.NumPairs(); i++ {
-		r1 := m.AddTask(&Task{Name: "read", Dur: c.Read, Res: disk})
-		r2 := m.AddTask(&Task{Name: "read", Dur: c.Read, Res: disk})
-		m.AddTask(&Task{Name: "pair", Dur: compute, Res: pool}, r1, r2)
-	}
-	return m, []*Resource{disk, pool}, nil
 }
 
 // PredictFFTWorkload models the Fig 5 experiment: read every tile and

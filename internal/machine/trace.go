@@ -1,10 +1,10 @@
 package machine
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"time"
+
+	"hybridstitch/internal/obs"
 )
 
 // WriteTrace serializes a recorded model schedule as Chrome Trace Event
@@ -12,86 +12,13 @@ import (
 // the GPU simulator's profiler export. Opening the paper-scale
 // Pipelined-GPU schedule in Perfetto shows the modeled Fig 9 directly.
 func WriteTrace(w io.Writer, spans []TraceSpan, label string) error {
-	type event struct {
-		Name  string            `json:"name"`
-		Cat   string            `json:"cat,omitempty"`
-		Phase string            `json:"ph"`
-		TS    int64             `json:"ts"`
-		Dur   int64             `json:"dur,omitempty"`
-		PID   int               `json:"pid"`
-		TID   int               `json:"tid"`
-		Args  map[string]string `json:"args,omitempty"`
-	}
-	rows := map[string]int{}
-	var order []string
-	for _, s := range spans {
-		if _, ok := rows[s.Resource]; !ok {
-			rows[s.Resource] = 0
-			order = append(order, s.Resource)
+	out := make([]obs.CompletedSpan, len(spans))
+	for i, s := range spans {
+		out[i] = obs.CompletedSpan{
+			Track: s.Resource, Name: s.Name, Seq: uint64(i),
+			Start: time.Duration(s.Start * float64(time.Second)),
+			End:   time.Duration(s.End * float64(time.Second)),
 		}
 	}
-	sort.Strings(order)
-	for i, r := range order {
-		rows[r] = i + 1
-	}
-	var out struct {
-		TraceEvents []event           `json:"traceEvents"`
-		Metadata    map[string]string `json:"metadata,omitempty"`
-	}
-	out.Metadata = map[string]string{"model": label, "time": "virtual seconds → µs"}
-	for _, r := range order {
-		out.TraceEvents = append(out.TraceEvents, event{
-			Name: "thread_name", Phase: "M", PID: 1, TID: rows[r],
-			Args: map[string]string{"name": r},
-		})
-	}
-	for _, s := range spans {
-		dur := int64((s.End - s.Start) * 1e6)
-		if dur < 1 {
-			dur = 1
-		}
-		out.TraceEvents = append(out.TraceEvents, event{
-			Name: s.Name, Cat: s.Resource, Phase: "X",
-			TS: int64(s.Start * 1e6), Dur: dur,
-			PID: 1, TID: rows[s.Resource],
-		})
-	}
-	return json.NewEncoder(w).Encode(out)
-}
-
-// PredictWithTrace runs the model with schedule recording and returns
-// the makespan together with the executed task spans.
-func PredictWithTrace(spec RunSpec) (float64, []TraceSpan, error) {
-	spec = spec.withDefaults()
-	if err := spec.Grid.Validate(); err != nil {
-		return 0, nil, err
-	}
-	c := spec.Costs.ForHost(spec.Grid, spec.Host)
-	var m *Model
-	var err error
-	switch spec.Impl {
-	case "simple-cpu":
-		m, _, err = buildSimpleCPU(spec, c)
-	case "mt-cpu":
-		m, _, err = buildPipelineCPU(spec, c, mtImbalance)
-	case "pipelined-cpu":
-		m, _, err = buildPipelineCPU(spec, c, 1.0)
-	case "simple-gpu":
-		m, _, err = buildSimpleGPU(spec, c)
-	case "pipelined-gpu":
-		m, _, err = buildPipelinedGPU(spec, c)
-	case "fiji":
-		m, _, err = buildFiji(spec, c)
-	default:
-		return 0, nil, fmt.Errorf("machine: unknown implementation %q", spec.Impl)
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	m.EnableTrace()
-	makespan, err := m.Run()
-	if err != nil {
-		return 0, nil, err
-	}
-	return makespan, m.Trace(), nil
+	return obs.EncodeChromeTrace(w, out, map[string]string{"model": label, "time": "virtual seconds → µs"})
 }

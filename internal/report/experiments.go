@@ -1,18 +1,13 @@
 package report
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"hybridstitch/internal/accuracy"
@@ -24,9 +19,7 @@ import (
 	"hybridstitch/internal/machine"
 	"hybridstitch/internal/memgov"
 	"hybridstitch/internal/stitch"
-	"hybridstitch/internal/tiffio"
 	"hybridstitch/internal/tile"
-	"hybridstitch/internal/tileserve"
 )
 
 // Options configures experiment runs.
@@ -90,7 +83,6 @@ func All() []Experiment {
 		{"queues", "design — inter-stage queue backpressure vs capacity", runQueues},
 		{"sensitivity", "analysis — Table II ordering vs calibration error", runSensitivity},
 		{"scale", "§I — scaling to the intro's workloads (up to 10,000 tiles)", runScale},
-		{"serve", "extension — out-of-core composition + tile-server load test", runServe},
 	}
 }
 
@@ -1134,153 +1126,6 @@ func runScale(o Options) (string, error) {
 		tbl.Add(fmt.Sprintf("%dx%d", gr.rows, gr.cols), g.NumTiles(), fmtDur(cpu), fmtDur(gpu2), ok)
 	}
 	return tbl.String() + "\nEven the 10,000-tile ceiling the introduction cites stays well inside a\nscan period on two 2010-era GPUs: the steerability requirement holds at\nevery scale the paper contemplates.\n", nil
-}
-
-// seekBuf is an in-memory io.WriteSeeker for the sharded pyramid writer.
-type seekBuf struct {
-	buf []byte
-	pos int64
-}
-
-func (s *seekBuf) Write(p []byte) (int, error) {
-	if need := s.pos + int64(len(p)); need > int64(len(s.buf)) {
-		grown := make([]byte, need)
-		copy(grown, s.buf)
-		s.buf = grown
-	}
-	copy(s.buf[s.pos:], p)
-	s.pos += int64(len(p))
-	return len(p), nil
-}
-
-func (s *seekBuf) Seek(off int64, whence int) (int64, error) {
-	switch whence {
-	case 0:
-		s.pos = off
-	case 1:
-		s.pos += off
-	case 2:
-		s.pos = int64(len(s.buf)) + off
-	}
-	return s.pos, nil
-}
-
-// runServe is the production tail of the pipeline: compose the plate
-// out-of-core under a deliberately tight memory budget, then put the
-// resulting pyramid behind the tile server and load-test it with
-// concurrent HTTP clients.
-func runServe(o Options) (string, error) {
-	o = o.withDefaults()
-	src, _, err := realDataset(o)
-	if err != nil {
-		return "", err
-	}
-	res, err := (&stitch.PipelinedCPU{}).Run(src, stitch.Options{Threads: 4})
-	if err != nil {
-		return "", err
-	}
-	pl, err := global.Solve(res, global.Options{RepairOutliers: true})
-	if err != nil {
-		return "", err
-	}
-	plateW, plateH := pl.Bounds()
-
-	// Budget a quarter of what the in-memory linear blend would need, so
-	// the sharded path genuinely runs banded.
-	budget := int64(16*plateW*plateH) / 4
-	gov := memgov.New(budget, 0)
-	var sb seekBuf
-	t0 := time.Now()
-	if err := compose.ComposeSharded(pl, src, &sb, compose.ShardedOpts{
-		Blend: compose.BlendLinear, TileW: 64, TileH: 64, Gov: gov,
-	}); err != nil {
-		return "", err
-	}
-	composeWall := time.Since(t0)
-	_, peak, _, _ := gov.Stats()
-
-	pyr, err := tiffio.OpenPyramid(bytes.NewReader(sb.buf))
-	if err != nil {
-		return "", err
-	}
-	srv := tileserve.New(pyr, tileserve.Options{CacheBytes: 8 << 20})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	clients := 32
-	perClient := 40
-	if o.Quick {
-		clients, perClient = 8, 20
-	}
-	tr := &http.Transport{MaxIdleConns: clients * 2, MaxIdleConnsPerHost: clients * 2}
-	client := &http.Client{Transport: tr}
-	defer tr.CloseIdleConnections()
-
-	lv0 := pyr.Level(0)
-	coarse := pyr.NumLevels() - 1
-	lat := make([][]float64, clients)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.Seed + int64(c)))
-			for i := 0; i < perClient; i++ {
-				// Hot/cold mix: every 4th request is the coarsest
-				// overview tile (what every viewer session fetches
-				// first); the rest are random level-0 tiles.
-				url := fmt.Sprintf("%s/tile/%d/0/0", ts.URL, coarse)
-				if i%4 != 0 {
-					url = fmt.Sprintf("%s/tile/0/%d/%d", ts.URL, rng.Intn(lv0.Across), rng.Intn(lv0.Down))
-				}
-				r0 := time.Now()
-				resp, err := client.Get(url)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat[c] = append(lat[c], float64(time.Since(r0).Microseconds())/1000)
-			}
-		}(c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return "", firstErr
-	}
-	var all []float64
-	for _, l := range lat {
-		all = append(all, l...)
-	}
-	sort.Float64s(all)
-	pct := func(p float64) float64 { return all[int(p*float64(len(all)-1))] }
-	hits, misses, evictions, cacheBytes := srv.CacheStats()
-
-	tbl := Table{
-		Title:   fmt.Sprintf("Tile-server load test (real): %d clients × %d requests over a %dx%d plate", clients, perClient, plateW, plateH),
-		Headers: []string{"Metric", "Value"},
-	}
-	tbl.Add("sharded compose wall", composeWall.Round(time.Millisecond).String())
-	tbl.Add("compose peak bytes / budget", fmt.Sprintf("%d / %d", peak, budget))
-	tbl.Add("pyramid levels", pyr.NumLevels())
-	tbl.Add("pyramid file bytes", len(sb.buf))
-	tbl.Add("requests served", len(all))
-	tbl.Add("latency p50 (ms)", fmt.Sprintf("%.2f", pct(0.50)))
-	tbl.Add("latency p95 (ms)", fmt.Sprintf("%.2f", pct(0.95)))
-	tbl.Add("latency p99 (ms)", fmt.Sprintf("%.2f", pct(0.99)))
-	tbl.Add("cache hits / misses / evictions", fmt.Sprintf("%d / %d / %d", hits, misses, evictions))
-	tbl.Add("cache resident bytes", cacheBytes)
-	if err := writeCSV(o, "serve_load", &tbl); err != nil {
-		return "", err
-	}
-	return tbl.String() + "\nThe hot overview tile is served from cache after its first decode; the\ncold level-0 sweep keeps the content-addressed LRU churning. A plate\ncomposed under 1/4 of its in-memory accumulator footprint serves\ninteractive-grade latencies without ever materializing level 0.\n", nil
 }
 
 // writeCSV saves a table as a CSV artifact when an output directory is

@@ -98,7 +98,7 @@ func (r *run) pipelineCPU() error {
 	// queue, watch transform completions, and emit pair tasks when both
 	// sides are ready.
 	p.Go("bookkeeping", 1, func(int) error {
-		bk := r.arrivals(partition{rowHi: g.Rows})
+		bk := r.arrivals(tile.Band{Hi: g.Rows})
 		settled := 0
 		reads, ffts := 0, 0
 		total := g.NumTiles()

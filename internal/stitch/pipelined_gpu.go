@@ -62,53 +62,13 @@ type ccfTask struct {
 	peakIdx    int
 }
 
-// partition is one device's share of the grid: the row band
-// [rowLo, rowHi) owns every pair whose tile sits in the band; tiles in
-// row rowLo-1 are read and transformed redundantly to serve the band's
-// top north pairs.
-type partition struct {
-	rowLo, rowHi int
-	needLo       int // rowLo-1 clamped to 0
-}
-
-func makePartitions(rows, nDev int) []partition {
-	if nDev > rows {
-		nDev = rows
-	}
-	parts := make([]partition, 0, nDev)
-	for d := 0; d < nDev; d++ {
-		lo := rows * d / nDev
-		hi := rows * (d + 1) / nDev
-		parts = append(parts, partition{rowLo: lo, rowHi: hi, needLo: max(lo-1, 0)})
-	}
-	return parts
-}
-
-// owns reports whether pair p is the partition's to compute.
-func (pt partition) owns(p tile.Pair) bool {
-	return p.Coord.Row >= pt.rowLo && p.Coord.Row < pt.rowHi
-}
-
-// pairs lists the pairs owned by the partition, in grid order.
-func (pt partition) pairs(g tile.Grid) []tile.Pair {
-	var ps []tile.Pair
-	for _, p := range g.Pairs() {
-		if pt.owns(p) {
-			ps = append(ps, p)
-		}
-	}
-	return ps
-}
-
-// needOrder returns the coordinates the partition must read and
-// transform, in the given traversal order restricted to the band
-// [needLo, rowHi).
-func (pt partition) needOrder(g tile.Grid, tr Traversal) []tile.Coord {
-	band := tile.Grid{Rows: pt.rowHi - pt.needLo, Cols: g.Cols, TileW: g.TileW, TileH: g.TileH,
-		OverlapX: g.OverlapX, OverlapY: g.OverlapY}
-	out := make([]tile.Coord, 0, band.NumTiles())
-	for _, c := range tr.Order(band) {
-		out = append(out, tile.Coord{Row: c.Row + pt.needLo, Col: c.Col})
+// needOrder returns the coordinates band b must read and transform, in
+// the given traversal order restricted to the rows it reads.
+func needOrder(g tile.Grid, b tile.Band, tr Traversal) []tile.Coord {
+	bg := b.Grid(g)
+	out := make([]tile.Coord, 0, bg.NumTiles())
+	for _, c := range tr.Order(bg) {
+		out = append(out, tile.Coord{Row: c.Row + b.Need, Col: c.Col})
 	}
 	return out
 }
@@ -140,7 +100,7 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 	p.Observe(opts.Obs)
 	r.note = p.Note
 	qCCF := pipeline.AddQueue[ccfTask](p, "disp→ccf", opts.QueueCap)
-	parts := makePartitions(g.Rows, len(opts.Devices))
+	parts := tile.SplitRows(g.Rows, len(opts.Devices))
 	var wgDisp sync.WaitGroup
 	wgDisp.Add(len(parts))
 
@@ -194,8 +154,8 @@ func (r *run) pipelineGPU() (peak, transforms int, err error) {
 		}
 		copyStream, dispStream, fftStreams := own[0], own[1], own[2:]
 
-		need := pt.needOrder(g, opts.Traversal)
-		partPairs := pt.pairs(g)
+		need := needOrder(g, pt, opts.Traversal)
+		partPairs := pt.Pairs(g)
 		// Device references count how many of THIS partition's pairs use
 		// each tile's transform.
 		resident := newDeviceResidency(g, ops.pool, partPairs)

@@ -248,21 +248,21 @@ func (r *run) pair(al *pciam.RealAligner, p tile.Pair) error {
 		func(psp *obs.Span) error { return r.displace(al, p, psp) })
 }
 
-// arrivals is the dependency state of one partition's bookkeeping stage:
+// arrivals is the dependency state of one band's bookkeeping stage:
 // which of the tiles it was promised have reached their terminal event.
 // The stage's one goroutine owns it.
 type arrivals struct {
 	r        *run
-	pt       partition
+	pt       tile.Band
 	terminal []bool
 }
 
-// arrivals starts the bookkeeping of the pairs partition pt owns.
-func (r *run) arrivals(pt partition) *arrivals {
+// arrivals starts the bookkeeping of the pairs band pt owns.
+func (r *run) arrivals(pt tile.Band) *arrivals {
 	return &arrivals{r: r, pt: pt, terminal: make([]bool, r.g.NumTiles())}
 }
 
-// arrive consumes tile c's terminal event in this partition — its
+// arrive consumes tile c's terminal event in this band — its
 // transform is ready, or (failed non-nil, degrade mode) it is lost, which
 // is recorded. Every owned pair whose second tile this was is decided
 // here, exactly once: with both tiles sound it is returned in ready for
@@ -276,7 +276,7 @@ func (a *arrivals) arrive(c tile.Coord, failed error) (ready, lost []tile.Pair, 
 		r.lose(c, failed)
 	}
 	for _, p := range g.PairsOf(c) {
-		if !a.pt.owns(p) || !a.terminal[g.Index(p.Coord)] || !a.terminal[g.Index(p.Neighbor())] {
+		if !a.pt.Owns(p) || !a.terminal[g.Index(p.Coord)] || !a.terminal[g.Index(p.Neighbor())] {
 			continue
 		}
 		cause := r.blocked(p)

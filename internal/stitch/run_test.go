@@ -171,11 +171,11 @@ func bookkeepingInvariants(t *testing.T, rng *rand.Rand) {
 		decided = map[tile.Pair]bool{} // pair → came out ready
 		wg      sync.WaitGroup
 	)
-	for _, pt := range makePartitions(g.Rows, 1+rng.Intn(3)) {
-		order := pt.needOrder(g, TraverseRow)
+	for _, pt := range tile.SplitRows(g.Rows, 1+rng.Intn(3)) {
+		order := needOrder(g, pt, TraverseRow)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		wg.Add(1)
-		go func(pt partition) {
+		go func(pt tile.Band) {
 			defer wg.Done()
 			bk := r.arrivals(pt)
 			arrived := map[tile.Coord]bool{}
@@ -200,8 +200,8 @@ func bookkeepingInvariants(t *testing.T, rng *rand.Rand) {
 					switch {
 					case dup:
 						t.Errorf("pair %v decided twice", p)
-					case !pt.owns(p):
-						t.Errorf("partition [%d,%d) decided pair %v it does not own", pt.rowLo, pt.rowHi, p)
+					case !pt.Owns(p):
+						t.Errorf("band [%d,%d) decided pair %v it does not own", pt.Lo, pt.Hi, p)
 					case p.Coord != c && p.Neighbor() != c, !arrived[other]:
 						t.Errorf("pair %v decided at the arrival of %v, not of its second tile", p, c)
 					case isReady != sound:

@@ -51,11 +51,11 @@ func runSockets(src Source, opts Options) (*Result, error) {
 
 // mergeBands runs the band pipelines with the caller's options split
 // across them and folds their results into r's, keeping from each band
-// only the rows its partition owns. It returns the bands' summed peak
+// only the rows its band owns. It returns the bands' summed peak
 // residency and transform count.
 func (r *run) mergeBands(opts Options) (peak, transforms int, err error) {
 	g := r.g
-	parts := makePartitions(g.Rows, opts.Sockets)
+	parts := tile.SplitRows(g.Rows, opts.Sockets)
 	opts.Sockets = 1
 	opts.Threads = max(opts.Threads/len(parts), 1)
 
@@ -64,11 +64,9 @@ func (r *run) mergeBands(opts Options) (peak, transforms int, err error) {
 	var wg sync.WaitGroup
 	for i, pt := range parts {
 		wg.Add(1)
-		go func(i int, pt partition) {
+		go func(i int, pt tile.Band) {
 			defer wg.Done()
-			band := g
-			band.Rows = pt.rowHi - pt.needLo
-			br, err := newRun(bandSource{inner: r.src, rowOff: pt.needLo, g: band}, opts, "pipelined-cpu")
+			br, err := newRun(bandSource{inner: r.src, rowOff: pt.Need, g: pt.Grid(g)}, opts, "pipelined-cpu")
 			if err == nil {
 				subs[i], err = br.end(br.pipelineCPU())
 			}
@@ -79,17 +77,17 @@ func (r *run) mergeBands(opts Options) (peak, transforms int, err error) {
 
 	for i, pt := range parts {
 		if errs[i] != nil {
-			return 0, 0, fmt.Errorf("stitch: socket pipeline [rows %d-%d): %w", pt.rowLo, pt.rowHi, errs[i])
+			return 0, 0, fmt.Errorf("stitch: socket pipeline [rows %d-%d): %w", pt.Lo, pt.Hi, errs[i])
 		}
 		sub := subs[i]
 		transforms += sub.TransformsComputed
 		peak += sub.PeakTransformsLive
 		// global maps a band coordinate to the plate and reports whether
-		// this partition owns its row: a boundary row is read (and can
+		// this band owns its row: a boundary row is read (and can
 		// fail) in both adjacent bands, and is reported by its owner only.
 		global := func(c tile.Coord) (tile.Coord, bool) {
-			c.Row += pt.needLo
-			return c, c.Row >= pt.rowLo && c.Row < pt.rowHi
+			c.Row += pt.Need
+			return c, c.Row >= pt.Lo && c.Row < pt.Hi
 		}
 		for _, dt := range sub.DegradedTiles {
 			if gc, owned := global(dt.Coord); owned {

@@ -281,47 +281,6 @@ func TestRefCounter(t *testing.T) {
 	}
 }
 
-func TestMakePartitions(t *testing.T) {
-	parts := makePartitions(10, 3)
-	if len(parts) != 3 {
-		t.Fatalf("got %d partitions", len(parts))
-	}
-	covered := 0
-	for i, pt := range parts {
-		covered += pt.rowHi - pt.rowLo
-		if i == 0 && pt.needLo != 0 {
-			t.Error("first partition should not extend above row 0")
-		}
-		if i > 0 && pt.needLo != pt.rowLo-1 {
-			t.Errorf("partition %d needLo=%d rowLo=%d", i, pt.needLo, pt.rowLo)
-		}
-	}
-	if covered != 10 {
-		t.Errorf("partitions cover %d rows, want 10", covered)
-	}
-	// More devices than rows: clamp.
-	if got := len(makePartitions(2, 5)); got != 2 {
-		t.Errorf("overdevised grid made %d partitions", got)
-	}
-}
-
-func TestPartitionPairsCoverGrid(t *testing.T) {
-	g := tile.Grid{Rows: 7, Cols: 5, TileW: 4, TileH: 4}
-	parts := makePartitions(g.Rows, 3)
-	seen := map[tile.Pair]bool{}
-	for _, pt := range parts {
-		for _, pr := range pt.pairs(g) {
-			if seen[pr] {
-				t.Fatalf("pair %v owned by two partitions", pr)
-			}
-			seen[pr] = true
-		}
-	}
-	if len(seen) != g.NumPairs() {
-		t.Errorf("partitions cover %d pairs, want %d", len(seen), g.NumPairs())
-	}
-}
-
 func TestResultHelpers(t *testing.T) {
 	g := tile.Grid{Rows: 2, Cols: 2, TileW: 4, TileH: 4}
 	r := newResult(g)

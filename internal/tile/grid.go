@@ -123,6 +123,50 @@ func (g Grid) PairsOf(c Coord) []Pair {
 	return ps
 }
 
+// Band is one row band of a plate split across independent pipelines
+// (one per GPU, or one per CPU socket): it owns every pair whose tile
+// lies in rows [Lo, Hi), and it reads rows [Need, Hi). The row above the
+// band serves the band's top north pairs, so a boundary row is read and
+// transformed by both bands it touches.
+type Band struct {
+	Lo, Hi int
+	Need   int // Lo-1, clamped to 0
+}
+
+// SplitRows splits a plate of the given row count into n row bands of
+// near-equal height, in row order. n is clamped to [1, rows], so a band
+// always has at least one row of its own.
+func SplitRows(rows, n int) []Band {
+	n = min(max(n, 1), rows)
+	bands := make([]Band, n)
+	for d := range bands {
+		lo := rows * d / n
+		bands[d] = Band{Lo: lo, Hi: rows * (d + 1) / n, Need: max(lo-1, 0)}
+	}
+	return bands
+}
+
+// Owns reports whether pair p is the band's to compute.
+func (b Band) Owns(p Pair) bool { return p.Coord.Row >= b.Lo && p.Coord.Row < b.Hi }
+
+// Pairs lists the pairs the band owns, in g.Pairs order.
+func (b Band) Pairs(g Grid) []Pair {
+	var ps []Pair
+	for _, p := range g.Pairs() {
+		if b.Owns(p) {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// Grid returns the rows the band reads, [Need, Hi), as a grid of their
+// own: its row r is the plate's row r+Need.
+func (b Band) Grid(g Grid) Grid {
+	g.Rows = b.Hi - b.Need
+	return g
+}
+
 // Displacement is the result of one pair-wise PCIAM computation: the
 // translation (X, Y) of the pair's tile relative to its neighbor, and the
 // winning normalized cross-correlation factor in [-1, 1].

@@ -313,3 +313,49 @@ func TestNominalDisplacement(t *testing.T) {
 		t.Errorf("north nominal = %+v", n)
 	}
 }
+
+func TestSplitRows(t *testing.T) {
+	bands := SplitRows(10, 3)
+	if len(bands) != 3 {
+		t.Fatalf("got %d bands", len(bands))
+	}
+	covered := 0
+	for i, b := range bands {
+		covered += b.Hi - b.Lo
+		if i == 0 && b.Need != 0 {
+			t.Error("first band should not extend above row 0")
+		}
+		if i > 0 && b.Need != b.Lo-1 {
+			t.Errorf("band %d Need=%d Lo=%d", i, b.Need, b.Lo)
+		}
+	}
+	if covered != 10 {
+		t.Errorf("bands cover %d rows, want 10", covered)
+	}
+	// More pipelines than rows: one band per row.
+	if got := len(SplitRows(2, 5)); got != 2 {
+		t.Errorf("2 rows over 5 pipelines made %d bands", got)
+	}
+	if got := len(SplitRows(4, 0)); got != 1 {
+		t.Errorf("no pipeline count made %d bands, want 1", got)
+	}
+}
+
+func TestBandPairsCoverGrid(t *testing.T) {
+	g := Grid{Rows: 7, Cols: 5, TileW: 4, TileH: 4}
+	seen := map[Pair]bool{}
+	for _, b := range SplitRows(g.Rows, 3) {
+		for _, pr := range b.Pairs(g) {
+			if seen[pr] {
+				t.Fatalf("pair %v owned by two bands", pr)
+			}
+			seen[pr] = true
+		}
+		if bg := b.Grid(g); bg.Rows != b.Hi-b.Need || bg.Cols != g.Cols {
+			t.Errorf("band %+v reads a %dx%d grid", b, bg.Rows, bg.Cols)
+		}
+	}
+	if len(seen) != g.NumPairs() {
+		t.Errorf("bands cover %d pairs, want %d", len(seen), g.NumPairs())
+	}
+}

@@ -67,3 +67,70 @@ func TestREADMEDocumentsEveryFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestDESIGNTaxonomyListsEveryObsName: every span, counter, gauge and
+// histogram name constant in internal/obs/names.go appears in DESIGN.md
+// §10's span or metric taxonomy as a code span — the name itself or, for
+// a dynamic family's prefix such as "gpu.op.", a code span it begins —
+// so a new telemetry name cannot ship undocumented.
+func TestDESIGNTaxonomyListsEveryObsName(t *testing.T) {
+	blob, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(blob)
+	start := strings.Index(doc, "### Span taxonomy")
+	metrics := strings.Index(doc, "### Metric taxonomy")
+	if start < 0 || metrics < start {
+		t.Fatal("DESIGN.md §10 has no span and metric taxonomy headings")
+	}
+	end := metrics + 1 + strings.Index(doc[metrics+1:], "\n#")
+	var spans []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(doc[start:end], -1) {
+		spans = append(spans, m[1])
+	}
+	documented := func(name string) bool {
+		for _, s := range spans {
+			if s == name || strings.HasSuffix(name, ".") && strings.HasPrefix(s, name) {
+				return true
+			}
+		}
+		return false
+	}
+
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/obs/names.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kind := regexp.MustCompile(`^(Span|Counter|Gauge|Hist)[A-Z]`)
+	checked := 0
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				if !kind.MatchString(id.Name) {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					t.Fatalf("obs.%s is not a string literal", id.Name)
+				}
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checked++
+				if !documented(name) {
+					t.Errorf("obs.%s = %q is not in DESIGN.md §10's span or metric taxonomy", id.Name, name)
+				}
+			}
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("found only %d name constants; the source scan is broken", checked)
+	}
+}
