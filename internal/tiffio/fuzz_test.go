@@ -2,6 +2,7 @@ package tiffio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -53,7 +54,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0}, 64))
 
 	// Tiled files reach the shared tile decoder: raw and Deflate, in both
-	// byte orders, with edge tiles to clip.
+	// byte orders, with edge tiles to clip. The Deflate ones carry
+	// Predictor 2; one copy says Predictor 3, which must be rejected.
 	for _, opts := range []EncodeOpts{
 		{TileW: 16, TileH: 16},
 		{TileW: 16, TileH: 16, BigEndian: true},
@@ -65,7 +67,12 @@ func FuzzDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(tiled.Bytes())
+		if opts.Deflate && !opts.BigEndian {
+			f.Add(withTag(f, tiled.Bytes(), tagPredictor, 3))
+		}
 	}
+	// 8-bit samples are differenced byte by byte.
+	f.Add(craftTiled(f, binary.BigEndian, 8, 9, 7, 16, 16, compressionDeflate, predictorHorizontal, randVals(9*7, 8, 1)))
 	// A pyramid shares the directory reader but is BigTIFF, which Decode
 	// does not take.
 	pyr := writePyramidFromImage(f, img, PyramidOpts{TileW: 16, TileH: 16, MinSide: 4})
@@ -103,6 +110,7 @@ func FuzzPyramidRoundTrip(f *testing.F) {
 	for i := range img.Pix {
 		img.Pix[i] = uint16(i * 257)
 	}
+	// The Deflate pyramids, II and MM, carry Predictor 2.
 	for _, opts := range []PyramidOpts{
 		{TileW: 32, TileH: 32, MinSide: 40},
 		{TileW: 32, TileH: 32, MinSide: 40, NoDeflate: true},
@@ -132,6 +140,9 @@ func FuzzPyramidRoundTrip(f *testing.F) {
 		flipped := append([]byte(nil), valid...)
 		flipped[11] ^= 0xff // first-IFD offset bit flip
 		f.Add(flipped, byte(3))
+		if !opts.NoDeflate && !opts.BigEndian {
+			f.Add(withTag(f, valid, tagPredictor, 3), byte(0))
+		}
 	}
 	f.Add([]byte("II+\x00\x08\x00\x00\x00"), byte(1))
 	var classic bytes.Buffer

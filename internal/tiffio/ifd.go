@@ -27,6 +27,7 @@ const (
 	tagSamplesPerPixel = 277
 	tagRowsPerStrip    = 278
 	tagStripByteCounts = 279
+	tagPredictor       = 317
 	tagTileWidth       = 322
 	tagTileLength      = 323
 	tagTileOffsets     = 324
@@ -46,7 +47,11 @@ const (
 	compressionNone = 1
 	// compressionDeflate is the zlib-wrapped Deflate codec (TIFF Technical
 	// Note 2, the "Adobe" Deflate tag value every modern reader supports).
-	compressionDeflate    = 8
+	compressionDeflate = 8
+	// predictorHorizontal (TIFF 6.0 §14) stores each sample of a row as
+	// its difference from the one before it; predictorNone is the default.
+	predictorNone         = 1
+	predictorHorizontal   = 2
 	photometricMinIsBlack = 1
 	subfileReduced        = 1 // bit 0: reduced-resolution version of another image
 )
@@ -205,15 +210,17 @@ type directory struct {
 	w, h         int
 	bits         int
 	compression  uint64
-	tileW, tileH int // zero for a strip image
-	across, down int // the tile grid
+	predictor    uint64 // predictorNone or, on Deflate tiles, predictorHorizontal
+	tileW, tileH int    // zero for a strip image
+	across, down int    // the tile grid
 	offs, cnts   []uint64
 	next         uint64 // the next IFD's offset, 0 at the end of the chain
 }
 
 // readDir parses the IFD at off into the directory of an 8- or 16-bit
-// single-sample image of raw strips or of raw or Deflate tiles. Tags the
-// subset does not use are skipped unread.
+// single-sample image of raw strips or of raw or Deflate tiles, the
+// Deflate tiles with or without the horizontal predictor. Tags the subset
+// does not use are skipped unread.
 func (f format) readDir(r io.ReaderAt, bo binary.ByteOrder, off uint64) (*directory, error) {
 	nb, err := readAt(r, off, f.countSize, nil)
 	if err != nil {
@@ -228,13 +235,13 @@ func (f format) readDir(r io.ReaderAt, bo binary.ByteOrder, off uint64) (*direct
 	if err != nil {
 		return nil, fmt.Errorf("tiffio: IFD entries: %w", err)
 	}
-	d := &directory{bits: 1, compression: compressionNone, next: getUint(bo, buf[n*es:], f.word)}
+	d := &directory{bits: 1, compression: compressionNone, predictor: predictorNone, next: getUint(bo, buf[n*es:], f.word)}
 	spp := uint64(1)
 	for i := uint64(0); i < n; i++ {
 		e := buf[i*es : (i+1)*es]
 		tag := bo.Uint16(e)
 		switch tag {
-		case tagImageWidth, tagImageLength, tagBitsPerSample, tagCompression, tagSamplesPerPixel,
+		case tagImageWidth, tagImageLength, tagBitsPerSample, tagCompression, tagSamplesPerPixel, tagPredictor,
 			tagTileWidth, tagTileLength, tagStripOffsets, tagTileOffsets, tagStripByteCounts, tagTileByteCounts:
 		default:
 			continue
@@ -255,6 +262,8 @@ func (f format) readDir(r io.ReaderAt, bo binary.ByteOrder, off uint64) (*direct
 			d.compression = vals[0]
 		case tagSamplesPerPixel:
 			spp = vals[0]
+		case tagPredictor:
+			d.predictor = vals[0]
 		case tagTileWidth:
 			d.tileW = v
 		case tagTileLength:
@@ -274,6 +283,12 @@ func (f format) readDir(r io.ReaderAt, bo binary.ByteOrder, off uint64) (*direct
 	}
 	if d.compression != compressionNone && d.compression != compressionDeflate {
 		return nil, fmt.Errorf("tiffio: unsupported compression %d", d.compression)
+	}
+	switch {
+	case d.predictor != predictorNone && d.predictor != predictorHorizontal:
+		return nil, fmt.Errorf("tiffio: Predictor (tag %d) is %d; only 1 (none) and 2 (horizontal) are supported", tagPredictor, d.predictor)
+	case d.predictor == predictorHorizontal && d.compression != compressionDeflate:
+		return nil, fmt.Errorf("tiffio: Predictor (tag %d) 2 on uncompressed chunks is not supported", tagPredictor)
 	}
 	if len(d.offs) == 0 || len(d.offs) != len(d.cnts) {
 		return nil, fmt.Errorf("tiffio: %d chunk offsets vs %d byte counts", len(d.offs), len(d.cnts))
@@ -375,14 +390,18 @@ func imageFields(w, h int, compression uint64) []field {
 }
 
 // tiledFields are the entries of a w×h image cut into tw×th tiles stored
-// at offs with byte counts cnts, in the format's offset width.
+// at offs with byte counts cnts, in the format's offset width. Deflate
+// tiles carry the horizontal predictor (packTile's predict).
 func (f format) tiledFields(w, h, tw, th int, compression uint64, offs, cnts []uint64) []field {
 	var offType uint16 = typeLong
 	if f == bigTIFF {
 		offType = typeLong8
 	}
-	return append(imageFields(w, h, compression),
-		one(tagSamplesPerPixel, typeShort, 1),
+	fields := append(imageFields(w, h, compression), one(tagSamplesPerPixel, typeShort, 1))
+	if compression == compressionDeflate {
+		fields = append(fields, one(tagPredictor, typeShort, predictorHorizontal))
+	}
+	return append(fields,
 		one(tagTileWidth, typeLong, tw),
 		one(tagTileLength, typeLong, th),
 		field{tagTileOffsets, offType, offs},

@@ -39,7 +39,8 @@ type PyramidOpts struct {
 	// 256). Matches the level chain a compose.Viewer renders.
 	MinSide int
 	// NoDeflate stores tiles uncompressed. The default compresses each
-	// tile independently with zlib (Compression=8) so readers can still
+	// tile independently with zlib (Compression=8, Predictor=2: the
+	// chunk codec's one rule, tiled.go) so readers can still
 	// random-access single tiles.
 	NoDeflate bool
 	// BigEndian writes an "MM" file; default is "II".
@@ -296,7 +297,7 @@ func (pw *PyramidWriter) flushTileRow(lv *levelWriter) error {
 		}
 		j := pw.acquire()
 		j.lv = lv
-		packTile(j.raw, lv.buf[tx*tw:], lv.w, min(tw, lv.w-tx*tw), lv.staged, tw, pw.bo)
+		packTile(j.raw, lv.buf[tx*tw:], lv.w, min(tw, lv.w-tx*tw), lv.staged, tw, pw.bo, !pw.opts.NoDeflate)
 		pw.stats.Tiles++
 		pw.order <- j
 		if pw.opts.NoDeflate {

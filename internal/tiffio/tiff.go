@@ -1,11 +1,11 @@
 // Package tiffio reads and writes the subset of TIFF 6.0 that
 // optical-microscopy acquisition software emits and phase 3 produces:
 // grayscale, 8 or 16 bits per sample, in either byte order; classic
-// single-image files of raw strips or of raw or Deflate tiles, and the
-// multi-resolution BigTIFF pyramid. One directory codec (ifd.go) and one
-// chunk codec (tiled.go) serve both formats. It is the stand-in for
-// libTIFF in the stitching pipeline, implemented on the standard library
-// only.
+// single-image files of raw strips or of raw or Deflate tiles (Deflate
+// with or without the horizontal predictor), and the multi-resolution
+// BigTIFF pyramid. One directory codec (ifd.go) and one chunk codec
+// (tiled.go) serve both formats. It is the stand-in for libTIFF in the
+// stitching pipeline, implemented on the standard library only.
 package tiffio
 
 import (
@@ -90,7 +90,8 @@ type EncodeOpts struct {
 	// requires multiples of 16. Zero keeps strips.
 	TileW, TileH int
 	// Deflate zlib-compresses each tile payload independently
-	// (Compression=8, TIFF Technical Note 2). Only the tiled layout
+	// (Compression=8, TIFF Technical Note 2) after the horizontal
+	// predictor (Predictor=2, TIFF 6.0 §14). Only the tiled layout
 	// supports it.
 	Deflate bool
 }
@@ -145,7 +146,7 @@ func Encode(w io.Writer, img *tile.Gray16, opts EncodeOpts) error {
 			chunk = raw[:2*cw*rows]
 		}
 		for x0 := 0; x0 < img.W; x0 += cw {
-			packTile(chunk, img.Pix[y0*img.W+x0:], img.W, min(cw, img.W-x0), rows, cw, bo)
+			packTile(chunk, img.Pix[y0*img.W+x0:], img.W, min(cw, img.W-x0), rows, cw, bo, opts.Deflate)
 			start := len(payload)
 			if opts.Deflate {
 				var err error

@@ -18,25 +18,56 @@ import (
 // stored tile row, and bytes the file holds: a chunk's claimed size is
 // checked against the tile and against the file before anything is
 // allocated for it, and a Deflate tile is inflated row by row.
+//
+// Every Deflate chunk the writers emit is compressed by one rule: the
+// samples of each stored row are replaced by their horizontal differences
+// (TIFF 6.0 §14, Predictor=2), then deflated at zlib's BestSpeed. Sensor
+// noise leaves level 6's slow match search almost nothing to find, while
+// the differences of a smooth background are small and cheap to code. On
+// the composed bench plates this deflates 3–4× faster than level 6
+// without the predictor, into 9 % fewer bytes; HuffmanOnly is a little
+// faster still on noise but cannot shrink a constant tile below 1/8
+// (EXPERIMENTS.md, "Phase 3's chunk codec").
+
+// deflateLevel is the zlib level every Deflate chunk is written at.
+const deflateLevel = zlib.BestSpeed
 
 // packTile writes rows×cols samples of src, whose rows are stride samples
 // apart, into dst as rows of tw samples in bo order, zeroing whatever of
-// dst lies past them (the padding of an edge tile).
-func packTile(dst []byte, src []uint16, stride, cols, rows, tw int, bo binary.ByteOrder) {
+// dst lies past them (the padding of an edge tile). With predict set each
+// stored row holds horizontal differences instead: its first sample, then
+// each sample minus the one before it, modulo 2^16, across the padding
+// too. undoPredictor inverts them.
+func packTile(dst []byte, src []uint16, stride, cols, rows, tw int, bo binary.ByteOrder, predict bool) {
 	if cols < tw || 2*rows*tw < len(dst) {
 		clear(dst)
 	}
 	for y := 0; y < rows; y++ {
 		s := src[y*stride:][:cols]
 		d := dst[2*y*tw:][:2*cols]
-		if bo == binary.BigEndian {
+		var prev uint16
+		switch {
+		case predict && bo == binary.BigEndian:
+			for x, v := range s {
+				d[2*x], d[2*x+1] = byte((v-prev)>>8), byte(v-prev)
+				prev = v
+			}
+		case predict:
+			for x, v := range s {
+				d[2*x], d[2*x+1] = byte(v-prev), byte((v-prev)>>8)
+				prev = v
+			}
+		case bo == binary.BigEndian:
 			for x, v := range s {
 				d[2*x], d[2*x+1] = byte(v>>8), byte(v)
 			}
-		} else {
+		default:
 			for x, v := range s {
 				d[2*x], d[2*x+1] = byte(v), byte(v>>8)
 			}
+		}
+		if predict && cols < tw {
+			bo.PutUint16(dst[2*(y*tw+cols):], -prev) // the step down to the zero padding
 		}
 	}
 }
@@ -49,13 +80,13 @@ func (s *sliceWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// deflateTile appends raw to dst as one independent zlib stream, written
-// by zw reset onto dst (a new writer when zw is nil), and returns the
-// writer for reuse and the grown dst.
+// deflateTile appends raw to dst as one independent zlib stream at
+// deflateLevel, written by zw reset onto dst (a new writer when zw is
+// nil), and returns the writer for reuse and the grown dst.
 func deflateTile(zw *zlib.Writer, dst, raw []byte) (*zlib.Writer, []byte, error) {
 	sink := sliceWriter{dst}
 	if zw == nil {
-		zw = zlib.NewWriter(&sink)
+		zw, _ = zlib.NewWriterLevel(&sink, deflateLevel) // fails only for an invalid level
 	} else {
 		zw.Reset(&sink)
 	}
@@ -112,6 +143,9 @@ func (d *directory) unpackTile(dst []uint16, stride int, payload []byte, tx, ty 
 			return fmt.Errorf("short tile payload: %w", err)
 		}
 		if y < h {
+			if d.predictor == predictorHorizontal {
+				undoPredictor(row[:w*d.bits/8], d.bits, bo)
+			}
 			unpackRow(dst[y*stride:][:w], row, d.bits, bo)
 		}
 	}
@@ -120,6 +154,26 @@ func (d *directory) unpackTile(dst []uint16, stride int, payload []byte, tx, ty 
 		return errors.New("tile payload longer than tile")
 	}
 	return nil
+}
+
+// undoPredictor replaces the horizontal differences of a stored row, or
+// of its leading part, with the samples they encode: a running sum of
+// 8-bit samples, or of 16-bit samples in bo order, modulo 2^bits.
+func undoPredictor(row []byte, bits int, bo binary.ByteOrder) {
+	switch {
+	case bits == 8:
+		for i := 1; i < len(row); i++ {
+			row[i] += row[i-1]
+		}
+	case bo == binary.BigEndian:
+		for i := 2; i+1 < len(row); i += 2 {
+			binary.BigEndian.PutUint16(row[i:], binary.BigEndian.Uint16(row[i:])+binary.BigEndian.Uint16(row[i-2:]))
+		}
+	default:
+		for i := 2; i+1 < len(row); i += 2 {
+			binary.LittleEndian.PutUint16(row[i:], binary.LittleEndian.Uint16(row[i:])+binary.LittleEndian.Uint16(row[i-2:]))
+		}
+	}
 }
 
 // unpackRow converts stored samples into len(dst) pixels; 8-bit samples
