@@ -57,9 +57,11 @@ lint-help:
 # are pure functions of the size and the free pool tokens: the fft and
 # pciam size, split-rule, pool and zero-alloc tests run race-enabled by
 # name, with no timing to skip. Phase 2's
-# parallel SpMV, dot and reweight fan-outs run only above 2048 rows, so
-# the one solve test on a plate that large runs race-enabled at the same
-# three GOMAXPROCS, with private pools of 0, 1 and 3 helpers.
+# solve hands its chunks to persistent helpers only above 2048 rows, so
+# the tests on plates that large run race-enabled at the same three
+# GOMAXPROCS, with private pools of 0, 1 and 3 helpers: the pools-agree
+# solve, the pinned CG count and float bits, the serial oracle, and the
+# one-chunk and drained-pool helper tests.
 # bench/ is its own module (a `replace` points it at this one), invisible
 # to ./... here, so it is vetted, tested and linted by name: an API it
 # uses cannot be deleted unnoticed.
@@ -72,7 +74,7 @@ check: build
 	$(GO) test -race -cpu 1,2,4 ./internal/tiffio/ ./internal/compose/ ./internal/tileserve/
 	$(GO) test -race -cpu 1,2,4 -run 'GPU|Pipelined|Engine|Socket|HotPath|FFTExec' ./internal/stitch/
 	$(GO) test -race -run 'Size|Autotune|SplitRule|Clock|Padded|Alloc|Pool' ./internal/fft/ ./internal/pciam/
-	$(GO) test -race -cpu 1,2,4 -run 'TestSolveParallelPoolsAgree' ./internal/global/
+	$(GO) test -race -cpu 1,2,4 -run 'TestSolveParallelPoolsAgree|TestSolvePinnedBits|TestTwoLevelApplyMatchesSerial|TestParRun' ./internal/global/
 	$(GO) test -race -short ./internal/accuracy/ ./internal/imagegen/
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...

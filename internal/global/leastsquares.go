@@ -178,13 +178,14 @@ func solveLS(res *stitch.Result, opts LSOptions, warmX, warmY []float64) (*Place
 	c2 := opts.ResidualScale * opts.ResidualScale
 	reweight := opts.Rounds > 1 || (opts.warmIncremental && !opts.Unweighted)
 	roundsRun, cgIters := 0, 0
-	par := newParRun(opts.Pool)
+	par := newParRun(opts.Pool, n)
 	defer par.release()
 	st := newPCGState(sys, g.Rows, g.Cols)
 	for round := 0; round < opts.Rounds; round++ {
 		roundsRun++
 		if reweight {
-			par.run(len(sys.edges), parMinChunk, func(lo, hi int) {
+			par.do(func(w int) {
+				lo, hi := par.share(len(sys.edges), w)
 				sys.reweightRange(px, py, c2, lo, hi)
 			})
 		}

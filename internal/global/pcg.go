@@ -4,6 +4,8 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"hybridstitch/internal/fft"
 )
@@ -16,118 +18,217 @@ import (
 // coarse Laplacian directly, interpolate, smooth) turns that into tens
 // of iterations regardless of plate size.
 //
-// Parallel work (SpMV, dot products, reweighting) draws helper tokens
-// from the shared fft.WorkerPool — the same budget phase-1 pair workers
-// reserve from (stitch.Options.reservePairWorkers) — so a rolling
-// re-solve running beside an active acquisition composes with phase 1
-// instead of oversubscribing the machine.
+// Parallel work (SpMV, dot products, vector updates, restriction,
+// reweighting) runs on helper tokens reserved from the shared
+// fft.WorkerPool — the same budget phase-1 pair workers reserve from
+// (stitch.Options.reservePairWorkers) — so a rolling re-solve running
+// beside an active acquisition composes with phase 1 instead of
+// oversubscribing the machine.
 
 // parRun holds worker tokens reserved from the shared transform pool for
-// the duration of one solve. Reservation is best-effort: an empty pool
-// (or nil on a single-core box) degrades every fan-out to an inline
-// loop. Chunk boundaries depend only on the reserved count, fixed at
-// construction, so every reduction within one solve combines its
-// partials in a deterministic order.
+// the duration of one solve, and one helper goroutine per kept token.
+// Reservation is best-effort: an empty pool (or nil on a single-core
+// box) degrades every fan-out to an inline loop, and so does a plate of
+// one chunk, which starts no helper and keeps no token.
+//
+// The n rows of the solve split into contiguous chunks whose boundaries
+// depend only on the reserved count, fixed at construction: every
+// reduction within one solve combines its per-chunk partials in chunk
+// order, so the float result does not depend on scheduling. Chunk 0
+// runs on the caller and chunk w on helper w.
+//
+// Helpers live until release. A CG iteration dispatches eight jobs of
+// tens to hundreds of microseconds each, so waking a parked goroutine
+// per job would cost as much as the job saves: do publishes each job by
+// bumping gen, and a helper waiting for the next one spins on gen for
+// up to parSpin before it parks on cond, so the serial stretches between
+// rounds (assembly, the coarse factor) do not hold its core. The caller
+// waits for the helpers the same way.
 type parRun struct {
-	pool     *fft.WorkerPool
-	reserved int
-	partial  []float64 // per-chunk dot partials, len reserved+1
+	pool *fft.WorkerPool
+	// bounds[w], bounds[w+1] delimit chunk w.
+	bounds  []int
+	partial []float64 // per-chunk reduction partials
+	helpers int       // len(bounds)−2; each holds one token
+	spin    time.Duration
+
+	job      func(w int)   // the current job; written before gen moves
+	gen      atomic.Uint32 // bumped once per job, and once by release
+	pending  atomic.Int32  // helpers still running the current job
+	stop     atomic.Bool
+	sleepers atomic.Int32 // goroutines parked on cond
+	mu       sync.Mutex
+	cond     sync.Cond
+	wg       sync.WaitGroup
 }
 
-func newParRun(pool *fft.WorkerPool) *parRun {
+// parSpin bounds how long an idle helper, or the caller waiting for
+// helpers, polls before it parks. It must cover the gaps inside a CG
+// iteration — the banded coarse solve (≈30 µs at 59k tiles) and a
+// lagging chunk's tail — with room to spare: a woken goroutine is queued
+// on its waker's P, behind the waker's own chunk, so a wait that parks
+// serialises the next job. On a 2-vCPU KVM guest a 59k-tile solve
+// parked thousands of times with a 50 µs bound and a few dozen with
+// 200 µs, in the serial stretches between rounds.
+const parSpin = 200 * time.Microsecond
+
+// newParRun reserves helpers for a solve over n rows and starts them.
+// The chunk size is the reserved count's even split of n, floored at
+// parMinChunk; tokens beyond the chunk count go straight back.
+func newParRun(pool *fft.WorkerPool, n int) *parRun {
 	if pool == nil {
 		pool = fft.SharedPool()
 	}
-	want := runtime.GOMAXPROCS(0) - 1
-	if want < 0 {
-		want = 0
+	reserved := pool.Reserve(max(runtime.GOMAXPROCS(0)-1, 0))
+	chunk := max((n+reserved)/(reserved+1), parMinChunk)
+	p := &parRun{pool: pool, bounds: []int{0}}
+	for hi := 0; hi < n || len(p.bounds) == 1; {
+		hi = min(hi+chunk, n)
+		p.bounds = append(p.bounds, hi)
 	}
-	p := &parRun{pool: pool, reserved: pool.Reserve(want)}
-	p.partial = make([]float64, p.reserved+1)
+	p.helpers = len(p.bounds) - 2
+	pool.Release(reserved - p.helpers)
+	p.partial = make([]float64, p.helpers+1)
+	// Spinning pays only while every worker has a CPU of its own; on an
+	// oversubscribed machine a spinning helper takes the CPU a working
+	// one needs, so all waits park at once.
+	if p.helpers+1 <= runtime.NumCPU() {
+		p.spin = parSpin
+	}
+	p.cond.L = &p.mu
+	p.wg.Add(p.helpers)
+	for w := 1; w <= p.helpers; w++ {
+		go p.helper(w)
+	}
 	return p
 }
 
+// release stops the helpers, waits for them to exit and returns their
+// tokens to the pool.
 func (p *parRun) release() {
-	p.pool.Release(p.reserved)
-	p.reserved = 0
+	if p.helpers > 0 {
+		p.stop.Store(true)
+		p.gen.Add(1)
+		p.wake()
+		p.wg.Wait()
+	}
+	p.pool.Release(p.helpers)
+	p.helpers = 0
 }
 
-// run executes fn over [0, n) split into reserved+1 contiguous chunks,
-// one per held token plus the caller's own goroutine. Chunks below
-// minChunk merge into the caller's share (goroutine handoff costs more
-// than the loop it would cover).
-func (p *parRun) run(n, minChunk int, fn func(lo, hi int)) {
-	workers := p.reserved
-	chunk := (n + workers) / (workers + 1)
-	if chunk < minChunk {
-		chunk = minChunk
-	}
-	var wg sync.WaitGroup
-	lo := chunk // chunk 0 runs inline below
-	for w := 0; w < workers && lo < n; w++ {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-		lo = hi
-	}
-	if chunk > n {
-		chunk = n
-	}
-	fn(0, chunk)
-	wg.Wait()
+// rows returns chunk w's row range.
+func (p *parRun) rows(w int) (lo, hi int) { return p.bounds[w], p.bounds[w+1] }
+
+// share returns worker w's even share of [0, m), for work whose result
+// does not depend on where the split falls.
+func (p *parRun) share(m, w int) (lo, hi int) {
+	k := len(p.bounds) - 1
+	return m * w / k, m * (w + 1) / k
 }
 
-// dot computes a·b over rows [1, n) (row 0 is the pinned tile) with
-// deterministic chunked partials.
-func (p *parRun) dot(a, b []float64) float64 {
-	n := len(a)
-	workers := p.reserved
-	chunk := (n + workers) / (workers + 1)
-	if chunk < parMinChunk {
-		chunk = parMinChunk
+// do runs fn(w) for every chunk w — chunk 0 on the caller, chunk w on
+// helper w — and returns when all have finished.
+func (p *parRun) do(fn func(w int)) {
+	if p.helpers == 0 {
+		fn(0)
+		return
 	}
-	nChunks := (n + chunk - 1) / chunk
-	var wg sync.WaitGroup
-	for c := 1; c < nChunks; c++ {
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			p.partial[c] = dotRange(a, b, lo, hi)
-		}(c, lo, hi)
-	}
-	first := chunk
-	if first > n {
-		first = n
-	}
-	p.partial[0] = dotRange(a, b, 1, first)
-	wg.Wait()
-	var sum float64
-	for c := 0; c < nChunks; c++ {
-		sum += p.partial[c]
-	}
-	return sum
+	p.job = fn
+	p.pending.Store(int32(p.helpers))
+	p.gen.Add(1)
+	p.wake()
+	fn(0)
+	p.await(func() bool { return p.pending.Load() == 0 })
 }
 
-//stitchlint:hotpath
-func dotRange(a, b []float64, lo, hi int) float64 {
+// sumPartials adds the per-chunk partials in chunk order.
+func (p *parRun) sumPartials() float64 {
 	var s float64
-	for i := lo; i < hi; i++ {
-		s += a[i] * b[i]
+	for _, v := range p.partial {
+		s += v
 	}
 	return s
 }
 
-// parMinChunk is the smallest row range worth a goroutine handoff.
+// maxPartials returns the largest per-chunk partial (0 if none is
+// positive); a max is exact in any order.
+func (p *parRun) maxPartials() float64 {
+	var m float64
+	for _, v := range p.partial {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// helper runs chunk w of every job until release.
+func (p *parRun) helper(w int) {
+	defer p.wg.Done()
+	var seen uint32
+	for {
+		p.await(func() bool { return p.gen.Load() != seen })
+		if p.stop.Load() {
+			return
+		}
+		seen = p.gen.Load()
+		p.job(w)
+		if p.pending.Add(-1) == 0 {
+			p.wake()
+		}
+	}
+}
+
+// await returns once ready holds: it polls for up to p.spin, then parks
+// on cond until a wake finds it ready.
+func (p *parRun) await(ready func() bool) {
+	var start time.Time
+	for i := 1; !ready(); i++ {
+		if i%64 != 0 {
+			continue
+		}
+		if start.IsZero() {
+			start = time.Now()
+			continue
+		}
+		if time.Since(start) < p.spin {
+			continue
+		}
+		// Registering as a sleeper before the last check pairs with
+		// wake, which changes the state before it counts sleepers: one
+		// of the two always sees the other.
+		p.mu.Lock()
+		p.sleepers.Add(1)
+		for !ready() {
+			p.cond.Wait()
+		}
+		p.sleepers.Add(-1)
+		p.mu.Unlock()
+		return
+	}
+}
+
+// wake rouses every parked waiter after a state change await polls.
+func (p *parRun) wake() {
+	if p.sleepers.Load() > 0 {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+//stitchlint:hotpath
+func dotRange(a, b []float64, lo, hi int) float64 {
+	a = a[lo:hi]
+	b = b[lo:hi][:len(a)]
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// parMinChunk is the smallest row range worth a chunk of its own.
 const parMinChunk = 2048
 
 // twoLevelPrecond is the aggregation hierarchy that applies z ← M⁻¹r on
@@ -149,6 +250,10 @@ type twoLevelPrecond struct {
 	agg  []int32   // fine tile → coarse aggregate
 	nc   int
 	bw   int // coarse bandwidth: cCols
+	// fineRow0[k] is the first fine index of coarse row k: the
+	// aggregates of coarse row k hold exactly the fine indices
+	// [fineRow0[k], fineRow0[k+1]).
+	fineRow0 []int
 	// ac is the lower band of the coarse Laplacian, then of its Cholesky
 	// factor: row c holds columns c−bw … c, the diagonal last.
 	ac  []float64
@@ -189,6 +294,9 @@ func newTwoLevelPrecond(sys *lsSystem, diag []float64, rows, cols int) *twoLevel
 	for i := 0; i < n; i++ {
 		r, c := i/cols, i%cols
 		t.agg[i] = int32(r/f*cCols + c/f)
+	}
+	for k := 0; k <= cRows; k++ {
+		t.fineRow0 = append(t.fineRow0, min(k*f, rows)*cols)
 	}
 	return t
 }
@@ -239,47 +347,117 @@ func (t *twoLevelPrecond) refresh() {
 // classic choice that damps the upper half of the Laplacian spectrum.
 const twoLevelOmega = 2.0 / 3.0
 
-func (t *twoLevelPrecond) apply(z, r []float64, par *parRun) {
-	n := t.sys.n
-	diag := t.diag
+// apply sets z ← M⁻¹r and returns r·z (rows 1…n−1, in the chunked
+// order of every other dot product). Each pass runs on the row chunks
+// except the restriction, which runs over whole coarse rows: an
+// aggregate's fine tiles all lie in its coarse row, so each aggregate is
+// summed by one worker in increasing fine index — the serial order —
+// and the SpMV that feeds it rides the same range.
+func (t *twoLevelPrecond) apply(z, r []float64, par *parRun) float64 {
+	sys, diag, tmp, rc, agg := t.sys, t.diag, t.tmp, t.rc, t.agg
 	// Pre-smooth from zero: z = ω D⁻¹ r.
-	par.run(n, parMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if d := diag[i]; d > 0 {
-				z[i] = twoLevelOmega * r[i] / d
-			} else {
-				z[i] = 0
-			}
-		}
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		smoothRange(z, r, diag, lo, hi)
 	})
 	z[0] = 0
-	// Coarse correction on the smoothed residual.
-	par.run(n, parMinChunk, func(lo, hi int) {
-		t.sys.spmvRange(t.tmp, z, diag, lo, hi)
+	// Coarse correction on the smoothed residual: rc = Pᵀ(r − A z).
+	cRows := len(t.fineRow0) - 1
+	par.do(func(w int) {
+		k0, k1 := par.share(cRows, w)
+		if k0 == k1 {
+			return // more workers than coarse rows
+		}
+		lo, hi := t.fineRow0[k0], t.fineRow0[k1]
+		sys.spmvRange(tmp, z, diag, lo, hi)
+		clear(rc[k0*t.bw : k1*t.bw])
+		restrictRange(rc, agg, r, tmp, max(lo, 1), hi)
 	})
-	for c := range t.rc {
-		t.rc[c] = 0
-	}
-	for i := 1; i < n; i++ {
-		t.rc[t.agg[i]] += r[i] - t.tmp[i]
-	}
-	bandCholeskySolve(t.ac, t.nc, t.bw, t.rc)
-	for i := 1; i < n; i++ {
-		z[i] += t.rc[t.agg[i]]
-	}
+	bandCholeskySolve(t.ac, t.nc, t.bw, rc)
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		prolongRange(z, rc, agg, max(lo, 1), hi)
+	})
 	// Post-smooth: z += ω D⁻¹ (r − A z). Same smoother on both flanks
 	// keeps M symmetric.
-	par.run(n, parMinChunk, func(lo, hi int) {
-		t.sys.spmvRange(t.tmp, z, diag, lo, hi)
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		sys.spmvRange(tmp, z, diag, lo, hi)
 	})
-	par.run(n, parMinChunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if d := diag[i]; d > 0 {
-				z[i] += twoLevelOmega * (r[i] - t.tmp[i]) / d
-			}
-		}
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		par.partial[w] = postSmoothDotRange(z, r, tmp, diag, lo, hi)
 	})
 	z[0] = 0
+	return par.sumPartials()
+}
+
+// smoothRange sets rows [lo, hi) of z to the damped-Jacobi step from
+// zero, ω·r/d (0 where the diagonal is empty).
+//
+//stitchlint:hotpath
+func smoothRange(z, r, diag []float64, lo, hi int) {
+	z = z[lo:hi]
+	r = r[lo:hi][:len(z)]
+	diag = diag[lo:hi][:len(z)]
+	for i, d := range diag {
+		if d > 0 {
+			z[i] = twoLevelOmega * r[i] / d
+		} else {
+			z[i] = 0
+		}
+	}
+}
+
+// restrictRange adds r − tmp over fine rows [lo, hi) into their
+// aggregates, in increasing fine index.
+//
+//stitchlint:hotpath
+func restrictRange(rc []float64, agg []int32, r, tmp []float64, lo, hi int) {
+	agg = agg[lo:hi]
+	r = r[lo:hi][:len(agg)]
+	tmp = tmp[lo:hi][:len(agg)]
+	for i, c := range agg {
+		rc[c] += r[i] - tmp[i]
+	}
+}
+
+// prolongRange adds each aggregate's coarse correction to its fine rows
+// in [lo, hi).
+//
+//stitchlint:hotpath
+func prolongRange(z, rc []float64, agg []int32, lo, hi int) {
+	agg = agg[lo:hi]
+	z = z[lo:hi][:len(agg)]
+	for i, c := range agg {
+		z[i] += rc[c]
+	}
+}
+
+// postSmoothDotRange applies the post-smooth z += ω(r − tmp)/d to rows
+// [lo, hi) and returns r·z over the same rows, row 0 excluded: the same
+// terms in the same order as dotRange after a separate pass.
+//
+//stitchlint:hotpath
+func postSmoothDotRange(z, r, tmp, diag []float64, lo, hi int) float64 {
+	if lo == 0 && hi > 0 {
+		if d := diag[0]; d > 0 {
+			z[0] += twoLevelOmega * (r[0] - tmp[0]) / d
+		}
+		lo = 1
+	}
+	z = z[lo:hi]
+	r = r[lo:hi][:len(z)]
+	tmp = tmp[lo:hi][:len(z)]
+	diag = diag[lo:hi][:len(z)]
+	var s float64
+	for i, d := range diag {
+		if d > 0 {
+			z[i] += twoLevelOmega * (r[i] - tmp[i]) / d
+		}
+		s += r[i] * z[i]
+	}
+	return s
 }
 
 // bandCholesky factors the SPD band matrix a (n rows of the lower band
@@ -373,65 +551,125 @@ func (st *pcgState) refresh() {
 // solveAxis runs PCG on L·u = b − L·p for one axis, updating pos in
 // place. It returns the iteration count and the largest per-tile total
 // movement of the solve. It stops when the largest per-tile position
-// update of an iteration falls below tol.
+// update of an iteration falls below tol. Every vector pass runs on the
+// row chunks; the SpMV and the p·Ap product share one pass.
 func (st *pcgState) solveAxis(pos, b []float64, tol float64, maxIter int, par *parRun) (int, float64) {
-	n := st.sys.n
+	sys, diag := st.sys, st.diag
+	r, z, p, ap, u := st.r, st.z, st.p, st.ap, st.u
 	// r = b − L·pos, restricted to the pinned subspace.
-	par.run(n, parMinChunk, func(lo, hi int) {
-		st.sys.spmvRange(st.ap, pos, st.diag, lo, hi)
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		sys.spmvRange(ap, pos, diag, lo, hi)
+		residualRange(r, u, b, ap, lo, hi)
 	})
-	for i := range st.u {
-		st.u[i] = 0
-		st.r[i] = b[i] - st.ap[i]
-	}
-	st.r[0] = 0
-	st.pre.apply(st.z, st.r, par)
-	copy(st.p, st.z)
-	rz := par.dot(st.r, st.z)
+	r[0] = 0
+	rz := st.pre.apply(z, r, par)
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		copy(p[lo:hi], z[lo:hi])
+	})
+	var alpha, beta float64
 	iters := 0
 	for ; iters < maxIter && rz > 0; iters++ {
-		par.run(n, parMinChunk, func(lo, hi int) {
-			st.sys.spmvRange(st.ap, st.p, st.diag, lo, hi)
+		par.do(func(w int) {
+			lo, hi := par.rows(w)
+			sys.spmvRange(ap, p, diag, lo, hi)
+			par.partial[w] = dotRange(p, ap, max(lo, 1), hi)
 		})
-		st.ap[0] = 0
-		pap := par.dot(st.p, st.ap)
+		ap[0] = 0
+		pap := par.sumPartials()
 		if pap <= 0 {
 			break
 		}
-		alpha := rz / pap
-		var maxUpd float64
-		for i := 1; i < n; i++ {
-			d := alpha * st.p[i]
-			st.u[i] += d
-			if d < 0 {
-				d = -d
-			}
-			if d > maxUpd {
-				maxUpd = d
-			}
-			st.r[i] -= alpha * st.ap[i]
-		}
-		if maxUpd < tol {
+		alpha = rz / pap
+		par.do(func(w int) {
+			lo, hi := par.rows(w)
+			par.partial[w] = stepRange(u, r, p, ap, alpha, max(lo, 1), hi)
+		})
+		if par.maxPartials() < tol {
 			iters++
 			break
 		}
-		st.pre.apply(st.z, st.r, par)
-		rzNew := par.dot(st.r, st.z)
-		beta := rzNew / rz
+		rzNew := st.pre.apply(z, r, par)
+		beta = rzNew / rz
 		rz = rzNew
-		for i := 1; i < n; i++ {
-			st.p[i] = st.z[i] + beta*st.p[i]
-		}
-		st.p[0] = 0
+		par.do(func(w int) {
+			lo, hi := par.rows(w)
+			directionRange(p, z, beta, max(lo, 1), hi)
+		})
+		p[0] = 0
 	}
+	par.do(func(w int) {
+		lo, hi := par.rows(w)
+		par.partial[w] = moveRange(pos, u, max(lo, 1), hi)
+	})
+	return iters, par.maxPartials()
+}
+
+// residualRange sets rows [lo, hi) of r to b − ap and of u to 0.
+//
+//stitchlint:hotpath
+func residualRange(r, u, b, ap []float64, lo, hi int) {
+	clear(u[lo:hi])
+	r = r[lo:hi]
+	b = b[lo:hi][:len(r)]
+	ap = ap[lo:hi][:len(r)]
+	for i := range r {
+		r[i] = b[i] - ap[i]
+	}
+}
+
+// stepRange takes the CG step over rows [lo, hi): u += α·p, r −= α·Ap.
+// It returns the largest |α·p[i]|, the per-iteration update the stop
+// rule reads.
+//
+//stitchlint:hotpath
+func stepRange(u, r, p, ap []float64, alpha float64, lo, hi int) float64 {
+	p = p[lo:hi]
+	u = u[lo:hi][:len(p)]
+	r = r[lo:hi][:len(p)]
+	ap = ap[lo:hi][:len(p)]
+	var maxUpd float64
+	for i, v := range p {
+		d := alpha * v
+		u[i] += d
+		if d < 0 {
+			d = -d
+		}
+		if d > maxUpd {
+			maxUpd = d
+		}
+		r[i] -= alpha * ap[i]
+	}
+	return maxUpd
+}
+
+// directionRange sets rows [lo, hi) of the search direction to z + β·p.
+//
+//stitchlint:hotpath
+func directionRange(p, z []float64, beta float64, lo, hi int) {
+	p = p[lo:hi]
+	z = z[lo:hi][:len(p)]
+	for i, v := range p {
+		p[i] = z[i] + beta*v
+	}
+}
+
+// moveRange adds the solve's update u to pos over rows [lo, hi) and
+// returns the largest |u[i]|.
+//
+//stitchlint:hotpath
+func moveRange(pos, u []float64, lo, hi int) float64 {
+	u = u[lo:hi]
+	pos = pos[lo:hi][:len(u)]
 	var moved float64
-	for i := 1; i < n; i++ {
-		pos[i] += st.u[i]
-		if d := st.u[i]; d > moved {
+	for i, d := range u {
+		pos[i] += d
+		if d > moved {
 			moved = d
 		} else if -d > moved {
 			moved = -d
 		}
 	}
-	return iters, moved
+	return moved
 }

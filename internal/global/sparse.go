@@ -129,8 +129,20 @@ func (s *lsSystem) spmvRange(dst, x, diag []float64, lo, hi int) {
 	for i := lo; i < mid0; i++ {
 		dst[i] = s.stencilRow(x, diag, i)
 	}
-	for i := mid0; i < mid1; i++ {
-		dst[i] = diag[i]*x[i] - wW[i]*x[i-1] - wW[i+1]*x[i+1] - wN[i]*x[i-cols] - wN[i+cols]*x[i+cols]
+	if mid0 < mid1 {
+		// Row i's neighbours are fixed offsets from it, so each operand
+		// streams as its own slice of the interior's length: the loop
+		// indexes every one with the same proven-in-range k.
+		out := dst[mid0:mid1]
+		m := len(out)
+		d := diag[mid0:mid1][:m]
+		xc, xw, xe := x[mid0:mid1][:m], x[mid0-1 : mid1-1][:m], x[mid0+1 : mid1+1][:m]
+		xn, xs := x[mid0-cols : mid1-cols][:m], x[mid0+cols : mid1+cols][:m]
+		ww, we := wW[mid0:mid1][:m], wW[mid0+1 : mid1+1][:m]
+		wn, ws := wN[mid0:mid1][:m], wN[mid0+cols : mid1+cols][:m]
+		for k := range out {
+			out[k] = d[k]*xc[k] - ww[k]*xw[k] - we[k]*xe[k] - wn[k]*xn[k] - ws[k]*xs[k]
+		}
 	}
 	for i := mid1; i < hi; i++ {
 		dst[i] = s.stencilRow(x, diag, i)
