@@ -172,8 +172,10 @@ var (
 // cpuPipeline is the CPU task graph MT-CPU and Pipelined-CPU share:
 // reads on a serial disk, transforms and pair computations on T workers.
 // imbalance multiplies the compute costs: MT-CPU's static partition
-// penalty, which the dynamic pipeline removes.
-func cpuPipeline(imbalance float64) schedule {
+// penalty, which the dynamic pipeline removes. sockets is true only for
+// Pipelined-CPU, the one implementation whose Run splits the plate per
+// socket (stitch.Options.Sockets).
+func cpuPipeline(imbalance float64, sockets bool) schedule {
 	slow := func(p prices) float64 { return p.slow * imbalance }
 	return schedule{
 		stations: []station{disk, {name: "cpu", cap: func(s RunSpec) int { return s.Threads }}},
@@ -181,7 +183,7 @@ func cpuPipeline(imbalance float64) schedule {
 		pair: []step{{"pair", "cpu", func(p prices) float64 {
 			return (p.NCCCPU + p.FFTCPU + p.MaxCPU + p.CCF) * slow(p)
 		}}},
-		reuse: true, sockets: true,
+		reuse: true, sockets: sockets,
 	}
 }
 
@@ -197,8 +199,8 @@ var schedules = map[string]schedule{
 		}}},
 		reuse: true, serial: true,
 	},
-	"mt-cpu":        cpuPipeline(mtImbalance),
-	"pipelined-cpu": cpuPipeline(1),
+	"mt-cpu":        cpuPipeline(mtImbalance, false),
+	"pipelined-cpu": cpuPipeline(1, true),
 	// Simple-GPU runs every operation on one CPU thread with synchronous
 	// GPU dispatch: each device call pays the launch+synchronize overhead
 	// that the profiler gaps of Fig 7 expose.
