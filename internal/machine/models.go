@@ -27,7 +27,9 @@ type RunSpec struct {
 	// Sockets models one CPU pipeline per socket (paper §IV.B future
 	// work): memory contention halves (each pipeline streams
 	// socket-local DRAM) at the cost of one redundant boundary row of
-	// reads and transforms per extra socket.
+	// reads and transforms per extra socket. Only the pipelined-cpu
+	// schedule honours it: stitch.PipelinedCPU is the one executor that
+	// splits the plate by socket.
 	Sockets int
 }
 
